@@ -6,7 +6,7 @@
 //   coverage_tool orchestrate --dict d.snfd --shards 4 [--work-dir DIR]
 //                             [build flags] [--chaos-crash-after N]
 //   coverage_tool run-shard   --job j.bin --work-dir DIR --shard I --num-shards N
-//   coverage_tool status      --work-dir DIR [--watch 1] [--interval 1] [--json 1]
+//   coverage_tool status      --work-dir DIR [--json 1]
 //   coverage_tool merge       --out merged.snfd --inputs a.snfd,b.snfd
 //   coverage_tool query       --dict d.snfd [--fault 17] [--stimulus 2]
 //   coverage_tool minimize    --dict d.snfd [--out schedule.snfd] [--json r.json]
@@ -25,17 +25,15 @@
 // executes such a schedule in file order against the live model, dropping
 // every fault an earlier stimulus already detected — the minimum-time
 // in-field loop; --frontier runs each step through the divergence-frontier
-// engine (DESIGN.md §17). `status` reads the SNST status
-// snapshots of a live or finished sharded campaign from ANOTHER process and
-// renders coverage %, faults/s, per-shard progress and the ETA (DESIGN.md
-// §16); --watch refreshes until the fleet commits.
+// engine (DESIGN.md §17). `status` reads a live or finished sharded
+// campaign's work directory from ANOTHER process and prints each shard's
+// progress: committed, partial (records in its snapshot) or not started
+// (DESIGN.md §16).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/orchestrator.hpp"
@@ -276,23 +274,18 @@ int cmd_run_shard(int argc, char** argv) {
   return campaign::run_shard_worker(opts);
 }
 
-/// Campaign directories under `root`: the root itself when it holds shard
-/// files, else its immediate subdirectories that do (orchestrate runs one
+/// Campaign directories under `root`: the root itself when it holds a
+/// job.bin, else its immediate subdirectories that do (orchestrate runs one
 /// campaign per stimulus under --work-dir/<stimulus>).
 std::vector<std::string> find_campaign_dirs(const std::string& root) {
-  const auto has_shards = [](const std::string& dir) {
-    const campaign::ShardPaths p = campaign::shard_paths(dir, 0);
-    return std::filesystem::exists(p.status) || std::filesystem::exists(p.final) ||
-           std::filesystem::exists(p.heartbeat);
+  const auto is_campaign = [](const std::string& dir) {
+    return std::filesystem::exists(dir + "/job.bin");
   };
+  if (is_campaign(root)) return {root};
   std::vector<std::string> dirs;
-  if (has_shards(root)) {
-    dirs.push_back(root);
-    return dirs;
-  }
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(root, ec)) {
-    if (entry.is_directory(ec) && has_shards(entry.path().string())) {
+    if (entry.is_directory(ec) && is_campaign(entry.path().string())) {
       dirs.push_back(entry.path().string());
     }
   }
@@ -300,60 +293,66 @@ std::vector<std::string> find_campaign_dirs(const std::string& root) {
   return dirs;
 }
 
+const char* state_name(campaign::ShardProgress::State state) {
+  switch (state) {
+    case campaign::ShardProgress::State::kCommitted:
+      return "committed";
+    case campaign::ShardProgress::State::kPartial:
+      return "partial";
+    case campaign::ShardProgress::State::kNotStarted:
+      break;
+  }
+  return "not started";
+}
+
 int cmd_status(int argc, char** argv) {
-  util::CliParser cli({{"work-dir", "orchestrate.work"},
-                       {"shards", "0"},
-                       {"watch", "0"},
-                       {"interval", "1"},
-                       {"json", "0"}},
-                      "Live (or post-mortem) fleet view of a sharded campaign: reads the\n"
-                      "shard status snapshots under --work-dir and renders coverage,\n"
-                      "throughput, per-shard progress and the ETA. --shards 0 auto-detects\n"
-                      "the fleet size; --watch refreshes every --interval seconds until\n"
-                      "every shard commits; --json emits snntest-fleet-v1 instead.");
+  util::CliParser cli({{"work-dir", "orchestrate.work"}, {"json", "0"}},
+                      "Progress of a live or finished sharded campaign, read from its work\n"
+                      "directory: each shard is committed (final .snfd present), partial\n"
+                      "(records in its partial snapshot out of its range) or not started.\n"
+                      "--json 1 prints the same as one JSON document.");
   if (!cli.parse(argc, argv)) return 0;
   const std::string root = cli.get("work-dir");
-  const size_t shards = cli.get_size("shards");
-  const bool watch = cli.get_bool("watch");
   const bool as_json = cli.get_bool("json");
-  const double interval = cli.get_double("interval");
-
-  for (;;) {
-    const std::vector<std::string> dirs = find_campaign_dirs(root);
-    if (dirs.empty() && !watch) {
-      std::fprintf(stderr, "error: no shard files under %s\n", root.c_str());
-      return 1;
-    }
-    std::string out;
-    bool all_complete = !dirs.empty();
-    if (as_json) {
-      out += dirs.size() == 1 ? "" : "{\"campaigns\":{";
-      for (size_t i = 0; i < dirs.size(); ++i) {
-        const auto view = campaign::build_fleet_view(dirs[i], shards);
-        all_complete = all_complete && view.completed;
-        if (dirs.size() == 1) {
-          out += campaign::fleet_status_json(view);
-        } else {
-          if (i) out += ",";
-          out += "\"" + util::json_escape(dirs[i]) + "\":" + campaign::fleet_status_json(view);
-        }
-      }
-      if (dirs.size() != 1) out += "}}";
-      out += "\n";
-    } else {
-      for (const std::string& dir : dirs) {
-        const auto view = campaign::build_fleet_view(dir, shards);
-        all_complete = all_complete && view.completed;
-        out += "== " + dir + " ==\n" + campaign::render_fleet(view) + "\n";
-      }
-      if (dirs.empty()) out = "waiting for shard files under " + root + "...\n";
-    }
-    if (watch && !as_json) std::fputs("\x1b[H\x1b[2J", stdout);  // home + clear
-    std::fputs(out.c_str(), stdout);
-    std::fflush(stdout);
-    if (!watch || all_complete) break;
-    std::this_thread::sleep_for(std::chrono::duration<double>(interval > 0.0 ? interval : 1.0));
+  const std::vector<std::string> dirs = find_campaign_dirs(root);
+  if (dirs.empty()) {
+    std::fprintf(stderr, "error: no campaign (job.bin) under %s\n", root.c_str());
+    return 1;
   }
+
+  std::string out = as_json ? "{\"campaigns\":[" : "";
+  for (size_t d = 0; d < dirs.size(); ++d) {
+    const auto shards = campaign::read_shard_progress(dirs[d]);
+    size_t done = 0, faults = 0, committed = 0;
+    std::string rows;
+    for (size_t i = 0; i < shards.size(); ++i) {
+      const campaign::ShardProgress& p = shards[i];
+      done += p.done;
+      faults += p.faults;
+      if (p.state == campaign::ShardProgress::State::kCommitted) ++committed;
+      const char* state = state_name(p.state);
+      if (as_json) {
+        rows += std::string(i ? "," : "") + "{\"state\":\"" + state +
+                "\",\"done\":" + std::to_string(p.done) +
+                ",\"faults\":" + std::to_string(p.faults) + "}";
+      } else {
+        rows += "  shard " + std::to_string(i) + ": " + state + " " + std::to_string(p.done) +
+                "/" + std::to_string(p.faults) + "\n";
+      }
+    }
+    if (as_json) {
+      out += std::string(d ? "," : "") + "{\"work_dir\":\"" + util::json_escape(dirs[d]) +
+             "\",\"shards_committed\":" + std::to_string(committed) +
+             ",\"done\":" + std::to_string(done) + ",\"faults\":" + std::to_string(faults) +
+             ",\"shards\":[" + rows + "]}";
+    } else {
+      out += "== " + dirs[d] + " ==\n" + rows + "  " + std::to_string(committed) + "/" +
+             std::to_string(shards.size()) + " shards committed, " + std::to_string(done) + "/" +
+             std::to_string(faults) + " faults done\n";
+    }
+  }
+  if (as_json) out += "]}\n";
+  std::fputs(out.c_str(), stdout);
   return 0;
 }
 
@@ -375,19 +374,13 @@ int cmd_orchestrate(int argc, char** argv) {
                        {"flush-every", "16"},
                        {"chaos-crash-after", "0"},
                        {"chaos-hang-after", "0"},
-                       {"collect-traces", "0"},
-                       {"status-interval", "0.5"},
                        {"trace-out", ""},
                        {"metrics-out", ""}},
                       "Sharded multi-process `build`: the same dictionary, produced by\n"
                       "N crash-isolated worker processes per stimulus (DESIGN.md §15).\n"
                       "--chaos-crash-after/--chaos-hang-after sabotage every shard's FIRST\n"
-                      "attempt (recovery drill); retries run clean. While running, the\n"
-                      "fleet view is republished as <work-dir>/<stimulus>/fleet_status.json\n"
-                      "(watch it live with `coverage_tool status --work-dir ... --watch 1`);\n"
-                      "every campaign also leaves a flight_report.json, and\n"
-                      "--collect-traces merges the per-worker Chrome traces into\n"
-                      "trace_merged.json (chrome://tracing / Perfetto).");
+                      "attempt (recovery drill); retries run clean. Check progress from\n"
+                      "another terminal with `coverage_tool status --work-dir ...`.");
   if (!cli.parse(argc, argv)) return 0;
   obs::configure(cli.get("trace-out"), cli.get("metrics-out"));
 
@@ -411,7 +404,7 @@ int cmd_orchestrate(int argc, char** argv) {
                     : universe;
   std::printf("model %s; fault universe %zu, simulating %zu across %zu shard processes\n",
               net.name().c_str(), universe.size(), faults.size(), cli.get_size("shards"));
-  std::printf("monitor: coverage_tool status --work-dir %s --watch 1\n",
+  std::printf("monitor: coverage_tool status --work-dir %s\n",
               cli.get("work-dir").c_str());
 
   campaign::EngineConfig engine;
@@ -459,8 +452,6 @@ int cmd_orchestrate(int argc, char** argv) {
   ocfg.max_retries = cli.get_size("max-retries");
   ocfg.heartbeat_timeout_seconds = cli.get_double("heartbeat-timeout");
   ocfg.flush_every = cli.get_size("flush-every");
-  ocfg.collect_traces = cli.get_bool("collect-traces");
-  ocfg.status_interval_seconds = cli.get_double("status-interval");
   const size_t crash_after = cli.get_size("chaos-crash-after");
   const size_t hang_after = cli.get_size("chaos-hang-after");
   ocfg.worker_command = [&](const campaign::ShardLaunch& launch) {

@@ -1,11 +1,12 @@
 #include "campaign/orchestrator.hpp"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
@@ -13,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/subprocess.hpp"
 #include "util/timer.hpp"
@@ -39,13 +39,12 @@ void ensure_directory(const std::string& path) {
   }
 }
 
-/// The heartbeat file holds a bare u64 counter; absent/garbled reads as 0
-/// (== "no beat yet"), which is fine — liveness is judged on *changes*.
-uint64_t read_heartbeat(const std::string& path) {
-  std::ifstream in(path);
-  uint64_t value = 0;
-  in >> value;
-  return in ? value : 0;
+/// Size of a worker's partial snapshot, 0 while absent. Records are only
+/// ever added to it, so every flush changes the size — liveness is judged
+/// on *changes*.
+uint64_t file_size(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
 }
 
 /// A shard is committed iff its final file loads and matches the job's
@@ -63,46 +62,10 @@ struct ShardState {
   pid_t pid = -1;
   size_t attempts = 0;  // launches so far
   Clock::time_point retry_at{};
-  uint64_t last_heartbeat = 0;
-  Clock::time_point last_heartbeat_change{};
+  uint64_t last_partial_size = 0;
+  Clock::time_point last_progress{};
   ShardOutcome outcome;
 };
-
-/// How one attempt ended, for the flight report's attempt history.
-std::string attempt_outcome_string(const util::ProcessStatus* ps, bool was_hung, bool committed) {
-  if (committed) return "committed";
-  if (was_hung) return "hung (killed)";
-  if (ps != nullptr && ps->signaled) {
-    return "crashed (signal " + std::to_string(ps->term_signal) + ")";
-  }
-  if (ps != nullptr && ps->exited) {
-    return "exit " + std::to_string(ps->exit_code) + " (no commit)";
-  }
-  return "failed";
-}
-
-util::JsonValue jnum(double v) {
-  util::JsonValue out;
-  out.kind = util::JsonValue::kNumber;
-  out.number = v;
-  return out;
-}
-
-util::JsonValue juint(uint64_t v) { return jnum(static_cast<double>(v)); }
-
-util::JsonValue jstr(const std::string& s) {
-  util::JsonValue out;
-  out.kind = util::JsonValue::kString;
-  out.str = s;
-  return out;
-}
-
-util::JsonValue jbool(bool b) {
-  util::JsonValue out;
-  out.kind = util::JsonValue::kBool;
-  out.boolean = b;
-  return out;
-}
 
 }  // namespace
 
@@ -110,122 +73,6 @@ size_t OrchestratorResult::total_attempts() const {
   size_t n = 0;
   for (const ShardOutcome& s : shards) n += s.attempts;
   return n;
-}
-
-std::string flight_report_json(const OrchestratorResult& result) {
-  using util::JsonValue;
-  JsonValue root;
-  root.kind = JsonValue::kObject;
-  root.object["schema"] = jstr("snntest-flight-v1");
-  root.object["completed"] = jbool(result.completed);
-  root.object["elapsed_seconds"] = jnum(result.elapsed_seconds);
-  root.object["num_shards"] = juint(result.shards.size());
-  root.object["total_attempts"] = juint(result.total_attempts());
-  root.object["faults_total"] = juint(result.fleet.faults_total);
-  root.object["faults_done"] = juint(result.fleet.faults_done);
-  root.object["detected"] = juint(result.fleet.detected);
-
-  JsonValue merge;
-  merge.kind = JsonValue::kObject;
-  merge.object["records_added"] = juint(result.merge_stats.records_added);
-  merge.object["duplicates_agreeing"] = juint(result.merge_stats.duplicates_agreeing);
-  merge.object["conflicts_skipped"] = juint(result.merge_stats.conflicts_skipped);
-  merge.object["stimuli_added"] = juint(result.merge_stats.stimuli_added);
-  root.object["merge_stats"] = std::move(merge);
-
-  // Time to X% of the fault universe processed, interpolated from nothing —
-  // the first supervisor sample at or past the threshold. null when the
-  // campaign never got there.
-  JsonValue milestones;
-  milestones.kind = JsonValue::kObject;
-  const double total = static_cast<double>(result.fleet.faults_total);
-  for (double frac : {0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0}) {
-    char key[32];
-    std::snprintf(key, sizeof(key), "t_%g", frac);
-    JsonValue when;  // defaults to kNull
-    if (total > 0.0) {
-      for (const CoverageSample& s : result.campaign_curve) {
-        if (static_cast<double>(s.faults_done) + 1e-9 >= frac * total) {
-          when = jnum(s.t_seconds);
-          break;
-        }
-      }
-    }
-    milestones.object[key] = when;
-  }
-  root.object["milestones"] = std::move(milestones);
-
-  JsonValue curve;
-  curve.kind = JsonValue::kArray;
-  for (const CoverageSample& s : result.campaign_curve) {
-    JsonValue point;
-    point.kind = JsonValue::kObject;
-    point.object["t_seconds"] = jnum(s.t_seconds);
-    point.object["faults_done"] = juint(s.faults_done);
-    point.object["detected"] = juint(s.detected);
-    curve.array.push_back(std::move(point));
-  }
-  root.object["campaign_curve"] = std::move(curve);
-
-  JsonValue shards;
-  shards.kind = JsonValue::kArray;
-  for (const ShardOutcome& s : result.shards) {
-    JsonValue shard;
-    shard.kind = JsonValue::kObject;
-    shard.object["shard_index"] = juint(s.shard_index);
-    shard.object["attempts"] = juint(s.attempts);
-    shard.object["hung_kills"] = juint(s.hung_kills);
-    shard.object["failed_attempts"] = juint(s.failed_attempts);
-    shard.object["completed"] = jbool(s.completed);
-    shard.object["reused_existing"] = jbool(s.reused_existing);
-    shard.object["faults"] = juint(s.stats.faults);
-    shard.object["pairs_reused"] = juint(s.stats.pairs_reused);
-    shard.object["pairs_recorded"] = juint(s.stats.pairs_recorded);
-    shard.object["elapsed_seconds"] = jnum(s.stats.elapsed_seconds);
-    JsonValue history;
-    history.kind = JsonValue::kArray;
-    for (const ShardAttempt& a : s.history) {
-      JsonValue attempt;
-      attempt.kind = JsonValue::kObject;
-      attempt.object["attempt"] = juint(a.attempt);
-      attempt.object["outcome"] = jstr(a.outcome);
-      attempt.object["started_seconds"] = jnum(a.started_seconds);
-      attempt.object["ended_seconds"] = jnum(a.ended_seconds);
-      history.array.push_back(std::move(attempt));
-    }
-    shard.object["history"] = std::move(history);
-    shards.array.push_back(std::move(shard));
-  }
-  root.object["shards"] = std::move(shards);
-
-  JsonValue counters;
-  counters.kind = JsonValue::kObject;
-  for (const auto& [name, value] : result.fleet.merged_metrics.counters) {
-    counters.object[name] = juint(value);
-  }
-  root.object["merged_counters"] = std::move(counters);
-
-  JsonValue histograms;
-  histograms.kind = JsonValue::kObject;
-  for (const auto& [name, h] : result.fleet.merged_metrics.histograms) {
-    JsonValue hist;
-    hist.kind = JsonValue::kObject;
-    hist.object["count"] = juint(h.count);
-    hist.object["sum"] = jnum(h.sum);
-    hist.object["p50"] = jnum(h.percentile(0.50));
-    hist.object["p95"] = jnum(h.percentile(0.95));
-    hist.object["p99"] = jnum(h.percentile(0.99));
-    histograms.object[name] = std::move(hist);
-  }
-  root.object["merged_histograms"] = std::move(histograms);
-
-  JsonValue trace;
-  trace.kind = JsonValue::kObject;
-  trace.object["inputs_merged"] = juint(result.trace_merge.inputs_merged);
-  trace.object["inputs_skipped"] = juint(result.trace_merge.inputs_skipped);
-  trace.object["events"] = juint(result.trace_merge.events);
-  root.object["trace_merge"] = std::move(trace);
-  return util::to_json(root);
 }
 
 std::vector<std::string> default_worker_command(const ShardLaunch& launch,
@@ -252,20 +99,14 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
   if (!config.worker_command) {
     throw std::invalid_argument("orchestrator: worker_command is required");
   }
-  const size_t num_shards = config.num_shards == 0 ? 1 : config.num_shards;
+  // More shards than faults would only launch workers for empty ranges.
+  const size_t num_shards =
+      std::min(std::max<size_t>(config.num_shards, 1), std::max<size_t>(job.faults.size(), 1));
 
   util::Timer timer;
   ensure_directory(config.work_dir);
   const std::string job_path = config.work_dir + "/job.bin";
-  if (config.collect_traces && !job.emit_traces) {
-    // The trace opt-in travels in the job file so every worker attempt picks
-    // it up without changing the worker argv contract.
-    ShardJob traced = job;
-    traced.emit_traces = true;
-    save_job(traced, job_path);
-  } else {
-    save_job(job, job_path);
-  }
+  save_job(job, job_path);
 
   const coverage::FaultDictionary expected = coverage::make_dictionary(
       job.net, job.faults, job.engine.detection_threshold, job.engine.detect_only);
@@ -308,30 +149,20 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
     util::SpawnOptions opts;
     opts.log_path = shard_paths(config.work_dir, i).log;
     st.pid = util::spawn_process(argv, opts);
-    ShardAttempt record;
-    record.attempt = st.attempts;
-    record.started_seconds = timer.seconds();
-    st.outcome.history.push_back(std::move(record));
     ++st.attempts;
     st.outcome.attempts = st.attempts;
     st.phase = ShardState::Phase::kRunning;
-    st.last_heartbeat = read_heartbeat(shard_paths(config.work_dir, i).heartbeat);
-    st.last_heartbeat_change = Clock::now();
+    st.last_partial_size = file_size(shard_paths(config.work_dir, i).partial);
+    st.last_progress = Clock::now();
     reg.counter("orchestrator/worker_launches").add();
   };
 
   // One attempt ended (exit observed or watchdog kill): commit, retry, or
   // abandon. Returns false when the shard is out of retries.
-  const auto attempt_ended = [&](size_t i, const util::ProcessStatus* ps, bool was_hung) -> bool {
+  const auto attempt_ended = [&](size_t i, bool was_hung) -> bool {
     ShardState& st = shards[i];
     const ShardPaths paths = shard_paths(config.work_dir, i);
-    const bool committed = !was_hung && shard_committed(paths, expected);
-    if (!st.outcome.history.empty()) {
-      ShardAttempt& record = st.outcome.history.back();
-      record.ended_seconds = timer.seconds();
-      record.outcome = attempt_outcome_string(ps, was_hung, committed);
-    }
-    if (committed) {
+    if (!was_hung && shard_committed(paths, expected)) {
       st.phase = ShardState::Phase::kDone;
       st.outcome.completed = true;
       load_worker_stats(paths.stats, &st.outcome.stats);
@@ -357,34 +188,6 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
   const auto heartbeat_timeout = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(config.heartbeat_timeout_seconds));
 
-  // Fleet observability: fold the shard status snapshots on an interval,
-  // republish as fleet_status.json (atomic rename) and keep the campaign
-  // coverage curve the flight report's milestones are computed from. Pure
-  // reads of shard files — supervision decisions never consult the view.
-  const bool need_fleet = config.write_fleet_status || config.write_flight_report;
-  std::vector<size_t> expected_totals;
-  expected_totals.reserve(num_shards);
-  for (const ShardRange& r : plan_shards(job.faults.size(), num_shards)) {
-    expected_totals.push_back(r.size());
-  }
-  std::vector<CoverageSample> campaign_curve;
-  const std::string fleet_status_path = config.work_dir + "/fleet_status.json";
-  const auto status_interval = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(config.status_interval_seconds));
-  Clock::time_point last_status_refresh{};  // epoch: first refresh fires immediately
-  const auto refresh_fleet = [&]() -> FleetView {
-    FleetView view = build_fleet_view(config.work_dir, num_shards, &expected_totals);
-    campaign_curve.push_back({timer.seconds(), view.faults_done, view.detected});
-    if (config.write_fleet_status) {
-      try {
-        util::atomic_write_file(fleet_status_path, fleet_status_json(view) + "\n");
-      } catch (const std::exception& e) {
-        SNNTEST_LOG_WARN("orchestrator: cannot write %s: %s", fleet_status_path.c_str(), e.what());
-      }
-    }
-    return view;
-  };
-
   bool abandoned = false;
   while (incomplete > 0 && !abandoned) {
     for (size_t i = 0; i < num_shards && !abandoned; ++i) {
@@ -400,20 +203,20 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
           const util::ProcessStatus ps = util::poll_process(st.pid);
           if (!ps.running) {
             st.pid = -1;
-            abandoned = !attempt_ended(i, &ps, /*was_hung=*/false);
+            abandoned = !attempt_ended(i, /*was_hung=*/false);
             if (st.phase == ShardState::Phase::kDone) --incomplete;
             break;
           }
-          const uint64_t hb = read_heartbeat(shard_paths(config.work_dir, i).heartbeat);
+          const uint64_t size = file_size(shard_paths(config.work_dir, i).partial);
           const auto now = Clock::now();
-          if (hb != st.last_heartbeat) {
-            st.last_heartbeat = hb;
-            st.last_heartbeat_change = now;
-          } else if (now - st.last_heartbeat_change > heartbeat_timeout) {
+          if (size != st.last_partial_size) {
+            st.last_partial_size = size;
+            st.last_progress = now;
+          } else if (now - st.last_progress > heartbeat_timeout) {
             util::kill_process(st.pid);
             util::wait_process(st.pid);  // reap; also bars a post-kill commit race
             st.pid = -1;
-            abandoned = !attempt_ended(i, nullptr, /*was_hung=*/true);
+            abandoned = !attempt_ended(i, /*was_hung=*/true);
           }
           break;
         }
@@ -421,10 +224,6 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
         case ShardState::Phase::kAbandoned:
           break;
       }
-    }
-    if (need_fleet && Clock::now() - last_status_refresh >= status_interval) {
-      last_status_refresh = Clock::now();
-      refresh_fleet();
     }
     if (incomplete > 0 && !abandoned) {
       std::this_thread::sleep_for(std::chrono::duration<double>(config.poll_interval_seconds));
@@ -439,10 +238,6 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
         util::wait_process(st.pid);
         st.pid = -1;
         ++st.outcome.failed_attempts;
-        if (!st.outcome.history.empty()) {
-          st.outcome.history.back().ended_seconds = timer.seconds();
-          st.outcome.history.back().outcome = "killed (campaign abandoned)";
-        }
       }
     }
   }
@@ -471,35 +266,7 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
     }
   }
 
-  // Final observability pass — runs even for abandoned campaigns, so a
-  // failed run still leaves a fleet status, flight report and merged trace
-  // to debug from.
-  result.fleet = refresh_fleet();
-  result.campaign_curve = std::move(campaign_curve);
-
-  if (config.collect_traces) {
-    OBS_SPAN("campaign/orchestrate_trace_merge");
-    const std::string supervisor_trace = config.work_dir + "/supervisor.trace.json";
-    obs::write_chrome_trace(supervisor_trace);
-    std::vector<obs::TraceMergeInput> inputs;
-    inputs.push_back({supervisor_trace, "supervisor"});
-    for (size_t i = 0; i < num_shards; ++i) {
-      inputs.push_back({shard_paths(config.work_dir, i).trace, "shard " + std::to_string(i)});
-    }
-    obs::write_merged_chrome_trace(config.work_dir + "/trace_merged.json", inputs,
-                                   &result.trace_merge);
-  }
-
   result.elapsed_seconds = timer.seconds();
-
-  if (config.write_flight_report) {
-    const std::string report_path = config.work_dir + "/flight_report.json";
-    try {
-      util::atomic_write_file(report_path, flight_report_json(result) + "\n");
-    } catch (const std::exception& e) {
-      SNNTEST_LOG_WARN("orchestrator: cannot write %s: %s", report_path.c_str(), e.what());
-    }
-  }
 
   obs::set_report_field("orchestrator.num_shards", static_cast<uint64_t>(num_shards));
   obs::set_report_field("orchestrator.total_attempts",
@@ -507,6 +274,28 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
   obs::set_report_field("orchestrator.completed", result.completed);
   obs::set_report_field("orchestrator.elapsed_seconds", result.elapsed_seconds);
   return result;
+}
+
+std::vector<ShardProgress> read_shard_progress(const std::string& work_dir) {
+  const ShardJob job = load_job(work_dir + "/job.bin");
+  size_t num_shards = 0;
+  while (::access(shard_paths(work_dir, num_shards).log.c_str(), F_OK) == 0) ++num_shards;
+  std::vector<ShardProgress> out;
+  if (num_shards == 0) return out;  // no worker launched yet
+  for (const ShardRange& range : plan_shards(job.faults.size(), num_shards)) {
+    const ShardPaths paths = shard_paths(work_dir, out.size());
+    ShardProgress p;
+    p.faults = range.size();
+    if (::access(paths.final.c_str(), F_OK) == 0) {
+      p.state = ShardProgress::State::kCommitted;
+      p.done = p.faults;
+    } else if (auto partial = coverage::FaultDictionary::load(paths.partial)) {
+      p.state = ShardProgress::State::kPartial;
+      p.done = partial->num_records();
+    }
+    out.push_back(p);
+  }
+  return out;
 }
 
 }  // namespace snntest::campaign

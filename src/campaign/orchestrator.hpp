@@ -2,7 +2,7 @@
 //
 // run_sharded_campaign splits one fault universe into N deterministic
 // contiguous shards (campaign/shard.hpp), launches one worker *process* per
-// shard, supervises them with a heartbeat watchdog, retries killed/crashed/
+// shard, supervises them with a liveness watchdog, retries killed/crashed/
 // hung shards with bounded exponential backoff, and merges the committed
 // shard dictionaries into one FaultDictionary that is bit-identical to what
 // a single unsharded incremental run would have produced (DESIGN.md §15
@@ -18,11 +18,12 @@
 //  * launch  — worker_command builds the argv (typically the current
 //    executable re-exec'd with a `run-shard` subcommand); stdout/stderr go
 //    to shard_<i>.log.
-//  * liveness — the worker bumps a u64 counter in shard_<i>.hb; the
-//    orchestrator tracks the last *change* against its own steady clock, so
-//    clock skew or mtime games cannot fake progress. No change for
-//    heartbeat_timeout_seconds while the process is alive = hung: SIGKILL,
-//    then retry.
+//  * liveness — the worker only ever adds records to its partial snapshot
+//    shard_<i>.partial.snfd, so every flush changes the file's size. The
+//    orchestrator tracks the last size *change* against its own steady
+//    clock, so clock skew or mtime games cannot fake progress. No change
+//    for heartbeat_timeout_seconds while the process is alive = hung:
+//    SIGKILL, then retry.
 //  * exit — success requires exit code 0 AND a loadable, compatible
 //    shard_<i>.snfd (the file only ever appears via atomic rename, so
 //    presence implies completeness). Anything else is a failed attempt.
@@ -38,10 +39,8 @@
 #include <string>
 #include <vector>
 
-#include "campaign/fleet_view.hpp"
 #include "campaign/shard.hpp"
 #include "coverage/fault_dictionary.hpp"
-#include "obs/trace_merge.hpp"
 
 namespace snntest::campaign {
 
@@ -59,12 +58,15 @@ struct OrchestratorConfig {
   /// Directory for job.bin and all shard_<i>.* files; created (with
   /// parents) if missing. Required.
   std::string work_dir;
+  /// Clamped to the fault count, so no worker is launched for an empty
+  /// range.
   size_t num_shards = 2;
   /// Relaunches allowed per shard beyond the first attempt.
   size_t max_retries = 2;
-  /// No heartbeat-counter change for this long while the process is alive
-  /// means the worker is hung and gets killed. Generous by default: a
-  /// healthy worker beats at least once per completed fault.
+  /// No growth of the worker's partial snapshot for this long while the
+  /// process is alive means the worker is hung and gets killed. A healthy
+  /// worker must flush at least once per timeout: start-up plus
+  /// flush_every × the slowest per-fault time has to fit.
   double heartbeat_timeout_seconds = 60.0;
   double poll_interval_seconds = 0.02;
   /// Backoff before retry r (1-based): base × 2^(r-1), capped.
@@ -79,47 +81,17 @@ struct OrchestratorConfig {
   /// wiring re-execs the current binary (default_worker_command); tests
   /// inject chaos flags for attempt 0 here.
   std::function<std::vector<std::string>(const ShardLaunch&)> worker_command;
-
-  // --- Fleet observability (DESIGN.md §16). All of it reads shard files and
-  // writes sidecar JSON; none of it feeds back into the campaign, so these
-  // switches cannot change the merged dictionary bytes.
-
-  /// Rewrite <work_dir>/fleet_status.json (atomic rename) on the status
-  /// interval while supervising, and once more at the end.
-  bool write_fleet_status = true;
-  /// Write <work_dir>/flight_report.json when the campaign ends (either
-  /// way): per-shard attempt history, merged metrics with percentiles,
-  /// coverage milestones, trace-merge stats.
-  bool write_flight_report = true;
-  /// Minimum seconds between fleet-status refreshes in the poll loop.
-  double status_interval_seconds = 0.5;
-  /// Set emit_traces in the job file (workers dump shard_<i>.trace.json on
-  /// commit) and merge worker traces + the supervisor's own trace into
-  /// <work_dir>/trace_merged.json, pid-mapped per process, loadable in
-  /// chrome://tracing or Perfetto.
-  bool collect_traces = false;
-};
-
-/// One worker launch as the supervisor saw it end.
-struct ShardAttempt {
-  size_t attempt = 0;  ///< 0-based launch number
-  /// "committed", "crashed (signal N)", "exit N (no commit)",
-  /// "hung (killed)" or "killed (campaign abandoned)".
-  std::string outcome;
-  double started_seconds = 0.0;  ///< orchestrator clock, campaign-relative
-  double ended_seconds = 0.0;
 };
 
 /// Per-shard supervision summary.
 struct ShardOutcome {
   size_t shard_index = 0;
   size_t attempts = 0;        ///< processes actually launched
-  size_t hung_kills = 0;      ///< attempts killed by the heartbeat watchdog
+  size_t hung_kills = 0;      ///< attempts killed by the liveness watchdog
   size_t failed_attempts = 0; ///< attempts that died or exited nonzero
   bool completed = false;
   bool reused_existing = false;  ///< final file predated this run
   ShardWorkerStats stats;        ///< from the committing attempt (if any)
-  std::vector<ShardAttempt> history;  ///< every launch, in order
 };
 
 struct OrchestratorResult {
@@ -130,23 +102,9 @@ struct OrchestratorResult {
   coverage::FaultDictionary::MergeStats merge_stats;
   std::vector<ShardOutcome> shards;
   double elapsed_seconds = 0.0;
-  /// Final fold of the shard status snapshots (observability; empty-ish when
-  /// workers never wrote status files).
-  FleetView fleet;
-  /// Campaign-wide coverage-vs-time curve sampled by the supervisor on the
-  /// status interval (orchestrator clock).
-  std::vector<CoverageSample> campaign_curve;
-  /// Trace-merge outcome when config.collect_traces was set.
-  obs::TraceMergeStats trace_merge;
 
   size_t total_attempts() const;
 };
-
-/// Render the end-of-campaign flight report, schema "snntest-flight-v1":
-/// completion, per-shard attempt history with kill reasons, merged metrics
-/// (counters + histograms with p50/p95/p99), time-to-X%-coverage milestones
-/// from the campaign curve, and merge/trace stats.
-std::string flight_report_json(const OrchestratorResult& result);
 
 /// The standard worker argv: `exe run-shard --job <job> --work-dir <dir>
 /// --shard <i> --num-shards <n> --flush-every <k>`. Tools whose `run-shard`
@@ -164,5 +122,21 @@ std::vector<std::string> default_worker_command(const ShardLaunch& launch,
 /// created or the job cannot be written; supervision failures (crashes,
 /// hangs, retry exhaustion) are reported via OrchestratorResult instead.
 OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorConfig& config);
+
+/// One shard of a campaign as its work directory shows it.
+struct ShardProgress {
+  enum class State { kNotStarted, kPartial, kCommitted };
+  State state = State::kNotStarted;
+  size_t faults = 0;  ///< size of the shard's plan_shards range
+  /// kCommitted: faults; kPartial: records in the partial snapshot (a
+  /// running or an interrupted worker); kNotStarted: 0.
+  size_t done = 0;
+};
+
+/// Read a campaign's progress from disk alone, live or finished. The shard
+/// count is the number of consecutive shard_<i>.log files (each launched
+/// worker has one); ranges come from plan_shards over job.bin's faults.
+/// Throws std::runtime_error when job.bin cannot be loaded.
+std::vector<ShardProgress> read_shard_progress(const std::string& work_dir);
 
 }  // namespace snntest::campaign

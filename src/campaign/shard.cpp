@@ -12,9 +12,20 @@ namespace snntest::campaign {
 namespace {
 
 constexpr uint32_t kJobMagic = 0x424A4E53;  // "SNJB"
-// v2 appends the emit_traces flag; v1 files still load (emit_traces=false).
-constexpr uint32_t kJobVersion = 2;
-constexpr uint32_t kJobVersionMin = 1;
+// job.bin is rewritten by every run_sharded_campaign, so only the current
+// version needs a reader.
+constexpr uint32_t kJobVersion = 3;
+
+/// Read a u32 enum field, rejecting values past `max` instead of letting a
+/// static_cast wrap them into some other valid enumerator.
+uint32_t read_enum(std::istream& is, uint32_t max, const char* field) {
+  const uint32_t v = util::read_u32(is);
+  if (v > max) {
+    throw std::runtime_error(std::string("load_job: ") + field + " " + std::to_string(v) +
+                             " out of range (max " + std::to_string(max) + ")");
+  }
+  return v;
+}
 
 void write_fault(std::ostream& os, const fault::FaultDescriptor& f) {
   util::write_u32(os, static_cast<uint32_t>(f.kind));
@@ -32,7 +43,8 @@ void write_fault(std::ostream& os, const fault::FaultDescriptor& f) {
 
 fault::FaultDescriptor read_fault(std::istream& is) {
   fault::FaultDescriptor f;
-  f.kind = static_cast<fault::FaultKind>(util::read_u32(is));
+  f.kind = static_cast<fault::FaultKind>(
+      read_enum(is, static_cast<uint32_t>(fault::FaultKind::kSynapseBitFlip), "fault kind"));
   f.neuron.layer = util::read_u64(is);
   f.neuron.index = util::read_u64(is);
   f.weight.layer = util::read_u64(is);
@@ -67,11 +79,8 @@ ShardPaths shard_paths(const std::string& work_dir, size_t shard_index) {
   ShardPaths p;
   p.final = stem + ".snfd";
   p.partial = stem + ".partial.snfd";
-  p.heartbeat = stem + ".hb";
   p.stats = stem + ".stats";
   p.log = stem + ".log";
-  p.status = stem + ".status.snst";
-  p.trace = stem + ".trace.json";
   return p;
 }
 
@@ -101,20 +110,13 @@ void save_job(const ShardJob& job, const std::string& path) {
   util::write_u32(os, job.engine.convergence_pruning ? 1u : 0u);
   util::write_u32(os, job.engine.detect_only ? 1u : 0u);
   util::write_u32(os, static_cast<uint32_t>(job.engine.kernel_mode));
-  util::write_u32(os, job.emit_traces ? 1u : 0u);  // v2
   util::atomic_write_file(path, os.str());
 }
 
 ShardJob load_job(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("load_job: cannot open " + path);
-  const uint32_t magic = util::read_u32(is);
-  if (magic != kJobMagic) throw std::runtime_error("load_job: bad magic in " + path);
-  const uint32_t version = util::read_u32(is);
-  if (version < kJobVersionMin || version > kJobVersion) {
-    throw std::runtime_error("load_job: unsupported job version " + std::to_string(version) +
-                             " in " + path);
-  }
+  util::check_magic(is, kJobMagic, kJobVersion);
 
   ShardJob job;
   job.net = snn::load_network(is);
@@ -139,8 +141,8 @@ ShardJob load_job(const std::string& path) {
   job.engine.prefix_reuse = util::read_u32(is) != 0;
   job.engine.convergence_pruning = util::read_u32(is) != 0;
   job.engine.detect_only = util::read_u32(is) != 0;
-  job.engine.kernel_mode = static_cast<snn::KernelMode>(util::read_u32(is));
-  if (version >= 2) job.emit_traces = util::read_u32(is) != 0;
+  job.engine.kernel_mode = static_cast<snn::KernelMode>(
+      read_enum(is, static_cast<uint32_t>(snn::KernelMode::kAuto), "kernel mode"));
   return job;
 }
 

@@ -12,11 +12,9 @@
 //    shard and the plan depends only on (F, S).
 //  * shard_paths — the file naming rule inside a campaign work directory:
 //    shard_<i>.snfd (committed result, written only by atomic rename),
-//    shard_<i>.partial.snfd (crash-recovery snapshot, also atomic),
-//    shard_<i>.hb (heartbeat counter), shard_<i>.stats (worker stats),
-//    shard_<i>.log (worker stdout/stderr), shard_<i>.status.snst (live
-//    status snapshot, campaign/status.hpp), shard_<i>.trace.json (the
-//    worker's Chrome trace dump when the job enables traces).
+//    shard_<i>.partial.snfd (crash-recovery snapshot, also atomic; its
+//    growth is the worker's liveness signal), shard_<i>.stats (worker
+//    stats) and shard_<i>.log (worker stdout/stderr).
 //  * ShardJob — the campaign inputs serialized once by the orchestrator
 //    (job.bin) and read by every worker attempt: network, stimulus, fault
 //    universe, engine settings. Workers derive their own shard range from
@@ -49,13 +47,10 @@ std::vector<ShardRange> plan_shards(size_t num_faults, size_t num_shards);
 
 /// Canonical file layout of one shard inside a campaign work directory.
 struct ShardPaths {
-  std::string final;      ///< committed shard dictionary (atomic rename only)
-  std::string partial;    ///< crash-recovery snapshot (atomic rename only)
-  std::string heartbeat;  ///< u64 counter, rewritten while the worker is alive
-  std::string stats;      ///< key-value worker stats (attempt that committed)
-  std::string log;        ///< worker stdout+stderr
-  std::string status;     ///< SNST live status snapshot (atomic rename only)
-  std::string trace;      ///< worker Chrome trace (written when emit_traces)
+  std::string final;    ///< committed shard dictionary (atomic rename only)
+  std::string partial;  ///< crash-recovery snapshot (atomic rename only)
+  std::string stats;    ///< key-value worker stats (attempt that committed)
+  std::string log;      ///< worker stdout+stderr
 };
 
 ShardPaths shard_paths(const std::string& work_dir, size_t shard_index);
@@ -70,17 +65,12 @@ struct ShardJob {
                         // threshold, detect_only, kernel_mode, grain are)
   std::string stimulus_name;
   bool store_stimulus_data = true;
-  /// Observability opt-in: the worker enables telemetry and dumps its Chrome
-  /// trace ring to ShardPaths::trace on commit. Rides in the job file (SNJB
-  /// v2) rather than worker argv so the worker command stays stable.
-  /// Telemetry never feeds back into the computation (§11), so flipping this
-  /// cannot change the dictionary bytes.
-  bool emit_traces = false;
 };
 
 /// Serialize / load a job file. save_job commits via atomic rename so a
 /// worker can never observe a half-written job. load_job throws
-/// std::runtime_error on a missing or malformed file.
+/// std::runtime_error on a missing or malformed file, including an
+/// out-of-range fault kind or kernel mode (the message names the field).
 void save_job(const ShardJob& job, const std::string& path);
 ShardJob load_job(const std::string& path);
 

@@ -8,34 +8,13 @@
 #include <thread>
 
 #include "campaign/shard.hpp"
-#include "campaign/status.hpp"
 #include "coverage/incremental.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "util/subprocess.hpp"
 #include "util/timer.hpp"
 
 namespace snntest::campaign {
-namespace {
-
-/// Heartbeat: a monotonically increasing counter committed atomically. The
-/// orchestrator watches the value, not the mtime, so clock skew between
-/// writer and watcher cannot fake liveness.
-struct Heartbeat {
-  std::string path;
-  uint64_t counter = 0;
-  std::chrono::steady_clock::time_point last = std::chrono::steady_clock::now();
-
-  void beat(bool force = false) {
-    const auto now = std::chrono::steady_clock::now();
-    if (!force && now - last < std::chrono::milliseconds(100)) return;
-    last = now;
-    util::atomic_write_file(path, std::to_string(++counter) + "\n");
-  }
-};
-
-}  // namespace
 
 int run_shard_worker(const ShardWorkerOptions& options) {
   OBS_SPAN("campaign/shard_worker");
@@ -54,14 +33,9 @@ int run_shard_worker(const ShardWorkerOptions& options) {
                  e.what());
     return 3;
   }
-  // Trace opt-in rides in the job file so every attempt of every shard
-  // agrees with the orchestrator without widening the worker argv.
-  if (job.emit_traces) obs::set_telemetry_enabled(true);
 
   const ShardPaths paths = shard_paths(options.work_dir, options.shard_index);
   const ShardRange range = plan_shards(job.faults.size(), options.num_shards)[options.shard_index];
-  Heartbeat hb{paths.heartbeat};
-  hb.beat(/*force=*/true);
 
   // The shard dictionary is keyed by the FULL universe (model, fault list,
   // settings) so shard files merge with each other and with an unsharded
@@ -90,23 +64,6 @@ int run_shard_worker(const ShardWorkerOptions& options) {
     return dict.add_stimulus(std::move(entry));
   }();
 
-  // Inventory what the (resumed) dictionary already covers of this shard's
-  // range, so the status snapshot reports true progress across retries, not
-  // just this attempt's fresh work.
-  size_t resumed_done = 0, resumed_detected = 0;
-  for (size_t local = 0; local < range.size(); ++local) {
-    if (const fault::DetectionResult* known = dict.lookup(stim, range.begin + local)) {
-      ++resumed_done;
-      if (known->detected) ++resumed_detected;
-    }
-  }
-
-  size_t fresh_detected = 0;
-  ShardStatus status;
-  status.shard_index = options.shard_index;
-  status.num_shards = options.num_shards;
-  status.faults_total = range.size();
-
   const std::vector<fault::FaultDescriptor> shard_faults(job.faults.begin() + range.begin,
                                                          job.faults.begin() + range.end);
   EngineConfig engine = job.engine;
@@ -118,37 +75,9 @@ int run_shard_worker(const ShardWorkerOptions& options) {
   };
   size_t recorded = 0, pending = 0;
 
-  // Rewrite the SNST snapshot (atomic rename, fail-soft readers): heartbeat
-  // counter, progress totals, this attempt's coverage curve and the live
-  // metrics registry. Writes ride the partial-flush cadence so the snapshot
-  // never adds I/O the flush didn't already pay for.
-  const auto write_status = [&](bool completed) {
-    status.heartbeat = hb.counter;
-    status.faults_done = resumed_done + recorded;
-    status.detected = resumed_detected + fresh_detected;
-    status.pairs_reused = resumed_done;
-    status.pairs_recorded = recorded;
-    status.completed = completed;
-    status.elapsed_seconds = timer.seconds();
-    status.samples.push_back(
-        {status.elapsed_seconds, status.faults_done, status.detected});
-    decimate_samples(status.samples);
-    status.metrics = obs::Registry::instance().snapshot();
-    try {
-      save_shard_status_atomic(status, paths.status);
-    } catch (const std::exception& e) {
-      // Status is observability, never control flow: a full disk or missing
-      // directory must not kill a worker mid-campaign.
-      SNNTEST_LOG_WARN("shard %zu: cannot write status snapshot: %s", options.shard_index,
-                       e.what());
-    }
-  };
-  write_status(/*completed=*/false);
-
   engine.result_sink = [&](size_t local, const fault::DetectionResult& result) {
     dict.record(stim, range.begin + local, result);
     ++recorded;
-    if (result.detected) ++fresh_detected;
     if (options.crash_after != 0 && recorded >= options.crash_after) {
       raise(SIGKILL);  // chaos hook: die exactly as an OOM-killed worker would
     }
@@ -158,9 +87,7 @@ int run_shard_worker(const ShardWorkerOptions& options) {
     if (++pending >= options.flush_every) {
       dict.save_atomic(paths.partial);
       pending = 0;
-      write_status(/*completed=*/false);
     }
-    hb.beat();
   };
 
   const CampaignResult outcome = run_campaign(job.net, job.stimulus, shard_faults, engine);
@@ -181,13 +108,7 @@ int run_shard_worker(const ShardWorkerOptions& options) {
   stats.pairs_recorded = recorded;
   stats.elapsed_seconds = timer.seconds();
   util::atomic_write_file(paths.stats, serialize_worker_stats(stats));
-  hb.beat(/*force=*/true);
 
-  obs::Registry& reg = obs::Registry::instance();
-  reg.counter("shard_worker/pairs_reused").add(stats.pairs_reused);
-  reg.counter("shard_worker/pairs_recorded").add(stats.pairs_recorded);
-  write_status(/*completed=*/true);
-  if (job.emit_traces) obs::write_chrome_trace(paths.trace);
   std::printf("shard %zu/%zu: %zu faults, %llu reused, %llu simulated in %.3fs\n",
               options.shard_index, options.num_shards, range.size(),
               static_cast<unsigned long long>(stats.pairs_reused),

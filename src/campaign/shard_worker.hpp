@@ -11,7 +11,8 @@
 //    (EngineStats::pairs_reused) instead of re-simulated;
 //  * result_sink  -> records each freshly simulated pair into the shard
 //    dictionary and, every `flush_every` results, commits a snapshot to
-//    shard_<i>.partial.snfd by atomic rename and bumps the heartbeat file.
+//    shard_<i>.partial.snfd by atomic rename. Records are only ever added,
+//    so each flush grows the file — the supervisor's liveness signal.
 //
 // On completion the dictionary — keyed by the FULL universe fingerprint so
 // shards merge — is committed to shard_<i>.snfd by atomic rename, the
@@ -36,7 +37,8 @@ struct ShardWorkerOptions {
   size_t shard_index = 0;
   size_t num_shards = 1;
   /// Freshly recorded results per partial-snapshot commit. Smaller = less
-  /// work lost to a kill, more rename traffic.
+  /// work lost to a kill, more rename traffic. The supervisor counts a
+  /// worker as hung when no flush lands within its heartbeat timeout.
   size_t flush_every = 16;
 
   // --- chaos hooks (integration tests / CI kill-and-recover drills) -------
@@ -44,8 +46,8 @@ struct ShardWorkerOptions {
   /// honest mid-campaign kill (no flush first).
   size_t crash_after = 0;
   /// > 0: stop making progress (sleep forever) after this many freshly
-  /// recorded results, so the orchestrator's heartbeat watchdog must kill
-  /// this process.
+  /// recorded results, so the orchestrator's watchdog must kill this
+  /// process.
   size_t hang_after = 0;
 };
 

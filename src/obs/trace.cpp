@@ -77,36 +77,12 @@ std::vector<std::shared_ptr<ThreadRing>> snapshot_rings() {
 
 }  // namespace
 
-namespace {
-
-/// Both clocks sampled back-to-back once, so ts values (steady) and the
-/// epoch's wall-clock anchor (system) describe the same instant.
-struct TraceEpoch {
-  std::chrono::steady_clock::time_point steady;
-  int64_t unix_us;
-};
-
-const TraceEpoch& trace_epoch() {
-  static const TraceEpoch epoch = [] {
-    TraceEpoch e;
-    e.steady = std::chrono::steady_clock::now();
-    e.unix_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::system_clock::now().time_since_epoch())
-                    .count();
-    return e;
-  }();
-  return epoch;
-}
-
-}  // namespace
-
 int64_t trace_now_us() {
+  static const auto epoch = std::chrono::steady_clock::now();
   return std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                               trace_epoch().steady)
+                                                               epoch)
       .count();
 }
-
-int64_t trace_epoch_unix_us() { return trace_epoch().unix_us; }
 
 void record_span(const char* name, int64_t begin_us, int64_t end_us) {
   thread_ring().push({name, begin_us, end_us - begin_us});
@@ -150,8 +126,6 @@ std::string chrome_trace_json() {
   out += std::to_string(rows.size());
   out += ",\"dropped_spans\":";
   out += std::to_string(dropped);
-  out += ",\"trace_epoch_unix_us\":";
-  out += std::to_string(trace_epoch_unix_us());
   out += "}}";
   return out;
 }

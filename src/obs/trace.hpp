@@ -29,12 +29,6 @@ inline constexpr size_t kRingCapacity = 1 << 16;
 /// Microseconds since the process trace epoch (steady clock, first use).
 int64_t trace_now_us();
 
-/// Unix time (microseconds since 1970, system clock) of the process trace
-/// epoch — the zero point of every span's ts. Exported into the Chrome
-/// trace's otherData as "trace_epoch_unix_us" so traces from different
-/// processes can be aligned onto one timeline (obs/trace_merge.hpp).
-int64_t trace_epoch_unix_us();
-
 /// Record a completed span on the calling thread's ring buffer. `name` must
 /// outlive the trace (string literal). Called by SpanScope; direct use is
 /// for spans whose begin/end don't nest lexically.

@@ -1,6 +1,5 @@
 #include "util/json.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -36,11 +35,6 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   auto it = object.find(key);
   if (it == object.end()) throw std::runtime_error("missing key: " + key);
   return it->second;
-}
-
-const JsonValue* JsonValue::find(const std::string& key) const {
-  auto it = object.find(key);
-  return it == object.end() ? nullptr : &it->second;
 }
 
 namespace {
@@ -219,80 +213,8 @@ class JsonParser {
   }
 };
 
-void append_json(const JsonValue& v, std::string& out) {
-  switch (v.kind) {
-    case JsonValue::kNull:
-      out += "null";
-      break;
-    case JsonValue::kBool:
-      out += v.boolean ? "true" : "false";
-      break;
-    case JsonValue::kNumber: {
-      if (!std::isfinite(v.number)) {
-        out += "null";
-        break;
-      }
-      char buf[40];
-      // Integral values within int64 range render exactly (microsecond
-      // timestamps must survive a parse/serialize round trip unchanged).
-      if (v.number == std::floor(v.number) && std::fabs(v.number) < 9.2e18) {
-        std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v.number));
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v.number);
-      }
-      out += buf;
-      break;
-    }
-    case JsonValue::kString:
-      out += '"';
-      out += json_escape(v.str);
-      out += '"';
-      break;
-    case JsonValue::kArray: {
-      out += '[';
-      bool first = true;
-      for (const JsonValue& e : v.array) {
-        if (!first) out += ',';
-        first = false;
-        append_json(e, out);
-      }
-      out += ']';
-      break;
-    }
-    case JsonValue::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, value] : v.object) {
-        if (!first) out += ',';
-        first = false;
-        out += '"';
-        out += json_escape(key);
-        out += "\":";
-        append_json(value, out);
-      }
-      out += '}';
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 JsonValue parse_json(const std::string& text) { return JsonParser(text).parse(); }
-
-std::optional<JsonValue> try_parse_json(const std::string& text, std::string* error) {
-  try {
-    return JsonParser(text).parse();
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
-    return std::nullopt;
-  }
-}
-
-std::string to_json(const JsonValue& v) {
-  std::string out;
-  append_json(v, out);
-  return out;
-}
 
 }  // namespace snntest::util

@@ -3,13 +3,11 @@
 // One escaper for every JSON emitter in the tree (bench `--json` reports,
 // the obs run-report writer, the Chrome-trace exporter) so a crafted model
 // name or path can never produce invalid JSON in any of them — and one
-// parser for every consumer (trace merging, the test suites' report
-// validation), so the documents the tree emits are navigated the same way
-// everywhere with no third-party dependency.
+// parser for the test suites' report validation, with no third-party
+// dependency.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +32,6 @@ struct JsonValue {
   /// object holding `key`.
   const JsonValue& at(const std::string& key) const;
   bool has(const std::string& key) const { return object.count(key) != 0; }
-  /// Non-throwing member lookup: nullptr when absent (or not an object).
-  const JsonValue* find(const std::string& key) const;
 };
 
 /// Strict parse of one complete JSON document (no trailing characters).
@@ -43,15 +39,5 @@ struct JsonValue {
 /// Numbers are doubles; \u escapes decode ASCII and flatten anything above
 /// 0x7F to '?' (the emitters in this tree never produce non-ASCII).
 JsonValue parse_json(const std::string& text);
-
-/// Fail-soft variant: nullopt on malformed input, with the parse error
-/// copied to *error when given. Used by readers that must survive torn or
-/// foreign files (trace merging).
-std::optional<JsonValue> try_parse_json(const std::string& text, std::string* error = nullptr);
-
-/// Compact serialization (object keys in map order). Integral numbers that
-/// fit an int64 render without a decimal point so microsecond timestamps
-/// round-trip; other numbers use %.17g; non-finite numbers render as null.
-std::string to_json(const JsonValue& v);
 
 }  // namespace snntest::util

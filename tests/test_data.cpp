@@ -106,6 +106,11 @@ struct GeneratorCase {
   double max_density;
 };
 
+// Without this gtest prints the raw bytes of the case, heap pointers
+// included, into every discovered test name, so ctest names would change
+// from one build to the next.
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
+
 class DatasetSweep : public testing::TestWithParam<GeneratorCase> {};
 
 TEST_P(DatasetSweep, DeterministicAcrossInstances) {

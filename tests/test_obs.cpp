@@ -1,7 +1,6 @@
 // Telemetry subsystem tests (DESIGN.md §11): registry aggregation under
 // concurrent increments, histogram bucket semantics + percentile estimates,
-// span rings + Chrome trace-event export, cross-process trace merging,
-// run-report JSON with environment provenance, disabled-path overhead, and
+// span rings + Chrome trace-event export, run-report JSON with environment provenance, disabled-path overhead, and
 // the determinism contract — the testgen stimulus and campaign results must
 // be byte-identical with telemetry on vs. off. JSON emitted by the
 // subsystem is parsed back with util::parse_json.
@@ -10,10 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_merge.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/spike_train.hpp"
 #include "tensor/simd.hpp"
@@ -371,110 +366,6 @@ TEST(ObsRegistry, SnapshotWhileWritersRunIsMonotonicAndExactAtQuiescence) {
   uint64_t bucket_total = 0;
   for (uint64_t b : hist.buckets) bucket_total += b;
   EXPECT_EQ(bucket_total, kWriters * kPerWriter);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-process trace merging
-
-TEST(ObsTraceMerge, MergesPidMapsAndAlignsEpochs) {
-  const std::string dir = ::testing::TempDir();
-  const std::string a_path = dir + "snntest_merge_a.json";
-  const std::string b_path = dir + "snntest_merge_b.json";
-  // Two hand-crafted worker traces whose steady clocks started at different
-  // wall times: epoch alignment must shift B's events +1000us relative to A.
-  std::ofstream(a_path) << R"({"traceEvents":[)"
-                        << R"({"name":"process_name","ph":"M","pid":1,"tid":0,)"
-                        << R"("args":{"name":"stale"}},)"
-                        << R"({"name":"a_span","ph":"X","pid":1,"tid":1,"ts":10,"dur":5}],)"
-                        << R"("otherData":{"trace_epoch_unix_us":5000}})";
-  std::ofstream(b_path) << R"({"traceEvents":[)"
-                        << R"({"name":"b_span","ph":"X","pid":1,"tid":1,"ts":20,"dur":5}],)"
-                        << R"("otherData":{"trace_epoch_unix_us":6000}})";
-  obs::TraceMergeStats stats;
-  const std::string merged =
-      obs::merge_chrome_traces({{a_path, "shard A"}, {b_path, "shard B"}}, &stats);
-  EXPECT_EQ(stats.inputs_merged, 2u);
-  EXPECT_EQ(stats.inputs_skipped, 0u);
-  const JsonValue root = parse_json(merged);
-  double a_ts = -1, b_ts = -1, a_pid = -1, b_pid = -1;
-  std::map<double, std::string> process_names;
-  for (const auto& ev : root.at("traceEvents").array) {
-    if (ev.at("ph").str == "M") {
-      EXPECT_EQ(ev.at("name").str, "process_name");
-      process_names[ev.at("pid").number] = ev.at("args").at("name").str;
-      continue;
-    }
-    if (ev.at("name").str == "a_span") {
-      a_ts = ev.at("ts").number;
-      a_pid = ev.at("pid").number;
-    } else if (ev.at("name").str == "b_span") {
-      b_ts = ev.at("ts").number;
-      b_pid = ev.at("pid").number;
-    }
-  }
-  // Input i maps to pid i+1; the source trace's own process_name metadata is
-  // replaced by the caller-supplied labels.
-  EXPECT_EQ(a_pid, 1.0);
-  EXPECT_EQ(b_pid, 2.0);
-  EXPECT_EQ(process_names.at(1.0), "shard A");
-  EXPECT_EQ(process_names.at(2.0), "shard B");
-  // A's epoch is earliest (5000); B's events shift by the 1000us delta.
-  EXPECT_DOUBLE_EQ(a_ts, 10.0);
-  EXPECT_DOUBLE_EQ(b_ts, 20.0 + 1000.0);
-  std::remove(a_path.c_str());
-  std::remove(b_path.c_str());
-}
-
-TEST(ObsTraceMerge, FailsSoftOnMissingAndGarbageInputs) {
-  const std::string dir = ::testing::TempDir();
-  const std::string good_path = dir + "snntest_merge_good.json";
-  const std::string garbage_path = dir + "snntest_merge_garbage.json";
-  std::ofstream(good_path) << R"({"traceEvents":[)"
-                           << R"({"name":"ok","ph":"X","pid":1,"tid":1,"ts":1,"dur":1}]})";
-  std::ofstream(garbage_path) << "{\"traceEvents\": this is not json";
-  obs::TraceMergeStats stats;
-  const std::string merged = obs::merge_chrome_traces({{good_path, "good"},
-                                                       {dir + "snntest_merge_absent.json", "gone"},
-                                                       {garbage_path, "garbage"}},
-                                                      &stats);
-  EXPECT_EQ(stats.inputs_merged, 1u);
-  EXPECT_EQ(stats.inputs_skipped, 2u);
-  EXPECT_EQ(stats.events, 1u);
-  const JsonValue root = parse_json(merged);  // still a valid trace
-  size_t payload = 0;
-  for (const auto& ev : root.at("traceEvents").array) {
-    if (ev.at("ph").str == "X") ++payload;
-  }
-  EXPECT_EQ(payload, 1u);
-  std::remove(good_path.c_str());
-  std::remove(garbage_path.c_str());
-}
-
-TEST(ObsTraceMerge, RoundTripsRealWorkerTraces) {
-  TelemetryGuard guard;
-  obs::set_telemetry_enabled(true);
-  {
-    OBS_SPAN("test/merge_roundtrip");
-  }
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "snntest_merge_real.json";
-  ASSERT_TRUE(obs::write_chrome_trace(path));
-  obs::TraceMergeStats stats;
-  const std::string out = dir + "snntest_merge_real_out.json";
-  ASSERT_TRUE(obs::write_merged_chrome_trace(out, {{path, "worker"}}, &stats));
-  EXPECT_EQ(stats.inputs_merged, 1u);
-  EXPECT_GE(stats.events, 1u);
-  std::ifstream in(out);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const JsonValue root = parse_json(buf.str());
-  bool found = false;
-  for (const auto& ev : root.at("traceEvents").array) {
-    if (ev.at("ph").str == "X" && ev.at("name").str == "test/merge_roundtrip") found = true;
-  }
-  EXPECT_TRUE(found);
-  std::remove(path.c_str());
-  std::remove(out.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Sharded multi-process orchestration tests: deterministic shard planning,
 // job-file round trip, merged-vs-unsharded byte identity across shard
 // counts, crash-injection recovery (a SIGKILLed worker's retry resumes from
-// its partial snapshot and the merged result is unchanged), heartbeat
-// watchdog kills of hung workers, retry exhaustion, and resume-from-
-// committed-shards.
+// its partial snapshot and the merged result is unchanged), watchdog kills
+// of hung workers, retry exhaustion, resume-from-committed-shards, and the
+// on-disk progress read behind `coverage_tool status`.
 //
 // The suite provides its own main(): when re-exec'd with
 // `run-shard-worker` as argv[1] the binary becomes a shard worker process,
@@ -11,21 +11,19 @@
 // binary) with no dependence on any other build artifact's path.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "campaign/orchestrator.hpp"
 #include "campaign/shard.hpp"
 #include "campaign/shard_worker.hpp"
-#include "campaign/status.hpp"
-#include "util/json.hpp"
 #include "coverage/incremental.hpp"
 #include "fault/registry.hpp"
+#include "obs/metrics.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/spike_train.hpp"
 #include "util/rng.hpp"
@@ -196,6 +194,23 @@ TEST(ShardJobFile, MissingFileThrows) {
   EXPECT_THROW(load_job(testing::TempDir() + "no_such_job.bin"), std::runtime_error);
 }
 
+TEST(ShardJobFile, OutOfRangeFaultKindIsRejected) {
+  auto net = make_net();
+  ShardJob job = make_job(net, 4);
+  // A raw kind the u8 enum would wrap or misread must fail the load, not
+  // come back as some other fault.
+  job.faults[2].kind = static_cast<fault::FaultKind>(200);
+  const std::string path = testing::TempDir() + "orchestrator_bad_kind.bin";
+  save_job(job, path);
+  try {
+    load_job(path);
+    FAIL() << "load_job accepted fault kind 200";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fault kind"), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Orchestrator, RejectsUnusableConfig) {
   auto net = make_net();
   const ShardJob job = make_job(net, 8);
@@ -253,8 +268,8 @@ TEST(Orchestrator, HungWorkerIsKilledByWatchdogAndRetried) {
   const ShardJob job = make_job(net, 24);
   const std::string reference = unsharded_bytes(job);
 
-  // First attempts stop making progress after 2 records; the heartbeat
-  // counter freezes and the 2s watchdog must SIGKILL them.
+  // First attempts stop making progress after 2 records; their partial
+  // snapshots stop growing and the 2s watchdog must SIGKILL them.
   auto config = test_config(fresh_dir("orch_hang"), 2, 0, /*hang_first=*/2);
   const auto run = run_sharded_campaign(job, config);
   ASSERT_TRUE(run.completed);
@@ -319,193 +334,39 @@ TEST(Orchestrator, ResumeSkipsAlreadyCommittedShards) {
   EXPECT_EQ(second.merged.serialize(), reference);
 }
 
-// --- Live status protocol (SNST snapshots + FleetView), DESIGN.md §16 ---
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-}
-
-ShardStatus crafted_status(size_t shard, uint64_t total, uint64_t done) {
-  ShardStatus s;
-  s.shard_index = shard;
-  s.num_shards = 2;
-  s.heartbeat = 7;
-  s.faults_total = total;
-  s.faults_done = done;
-  s.detected = done / 2;
-  s.pairs_recorded = done;
-  s.elapsed_seconds = 2.0;
-  s.samples = {{1.0, done / 2, done / 4}, {2.0, done, done / 2}};
-  return s;
-}
-
-TEST(ShardStatusFile, RoundTripsAllFieldsAndMetrics) {
-  ShardStatus status = crafted_status(3, 100, 60);
-  status.pairs_reused = 10;
-  status.metrics.counters["campaign/faults_simulated"] = 60;
-  status.metrics.gauges["campaign/lane_width"] = 8.0;
-  obs::Registry::HistogramSnapshot h;
-  h.bounds = {1.0, 2.0};
-  h.buckets = {3, 4, 5};
-  h.count = 12;
-  h.sum = 20.5;
-  status.metrics.histograms["campaign/fault_sim_seconds"] = h;
-
-  const std::string path = testing::TempDir() + "status_roundtrip.snst";
-  save_shard_status_atomic(status, path);
-  const auto loaded = load_shard_status(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->shard_index, 3u);
-  EXPECT_EQ(loaded->num_shards, 2u);
-  EXPECT_EQ(loaded->heartbeat, 7u);
-  EXPECT_EQ(loaded->faults_total, 100u);
-  EXPECT_EQ(loaded->faults_done, 60u);
-  EXPECT_EQ(loaded->detected, 30u);
-  EXPECT_EQ(loaded->pairs_reused, 10u);
-  EXPECT_EQ(loaded->pairs_recorded, 60u);
-  EXPECT_FALSE(loaded->completed);
-  EXPECT_DOUBLE_EQ(loaded->elapsed_seconds, 2.0);
-  ASSERT_EQ(loaded->samples.size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded->samples[1].t_seconds, 2.0);
-  EXPECT_EQ(loaded->samples[1].faults_done, 60u);
-  EXPECT_EQ(loaded->metrics.counters.at("campaign/faults_simulated"), 60u);
-  EXPECT_DOUBLE_EQ(loaded->metrics.gauges.at("campaign/lane_width"), 8.0);
-  const auto& lh = loaded->metrics.histograms.at("campaign/fault_sim_seconds");
-  EXPECT_EQ(lh.bounds, h.bounds);
-  EXPECT_EQ(lh.buckets, h.buckets);
-  EXPECT_EQ(lh.count, 12u);
-  EXPECT_DOUBLE_EQ(lh.sum, 20.5);
-  std::remove(path.c_str());
-}
-
-TEST(ShardStatusFile, TornAndCorruptSnapshotsFailSoft) {
-  const std::string path = testing::TempDir() + "status_torn.snst";
-  save_shard_status_atomic(crafted_status(0, 40, 20), path);
-  const std::string good = read_file(path);
-  ASSERT_TRUE(load_shard_status(path).has_value());
-
-  // A torn write (reader races a non-atomic writer, or the disk filled):
-  // every truncation length must read as "no snapshot", never throw.
-  for (size_t keep : {size_t{0}, size_t{3}, size_t{9}, good.size() / 2, good.size() - 1}) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc) << good.substr(0, keep);
-    EXPECT_FALSE(load_shard_status(path).has_value()) << "kept " << keep << " bytes";
-  }
-  // A flipped payload byte must be caught by the CRC.
-  std::string corrupt = good;
-  corrupt[good.size() / 2] ^= 0x40;
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << corrupt;
-  EXPECT_FALSE(load_shard_status(path).has_value());
-  // Missing file: also soft.
-  std::remove(path.c_str());
-  EXPECT_FALSE(load_shard_status(path).has_value());
-}
-
-TEST(FleetView, CountsCorruptSnapshotsInsteadOfFailing) {
-  const std::string dir = fresh_dir("fleet_corrupt");
-  std::filesystem::create_directories(dir);
-  save_shard_status_atomic(crafted_status(0, 40, 20), shard_paths(dir, 0).status);
-  const std::string good = read_file(shard_paths(dir, 0).status);
-  std::ofstream(shard_paths(dir, 0).status, std::ios::binary | std::ios::trunc)
-      << good.substr(0, good.size() / 2);
-
-  const FleetView view = build_fleet_view(dir, 2);
-  EXPECT_EQ(view.snapshots_corrupt, 1u);
-  EXPECT_EQ(view.snapshots_missing, 1u);
-  EXPECT_FALSE(view.completed);
-  EXPECT_EQ(view.faults_done, 0u);
-}
-
-TEST(FleetView, LiveViewAggregatesProgressThroughputAndStragglers) {
-  const std::string dir = fresh_dir("fleet_live");
-  std::filesystem::create_directories(dir);
-  // Shard 0 mid-flight: 10/20 done, 5 faults/s over its sample window.
-  ShardStatus s0 = crafted_status(0, 20, 10);
-  s0.samples = {{1.0, 5, 2}, {2.0, 10, 4}};
-  save_shard_status_atomic(s0, shard_paths(dir, 0).status);
-  // Shard 1 has not written yet (e.g. still loading the job).
-  const std::vector<size_t> expected = {20, 20};
-
-  const FleetView view = build_fleet_view(dir, 2, &expected);
-  EXPECT_EQ(view.num_shards, 2u);
-  EXPECT_EQ(view.faults_total, 40u);
-  EXPECT_EQ(view.faults_done, 10u);
-  EXPECT_EQ(view.snapshots_missing, 1u);
-  EXPECT_FALSE(view.completed);
-  EXPECT_DOUBLE_EQ(view.throughput, 5.0);
-  // ETA from the one shard with a measurable rate: 10 remaining / 5 per s.
-  EXPECT_DOUBLE_EQ(view.eta_seconds, 2.0);
-  // Stragglers rank slowest-to-finish first: the silent shard (unknown =
-  // infinite time-to-finish) outranks the one that is visibly moving.
-  ASSERT_EQ(view.stragglers.size(), 2u);
-  EXPECT_EQ(view.stragglers[0], 1u);
-  EXPECT_EQ(view.stragglers[1], 0u);
-
-  const std::string rendered = render_fleet(view);
-  EXPECT_NE(rendered.find("0/2 shards committed"), std::string::npos) << rendered;
-  EXPECT_NE(rendered.find("faults/s"), std::string::npos);
-  EXPECT_NE(rendered.find("1 missing"), std::string::npos);
-
-  const util::JsonValue json = util::parse_json(fleet_status_json(view));
-  EXPECT_EQ(json.at("schema").str, "snntest-fleet-v1");
-  EXPECT_EQ(json.at("faults_done").number, 10.0);
-  EXPECT_EQ(json.at("shards").array.size(), 2u);
-}
-
-TEST(Orchestrator, ObservabilityOnIdentityUnderChaosAndMergedTraces) {
+TEST(Orchestrator, TelemetryOnIdentityUnderChaos) {
   auto net = make_net();
   const ShardJob job = make_job(net);
   const std::string reference = unsharded_bytes(job);
 
-  // Full observability stack ON, plus first-attempt SIGKILL chaos on both
-  // shards. Telemetry must not leak into the results: the merged dictionary
-  // stays byte-identical to the single-process observability-off reference.
-  const std::string work_dir = fresh_dir("orch_obs_identity");
-  auto config = test_config(work_dir, 2, /*crash_first=*/5);
-  config.collect_traces = true;
-  config.status_interval_seconds = 0.0;  // refresh fleet status on every poll
-  const auto run = run_sharded_campaign(job, config);
+  // Telemetry ON in the supervisor and, through the inherited environment,
+  // in every worker, plus first-attempt SIGKILL chaos on both shards.
+  // Telemetry must not leak into the results: the merged dictionary stays
+  // byte-identical to the single-process telemetry-off reference.
+  const bool was_enabled = obs::telemetry_enabled();
+  obs::set_telemetry_enabled(true);
+  ::setenv("SNNTEST_TRACE", (testing::TempDir() + "orch_worker_trace.json").c_str(), 1);
+  const auto run =
+      run_sharded_campaign(job, test_config(fresh_dir("orch_telemetry"), 2, /*crash_first=*/5));
+  ::unsetenv("SNNTEST_TRACE");
+  obs::set_telemetry_enabled(was_enabled);
+
   ASSERT_TRUE(run.completed);
+  for (const auto& shard : run.shards) {
+    EXPECT_EQ(shard.attempts, 2u) << "shard " << shard.shard_index;
+  }
   EXPECT_EQ(run.merged.serialize(), reference)
-      << "observability changed the merged dictionary bytes";
+      << "telemetry changed the merged dictionary bytes";
+}
 
-  // Live status artifacts exist and carry the final fleet state.
-  const util::JsonValue fleet = util::parse_json(read_file(work_dir + "/fleet_status.json"));
-  EXPECT_EQ(fleet.at("schema").str, "snntest-fleet-v1");
-  EXPECT_TRUE(fleet.at("completed").boolean);
-  EXPECT_EQ(fleet.at("faults_done").number, static_cast<double>(job.faults.size()));
-  EXPECT_EQ(run.fleet.shards_completed, 2u);
-
-  // Flight report: schema, attempt history with kill reasons, milestones.
-  const util::JsonValue flight = util::parse_json(read_file(work_dir + "/flight_report.json"));
-  EXPECT_EQ(flight.at("schema").str, "snntest-flight-v1");
-  EXPECT_TRUE(flight.at("completed").boolean);
-  ASSERT_EQ(flight.at("shards").array.size(), 2u);
-  for (const auto& shard : flight.at("shards").array) {
-    const auto& history = shard.at("history").array;
-    ASSERT_EQ(history.size(), 2u);
-    EXPECT_NE(history[0].at("outcome").str.find("crashed (signal"), std::string::npos)
-        << history[0].at("outcome").str;
-    EXPECT_EQ(history[1].at("outcome").str, "committed");
-    EXPECT_GE(history[1].at("ended_seconds").number, history[1].at("started_seconds").number);
-  }
-  EXPECT_EQ(flight.at("total_attempts").number, static_cast<double>(run.total_attempts()));
-  // The campaign finished, so the 100% milestone must be stamped.
-  EXPECT_EQ(flight.at("milestones").at("t_1").kind, util::JsonValue::kNumber);
-
-  // Merged trace: supervisor + both workers present, pid-mapped per input,
-  // with at least one payload event from every worker pid.
-  EXPECT_EQ(run.trace_merge.inputs_merged, 3u);
-  EXPECT_EQ(run.trace_merge.inputs_skipped, 0u);
-  const util::JsonValue trace = util::parse_json(read_file(work_dir + "/trace_merged.json"));
-  std::set<double> payload_pids;
-  for (const auto& ev : trace.at("traceEvents").array) {
-    if (ev.at("ph").str != "M") payload_pids.insert(ev.at("pid").number);
-  }
-  for (double pid : {2.0, 3.0}) {
-    EXPECT_TRUE(payload_pids.count(pid)) << "no events from worker pid " << pid;
-  }
+TEST(Orchestrator, MoreShardsThanFaultsLaunchesOneWorkerPerFault) {
+  auto net = make_net();
+  const ShardJob job = make_job(net, 3);
+  const std::string reference = unsharded_bytes(job);
+  const auto run = run_sharded_campaign(job, test_config(fresh_dir("orch_clamp"), 6));
+  ASSERT_TRUE(run.completed);
+  EXPECT_EQ(run.total_attempts(), 3u) << "workers were launched for empty shards";
+  EXPECT_EQ(run.merged.serialize(), reference);
 }
 
 TEST(Orchestrator, FinishedCampaignIsInspectableFromItsWorkDir) {
@@ -514,20 +375,44 @@ TEST(Orchestrator, FinishedCampaignIsInspectableFromItsWorkDir) {
   const std::string work_dir = fresh_dir("orch_postmortem");
   const auto run = run_sharded_campaign(job, test_config(work_dir, 2));
   ASSERT_TRUE(run.completed);
-  EXPECT_TRUE(run.fleet.completed);
-  EXPECT_EQ(run.fleet.faults_done, job.faults.size());
-  ASSERT_FALSE(run.campaign_curve.empty());
-  EXPECT_EQ(run.campaign_curve.back().faults_done, job.faults.size());
 
-  // `coverage_tool status` on a finished campaign goes through exactly this
-  // path: rebuild the view from the shard files, with shard-count discovery.
-  const FleetView view = build_fleet_view(work_dir, 0);
-  EXPECT_EQ(view.num_shards, 2u);
-  EXPECT_TRUE(view.completed);
-  EXPECT_EQ(view.faults_done, job.faults.size());
-  const std::string rendered = render_fleet(view);
-  EXPECT_NE(rendered.find("2/2 shards committed"), std::string::npos) << rendered;
-  EXPECT_NE(rendered.find("campaign complete"), std::string::npos) << rendered;
+  // `coverage_tool status` goes through exactly this path: shard count from
+  // the logs, ranges from job.bin, state from the shard files.
+  const auto progress = read_shard_progress(work_dir);
+  ASSERT_EQ(progress.size(), 2u);
+  size_t done = 0;
+  for (const ShardProgress& p : progress) {
+    EXPECT_EQ(p.state, ShardProgress::State::kCommitted);
+    EXPECT_EQ(p.done, p.faults);
+    done += p.done;
+  }
+  EXPECT_EQ(done, job.faults.size());
+}
+
+TEST(Orchestrator, InterruptedCampaignShowsPartialAndUnstartedShards) {
+  auto net = make_net();
+  const ShardJob job = make_job(net, 16);
+  const std::string work_dir = fresh_dir("orch_interrupted");
+  // The only attempt flushes one record; the second kills it before its
+  // flush.
+  auto config = test_config(work_dir, 1, /*crash_first=*/2);
+  config.max_retries = 0;
+  ASSERT_FALSE(run_sharded_campaign(job, config).completed);
+
+  auto progress = read_shard_progress(work_dir);
+  ASSERT_EQ(progress.size(), 1u);
+  EXPECT_EQ(progress[0].state, ShardProgress::State::kPartial);
+  EXPECT_EQ(progress[0].done, 1u);
+  EXPECT_EQ(progress[0].faults, 16u);
+
+  // A second log widens the plan to two shards; the new one has no files.
+  std::ofstream(shard_paths(work_dir, 1).log).put('\n');
+  progress = read_shard_progress(work_dir);
+  ASSERT_EQ(progress.size(), 2u);
+  EXPECT_EQ(progress[0].state, ShardProgress::State::kPartial);
+  EXPECT_EQ(progress[0].faults, 8u);
+  EXPECT_EQ(progress[1].state, ShardProgress::State::kNotStarted);
+  EXPECT_EQ(progress[1].done, 0u);
 }
 
 TEST(Orchestrator, DefaultWorkerCommandCarriesTheFullContract) {
