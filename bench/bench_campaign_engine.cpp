@@ -71,7 +71,8 @@ bool results_identical(const std::vector<fault::DetectionResult>& a,
   if (a.size() != b.size()) return false;
   for (size_t j = 0; j < a.size(); ++j) {
     if (a[j].detected != b[j].detected || a[j].output_l1 != b[j].output_l1 ||
-        a[j].class_count_diff != b[j].class_count_diff) {
+        a[j].class_count_diff != b[j].class_count_diff ||
+        a[j].class_first_spike != b[j].class_first_spike) {
       return false;
     }
   }

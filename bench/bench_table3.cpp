@@ -53,11 +53,13 @@ Table3Row run_benchmark(zoo::BenchmarkId id, size_t max_faults, size_t classify_
   row.universe_size = universe.size();
   auto faults = bench::sampled_faults(net, max_faults);
   row.faults_simulated = faults.size();
-  const auto stimulus = report.stimulus.assemble();
-  const auto detection = fault::run_detection_campaign(net, stimulus, faults);
+  // Labelling runs campaigns too; the verification campaign goes last so
+  // the run report's campaign_* fields describe it.
   fault::ClassifierConfig cc;
   cc.max_samples = classify_samples;
   const auto classes = fault::classify_faults(net, faults, *bundle.test, cc);
+  const auto stimulus = report.stimulus.assemble();
+  const auto detection = fault::run_detection_campaign(net, stimulus, faults);
   row.coverage = fault::build_coverage_report(faults, detection.results, classes.labels);
   return row;
 }

@@ -65,12 +65,14 @@ int run(const util::CliParser& cli) {
               util::fmt_pct(report.activated_fraction()).c_str(), report.stimulus.total_steps(),
               report.stimulus.duration_in_samples(bundle.steps_per_sample));
 
-  // --- verification campaign + criticality labels ---
-  const auto stimulus = report.stimulus.assemble();
-  const auto detection = fault::run_detection_campaign(net, stimulus, faults);
+  // --- criticality labels + verification campaign ---
+  // Labelling runs campaigns too, and the run report's campaign_* fields
+  // describe the last campaign, so the verification campaign goes last.
   fault::ClassifierConfig cc;
   cc.max_samples = cli.get_size("classify-samples");
   const auto classes = fault::classify_faults(net, faults, *bundle.test, cc);
+  const auto stimulus = report.stimulus.assemble();
+  const auto detection = fault::run_detection_campaign(net, stimulus, faults);
   const auto coverage = fault::build_coverage_report(faults, detection.results, classes.labels);
 
   std::printf("\nfault simulation: %s; classification: %s\n",

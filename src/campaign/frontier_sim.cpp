@@ -475,6 +475,7 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
           r.detected = lane.l1 > config.detection_threshold;
           r.first_detection_frame = lane.first_frame;
           r.class_count_diff = lane.class_diff;
+          detail::first_spike_frames(lane.train.data(), T, n, r.class_first_spike);
         }
         continue;
       }

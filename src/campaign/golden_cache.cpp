@@ -107,6 +107,7 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
     current = &cache.forward.layer_outputs.back();
   }
   cache.output_counts = cache.forward.output_counts();
+  cache.output_first_spike = cache.forward.output_first_spike_times();
   cache.stats = fault::compute_weight_stats(golden);
   cache.fingerprint =
       hash_stimulus(stimulus, hash_network_topology(net, util::kFnvOffsetBasis));

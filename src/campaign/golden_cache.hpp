@@ -35,6 +35,8 @@ struct GoldenCache {
   snn::ForwardResult forward;
   /// Rate-decoded per-class counts of the golden output.
   std::vector<size_t> output_counts;
+  /// Per-class first spike frame of the golden output (T if silent).
+  std::vector<size_t> output_first_spike;
   /// Layer weight statistics (bit-flip quantization scales) for injectors.
   std::vector<fault::LayerWeightStats> stats;
   /// FNV-1a over the network topology + stimulus bytes.

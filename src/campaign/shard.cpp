@@ -13,8 +13,9 @@ namespace {
 
 constexpr uint32_t kJobMagic = 0x424A4E53;  // "SNJB"
 // job.bin is rewritten by every run_sharded_campaign, so only the current
-// version needs a reader.
-constexpr uint32_t kJobVersion = 3;
+// version needs a reader. Version 4 added the frontier settings and the
+// golden-cache budget.
+constexpr uint32_t kJobVersion = 4;
 
 /// Read a u32 enum field, rejecting values past `max` instead of letting a
 /// static_cast wrap them into some other valid enumerator.
@@ -110,6 +111,10 @@ void save_job(const ShardJob& job, const std::string& path) {
   util::write_u32(os, job.engine.convergence_pruning ? 1u : 0u);
   util::write_u32(os, job.engine.detect_only ? 1u : 0u);
   util::write_u32(os, static_cast<uint32_t>(job.engine.kernel_mode));
+  util::write_u32(os, job.engine.frontier ? 1u : 0u);
+  util::write_f64(os, job.engine.frontier_threshold);
+  util::write_u32(os, job.engine.frontier_adaptive ? 1u : 0u);
+  util::write_u64(os, job.engine.golden_cache_budget_bytes);
   util::atomic_write_file(path, os.str());
 }
 
@@ -143,6 +148,10 @@ ShardJob load_job(const std::string& path) {
   job.engine.detect_only = util::read_u32(is) != 0;
   job.engine.kernel_mode = static_cast<snn::KernelMode>(
       read_enum(is, static_cast<uint32_t>(snn::KernelMode::kAuto), "kernel mode"));
+  job.engine.frontier = util::read_u32(is) != 0;
+  job.engine.frontier_threshold = util::read_f64(is);
+  job.engine.frontier_adaptive = util::read_u32(is) != 0;
+  job.engine.golden_cache_budget_bytes = util::read_u64(is);
   return job;
 }
 

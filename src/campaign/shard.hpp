@@ -61,16 +61,17 @@ struct ShardJob {
   snn::Network net{"uninitialized"};
   tensor::Tensor stimulus;  // [T, C] binary spike train
   std::vector<fault::FaultDescriptor> faults;
-  EngineConfig engine;  // function hooks are NOT serialized (threads, lanes,
-                        // threshold, detect_only, kernel_mode, grain are)
+  EngineConfig engine;  // function hooks and checkpoint settings are NOT
+                        // serialized; every other field is
   std::string stimulus_name;
   bool store_stimulus_data = true;
 };
 
 /// Serialize / load a job file. save_job commits via atomic rename so a
 /// worker can never observe a half-written job. load_job throws
-/// std::runtime_error on a missing or malformed file, including an
-/// out-of-range fault kind or kernel mode (the message names the field).
+/// std::runtime_error on a missing or malformed file, including a job file
+/// of another format version or an out-of-range fault kind or kernel mode
+/// (the message names the version or the field).
 void save_job(const ShardJob& job, const std::string& path);
 ShardJob load_job(const std::string& path);
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "campaign/engine.hpp"
 #include "campaign/golden_cache.hpp"
@@ -19,11 +20,24 @@ inline bool trains_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
   return std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
-/// Full Eq. (3) comparison: exact L1 plus per-class count differences and
-/// the first frame whose cumulative L1 crosses the threshold. The frame
-/// walk accumulates in the same element order as tensor::l1_distance (flat
-/// time-major), so output_l1 is bit-identical to the historical
-/// snn::output_distance result.
+/// Per-class first spike frame of a time-major [T, n] train, T for a class
+/// that never fires — exactly ForwardResult::output_first_spike_times.
+inline void first_spike_frames(const float* train, size_t T, size_t n,
+                               std::vector<size_t>& first) {
+  first.assign(n, T);
+  for (size_t t = 0; t < T; ++t) {
+    const float* row = train + t * n;
+    for (size_t i = 0; i < n; ++i) {
+      if (first[i] == T && row[i] > 0.5f) first[i] = t;
+    }
+  }
+}
+
+/// Full Eq. (3) comparison: exact L1, per-class count differences and
+/// first-spike frames, and the first frame whose cumulative L1 crosses the
+/// threshold. The frame walk accumulates in the same element order as
+/// tensor::l1_distance (flat time-major), so output_l1 is bit-identical to
+/// the historical snn::output_distance result.
 inline void fill_full_result(fault::DetectionResult& r, const tensor::Tensor& faulty_output,
                              const GoldenCache& cache, double threshold) {
   const tensor::Tensor& golden = cache.output();
@@ -46,6 +60,7 @@ inline void fill_full_result(fault::DetectionResult& r, const tensor::Tensor& fa
     r.class_count_diff[c] =
         static_cast<long>(counts[c]) - static_cast<long>(cache.output_counts[c]);
   }
+  first_spike_frames(faulty_output.data(), T, n, r.class_first_spike);
 }
 
 /// Detect-only comparison: accumulate the L1 mass timestep by timestep and
@@ -90,7 +105,10 @@ inline void fill_converged_result(fault::DetectionResult& r, const GoldenCache& 
   // A (pathological) negative threshold is crossed by the zero divergence at
   // the very first frame — exactly what the full frame walk would report.
   r.first_detection_frame = r.detected ? 0 : -1;
-  if (!config.detect_only) r.class_count_diff.assign(cache.output_counts.size(), 0);
+  if (!config.detect_only) {
+    r.class_count_diff.assign(cache.output_counts.size(), 0);
+    r.class_first_spike = cache.output_first_spike;
+  }
 }
 
 struct SimCounters {

@@ -164,6 +164,9 @@ void FaultDictionary::record(size_t stim, size_t fault, fault::DetectionResult r
   }
   if (!have_[stim][fault]) ++num_records_;
   have_[stim][fault] = 1;
+  // Hold exactly what save() persists, so a record looks the same whether
+  // it was recorded in this process or loaded from disk.
+  result.class_first_spike = std::vector<size_t>();
   results_[stim][fault] = std::move(result);
 }
 

@@ -91,7 +91,8 @@ class FaultDictionary {
   /// The stored result, or nullptr when the pair was never simulated.
   const fault::DetectionResult* lookup(size_t stim, size_t fault) const;
   /// Insert or overwrite one pair. `stim` must be a valid stimulus index
-  /// and `fault` < num_faults (throws std::out_of_range otherwise).
+  /// and `fault` < num_faults (throws std::out_of_range otherwise). The
+  /// in-memory-only class_first_spike is dropped, as save() would drop it.
   void record(size_t stim, size_t fault, fault::DetectionResult result);
 
   size_t num_records() const { return num_records_; }
@@ -155,7 +156,8 @@ class FaultDictionary {
 };
 
 /// Field-exact equality (detected, L1 bits, frame, class counts) — the
-/// merge-conflict and warm-rerun-identity criterion.
+/// merge-conflict and warm-rerun-identity criterion. Ignores the in-memory
+/// class_first_spike, which the dictionary does not store.
 bool results_identical(const fault::DetectionResult& a, const fault::DetectionResult& b);
 
 }  // namespace snntest::coverage

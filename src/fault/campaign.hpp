@@ -37,6 +37,15 @@ struct DetectionResult {
   int64_t first_detection_frame = -1;
   /// Per-class |count - golden count| differences (signed: faulty - golden).
   std::vector<long> class_count_diff;
+  /// Per-class first output-spike frame of the faulty run, T if the class
+  /// never fires (ForwardResult::output_first_spike_times). Filled wherever
+  /// class_count_diff is filled (left empty in detect-only mode); it is what
+  /// time-to-first-spike fault labelling decodes (fault/classifier.hpp).
+  /// In memory only: neither the SNFD dictionary nor the JSONL checkpoint
+  /// stores it, so a result read back from either (or recorded into a
+  /// coverage::FaultDictionary) has it empty, and
+  /// coverage::results_identical ignores it.
+  std::vector<size_t> class_first_spike;
 };
 
 struct CampaignConfig {

@@ -2,10 +2,13 @@
 //
 // "A fault is critical if it alters the top-1 prediction for at least one
 // sample in the available dataset." Classification runs the full fault list
-// against a set of dataset samples: golden predictions are computed once,
-// then each faulty network is evaluated on the same samples. Per-fault we
-// also record the accuracy drop, which feeds Table III's "maximum accuracy
-// drop for undetected critical faults" row.
+// against a set of dataset samples on the differential campaign engine
+// (campaign/engine.hpp): one full-result campaign per sample over every
+// fault, whose per-class count differences and first-spike frames decode
+// each faulty top-1 without re-running the network (DESIGN.md §8). Per-fault
+// we also record the accuracy drop, which feeds Table III's "maximum
+// accuracy drop for undetected critical faults" row. The implementation
+// lives in the campaign library (campaign/classifier.cpp).
 #pragma once
 
 #include <functional>
@@ -26,16 +29,22 @@ struct FaultClassification {
 };
 
 struct ClassifierConfig {
-  /// Samples used for labelling (0 = whole dataset). The paper uses the full
-  /// dataset on an A100 over days; we default to a subset (DESIGN.md §2.4).
+  /// Samples used for labelling (0 = whole dataset, and values above the
+  /// dataset size are clamped to it). The paper uses the full dataset on an
+  /// A100 over days; we default to a subset (DESIGN.md §2.4).
   size_t max_samples = 64;
+  /// Engine worker threads (0 = hardware concurrency).
   size_t num_threads = 0;
   /// Output decoding used for the top-1 criterion (rate or TTFS —
   /// criticality depends on how the deployed model reads its outputs).
   snn::Decoding decoding = snn::Decoding::kRate;
-  /// Forward-kernel selection for the golden pass and every worker clone
+  /// Forward-kernel selection for the golden pass and the engine
   /// (bit-identical results across modes; kAuto exploits event sparsity).
   snn::KernelMode kernel_mode = snn::KernelMode::kAuto;
+  /// Progress callback (completed, total) over (fault, sample) pairs, with
+  /// total = faults × evaluated samples. Calls are serialized, `completed`
+  /// is strictly increasing, and the last call has completed == total. Not
+  /// called when there is no pair to evaluate.
   std::function<void(size_t, size_t)> progress;
 };
 

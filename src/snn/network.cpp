@@ -48,26 +48,27 @@ std::vector<size_t> ForwardResult::output_first_spike_times() const {
   return first;
 }
 
-size_t ForwardResult::predicted_class() const {
-  const auto counts = output_counts();
+size_t decode_class(const std::vector<size_t>& counts, const std::vector<size_t>& first_spike,
+                    Decoding decoding) {
   size_t best = 0;
   for (size_t i = 1; i < counts.size(); ++i) {
-    if (counts[i] > counts[best]) best = i;
+    const bool better =
+        decoding == Decoding::kRate
+            ? counts[i] > counts[best]
+            : first_spike[i] < first_spike[best] ||
+                  (first_spike[i] == first_spike[best] && counts[i] > counts[best]);
+    if (better) best = i;
   }
   return best;
 }
 
+size_t ForwardResult::predicted_class() const {
+  return decode_class(output_counts(), {}, Decoding::kRate);
+}
+
 size_t ForwardResult::predicted_class(Decoding decoding) const {
   if (decoding == Decoding::kRate) return predicted_class();
-  const auto first = output_first_spike_times();
-  const auto counts = output_counts();
-  size_t best = 0;
-  for (size_t i = 1; i < first.size(); ++i) {
-    if (first[i] < first[best] || (first[i] == first[best] && counts[i] > counts[best])) {
-      best = i;
-    }
-  }
-  return best;
+  return decode_class(output_counts(), output_first_spike_times(), decoding);
 }
 
 Network::Network(const Network& other) : name_(other.name_) {

@@ -27,6 +27,13 @@ enum class Decoding : uint8_t {
   kTimeToFirstSpike = 1  // class = earliest first spike (count breaks ties)
 };
 
+/// Top-1 class from per-class output spike counts and first-spike frames
+/// (`first_spike` is read only under kTimeToFirstSpike). Rate: the largest
+/// count, the first class wins ties. TTFS: the earliest first spike, ties
+/// broken by the larger count, then by the first class.
+size_t decode_class(const std::vector<size_t>& counts, const std::vector<size_t>& first_spike,
+                    Decoding decoding);
+
 /// Spike trains of every layer from one inference window.
 struct ForwardResult {
   std::vector<Tensor> layer_outputs;  // layer_outputs[l] is [T, N_l]

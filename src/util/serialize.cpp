@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace snntest::util {
 namespace {
@@ -88,7 +89,11 @@ void check_magic(std::istream& is, uint32_t magic, uint32_t version) {
   const uint32_t m = read_u32(is);
   const uint32_t v = read_u32(is);
   if (m != magic) throw std::runtime_error("serialize: bad magic");
-  if (v != version) throw std::runtime_error("serialize: version mismatch");
+  if (v != version) {
+    throw std::runtime_error("serialize: version mismatch (file has version " +
+                             std::to_string(v) + ", reader expects " +
+                             std::to_string(version) + ")");
+  }
 }
 
 }  // namespace snntest::util

@@ -103,18 +103,32 @@ std::vector<fault::DetectionResult> naive_reference(const snn::Network& net,
     for (size_t c = 0; c < counts.size(); ++c) {
       r.class_count_diff[c] = static_cast<long>(counts[c]) - static_cast<long>(golden_counts[c]);
     }
+    r.class_first_spike = faulty.output_first_spike_times();
   }
   return results;
 }
 
-void expect_results_identical(const std::vector<fault::DetectionResult>& a,
-                              const std::vector<fault::DetectionResult>& b) {
+/// Every persisted DetectionResult field. A result restored from a JSONL
+/// checkpoint or served from a fault dictionary carries no
+/// class_first_spike (in memory only), so resume and cache tests compare
+/// with this.
+void expect_persisted_results_identical(const std::vector<fault::DetectionResult>& a,
+                                        const std::vector<fault::DetectionResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t j = 0; j < a.size(); ++j) {
     EXPECT_EQ(a[j].detected, b[j].detected) << "fault " << j;
     EXPECT_EQ(a[j].output_l1, b[j].output_l1) << "fault " << j;
     EXPECT_EQ(a[j].first_detection_frame, b[j].first_detection_frame) << "fault " << j;
     ASSERT_EQ(a[j].class_count_diff, b[j].class_count_diff) << "fault " << j;
+  }
+}
+
+/// Every DetectionResult field, class_first_spike included.
+void expect_results_identical(const std::vector<fault::DetectionResult>& a,
+                              const std::vector<fault::DetectionResult>& b) {
+  expect_persisted_results_identical(a, b);
+  for (size_t j = 0; j < a.size() && j < b.size(); ++j) {
+    ASSERT_EQ(a[j].class_first_spike, b[j].class_first_spike) << "fault " << j;
   }
 }
 
@@ -235,6 +249,7 @@ TEST(Engine, DetectOnlyAgreesOnDetection) {
     // Lower bound: never exceeds the exact L1, positive iff detected.
     EXPECT_LE(fast.results[j].output_l1, full.results[j].output_l1);
     EXPECT_TRUE(fast.results[j].class_count_diff.empty());
+    EXPECT_TRUE(fast.results[j].class_first_spike.empty());
   }
 }
 
@@ -325,7 +340,7 @@ TEST(Checkpoint, InterruptedRunResumesToIdenticalOutcome) {
   EXPECT_TRUE(resumed.completed);
   EXPECT_EQ(resumed.stats.faults_resumed, partial.stats.faults_simulated);
   EXPECT_EQ(resumed.stats.faults_simulated + resumed.stats.faults_resumed, faults.size());
-  expect_results_identical(resumed.results, uninterrupted.results);
+  expect_persisted_results_identical(resumed.results, uninterrupted.results);
 
   // The joined results yield the same coverage report as the clean run.
   std::vector<fault::FaultClassification> labels(faults.size());
@@ -379,7 +394,7 @@ TEST(Checkpoint, TruncatedTrailingLineIsTolerated) {
   EXPECT_TRUE(resumed.completed);
   EXPECT_EQ(resumed.stats.faults_simulated, 1u);  // only the chopped fault reruns
   EXPECT_EQ(resumed.stats.checkpoint_lines_skipped, 1u);  // ...and it is reported
-  expect_results_identical(resumed.results, clean.results);
+  expect_persisted_results_identical(resumed.results, clean.results);
   std::remove(path.c_str());
 }
 
@@ -444,7 +459,7 @@ TEST(Checkpoint, CorruptedLinesAreCountedNotSwallowed) {
   EXPECT_TRUE(resumed.completed);
   EXPECT_EQ(resumed.stats.checkpoint_lines_skipped, 3u);
   EXPECT_EQ(resumed.stats.faults_resumed, faults.size());
-  expect_results_identical(resumed.results, clean.results);
+  expect_persisted_results_identical(resumed.results, clean.results);
   std::remove(path.c_str());
 }
 
@@ -729,6 +744,9 @@ TEST(LaneBatch, FuzzMatrixBitIdenticalToScalar) {
     scalar_cfg.lane_width = 1;
     const auto scalar = run_campaign(c.net, c.input, c.faults, scalar_cfg);
     EXPECT_EQ(scalar.stats.lane_batches, 0u) << c.name;
+    // The chain ends at the independent oracle, converged faults included.
+    expect_results_identical(scalar.results, naive_reference(c.net, c.input, c.faults));
+    EXPECT_GT(scalar.stats.faults_pruned, 0u) << c.name;
     EngineConfig scalar_detect = scalar_cfg;
     scalar_detect.detect_only = true;
     const auto scalar_fast = run_campaign(c.net, c.input, c.faults, scalar_detect);
@@ -803,7 +821,7 @@ TEST(LaneBatch, CheckpointResumeAcrossLaneWidths) {
   EXPECT_TRUE(resumed.completed);
   EXPECT_EQ(resumed.stats.faults_resumed, partial.stats.faults_simulated);
   EXPECT_EQ(resumed.stats.faults_simulated + resumed.stats.faults_resumed, faults.size());
-  expect_results_identical(resumed.results, truth.results);
+  expect_persisted_results_identical(resumed.results, truth.results);
   std::remove(path.c_str());
 }
 
@@ -1084,6 +1102,8 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
     base_cfg.lane_width = 1;
     const auto base = run_campaign(c.net, c.input, c.faults, base_cfg);
     EXPECT_FALSE(base.stats.frontier_active) << c.name;
+    expect_results_identical(base.results, naive_reference(c.net, c.input, c.faults));
+    EXPECT_GT(base.stats.faults_pruned, 0u) << c.name;
     EXPECT_EQ(base.stats.frontier_faults, 0u) << c.name;
     EngineConfig base_detect = base_cfg;
     base_detect.detect_only = true;
@@ -1282,7 +1302,7 @@ TEST(Frontier, ComposesWithCheckpointResumeAndResultCache) {
   resume_cfg.checkpoint_path = path;
   const auto resumed = run_campaign(net, input, faults, resume_cfg);
   EXPECT_TRUE(resumed.completed);
-  expect_results_identical(resumed.results, truth.results);
+  expect_persisted_results_identical(resumed.results, truth.results);
   std::remove(path.c_str());
 
   EngineConfig cache_cfg;

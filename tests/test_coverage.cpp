@@ -145,6 +145,12 @@ TEST(Dictionary, RecordLookupAndAggregates) {
   EXPECT_EQ(dict.add_stimulus(make_entry("dup", 1000, 99)), 0u);
   EXPECT_EQ(dict.num_stimuli(), 2u);
   EXPECT_THROW(dict.record(0, 99, make_result(true, 1.0, 0)), std::out_of_range);
+  // A record holds only what save() persists: no first-spike frames.
+  fault::DetectionResult with_frames = make_result(true, 2.0, 1, {1, -1});
+  with_frames.class_first_spike = {3, 7};
+  dict.record(1, 1, with_frames);
+  EXPECT_TRUE(dict.lookup(1, 1)->class_first_spike.empty());
+  EXPECT_TRUE(results_identical(*dict.lookup(1, 1), with_frames));
 }
 
 TEST(Dictionary, ResultsIdenticalIsFieldExact) {

@@ -1,11 +1,13 @@
 // Fault framework tests: descriptor semantics, int8 bit-flip model,
 // universe enumeration (paper Table II composition), injector behaviour per
 // kind (TEST_P over every fault kind), perfect restore, campaign detection
-// (Eq. 3) and critical/benign classification (Sec. III).
+// (Eq. 3) and critical/benign classification (Sec. III) against the naive
+// labelling oracle (tests/support/naive_classify.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "campaign/engine.hpp"
 #include "data/synthetic_shd.hpp"
 #include "fault/campaign.hpp"
 #include "snn/conv_layer.hpp"
@@ -14,7 +16,9 @@
 #include "fault/injector.hpp"
 #include "fault/registry.hpp"
 #include "snn/dense_layer.hpp"
+#include "snn/recurrent_layer.hpp"
 #include "snn/spike_train.hpp"
+#include "support/naive_classify.hpp"
 
 namespace snntest::fault {
 namespace {
@@ -540,6 +544,285 @@ TEST(ConnectionFaults, CampaignMixesGranularities) {
   const auto outcome = run_detection_campaign(net, input, faults);
   EXPECT_EQ(outcome.results.size(), faults.size());
   EXPECT_GT(outcome.detected_count(), 0u);
+}
+
+// ---------- fault labelling on the campaign engine vs the naive oracle ----------
+
+/// In-memory dataset over explicit samples.
+class SampleSet final : public data::Dataset {
+ public:
+  SampleSet(std::vector<data::Sample> samples, size_t classes)
+      : samples_(std::move(samples)), classes_(classes) {}
+  std::string name() const override { return "sample-set"; }
+  size_t size() const override { return samples_.size(); }
+  size_t num_classes() const override { return classes_; }
+  size_t input_size() const override {
+    return samples_.empty() ? 0 : samples_[0].input.shape().dim(1);
+  }
+  size_t num_steps() const override {
+    return samples_.empty() ? 0 : samples_[0].input.shape().dim(0);
+  }
+  data::Sample get(size_t index) const override { return samples_.at(index); }
+
+ private:
+  std::vector<data::Sample> samples_;
+  size_t classes_;
+};
+
+/// Random input trains; even samples are labelled with the golden rate
+/// prediction and odd ones with the next class, so golden accuracy and
+/// per-fault accuracy drops are both non-trivial.
+SampleSet random_samples(const snn::Network& net, size_t count, size_t T, double density,
+                         uint64_t seed) {
+  util::Rng rng(seed);
+  snn::Network golden(net);
+  const size_t classes = net.output_size();
+  std::vector<data::Sample> samples;
+  for (size_t i = 0; i < count; ++i) {
+    data::Sample s;
+    s.input = snn::random_spike_train(T, net.input_size(), density, rng);
+    const size_t pred = golden.forward(s.input).predicted_class();
+    s.label = i % 2 == 0 ? pred : (pred + 1) % classes;
+    samples.push_back(std::move(s));
+  }
+  return SampleSet(std::move(samples), classes);
+}
+
+snn::Network make_recurrent_net(uint64_t seed = 51) {
+  util::Rng rng(seed);
+  snn::LifParams lif;
+  snn::Network net("fault-recurrent");
+  auto l1 = std::make_unique<snn::DenseLayer>(8, 10, lif);
+  l1->init_weights(rng, 1.3f);
+  net.add_layer(std::move(l1));
+  auto rec = std::make_unique<snn::RecurrentLayer>(10, 9, lif);
+  rec->init_weights(rng, 1.2f, 0.5f);
+  net.add_layer(std::move(rec));
+  auto l3 = std::make_unique<snn::DenseLayer>(9, 4, lif);
+  l3->init_weights(rng, 1.3f);
+  net.add_layer(std::move(l3));
+  return net;
+}
+
+std::vector<FaultDescriptor> all_kinds_sample(const snn::Network& net, size_t k, uint64_t seed) {
+  FaultUniverseConfig cfg;
+  cfg.neuron_threshold_variation = true;
+  cfg.neuron_leak_variation = true;
+  cfg.neuron_refractory_variation = true;
+  cfg.synapse_bitflip = true;
+  snn::Network copy(net);
+  auto universe = enumerate_faults(copy, cfg);
+  util::Rng rng(seed);
+  return sample_faults(universe, k, rng);
+}
+
+void expect_labels_identical(const ClassificationOutcome& got,
+                             const ClassificationOutcome& want) {
+  EXPECT_EQ(got.golden_accuracy, want.golden_accuracy);
+  ASSERT_EQ(got.labels.size(), want.labels.size());
+  for (size_t j = 0; j < got.labels.size(); ++j) {
+    EXPECT_EQ(got.labels[j].critical, want.labels[j].critical) << "fault " << j;
+    EXPECT_EQ(got.labels[j].prediction_changes, want.labels[j].prediction_changes)
+        << "fault " << j;
+    EXPECT_EQ(got.labels[j].accuracy_drop, want.labels[j].accuracy_drop) << "fault " << j;
+  }
+}
+
+TEST(Classifier, MatchesNaiveOracleAcrossNetsDecodingsThreadsAndModes) {
+  struct Case {
+    std::string name;
+    snn::Network net;
+    SampleSet data;
+    std::vector<FaultDescriptor> faults;
+  };
+  std::vector<Case> cases;
+  {
+    auto net = make_net(3);
+    auto data = random_samples(net, 8, 16, 0.5, 61);
+    auto faults = all_kinds_sample(net, 48, 62);
+    cases.push_back({"dense", std::move(net), std::move(data), std::move(faults)});
+  }
+  {
+    auto net = make_conv_net(63);
+    auto data = random_samples(net, 8, 12, 0.4, 64);
+    auto faults = all_kinds_sample(net, 48, 65);
+    cases.push_back({"conv", std::move(net), std::move(data), std::move(faults)});
+  }
+  {
+    auto net = make_recurrent_net();
+    auto data = random_samples(net, 8, 16, 0.4, 66);
+    auto faults = all_kinds_sample(net, 48, 67);
+    cases.push_back({"recurrent", std::move(net), std::move(data), std::move(faults)});
+  }
+
+  for (auto& c : cases) {
+    for (const auto decoding : {snn::Decoding::kRate, snn::Decoding::kTimeToFirstSpike}) {
+      ClassifierConfig base;
+      base.max_samples = 0;
+      base.decoding = decoding;
+      const auto oracle = test_support::naive_classify(c.net, c.faults, c.data, base);
+      // Both labels occur, so the identity below is not vacuous.
+      EXPECT_GT(oracle.critical_count(), 0u) << c.name;
+      EXPECT_LT(oracle.critical_count(), c.faults.size()) << c.name;
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        for (const auto mode : {snn::KernelMode::kDense, snn::KernelMode::kAuto}) {
+          SCOPED_TRACE(c.name + " decoding=" + std::to_string(static_cast<int>(decoding)) +
+                       " threads=" + std::to_string(threads) +
+                       " mode=" + std::to_string(static_cast<int>(mode)));
+          ClassifierConfig cfg = base;
+          cfg.num_threads = threads;
+          cfg.kernel_mode = mode;
+          expect_labels_identical(classify_faults(c.net, c.faults, c.data, cfg), oracle);
+        }
+      }
+    }
+  }
+}
+
+/// One sample over `channels` inputs spiking at the listed frames.
+data::Sample spike_sample(size_t T, size_t channels,
+                          const std::vector<std::pair<size_t, size_t>>& spikes, size_t label) {
+  data::Sample s;
+  s.input = snn::zero_train(T, channels);
+  for (const auto& [t, c] : spikes) s.input[t * channels + c] = 1.0f;
+  s.label = label;
+  return s;
+}
+
+TEST(Classifier, RateTieBreaksToFirstClass) {
+  // One dense layer, 4 inputs -> 3 classes; every weight that exists is 2x
+  // the threshold, so each input spike fires its class neuron once (the
+  // spikes are 4 frames apart, clear of the refractory step). Class 1 reads
+  // inputs 1 and 3. Golden counts (2, 3, 1) predict class 1; killing the
+  // synapse from input 3 leaves (2, 2, 1), a tie that first-max decoding
+  // resolves to class 0 — a prediction flip.
+  snn::LifParams lif;
+  snn::Network net("rate-tie");
+  auto layer = std::make_unique<snn::DenseLayer>(4, 3, lif);
+  std::fill(layer->weights().begin(), layer->weights().end(), 0.0f);
+  layer->weights()[0 * 4 + 0] = 2.0f;
+  layer->weights()[1 * 4 + 1] = 2.0f;
+  layer->weights()[1 * 4 + 3] = 2.0f;
+  layer->weights()[2 * 4 + 2] = 2.0f;
+  net.add_layer(std::move(layer));
+  std::vector<data::Sample> samples;
+  samples.push_back(spike_sample(12, 4, {{0, 0}, {4, 0}, {0, 1}, {4, 1}, {8, 3}, {2, 2}}, 1));
+  SampleSet data(std::move(samples), 3);
+  ASSERT_EQ(net.forward(data.get(0).input).output_counts(), (std::vector<size_t>{2, 3, 1}));
+
+  std::vector<FaultDescriptor> faults(1);
+  faults[0].kind = FaultKind::kSynapseDead;
+  faults[0].weight = {0, 0, 1 * 4 + 3};
+  ClassifierConfig cfg;
+  const auto outcome = classify_faults(net, faults, data, cfg);
+  expect_labels_identical(outcome, test_support::naive_classify(net, faults, data, cfg));
+  EXPECT_DOUBLE_EQ(outcome.golden_accuracy, 1.0);
+  EXPECT_TRUE(outcome.labels[0].critical);
+  EXPECT_EQ(outcome.labels[0].prediction_changes, 1u);
+  EXPECT_DOUBLE_EQ(outcome.labels[0].accuracy_drop, 1.0);
+}
+
+TEST(Classifier, AllSilentOutputUnderTtfsDecodesToClassZero) {
+  // A single hidden neuron drives all three classes; class 1 (weight above
+  // threshold) fires first, so TTFS predicts it. A dead hidden neuron
+  // silences every class: each first spike is T and every count is 0, so
+  // the count tie-break picks class 0.
+  snn::LifParams lif;
+  snn::Network net("all-silent");
+  auto hidden = std::make_unique<snn::DenseLayer>(1, 1, lif);
+  hidden->weights()[0] = 2.0f;
+  net.add_layer(std::move(hidden));
+  auto out = std::make_unique<snn::DenseLayer>(1, 3, lif);
+  out->weights() = {0.6f, 2.0f, 0.6f};
+  net.add_layer(std::move(out));
+  const size_t T = 10;
+  std::vector<data::Sample> samples;
+  samples.push_back(spike_sample(T, 1, {{0, 0}, {2, 0}, {4, 0}, {6, 0}}, 1));
+  SampleSet data(std::move(samples), 3);
+  ASSERT_EQ(net.forward(data.get(0).input).output_first_spike_times(),
+            (std::vector<size_t>{2, 0, 2}));
+
+  std::vector<FaultDescriptor> faults(1);
+  faults[0].kind = FaultKind::kNeuronDead;
+  faults[0].neuron = {0, 0};
+  const auto run = campaign::run_campaign(net, data.get(0).input, faults);
+  EXPECT_EQ(run.results[0].class_first_spike, (std::vector<size_t>{T, T, T}));
+  EXPECT_EQ(run.results[0].class_count_diff, (std::vector<long>{-2, -4, -2}));
+
+  ClassifierConfig cfg;
+  cfg.decoding = snn::Decoding::kTimeToFirstSpike;
+  const auto outcome = classify_faults(net, faults, data, cfg);
+  expect_labels_identical(outcome, test_support::naive_classify(net, faults, data, cfg));
+  EXPECT_DOUBLE_EQ(outcome.golden_accuracy, 1.0);
+  EXPECT_TRUE(outcome.labels[0].critical);
+  EXPECT_DOUBLE_EQ(outcome.labels[0].accuracy_drop, 1.0);
+}
+
+TEST(Classifier, EmptyFaultListStillReportsGoldenAccuracy) {
+  auto net = make_net();
+  const auto data = random_samples(net, 5, 16, 0.5, 81);
+  size_t calls = 0;
+  ClassifierConfig cfg;
+  cfg.progress = [&](size_t, size_t) { ++calls; };
+  const auto outcome = classify_faults(net, {}, data, cfg);
+  EXPECT_TRUE(outcome.labels.empty());
+  EXPECT_EQ(outcome.critical_count(), 0u);
+  EXPECT_EQ(outcome.golden_accuracy, test_support::naive_classify(net, {}, data, cfg).golden_accuracy);
+  EXPECT_GT(outcome.golden_accuracy, 0.0);
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(Classifier, EmptyDatasetLabelsEveryFaultBenign) {
+  auto net = make_net();
+  const SampleSet empty({}, net.output_size());
+  const auto faults = all_kinds_sample(net, 10, 82);
+  size_t calls = 0;
+  ClassifierConfig cfg;
+  cfg.progress = [&](size_t, size_t) { ++calls; };
+  const auto outcome = classify_faults(net, faults, empty, cfg);
+  ASSERT_EQ(outcome.labels.size(), faults.size());
+  for (const auto& l : outcome.labels) {
+    EXPECT_FALSE(l.critical);
+    EXPECT_EQ(l.prediction_changes, 0u);
+    EXPECT_EQ(l.accuracy_drop, 0.0);
+  }
+  EXPECT_EQ(outcome.golden_accuracy, 0.0);
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(Classifier, MaxSamplesBeyondDatasetUsesWholeDataset) {
+  auto net = make_net(4);
+  const auto data = random_samples(net, 6, 16, 0.5, 83);
+  const auto faults = all_kinds_sample(net, 24, 84);
+  ClassifierConfig all;
+  all.max_samples = 0;
+  ClassifierConfig over = all;
+  over.max_samples = 1000;
+  const auto oracle = test_support::naive_classify(net, faults, data, all);
+  expect_labels_identical(classify_faults(net, faults, data, over), oracle);
+  expect_labels_identical(classify_faults(net, faults, data, all), oracle);
+}
+
+TEST(Classifier, ProgressCountsPairsMonotonicallyToTotal) {
+  auto net = make_net(5);
+  const auto data = random_samples(net, 5, 16, 0.5, 85);
+  const auto faults = all_kinds_sample(net, 40, 86);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<std::pair<size_t, size_t>> calls;
+    ClassifierConfig cfg;
+    cfg.max_samples = 4;
+    cfg.num_threads = threads;
+    cfg.progress = [&](size_t done, size_t total) { calls.emplace_back(done, total); };
+    classify_faults(net, faults, data, cfg);
+    const size_t total = faults.size() * 4;
+    ASSERT_FALSE(calls.empty());
+    for (size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].second, total);
+      if (i > 0) EXPECT_GT(calls[i].first, calls[i - 1].first);
+    }
+    EXPECT_EQ(calls.back().first, total);
+  }
 }
 
 }  // namespace

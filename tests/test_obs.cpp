@@ -478,6 +478,7 @@ TEST(ObsIdentity, CampaignResultsBitIdenticalWithTelemetryOnAndOff) {
     EXPECT_EQ(off.results[i].detected, on.results[i].detected) << "fault " << i;
     EXPECT_EQ(off.results[i].output_l1, on.results[i].output_l1) << "fault " << i;
     EXPECT_EQ(off.results[i].class_count_diff, on.results[i].class_count_diff) << "fault " << i;
+    EXPECT_EQ(off.results[i].class_first_spike, on.results[i].class_first_spike) << "fault " << i;
   }
   EXPECT_EQ(off.stats.layer_forwards, on.stats.layer_forwards);
   EXPECT_EQ(off.stats.faults_pruned, on.stats.faults_pruned);
