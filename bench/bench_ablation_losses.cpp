@@ -9,7 +9,7 @@
 // coverage components.
 #include "bench_common.hpp"
 
-#include "fault/campaign.hpp"
+#include "campaign/engine.hpp"
 #include "fault/coverage.hpp"
 #include "util/timer.hpp"
 
@@ -65,8 +65,7 @@ int main() {
     row.gen_seconds = timer.seconds();
     row.activated = report.activated_fraction();
     row.duration_samples = report.stimulus.duration_in_samples(bundle.steps_per_sample);
-    const auto outcome =
-        fault::run_detection_campaign(net, report.stimulus.assemble(), faults);
+    const auto outcome = campaign::run_campaign(net, report.stimulus.assemble(), faults);
     row.coverage = fault::fault_coverage(outcome.results);
     size_t nd = 0, nt = 0, sd = 0, st = 0;
     for (size_t j = 0; j < faults.size(); ++j) {

@@ -8,7 +8,7 @@
 // strength).
 #include "bench_common.hpp"
 
-#include "fault/campaign.hpp"
+#include "campaign/engine.hpp"
 #include "fault/coverage.hpp"
 #include "snn/spike_train.hpp"
 #include "util/timer.hpp"
@@ -53,7 +53,7 @@ int main() {
     for (size_t l = 0; l + 1 < fwd.layer_outputs.size(); ++l) {
       row.hidden_spikes += fwd.layer_outputs[l].count_nonzero();
     }
-    const auto outcome = fault::run_detection_campaign(net, stimulus, faults);
+    const auto outcome = campaign::run_campaign(net, stimulus, faults);
     row.coverage = fault::fault_coverage(outcome.results);
     double corruption = 0.0;
     size_t detected = 0;

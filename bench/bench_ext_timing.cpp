@@ -10,7 +10,7 @@
 // on the fault class it was built for.
 #include "bench_common.hpp"
 
-#include "fault/campaign.hpp"
+#include "campaign/engine.hpp"
 #include "fault/coverage.hpp"
 #include "util/timer.hpp"
 
@@ -61,8 +61,7 @@ int main() {
     cfg.use_l3 = use_l3;
     core::TestGenerator generator(net, cfg);
     auto report = generator.generate();
-    const auto outcome =
-        fault::run_detection_campaign(net, report.stimulus.assemble(), faults);
+    const auto outcome = campaign::run_campaign(net, report.stimulus.assemble(), faults);
 
     Row row;
     row.config = use_l3 ? "with L3 (temporal diversity)" : "without L3";

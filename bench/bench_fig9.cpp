@@ -13,7 +13,7 @@
 #include <cmath>
 #include <map>
 
-#include "fault/campaign.hpp"
+#include "campaign/engine.hpp"
 
 using namespace snntest;
 
@@ -27,8 +27,7 @@ int main() {
 
   std::printf("simulating %zu sampled faults against the optimized stimulus...\n\n",
               faults.size());
-  const auto outcome =
-      fault::run_detection_campaign(net, stimulus.report.stimulus.assemble(), faults);
+  const auto outcome = campaign::run_campaign(net, stimulus.report.stimulus.assemble(), faults);
 
   // Histogram of |count difference| over (detected fault, class) pairs with
   // logarithmic-ish bins mirroring the paper's broken x-axis.

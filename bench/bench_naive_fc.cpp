@@ -9,8 +9,8 @@
 // the "several days" infeasibility claim.
 #include "bench_common.hpp"
 
+#include "campaign/engine.hpp"
 #include "core/naive_fc_optimizer.hpp"
-#include "fault/campaign.hpp"
 #include "fault/coverage.hpp"
 #include "snn/dense_layer.hpp"
 #include "util/timer.hpp"
@@ -52,7 +52,7 @@ int main() {
   core::TestGenerator generator(net, cfg);
   auto report = generator.generate();
   const double proposed_gen_seconds = timer.seconds();
-  const auto verify = fault::run_detection_campaign(net, report.stimulus.assemble(), faults);
+  const auto verify = campaign::run_campaign(net, report.stimulus.assemble(), faults);
   const double proposed_fc = fault::fault_coverage(verify.results);
 
   util::TextTable table({"method", "iterations", "fault sims", "gen time", "final FC"});

@@ -9,7 +9,7 @@
 // test escapes.
 #include "bench_common.hpp"
 
-#include "fault/campaign.hpp"
+#include "campaign/engine.hpp"
 #include "fault/classifier.hpp"
 #include "fault/coverage.hpp"
 #include "util/timer.hpp"
@@ -59,7 +59,7 @@ Table3Row run_benchmark(zoo::BenchmarkId id, size_t max_faults, size_t classify_
   cc.max_samples = classify_samples;
   const auto classes = fault::classify_faults(net, faults, *bundle.test, cc);
   const auto stimulus = report.stimulus.assemble();
-  const auto detection = fault::run_detection_campaign(net, stimulus, faults);
+  const auto detection = campaign::run_campaign(net, stimulus, faults);
   row.coverage = fault::build_coverage_report(faults, detection.results, classes.labels);
   return row;
 }

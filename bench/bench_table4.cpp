@@ -14,7 +14,7 @@
 #include "baseline/adversarial_testgen.hpp"
 #include "baseline/greedy_dataset.hpp"
 #include "baseline/random_testgen.hpp"
-#include "fault/campaign.hpp"
+#include "campaign/engine.hpp"
 #include "fault/classifier.hpp"
 #include "fault/coverage.hpp"
 #include "util/timer.hpp"
@@ -81,8 +81,7 @@ int main() {
     row.gen_seconds = timer.seconds();
     row.fault_sims = 0;  // fault simulation is circumvented during generation
     row.duration_samples = report.stimulus.duration_in_samples(bundle.steps_per_sample);
-    const auto outcome =
-        fault::run_detection_campaign(net, report.stimulus.assemble(), faults);
+    const auto outcome = campaign::run_campaign(net, report.stimulus.assemble(), faults);
     score(row, faults, outcome.results, classes.labels);
     rows.push_back(row);
   }
@@ -95,7 +94,7 @@ int main() {
     row.gen_seconds = result.generation_seconds;
     row.fault_sims = result.fault_sims;
     row.duration_samples = result.duration_in_samples(bundle.steps_per_sample);
-    const auto outcome = fault::run_detection_campaign(net, result.assemble(), faults);
+    const auto outcome = campaign::run_campaign(net, result.assemble(), faults);
     score(row, faults, outcome.results, classes.labels);
     rows.push_back(row);
   };

@@ -14,7 +14,8 @@
 //   coverage_tool report      --dict d.snfd [--json r.json]
 //
 // `build` is incremental: pairs the dictionary already holds are served as
-// lookups (zero simulations on a warm re-run), only missing pairs simulate.
+// lookups (zero simulations on a warm re-run), only missing pairs simulate,
+// and the file is committed atomically after every stimulus.
 // `orchestrate` is `build` fanned out across worker processes (one per
 // fault-universe shard, DESIGN.md §15) with crash recovery: the resulting
 // dictionary file is byte-identical to what a single-process `build` of the
@@ -89,6 +90,64 @@ coverage::FaultDictionary load_or_die(const std::string& path) {
   return std::move(*dict);
 }
 
+/// The fault list of a campaign: the whole universe of `net`, or a seeded
+/// sample of `sample_size` faults from it. The dictionary fingerprints this
+/// list, so `build`, `orchestrate` and `replay` must all draw it here.
+std::vector<fault::FaultDescriptor> campaign_faults(snn::Network& net, size_t sample_size,
+                                                    size_t* universe_size = nullptr) {
+  auto universe = fault::enumerate_faults(net);
+  if (universe_size != nullptr) *universe_size = universe.size();
+  if (sample_size == 0 || universe.size() <= sample_size) return universe;
+  util::Rng sample_rng(99);
+  return fault::sample_faults(universe, sample_size, sample_rng);
+}
+
+/// The dictionary at `path` when it exists and matches `fresh`'s model,
+/// universe and settings (a build then extends it); otherwise `fresh`.
+/// Damaged records and unusable files are reported, never fatal.
+coverage::FaultDictionary open_for_extension(const std::string& path,
+                                             coverage::FaultDictionary fresh) {
+  if (!std::filesystem::exists(path)) return fresh;
+  coverage::FaultDictionary::LoadStats stats;
+  auto existing = coverage::FaultDictionary::load(path, &stats);
+  if (!existing) {
+    std::printf("existing %s unreadable; starting fresh\n", path.c_str());
+    return fresh;
+  }
+  if (!existing->compatible_with(fresh)) {
+    std::printf("existing %s is for a different model/universe/settings; starting fresh\n",
+                path.c_str());
+    return fresh;
+  }
+  std::printf("extending %s: %zu stimuli, %zu records already present"
+              " (%zu damaged record(s) skipped)\n",
+              path.c_str(), existing->num_stimuli(), existing->num_records(),
+              stats.records_skipped);
+  return std::move(*existing);
+}
+
+struct StimulusSource {
+  std::string name;
+  tensor::Tensor input;
+};
+
+/// The stimuli a build runs, in order: the first `num_samples` dataset test
+/// samples, then the chunks of an optimized TestStimulus file when given.
+std::vector<StimulusSource> stimulus_sources(const data::Dataset& test, size_t num_samples,
+                                             const std::string& stimulus_file) {
+  std::vector<StimulusSource> sources;
+  for (size_t i = 0; i < num_samples; ++i) {
+    sources.push_back({"sample" + std::to_string(i), test.get(i).input});
+  }
+  if (!stimulus_file.empty()) {
+    const auto stored = core::TestStimulus::load(stimulus_file);
+    for (size_t j = 0; j < stored.num_chunks(); ++j) {
+      sources.push_back({"chunk" + std::to_string(j), stored.chunk(j)});
+    }
+  }
+  return sources;
+}
+
 void print_schedule(const coverage::TestSchedule& schedule,
                     const coverage::FaultDictionary& dict) {
   util::TextTable table({"#", "stimulus", "frames", "new faults", "coverage", "cum. frames"});
@@ -159,7 +218,10 @@ int cmd_build(int argc, char** argv) {
                        {"golden-cache-budget", "0"},
                        {"trace-out", ""},
                        {"metrics-out", ""}},
-                      "Build or incrementally extend a fault dictionary.");
+                      "Build or incrementally extend a fault dictionary. The file is\n"
+                      "committed atomically after every stimulus, so an interrupted build\n"
+                      "resumes from its last finished stimulus; for kill safety within a\n"
+                      "stimulus, use `orchestrate`.");
   if (!cli.parse(argc, argv)) return 0;
   obs::configure(cli.get("trace-out"), cli.get("metrics-out"));
 
@@ -169,14 +231,10 @@ int cmd_build(int argc, char** argv) {
   auto bundle = zoo::load_or_train(id, zoo_opts);
   auto& net = bundle.network;
 
-  auto universe = fault::enumerate_faults(net);
-  util::Rng sample_rng(99);
-  const size_t sample_size = cli.get_size("fault-sample");
-  auto faults = sample_size != 0 && universe.size() > sample_size
-                    ? fault::sample_faults(universe, sample_size, sample_rng)
-                    : universe;
+  size_t universe_size = 0;
+  const auto faults = campaign_faults(net, cli.get_size("fault-sample"), &universe_size);
   std::printf("model %s; fault universe %zu, simulating %zu\n", net.name().c_str(),
-              universe.size(), faults.size());
+              universe_size, faults.size());
 
   campaign::EngineConfig engine;
   engine.num_threads = cli.get_size("threads");
@@ -188,49 +246,15 @@ int cmd_build(int argc, char** argv) {
   engine.golden_cache_budget_bytes = cli.get_size("golden-cache-budget");
 
   const std::string dict_path = cli.get("dict");
-  coverage::FaultDictionary dict =
-      coverage::make_dictionary(net, faults, engine.detection_threshold, engine.detect_only);
-  if (std::filesystem::exists(dict_path)) {
-    coverage::FaultDictionary::LoadStats stats;
-    if (auto existing = coverage::FaultDictionary::load(dict_path, &stats)) {
-      if (existing->compatible_with(dict)) {
-        dict = std::move(*existing);
-        std::printf("extending %s: %zu stimuli, %zu records already present"
-                    " (%zu damaged record(s) skipped)\n",
-                    dict_path.c_str(), dict.num_stimuli(), dict.num_records(),
-                    stats.records_skipped);
-      } else {
-        std::printf("existing %s is for a different model/universe/settings; starting fresh\n",
-                    dict_path.c_str());
-      }
-    } else {
-      std::printf("existing %s unreadable; starting fresh\n", dict_path.c_str());
-    }
-  }
-
-  // Stimulus sources: dataset test samples, plus the chunks of an optimized
-  // TestStimulus when one is given.
-  struct Source {
-    std::string name;
-    tensor::Tensor input;
-  };
-  std::vector<Source> sources;
-  const size_t num_samples = cli.get_size("stimuli");
-  for (size_t i = 0; i < num_samples; ++i) {
-    const auto sample = bundle.test->get(i);
-    sources.push_back({"sample" + std::to_string(i), sample.input});
-  }
-  const std::string stim_path = cli.get("stimulus-file");
-  if (!stim_path.empty()) {
-    const auto stored = core::TestStimulus::load(stim_path);
-    for (size_t j = 0; j < stored.num_chunks(); ++j) {
-      sources.push_back({"chunk" + std::to_string(j), stored.chunk(j)});
-    }
-  }
+  coverage::FaultDictionary dict = open_for_extension(
+      dict_path,
+      coverage::make_dictionary(net, faults, engine.detection_threshold, engine.detect_only));
+  const auto sources =
+      stimulus_sources(*bundle.test, cli.get_size("stimuli"), cli.get("stimulus-file"));
 
   util::TextTable table({"stimulus", "frames", "detected", "reused", "simulated"});
   size_t total_reused = 0, total_recorded = 0;
-  for (const Source& src : sources) {
+  for (const StimulusSource& src : sources) {
     coverage::IncrementalConfig config;
     config.engine = engine;
     config.stimulus_name = src.name;
@@ -241,10 +265,11 @@ int cmd_build(int argc, char** argv) {
                    std::to_string(out.campaign.detected_count()),
                    std::to_string(out.coverage.pairs_reused),
                    std::to_string(out.coverage.pairs_recorded)});
+    dict.save_atomic(dict_path);  // commit: a rerun resumes after this stimulus
   }
   std::printf("%s\n", table.render().c_str());
 
-  dict.save(dict_path);
+  if (sources.empty()) dict.save_atomic(dict_path);
   std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%llu faults detectable"
               " (%zu pairs reused, %zu simulated this run)\n",
               dict_path.c_str(), dict.num_stimuli(), dict.num_records(), dict.detectable_count(),
@@ -396,14 +421,10 @@ int cmd_orchestrate(int argc, char** argv) {
   auto bundle = zoo::load_or_train(id, zoo_opts);
   auto& net = bundle.network;
 
-  auto universe = fault::enumerate_faults(net);
-  util::Rng sample_rng(99);
-  const size_t sample_size = cli.get_size("fault-sample");
-  auto faults = sample_size != 0 && universe.size() > sample_size
-                    ? fault::sample_faults(universe, sample_size, sample_rng)
-                    : universe;
+  size_t universe_size = 0;
+  const auto faults = campaign_faults(net, cli.get_size("fault-sample"), &universe_size);
   std::printf("model %s; fault universe %zu, simulating %zu across %zu shard processes\n",
-              net.name().c_str(), universe.size(), faults.size(), cli.get_size("shards"));
+              net.name().c_str(), universe_size, faults.size(), cli.get_size("shards"));
   std::printf("monitor: coverage_tool status --work-dir %s\n",
               cli.get("work-dir").c_str());
 
@@ -414,38 +435,11 @@ int cmd_orchestrate(int argc, char** argv) {
   engine.detect_only = cli.get_bool("detect-only");
 
   const std::string dict_path = cli.get("dict");
-  coverage::FaultDictionary dict =
-      coverage::make_dictionary(net, faults, engine.detection_threshold, engine.detect_only);
-  if (std::filesystem::exists(dict_path)) {
-    if (auto existing = coverage::FaultDictionary::load(dict_path)) {
-      if (existing->compatible_with(dict)) {
-        dict = std::move(*existing);
-        std::printf("extending %s: %zu stimuli, %zu records already present\n", dict_path.c_str(),
-                    dict.num_stimuli(), dict.num_records());
-      } else {
-        std::printf("existing %s is for a different model/universe/settings; starting fresh\n",
-                    dict_path.c_str());
-      }
-    }
-  }
-
-  struct Source {
-    std::string name;
-    tensor::Tensor input;
-  };
-  std::vector<Source> sources;
-  const size_t num_samples = cli.get_size("stimuli");
-  for (size_t i = 0; i < num_samples; ++i) {
-    const auto sample = bundle.test->get(i);
-    sources.push_back({"sample" + std::to_string(i), sample.input});
-  }
-  const std::string stim_path = cli.get("stimulus-file");
-  if (!stim_path.empty()) {
-    const auto stored = core::TestStimulus::load(stim_path);
-    for (size_t j = 0; j < stored.num_chunks(); ++j) {
-      sources.push_back({"chunk" + std::to_string(j), stored.chunk(j)});
-    }
-  }
+  coverage::FaultDictionary dict = open_for_extension(
+      dict_path,
+      coverage::make_dictionary(net, faults, engine.detection_threshold, engine.detect_only));
+  const auto sources =
+      stimulus_sources(*bundle.test, cli.get_size("stimuli"), cli.get("stimulus-file"));
 
   campaign::OrchestratorConfig ocfg;
   ocfg.num_shards = cli.get_size("shards");
@@ -468,7 +462,7 @@ int cmd_orchestrate(int argc, char** argv) {
   };
 
   util::TextTable table({"stimulus", "frames", "attempts", "reused", "simulated"});
-  for (const Source& src : sources) {
+  for (const StimulusSource& src : sources) {
     campaign::ShardJob job;
     job.net = net;
     job.stimulus = src.input;
@@ -496,7 +490,7 @@ int cmd_orchestrate(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  dict.save(dict_path);
+  dict.save_atomic(dict_path);
   std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%llu faults detectable\n",
               dict_path.c_str(), dict.num_stimuli(), dict.num_records(), dict.detectable_count(),
               static_cast<unsigned long long>(dict.num_faults));
@@ -630,14 +624,9 @@ int cmd_replay(int argc, char** argv) {
   auto bundle = zoo::load_or_train(id, zoo_opts);
   auto& net = bundle.network;
 
-  // The fault universe must be reconstructed exactly as `build` sampled it;
-  // replay_schedule verifies the fingerprints and refuses a mismatch.
-  auto universe = fault::enumerate_faults(net);
-  util::Rng sample_rng(99);
-  const size_t sample_size = cli.get_size("fault-sample");
-  auto faults = sample_size != 0 && universe.size() > sample_size
-                    ? fault::sample_faults(universe, sample_size, sample_rng)
-                    : universe;
+  // replay_schedule verifies the fault-list fingerprint and refuses a
+  // schedule built from a different --fault-sample.
+  const auto faults = campaign_faults(net, cli.get_size("fault-sample"));
 
   const coverage::FaultDictionary schedule = load_or_die(cli.get("dict"));
   coverage::ScheduleReplayConfig config;

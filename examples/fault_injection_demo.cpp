@@ -5,18 +5,21 @@
 //
 // Run:  ./build/examples/fault_injection_demo [--benchmark shd]
 //
-// With --checkpoint it also runs a checkpointed detection campaign through
-// the differential engine, demonstrating kill/resume end-to-end:
+// With --dict it also runs a detection campaign backed by a fault
+// dictionary (coverage/incremental.hpp), demonstrating kill/resume
+// end-to-end: every finished pair is recorded, and the dictionary is
+// committed with save_atomic when the run ends.
 //
-//   # start a campaign and "kill" it after 150 faults
-//   fault_injection_demo --checkpoint /tmp/demo.jsonl --interrupt-after 150
-//   # pick up from the last completed shard and finish
-//   fault_injection_demo --checkpoint /tmp/demo.jsonl --resume 1
+//   # start a campaign and "kill" it after 150 work items
+//   fault_injection_demo --dict /tmp/demo.snfd --interrupt-after 150
+//   # reuse every recorded pair and finish
+//   fault_injection_demo --dict /tmp/demo.snfd --resume 1
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 
 #include "campaign/engine.hpp"
+#include "coverage/incremental.hpp"
 #include "fault/injector.hpp"
 #include "fault/registry.hpp"
 #include "obs/report.hpp"
@@ -30,7 +33,7 @@ using namespace snntest;
 
 int main(int argc, char** argv) {
   util::CliParser cli({{"benchmark", "shd"},
-                       {"checkpoint", ""},
+                       {"dict", ""},
                        {"resume", "0"},
                        {"campaign-faults", "400"},
                        {"interrupt-after", "0"},
@@ -38,11 +41,11 @@ int main(int argc, char** argv) {
                        {"trace-out", ""},
                        {"metrics-out", ""}},
                       "Inject one fault of each kind and visualize the output corruption; "
-                      "with --checkpoint, run a resumable detection campaign. --lane-width N "
+                      "with --dict, run a resumable detection campaign. --lane-width N "
                       "batches N same-layer faults per forward pass (1 = scalar engine; "
                       "results are bit-identical at every width).");
   // Validate every numeric flag up front — a malformed --lane-width must be
-  // a usage error even on runs (no --checkpoint) that never read it.
+  // a usage error even on runs (no --dict) that never read it.
   size_t campaign_faults = 0;
   size_t lane_width = 1;
   long interrupt_after = 0;
@@ -118,42 +121,53 @@ int main(int argc, char** argv) {
   std::printf("note: a dataset sample often misses faults (low L1 diff) — that is exactly\n"
               "why the paper optimizes a dedicated test stimulus.\n");
 
-  // --- optional: checkpointed campaign through the differential engine ---
-  const std::string checkpoint = cli.get("checkpoint");
-  if (checkpoint.empty()) return 0;
+  // --- optional: dictionary-backed campaign through the differential engine ---
+  const std::string dict_path = cli.get("dict");
+  if (dict_path.empty()) return 0;
 
   const bool resume = cli.get_bool("resume");
-  if (!resume) std::remove(checkpoint.c_str());
+  if (!resume) std::remove(dict_path.c_str());
 
   util::Rng sample_rng(42);
   auto universe = fault::enumerate_faults(net);
-
-  campaign::EngineConfig cfg;
-  cfg.checkpoint_path = checkpoint;
-  cfg.checkpoint_flush_every = 16;
-  cfg.lane_width = lane_width;
   auto faults = fault::sample_faults(universe, campaign_faults, sample_rng);
+
+  coverage::FaultDictionary dict = coverage::make_dictionary(net, faults);
+  if (auto loaded = coverage::FaultDictionary::load(dict_path)) {
+    if (!loaded->compatible_with(dict)) {
+      std::fprintf(stderr, "error: dictionary %s was written for different campaign inputs; "
+                           "rerun without --resume to start fresh\n", dict_path.c_str());
+      return 1;
+    }
+    dict = std::move(*loaded);
+  }
+
+  coverage::IncrementalConfig cfg;
+  cfg.engine.lane_width = lane_width;
   std::atomic<long> budget{interrupt_after};
   if (interrupt_after > 0) {
-    // Simulated kill: stop claiming work after N faults, leaving a partial
-    // checkpoint behind — exactly what SIGKILL mid-campaign leaves.
-    cfg.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
+    // Simulated kill: stop claiming work after N work items (lane batches
+    // or single faults), leaving a partial dictionary behind.
+    cfg.engine.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
   }
-  std::printf("\n%s campaign: %zu sampled faults, checkpoint %s\n",
-              resume ? "resuming" : "starting", faults.size(), checkpoint.c_str());
-  campaign::CampaignResult result;
+  std::printf("\n%s campaign: %zu sampled faults, dictionary %s\n",
+              resume ? "resuming" : "starting", faults.size(), dict_path.c_str());
+  coverage::IncrementalResult run;
   try {
-    result = campaign::run_campaign(net, sample.input, faults, cfg);
+    run = coverage::run_incremental_campaign(net, sample.input, faults, dict, cfg);
+    dict.save_atomic(dict_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::printf("resumed from checkpoint: %zu, simulated now: %zu, detected: %zu/%zu\n",
-              result.stats.faults_resumed, result.stats.faults_simulated,
+  const campaign::CampaignResult& result = run.campaign;
+  std::printf("pairs_reused: %zu, simulated now: %zu, detected: %zu/%zu\n",
+              result.stats.pairs_reused, result.stats.faults_simulated,
               result.detected_count(), faults.size());
   if (result.stats.lane_batches > 0) {
     std::printf("lane batches: %zu carrying %zu faults (width %zu), %zu lanes retired early\n",
-                result.stats.lane_batches, result.stats.lane_batched_faults, cfg.lane_width,
+                result.stats.lane_batches, result.stats.lane_batched_faults,
+                result.stats.lane_width_effective,
                 result.stats.lanes_retired_early);
   }
   std::printf("layer forwards: %zu of %zu naive (%s saved), %s elapsed\n",
@@ -162,8 +176,8 @@ int main(int argc, char** argv) {
               util::format_duration(result.stats.elapsed_seconds).c_str());
   if (!result.completed) {
     std::printf("campaign interrupted before completion — rerun with\n"
-                "  --checkpoint %s --resume 1\nto continue from the last completed shard.\n",
-                checkpoint.c_str());
+                "  --dict %s --resume 1\nto continue from the recorded pairs.\n",
+                dict_path.c_str());
   } else {
     std::printf("campaign complete.\n");
   }

@@ -8,9 +8,9 @@
 // Run:  ./build/examples/quickstart
 #include <cstdio>
 
+#include "campaign/engine.hpp"
 #include "core/test_generator.hpp"
 #include "data/synthetic_shd.hpp"
-#include "fault/campaign.hpp"
 #include "fault/coverage.hpp"
 #include "snn/dense_layer.hpp"
 #include "train/trainer.hpp"
@@ -77,11 +77,11 @@ int main() {
 
   // --- 4. verify with one fault-simulation campaign (Eq. (3)/(4)) ---
   const auto stimulus = report.stimulus.assemble();
-  const auto outcome = fault::run_detection_campaign(net, stimulus, faults);
+  const auto outcome = campaign::run_campaign(net, stimulus, faults);
   std::printf("fault coverage: %s (%zu / %zu detected) in %s\n",
               util::fmt_pct(fault::fault_coverage(outcome.results)).c_str(),
               outcome.detected_count(), faults.size(),
-              util::format_duration(outcome.elapsed_seconds).c_str());
+              util::format_duration(outcome.stats.elapsed_seconds).c_str());
   std::printf("\nDone. Next: examples/testgen_pipeline reproduces the paper's full flow.\n");
   return 0;
 }

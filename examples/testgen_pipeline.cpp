@@ -10,8 +10,8 @@
 //       [--train-budget 1.0] [--trace-out trace.json] [--metrics-out m.json]
 #include <cstdio>
 
+#include "campaign/engine.hpp"
 #include "core/test_generator.hpp"
-#include "fault/campaign.hpp"
 #include "fault/classifier.hpp"
 #include "fault/coverage.hpp"
 #include "obs/report.hpp"
@@ -72,11 +72,11 @@ int run(const util::CliParser& cli) {
   cc.max_samples = cli.get_size("classify-samples");
   const auto classes = fault::classify_faults(net, faults, *bundle.test, cc);
   const auto stimulus = report.stimulus.assemble();
-  const auto detection = fault::run_detection_campaign(net, stimulus, faults);
+  const auto detection = campaign::run_campaign(net, stimulus, faults);
   const auto coverage = fault::build_coverage_report(faults, detection.results, classes.labels);
 
   std::printf("\nfault simulation: %s; classification: %s\n",
-              util::format_duration(detection.elapsed_seconds).c_str(),
+              util::format_duration(detection.stats.elapsed_seconds).c_str(),
               util::format_duration(classes.elapsed_seconds).c_str());
   std::printf("%s\n", coverage.to_string().c_str());
 

@@ -10,6 +10,7 @@
 
 #include "baseline/baseline.hpp"
 #include "data/dataset.hpp"
+#include "util/rng.hpp"
 
 namespace snntest::baseline {
 

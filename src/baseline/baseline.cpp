@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "campaign/engine.hpp"
 #include "snn/spike_train.hpp"
 #include "util/timer.hpp"
 
@@ -38,11 +39,11 @@ BaselineResult greedy_select(const snn::Network& net,
   std::vector<Tensor> inputs;
   inputs.reserve(num_candidates);
   std::vector<std::vector<uint8_t>> detects(num_candidates);
-  fault::CampaignConfig campaign_config;
+  campaign::EngineConfig campaign_config;
   campaign_config.num_threads = config.num_threads;
   for (size_t c = 0; c < num_candidates; ++c) {
     inputs.push_back(candidate(c));
-    const auto outcome = fault::run_detection_campaign(net, inputs.back(), faults, campaign_config);
+    const auto outcome = campaign::run_campaign(net, inputs.back(), faults, campaign_config);
     detects[c].resize(faults.size());
     for (size_t j = 0; j < faults.size(); ++j) detects[c][j] = outcome.results[j].detected;
     result.fault_sims += faults.size();

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/campaign.hpp"
+#include "fault/fault.hpp"
 #include "snn/network.hpp"
 
 namespace snntest::baseline {

@@ -8,10 +8,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 
-#include "campaign/checkpoint.hpp"
+#include "campaign/fingerprint.hpp"
 #include "campaign/frontier_sim.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/lane_sim.hpp"
@@ -27,13 +26,6 @@
 
 namespace snntest::campaign {
 namespace {
-
-uint64_t campaign_fingerprint(const GoldenCache& cache,
-                              const std::vector<fault::FaultDescriptor>& faults,
-                              const EngineConfig& config) {
-  return detection_settings_fingerprint(hash_fault_list(faults, cache.fingerprint),
-                                        config.detection_threshold, config.detect_only);
-}
 
 struct WorkerContext {
   snn::Network net;
@@ -218,46 +210,13 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   }
   outcome.stats.frontier_active = frontier_ok;
 
-  // --- checkpoint resume ---------------------------------------------------
-  CheckpointHeader header;
-  header.fingerprint = campaign_fingerprint(cache, faults, config);
-  header.num_faults = faults.size();
-  header.threshold = config.detection_threshold;
-
-  std::vector<char> have(faults.size(), 0);
-  std::optional<CheckpointWriter> writer;
-  if (!config.checkpoint_path.empty()) {
-    bool append = false;
-    if (auto existing = load_checkpoint(config.checkpoint_path)) {
-      if (existing->header.fingerprint != header.fingerprint ||
-          existing->header.num_faults != faults.size()) {
-        throw std::runtime_error("run_campaign: checkpoint " + config.checkpoint_path +
-                                 " was written for different campaign inputs; delete it to "
-                                 "start fresh");
-      }
-      for (auto& [index, result] : existing->results) {
-        if (!have[index]) ++outcome.stats.faults_resumed;
-        have[index] = 1;
-        outcome.results[index] = std::move(result);
-      }
-      outcome.stats.checkpoint_lines_skipped = existing->skipped_lines;
-      if (existing->skipped_lines > 0) {
-        SNNTEST_LOG_WARN("run_campaign: checkpoint %s had %zu unusable result line(s); "
-                         "those faults will be re-simulated",
-                         config.checkpoint_path.c_str(), existing->skipped_lines);
-      }
-      append = true;
-    }
-    writer.emplace(config.checkpoint_path, header, append, config.checkpoint_flush_every);
-  }
-
   // --- result-cache reuse (coverage dictionary) ----------------------------
   // Pairs the cache already knows never reach the worklist, so a fully warm
   // campaign performs zero fault simulations (pairs_reused == faults_total).
+  std::vector<char> have(faults.size(), 0);
   if (config.result_cache) {
     OBS_SPAN("campaign/result_cache_lookup");
     for (size_t j = 0; j < faults.size(); ++j) {
-      if (have[j]) continue;
       if (config.result_cache(j, outcome.results[j])) {
         have[j] = 1;
         ++outcome.stats.pairs_reused;
@@ -298,7 +257,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
           : std::clamp<size_t>(items.size() / (num_workers * 8), 1, 64);
 
   detail::SimCounters counters;
-  counters.completed.store(outcome.stats.faults_resumed + outcome.stats.pairs_reused);
+  counters.completed.store(outcome.stats.pairs_reused);
   std::atomic<bool> cancelled{false};
   std::mutex sink_mutex;  // serializes EngineConfig::result_sink calls
 
@@ -388,7 +347,6 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     for (size_t b = 0; b < item.count; ++b) {
       const size_t j = batch[b];
       have[j] = 1;
-      if (writer) writer->record(j, outcome.results[j]);
       if (config.result_sink) {
         std::lock_guard<std::mutex> lock(sink_mutex);
         config.result_sink(j, outcome.results[j]);
@@ -397,7 +355,6 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
       if (config.progress) config.progress(done, faults.size());
     }
   });
-  if (writer) writer->flush();
 
   for (char h : have) {
     if (!h) {
@@ -426,10 +383,8 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     obs::Registry& reg = obs::Registry::instance();
     const EngineStats& s = outcome.stats;
     reg.counter("campaign/faults_simulated").add(s.faults_simulated);
-    reg.counter("campaign/faults_resumed").add(s.faults_resumed);
     reg.counter("campaign/pairs_reused").add(s.pairs_reused);
     reg.counter("campaign/faults_pruned").add(s.faults_pruned);
-    reg.counter("campaign/checkpoint_lines_skipped").add(s.checkpoint_lines_skipped);
     reg.counter("campaign/golden_cache_misses").add(s.layer_forwards);
     reg.counter("campaign/golden_cache_hits")
         .add(s.layer_forwards_naive - std::min(s.layer_forwards, s.layer_forwards_naive));
@@ -461,9 +416,11 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
       }
       obs::set_report_field("campaign_golden_cache_layer_bytes", per_layer);
     }
+    const uint64_t fingerprint = detection_settings_fingerprint(
+        hash_fault_list(faults, cache.fingerprint), config.detection_threshold,
+        config.detect_only);
     char fp[24];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(header.fingerprint));
+    std::snprintf(fp, sizeof(fp), "%016llx", static_cast<unsigned long long>(fingerprint));
     obs::set_report_field("campaign_fingerprint", std::string(fp));
     obs::set_report_field("campaign_lane_width_effective",
                           static_cast<uint64_t>(lane_width));

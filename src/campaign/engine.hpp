@@ -29,19 +29,16 @@
 //  * Dynamic scheduling — per-fault cost varies by orders of magnitude
 //    with fault depth, so workers claim small chunks from a shared atomic
 //    counter (util::parallel_for_dynamic) instead of static ranges.
-//  * Checkpoint/resume — with a checkpoint path every completed result is
-//    streamed to a JSONL file (campaign/checkpoint.hpp); a rerun against
-//    the same inputs resumes from the completed shards.
-//
-// fault::run_detection_campaign is a compatibility wrapper over this
-// engine (campaign/legacy.cpp).
+//  * Resume hooks — result_cache serves already-known pairs instead of
+//    simulating them and result_sink streams each fresh result as it
+//    finishes; coverage::run_incremental_campaign wires both to an SNFD
+//    fault dictionary, which is the one resume format (DESIGN.md §8).
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "fault/campaign.hpp"
+#include "fault/detection_result.hpp"
 #include "fault/injector.hpp"
 #include "tensor/tensor.hpp"
 
@@ -105,41 +102,34 @@ struct EngineConfig {
   /// prefix-only caching, disabling frontier simulation) with a one-time
   /// warning.
   size_t golden_cache_budget_bytes = 0;
-  /// JSONL checkpoint file; empty disables checkpointing. If the file
-  /// already holds a checkpoint for the same (network, stimulus, faults,
-  /// settings) fingerprint, its completed results are reused; a checkpoint
-  /// for different inputs throws std::runtime_error.
-  std::string checkpoint_path;
-  /// Checkpoint flush cadence (completed results per flush).
-  size_t checkpoint_flush_every = 32;
-  /// Consulted once per fault (after checkpoint resume, before the worklist
-  /// is built): return true and fill `result` when the (fault, stimulus)
-  /// pair is already known — e.g. served from a coverage fault dictionary
-  /// (coverage/incremental.hpp). Such pairs skip simulation entirely and
-  /// are counted in EngineStats::pairs_reused. Called from the campaign
-  /// thread only, never concurrently. Reused pairs are not re-recorded to
-  /// the checkpoint (the cache already persists them).
+  /// Consulted once per fault, before the worklist is built: return true
+  /// and fill `result` when the (fault, stimulus) pair is already known —
+  /// e.g. served from a coverage fault dictionary (coverage/incremental.hpp).
+  /// Such pairs skip simulation entirely and are counted in
+  /// EngineStats::pairs_reused. Called from the campaign thread only, never
+  /// concurrently.
   std::function<bool(size_t fault_index, fault::DetectionResult& result)> result_cache;
   /// Streaming completion hook: called exactly once per fault *simulated in
-  /// this run* (checkpoint-resumed and cache-reused pairs are not replayed
-  /// through it), as soon as that fault's DetectionResult is final. Calls
-  /// are serialized by an internal mutex but originate from worker threads.
-  /// The sharded campaign worker (campaign/shard_worker.hpp) uses this to
-  /// persist completed pairs incrementally, so a SIGKILL loses at most the
-  /// results accepted since its last flush.
+  /// this run* (cache-reused pairs are not replayed through it), as soon as
+  /// that fault's DetectionResult is final. Calls are serialized by an
+  /// internal mutex but originate from worker threads. Incremental
+  /// campaigns record each pair into their dictionary through it, and the
+  /// sharded campaign worker (campaign/shard_worker.hpp) also snapshots the
+  /// dictionary periodically, so a SIGKILL loses at most the results
+  /// accepted since its last snapshot.
   std::function<void(size_t fault_index, const fault::DetectionResult& result)> result_sink;
   /// Progress callback (completed, total); called from worker threads.
   std::function<void(size_t, size_t)> progress;
   /// Cooperative cancellation, polled between faults. Returning true makes
-  /// workers stop claiming work; the partial outcome (completed=false) is
-  /// checkpointed and can be resumed.
+  /// workers stop claiming work; the partial outcome (completed=false) has
+  /// streamed every finished pair through result_sink, so a dictionary-
+  /// backed rerun resumes from it.
   std::function<bool()> cancel;
 };
 
 struct EngineStats {
   size_t faults_total = 0;
   size_t faults_simulated = 0;  // simulated in this run
-  size_t faults_resumed = 0;    // restored from the checkpoint
   /// Fault×stimulus pairs served by EngineConfig::result_cache (coverage
   /// dictionary hits) instead of being simulated.
   size_t pairs_reused = 0;
@@ -150,11 +140,6 @@ struct EngineStats {
   /// arithmetic speedup of the differential simulation.
   size_t layer_forwards = 0;
   size_t layer_forwards_naive = 0;
-  /// Checkpoint lines that existed but could not be used on resume
-  /// (malformed JSON or out-of-range fault index). One such line is the
-  /// expected artifact of a kill mid-write; more than one means the file
-  /// was corrupted and those faults were re-simulated.
-  size_t checkpoint_lines_skipped = 0;
   /// Lane width the engine actually ran with: EngineConfig::lane_width
   /// clamped into [1, snn::kMaxLaneWidth]. Differs from the config only
   /// when the request was out of range (which also logs a one-time

@@ -1,9 +1,9 @@
 // Campaign/coverage identity fingerprints (single shared helper).
 //
-// Every persistent artifact derived from a fault campaign — the JSONL
-// checkpoint (campaign/checkpoint.hpp) and the coverage fault dictionary
-// (coverage/fault_dictionary.hpp) — must be invalidated when the inputs it
-// was computed from change. These helpers are the one place that defines
+// Every persistent artifact derived from a fault campaign — the coverage
+// fault dictionary (coverage/fault_dictionary.hpp) and the run report's
+// campaign_fingerprint — must be invalidated when the inputs it was
+// computed from change. These helpers are the one place that defines
 // what "the inputs" hash to, all built on util::fnv1a and chainable (each
 // takes the previous digest as `seed`):
 //

@@ -5,8 +5,8 @@
 // fault/injector.hpp) leaves layers 0..k-1 bit-identical to the golden run,
 // so their cached spike trains feed Network::forward_from(k, ...) directly.
 // The cache also precomputes everything the detection comparison needs
-// (output spike counts) and a fingerprint of (network, stimulus) used to
-// validate checkpoint resumes.
+// (output spike counts) and a fingerprint of (network, stimulus) that the
+// run report's campaign_fingerprint extends.
 #pragma once
 
 #include <cstdint>

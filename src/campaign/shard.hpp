@@ -61,8 +61,8 @@ struct ShardJob {
   snn::Network net{"uninitialized"};
   tensor::Tensor stimulus;  // [T, C] binary spike train
   std::vector<fault::FaultDescriptor> faults;
-  EngineConfig engine;  // function hooks and checkpoint settings are NOT
-                        // serialized; every other field is
+  EngineConfig engine;  // function hooks are NOT serialized; every other
+                        // field is
   std::string stimulus_name;
   bool store_stimulus_data = true;
 };

@@ -1,6 +1,6 @@
 #include "core/naive_fc_optimizer.hpp"
 
-#include "fault/campaign.hpp"
+#include "campaign/engine.hpp"
 #include "fault/coverage.hpp"
 #include "snn/spike_train.hpp"
 #include "util/timer.hpp"
@@ -14,10 +14,10 @@ NaiveFcReport naive_fc_optimize(const snn::Network& net,
   util::Rng rng(config.seed);
   NaiveFcReport report;
 
-  fault::CampaignConfig campaign;
-  campaign.num_threads = config.num_threads;
+  campaign::EngineConfig engine;
+  engine.num_threads = config.num_threads;
   auto evaluate = [&](const Tensor& candidate) {
-    const auto outcome = fault::run_detection_campaign(net, candidate, faults, campaign);
+    const auto outcome = campaign::run_campaign(net, candidate, faults, engine);
     report.fault_simulations += faults.size();
     return fault::fault_coverage(outcome.results);
   };

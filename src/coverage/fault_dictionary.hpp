@@ -31,7 +31,11 @@
 // header or stimulus table makes the file unusable and load() returns
 // nullopt; callers fall back to a cold campaign. Fingerprint mismatches
 // (model retrained, fault universe changed) are detected by the consumers
-// via the header fields, mirroring the campaign-checkpoint convention.
+// via the header fields (coverage/incremental.hpp).
+//
+// The dictionary is also the one resume format: an incremental campaign
+// records each pair as it finishes, so a cancelled run saved with
+// save_atomic resumes from every pair it completed (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/campaign.hpp"
+#include "fault/detection_result.hpp"
 #include "tensor/tensor.hpp"
 
 namespace snntest::coverage {
@@ -107,8 +111,8 @@ class FaultDictionary {
   struct LoadStats {
     size_t records_loaded = 0;
     /// Records dropped on load: CRC mismatch (corruption), unparsable or
-    /// out-of-range payload, or a truncated tail. Mirrors the campaign
-    /// checkpoint's skipped_lines convention — visible, soft, re-simulable.
+    /// out-of-range payload, or a truncated tail. Visible, soft and
+    /// re-simulable: those pairs simply run again.
     size_t records_skipped = 0;
   };
 

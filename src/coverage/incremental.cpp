@@ -96,21 +96,22 @@ IncrementalResult run_incremental_campaign(const snn::Network& net,
     return try_drop(fault_index, result);
   };
 
+  // Record each pair as it finishes. Only simulated pairs reach the sink —
+  // dictionary hits and drop placeholders never do, and neither do the
+  // unfinished entries of a cancelled run — so everything recorded is real.
+  // The engine serializes sink calls, and no lookup runs concurrently.
+  if (config.record) {
+    engine.result_sink = [&dict, s, &out, chained = config.engine.result_sink](
+                             size_t fault_index, const fault::DetectionResult& result) {
+      dict.record(s, fault_index, result);
+      ++out.coverage.pairs_recorded;
+      if (chained) chained(fault_index, result);
+    };
+  }
+
   out.campaign = campaign::run_campaign(net, stimulus, faults, engine);
   out.coverage.pairs_reused = out.campaign.stats.pairs_reused;
   out.coverage.pairs_dropped = count_dropped();
-
-  // Record only completed campaigns: a cancelled run leaves
-  // default-constructed placeholders that must never enter the dictionary.
-  // Dropped pairs are placeholders too, completed or not.
-  if (config.record && out.campaign.completed) {
-    for (size_t j = 0; j < faults.size(); ++j) {
-      if (dict.has(s, j)) continue;
-      if (j < dropped.size() && dropped[j]) continue;
-      dict.record(s, j, out.campaign.results[j]);
-      ++out.coverage.pairs_recorded;
-    }
-  }
 
   obs::Registry& reg = obs::Registry::instance();
   reg.counter("coverage/pairs_reused").add(out.coverage.pairs_reused);

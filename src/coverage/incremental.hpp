@@ -5,17 +5,19 @@
 // dictionary wired into EngineConfig::result_cache: every fault×stimulus
 // pair the dictionary already holds is served as a lookup instead of a
 // simulation (EngineStats::pairs_reused), and every pair simulated fresh is
-// recorded back. A warm re-run of an identical campaign therefore performs
-// zero fault simulations and reproduces each DetectionResult bit-identically
-// — the dictionary stores the exact structs the engine emitted.
+// recorded back through EngineConfig::result_sink as soon as it finishes.
+// A warm re-run of an identical campaign therefore performs zero fault
+// simulations and reproduces each DetectionResult bit-identically — the
+// dictionary stores the exact structs the engine emitted. A cancelled run
+// keeps every pair it finished, so saving the dictionary (save_atomic) and
+// rerunning resumes it: this is the library's one resume path.
 //
-// Identity checks mirror the checkpoint-fingerprint convention: the
-// dictionary is keyed by model (topology + trained parameters), fault
-// universe and detection settings. A mismatched dictionary — retrained
-// model, different fault list, different threshold — is rejected softly:
-// the campaign runs cold, nothing is recorded, and the rejection is
-// surfaced in IncrementalStats::dictionary_rejected plus a warning, so a
-// stale dictionary can never corrupt fresh results.
+// Identity checks: the dictionary is keyed by model (topology + trained
+// parameters), fault universe and detection settings. A mismatched
+// dictionary — retrained model, different fault list, different threshold
+// — is rejected softly: the campaign runs cold, nothing is recorded, and
+// the rejection is surfaced in IncrementalStats::dictionary_rejected plus a
+// warning, so a stale dictionary can never corrupt fresh results.
 #pragma once
 
 #include <string>
@@ -29,14 +31,15 @@ namespace snntest::coverage {
 struct IncrementalConfig {
   /// Base engine configuration (threads, lane width, pruning, kernel mode,
   /// detection threshold, detect_only, ...). result_cache must be empty —
-  /// the incremental wrapper owns that hook.
+  /// the incremental wrapper owns that hook. A result_sink is chained: it
+  /// still sees every freshly simulated pair, after the dictionary does.
   campaign::EngineConfig engine;
   /// Label for a newly registered stimulus (default "stimulus<N>").
   std::string stimulus_name;
   /// Embed the stimulus spike train in the dictionary so minimized
   /// schedules are replayable from the file alone.
   bool store_stimulus_data = true;
-  /// Record freshly simulated pairs back into the dictionary.
+  /// Record freshly simulated pairs into the dictionary as they finish.
   bool record = true;
   /// Optional per-fault drop mask (length = fault count; borrowed, must
   /// outlive the call). Faults with a non-zero entry are skipped without
@@ -84,9 +87,10 @@ bool dictionary_matches(const FaultDictionary& dict, const snn::Network& net,
 
 /// Run the campaign, serving known pairs from `dict` and recording new ones
 /// into it. Results are positionally parallel to `faults` and bit-identical
-/// to a cold campaign::run_campaign with the same EngineConfig. Recording
-/// is skipped for cancelled (partial) campaigns — default-constructed
-/// placeholder results must never enter the dictionary.
+/// to a cold campaign::run_campaign with the same EngineConfig. Only
+/// simulated pairs are recorded: a cancelled (partial) campaign records
+/// every pair it finished and none of its default-constructed placeholders,
+/// and dictionary hits and drop_faults skips are never simulated.
 IncrementalResult run_incremental_campaign(const snn::Network& net,
                                            const tensor::Tensor& stimulus,
                                            const std::vector<fault::FaultDescriptor>& faults,

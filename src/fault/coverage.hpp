@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/campaign.hpp"
+#include "fault/detection_result.hpp"
 #include "fault/classifier.hpp"
 
 namespace snntest::fault {

@@ -1,11 +1,11 @@
 // Shared non-cryptographic hashing primitives.
 //
 // One home for the two digests every serializer in the tree uses, so the
-// checkpoint fingerprints, the coverage fault dictionary, and any future
+// campaign fingerprints, the coverage fault dictionary, and any future
 // binary format agree on the exact functions instead of growing per-file
 // copies:
 //
-//  * fnv1a  — 64-bit FNV-1a, the fingerprint hash (campaign checkpoints,
+//  * fnv1a  — 64-bit FNV-1a, the fingerprint hash (campaign and
 //    coverage-dictionary identity). Chainable: pass the previous digest as
 //    `seed` to extend it over multiple fields.
 //  * crc32  — CRC-32/ISO-HDLC (poly 0xEDB88320, the zlib/PNG CRC),

@@ -6,8 +6,8 @@
 #include "baseline/adversarial_testgen.hpp"
 #include "baseline/greedy_dataset.hpp"
 #include "baseline/random_testgen.hpp"
+#include "campaign/engine.hpp"
 #include "data/synthetic_shd.hpp"
-#include "fault/campaign.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/spike_train.hpp"
 
@@ -71,7 +71,7 @@ TEST(GreedySelect, CoverageMatchesIndependentCheck) {
       net, faults, pool.size(), [&pool](size_t i) { return pool[i]; }, GreedyConfig{}, "test");
   if (!result.selected_inputs.empty()) {
     // replaying the assembled test must detect at least the covered count
-    const auto outcome = fault::run_detection_campaign(net, result.assemble(), faults);
+    const auto outcome = campaign::run_campaign(net, result.assemble(), faults);
     const double replay =
         static_cast<double>(outcome.detected_count()) / static_cast<double>(faults.size());
     // concatenation may detect even more (state carry-over), never fewer

@@ -1,19 +1,12 @@
 // Differential campaign-engine tests: golden-cache correctness, bit-identical
 // equivalence with an independently-coded naive campaign, prefix-reuse /
 // convergence-pruning accounting, detect-only early exit, configurable
-// detection threshold, and checkpoint/resume (round-trip, interrupted-run
-// equality, fingerprint mismatch rejection, truncated-tail tolerance).
+// detection threshold, lane batching and frontier simulation. The oracle
+// is tests/support/naive_reference.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <limits>
-#include <sstream>
 
-#include "campaign/checkpoint.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/shard.hpp"
@@ -26,6 +19,7 @@
 #include "snn/pool_layer.hpp"
 #include "snn/recurrent_layer.hpp"
 #include "snn/spike_train.hpp"
+#include "support/naive_reference.hpp"
 #include "tensor/simd.hpp"
 
 namespace snntest::campaign {
@@ -63,76 +57,18 @@ std::vector<fault::FaultDescriptor> sampled_universe(snn::Network& net, size_t k
   return fault::sample_faults(universe, k, rng);
 }
 
-/// Independent naive reference: full forward for every fault, coded without
-/// any of the engine's shortcuts so the equivalence test is meaningful.
-std::vector<fault::DetectionResult> naive_reference(const snn::Network& net,
-                                                    const tensor::Tensor& stimulus,
-                                                    const std::vector<fault::FaultDescriptor>& faults,
-                                                    double threshold = 0.0) {
-  snn::Network golden_net(net);
-  const auto golden = golden_net.forward(stimulus);
-  const auto golden_counts = golden.output_counts();
-  const auto stats = fault::compute_weight_stats(golden_net);
-  snn::Network worker(net);
-  fault::FaultInjector injector(worker, stats);
-  std::vector<fault::DetectionResult> results(faults.size());
-  for (size_t j = 0; j < faults.size(); ++j) {
-    fault::ScopedFault scoped(injector, faults[j]);
-    const auto faulty = worker.forward(stimulus);
-    auto& r = results[j];
-    r.output_l1 = snn::output_distance(golden.output(), faulty.output());
-    r.detected = r.output_l1 > threshold;
-    // First frame whose cumulative output L1 exceeds the threshold, walked
-    // independently of the engine's accumulation loop.
-    r.first_detection_frame = -1;
-    {
-      const auto& g = golden.output();
-      const auto& f = faulty.output();
-      const size_t T = g.shape().dim(0);
-      const size_t C = g.shape().dim(1);
-      double acc = 0.0;
-      for (size_t t = 0; t < T && r.first_detection_frame < 0; ++t) {
-        for (size_t c = 0; c < C; ++c) {
-          acc += std::abs(static_cast<double>(g[t * C + c]) - static_cast<double>(f[t * C + c]));
-        }
-        if (acc > threshold) r.first_detection_frame = static_cast<int64_t>(t);
-      }
-    }
-    const auto counts = faulty.output_counts();
-    r.class_count_diff.resize(counts.size());
-    for (size_t c = 0; c < counts.size(); ++c) {
-      r.class_count_diff[c] = static_cast<long>(counts[c]) - static_cast<long>(golden_counts[c]);
-    }
-    r.class_first_spike = faulty.output_first_spike_times();
-  }
-  return results;
-}
-
-/// Every persisted DetectionResult field. A result restored from a JSONL
-/// checkpoint or served from a fault dictionary carries no
-/// class_first_spike (in memory only), so resume and cache tests compare
-/// with this.
-void expect_persisted_results_identical(const std::vector<fault::DetectionResult>& a,
-                                        const std::vector<fault::DetectionResult>& b) {
+/// Every DetectionResult field, class_first_spike included.
+void expect_results_identical(const std::vector<fault::DetectionResult>& a,
+                              const std::vector<fault::DetectionResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t j = 0; j < a.size(); ++j) {
     EXPECT_EQ(a[j].detected, b[j].detected) << "fault " << j;
     EXPECT_EQ(a[j].output_l1, b[j].output_l1) << "fault " << j;
     EXPECT_EQ(a[j].first_detection_frame, b[j].first_detection_frame) << "fault " << j;
     ASSERT_EQ(a[j].class_count_diff, b[j].class_count_diff) << "fault " << j;
-  }
-}
-
-/// Every DetectionResult field, class_first_spike included.
-void expect_results_identical(const std::vector<fault::DetectionResult>& a,
-                              const std::vector<fault::DetectionResult>& b) {
-  expect_persisted_results_identical(a, b);
-  for (size_t j = 0; j < a.size() && j < b.size(); ++j) {
     ASSERT_EQ(a[j].class_first_spike, b[j].class_first_spike) << "fault " << j;
   }
 }
-
-std::string temp_path(const std::string& name) { return testing::TempDir() + name; }
 
 TEST(FaultLayer, ResolvesPerTargetKind) {
   fault::FaultDescriptor f;
@@ -171,7 +107,7 @@ TEST(Engine, BitIdenticalToNaiveReference) {
   auto net = make_net();
   const auto input = busy_input();
   const auto faults = sampled_universe(net);
-  const auto naive = naive_reference(net, input, faults);
+  const auto naive = test_support::naive_reference(net, input, faults);
 
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     EngineConfig cfg;
@@ -188,7 +124,7 @@ TEST(Engine, BitIdenticalWithAllShortcutsDisabled) {
   auto net = make_net();
   const auto input = busy_input();
   const auto faults = sampled_universe(net, 60);
-  const auto naive = naive_reference(net, input, faults);
+  const auto naive = test_support::naive_reference(net, input, faults);
   EngineConfig cfg;
   cfg.prefix_reuse = false;
   cfg.convergence_pruning = false;
@@ -209,7 +145,7 @@ TEST(Engine, PrefixReuseSkipsEarlyLayers) {
     f.neuron = {2, i};
     faults.push_back(f);
   }
-  const auto naive = naive_reference(net, input, faults);
+  const auto naive = test_support::naive_reference(net, input, faults);
   const auto result = run_campaign(net, input, faults, {});
   expect_results_identical(result.results, naive);
   EXPECT_EQ(result.stats.layer_forwards, faults.size());
@@ -225,7 +161,7 @@ TEST(Engine, ConvergencePruningStopsInvisibleFaults) {
   std::vector<fault::FaultDescriptor> faults(1);
   faults[0].kind = fault::FaultKind::kNeuronDead;
   faults[0].neuron = {0, 0};
-  const auto naive = naive_reference(net, zero, faults);
+  const auto naive = test_support::naive_reference(net, zero, faults);
   const auto result = run_campaign(net, zero, faults, {});
   expect_results_identical(result.results, naive);
   EXPECT_FALSE(result.results[0].detected);
@@ -261,206 +197,6 @@ TEST(Engine, DetectionThresholdRespected) {
   cfg.detection_threshold = 1e9;
   const auto result = run_campaign(net, input, faults, cfg);
   EXPECT_EQ(result.detected_count(), 0u);
-
-  // The legacy API forwards its threshold to the engine.
-  fault::CampaignConfig legacy;
-  legacy.detection_threshold = 1e9;
-  const auto outcome = fault::run_detection_campaign(net, input, faults, legacy);
-  EXPECT_EQ(outcome.detected_count(), 0u);
-}
-
-TEST(Checkpoint, RoundTripIsExact) {
-  const std::string path = temp_path("ck_roundtrip.jsonl");
-  CheckpointHeader header;
-  header.fingerprint = 0xdeadbeef12345678ull;
-  header.num_faults = 10;
-  header.threshold = 0.1 + 0.2;  // not exactly representable: exercises %.17g
-  {
-    CheckpointWriter writer(path, header, /*append=*/false, /*flush_every=*/1);
-    fault::DetectionResult r;
-    r.detected = true;
-    r.output_l1 = 1.0 / 3.0;
-    r.class_count_diff = {3, 0, -7};
-    writer.record(4, r);
-    r.detected = false;
-    r.output_l1 = 0.0;
-    r.class_count_diff = {};
-    writer.record(9, r);
-  }
-  const auto data = load_checkpoint(path);
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->header.fingerprint, header.fingerprint);
-  EXPECT_EQ(data->header.num_faults, header.num_faults);
-  EXPECT_EQ(data->header.threshold, header.threshold);
-  ASSERT_EQ(data->results.size(), 2u);
-  EXPECT_EQ(data->results[0].first, 4u);
-  EXPECT_TRUE(data->results[0].second.detected);
-  EXPECT_EQ(data->results[0].second.output_l1, 1.0 / 3.0);
-  EXPECT_EQ(data->results[0].second.class_count_diff, (std::vector<long>{3, 0, -7}));
-  EXPECT_EQ(data->results[1].first, 9u);
-  EXPECT_FALSE(data->results[1].second.detected);
-  EXPECT_TRUE(data->results[1].second.class_count_diff.empty());
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MissingFileIsNullopt) {
-  EXPECT_FALSE(load_checkpoint(temp_path("ck_does_not_exist.jsonl")).has_value());
-}
-
-TEST(Checkpoint, InterruptedRunResumesToIdenticalOutcome) {
-  auto net = make_net();
-  const auto input = busy_input();
-  const auto faults = sampled_universe(net, 90);
-  const std::string path = temp_path("ck_resume.jsonl");
-  std::remove(path.c_str());
-
-  const auto uninterrupted = run_campaign(net, input, faults, {});
-
-  // First run: cancel after ~a third of the faults have been claimed.
-  std::atomic<long> budget{static_cast<long>(faults.size() / 3)};
-  EngineConfig cfg;
-  cfg.num_threads = 2;
-  cfg.grain = 2;
-  // Cancellation is polled once per work item; run this leg scalar so the
-  // poll budget counts faults. The resume leg below keeps the default lane
-  // batching, so the joined results also cross-check lane vs scalar.
-  cfg.lane_width = 1;
-  cfg.checkpoint_path = path;
-  cfg.checkpoint_flush_every = 1;
-  cfg.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
-  const auto partial = run_campaign(net, input, faults, cfg);
-  EXPECT_FALSE(partial.completed);
-  EXPECT_LT(partial.stats.faults_simulated, faults.size());
-  EXPECT_GT(partial.stats.faults_simulated, 0u);
-
-  // Second run: same inputs, no cancel — must pick up the checkpoint.
-  EngineConfig resume_cfg;
-  resume_cfg.checkpoint_path = path;
-  const auto resumed = run_campaign(net, input, faults, resume_cfg);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_EQ(resumed.stats.faults_resumed, partial.stats.faults_simulated);
-  EXPECT_EQ(resumed.stats.faults_simulated + resumed.stats.faults_resumed, faults.size());
-  expect_persisted_results_identical(resumed.results, uninterrupted.results);
-
-  // The joined results yield the same coverage report as the clean run.
-  std::vector<fault::FaultClassification> labels(faults.size());
-  for (size_t j = 0; j < labels.size(); ++j) labels[j].critical = j % 2 == 0;
-  const auto report_a = fault::build_coverage_report(faults, uninterrupted.results, labels);
-  const auto report_b = fault::build_coverage_report(faults, resumed.results, labels);
-  EXPECT_EQ(report_a.to_string(), report_b.to_string());
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MismatchedFingerprintThrows) {
-  auto net = make_net();
-  const auto faults = sampled_universe(net, 10);
-  const std::string path = temp_path("ck_mismatch.jsonl");
-  std::remove(path.c_str());
-  EngineConfig cfg;
-  cfg.checkpoint_path = path;
-  run_campaign(net, busy_input(20, 8, 5), faults, cfg);
-  // Different stimulus => different fingerprint => loud rejection.
-  EXPECT_THROW(run_campaign(net, busy_input(20, 8, 6), faults, cfg), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, TruncatedTrailingLineIsTolerated) {
-  auto net = make_net();
-  const auto input = busy_input();
-  const auto faults = sampled_universe(net, 20);
-  const std::string path = temp_path("ck_truncated.jsonl");
-  std::remove(path.c_str());
-  EngineConfig cfg;
-  cfg.checkpoint_path = path;
-  const auto clean = run_campaign(net, input, faults, cfg);
-
-  // Simulate a kill mid-write: chop the file in the middle of the last line.
-  std::stringstream buffer;
-  {
-    std::ifstream in(path);
-    buffer << in.rdbuf();
-  }
-  std::string contents = buffer.str();
-  contents.resize(contents.size() - 12);
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << contents;
-  }
-  const auto ck = load_checkpoint(path);
-  ASSERT_TRUE(ck.has_value());
-  EXPECT_LT(ck->results.size(), faults.size());
-
-  const auto resumed = run_campaign(net, input, faults, cfg);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_EQ(resumed.stats.faults_simulated, 1u);  // only the chopped fault reruns
-  EXPECT_EQ(resumed.stats.checkpoint_lines_skipped, 1u);  // ...and it is reported
-  expect_persisted_results_identical(resumed.results, clean.results);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, WorstCaseWidthRoundTrips) {
-  // Regression: record() used a 96-byte buffer, but the fixed JSON text plus
-  // a 20-digit %zu index and a 24-char %.17g l1 needs 98 bytes including the
-  // terminator — snprintf truncated such lines silently and load_checkpoint
-  // dropped them on resume, so the fault was re-simulated every restart.
-  const std::string path = temp_path("ck_width.jsonl");
-  CheckpointHeader header;
-  header.fingerprint = 0xffffffffffffffffull;
-  header.num_faults = std::numeric_limits<size_t>::max();
-  header.threshold = -1.7976931348623157e+308;
-  const size_t huge_index = std::numeric_limits<size_t>::max() - 1;
-  const double extreme_l1 = -2.2250738585072014e-308;  // sign + 17 digits + "e-308"
-  {
-    CheckpointWriter writer(path, header, /*append=*/false, /*flush_every=*/1);
-    fault::DetectionResult r;
-    r.detected = true;
-    r.output_l1 = extreme_l1;
-    r.class_count_diff = {-123456789, 987654321};
-    writer.record(huge_index, r);
-  }
-  const auto data = load_checkpoint(path);
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->header.num_faults, header.num_faults);
-  EXPECT_EQ(data->header.threshold, header.threshold);
-  EXPECT_EQ(data->skipped_lines, 0u);
-  ASSERT_EQ(data->results.size(), 1u);
-  EXPECT_EQ(data->results[0].first, huge_index);
-  EXPECT_TRUE(data->results[0].second.detected);
-  EXPECT_EQ(data->results[0].second.output_l1, extreme_l1);
-  EXPECT_EQ(data->results[0].second.class_count_diff,
-            (std::vector<long>{-123456789, 987654321}));
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, CorruptedLinesAreCountedNotSwallowed) {
-  auto net = make_net();
-  const auto input = busy_input();
-  const auto faults = sampled_universe(net, 24);
-  const std::string path = temp_path("ck_corrupt.jsonl");
-  std::remove(path.c_str());
-  EngineConfig cfg;
-  cfg.checkpoint_path = path;
-  const auto clean = run_campaign(net, input, faults, cfg);
-
-  // Hand-corrupt the checkpoint: a garbage line, a result whose index is
-  // outside the fault list, and a partial write without the closing brace.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "@@ not json at all @@\n";
-    out << "{\"type\":\"result\",\"index\":999999,\"detected\":1,\"l1\":1,\"diff\":[]}\n";
-    out << "{\"type\":\"result\",\"index\":3,\"detected\":1,\"l1\":4\n";
-  }
-  const auto ck = load_checkpoint(path);
-  ASSERT_TRUE(ck.has_value());
-  EXPECT_EQ(ck->skipped_lines, 3u);
-  EXPECT_EQ(ck->results.size(), faults.size());
-
-  const auto resumed = run_campaign(net, input, faults, cfg);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_EQ(resumed.stats.checkpoint_lines_skipped, 3u);
-  EXPECT_EQ(resumed.stats.faults_resumed, faults.size());
-  expect_persisted_results_identical(resumed.results, clean.results);
-  std::remove(path.c_str());
 }
 
 /// Randomized conv+dense stack: the sparse conv and dense kernels must give
@@ -517,128 +253,6 @@ TEST(Engine, KernelModesBitIdenticalWithFaultsAcrossThreads) {
       for (size_t i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]) << "layer " << l;
     }
   }
-}
-
-TEST(Checkpoint, RandomizedCorruptionFuzzKeepsExactAccounting) {
-  // Property fuzz over the JSONL reader: a random mix of valid records,
-  // garbage lines, out-of-range fault indices and truncated partial writes
-  // must load with (a) every valid record recovered bit-exactly, in order,
-  // and (b) skipped_lines equal to exactly the number of unusable lines —
-  // never silently more (swallowed data) or fewer (phantom results).
-  for (const uint64_t seed : {11ull, 22ull, 33ull, 44ull, 55ull, 66ull}) {
-    util::Rng rng(seed);
-    const std::string path = temp_path("ck_fuzz_" + std::to_string(seed) + ".jsonl");
-    std::remove(path.c_str());
-
-    CheckpointHeader header;
-    header.fingerprint = rng.next();
-    header.num_faults = 40;
-    header.threshold = rng.uniform(0.0, 2.0);
-
-    std::vector<std::pair<size_t, fault::DetectionResult>> written;
-    {
-      CheckpointWriter writer(path, header, /*append=*/false, /*flush_every=*/1);
-      const size_t n_valid = 1 + rng.uniform_index(24);
-      for (size_t k = 0; k < n_valid; ++k) {
-        fault::DetectionResult r;
-        r.detected = rng.bernoulli(0.5);
-        r.output_l1 = rng.uniform(0.0, 100.0);
-        r.class_count_diff.resize(rng.uniform_index(5));
-        for (auto& d : r.class_count_diff) d = rng.uniform_int(-9, 9);
-        const size_t index = rng.uniform_index(header.num_faults);
-        writer.record(index, r);
-        written.emplace_back(index, std::move(r));
-      }
-    }
-
-    size_t bad_lines = 0;
-    {
-      std::ofstream out(path, std::ios::app);
-      const size_t n_bad = 1 + rng.uniform_index(8);
-      for (size_t k = 0; k < n_bad; ++k) {
-        switch (rng.uniform_index(4)) {
-          case 0:  // plain garbage
-            out << "@@ fuzz garbage " << rng.next() << " @@\n";
-            break;
-          case 1:  // well-formed JSON, index outside header.num_faults
-            out << "{\"type\":\"result\",\"index\":" << header.num_faults + rng.uniform_index(100)
-                << ",\"detected\":1,\"l1\":1,\"diff\":[]}\n";
-            break;
-          case 2:  // partial write: line chopped before the closing brace
-            out << "{\"type\":\"result\",\"index\":3,\"detected\":1,\"l1\":4\n";
-            break;
-          default:  // unknown record type
-            out << "{\"type\":\"mystery\",\"index\":1}\n";
-            break;
-        }
-        ++bad_lines;
-      }
-    }
-
-    const auto data = load_checkpoint(path);
-    ASSERT_TRUE(data.has_value()) << "seed " << seed;
-    EXPECT_EQ(data->header.fingerprint, header.fingerprint) << "seed " << seed;
-    EXPECT_EQ(data->header.threshold, header.threshold) << "seed " << seed;
-    EXPECT_EQ(data->skipped_lines, bad_lines) << "seed " << seed;
-    ASSERT_EQ(data->results.size(), written.size()) << "seed " << seed;
-    for (size_t k = 0; k < written.size(); ++k) {
-      EXPECT_EQ(data->results[k].first, written[k].first) << "seed " << seed << " record " << k;
-      EXPECT_EQ(data->results[k].second.detected, written[k].second.detected);
-      // %.17g round-trips doubles exactly
-      EXPECT_EQ(data->results[k].second.output_l1, written[k].second.output_l1);
-      EXPECT_EQ(data->results[k].second.class_count_diff, written[k].second.class_count_diff);
-    }
-    std::remove(path.c_str());
-  }
-}
-
-TEST(Checkpoint, FuzzTruncationAtEveryByteBoundaryNeverCrashes) {
-  // Chop a small valid checkpoint at every possible byte length: the loader
-  // must never crash or throw, and whenever the header line survives intact
-  // it must return data with consistent accounting (parsed + skipped lines
-  // covering everything after the header).
-  const std::string path = temp_path("ck_chop.jsonl");
-  CheckpointHeader header;
-  header.fingerprint = 0x1234abcdull;
-  header.num_faults = 8;
-  {
-    CheckpointWriter writer(path, header, /*append=*/false, /*flush_every=*/1);
-    for (size_t k = 0; k < 4; ++k) {
-      fault::DetectionResult r;
-      r.detected = k % 2 == 0;
-      r.output_l1 = static_cast<double>(k) / 3.0;
-      r.class_count_diff = {static_cast<long>(k), -1};
-      writer.record(k, r);
-    }
-  }
-  std::string full;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    full = buffer.str();
-  }
-  const size_t header_end = full.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  for (size_t len = 0; len <= full.size(); ++len) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(full.data(), static_cast<std::streamsize>(len));
-    }
-    const auto data = load_checkpoint(path);
-    if (len <= header_end) {
-      // A chopped header may or may not scrape through the field scanners
-      // (strtod happily parses a prefix); the contract here is only "no
-      // crash, no phantom results".
-      if (data.has_value()) EXPECT_TRUE(data->results.empty()) << "len " << len;
-      continue;
-    }
-    ASSERT_TRUE(data.has_value()) << "len " << len;
-    EXPECT_EQ(data->header.fingerprint, header.fingerprint) << "len " << len;
-    EXPECT_LE(data->results.size(), 4u) << "len " << len;
-    EXPECT_LE(data->skipped_lines, 1u) << "len " << len;  // at most the chopped tail
-  }
-  std::remove(path.c_str());
 }
 
 // ---- Lane-batched simulation (W faults per forward pass, DESIGN.md §12) ---
@@ -745,7 +359,7 @@ TEST(LaneBatch, FuzzMatrixBitIdenticalToScalar) {
     const auto scalar = run_campaign(c.net, c.input, c.faults, scalar_cfg);
     EXPECT_EQ(scalar.stats.lane_batches, 0u) << c.name;
     // The chain ends at the independent oracle, converged faults included.
-    expect_results_identical(scalar.results, naive_reference(c.net, c.input, c.faults));
+    expect_results_identical(scalar.results, test_support::naive_reference(c.net, c.input, c.faults));
     EXPECT_GT(scalar.stats.faults_pruned, 0u) << c.name;
     EngineConfig scalar_detect = scalar_cfg;
     scalar_detect.detect_only = true;
@@ -786,43 +400,6 @@ TEST(LaneBatch, FuzzMatrixBitIdenticalToScalar) {
       }
     }
   }
-}
-
-TEST(LaneBatch, CheckpointResumeAcrossLaneWidths) {
-  // The checkpoint fingerprint deliberately excludes lane_width: a campaign
-  // interrupted mid-run at width 8 must resume at width 3 (regrouping the
-  // pending faults into fresh batches that do not align with the old batch
-  // boundaries) and still join to the scalar ground truth bit-exactly.
-  auto net = make_net();
-  const auto input = busy_input();
-  const auto faults = sampled_universe(net, 96, 63);
-  EngineConfig scalar_cfg;
-  scalar_cfg.lane_width = 1;
-  const auto truth = run_campaign(net, input, faults, scalar_cfg);
-
-  const std::string path = temp_path("ck_lane_resume.jsonl");
-  std::remove(path.c_str());
-  std::atomic<long> budget{4};
-  EngineConfig cfg;
-  cfg.lane_width = 8;
-  cfg.num_threads = 2;
-  cfg.checkpoint_path = path;
-  cfg.checkpoint_flush_every = 1;
-  cfg.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
-  const auto partial = run_campaign(net, input, faults, cfg);
-  EXPECT_FALSE(partial.completed);
-  EXPECT_GT(partial.stats.faults_simulated, 0u);
-  EXPECT_LT(partial.stats.faults_simulated, faults.size());
-
-  EngineConfig resume_cfg;
-  resume_cfg.lane_width = 3;
-  resume_cfg.checkpoint_path = path;
-  const auto resumed = run_campaign(net, input, faults, resume_cfg);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_EQ(resumed.stats.faults_resumed, partial.stats.faults_simulated);
-  EXPECT_EQ(resumed.stats.faults_simulated + resumed.stats.faults_resumed, faults.size());
-  expect_persisted_results_identical(resumed.results, truth.results);
-  std::remove(path.c_str());
 }
 
 TEST(LaneBatch, BackendForcedBitIdenticalAcrossWidths) {
@@ -1013,7 +590,7 @@ TEST(LaneBatch, FallsBackToScalarForSingletonGroupsAndNoPrefixReuse) {
   no_prefix.prefix_reuse = false;
   const auto plain = run_campaign(net, input, dense_faults, no_prefix);
   EXPECT_EQ(plain.stats.lane_batches, 0u);
-  const auto naive = naive_reference(net, input, dense_faults);
+  const auto naive = test_support::naive_reference(net, input, dense_faults);
   expect_results_identical(plain.results, naive);
 }
 
@@ -1102,7 +679,7 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
     base_cfg.lane_width = 1;
     const auto base = run_campaign(c.net, c.input, c.faults, base_cfg);
     EXPECT_FALSE(base.stats.frontier_active) << c.name;
-    expect_results_identical(base.results, naive_reference(c.net, c.input, c.faults));
+    expect_results_identical(base.results, test_support::naive_reference(c.net, c.input, c.faults));
     EXPECT_GT(base.stats.faults_pruned, 0u) << c.name;
     EXPECT_EQ(base.stats.frontier_faults, 0u) << c.name;
     EngineConfig base_detect = base_cfg;
@@ -1276,34 +853,15 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
   EXPECT_TRUE(frontier.stats.golden_cache_state_traces);
 }
 
-TEST(Frontier, ComposesWithCheckpointResumeAndResultCache) {
-  // The frontier path must honor the rest of the engine contract: resuming
-  // a cancelled frontier campaign from its checkpoint, and serving pairs
-  // from a result cache, both join to the frontier-off truth bit-exactly.
+TEST(Frontier, ComposesWithResultCache) {
+  // The frontier path must honor the rest of the engine contract: serving
+  // pairs from a result cache joins to the frontier-off truth bit-exactly.
+  // (Resuming a cancelled frontier campaign from a dictionary is
+  // Incremental.CancelledRunResumesFromDictionary in test_coverage.)
   auto net = make_net();
   const auto input = busy_input();
   const auto faults = sampled_universe(net, 64, 197);
   const auto truth = run_campaign(net, input, faults, {});
-
-  const std::string path = temp_path("ck_frontier_resume.jsonl");
-  std::remove(path.c_str());
-  std::atomic<long> budget{4};
-  EngineConfig cfg;
-  cfg.frontier = true;
-  cfg.num_threads = 2;
-  cfg.checkpoint_path = path;
-  cfg.checkpoint_flush_every = 1;
-  cfg.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
-  const auto partial = run_campaign(net, input, faults, cfg);
-  EXPECT_FALSE(partial.completed);
-
-  EngineConfig resume_cfg;
-  resume_cfg.frontier = true;
-  resume_cfg.checkpoint_path = path;
-  const auto resumed = run_campaign(net, input, faults, resume_cfg);
-  EXPECT_TRUE(resumed.completed);
-  expect_persisted_results_identical(resumed.results, truth.results);
-  std::remove(path.c_str());
 
   EngineConfig cache_cfg;
   cache_cfg.frontier = true;

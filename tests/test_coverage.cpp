@@ -1,11 +1,13 @@
 // Coverage-subsystem tests: fault-dictionary persistence (round trip,
 // truncated tail, flipped CRC byte, corrupt header, merge of overlapping
 // dictionaries), incremental-campaign identity (warm re-run == cold run,
-// bit-identical, across lane widths), stale-dictionary rejection, the
+// bit-identical, across lane widths), resume of a cancelled campaign from
+// its dictionary, stale-dictionary rejection, the
 // minimum-time minimizer (full detectable coverage, determinism, documented
 // tie-breaking), and first_detection_frame semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -14,9 +16,11 @@
 #include "coverage/fault_dictionary.hpp"
 #include "coverage/incremental.hpp"
 #include "coverage/minimize.hpp"
+#include "fault/coverage.hpp"
 #include "fault/registry.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/spike_train.hpp"
+#include "support/naive_reference.hpp"
 
 namespace snntest::coverage {
 namespace {
@@ -389,6 +393,72 @@ TEST(Incremental, DetectionSettingsChangeRejectsDictionary) {
   const auto out = run_incremental_campaign(net, busy_input(), faults, dict, config);
   EXPECT_TRUE(out.coverage.dictionary_rejected);
   EXPECT_EQ(dict.num_records(), 0u);
+}
+
+TEST(Incremental, CancelledRunResumesFromDictionary) {
+  // The one resume path: a cancelled incremental campaign has recorded every
+  // pair it finished; committing the dictionary with save_atomic, reloading
+  // it and rerunning simulates only the rest and joins to the oracle, to a
+  // cold run and to a cold build's exact file bytes. The rerun regroups the
+  // pending faults into fresh lane batches that need not align with the
+  // cancelled run's, and the frontier walk must compose with it too.
+  auto net = make_net();
+  const auto input = busy_input();
+  const auto faults = sampled_universe(net, 96, 63);
+  const auto oracle = test_support::naive_reference(net, input, faults);
+  std::vector<fault::FaultClassification> labels(faults.size());
+  for (size_t j = 0; j < labels.size(); ++j) labels[j].critical = j % 2 == 0;
+
+  for (const size_t lane_width : {size_t{1}, size_t{8}}) {
+    for (const bool frontier : {false, true}) {
+      SCOPED_TRACE("lane_width " + std::to_string(lane_width) + " frontier " +
+                   std::to_string(frontier));
+      IncrementalConfig config;
+      config.engine.num_threads = 2;
+      config.engine.lane_width = lane_width;
+      config.engine.frontier = frontier;
+
+      FaultDictionary cold_dict = make_dictionary(net, faults);
+      const auto cold = run_incremental_campaign(net, input, faults, cold_dict, config);
+      ASSERT_TRUE(cold.campaign.completed);
+
+      // Cancellation is polled once per work item (a lane batch or a single
+      // fault), so the budget counts items.
+      std::atomic<long> budget{lane_width == 1 ? 30 : 4};
+      IncrementalConfig cancelled = config;
+      cancelled.engine.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
+      FaultDictionary dict = make_dictionary(net, faults);
+      const auto first = run_incremental_campaign(net, input, faults, dict, cancelled);
+      EXPECT_FALSE(first.campaign.completed);
+      const size_t finished = first.campaign.stats.faults_simulated;
+      EXPECT_GT(finished, 0u);
+      EXPECT_LT(finished, faults.size());
+      EXPECT_EQ(first.coverage.pairs_recorded, finished);
+
+      const std::string path = temp_path("dict_cancelled.snfd");
+      dict.save_atomic(path);
+      FaultDictionary::LoadStats stats;
+      auto reloaded = FaultDictionary::load(path, &stats);
+      ASSERT_TRUE(reloaded.has_value());
+      EXPECT_EQ(stats.records_skipped, 0u);
+      EXPECT_EQ(reloaded->num_records(), finished);
+
+      const auto resumed = run_incremental_campaign(net, input, faults, *reloaded, config);
+      EXPECT_TRUE(resumed.campaign.completed);
+      EXPECT_FALSE(resumed.coverage.dictionary_rejected);
+      EXPECT_EQ(resumed.coverage.pairs_reused, finished);
+      EXPECT_EQ(resumed.campaign.stats.faults_simulated, faults.size() - finished);
+      for (size_t j = 0; j < faults.size(); ++j) {
+        EXPECT_TRUE(results_identical(resumed.campaign.results[j], oracle[j])) << "fault " << j;
+        EXPECT_TRUE(results_identical(resumed.campaign.results[j], cold.campaign.results[j]))
+            << "fault " << j;
+      }
+      EXPECT_EQ(fault::build_coverage_report(faults, resumed.campaign.results, labels).to_string(),
+                fault::build_coverage_report(faults, cold.campaign.results, labels).to_string());
+      EXPECT_EQ(reloaded->serialize(), cold_dict.serialize());
+      std::remove(path.c_str());
+    }
+  }
 }
 
 // --- minimum-time minimizer ------------------------------------------------

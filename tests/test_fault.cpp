@@ -9,7 +9,6 @@
 
 #include "campaign/engine.hpp"
 #include "data/synthetic_shd.hpp"
-#include "fault/campaign.hpp"
 #include "snn/conv_layer.hpp"
 #include "fault/classifier.hpp"
 #include "fault/coverage.hpp"
@@ -300,7 +299,7 @@ TEST(Campaign, SaturatedOutputNeuronAlwaysDetected) {
   std::vector<FaultDescriptor> faults(1);
   faults[0].kind = FaultKind::kNeuronSaturated;
   faults[0].neuron = {1, 0};
-  const auto outcome = run_detection_campaign(net, busy_input(), faults);
+  const auto outcome = campaign::run_campaign(net, busy_input(), faults);
   EXPECT_TRUE(outcome.results[0].detected);
   EXPECT_GT(outcome.results[0].output_l1, 0.0);
   EXPECT_EQ(outcome.detected_count(), 1u);
@@ -314,7 +313,7 @@ TEST(Campaign, ZeroInputDetectsNothingButSaturation) {
   faults[1].kind = FaultKind::kNeuronSaturated;
   faults[1].neuron = {1, 2};
   const auto zero = snn::zero_train(12, 8);
-  const auto outcome = run_detection_campaign(net, zero, faults);
+  const auto outcome = campaign::run_campaign(net, zero, faults);
   // dead neuron can't be observed without activity...
   EXPECT_FALSE(outcome.results[0].detected);
   // ...but a saturated output neuron self-announces (Sec. IV-C1 note).
@@ -326,7 +325,7 @@ TEST(Campaign, DoesNotMutateInputNetwork) {
   snn::Network pristine(net);
   auto faults = enumerate_faults(net);
   faults.resize(30);
-  run_detection_campaign(net, busy_input(), faults);
+  campaign::run_campaign(net, busy_input(), faults);
   const auto input = busy_input(14, 8, 9);
   const auto a = net.forward(input).output();
   const auto b = pristine.forward(input).output();
@@ -338,7 +337,7 @@ TEST(Campaign, ClassCountDiffSignsConsistent) {
   std::vector<FaultDescriptor> faults(1);
   faults[0].kind = FaultKind::kNeuronSaturated;
   faults[0].neuron = {1, 3};  // output neuron 3 saturates -> its count rises
-  const auto outcome = run_detection_campaign(net, busy_input(), faults);
+  const auto outcome = campaign::run_campaign(net, busy_input(), faults);
   EXPECT_GT(outcome.results[0].class_count_diff[3], 0);
 }
 
@@ -541,7 +540,7 @@ TEST(ConnectionFaults, CampaignMixesGranularities) {
   util::Rng rng(37);
   auto faults = sample_faults(universe, 60, rng);
   const auto input = snn::random_spike_train(10, 36, 0.5, rng);
-  const auto outcome = run_detection_campaign(net, input, faults);
+  const auto outcome = campaign::run_campaign(net, input, faults);
   EXPECT_EQ(outcome.results.size(), faults.size());
   EXPECT_GT(outcome.detected_count(), 0u);
 }

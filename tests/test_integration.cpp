@@ -8,9 +8,9 @@
 #include <filesystem>
 #include <sstream>
 
+#include "campaign/engine.hpp"
 #include "core/test_generator.hpp"
 #include "data/synthetic_shd.hpp"
-#include "fault/campaign.hpp"
 #include "fault/classifier.hpp"
 #include "fault/coverage.hpp"
 #include "snn/dense_layer.hpp"
@@ -90,7 +90,7 @@ TEST(Integration, FullFactoryFlow) {
   auto universe = fault::enumerate_faults(device);
   util::Rng rng(9);
   auto faults = fault::sample_faults(universe, 120, rng);
-  const auto detection = fault::run_detection_campaign(device, test_input, faults);
+  const auto detection = campaign::run_campaign(device, test_input, faults);
   fault::ClassifierConfig cc;
   cc.max_samples = 16;
   const auto classes = fault::classify_faults(device, faults, *p.test, cc);
@@ -125,12 +125,12 @@ TEST(Integration, CampaignIndependentOfWorkerCount) {
   auto faults = fault::sample_faults(universe, 80, rng);
   const auto input = p.test->get(0).input;
 
-  fault::CampaignConfig serial;
+  campaign::EngineConfig serial;
   serial.num_threads = 1;
-  fault::CampaignConfig parallel;
+  campaign::EngineConfig parallel;
   parallel.num_threads = 4;
-  const auto a = fault::run_detection_campaign(p.net, input, faults, serial);
-  const auto b = fault::run_detection_campaign(p.net, input, faults, parallel);
+  const auto a = campaign::run_campaign(p.net, input, faults, serial);
+  const auto b = campaign::run_campaign(p.net, input, faults, parallel);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (size_t j = 0; j < a.results.size(); ++j) {
     EXPECT_EQ(a.results[j].detected, b.results[j].detected) << "fault " << j;

@@ -7,10 +7,10 @@
 
 #include <cstring>
 
+#include "campaign/engine.hpp"
 #include "core/input_optimizer.hpp"
 #include "core/naive_fc_optimizer.hpp"
 #include "core/test_generator.hpp"
-#include "fault/campaign.hpp"
 #include "fault/coverage.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/spike_train.hpp"
@@ -98,7 +98,7 @@ TEST(TestGenerator, BeatsDensityMatchedRandomOnWeakNet) {
   const auto optimized = report.stimulus.assemble();
 
   auto faults = fault::enumerate_faults(net);
-  const auto opt_outcome = fault::run_detection_campaign(net, optimized, faults);
+  const auto opt_outcome = campaign::run_campaign(net, optimized, faults);
   const double opt_fc = fault::fault_coverage(opt_outcome.results);
 
   // density-matched random stimulus (same shape, same expected spike count)
@@ -106,7 +106,7 @@ TEST(TestGenerator, BeatsDensityMatchedRandomOnWeakNet) {
   const double density = snn::spike_density(optimized);
   const auto random_input = snn::random_spike_train(optimized.shape().dim(0),
                                                     optimized.shape().dim(1), density, rng);
-  const auto rnd_outcome = fault::run_detection_campaign(net, random_input, faults);
+  const auto rnd_outcome = campaign::run_campaign(net, random_input, faults);
   const double rnd_fc = fault::fault_coverage(rnd_outcome.results);
 
   const double opt_act = snn::activation_fraction(net.forward(optimized).layer_outputs[0]);
@@ -133,7 +133,7 @@ TEST(TestGenerator, NearPerfectCriticalNeuronCoverageOnSmallNet) {
     cfg.synapse_saturated_negative = false;
     auto neuron_faults = fault::enumerate_faults(net, cfg);
     const auto outcome =
-        fault::run_detection_campaign(net, report.stimulus.assemble(), neuron_faults);
+        campaign::run_campaign(net, report.stimulus.assemble(), neuron_faults);
     EXPECT_EQ(outcome.detected_count(), neuron_faults.size());
   }
 }
