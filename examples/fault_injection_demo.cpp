@@ -10,7 +10,7 @@
 // end-to-end: every finished pair is recorded, and the dictionary is
 // committed with save_atomic when the run ends.
 //
-//   # start a campaign and "kill" it after 150 work items
+//   # start a campaign and "kill" it after 150 simulated faults
 //   fault_injection_demo --dict /tmp/demo.snfd --interrupt-after 150
 //   # reuse every recorded pair and finish
 //   fault_injection_demo --dict /tmp/demo.snfd --resume 1
@@ -144,11 +144,18 @@ int main(int argc, char** argv) {
 
   coverage::IncrementalConfig cfg;
   cfg.engine.lane_width = lane_width;
-  std::atomic<long> budget{interrupt_after};
+  std::atomic<long> simulated{0};
   if (interrupt_after > 0) {
-    // Simulated kill: stop claiming work after N work items (lane batches
-    // or single faults), leaving a partial dictionary behind.
-    cfg.engine.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
+    // Simulated kill: stop claiming work once N faults have been simulated,
+    // leaving a partial dictionary behind. The engine polls cancel once per
+    // work item (a lane batch or a single fault), so the faults are counted
+    // by the result sink, which sees every one of them.
+    cfg.engine.result_sink = [&simulated](size_t, const fault::DetectionResult&) {
+      simulated.fetch_add(1, std::memory_order_relaxed);
+    };
+    cfg.engine.cancel = [&simulated, interrupt_after] {
+      return simulated.load(std::memory_order_relaxed) >= interrupt_after;
+    };
   }
   std::printf("\n%s campaign: %zu sampled faults, dictionary %s\n",
               resume ? "resuming" : "starting", faults.size(), dict_path.c_str());

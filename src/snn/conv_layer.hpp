@@ -77,31 +77,38 @@ class ConvLayer final : public Layer {
   void clear_connection_override();
   bool connection_override_active() const { return override_.active; }
 
-  /// syn frame (length output_size) from one input spike frame — the dense
-  /// (oc, oy, ox) gather with ordered double accumulation. Public and const
-  /// so the lane-batched simulation path (snn/lane_network.cpp) can compute
-  /// the shared fault-free base frame without mutating the layer.
+  /// syn frame (length output_size) from one input spike frame: per
+  /// output, an ordered double sum over (ic, ky, kx), cast to float once.
+  /// Public and const so the lane-batched simulation path
+  /// (snn/lane_network.cpp) can compute the shared fault-free base frame
+  /// without mutating the layer; safe to call from several threads at once.
   void conv_forward_frame(const float* in, float* syn) const;
 
  private:
-  /// Event-driven forward: scatter the kernel taps of each active input
-  /// pixel instead of gathering all taps of each output. Bit-identical to
-  /// conv_forward_frame: iterating active pixels in ascending flat order
-  /// feeds every output accumulator the same ordered sequence of double
-  /// products (ic, then ky, then kx ascending) that the dense gather uses,
-  /// and the skipped terms are exact +/-0.0 contributions.
-  void conv_forward_frame_sparse(const float* in, const uint32_t* active, size_t num_active,
-                                 float* syn);
+  /// Weights repacked [ic][ky][kx][oc] as double for the forward kernels
+  /// (conv_layer.cpp): one tap's weights for every output channel are
+  /// contiguous, so their inner loop runs over independent outputs. The
+  /// dense kernel gathers each output pixel's taps; the event-driven one
+  /// scatters the taps of each active input pixel. Both feed every output
+  /// the same ordered sequence of double products (ic, then ky, then kx
+  /// ascending) — iterating active pixels in ascending flat order preserves
+  /// it — and the terms the scatter skips are exact +/-0.0 contributions,
+  /// so the two are bit-identical (DESIGN.md §9).
+  void pack_forward_weights(std::vector<double>& packed) const;
+  /// Weights repacked [oc][ky][kx][ic] for conv_backward_input_frame.
+  void pack_backward_weights(std::vector<float>& packed) const;
   /// Scatter grad_syn into grad_in and weight grads for one timestep
-  /// (fused dense path — the seed's exact execution).
+  /// (fused dense path: one (oc, oy, ox) -> (ic, ky, kx) sweep feeds both).
   void conv_backward_frame(const float* in, const float* grad_syn, float* grad_in);
-  /// Input-gradient half of conv_backward_frame: grad_in += conv^T(grad_syn).
-  /// Iterates the identical (oc, oy, ox) -> (ic, ky, kx) order as the fused
-  /// path, so every grad_in accumulator receives the same ordered float
-  /// terms (bit-identical). Input gradient flows into *every* input pixel —
-  /// also the silent ones — so this half cannot exploit input sparsity; the
-  /// zeros it does skip are the grad_syn zeros, exactly like the fused path.
-  void conv_backward_input_frame(const float* grad_syn, float* grad_in) const;
+  /// Input-gradient half of conv_backward_frame: grad_in += conv^T(grad_syn),
+  /// over packed_backward_ (pack_backward_weights). It accumulates channel-last,
+  /// so its inner loop runs over the (kx, ic) elements of one kernel row,
+  /// while every grad_in element still receives its float terms in
+  /// (oc, oy, ox) order, as in the fused sweep (bit-identical). Input
+  /// gradient flows into *every* input pixel — also the silent ones — so
+  /// this half cannot exploit input sparsity; the zeros it skips are the
+  /// grad_syn zeros, exactly like the fused path.
+  void conv_backward_input_frame(const float* grad_syn, float* grad_in);
   /// Weight-gradient half, dense: wg[tap] += grad_syn[o] * in[i] over every
   /// connected (o, tap) pair, in the fused path's order.
   void conv_backward_weight_frame(const float* in, const float* grad_syn);
@@ -131,8 +138,11 @@ class ConvLayer final : public Layer {
   Tensor saved_input_;
   ConnectionOverride override_;
   std::vector<uint32_t> active_scratch_;  // per-frame active indices (sparse path)
-  std::vector<double> syn_acc_;           // per-output double accumulators (sparse path)
+  std::vector<double> packed_weights_;    // pack_forward_weights, rebuilt per forward_into
+  std::vector<double> syn_acc_;           // channel-last double accumulators (forward)
   std::vector<float> syn_scratch_;        // per-frame synaptic currents (no realloc per window)
+  std::vector<float> packed_backward_;    // pack_backward_weights, rebuilt per backward
+  std::vector<float> grad_in_scratch_;    // channel-last grad_in frame
 };
 
 }  // namespace snntest::snn

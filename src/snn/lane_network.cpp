@@ -101,10 +101,10 @@ void conv_frame_lanes_dense(const ConvLayer& conv, const float* in_lanes, size_t
 }
 
 /// Lane-strided conv scatter over the union-active input pixels. Per lane
-/// this is conv_forward_frame_sparse on a superset active list: pixels where
-/// the lane is silent contribute exact +/-0.0 terms, so each lane matches
-/// the scalar sparse (hence dense) kernel bit for bit. The dispatched
-/// kernels expect the caller to zero the double accumulator.
+/// this is the conv scatter (conv_forward_sparse) on a superset active list:
+/// pixels where the lane is silent contribute exact +/-0.0 terms, so each
+/// lane matches the scalar sparse (hence dense) kernel bit for bit. The
+/// dispatched kernels expect the caller to zero the double accumulator.
 void conv_frame_lanes_scatter(const ConvLayer& conv, const float* in_lanes, size_t lanes,
                               const uint32_t* active, size_t num_active, std::vector<double>& acc,
                               float* syn_lanes) {

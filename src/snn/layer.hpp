@@ -38,7 +38,7 @@ enum class LayerKind : uint8_t {
 /// tensor/ops.hpp and DESIGN.md §9). kAuto decides per frame from the
 /// measured input activity, so it is always safe to enable.
 enum class KernelMode : uint8_t {
-  kDense = 0,   // always run the dense kernels (seed behaviour)
+  kDense = 0,   // always run the dense kernels
   kSparse = 1,  // always run the sparse kernels
   kAuto = 2,    // per-frame: sparse when the frame is sparse enough to win
 };
@@ -133,8 +133,8 @@ class Layer {
   const SurrogateConfig& surrogate() const { return surrogate_; }
 
   /// Forward-kernel selection; results are bit-identical across modes.
-  /// Layers without a sparse kernel (pool) ignore it. Default kDense keeps
-  /// the seed's exact execution path; the campaign engine, classifier and
+  /// Layers without a sparse kernel (pool) ignore it. Default kDense runs
+  /// the dense kernels on every frame; the campaign engine, classifier and
   /// test generators opt into kAuto.
   void set_kernel_mode(KernelMode mode) { kernel_mode_ = mode; }
   KernelMode kernel_mode() const { return kernel_mode_; }

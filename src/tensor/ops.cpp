@@ -8,8 +8,33 @@
 
 namespace snntest::tensor {
 
+// Both matvec kernels sweep the columns once per block of 4 rows: the
+// block's accumulators are independent, so the adds of one column overlap
+// instead of waiting on a single add-latency chain, while every row still
+// sums its terms in ascending column order into its own double (DESIGN.md
+// §9). The rows % 4 tail runs one row at a time.
+
 void matvec_accumulate(const float* a, size_t rows, size_t cols, const float* x, float* y) {
-  for (size_t r = 0; r < rows; ++r) {
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const float* r0 = a + r * cols;
+    const float* r1 = r0 + cols;
+    const float* r2 = r1 + cols;
+    const float* r3 = r2 + cols;
+    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+    for (size_t c = 0; c < cols; ++c) {
+      const double xc = x[c];
+      acc0 += static_cast<double>(r0[c]) * xc;
+      acc1 += static_cast<double>(r1[c]) * xc;
+      acc2 += static_cast<double>(r2[c]) * xc;
+      acc3 += static_cast<double>(r3[c]) * xc;
+    }
+    y[r] += static_cast<float>(acc0);
+    y[r + 1] += static_cast<float>(acc1);
+    y[r + 2] += static_cast<float>(acc2);
+    y[r + 3] += static_cast<float>(acc3);
+  }
+  for (; r < rows; ++r) {
     const float* row = a + r * cols;
     double acc = 0.0;
     for (size_t c = 0; c < cols; ++c) acc += static_cast<double>(row[c]) * x[c];
@@ -36,7 +61,27 @@ SpikeFrameView make_frame_view(const float* frame, size_t n, std::vector<uint32_
 
 void matvec_accumulate_gather(const float* a, size_t rows, size_t cols, const float* x,
                               const uint32_t* active, size_t num_active, float* y) {
-  for (size_t r = 0; r < rows; ++r) {
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const float* r0 = a + r * cols;
+    const float* r1 = r0 + cols;
+    const float* r2 = r1 + cols;
+    const float* r3 = r2 + cols;
+    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+    for (size_t i = 0; i < num_active; ++i) {
+      const uint32_t c = active[i];
+      const double xc = x[c];
+      acc0 += static_cast<double>(r0[c]) * xc;
+      acc1 += static_cast<double>(r1[c]) * xc;
+      acc2 += static_cast<double>(r2[c]) * xc;
+      acc3 += static_cast<double>(r3[c]) * xc;
+    }
+    y[r] += static_cast<float>(acc0);
+    y[r + 1] += static_cast<float>(acc1);
+    y[r + 2] += static_cast<float>(acc2);
+    y[r + 3] += static_cast<float>(acc3);
+  }
+  for (; r < rows; ++r) {
     const float* row = a + r * cols;
     double acc = 0.0;
     for (size_t i = 0; i < num_active; ++i) {

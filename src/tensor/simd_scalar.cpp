@@ -148,9 +148,9 @@ void conv_lanes_dense(const ConvLaneGeom& g, const float* weights, const float* 
 }
 
 /// Lane-strided conv scatter over the union-active input pixels. Per lane
-/// this is conv_forward_frame_sparse on a superset active list: pixels where
-/// the lane is silent contribute exact +/-0.0 terms, so each lane matches
-/// the scalar sparse (hence dense) kernel bit for bit.
+/// this is the conv scatter (conv_forward_sparse) on a superset active list:
+/// pixels where the lane is silent contribute exact +/-0.0 terms, so each
+/// lane matches the scalar sparse (hence dense) kernel bit for bit.
 void conv_lanes_scatter(const ConvLaneGeom& g, const float* weights, const float* in_lanes,
                         size_t lanes, const uint32_t* active, size_t num_active, double* acc,
                         float* syn_lanes) {
