@@ -8,6 +8,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "campaign/fingerprint.hpp"
@@ -137,12 +139,6 @@ size_t CampaignResult::detected_count() const {
   return n;
 }
 
-size_t fault_layer(const fault::FaultDescriptor& fault) {
-  if (fault.targets_neuron()) return fault.neuron.layer;
-  if (fault.connection_granularity) return fault.connection.layer;
-  return fault.weight.layer;
-}
-
 CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
                             const std::vector<fault::FaultDescriptor>& faults,
                             const EngineConfig& config) {
@@ -168,6 +164,17 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   if (faults.empty()) {
     outcome.stats.elapsed_seconds = timer.seconds();
     return outcome;
+  }
+
+  // A fault outside the network would index past the per-layer worklist
+  // and the golden cache; reject it before any work starts.
+  for (size_t j = 0; j < faults.size(); ++j) {
+    const size_t l = fault_layer(faults[j]);
+    if (l >= net.num_layers()) {
+      throw std::out_of_range("run_campaign: fault " + std::to_string(j) + " targets layer " +
+                              std::to_string(l) + " but num_layers is " +
+                              std::to_string(net.num_layers()));
+    }
   }
 
   GoldenCacheOptions cache_options;

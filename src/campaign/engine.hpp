@@ -120,7 +120,8 @@ struct EngineConfig {
   std::function<void(size_t fault_index, const fault::DetectionResult& result)> result_sink;
   /// Progress callback (completed, total); called from worker threads.
   std::function<void(size_t, size_t)> progress;
-  /// Cooperative cancellation, polled between faults. Returning true makes
+  /// Cooperative cancellation, polled once per work item (a lane batch of
+  /// up to lane_width faults, or one scalar fault). Returning true makes
   /// workers stop claiming work; the partial outcome (completed=false) has
   /// streamed every finished pair through result_sink, so a dictionary-
   /// backed rerun resumes from it.
@@ -203,13 +204,15 @@ struct CampaignResult {
   size_t detected_count() const;
 };
 
-/// Layer a fault descriptor is confined to.
-size_t fault_layer(const fault::FaultDescriptor& fault);
+/// Layer a fault descriptor is confined to (defined in fault/fault.hpp).
+using fault::fault_layer;
 
 /// Simulate every fault in `faults` against `stimulus` with the
 /// differential engine. `net` must be fault-free; it is not modified
 /// (workers use clones). Results are bit-identical to the naive
-/// re-simulate-everything campaign unless `detect_only` is set.
+/// re-simulate-everything campaign unless `detect_only` is set. Throws
+/// std::out_of_range, before any simulation, if a fault targets a layer
+/// outside `net`.
 CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
                             const std::vector<fault::FaultDescriptor>& faults,
                             const EngineConfig& config = {});

@@ -17,52 +17,6 @@ namespace {
 
 static_assert(snn::kMaxLaneWidth <= 16, "union_mask packs lane membership into uint16_t");
 
-/// Transient application of one lane's synapse fault to the worker's
-/// mutable (fault-free) network clone: the faulty stored value is written
-/// into the exact weight slot the scalar FaultInjector would have mutated,
-/// so the recomputed rows see the identical float. Restored before the next
-/// lane's fault-layer pass.
-struct SynapsePoke {
-  float* slot = nullptr;
-  float clean = 0.0f;
-  snn::ConvLayer* conv = nullptr;  // connection-granularity override owner
-};
-
-SynapsePoke apply_synapse_fault(snn::Layer& layer, const snn::LaneSynapseFault& sf) {
-  SynapsePoke p;
-  using Kind = snn::LaneSynapseFault::Kind;
-  switch (sf.kind) {
-    case Kind::kNone:
-      return p;
-    case Kind::kWeight:
-      p.slot = layer.kind() == snn::LayerKind::kDense
-                   ? &static_cast<snn::DenseLayer&>(layer).weights()[sf.index]
-                   : &static_cast<snn::RecurrentLayer&>(layer).weights()[sf.index];
-      break;
-    case Kind::kRecurrentWeight:
-      p.slot = &static_cast<snn::RecurrentLayer&>(layer).recurrent_weights()[sf.index];
-      break;
-    case Kind::kConvWeight:
-      p.slot = &static_cast<snn::ConvLayer&>(layer).weights()[sf.index];
-      break;
-    case Kind::kConvConnection: {
-      auto& conv = static_cast<snn::ConvLayer&>(layer);
-      const float stored = conv.connection_weight(sf.out_index, sf.in_index);
-      conv.set_connection_override(sf.out_index, sf.in_index, stored + sf.delta);
-      p.conv = &conv;
-      return p;
-    }
-  }
-  p.clean = *p.slot;
-  *p.slot = sf.value;
-  return p;
-}
-
-void restore_synapse_fault(const SynapsePoke& p) {
-  if (p.slot != nullptr) *p.slot = p.clean;
-  if (p.conv != nullptr) p.conv->clear_connection_override();
-}
-
 /// Lane-strided dense frame kernel over `lanes` interleaved frames — the
 /// exact per-layer dispatch of snn::LaneLayerRun::synaptic_lanes' dense
 /// mode, so each lane's column of syn_lanes is bit-identical to
@@ -315,7 +269,7 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
         for (size_t b = 0; b < count; ++b) {
           FrontierLaneState& lane = ctx.lanes[b];
           if (!lane.active || lane.dirty_list.empty()) continue;
-          const SynapsePoke poke = apply_synapse_fault(layer, lane.fault.synapse);
+          const auto poke = fault::apply_synapse_fault(layer, lane.fault.synapse);
           const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
           if (lane.full_frame) {
             lane.syn.resize(n);
@@ -326,7 +280,7 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
               step_neuron(lane, t, i, layer.frontier_synapse(in_frame, prev, i));
             }
           }
-          restore_synapse_fault(poke);
+          fault::restore_synapse_fault(poke);
         }
       } else {
         // Downstream layers are fault-free and shared. Full-frame lanes are

@@ -17,11 +17,14 @@
 //
 // One routine serves both the scalar path (count == 1) and lane batches
 // (count up to snn::kMaxLaneWidth, all faults confined to the same layer):
-// per-lane faults are resolved to snn::LaneFault PODs, neuron faults are
+// per-lane faults are resolved by the one fault table
+// (fault::resolve_lane_fault) into snn::LaneFault PODs; neuron faults are
 // applied as parameter overrides inside the shared LIF step, synapse faults
-// as transient pokes of the worker's mutable clone around each lane's
-// fault-layer recomputes. Downstream layers iterate the union of the
-// lanes' dirty sets so consecutive lanes reuse hot weight rows.
+// are written into the worker's mutable clone around each lane's
+// fault-layer recomputes by fault::apply_synapse_fault /
+// restore_synapse_fault, the same write FaultInjector makes. Downstream
+// layers iterate the union of the lanes' dirty sets so consecutive lanes
+// reuse hot weight rows.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +33,7 @@
 #include "campaign/engine.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/sim_internal.hpp"
-#include "fault/lane_injector.hpp"
+#include "fault/injector.hpp"
 
 namespace snntest::campaign {
 

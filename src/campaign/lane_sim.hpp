@@ -16,7 +16,7 @@
 #include "campaign/engine.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/sim_internal.hpp"
-#include "fault/lane_injector.hpp"
+#include "fault/injector.hpp"
 #include "snn/lane_network.hpp"
 
 namespace snntest::campaign {

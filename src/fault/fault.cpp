@@ -35,6 +35,12 @@ bool is_neuron_fault(FaultKind kind) {
   }
 }
 
+size_t fault_layer(const FaultDescriptor& fault) {
+  if (fault.targets_neuron()) return fault.neuron.layer;
+  if (fault.connection_granularity) return fault.connection.layer;
+  return fault.weight.layer;
+}
+
 std::string FaultDescriptor::to_string() const {
   std::ostringstream os;
   os << fault_kind_name(kind);

@@ -65,6 +65,9 @@ struct FaultDescriptor {
   std::string to_string() const;
 };
 
+/// Layer a fault descriptor is confined to.
+size_t fault_layer(const FaultDescriptor& fault);
+
 /// int8 symmetric quantization used to model the digital weight memory for
 /// bit-flip faults. `scale` maps int8 code 127 to the given full-scale value.
 int8_t quantize_weight(float w, float scale);

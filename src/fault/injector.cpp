@@ -3,20 +3,166 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "snn/conv_layer.hpp"
+#include "snn/dense_layer.hpp"
+#include "snn/recurrent_layer.hpp"
 
 namespace snntest::fault {
 namespace {
 
-float* weight_slot(snn::Network& net, const snn::WeightRef& ref) {
-  auto params = net.layer(ref.layer).params();
-  if (ref.param >= params.size()) throw std::out_of_range("FaultInjector: bad param index");
-  if (ref.index >= params[ref.param].size) throw std::out_of_range("FaultInjector: bad weight index");
-  return params[ref.param].value + ref.index;
+/// Stored (fault-free) weight behind a WeightRef, via the const per-kind
+/// accessors (Layer::params() is non-const); also sets the lane kind and
+/// index the ref maps to.
+float stored_weight(const snn::Layer& layer, const snn::WeightRef& ref,
+                    snn::LaneSynapseFault& sf) {
+  using Kind = snn::LaneSynapseFault::Kind;
+  const std::vector<float>* w = nullptr;
+  switch (layer.kind()) {
+    case snn::LayerKind::kDense:
+      if (ref.param == 0) w = &static_cast<const snn::DenseLayer&>(layer).weights();
+      sf.kind = Kind::kWeight;
+      break;
+    case snn::LayerKind::kConv2d:
+      if (ref.param == 0) w = &static_cast<const snn::ConvLayer&>(layer).weights();
+      sf.kind = Kind::kConvWeight;
+      break;
+    case snn::LayerKind::kRecurrent: {
+      const auto& rec = static_cast<const snn::RecurrentLayer&>(layer);
+      if (ref.param <= 1) w = ref.param == 0 ? &rec.weights() : &rec.recurrent_weights();
+      sf.kind = ref.param == 0 ? Kind::kWeight : Kind::kRecurrentWeight;
+      break;
+    }
+    case snn::LayerKind::kSumPool:
+      throw std::logic_error("resolve_lane_fault: layer has no weights");
+  }
+  if (w == nullptr || ref.index >= w->size()) {
+    throw std::out_of_range("resolve_lane_fault: bad weight ref");
+  }
+  sf.index = ref.index;
+  return (*w)[ref.index];
+}
+
+snn::LaneNeuronOverride read_neuron(const snn::LifBank& lif, size_t i) {
+  return {true, static_cast<uint32_t>(i), lif.thresholds()[i], lif.leaks()[i],
+          lif.refractories()[i], lif.modes()[i]};
+}
+
+void write_neuron(snn::LifBank& lif, const snn::LaneNeuronOverride& o) {
+  lif.thresholds()[o.neuron] = o.threshold;
+  lif.leaks()[o.neuron] = o.leak;
+  lif.refractories()[o.neuron] = o.refractory;
+  lif.modes()[o.neuron] = o.mode;
 }
 
 }  // namespace
+
+snn::LaneFault resolve_lane_fault(const snn::Network& net,
+                                  const std::vector<LayerWeightStats>& stats,
+                                  const FaultDescriptor& fault) {
+  const size_t l = fault_layer(fault);
+  if (l >= net.num_layers() || l >= stats.size()) {
+    throw std::out_of_range("resolve_lane_fault: fault layer " + std::to_string(l) +
+                            " out of range (network has " +
+                            std::to_string(net.num_layers()) + " layers)");
+  }
+  const snn::Layer& layer = net.layer(l);
+  snn::LaneFault lane;
+  snn::LaneNeuronOverride& o = lane.neuron;
+  snn::LaneSynapseFault& sf = lane.synapse;
+  float stored = 0.0f;
+  if (fault.targets_neuron()) {
+    const snn::LifBank& lif = layer.lif();
+    const size_t i = fault.neuron.index;
+    if (i >= lif.size()) throw std::out_of_range("resolve_lane_fault: bad neuron index");
+    o = read_neuron(lif, i);
+  } else if (fault.connection_granularity) {
+    if (layer.kind() != snn::LayerKind::kConv2d) {
+      throw std::logic_error("resolve_lane_fault: connection faults target conv layers");
+    }
+    sf.kind = snn::LaneSynapseFault::Kind::kConvConnection;
+    sf.out_index = fault.connection.out_index;
+    sf.in_index = fault.connection.in_index;
+    stored = static_cast<const snn::ConvLayer&>(layer).connection_weight(sf.out_index,
+                                                                         sf.in_index);
+  } else {
+    stored = stored_weight(layer, fault.weight, sf);
+  }
+
+  const float m = fault.magnitude;
+  switch (fault.kind) {
+    case FaultKind::kNeuronDead:
+      o.mode = snn::NeuronMode::kDead;
+      break;
+    case FaultKind::kNeuronSaturated:
+      o.mode = snn::NeuronMode::kSaturated;
+      break;
+    case FaultKind::kNeuronThresholdVariation:
+      o.threshold = std::max(1e-3f, o.threshold * (1.0f + m));
+      break;
+    case FaultKind::kNeuronLeakVariation:
+      o.leak = std::clamp(o.leak * (1.0f + m), 0.01f, 1.0f);
+      break;
+    case FaultKind::kNeuronRefractoryVariation:
+      o.refractory = std::max(0, o.refractory + static_cast<int>(m));
+      break;
+    case FaultKind::kSynapseDead:
+      sf.value = 0.0f;
+      break;
+    case FaultKind::kSynapseSaturatedPositive:
+      sf.value = std::fabs(m);
+      break;
+    case FaultKind::kSynapseSaturatedNegative:
+      sf.value = -std::fabs(m);
+      break;
+    case FaultKind::kSynapseBitFlip:
+      sf.value = bitflip_weight(stored, stats[l].quant_scale, static_cast<int>(m));
+      break;
+    default:
+      throw std::logic_error("resolve_lane_fault: unknown fault kind");
+  }
+  // The delta ConvLayer::set_connection_override stores for this value.
+  if (sf.kind == snn::LaneSynapseFault::Kind::kConvConnection) sf.delta = sf.value - stored;
+  return lane;
+}
+
+SynapsePoke apply_synapse_fault(snn::Layer& layer, const snn::LaneSynapseFault& sf) {
+  SynapsePoke p;
+  using Kind = snn::LaneSynapseFault::Kind;
+  switch (sf.kind) {
+    case Kind::kNone:
+      return p;
+    case Kind::kWeight:
+      p.slot = layer.kind() == snn::LayerKind::kDense
+                   ? &static_cast<snn::DenseLayer&>(layer).weights()[sf.index]
+                   : &static_cast<snn::RecurrentLayer&>(layer).weights()[sf.index];
+      break;
+    case Kind::kRecurrentWeight:
+      p.slot = &static_cast<snn::RecurrentLayer&>(layer).recurrent_weights()[sf.index];
+      break;
+    case Kind::kConvWeight:
+      p.slot = &static_cast<snn::ConvLayer&>(layer).weights()[sf.index];
+      break;
+    case Kind::kConvConnection: {
+      auto& conv = static_cast<snn::ConvLayer&>(layer);
+      if (conv.connection_override_active()) {
+        throw std::logic_error("apply_synapse_fault: connection override already active");
+      }
+      conv.set_connection_override(sf.out_index, sf.in_index, sf.value);
+      p.conv = &conv;
+      return p;
+    }
+  }
+  p.clean = *p.slot;
+  *p.slot = sf.value;
+  return p;
+}
+
+void restore_synapse_fault(const SynapsePoke& poke) {
+  if (poke.slot != nullptr) *poke.slot = poke.clean;
+  if (poke.conv != nullptr) poke.conv->clear_connection_override();
+}
 
 FaultInjector::FaultInjector(snn::Network& net, std::vector<LayerWeightStats> stats)
     : net_(&net), stats_(std::move(stats)) {
@@ -32,103 +178,23 @@ FaultInjector::~FaultInjector() { remove(); }
 
 void FaultInjector::inject(const FaultDescriptor& fault) {
   if (active_) throw std::logic_error("FaultInjector: a fault is already active");
-  if (fault.targets_neuron()) {
-    snn::LifBank& lif = net_->layer(fault.neuron.layer).lif();
-    const size_t i = fault.neuron.index;
-    if (i >= lif.size()) throw std::out_of_range("FaultInjector: bad neuron index");
-    saved_neuron_ = {lif.thresholds()[i], lif.leaks()[i], lif.refractories()[i], lif.modes()[i]};
-    switch (fault.kind) {
-      case FaultKind::kNeuronDead:
-        lif.modes()[i] = snn::NeuronMode::kDead;
-        break;
-      case FaultKind::kNeuronSaturated:
-        lif.modes()[i] = snn::NeuronMode::kSaturated;
-        break;
-      case FaultKind::kNeuronThresholdVariation:
-        lif.thresholds()[i] =
-            std::max(1e-3f, saved_neuron_.threshold * (1.0f + fault.magnitude));
-        break;
-      case FaultKind::kNeuronLeakVariation:
-        lif.leaks()[i] = std::clamp(saved_neuron_.leak * (1.0f + fault.magnitude), 0.01f, 1.0f);
-        break;
-      case FaultKind::kNeuronRefractoryVariation:
-        lif.refractories()[i] =
-            std::max(0, saved_neuron_.refractory + static_cast<int>(fault.magnitude));
-        break;
-      default:
-        throw std::logic_error("FaultInjector: kind/target mismatch");
-    }
-  } else if (fault.connection_granularity) {
-    snn::Layer& layer = net_->layer(fault.connection.layer);
-    if (layer.kind() != snn::LayerKind::kConv2d) {
-      throw std::logic_error("FaultInjector: connection faults target conv layers");
-    }
-    auto& conv = static_cast<snn::ConvLayer&>(layer);
-    if (conv.connection_override_active()) {
-      throw std::logic_error("FaultInjector: connection override already active");
-    }
-    const float stored =
-        conv.connection_weight(fault.connection.out_index, fault.connection.in_index);
-    float value = stored;
-    switch (fault.kind) {
-      case FaultKind::kSynapseDead:
-        value = 0.0f;
-        break;
-      case FaultKind::kSynapseSaturatedPositive:
-        value = std::fabs(fault.magnitude);
-        break;
-      case FaultKind::kSynapseSaturatedNegative:
-        value = -std::fabs(fault.magnitude);
-        break;
-      case FaultKind::kSynapseBitFlip: {
-        const float scale = stats_[fault.connection.layer].quant_scale;
-        value = bitflip_weight(stored, scale, static_cast<int>(fault.magnitude));
-        break;
-      }
-      default:
-        throw std::logic_error("FaultInjector: kind/target mismatch");
-    }
-    conv.set_connection_override(fault.connection.out_index, fault.connection.in_index, value);
+  const snn::LaneFault resolved = resolve_lane_fault(*net_, stats_, fault);
+  snn::Layer& layer = net_->layer(fault_layer(fault));
+  if (resolved.neuron.active) {
+    saved_neuron_ = read_neuron(layer.lif(), resolved.neuron.neuron);
+    write_neuron(layer.lif(), resolved.neuron);
   } else {
-    float* slot = weight_slot(*net_, fault.weight);
-    saved_weight_ = *slot;
-    switch (fault.kind) {
-      case FaultKind::kSynapseDead:
-        *slot = 0.0f;
-        break;
-      case FaultKind::kSynapseSaturatedPositive:
-        *slot = std::fabs(fault.magnitude);
-        break;
-      case FaultKind::kSynapseSaturatedNegative:
-        *slot = -std::fabs(fault.magnitude);
-        break;
-      case FaultKind::kSynapseBitFlip: {
-        const float scale = stats_[fault.weight.layer].quant_scale;
-        *slot = bitflip_weight(saved_weight_, scale, static_cast<int>(fault.magnitude));
-        break;
-      }
-      default:
-        throw std::logic_error("FaultInjector: kind/target mismatch");
-    }
+    poke_ = apply_synapse_fault(layer, resolved.synapse);
   }
   active_ = fault;
 }
 
 void FaultInjector::remove() {
   if (!active_) return;
-  const FaultDescriptor& fault = *active_;
-  if (fault.targets_neuron()) {
-    snn::LifBank& lif = net_->layer(fault.neuron.layer).lif();
-    const size_t i = fault.neuron.index;
-    lif.thresholds()[i] = saved_neuron_.threshold;
-    lif.leaks()[i] = saved_neuron_.leak;
-    lif.refractories()[i] = saved_neuron_.refractory;
-    lif.modes()[i] = saved_neuron_.mode;
-  } else if (fault.connection_granularity) {
-    static_cast<snn::ConvLayer&>(net_->layer(fault.connection.layer))
-        .clear_connection_override();
+  if (active_->targets_neuron()) {
+    write_neuron(net_->layer(fault_layer(*active_)).lif(), saved_neuron_);
   } else {
-    *weight_slot(*net_, fault.weight) = saved_weight_;
+    restore_synapse_fault(poke_);
   }
   active_.reset();
 }

@@ -1,18 +1,57 @@
-// Fault injection into a live Network (the SpikeFI-equivalent substrate).
+// The fault table and fault injection into a live Network (the
+// SpikeFI-equivalent substrate).
 //
-// Injection mutates the network in place — a weight value or a per-neuron
-// parameter/mode in the target layer's LifBank — and records exactly what
-// it changed so removal is a perfect restore. `ScopedFault` is the RAII
-// form used by campaign workers: inject on construction, restore on scope
-// exit, so a worker can sweep thousands of faults over one network clone.
+// resolve_lane_fault is the one place a FaultDescriptor becomes faulty
+// values: a neuron-parameter override or a faulty synapse weight, packed
+// into the plain snn::LaneFault POD. Every simulation path consumes it:
+//  * FaultInjector (the scalar path) writes it into a worker's network
+//    clone and records exactly what it changed, so removal is a perfect
+//    restore. `ScopedFault` is the RAII form used by campaign workers.
+//  * The lane kernels (snn/lane_network.hpp) apply it per lane on a const,
+//    shared, fault-free network.
+//  * The frontier walk (campaign/frontier_sim.hpp) pokes its synapse half
+//    into the worker clone around each lane's fault-layer recompute with
+//    apply_synapse_fault / restore_synapse_fault, the same pair
+//    FaultInjector uses.
 #pragma once
 
 #include <optional>
 
 #include "fault/fault.hpp"
 #include "fault/registry.hpp"
+#include "snn/lane_network.hpp"
+
+namespace snntest::snn {
+class ConvLayer;
+}
 
 namespace snntest::fault {
+
+/// Resolve `fault` against the fault-free network `net`. `stats` must come
+/// from compute_weight_stats on the same network (bit-flip faults need the
+/// layer quantization scale). Throws std::out_of_range for a layer, neuron
+/// or weight outside `net`, std::invalid_argument for an unconnected conv
+/// pair, and std::logic_error for a target the layer does not have.
+snn::LaneFault resolve_lane_fault(const snn::Network& net,
+                                  const std::vector<LayerWeightStats>& stats,
+                                  const FaultDescriptor& fault);
+
+/// A resolved synapse fault written into a mutable layer, and what it
+/// replaced.
+struct SynapsePoke {
+  float* slot = nullptr;  // stored-weight slot, holds the faulty value
+  float clean = 0.0f;
+  snn::ConvLayer* conv = nullptr;  // connection-granularity override owner
+};
+
+/// Write `sf` into `layer`, the layer it was resolved against: the faulty
+/// value into its stored-weight slot, or, for a conv connection, the
+/// override set_connection_override(out, in, value), whose delta is
+/// bit-for-bit `sf.delta`. Kind::kNone writes nothing. Throws
+/// std::logic_error if a connection override is already active.
+SynapsePoke apply_synapse_fault(snn::Layer& layer, const snn::LaneSynapseFault& sf);
+/// Undo apply_synapse_fault byte-exactly.
+void restore_synapse_fault(const SynapsePoke& poke);
 
 class FaultInjector {
  public:
@@ -37,18 +76,11 @@ class FaultInjector {
   const FaultDescriptor* active_fault() const { return active_ ? &*active_ : nullptr; }
 
  private:
-  struct SavedNeuron {
-    float threshold;
-    float leak;
-    int refractory;
-    snn::NeuronMode mode;
-  };
-
   snn::Network* net_;
   std::vector<LayerWeightStats> stats_;
   std::optional<FaultDescriptor> active_;
-  SavedNeuron saved_neuron_{};
-  float saved_weight_ = 0.0f;
+  snn::LaneNeuronOverride saved_neuron_{};  // clean parameters (neuron faults)
+  SynapsePoke poke_{};
 };
 
 /// RAII single-fault scope.

@@ -20,11 +20,11 @@
 //    terms are exact +/-0.0 for every lane).
 //  * Neuron faults never touch the synaptic frame: LaneLif applies a
 //    per-lane single-neuron parameter override inside the (elementwise)
-//    LIF update, replicating fault/injector.cpp's perturbed values.
+//    LIF update.
 //
 // Layering note: this header knows nothing about fault descriptors — the
-// campaign side resolves fault::FaultDescriptor into the plain LaneFault
-// PODs below (fault/lane_injector.hpp).
+// fault table (fault::resolve_lane_fault, fault/injector.hpp) resolves a
+// fault::FaultDescriptor into the plain LaneFault PODs below.
 #pragma once
 
 #include <array>
@@ -64,14 +64,17 @@ struct LaneSynapseFault {
   };
   Kind kind = Kind::kNone;
   size_t index = 0;      // flat weight index within the faulted parameter
-  float value = 0.0f;    // faulty stored-weight value
+  float value = 0.0f;    // faulty stored weight (conv connection: effective weight)
   size_t out_index = 0;  // conv connection endpoints
   size_t in_index = 0;
   float delta = 0.0f;    // conv connection: effective - stored weight
 };
 
-/// One lane's fault. At most one of {neuron, synapse} is active
-/// (single-fault assumption, as in fault/injector.hpp).
+/// One resolved fault: the output of fault::resolve_lane_fault, consumed by
+/// all three simulation paths — FaultInjector writes it into a network
+/// clone (scalar path), the lane kernels apply it per lane, and the
+/// frontier walk pokes it around its fault-layer recomputes. At most one of
+/// {neuron, synapse} is active (single-fault assumption).
 struct LaneFault {
   LaneNeuronOverride neuron;
   LaneSynapseFault synapse;

@@ -45,8 +45,9 @@ enum class KernelMode : uint8_t {
 
 /// kAuto per-frame decision: the gather/scatter kernels have worse locality
 /// per touched element than the dense sweep, so they only pay off below
-/// ~25% input activity (measured in bench_sparse_forward; the crossover is
-/// near 40-50% but 25% keeps a comfortable margin on all geometries).
+/// ~25% input activity (measured by an activity sweep, DESIGN.md §9; the
+/// crossover is near 40-50% but 25% keeps a comfortable margin on all
+/// geometries).
 inline bool sparse_frame_wins(size_t num_active, size_t frame_size) {
   return num_active * 4 <= frame_size;
 }

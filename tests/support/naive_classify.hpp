@@ -3,9 +3,11 @@
 // naive_classify is the classifier's original simulation loop: for every
 // (fault, sample) pair it injects the fault into a network clone through
 // ScopedFault and runs one full Network::forward with dense kernels — no
-// golden prefix, no lanes, no convergence pruning, no threads. It shares no
-// code with the campaign engine, so fault::classify_faults reproducing its
-// labels and golden accuracy exactly is a meaningful identity check.
+// golden prefix, no lanes, no convergence pruning, no threads. Its only
+// code in common with the campaign engine is the fault table that
+// ScopedFault injects through, pinned on its own by InjectorKindTest
+// (tests/test_fault.cpp). So fault::classify_faults reproducing its labels
+// and golden accuracy exactly is a meaningful identity check.
 #pragma once
 
 #include <algorithm>

@@ -2,8 +2,11 @@
 //
 // naive_reference runs one full Network::forward per fault through
 // ScopedFault and compares the output against a golden forward — no golden
-// prefix, no lanes, no convergence pruning, no frontier, no threads. It
-// shares no code with the campaign engine, so every engine route (scalar,
+// prefix, no lanes, no convergence pruning, no frontier, no threads. Its
+// only code in common with the campaign engine is the fault table
+// (fault::resolve_lane_fault, which ScopedFault injects through); that
+// table is pinned independently, against the formulas written out in
+// InjectorKindTest (tests/test_fault.cpp). So every engine route (scalar,
 // lane, frontier, dictionary-served or resumed) reproducing its results
 // exactly is a meaningful identity check.
 #pragma once

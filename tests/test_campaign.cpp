@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "campaign/engine.hpp"
 #include "campaign/golden_cache.hpp"
@@ -498,6 +499,52 @@ TEST(Engine, OutOfRangeLaneWidthClampedAndSurfacedInStats) {
   const auto in_range = run_campaign(net, input, faults, in_range_cfg);
   EXPECT_EQ(in_range.stats.lane_width_effective, 8u);
   expect_results_identical(in_range.results, truth.results);
+}
+
+TEST(Engine, FaultLayerOutOfRangeIsRejected) {
+  // A fault whose layer lies outside the network (an API caller's typo, or
+  // an SNJB job file, whose layers are unchecked u64s) is rejected before
+  // any simulation, on every route, and FaultInjector fails the same way.
+  auto net = make_net();
+  const size_t L = net.num_layers();
+  const auto input = busy_input();
+  const auto valid = sampled_universe(net, 24, 93);
+  fault::FaultDescriptor neuron;
+  neuron.kind = fault::FaultKind::kNeuronDead;
+  neuron.neuron = {L, 0};
+  fault::FaultDescriptor weight;
+  weight.kind = fault::FaultKind::kSynapseDead;
+  weight.weight = {size_t{1} << 40, 0, 0};
+  fault::FaultDescriptor connection;
+  connection.kind = fault::FaultKind::kSynapseSaturatedPositive;
+  connection.connection_granularity = true;
+  connection.connection = {L + 1, 0, 0};
+  for (const auto& bad : {neuron, weight, connection}) {
+    auto faults = valid;
+    faults.insert(faults.begin() + 5, bad);
+    const std::string expected = "fault 5 targets layer " + std::to_string(fault_layer(bad)) +
+                                 " but num_layers is " + std::to_string(L);
+    for (size_t width : {1, 8}) {
+      for (bool frontier : {false, true}) {
+        EngineConfig cfg;
+        cfg.lane_width = width;
+        cfg.frontier = frontier;
+        size_t sunk = 0;
+        cfg.result_sink = [&](size_t, const fault::DetectionResult&) { ++sunk; };
+        try {
+          run_campaign(net, input, faults, cfg);
+          ADD_FAILURE() << bad.to_string() << " accepted at width " << width
+                        << " frontier " << frontier;
+        } catch (const std::out_of_range& e) {
+          EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+        }
+        EXPECT_EQ(sunk, 0u);
+      }
+    }
+    fault::FaultInjector injector(net);
+    EXPECT_THROW(injector.inject(bad), std::out_of_range) << bad.to_string();
+    EXPECT_FALSE(injector.active());
+  }
 }
 
 TEST(Engine, DetectOnlyThresholdAccumulatesThinSpreadDivergence) {

@@ -5,7 +5,9 @@
 // labelling oracle (tests/support/naive_classify.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "campaign/engine.hpp"
 #include "data/synthetic_shd.hpp"
@@ -127,54 +129,204 @@ TEST(Registry, SamplingIsSubsetWithoutDuplicates) {
   EXPECT_EQ(all.size(), universe.size());
 }
 
-// ---------- injector semantics per fault kind ----------
+// ---------- the fault table, pinned per (kind, target) ----------
+//
+// Every simulation path, the naive oracle (tests/support/naive_reference.hpp)
+// included, consumes the one fault table (resolve_lane_fault). So the table
+// is pinned here on its own: each valid (kind, target) pair is injected and
+// the faulty float compared with the paper's formula written out below.
+
+/// conv(1x5x5 -> 2x3x3) -> recurrent(18 -> 6) -> dense(6 -> 4): one layer
+/// per weight-bearing target. The target neuron (layer 1, neuron 5) gets
+/// non-default LIF parameters so every formula sees its stored value.
+snn::Network make_mixed_net() {
+  util::Rng rng(21);
+  snn::LifParams lif;
+  snn::Network net("fault-table");
+  snn::Conv2dSpec spec;
+  spec.in_height = 5;
+  spec.in_width = 5;
+  spec.out_channels = 2;
+  auto conv = std::make_unique<snn::ConvLayer>(spec, lif);
+  conv->init_weights(rng, 1.3f);
+  net.add_layer(std::move(conv));
+  auto rec = std::make_unique<snn::RecurrentLayer>(spec.output_size(), 6, lif);
+  rec->init_weights(rng, 1.3f);
+  net.add_layer(std::move(rec));
+  auto fc = std::make_unique<snn::DenseLayer>(6, 4, lif);
+  fc->init_weights(rng, 1.3f);
+  net.add_layer(std::move(fc));
+  snn::LifBank& bank = net.layer(1).lif();
+  bank.thresholds()[5] = 0.8f;
+  bank.leaks()[5] = 0.7f;
+  bank.refractories()[5] = 2;
+  return net;
+}
+
+enum class Target { kNeuron, kDenseWeight, kRecurrentLateral, kConvTap, kConvConnection };
+
+const char* target_name(Target t) {
+  switch (t) {
+    case Target::kNeuron: return "neuron";
+    case Target::kDenseWeight: return "dense weight";
+    case Target::kRecurrentLateral: return "recurrent lateral weight";
+    case Target::kConvTap: return "conv kernel tap";
+    case Target::kConvConnection: return "conv connection";
+  }
+  return "?";
+}
+
+// Conv connection (oc 1, oy 1, ox 2) <- input pixel (2, 3): kernel tap (1, 1).
+constexpr size_t kConnOut = (1 * 3 + 1) * 3 + 2;
+constexpr size_t kConnIn = 2 * 5 + 3;
+
+FaultDescriptor target_fault(FaultKind kind, Target t, float magnitude) {
+  FaultDescriptor f;
+  f.kind = kind;
+  f.magnitude = magnitude;
+  switch (t) {
+    case Target::kNeuron: f.neuron = {1, 5}; break;
+    case Target::kDenseWeight: f.weight = {2, 0, 11}; break;
+    case Target::kRecurrentLateral: f.weight = {1, 1, 7}; break;
+    case Target::kConvTap: f.weight = {0, 0, 13}; break;
+    case Target::kConvConnection:
+      f.connection_granularity = true;
+      f.connection = {0, kConnOut, kConnIn};
+      break;
+  }
+  return f;
+}
+
+/// Every weight and LIF parameter of `net`, and each conv layer's override
+/// flag, as raw bytes.
+std::vector<uint8_t> state_bytes(snn::Network& net) {
+  std::vector<uint8_t> bytes;
+  auto append = [&](const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    bytes.insert(bytes.end(), b, b + n);
+  };
+  for (size_t l = 0; l < net.num_layers(); ++l) {
+    snn::Layer& layer = net.layer(l);
+    for (const snn::ParamView& p : layer.params()) append(p.value, p.size * sizeof(float));
+    const snn::LifBank& lif = layer.lif();
+    append(lif.thresholds().data(), lif.size() * sizeof(float));
+    append(lif.leaks().data(), lif.size() * sizeof(float));
+    append(lif.refractories().data(), lif.size() * sizeof(int));
+    append(lif.modes().data(), lif.size() * sizeof(snn::NeuronMode));
+    if (layer.kind() == snn::LayerKind::kConv2d) {
+      bytes.push_back(static_cast<snn::ConvLayer&>(layer).connection_override_active());
+    }
+  }
+  return bytes;
+}
+
+/// Magnitudes per kind, chosen to reach both sides of every clamp.
+std::vector<float> magnitudes(FaultKind kind, float max_abs) {
+  switch (kind) {
+    case FaultKind::kNeuronThresholdVariation: return {0.5f, -0.3f, -2.0f};
+    case FaultKind::kNeuronLeakVariation: return {-0.5f, 0.5f, -0.999f};
+    case FaultKind::kNeuronRefractoryVariation: return {3.0f, -1.0f, -100.0f};
+    case FaultKind::kSynapseSaturatedPositive:
+    case FaultKind::kSynapseSaturatedNegative: return {1.5f * max_abs, -1.5f * max_abs};
+    case FaultKind::kSynapseBitFlip: return {0.0f, 6.0f, 7.0f};
+    default: return {0.7f};
+  }
+}
 
 class InjectorKindTest : public testing::TestWithParam<FaultKind> {};
 
+// The target is the test's second parameter, iterated in the body so every
+// kind keeps one ctest entry.
 TEST_P(InjectorKindTest, InjectChangesAndRemoveRestores) {
-  auto net = make_net();
+  const FaultKind kind = GetParam();
+  const std::vector<Target> targets =
+      is_neuron_fault(kind) ? std::vector<Target>{Target::kNeuron}
+                            : std::vector<Target>{Target::kDenseWeight, Target::kRecurrentLateral,
+                                                  Target::kConvTap, Target::kConvConnection};
+  auto net = make_mixed_net();
   snn::Network pristine(net);
+  const auto clean = state_bytes(pristine);
   const auto stats = compute_weight_stats(net);
   FaultInjector injector(net, stats);
 
-  FaultDescriptor f;
-  f.kind = GetParam();
-  if (is_neuron_fault(f.kind)) {
-    f.neuron = {0, 5};
-    f.magnitude = f.kind == FaultKind::kNeuronRefractoryVariation ? 3.0f : 0.5f;
-  } else {
-    f.weight = {0, 0, 11};
-    f.magnitude = f.kind == FaultKind::kSynapseBitFlip ? 6.0f : 1.5f * stats[0].max_abs;
-  }
+  for (Target target : targets) {
+    const size_t layer = fault_layer(target_fault(kind, target, 0.0f));
+    for (float m : magnitudes(kind, stats[layer].max_abs)) {
+      const FaultDescriptor f = target_fault(kind, target, m);
+      SCOPED_TRACE(f.to_string() + " on a " + target_name(target) +
+                   ", magnitude " + std::to_string(m));
+      const snn::LaneFault resolved = resolve_lane_fault(pristine, stats, f);
+      injector.inject(f);
+      ASSERT_TRUE(injector.active());
 
-  injector.inject(f);
-  EXPECT_TRUE(injector.active());
+      if (target == Target::kNeuron) {
+        const snn::LifBank& ref = pristine.layer(1).lif();
+        float threshold = ref.thresholds()[5];
+        float leak = ref.leaks()[5];
+        int refractory = ref.refractories()[5];
+        snn::NeuronMode mode = ref.modes()[5];
+        switch (kind) {
+          case FaultKind::kNeuronDead: mode = snn::NeuronMode::kDead; break;
+          case FaultKind::kNeuronSaturated: mode = snn::NeuronMode::kSaturated; break;
+          case FaultKind::kNeuronThresholdVariation:
+            threshold = std::max(1e-3f, threshold * (1.0f + m));
+            break;
+          case FaultKind::kNeuronLeakVariation:
+            leak = std::clamp(leak * (1.0f + m), 0.01f, 1.0f);
+            break;
+          case FaultKind::kNeuronRefractoryVariation:
+            refractory = std::max(0, refractory + static_cast<int>(m));
+            break;
+          default: FAIL();
+        }
+        const snn::LifBank& lif = net.layer(1).lif();
+        EXPECT_EQ(lif.thresholds()[5], threshold);
+        EXPECT_EQ(lif.leaks()[5], leak);
+        EXPECT_EQ(lif.refractories()[5], refractory);
+        EXPECT_EQ(lif.modes()[5], mode);
+        EXPECT_TRUE(resolved.neuron.active);
+        EXPECT_EQ(resolved.neuron.threshold, threshold);
+        EXPECT_EQ(resolved.neuron.leak, leak);
+        EXPECT_EQ(resolved.neuron.refractory, refractory);
+        EXPECT_EQ(resolved.neuron.mode, mode);
+      } else {
+        auto& conv = static_cast<snn::ConvLayer&>(pristine.layer(0));
+        const float stored =
+            target == Target::kConvConnection
+                ? conv.connection_weight(kConnOut, kConnIn)
+                : pristine.layer(f.weight.layer).params()[f.weight.param].value[f.weight.index];
+        float expected = 0.0f;
+        switch (kind) {
+          case FaultKind::kSynapseDead: expected = 0.0f; break;
+          case FaultKind::kSynapseSaturatedPositive: expected = std::fabs(m); break;
+          case FaultKind::kSynapseSaturatedNegative: expected = -std::fabs(m); break;
+          case FaultKind::kSynapseBitFlip:
+            expected = bitflip_weight(stored, stats[layer].quant_scale, static_cast<int>(m));
+            break;
+          default: FAIL();
+        }
+        EXPECT_EQ(resolved.synapse.value, expected);
+        if (target == Target::kConvConnection) {
+          // No stored weight moves; the connection's input alone, through
+          // the override, reaches its output as stored + (value - stored).
+          EXPECT_EQ(resolved.synapse.delta, expected - stored);
+          auto& faulty = static_cast<snn::ConvLayer&>(net.layer(0));
+          EXPECT_TRUE(faulty.connection_override_active());
+          std::vector<float> one_hot(faulty.num_inputs(), 0.0f);
+          one_hot[kConnIn] = 1.0f;
+          EXPECT_EQ(faulty.frontier_synapse(one_hot.data(), nullptr, kConnOut),
+                    stored + (expected - stored));
+          EXPECT_EQ(faulty.weights(), conv.weights());
+        } else {
+          EXPECT_EQ(net.layer(f.weight.layer).params()[f.weight.param].value[f.weight.index],
+                    expected);
+        }
+      }
 
-  // The targeted state must differ from pristine while injected.
-  bool changed = false;
-  if (is_neuron_fault(f.kind)) {
-    auto& lif = net.layer(0).lif();
-    auto& ref = pristine.layer(0).lif();
-    changed = lif.modes()[5] != ref.modes()[5] ||
-              lif.thresholds()[5] != ref.thresholds()[5] ||
-              lif.leaks()[5] != ref.leaks()[5] ||
-              lif.refractories()[5] != ref.refractories()[5];
-  } else {
-    auto np = net.layer(0).params();
-    auto pp = pristine.layer(0).params();
-    changed = np[0].value[11] != pp[0].value[11];
-  }
-  EXPECT_TRUE(changed) << f.to_string() << " did not change the network";
-
-  injector.remove();
-  EXPECT_FALSE(injector.active());
-
-  // Bit-exact restore: behaviour must match pristine on a busy input.
-  const auto input = busy_input();
-  const auto a = net.forward(input).output();
-  const auto b = pristine.forward(input).output();
-  for (size_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << f.to_string() << " not fully restored";
+      injector.remove();
+      EXPECT_FALSE(injector.active());
+      EXPECT_EQ(state_bytes(net), clean) << "not restored byte-exactly";
+    }
   }
 }
 
@@ -194,16 +346,24 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Injector, SingleFaultAssumptionEnforced) {
-  auto net = make_net();
+  // With no fault active there is nothing to restore: remove() must leave
+  // every weight and LIF parameter byte-identical, also right after a
+  // completed inject/remove cycle. (The double-inject rule is covered by
+  // DoubleInjectThrowsAcrossTargetKinds.)
+  auto net = make_mixed_net();
+  const auto clean = state_bytes(net);
   FaultInjector injector(net);
+  injector.remove();
+  EXPECT_EQ(state_bytes(net), clean);
   FaultDescriptor f;
-  f.kind = FaultKind::kNeuronDead;
-  f.neuron = {0, 0};
+  f.kind = FaultKind::kSynapseSaturatedPositive;
+  f.weight = {1, 1, 7};
+  f.magnitude = 3.0f;
   injector.inject(f);
-  EXPECT_THROW(injector.inject(f), std::logic_error);
   injector.remove();
-  injector.inject(f);  // allowed again
   injector.remove();
+  EXPECT_FALSE(injector.active());
+  EXPECT_EQ(state_bytes(net), clean);
 }
 
 TEST(Injector, DeadNeuronSilencesItsRow) {
