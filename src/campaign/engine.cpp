@@ -177,45 +177,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     }
   }
 
-  GoldenCacheOptions cache_options;
-  cache_options.mode = config.kernel_mode;
-  cache_options.state_traces = config.frontier && config.prefix_reuse;
-  cache_options.budget_bytes = config.golden_cache_budget_bytes;
-  if (cache_options.state_traces) {
-    // The frontier walk only reads state traces of layers at or downstream
-    // of its fault layer; record from the campaign's shallowest fault down.
-    size_t min_layer = SIZE_MAX;
-    for (const auto& f : faults) min_layer = std::min(min_layer, fault_layer(f));
-    cache_options.state_traces_from_layer = min_layer;
-  }
-  const GoldenCache cache = build_golden_cache(net, stimulus, cache_options);
-  const size_t L = cache.num_layers();
-  outcome.stats.golden_cache_bytes = cache.total_bytes;
-  outcome.stats.golden_cache_layer_bytes = cache.layer_bytes;
-  outcome.stats.golden_cache_state_traces = cache.has_state_traces;
-
-  // Frontier simulation needs the golden prefix (the walk starts from it),
-  // the golden LIF state traces (dirty-neuron seeding/retirement), and
-  // frontier-capable layers. Anything missing falls back to the
-  // dense/sparse/lane kernels — results are bit-identical either way, so
-  // this is a performance downgrade worth one warning, not an error.
-  bool frontier_ok = false;
-  if (config.frontier) {
-    bool layers_ok = true;
-    for (size_t l = 0; l < L; ++l) layers_ok = layers_ok && net.layer(l).frontier_supported();
-    frontier_ok = config.prefix_reuse && cache.has_state_traces && layers_ok;
-    if (!frontier_ok) {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        SNNTEST_LOG_WARN("run_campaign: frontier simulation requested but unavailable "
-                         "(prefix_reuse=%d, state_traces=%d, layers_supported=%d); "
-                         "running dense/lane kernels instead",
-                         config.prefix_reuse ? 1 : 0, cache.has_state_traces ? 1 : 0,
-                         layers_ok ? 1 : 0);
-      }
-    }
-  }
-  outcome.stats.frontier_active = frontier_ok;
+  const size_t L = net.num_layers();
 
   // --- result-cache reuse (coverage dictionary) ----------------------------
   // Pairs the cache already knows never reach the worklist, so a fully warm
@@ -240,6 +202,59 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   std::vector<size_t> order;
   std::vector<WorkItem> items;
   build_worklist(faults, have, L, lane_width, lane_batching, order, items);
+
+  bool layers_ok = true;
+  for (size_t l = 0; l < L; ++l) layers_ok = layers_ok && net.layer(l).frontier_supported();
+
+  GoldenCacheOptions cache_options;
+  cache_options.mode = config.kernel_mode;
+  cache_options.state_traces = config.frontier && config.prefix_reuse;
+  cache_options.budget_bytes = config.golden_cache_budget_bytes;
+  if (cache_options.state_traces) {
+    // The frontier walk only reads state traces of layers at or downstream
+    // of its fault layer; record from the campaign's shallowest fault down.
+    size_t min_layer = SIZE_MAX;
+    for (const auto& f : faults) min_layer = std::min(min_layer, fault_layer(f));
+    cache_options.state_traces_from_layer = min_layer;
+  }
+  // Every lane batch at a layer recomputes the same fault-free synaptic
+  // frames, so a layer where two or more batches start gets them cached
+  // once. Lane batches run unless the frontier walk takes every batch
+  // (frontier on, not adaptive, and available).
+  if (!(config.frontier && !config.frontier_adaptive && layers_ok)) {
+    std::vector<size_t> batches_at(L, 0);
+    for (const WorkItem& item : items) {
+      if (item.count > 1) ++batches_at[fault_layer(faults[order[item.begin]])];
+    }
+    for (size_t l = 0; l < L; ++l) {
+      if (batches_at[l] >= 2) cache_options.synaptic_frame_layers.push_back(l);
+    }
+  }
+  const GoldenCache cache = build_golden_cache(net, stimulus, cache_options);
+  outcome.stats.golden_cache_bytes = cache.total_bytes;
+  outcome.stats.golden_cache_layer_bytes = cache.layer_bytes;
+  outcome.stats.golden_cache_state_traces = cache.has_state_traces;
+
+  // Frontier simulation needs the golden prefix (the walk starts from it),
+  // the golden LIF state traces (dirty-neuron seeding/retirement), and
+  // frontier-capable layers. Anything missing falls back to the
+  // dense/sparse/lane kernels — results are bit-identical either way, so
+  // this is a performance downgrade worth one warning, not an error.
+  bool frontier_ok = false;
+  if (config.frontier) {
+    frontier_ok = config.prefix_reuse && cache.has_state_traces && layers_ok;
+    if (!frontier_ok) {
+      static std::atomic<bool> warned{false};
+      if (!warned.exchange(true)) {
+        SNNTEST_LOG_WARN("run_campaign: frontier simulation requested but unavailable "
+                         "(prefix_reuse=%d, state_traces=%d, layers_supported=%d); "
+                         "running dense/lane kernels instead",
+                         config.prefix_reuse ? 1 : 0, cache.has_state_traces ? 1 : 0,
+                         layers_ok ? 1 : 0);
+      }
+    }
+  }
+  outcome.stats.frontier_active = frontier_ok;
 
   // --- dynamic-schedule simulation -----------------------------------------
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
@@ -376,6 +391,8 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   outcome.stats.lane_batches = counters.lane_batches.load();
   outcome.stats.lane_batched_faults = counters.lane_batched_faults.load();
   outcome.stats.lanes_retired_early = counters.lanes_retired_early.load();
+  outcome.stats.synaptic_frames_cached = counters.synaptic_frames_cached.load();
+  outcome.stats.synaptic_frames_computed = counters.synaptic_frames_computed.load();
   outcome.stats.frontier_faults = counters.frontier_faults.load();
   outcome.stats.frontier_neuron_updates = counters.frontier_neuron_updates.load();
   outcome.stats.frontier_neuron_updates_dense = counters.frontier_neuron_updates_dense.load();
@@ -431,6 +448,12 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     obs::set_report_field("campaign_fingerprint", std::string(fp));
     obs::set_report_field("campaign_lane_width_effective",
                           static_cast<uint64_t>(lane_width));
+    if (obs_on) {
+      obs::set_report_field("campaign_synaptic_frames_cached",
+                            static_cast<uint64_t>(s.synaptic_frames_cached));
+      obs::set_report_field("campaign_synaptic_frames_computed",
+                            static_cast<uint64_t>(s.synaptic_frames_computed));
+    }
     obs::set_report_field("simd_backend",
                           std::string(tensor::simd::backend_name(tensor::simd::active_backend())));
   }

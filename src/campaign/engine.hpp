@@ -97,10 +97,12 @@ struct EngineConfig {
   /// to route every batch through the frontier walk unconditionally.
   bool frontier_adaptive = true;
   /// Memory budget for the golden cache, in bytes (0 = unlimited). The
-  /// per-layer spike trains are irreducible; when trains + LIF state traces
-  /// would exceed the budget the state traces are dropped (fail-soft to
-  /// prefix-only caching, disabling frontier simulation) with a one-time
-  /// warning.
+  /// per-layer spike trains are irreducible. Over budget, the cached
+  /// fault-layer synaptic frames are dropped first (lane batches compute
+  /// them in place); when trains + LIF state traces still exceed it the
+  /// state traces are dropped too (fail-soft to prefix-only caching,
+  /// disabling frontier simulation). Each step warns once; results are
+  /// identical either way.
   size_t golden_cache_budget_bytes = 0;
   /// Consulted once per fault, before the worklist is built: return true
   /// and fill `result` when the (fault, stimulus) pair is already known —
@@ -155,6 +157,12 @@ struct EngineStats {
   /// trajectory at an intermediate layer, or (detect-only) decisively
   /// divergent mid-window.
   size_t lanes_retired_early = 0;
+  /// Fault-layer frames the lane batches ran, split by where the shared
+  /// fault-free synaptic frame came from: read from the golden cache (the
+  /// layer hosts two or more lane batches) or computed in place. Their sum
+  /// depends only on the worklist, not on threads or scheduling.
+  size_t synaptic_frames_cached = 0;
+  size_t synaptic_frames_computed = 0;
   /// True when the run actually used divergence-frontier simulation
   /// (EngineConfig::frontier requested AND every prerequisite held).
   bool frontier_active = false;
@@ -170,8 +178,9 @@ struct EngineStats {
   /// to the dense frame kernel.
   size_t frontier_fallback_frames = 0;
   /// Golden-cache footprint: total retained bytes, the per-layer
-  /// breakdown (spike train + any state traces), and whether the LIF state
-  /// traces were kept (false after a budget fail-soft).
+  /// breakdown (spike train + any synaptic frames and state traces), and
+  /// whether the LIF state traces were kept (false after a budget
+  /// fail-soft).
   size_t golden_cache_bytes = 0;
   std::vector<size_t> golden_cache_layer_bytes;
   bool golden_cache_state_traces = false;

@@ -5,6 +5,7 @@
 
 #include "campaign/fingerprint.hpp"
 #include "obs/trace.hpp"
+#include "snn/lane_network.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
 
@@ -51,6 +52,20 @@ GoldenLayerState derive_layer_state(const snn::LifBank& bank, size_t num_steps) 
   return st;
 }
 
+/// Fault-free synaptic frames of `layer` over its golden input train
+/// [T, num_inputs]: one snn::shared_synaptic_frame per frame, time-major.
+std::vector<float> synaptic_trace(const snn::Layer& layer, const tensor::Tensor& input,
+                                  snn::KernelMode mode) {
+  const size_t T = input.shape().dim(0);
+  const size_t n = layer.num_neurons();
+  std::vector<float> frames(T * n);
+  std::vector<uint32_t> active;
+  for (size_t t = 0; t < T; ++t) {
+    snn::shared_synaptic_frame(layer, input.row(t), mode, active, frames.data() + t * n);
+  }
+  return frames;
+}
+
 }  // namespace
 
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
@@ -69,12 +84,15 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
 
   // Byte accounting is decided BEFORE the pass: the spike trains are
   // irreducible (prefix reuse and the detection comparison need them), so
-  // the budget can only shed the state traces — fail-soft to prefix-only.
+  // the budget can only shed the synaptic frames and then the state traces
+  // — fail-soft to in-place frames, then to prefix-only.
   const size_t from = std::min(options.state_traces_from_layer, L);
   std::vector<size_t> train_bytes(L, 0);
   std::vector<size_t> state_bytes(L, 0);
+  std::vector<size_t> syn_bytes(L, 0);
   size_t train_total = 0;
   size_t state_total = 0;
+  size_t syn_total = 0;
   for (size_t l = 0; l < L; ++l) {
     const size_t n = net.layer(l).num_neurons();
     train_bytes[l] = T * n * sizeof(float);
@@ -82,7 +100,23 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
     train_total += train_bytes[l];
     state_total += state_bytes[l];
   }
+  for (const size_t l : options.synaptic_frame_layers) {
+    if (l >= L || syn_bytes[l] != 0) continue;
+    syn_bytes[l] = T * net.layer(l).num_neurons() * sizeof(float);
+    syn_total += syn_bytes[l];
+  }
   bool want_state = options.state_traces;
+  bool want_syn = syn_total > 0;
+  if (want_syn && options.budget_bytes > 0 &&
+      train_total + (want_state ? state_total : 0) + syn_total > options.budget_bytes) {
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
+      SNNTEST_LOG_WARN("build_golden_cache: synaptic frames need %zu bytes, over "
+                       "golden_cache_budget_bytes=%zu; lane batches compute them in place",
+                       syn_total, options.budget_bytes);
+    }
+    want_syn = false;
+  }
   if (want_state && options.budget_bytes > 0 &&
       train_total + state_total > options.budget_bytes) {
     static std::atomic<bool> warned{false};
@@ -100,8 +134,12 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
   // Layer-by-layer so trace recording starts at `from`: layers above the
   // shallowest fault pay neither the recording cost nor the memory.
   cache.forward.layer_outputs.reserve(L);
+  if (want_syn) cache.synaptic.resize(L);
   const tensor::Tensor* current = &stimulus;
   for (size_t l = 0; l < L; ++l) {
+    if (want_syn && syn_bytes[l] > 0) {
+      cache.synaptic[l] = synaptic_trace(golden.layer(l), *current, options.mode);
+    }
     const bool record = want_state && l >= from;
     cache.forward.layer_outputs.push_back(golden.layer(l).forward(*current, record));
     current = &cache.forward.layer_outputs.back();
@@ -113,6 +151,10 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
       hash_stimulus(stimulus, hash_network_topology(net, util::kFnvOffsetBasis));
   cache.layer_bytes = train_bytes;
   cache.total_bytes = train_total;
+  if (want_syn) {
+    for (size_t l = 0; l < L; ++l) cache.layer_bytes[l] += syn_bytes[l];
+    cache.total_bytes += syn_total;
+  }
   if (want_state) {
     cache.state.resize(L);
     for (size_t l = from; l < L; ++l) {

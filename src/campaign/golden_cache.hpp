@@ -7,6 +7,13 @@
 // The cache also precomputes everything the detection comparison needs
 // (output spike counts) and a fingerprint of (network, stimulus) that the
 // run report's campaign_fingerprint extends.
+//
+// Two optional per-layer traces ride along, both bit-exact and both shed by
+// the memory budget (synaptic frames first, then state traces):
+//  * fault-free synaptic frames of the fault layers that host two or more
+//    lane batches — the frame every lane batch at that layer would
+//    otherwise recompute (snn/lane_network.hpp, DESIGN.md §12);
+//  * LIF state traces for the divergence-frontier walk (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
@@ -49,10 +56,20 @@ struct GoldenCache {
   std::vector<GoldenLayerState> state;
   bool has_state_traces = false;
   size_t state_traces_from_layer = 0;
-  /// Bytes cached per layer (spike train + state traces) and their sum.
+  /// Per-layer fault-free synaptic frames, time-major [T, N_l]: row t is
+  /// snn::shared_synaptic_frame of layer l's golden input frame t. Empty
+  /// for every layer not listed in GoldenCacheOptions::synaptic_frame_layers
+  /// and for all layers after a budget fail-soft.
+  std::vector<std::vector<float>> synaptic;
+  /// Bytes cached per layer (spike train + any synaptic frames and state
+  /// traces) and their sum.
   std::vector<size_t> layer_bytes;
   size_t total_bytes = 0;
 
+  /// Cached synaptic frames of layer `l`, or null when none were kept.
+  const float* synaptic_frames(size_t l) const {
+    return l < synaptic.size() && !synaptic[l].empty() ? synaptic[l].data() : nullptr;
+  }
   const tensor::Tensor& layer_output(size_t l) const { return forward.layer_outputs[l]; }
   const tensor::Tensor& output() const { return forward.output(); }
   size_t num_layers() const { return forward.num_layers(); }
@@ -68,10 +85,16 @@ struct GoldenCacheOptions {
   /// layer, so a campaign whose shallowest fault lives in layer k skips
   /// both the recording cost and the memory for layers 0..k-1.
   size_t state_traces_from_layer = 0;
+  /// Layers whose fault-free synaptic frames [T, N_l] are cached for the
+  /// lane path. run_campaign lists each layer at which two or more lane
+  /// batches start, so every trace is read by several batches and costs
+  /// at most the size of that layer's spike train.
+  std::vector<size_t> synaptic_frame_layers;
   /// Memory budget over everything the cache retains (0 = unlimited). The
-  /// spike trains are irreducible (prefix reuse and detection need them);
-  /// when trains + state traces would exceed the budget the state traces
-  /// are dropped — fail-soft to prefix-only, with a warning.
+  /// spike trains are irreducible (prefix reuse and detection need them).
+  /// Over budget, the synaptic frames go first (lane batches recompute
+  /// them in place); if trains + state traces still exceed it the state
+  /// traces go too — fail-soft to prefix-only. Each shedding warns once.
   size_t budget_bytes = 0;
 };
 
@@ -82,7 +105,8 @@ struct GoldenCacheOptions {
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
                                snn::KernelMode mode = snn::KernelMode::kDense);
 
-/// Options overload: state traces + memory budget (fail-soft).
+/// Options overload: synaptic frames, state traces and the memory budget
+/// (fail-soft).
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
                                const GoldenCacheOptions& options);
 

@@ -71,6 +71,13 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
   size_t lanes = count;
   int flip = 0;
   const bool obs_on = obs::telemetry_enabled();
+  // Fault-free synaptic frames of layer k, cached when several batches
+  // start there; otherwise step_shared computes each frame in place.
+  const float* frames = cache.synaptic_frames(k);
+  auto count_shared_steps = [&](size_t steps) {
+    (frames ? counters.synaptic_frames_cached : counters.synaptic_frames_computed)
+        .fetch_add(steps, std::memory_order_relaxed);
+  };
 
   for (size_t l = k; l < L && lanes > 0; ++l) {
     const snn::Layer& layer = net.layer(l);
@@ -79,7 +86,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
     const bool fault_here = l == k;
     const bool final_layer = l + 1 == L;
     ctx.run.reset(layer, lanes, fault_here ? ctx.lane_faults.data() : nullptr,
-                  config.kernel_mode);
+                  config.kernel_mode, fault_here ? frames : nullptr);
     counters.layer_forwards.fetch_add(lanes, std::memory_order_relaxed);
     std::vector<float>& in_buf = ctx.bufs[flip ^ 1];  // lane input train when !fault_here
 
@@ -92,9 +99,11 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
       ctx.frame.resize(n * lanes);
       ctx.l1_acc.assign(lanes, 0.0);
       const tensor::Tensor& golden = cache.output();
+      size_t shared_steps = 0;
       for (size_t t = 0; t < T && lanes > 0; ++t) {
         if (fault_here) {
           ctx.run.step_shared(start_input.row(t), ctx.frame.data());
+          ++shared_steps;
         } else {
           ctx.run.step_lanes(in_buf.data() + t * in_n * lanes, ctx.frame.data());
         }
@@ -145,6 +154,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
           lanes = kept;
         }
       }
+      if (fault_here) count_shared_steps(shared_steps);
       // Survivors never crossed the threshold: undetected, exact full L1.
       for (size_t lane = 0; lane < lanes; ++lane) {
         fault::DetectionResult& r = results[ctx.result_index[lane]];
@@ -165,6 +175,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
         ctx.run.step_lanes(in_buf.data() + t * in_n * lanes, out);
       }
     }
+    if (fault_here) count_shared_steps(T);
 
     if (config.convergence_pruning && !final_layer) {
       // A lane whose train re-converged onto the golden trajectory is done:

@@ -125,6 +125,43 @@ void pool_frame_lanes(const SumPoolLayer& pool, const float* in_lanes, size_t la
 
 }  // namespace
 
+// --- Shared fault-free frame ---------------------------------------------
+
+size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMode mode,
+                             std::vector<uint32_t>& active, float* out) {
+  const size_t n = layer.num_neurons();
+  // Dense/recurrent feed-forward term, dense or sparse decided per frame
+  // like Layer::forward does (bit-identical either way).
+  auto matvec = [&](const float* w, size_t cols) -> size_t {
+    std::fill(out, out + n, 0.0f);
+    if (mode == KernelMode::kDense) {
+      tensor::matvec_accumulate(w, n, cols, in_frame, out);
+      return SIZE_MAX;
+    }
+    const size_t na = tensor::extract_active(in_frame, cols, active);
+    if (mode == KernelMode::kSparse || sparse_frame_wins(na, cols)) {
+      tensor::matvec_accumulate_gather(w, n, cols, in_frame, active.data(), na, out);
+    } else {
+      tensor::matvec_accumulate(w, n, cols, in_frame, out);
+    }
+    return na;
+  };
+  switch (layer.kind()) {
+    case LayerKind::kDense:
+      return matvec(static_cast<const DenseLayer&>(layer).weights().data(), layer.num_inputs());
+    case LayerKind::kRecurrent:
+      return matvec(static_cast<const RecurrentLayer&>(layer).weights().data(),
+                    layer.num_inputs());
+    case LayerKind::kConv2d:
+      static_cast<const ConvLayer&>(layer).conv_forward_frame(in_frame, out);
+      break;
+    case LayerKind::kSumPool:
+      static_cast<const SumPoolLayer&>(layer).pool_frame(in_frame, out);
+      break;
+  }
+  return SIZE_MAX;
+}
+
 // --- LaneLif -------------------------------------------------------------
 
 void LaneLif::reset(const LifBank& bank, size_t lanes, const LaneFault* faults) {
@@ -251,20 +288,16 @@ void LaneLif::compact(const uint8_t* keep) {
 // --- LaneLayerRun --------------------------------------------------------
 
 void LaneLayerRun::reset(const Layer& layer, size_t lanes, const LaneFault* faults,
-                         KernelMode mode) {
+                         KernelMode mode, const float* frames) {
   layer_ = &layer;
   lanes_ = lanes;
   n_ = layer.num_neurons();
   mode_ = mode;
+  frames_ = frames;
   t_ = 0;
-  has_synapse_faults_ = false;
   faults_.clear();
-  if (faults) {
-    faults_.assign(faults, faults + lanes);
-    for (const LaneFault& f : faults_) {
-      has_synapse_faults_ |= f.synapse.kind != LaneSynapseFault::Kind::kNone;
-    }
-  }
+  if (faults) faults_.assign(faults, faults + lanes);
+  scan_faults();
   lif_.reset(layer.lif(), lanes, faults);
   base_.resize(n_);
   syn_.resize(n_ * lanes);
@@ -279,9 +312,18 @@ void LaneLayerRun::reset(const Layer& layer, size_t lanes, const LaneFault* faul
   }
 }
 
+void LaneLayerRun::scan_faults() {
+  has_synapse_faults_ = false;
+  has_weight_faults_ = false;
+  for (const LaneFault& f : faults_) {
+    has_synapse_faults_ |= f.synapse.kind != LaneSynapseFault::Kind::kNone;
+    has_weight_faults_ |= f.synapse.kind == LaneSynapseFault::Kind::kWeight;
+  }
+}
+
 void LaneLayerRun::broadcast_base(float* syn_lanes) const {
   for (size_t i = 0; i < n_; ++i) {
-    const float v = base_[i];
+    const float v = base_frame_[i];
     float* s = syn_lanes + i * lanes_;
     for (size_t l = 0; l < lanes_; ++l) s[l] = v;
   }
@@ -325,7 +367,7 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
         // Mirrors the scalar override: syn[out] += delta * in[in] after the
         // fault-free frame (base already broadcast into this slot).
         syn_lanes[sf.out_index * lanes_ + l] =
-            base_[sf.out_index] + sf.delta * in_frame[sf.in_index];
+            base_frame_[sf.out_index] + sf.delta * in_frame[sf.in_index];
         break;
       }
     }
@@ -333,40 +375,20 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
 }
 
 void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
-  // Shared fault-free base frame via the scalar kernels (bit-identical
-  // dense or sparse; decided per frame like Layer::forward does). Returns
-  // the active count when an active set was extracted (SIZE_MAX otherwise)
-  // so the weight-fault row recomputes can reuse it.
-  auto matvec_base = [&](const float* w, size_t cols) -> size_t {
-    std::fill(base_.begin(), base_.end(), 0.0f);
-    if (mode_ == KernelMode::kDense) {
-      tensor::matvec_accumulate(w, n_, cols, in_frame, base_.data());
-      return SIZE_MAX;
-    }
-    const size_t na = tensor::extract_active(in_frame, cols, active_);
-    if (mode_ == KernelMode::kSparse || sparse_frame_wins(na, cols)) {
-      tensor::matvec_accumulate_gather(w, n_, cols, in_frame, active_.data(), na, base_.data());
-    } else {
-      tensor::matvec_accumulate(w, n_, cols, in_frame, base_.data());
-    }
-    return na;
-  };
+  // Shared fault-free base frame: the cached trace row when the campaign
+  // built one for this layer, else computed in place. The input's active
+  // set is only read by the weight-fault row recomputes, so a cached frame
+  // extracts it just for them (the in-place kernels extract it anyway to
+  // pick dense or sparse).
   size_t num_active = SIZE_MAX;
-  switch (layer_->kind()) {
-    case LayerKind::kDense:
-      num_active = matvec_base(static_cast<const DenseLayer&>(*layer_).weights().data(),
-                               layer_->num_inputs());
-      break;
-    case LayerKind::kRecurrent:
-      num_active = matvec_base(static_cast<const RecurrentLayer&>(*layer_).weights().data(),
-                               layer_->num_inputs());
-      break;
-    case LayerKind::kConv2d:
-      static_cast<const ConvLayer&>(*layer_).conv_forward_frame(in_frame, base_.data());
-      break;
-    case LayerKind::kSumPool:
-      static_cast<const SumPoolLayer&>(*layer_).pool_frame(in_frame, base_.data());
-      break;
+  if (frames_) {
+    base_frame_ = frames_ + t_ * n_;
+    if (has_weight_faults_ && mode_ != KernelMode::kDense) {
+      num_active = tensor::extract_active(in_frame, layer_->num_inputs(), active_);
+    }
+  } else {
+    num_active = shared_synaptic_frame(*layer_, in_frame, mode_, active_, base_.data());
+    base_frame_ = base_.data();
   }
   broadcast_base(syn_.data());
   if (has_synapse_faults_) apply_shared_synapse_faults(in_frame, num_active, syn_.data());
@@ -392,7 +414,7 @@ void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
         if (sf.kind != LaneSynapseFault::Kind::kRecurrentWeight) continue;
         // Scalar path: syn[r] = float(W row . in) then += float(V' row .
         // prev). This lane carries no W fault (single fault), so the first
-        // term is base_[r]; recompute the faulty V term against the lane's
+        // term is base_frame_[r]; recompute the faulty V term against the lane's
         // own prev frame and overwrite the unfaulted feedback added above.
         const size_t r = sf.index / n_;
         const size_t col = sf.index % n_;
@@ -402,7 +424,7 @@ void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
           const float w = (c == col) ? sf.value : vrow[c];
           acc += static_cast<double>(w) * prev_out_[c * lanes_ + l];
         }
-        syn_[r * lanes_ + l] = base_[r] + static_cast<float>(acc);
+        syn_[r * lanes_ + l] = base_frame_[r] + static_cast<float>(acc);
       }
     }
   }
@@ -490,10 +512,7 @@ void LaneLayerRun::compact(const uint8_t* keep) {
       if (keep[l]) faults_[w++] = faults_[l];
     }
     faults_.resize(kept);
-    has_synapse_faults_ = false;
-    for (const LaneFault& f : faults_) {
-      has_synapse_faults_ |= f.synapse.kind != LaneSynapseFault::Kind::kNone;
-    }
+    scan_faults();
   }
   lanes_ = kept;
 }

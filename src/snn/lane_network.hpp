@@ -9,8 +9,11 @@
 // Bit-identity discipline: a lane must produce exactly the spike train the
 // scalar engine produces for that lane's fault.
 //  * At the fault layer the input is shared (golden prefix), so the fault-
-//    free synaptic frame is computed once with the scalar kernels and
-//    broadcast; a lane's synapse fault only changes the rows/outputs it
+//    free synaptic frame (shared_synaptic_frame, the scalar kernels) is
+//    the same for every lane and every batch: the campaign caches it per
+//    frame in the golden cache when two or more batches start at the
+//    layer, and LaneLayerRun computes it in place otherwise. Either way it
+//    is broadcast; a lane's synapse fault only changes the rows/outputs it
 //    touches, and those are recomputed per lane with the faulty value
 //    substituted in the scalar accumulation order (ordered double sums).
 //  * At the layers after the fault the weights are fault-free and shared;
@@ -110,6 +113,18 @@ class LaneLif {
   std::vector<int> refrac_;    // [n * lanes]
 };
 
+/// The fault-free synaptic frame of `layer` for one input frame, written to
+/// `out` [num_neurons]. For a recurrent layer this is only the feed-forward
+/// W·x term; the V·prev feedback differs per lane and is added by the
+/// caller. Dense or sparse kernels are picked per frame as Layer::forward
+/// picks them (bit-identical either way). Returns the input's active count
+/// when the choice extracted an active set into `active`, SIZE_MAX
+/// otherwise. The golden cache builds its synaptic traces with this
+/// function and LaneLayerRun::step_shared falls back to it, so the frame
+/// has one definition.
+size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMode mode,
+                             std::vector<uint32_t>& active, float* out);
+
 /// Runs one layer of a (const, fault-free) network over a window for W
 /// lanes, one timestep at a time, so the caller can interleave per-frame
 /// detection checks and lane retirement. Reusable: reset() rebinds without
@@ -119,8 +134,12 @@ class LaneLayerRun {
   /// `layer` is borrowed and never mutated. `faults` is null for a
   /// downstream (fault-free) layer, else length `lanes` — per-lane faults
   /// of THIS layer. `mode` picks dense/sparse kernels per frame
-  /// (bit-identical either way).
-  void reset(const Layer& layer, size_t lanes, const LaneFault* faults, KernelMode mode);
+  /// (bit-identical either way). `frames` is null or, for a fault layer,
+  /// the layer's cached fault-free synaptic frames [T, num_neurons]
+  /// (borrowed; shared_synaptic_frame of the golden input frame t at row t),
+  /// which step_shared then reads instead of recomputing.
+  void reset(const Layer& layer, size_t lanes, const LaneFault* faults, KernelMode mode,
+             const float* frames);
 
   size_t lanes() const { return lanes_; }
 
@@ -138,6 +157,7 @@ class LaneLayerRun {
   void compact(const uint8_t* keep);
 
  private:
+  void scan_faults();
   void broadcast_base(float* syn_lanes) const;
   /// `num_active` is the length of the input frame's active set in
   /// `active_` (SIZE_MAX when none was extracted): weight-fault row
@@ -151,11 +171,14 @@ class LaneLayerRun {
   size_t lanes_ = 0;
   size_t n_ = 0;  // num_neurons
   KernelMode mode_ = KernelMode::kAuto;
+  const float* frames_ = nullptr;      // cached fault-free syn frames [T, n] or null
+  const float* base_frame_ = nullptr;  // this step's fault-free syn frame [n]
   size_t t_ = 0;
   bool has_synapse_faults_ = false;
+  bool has_weight_faults_ = false;  // some lane carries a dense/recurrent W fault
   std::vector<LaneFault> faults_;  // per-lane, compacted along with state
   LaneLif lif_;
-  std::vector<float> base_;       // shared fault-free syn frame [n]
+  std::vector<float> base_;       // in-place fault-free syn frame [n]
   std::vector<float> syn_;        // lane-strided syn frame [n*lanes]
   std::vector<float> prev_out_;   // recurrent feedback [n*lanes]
   std::vector<float> chan_;       // conv channel-recompute scratch [oh*ow]

@@ -243,8 +243,12 @@ BenchmarkBundle load_or_train(BenchmarkId id, const ZooOptions& options) {
     }
   }
 
-  bundle.test_accuracy =
-      train::evaluate(bundle.network, *bundle.test, plan.eval_samples).accuracy;
+  // Score a kAuto copy: the bundle's layers keep their default dense
+  // kernels, and the event-driven ones give the same spike trains
+  // (DESIGN.md §9) for a fraction of the forward cost.
+  snn::Network eval_net(bundle.network);
+  eval_net.set_kernel_mode(snn::KernelMode::kAuto);
+  bundle.test_accuracy = train::evaluate(eval_net, *bundle.test, plan.eval_samples).accuracy;
   return bundle;
 }
 

@@ -978,7 +978,9 @@ TEST(Classifier, ProgressCountsPairsMonotonicallyToTotal) {
     ASSERT_FALSE(calls.empty());
     for (size_t i = 0; i < calls.size(); ++i) {
       EXPECT_EQ(calls[i].second, total);
-      if (i > 0) EXPECT_GT(calls[i].first, calls[i - 1].first);
+      if (i > 0) {
+        EXPECT_GT(calls[i].first, calls[i - 1].first);
+      }
     }
     EXPECT_EQ(calls.back().first, total);
   }

@@ -3,9 +3,11 @@
 // (exercised with a tiny training budget in a temp cache dir).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 
+#include "train/metrics.hpp"
 #include "zoo/model_zoo.hpp"
 
 namespace snntest::zoo {
@@ -62,6 +64,35 @@ TEST(Zoo, FreshNetworksAreDeterministicPerSeed) {
   ASSERT_EQ(pa.size(), pb.size());
   for (size_t p = 0; p < pa.size(); ++p) {
     for (size_t i = 0; i < pa[p].size; ++i) ASSERT_EQ(pa[p].value[i], pb[p].value[i]);
+  }
+}
+
+TEST(Zoo, EvaluateIdenticalUnderDenseAndAutoKernels) {
+  // load_or_train scores its accuracy on a kAuto copy of the bundle
+  // network; the event-driven kernels must give the identical EvalResult
+  // (accuracy and confusion) that the dense kernels give, per architecture.
+  for (auto id : {BenchmarkId::kNmnist, BenchmarkId::kGesture, BenchmarkId::kShd}) {
+    SCOPED_TRACE(benchmark_name(id));
+    auto dense = make_network(id, 3);
+    snn::Network sparse(dense);
+    dense.set_kernel_mode(snn::KernelMode::kDense);
+    sparse.set_kernel_mode(snn::KernelMode::kAuto);
+    const auto splits = make_datasets(id);
+    const auto a = train::evaluate(dense, *splits.test, 12);
+    const auto b = train::evaluate(sparse, *splits.test, 12);
+    EXPECT_EQ(a.total, 12u);
+    EXPECT_EQ(a.accuracy, b.accuracy);
+    EXPECT_EQ(a.correct, b.correct);
+    EXPECT_EQ(a.total, b.total);
+    EXPECT_EQ(a.confusion, b.confusion);
+    // Not a degenerate silent network: the slice is scored into more than
+    // one predicted class.
+    std::vector<size_t> predicted(a.confusion.size(), 0);
+    for (const auto& row : a.confusion) {
+      for (size_t c = 0; c < row.size(); ++c) predicted[c] += row[c];
+    }
+    EXPECT_GE(std::count_if(predicted.begin(), predicted.end(), [](size_t v) { return v > 0; }),
+              2);
   }
 }
 
