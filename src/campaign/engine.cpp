@@ -393,6 +393,8 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   outcome.stats.lanes_retired_early = counters.lanes_retired_early.load();
   outcome.stats.synaptic_frames_cached = counters.synaptic_frames_cached.load();
   outcome.stats.synaptic_frames_computed = counters.synaptic_frames_computed.load();
+  outcome.stats.fault_rows_recomputed = counters.fault_rows_recomputed.load();
+  outcome.stats.fault_rows_skipped = counters.fault_rows_skipped.load();
   outcome.stats.frontier_faults = counters.frontier_faults.load();
   outcome.stats.frontier_neuron_updates = counters.frontier_neuron_updates.load();
   outcome.stats.frontier_neuron_updates_dense = counters.frontier_neuron_updates_dense.load();
@@ -453,6 +455,10 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
                             static_cast<uint64_t>(s.synaptic_frames_cached));
       obs::set_report_field("campaign_synaptic_frames_computed",
                             static_cast<uint64_t>(s.synaptic_frames_computed));
+      obs::set_report_field("campaign_fault_rows_recomputed",
+                            static_cast<uint64_t>(s.fault_rows_recomputed));
+      obs::set_report_field("campaign_fault_rows_skipped",
+                            static_cast<uint64_t>(s.fault_rows_skipped));
     }
     obs::set_report_field("simd_backend",
                           std::string(tensor::simd::backend_name(tensor::simd::active_backend())));

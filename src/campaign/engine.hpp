@@ -163,6 +163,13 @@ struct EngineStats {
   /// depends only on the worklist, not on threads or scheduling.
   size_t synaptic_frames_cached = 0;
   size_t synaptic_frames_computed = 0;
+  /// Fault rows of the lane batches' synapse faults at their fault layer,
+  /// summed over faults (snn::LaneLayerRun::fault_rows_recomputed): output
+  /// sums recomputed with the faulty value, and those skipped because the
+  /// input the faulty synapse taps was zero in that frame. Per-fault sums,
+  /// so they do not depend on threads or scheduling.
+  size_t fault_rows_recomputed = 0;
+  size_t fault_rows_skipped = 0;
   /// True when the run actually used divergence-frontier simulation
   /// (EngineConfig::frontier requested AND every prerequisite held).
   bool frontier_active = false;

@@ -1,40 +1,53 @@
 #include "campaign/lane_sim.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 
 namespace snntest::campaign {
 namespace {
 
-/// Does lane `lane` of a [T, n, lanes] train equal the golden [T, n] train?
-/// Spike values are exact 0.0f / 1.0f on both sides, so float equality is
-/// equivalent to the scalar path's memcmp.
-bool lane_equals_golden(const float* train, size_t T, size_t n, size_t lanes, size_t lane,
-                        const tensor::Tensor& golden) {
-  const float* g = golden.data();
-  for (size_t t = 0; t < T; ++t) {
-    const float* f = train + t * n * lanes;
-    const float* gr = g + t * n;
-    for (size_t i = 0; i < n; ++i) {
-      if (f[i * lanes + lane] != gr[i]) return false;
+/// ORs, per lane l, the XOR of lane l's bit patterns in the lane-strided
+/// frame `f` [n, lanes] with golden frame `g` [n] into diff[l]: nonzero
+/// once the lane's train differs from golden, which is the scalar path's
+/// memcmp. Branch-free integer work, so the lane loop vectorizes.
+template <size_t LANES>
+void or_frame_diff(const float* f, const float* g, size_t n, size_t lanes, uint32_t* diff) {
+  const size_t width = LANES == 0 ? lanes : LANES;  // 0: run-time lane count
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t gb;
+    std::memcpy(&gb, g + i, sizeof(gb));
+    const float* fi = f + i * width;
+    for (size_t l = 0; l < width; ++l) {
+      uint32_t fb;
+      std::memcpy(&fb, fi + l, sizeof(fb));
+      diff[l] |= fb ^ gb;
     }
   }
-  return true;
 }
 
-/// In-place repack of [rows, lanes]-strided data dropping lanes with
-/// keep == 0. Safe in place: the write index never overtakes the read index.
-void compact_lane_rows(float* data, size_t rows, size_t lanes, const uint8_t* keep) {
-  size_t w = 0;
+void or_frame_diff(const float* f, const float* g, size_t n, size_t lanes, uint32_t* diff) {
+  switch (lanes) {
+    case 8: return or_frame_diff<8>(f, g, n, lanes, diff);
+    case 4: return or_frame_diff<4>(f, g, n, lanes, diff);
+    default: return or_frame_diff<0>(f, g, n, lanes, diff);
+  }
+}
+
+/// Lane `map[j]` of the [rows, stride]-strided frame `src`, for j < lanes,
+/// as lane j of the dense [rows, lanes] frame `dst`.
+void gather_lanes(const float* src, size_t rows, size_t stride, const uint8_t* map, size_t lanes,
+                  float* dst) {
   for (size_t r = 0; r < rows; ++r) {
-    const float* src = data + r * lanes;
-    for (size_t l = 0; l < lanes; ++l) {
-      if (keep[l]) data[w++] = src[l];
-    }
+    const float* s = src + r * stride;
+    float* d = dst + r * lanes;
+    for (size_t j = 0; j < lanes; ++j) d[j] = s[map[j]];
   }
 }
 
+/// Keep the entries of `v` whose keep flag is set, in order.
 template <typename T>
 void compact_items(std::vector<T>& v, const uint8_t* keep, size_t lanes) {
   size_t w = 0;
@@ -77,6 +90,33 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
   auto count_shared_steps = [&](size_t steps) {
     (frames ? counters.synaptic_frames_cached : counters.synaptic_frames_computed)
         .fetch_add(steps, std::memory_order_relaxed);
+    counters.fault_rows_recomputed.fetch_add(ctx.run.fault_rows_recomputed(),
+                                             std::memory_order_relaxed);
+    counters.fault_rows_skipped.fetch_add(ctx.run.fault_rows_skipped(),
+                                          std::memory_order_relaxed);
+  };
+  // The input train of a downstream layer is the previous layer's output
+  // buffer, strided by `in_stride` lanes. Retired lanes are never repacked
+  // out of it: lane j of the current run reads its lane in_map[j], and a
+  // frame is gathered into ctx.frame_in only when that map is not the
+  // identity.
+  size_t in_stride = lanes;
+  uint8_t in_map[snn::kMaxLaneWidth];
+  for (size_t lane = 0; lane < lanes; ++lane) in_map[lane] = static_cast<uint8_t>(lane);
+  auto input_frame = [&](const std::vector<float>& in_buf, size_t in_n, size_t t) {
+    const float* src = in_buf.data() + t * in_n * in_stride;
+    if (lanes == in_stride) return src;  // no lane retired since the buffer was written
+    ctx.frame_in.resize(in_n * lanes);
+    gather_lanes(src, in_n, in_stride, in_map, lanes, ctx.frame_in.data());
+    return static_cast<const float*>(ctx.frame_in.data());
+  };
+  auto retire = [&](size_t kept) {
+    size_t j = 0;
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      if (ctx.keep[lane]) in_map[j++] = in_map[lane];
+    }
+    compact_items(ctx.result_index, ctx.keep.data(), lanes);
+    lanes = kept;
   };
 
   for (size_t l = k; l < L && lanes > 0; ++l) {
@@ -88,7 +128,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
     ctx.run.reset(layer, lanes, fault_here ? ctx.lane_faults.data() : nullptr,
                   config.kernel_mode, fault_here ? frames : nullptr);
     counters.layer_forwards.fetch_add(lanes, std::memory_order_relaxed);
-    std::vector<float>& in_buf = ctx.bufs[flip ^ 1];  // lane input train when !fault_here
+    const std::vector<float>& in_buf = ctx.bufs[flip ^ 1];  // lane input train when !fault_here
 
     if (final_layer && config.detect_only) {
       // Frame-by-frame output comparison with mid-window retirement: once a
@@ -105,7 +145,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
           ctx.run.step_shared(start_input.row(t), ctx.frame.data());
           ++shared_steps;
         } else {
-          ctx.run.step_lanes(in_buf.data() + t * in_n * lanes, ctx.frame.data());
+          ctx.run.step_lanes(input_frame(in_buf, in_n, t), ctx.frame.data());
         }
         const float* g = golden.data() + t * n;
         ctx.keep.assign(lanes, 1);
@@ -132,26 +172,9 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
           }
         }
         if (kept < lanes) {
-          if (t + 1 < T && kept > 0) {
-            ctx.run.compact(ctx.keep.data());
-            if (!fault_here) {
-              // Repack the future input frames to the new lane count. The
-              // compacted frames land at their new-stride offsets, which
-              // are strictly behind the old-stride read positions.
-              size_t w = (t + 1) * in_n * kept;
-              for (size_t tt = t + 1; tt < T; ++tt) {
-                const float* src = in_buf.data() + tt * in_n * lanes;
-                for (size_t c = 0; c < in_n; ++c) {
-                  for (size_t lane = 0; lane < lanes; ++lane) {
-                    if (ctx.keep[lane]) in_buf[w++] = src[c * lanes + lane];
-                  }
-                }
-              }
-            }
-          }
-          compact_items(ctx.result_index, ctx.keep.data(), lanes);
+          if (t + 1 < T && kept > 0) ctx.run.compact(ctx.keep.data());
           compact_items(ctx.l1_acc, ctx.keep.data(), lanes);
-          lanes = kept;
+          retire(kept);
         }
       }
       if (fault_here) count_shared_steps(shared_steps);
@@ -165,6 +188,17 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
       return;
     }
 
+    // A lane whose train re-converged onto the golden trajectory is done:
+    // every downstream layer would be bit-identical too (same exact early
+    // exit as the scalar path). The final layer needs no check — a
+    // converged final train makes fill_full_result produce exactly
+    // fill_converged_result's values. The check ORs each frame into a
+    // per-lane difference while the frame is hot, and stops once every
+    // lane differs.
+    const bool check = config.convergence_pruning && !final_layer;
+    uint32_t diff[snn::kMaxLaneWidth] = {};
+    bool all_differ = !check;
+    const float* golden_l = cache.layer_output(l).data();
     std::vector<float>& out_buf = ctx.bufs[flip];
     out_buf.resize(T * n * lanes);
     for (size_t t = 0; t < T; ++t) {
@@ -172,35 +206,30 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
       if (fault_here) {
         ctx.run.step_shared(start_input.row(t), out);
       } else {
-        ctx.run.step_lanes(in_buf.data() + t * in_n * lanes, out);
+        ctx.run.step_lanes(input_frame(in_buf, in_n, t), out);
+      }
+      if (!all_differ) {
+        or_frame_diff(out, golden_l + t * n, n, lanes, diff);
+        all_differ = std::all_of(diff, diff + lanes, [](uint32_t d) { return d != 0; });
       }
     }
     if (fault_here) count_shared_steps(T);
+    // The next layer reads this buffer at its own stride.
+    in_stride = lanes;
+    for (size_t lane = 0; lane < lanes; ++lane) in_map[lane] = static_cast<uint8_t>(lane);
 
-    if (config.convergence_pruning && !final_layer) {
-      // A lane whose train re-converged onto the golden trajectory is done:
-      // every downstream layer would be bit-identical too (same exact early
-      // exit as the scalar path). The final layer needs no check — a
-      // converged final train makes fill_full_result produce exactly
-      // fill_converged_result's values.
-      const tensor::Tensor& golden_l = cache.layer_output(l);
+    if (!all_differ) {
       ctx.keep.assign(lanes, 1);
       size_t kept = lanes;
       for (size_t lane = 0; lane < lanes; ++lane) {
-        if (lane_equals_golden(out_buf.data(), T, n, lanes, lane, golden_l)) {
-          detail::fill_converged_result(results[ctx.result_index[lane]], cache, config);
-          counters.pruned.fetch_add(1, std::memory_order_relaxed);
-          counters.lanes_retired_early.fetch_add(1, std::memory_order_relaxed);
-          ctx.keep[lane] = 0;
-          --kept;
-        }
+        if (diff[lane] != 0) continue;
+        detail::fill_converged_result(results[ctx.result_index[lane]], cache, config);
+        counters.pruned.fetch_add(1, std::memory_order_relaxed);
+        counters.lanes_retired_early.fetch_add(1, std::memory_order_relaxed);
+        ctx.keep[lane] = 0;
+        --kept;
       }
-      if (kept < lanes) {
-        compact_lane_rows(out_buf.data(), T * n, lanes, ctx.keep.data());
-        out_buf.resize(T * n * kept);
-        compact_items(ctx.result_index, ctx.keep.data(), lanes);
-        lanes = kept;
-      }
+      if (kept < lanes) retire(kept);
     }
     flip ^= 1;
   }

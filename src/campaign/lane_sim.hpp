@@ -28,6 +28,7 @@ struct LaneSimContext {
   std::vector<size_t> result_index;         // lane -> fault index (compacted)
   std::vector<float> bufs[2];               // ping-pong lane trains [T, n, lanes]
   std::vector<float> frame;                 // detect-only per-frame output [n, lanes]
+  std::vector<float> frame_in;              // input frame gathered to the live lanes
   std::vector<uint8_t> keep;                // retirement mask
   std::vector<double> l1_acc;               // detect-only per-lane L1
   tensor::Tensor slice;                     // per-lane [T, n] extraction

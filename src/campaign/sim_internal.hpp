@@ -122,6 +122,8 @@ struct SimCounters {
   std::atomic<size_t> lanes_retired_early{0};
   std::atomic<size_t> synaptic_frames_cached{0};
   std::atomic<size_t> synaptic_frames_computed{0};
+  std::atomic<size_t> fault_rows_recomputed{0};
+  std::atomic<size_t> fault_rows_skipped{0};
   // divergence-frontier path only (campaign/frontier_sim.hpp)
   std::atomic<size_t> frontier_faults{0};
   std::atomic<size_t> frontier_neuron_updates{0};

@@ -49,6 +49,11 @@ snn::LaneNeuronOverride read_neuron(const snn::LifBank& lif, size_t i) {
           lif.refractories()[i], lif.modes()[i]};
 }
 
+std::invalid_argument non_finite(const FaultDescriptor& fault, const char* what, float value) {
+  return std::invalid_argument("resolve_lane_fault: fault " + fault.to_string() + " gives " +
+                               what + " " + std::to_string(value) + " (must be finite)");
+}
+
 void write_neuron(snn::LifBank& lif, const snn::LaneNeuronOverride& o) {
   lif.thresholds()[o.neuron] = o.threshold;
   lif.leaks()[o.neuron] = o.leak;
@@ -117,13 +122,21 @@ snn::LaneFault resolve_lane_fault(const snn::Network& net,
       sf.value = -std::fabs(m);
       break;
     case FaultKind::kSynapseBitFlip:
+      if (!std::isfinite(m)) throw non_finite(fault, "bit index", m);
       sf.value = bitflip_weight(stored, stats[l].quant_scale, static_cast<int>(m));
       break;
     default:
       throw std::logic_error("resolve_lane_fault: unknown fault kind");
   }
-  // The delta ConvLayer::set_connection_override stores for this value.
-  if (sf.kind == snn::LaneSynapseFault::Kind::kConvConnection) sf.delta = sf.value - stored;
+  // A non-finite faulty weight would make value * 0 NaN, where the dense
+  // kernels add that term and the sparse ones skip it; reject it so every
+  // path stays exact.
+  if (!std::isfinite(sf.value)) throw non_finite(fault, "faulty weight", sf.value);
+  if (sf.kind == snn::LaneSynapseFault::Kind::kConvConnection) {
+    // The delta ConvLayer::set_connection_override stores for this value.
+    sf.delta = sf.value - stored;
+    if (!std::isfinite(sf.delta)) throw non_finite(fault, "connection weight delta", sf.delta);
+  }
   return lane;
 }
 

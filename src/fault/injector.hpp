@@ -31,7 +31,8 @@ namespace snntest::fault {
 /// from compute_weight_stats on the same network (bit-flip faults need the
 /// layer quantization scale). Throws std::out_of_range for a layer, neuron
 /// or weight outside `net`, std::invalid_argument for an unconnected conv
-/// pair, and std::logic_error for a target the layer does not have.
+/// pair or a synapse fault whose faulty weight is not finite (a NaN or Inf
+/// magnitude), and std::logic_error for a target the layer does not have.
 snn::LaneFault resolve_lane_fault(const snn::Network& net,
                                   const std::vector<LayerWeightStats>& stats,
                                   const FaultDescriptor& fault);

@@ -41,39 +41,48 @@ float recompute_row_gather(const float* row, size_t col, float value, const floa
   return static_cast<float>(acc);
 }
 
-/// Faulty conv output channel: conv_forward_frame restricted to the channel
-/// owning `tap`, with the tap's stored weight substituted — the identical
-/// (oy, ox) -> (ic, ky, kx) ordered double sums the scalar faulty pass
-/// computes for that channel (other channels never read the tap).
-void recompute_conv_channel(const ConvLayer& conv, size_t tap, float value, const float* in,
-                            float* chan) {
+/// One faulty conv output pixel (oc, oy, ox): conv_forward_frame's ordered
+/// (ic, ky, kx) double sum for that pixel with the stored weight at flat
+/// index `tap` replaced by `value` — the float the scalar faulty pass
+/// computes there.
+float recompute_conv_pixel(const ConvLayer& conv, size_t tap, float value, const float* in,
+                           size_t oc, size_t oy, size_t ox) {
   const Conv2dSpec& s = conv.spec();
-  const size_t oh = s.out_height();
-  const size_t ow = s.out_width();
   const size_t k = s.kernel;
-  const size_t oc = tap / (s.in_channels * k * k);
   const float* weights = conv.weights().data();
-  for (size_t oy = 0; oy < oh; ++oy) {
-    for (size_t ox = 0; ox < ow; ++ox) {
-      double acc = 0.0;
-      for (size_t ic = 0; ic < s.in_channels; ++ic) {
-        const size_t w_off = ((oc * s.in_channels + ic) * k) * k;
-        const float* w_base = weights + w_off;
-        const float* in_base = in + ic * s.in_height * s.in_width;
-        for (size_t ky = 0; ky < k; ++ky) {
-          const long iy = static_cast<long>(oy * s.stride + ky) - static_cast<long>(s.padding);
-          if (iy < 0 || iy >= static_cast<long>(s.in_height)) continue;
-          for (size_t kx = 0; kx < k; ++kx) {
-            const long ix = static_cast<long>(ox * s.stride + kx) - static_cast<long>(s.padding);
-            if (ix < 0 || ix >= static_cast<long>(s.in_width)) continue;
-            const float w = (w_off + ky * k + kx == tap) ? value : w_base[ky * k + kx];
-            acc += static_cast<double>(w) * in_base[iy * static_cast<long>(s.in_width) + ix];
-          }
-        }
+  double acc = 0.0;
+  for (size_t ic = 0; ic < s.in_channels; ++ic) {
+    const size_t w_off = ((oc * s.in_channels + ic) * k) * k;
+    const float* w_base = weights + w_off;
+    const float* in_base = in + ic * s.in_height * s.in_width;
+    for (size_t ky = 0; ky < k; ++ky) {
+      const long iy = static_cast<long>(oy * s.stride + ky) - static_cast<long>(s.padding);
+      if (iy < 0 || iy >= static_cast<long>(s.in_height)) continue;
+      for (size_t kx = 0; kx < k; ++kx) {
+        const long ix = static_cast<long>(ox * s.stride + kx) - static_cast<long>(s.padding);
+        if (ix < 0 || ix >= static_cast<long>(s.in_width)) continue;
+        const float w = (w_off + ky * k + kx == tap) ? value : w_base[ky * k + kx];
+        acc += static_cast<double>(w) * in_base[iy * static_cast<long>(s.in_width) + ix];
       }
-      chan[oy * ow + ox] = static_cast<float>(acc);
     }
   }
+  return static_cast<float>(acc);
+}
+
+/// In-place repack of a [rows, lanes]-strided array dropping lanes with
+/// keep == 0: the write index never overtakes the read index (kept <= lanes
+/// per row), so no slot is read after being overwritten.
+template <typename T>
+void compact_lanes(std::vector<T>& v, size_t rows, size_t lanes, const uint8_t* keep,
+                   size_t kept) {
+  size_t w = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t base = r * lanes;
+    for (size_t l = 0; l < lanes; ++l) {
+      if (keep[l]) v[w++] = v[base + l];
+    }
+  }
+  v.resize(rows * kept);
 }
 
 /// Conv geometry handed to the dispatched lane kernels (tensor/simd.hpp
@@ -164,125 +173,67 @@ size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMo
 
 // --- LaneLif -------------------------------------------------------------
 
+static_assert(static_cast<uint8_t>(NeuronMode::kNormal) == 0 &&
+                  static_cast<uint8_t>(NeuronMode::kDead) == 1 &&
+                  static_cast<uint8_t>(NeuronMode::kSaturated) == 2,
+              "tensor::simd::LifFrameParams::mode encodes NeuronMode by value");
+
 void LaneLif::reset(const LifBank& bank, size_t lanes, const LaneFault* faults) {
   if (lanes == 0 || lanes > kMaxLaneWidth) {
     throw std::invalid_argument("LaneLif: lanes out of range");
   }
-  bank_ = &bank;
   n_ = bank.size();
   lanes_ = lanes;
-  override_.fill(LaneNeuronOverride{});
+  reset_v_ = bank.defaults().reset_potential;
+  const size_t count = n_ * lanes;
+  leak_.resize(count);
+  threshold_.resize(count);
+  refractory_.resize(count);
+  mode_.resize(count);
+  for (size_t i = 0; i < n_; ++i) {
+    const size_t base = i * lanes;
+    std::fill_n(leak_.data() + base, lanes, bank.leaks()[i]);
+    std::fill_n(threshold_.data() + base, lanes, bank.thresholds()[i]);
+    std::fill_n(refractory_.data() + base, lanes, bank.refractories()[i]);
+    std::fill_n(mode_.data() + base, lanes, static_cast<uint8_t>(bank.modes()[i]));
+  }
   if (faults) {
-    for (size_t l = 0; l < lanes; ++l) override_[l] = faults[l].neuron;
+    for (size_t l = 0; l < lanes; ++l) {
+      const LaneNeuronOverride& o = faults[l].neuron;
+      if (!o.active) continue;
+      const size_t e = static_cast<size_t>(o.neuron) * lanes + l;
+      leak_[e] = o.leak;
+      threshold_[e] = o.threshold;
+      refractory_[e] = o.refractory;
+      mode_[e] = static_cast<uint8_t>(o.mode);
+    }
   }
-  rebuild_override_map();
-  u_.assign(n_ * lanes, bank.defaults().reset_potential);
-  refrac_.assign(n_ * lanes, 0);
-}
-
-void LaneLif::rebuild_override_map() {
-  overridden_.clear();
-  for (size_t l = 0; l < lanes_; ++l) {
-    if (!override_[l].active) continue;
-    if (overridden_.empty()) overridden_.assign(n_, 0);
-    overridden_[override_[l].neuron] = 1;
-  }
+  u_.assign(count, reset_v_);
+  refrac_.assign(count, 0);
 }
 
 void LaneLif::step(const float* syn_lanes, float* out_lanes) {
-  const float reset_v = bank_->defaults().reset_potential;
-  const float* thr = bank_->thresholds().data();
-  const float* lk = bank_->leaks().data();
-  const int* rf = bank_->refractories().data();
-  const NeuronMode* md = bank_->modes().data();
-  const bool has_overrides = !overridden_.empty();
-  const size_t lanes = lanes_;
-  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
-  for (size_t i = 0; i < n_; ++i) {
-    const size_t base = i * lanes;
-    if (!has_overrides || !overridden_[i]) {
-      // Every lane of this neuron shares the bank parameters: hoist them
-      // out of the lane loop and run the dispatched lane LIF kernel (the
-      // hot path — overrides exist only on the fault layer, and there on a
-      // single neuron per lane).
-      const NeuronMode mode = md[i];
-      if (mode == NeuronMode::kNormal) {
-        ops.lif_lanes(u_.data() + base, refrac_.data() + base, syn_lanes + base,
-                      out_lanes + base, lanes, lk[i], thr[i], reset_v, rf[i]);
-      } else {
-        // Dead / saturated neurons emit a constant and, exactly like
-        // LifBank::step, leave their membrane and refractory state alone.
-        const float spike = mode == NeuronMode::kSaturated ? 1.0f : 0.0f;
-        for (size_t l = 0; l < lanes; ++l) out_lanes[base + l] = spike;
-      }
-      continue;
-    }
-    for (size_t l = 0; l < lanes; ++l) {
-      float threshold = thr[i];
-      float leak = lk[i];
-      int refractory = rf[i];
-      NeuronMode mode = md[i];
-      const LaneNeuronOverride& o = override_[l];
-      if (o.active && o.neuron == i) {
-        threshold = o.threshold;
-        leak = o.leak;
-        refractory = o.refractory;
-        mode = o.mode;
-      }
-      float spike = 0.0f;
-      switch (mode) {
-        case NeuronMode::kDead:
-          break;
-        case NeuronMode::kSaturated:
-          spike = 1.0f;
-          break;
-        case NeuronMode::kNormal: {
-          const size_t s = base + l;
-          if (refrac_[s] > 0) {
-            --refrac_[s];
-            u_[s] = reset_v;
-          } else {
-            const float u_pre = leak * u_[s] + syn_lanes[s];
-            if (u_pre >= threshold) {
-              spike = 1.0f;
-              u_[s] = reset_v;
-              refrac_[s] = refractory;
-            } else {
-              u_[s] = u_pre;
-            }
-          }
-          break;
-        }
-      }
-      out_lanes[base + l] = spike;
-    }
-  }
+  tensor::simd::LifFrameParams p;
+  p.leak = leak_.data();
+  p.threshold = threshold_.data();
+  p.refractory = refractory_.data();
+  p.mode = mode_.data();
+  p.reset_v = reset_v_;
+  tensor::simd::lane_ops().lif_frame(p, n_ * lanes_, syn_lanes, u_.data(), refrac_.data(),
+                                     out_lanes);
 }
 
 void LaneLif::compact(const uint8_t* keep) {
   size_t kept = 0;
-  std::array<LaneNeuronOverride, kMaxLaneWidth> packed{};
-  for (size_t l = 0; l < lanes_; ++l) {
-    if (keep[l]) packed[kept++] = override_[l];
-  }
+  for (size_t l = 0; l < lanes_; ++l) kept += keep[l] ? 1 : 0;
   if (kept == lanes_) return;
-  // In-place forward repack: the write index never overtakes the read index
-  // (kept <= lanes per neuron), so no slot is read after being overwritten.
-  size_t w = 0;
-  for (size_t i = 0; i < n_; ++i) {
-    const size_t base = i * lanes_;
-    for (size_t l = 0; l < lanes_; ++l) {
-      if (!keep[l]) continue;
-      u_[w] = u_[base + l];
-      refrac_[w] = refrac_[base + l];
-      ++w;
-    }
-  }
-  override_ = packed;
+  compact_lanes(leak_, n_, lanes_, keep, kept);
+  compact_lanes(threshold_, n_, lanes_, keep, kept);
+  compact_lanes(refractory_, n_, lanes_, keep, kept);
+  compact_lanes(mode_, n_, lanes_, keep, kept);
+  compact_lanes(u_, n_, lanes_, keep, kept);
+  compact_lanes(refrac_, n_, lanes_, keep, kept);
   lanes_ = kept;
-  rebuild_override_map();
-  u_.resize(n_ * kept);
-  refrac_.resize(n_ * kept);
 }
 
 // --- LaneLayerRun --------------------------------------------------------
@@ -295,6 +246,8 @@ void LaneLayerRun::reset(const Layer& layer, size_t lanes, const LaneFault* faul
   mode_ = mode;
   frames_ = frames;
   t_ = 0;
+  rows_recomputed_ = 0;
+  rows_skipped_ = 0;
   faults_.clear();
   if (faults) faults_.assign(faults, faults + lanes);
   scan_faults();
@@ -306,18 +259,12 @@ void LaneLayerRun::reset(const Layer& layer, size_t lanes, const LaneFault* faul
   } else {
     prev_out_.clear();
   }
-  if (layer.kind() == LayerKind::kConv2d) {
-    const auto& conv = static_cast<const ConvLayer&>(layer);
-    chan_.resize(conv.spec().out_height() * conv.spec().out_width());
-  }
 }
 
 void LaneLayerRun::scan_faults() {
   has_synapse_faults_ = false;
-  has_weight_faults_ = false;
   for (const LaneFault& f : faults_) {
     has_synapse_faults_ |= f.synapse.kind != LaneSynapseFault::Kind::kNone;
-    has_weight_faults_ |= f.synapse.kind == LaneSynapseFault::Kind::kWeight;
   }
 }
 
@@ -337,29 +284,59 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
       case LaneSynapseFault::Kind::kNone:
       case LaneSynapseFault::Kind::kRecurrentWeight:
         // Recurrent lateral faults only perturb the feedback term, which is
-        // handled after the lane feedback matvec (see step_shared).
+        // handled after the lane feedback matvec (apply_recurrent_faults).
         break;
       case LaneSynapseFault::Kind::kWeight: {
         const size_t cols = layer_->num_inputs();
+        const size_t col = sf.index % cols;
+        if (in_frame[col] == 0.0f) {
+          // value * 0 = +/-0.0: the broadcast fault-free row is the faulty row.
+          ++rows_skipped_;
+          break;
+        }
         const float* w = layer_->kind() == LayerKind::kRecurrent
                              ? static_cast<const RecurrentLayer&>(*layer_).weights().data()
                              : static_cast<const DenseLayer&>(*layer_).weights().data();
         const size_t r = sf.index / cols;
+        if (num_active == SIZE_MAX && mode_ != KernelMode::kDense) {
+          num_active = tensor::extract_active(in_frame, cols, active_);
+        }
         syn_lanes[r * lanes_ + l] =
             num_active == SIZE_MAX
-                ? recompute_row(w + r * cols, cols, sf.index % cols, sf.value, in_frame)
-                : recompute_row_gather(w + r * cols, sf.index % cols, sf.value, in_frame,
-                                       active_.data(), num_active);
+                ? recompute_row(w + r * cols, cols, col, sf.value, in_frame)
+                : recompute_row_gather(w + r * cols, col, sf.value, in_frame, active_.data(),
+                                       num_active);
+        ++rows_recomputed_;
         break;
       }
       case LaneSynapseFault::Kind::kConvWeight: {
+        // The tap (oc, ic, ky, kx) feeds output pixel (oy, ox) from input
+        // pixel (ic, oy*stride + ky - pad, ox*stride + kx - pad). Only the
+        // pixels whose tapped input is nonzero can differ from fault-free.
         const auto& conv = static_cast<const ConvLayer&>(*layer_);
         const Conv2dSpec& s = conv.spec();
-        const size_t hw = s.out_height() * s.out_width();
-        const size_t oc = sf.index / (s.in_channels * s.kernel * s.kernel);
-        recompute_conv_channel(conv, sf.index, sf.value, in_frame, chan_.data());
-        for (size_t p = 0; p < hw; ++p) {
-          syn_lanes[(oc * hw + p) * lanes_ + l] = chan_[p];
+        const size_t k = s.kernel;
+        const size_t oc = sf.index / (s.in_channels * k * k);
+        const size_t ic = (sf.index / (k * k)) % s.in_channels;
+        const size_t ky = (sf.index / k) % k;
+        const size_t kx = sf.index % k;
+        const size_t oh = s.out_height();
+        const size_t ow = s.out_width();
+        const float* in_plane = in_frame + ic * s.in_height * s.in_width;
+        for (size_t oy = 0; oy < oh; ++oy) {
+          const long iy = static_cast<long>(oy * s.stride + ky) - static_cast<long>(s.padding);
+          if (iy < 0 || iy >= static_cast<long>(s.in_height)) continue;
+          for (size_t ox = 0; ox < ow; ++ox) {
+            const long ix = static_cast<long>(ox * s.stride + kx) - static_cast<long>(s.padding);
+            if (ix < 0 || ix >= static_cast<long>(s.in_width)) continue;
+            if (in_plane[iy * static_cast<long>(s.in_width) + ix] == 0.0f) {
+              ++rows_skipped_;
+              continue;
+            }
+            syn_lanes[((oc * oh + oy) * ow + ox) * lanes_ + l] =
+                recompute_conv_pixel(conv, sf.index, sf.value, in_frame, oc, oy, ox);
+            ++rows_recomputed_;
+          }
         }
         break;
       }
@@ -368,24 +345,48 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
         // fault-free frame (base already broadcast into this slot).
         syn_lanes[sf.out_index * lanes_ + l] =
             base_frame_[sf.out_index] + sf.delta * in_frame[sf.in_index];
+        ++rows_recomputed_;
         break;
       }
     }
   }
 }
 
+void LaneLayerRun::apply_recurrent_faults(const float* v) {
+  for (size_t l = 0; l < lanes_; ++l) {
+    const LaneSynapseFault& sf = faults_[l].synapse;
+    if (sf.kind != LaneSynapseFault::Kind::kRecurrentWeight) continue;
+    const size_t r = sf.index / n_;
+    const size_t col = sf.index % n_;
+    if (prev_out_[col * lanes_ + l] == 0.0f) {
+      // value * 0 = +/-0.0: the fault-free feedback already added is exact.
+      ++rows_skipped_;
+      continue;
+    }
+    // Scalar path: syn[r] = float(W row . in) then += float(V' row . prev).
+    // This lane carries no W fault (single fault), so the first term is
+    // base_frame_[r]; recompute the faulty V term against the lane's own
+    // prev frame and overwrite the unfaulted feedback added before.
+    const float* vrow = v + r * n_;
+    double acc = 0.0;
+    for (size_t c = 0; c < n_; ++c) {
+      const float w = (c == col) ? sf.value : vrow[c];
+      acc += static_cast<double>(w) * prev_out_[c * lanes_ + l];
+    }
+    syn_[r * lanes_ + l] = base_frame_[r] + static_cast<float>(acc);
+    ++rows_recomputed_;
+  }
+}
+
 void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
   // Shared fault-free base frame: the cached trace row when the campaign
-  // built one for this layer, else computed in place. The input's active
-  // set is only read by the weight-fault row recomputes, so a cached frame
-  // extracts it just for them (the in-place kernels extract it anyway to
-  // pick dense or sparse).
+  // built one for this layer, else computed in place (which extracts the
+  // input's active set anyway to pick dense or sparse). Otherwise the
+  // active set is only read by weight-fault row recomputes, which extract
+  // it on first need.
   size_t num_active = SIZE_MAX;
   if (frames_) {
     base_frame_ = frames_ + t_ * n_;
-    if (has_weight_faults_ && mode_ != KernelMode::kDense) {
-      num_active = tensor::extract_active(in_frame, layer_->num_inputs(), active_);
-    }
   } else {
     num_active = shared_synaptic_frame(*layer_, in_frame, mode_, active_, base_.data());
     base_frame_ = base_.data();
@@ -408,25 +409,7 @@ void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
         tensor::matvec_accumulate_lanes(v, n_, n_, prev_out_.data(), lanes_, syn_.data());
       }
     }
-    if (has_synapse_faults_) {
-      for (size_t l = 0; l < lanes_; ++l) {
-        const LaneSynapseFault& sf = faults_[l].synapse;
-        if (sf.kind != LaneSynapseFault::Kind::kRecurrentWeight) continue;
-        // Scalar path: syn[r] = float(W row . in) then += float(V' row .
-        // prev). This lane carries no W fault (single fault), so the first
-        // term is base_frame_[r]; recompute the faulty V term against the lane's
-        // own prev frame and overwrite the unfaulted feedback added above.
-        const size_t r = sf.index / n_;
-        const size_t col = sf.index % n_;
-        const float* vrow = v + r * n_;
-        double acc = 0.0;
-        for (size_t c = 0; c < n_; ++c) {
-          const float w = (c == col) ? sf.value : vrow[c];
-          acc += static_cast<double>(w) * prev_out_[c * lanes_ + l];
-        }
-        syn_[r * lanes_ + l] = base_frame_[r] + static_cast<float>(acc);
-      }
-    }
+    if (has_synapse_faults_) apply_recurrent_faults(v);
   }
   finish_step(out_lanes);
 }
@@ -496,22 +479,9 @@ void LaneLayerRun::compact(const uint8_t* keep) {
   for (size_t l = 0; l < lanes_; ++l) kept += keep[l] ? 1 : 0;
   if (kept == lanes_) return;
   lif_.compact(keep);
-  if (!prev_out_.empty()) {
-    size_t w = 0;
-    for (size_t i = 0; i < n_; ++i) {
-      const size_t base = i * lanes_;
-      for (size_t l = 0; l < lanes_; ++l) {
-        if (keep[l]) prev_out_[w++] = prev_out_[base + l];
-      }
-    }
-    prev_out_.resize(n_ * kept);
-  }
+  if (!prev_out_.empty()) compact_lanes(prev_out_, n_, lanes_, keep, kept);
   if (!faults_.empty()) {
-    size_t w = 0;
-    for (size_t l = 0; l < lanes_; ++l) {
-      if (keep[l]) faults_[w++] = faults_[l];
-    }
-    faults_.resize(kept);
+    compact_lanes(faults_, 1, lanes_, keep, kept);
     scan_faults();
   }
   lanes_ = kept;

@@ -15,22 +15,26 @@
 //    layer, and LaneLayerRun computes it in place otherwise. Either way it
 //    is broadcast; a lane's synapse fault only changes the rows/outputs it
 //    touches, and those are recomputed per lane with the faulty value
-//    substituted in the scalar accumulation order (ordered double sums).
+//    substituted in the scalar accumulation order (ordered double sums) —
+//    unless the input the faulty synapse taps is zero in this frame: the
+//    faulty term is then value * 0 = +/-0.0 (the value is finite, which
+//    fault::resolve_lane_fault guarantees), it leaves the double
+//    accumulator unchanged, and the broadcast fault-free value is already
+//    the faulty one.
 //  * At the layers after the fault the weights are fault-free and shared;
 //    the lane-strided kernels accumulate each lane's ordered double sum
 //    exactly like the scalar kernels (see tensor/ops.hpp), and the sparse
 //    variants gather over the union of the lanes' active sets (the skipped
 //    terms are exact +/-0.0 for every lane).
-//  * Neuron faults never touch the synaptic frame: LaneLif applies a
-//    per-lane single-neuron parameter override inside the (elementwise)
-//    LIF update.
+//  * Neuron faults never touch the synaptic frame: LaneLif folds a
+//    per-lane single-neuron parameter override into its per-element
+//    parameters for the (elementwise) LIF update.
 //
 // Layering note: this header knows nothing about fault descriptors — the
 // fault table (fault::resolve_lane_fault, fault/injector.hpp) resolves a
 // fault::FaultDescriptor into the plain LaneFault PODs below.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -85,13 +89,15 @@ struct LaneFault {
 
 /// Lane-strided LIF state: element (neuron i, lane l) lives at
 /// state[i*lanes + l]. The update is elementwise, so each lane replays the
-/// scalar LifBank::step float expressions exactly; shared per-neuron
-/// parameters come from the (fault-free) reference bank, with at most one
-/// per-lane neuron override.
+/// scalar LifBank::step float expressions exactly. reset() folds the bank's
+/// per-neuron parameters and each lane's neuron-fault override into
+/// per-element parameter arrays, so step() is one dispatched frame kernel
+/// (tensor::simd::LaneKernels::lif_frame) per layer frame.
 class LaneLif {
  public:
-  /// Bind to `bank` (borrowed; must outlive the run) and reset state for a
-  /// fresh window. `faults` is null (no overrides) or length `lanes`.
+  /// Reset state for a fresh window with `bank`'s parameters (copied; the
+  /// bank need not outlive the run). `faults` is null (no overrides) or
+  /// length `lanes`.
   void reset(const LifBank& bank, size_t lanes, const LaneFault* faults);
   void step(const float* syn_lanes, float* out_lanes);
   /// Drop lanes with keep[l] == 0 (retirement compaction).
@@ -100,15 +106,14 @@ class LaneLif {
   size_t lanes() const { return lanes_; }
 
  private:
-  void rebuild_override_map();
-
-  const LifBank* bank_ = nullptr;
   size_t n_ = 0;
   size_t lanes_ = 0;
-  std::array<LaneNeuronOverride, kMaxLaneWidth> override_{};
-  /// Per-neuron flag: some lane overrides this neuron. Empty when no lane
-  /// has an override, which keeps step() on the hoisted fast path.
-  std::vector<uint8_t> overridden_;
+  float reset_v_ = 0.0f;
+  // Per-element parameters [n * lanes]; mode holds NeuronMode values.
+  std::vector<float> leak_;
+  std::vector<float> threshold_;
+  std::vector<int> refractory_;
+  std::vector<uint8_t> mode_;
   std::vector<float> u_;       // [n * lanes]
   std::vector<int> refrac_;    // [n * lanes]
 };
@@ -156,14 +161,28 @@ class LaneLayerRun {
   /// and the per-lane fault table. Call between timesteps only.
   void compact(const uint8_t* keep);
 
+  /// Fault rows since reset(), summed over lanes: one fault row is one
+  /// output sum that reads a lane's faulty synapse at one frame (a dense or
+  /// recurrent row, a conv output pixel whose receptive field holds the
+  /// faulty tap, a conv connection's output). It is recomputed with the
+  /// faulty value, or skipped when the input it taps is zero, because the
+  /// faulty term is then an exact +/-0.0 and the fault-free value stands.
+  /// Recurrent lateral faults count from frame 1 (frame 0 has no feedback).
+  size_t fault_rows_recomputed() const { return rows_recomputed_; }
+  size_t fault_rows_skipped() const { return rows_skipped_; }
+
  private:
   void scan_faults();
   void broadcast_base(float* syn_lanes) const;
   /// `num_active` is the length of the input frame's active set in
-  /// `active_` (SIZE_MAX when none was extracted): weight-fault row
-  /// recomputes then walk only the active columns — bit-identical, the
-  /// skipped terms are exact +/-0.0 contributions.
+  /// `active_` (SIZE_MAX when none was extracted yet; extracted on first
+  /// need unless the kernel mode is dense): weight-fault row recomputes then
+  /// walk only the active columns — bit-identical, the skipped terms are
+  /// exact +/-0.0 contributions.
   void apply_shared_synapse_faults(const float* in_frame, size_t num_active, float* syn_lanes);
+  /// The recurrent lateral (V) faults of the lanes, after the per-lane
+  /// feedback matvec has added the fault-free V·prev term.
+  void apply_recurrent_faults(const float* v);
   void synaptic_lanes(const float* in_lanes, float* syn_lanes);
   void finish_step(float* out_lanes);
 
@@ -175,13 +194,13 @@ class LaneLayerRun {
   const float* base_frame_ = nullptr;  // this step's fault-free syn frame [n]
   size_t t_ = 0;
   bool has_synapse_faults_ = false;
-  bool has_weight_faults_ = false;  // some lane carries a dense/recurrent W fault
   std::vector<LaneFault> faults_;  // per-lane, compacted along with state
   LaneLif lif_;
   std::vector<float> base_;       // in-place fault-free syn frame [n]
   std::vector<float> syn_;        // lane-strided syn frame [n*lanes]
   std::vector<float> prev_out_;   // recurrent feedback [n*lanes]
-  std::vector<float> chan_;       // conv channel-recompute scratch [oh*ow]
+  size_t rows_recomputed_ = 0;
+  size_t rows_skipped_ = 0;
   std::vector<double> acc_;       // conv lane scatter accumulators [n*lanes]
   std::vector<uint32_t> active_;  // per-frame active / union-active indices
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "tensor/simd.hpp"
@@ -93,9 +94,8 @@ void matvec_accumulate_gather(const float* a, size_t rows, size_t cols, const fl
 }
 
 // The lane-strided kernel bodies live behind the SIMD dispatch layer
-// (simd_scalar.cpp / simd_avx2.cpp / simd_neon.cpp); the public entry
-// points here keep the argument validation and then jump through the
-// active backend's table.
+// (simd_scalar.cpp / simd_avx2.cpp); the public entry points here keep the
+// argument validation and then jump through the active backend's table.
 void matvec_accumulate_lanes(const float* a, size_t rows, size_t cols, const float* x_lanes,
                              size_t lanes, float* y_lanes) {
   if (lanes == 0 || lanes > kMaxLanes) {
@@ -114,16 +114,50 @@ void matvec_accumulate_gather_lanes(const float* a, size_t rows, size_t cols,
                                        y_lanes);
 }
 
+namespace {
+
+/// extract_active_union for a compile-time lane count, without a branch per
+/// column: OR the lanes' bit patterns, drop the sign bit (so -0.0f counts
+/// as zero, exactly like `!= 0.0f`; NaN stays active), and write the index
+/// unconditionally, advancing the count only for an active column.
+template <size_t LANES>
+size_t extract_union_fixed(const float* x_lanes, size_t n, size_t lanes, uint32_t* out) {
+  const size_t width = LANES == 0 ? lanes : LANES;  // 0: run-time lane count
+  size_t count = 0;
+  for (size_t c = 0; c < n; ++c) {
+    const float* p = x_lanes + c * width;
+    uint32_t bits = 0;
+    for (size_t l = 0; l < width; ++l) {
+      uint32_t b;
+      std::memcpy(&b, p + l, sizeof(b));
+      bits |= b;
+    }
+    out[count] = static_cast<uint32_t>(c);
+    count += (bits & 0x7fffffffu) != 0 ? 1 : 0;
+  }
+  return count;
+}
+
+}  // namespace
+
 size_t extract_active_union(const float* x_lanes, size_t n, size_t lanes,
                             std::vector<uint32_t>& scratch) {
-  scratch.clear();
-  for (size_t c = 0; c < n; ++c) {
-    const float* p = x_lanes + c * lanes;
-    bool any = false;
-    for (size_t l = 0; l < lanes; ++l) any = any || p[l] != 0.0f;
-    if (any) scratch.push_back(static_cast<uint32_t>(c));
+  scratch.resize(n);
+  uint32_t* out = scratch.data();
+  size_t count = 0;
+  switch (lanes) {
+    case 1: count = extract_union_fixed<1>(x_lanes, n, lanes, out); break;
+    case 2: count = extract_union_fixed<2>(x_lanes, n, lanes, out); break;
+    case 3: count = extract_union_fixed<3>(x_lanes, n, lanes, out); break;
+    case 4: count = extract_union_fixed<4>(x_lanes, n, lanes, out); break;
+    case 5: count = extract_union_fixed<5>(x_lanes, n, lanes, out); break;
+    case 6: count = extract_union_fixed<6>(x_lanes, n, lanes, out); break;
+    case 7: count = extract_union_fixed<7>(x_lanes, n, lanes, out); break;
+    case 8: count = extract_union_fixed<8>(x_lanes, n, lanes, out); break;
+    default: count = extract_union_fixed<0>(x_lanes, n, lanes, out); break;
   }
-  return scratch.size();
+  scratch.resize(count);
+  return count;
 }
 
 void matvec_transpose_accumulate(const float* a, size_t rows, size_t cols, const float* x,

@@ -96,7 +96,9 @@ void matvec_accumulate_gather_lanes(const float* a, size_t rows, size_t cols,
                                     size_t num_active, float* y_lanes);
 
 /// Ascending indices c where lane frame `x_lanes` is nonzero in ANY lane —
-/// the union active set driving the lane gather kernel above.
+/// the union active set driving the lane gather kernel above. Same zero
+/// test as extract_active (either sign of zero is inactive, NaN is active),
+/// run without a per-column branch.
 size_t extract_active_union(const float* x_lanes, size_t n, size_t lanes,
                             std::vector<uint32_t>& scratch);
 

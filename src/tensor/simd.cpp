@@ -22,12 +22,6 @@ const LaneKernels* table_for(Backend backend) {
 #else
       return nullptr;
 #endif
-    case Backend::kNeon:
-#if defined(SNNTEST_SIMD_NEON)
-      return &kNeonLaneKernels;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
@@ -44,12 +38,6 @@ bool host_supports(Backend backend) {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-#if defined(SNNTEST_SIMD_NEON)
-      return true;  // NEON is baseline ISA on aarch64
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -63,7 +51,7 @@ Backend startup_backend() {
     if (value == "auto") {
       // keep the default
     } else if (!parse_backend(value, requested)) {
-      SNNTEST_LOG_WARN("SNNTEST_SIMD=%s not recognized (expected scalar|avx2|neon|auto); "
+      SNNTEST_LOG_WARN("SNNTEST_SIMD=%s not recognized (expected scalar|avx2|auto); "
                        "using %s",
                        value.c_str(), backend_name(selected));
     } else if (!backend_available(requested)) {
@@ -103,7 +91,6 @@ const char* backend_name(Backend backend) {
   switch (backend) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
   }
   return "unknown";
 }
@@ -111,7 +98,6 @@ const char* backend_name(Backend backend) {
 bool parse_backend(const std::string& name, Backend& out) {
   if (name == "scalar") { out = Backend::kScalar; return true; }
   if (name == "avx2") { out = Backend::kAvx2; return true; }
-  if (name == "neon") { out = Backend::kNeon; return true; }
   return false;
 }
 
@@ -121,7 +107,7 @@ bool backend_available(Backend backend) {
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out;
-  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+  for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
     if (backend_available(b)) out.push_back(b);
   }
   return out;
@@ -129,7 +115,6 @@ std::vector<Backend> available_backends() {
 
 Backend best_available_backend() {
   if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kNeon)) return Backend::kNeon;
   return Backend::kScalar;
 }
 

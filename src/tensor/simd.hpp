@@ -19,12 +19,17 @@
 //  * identical branch semantics — the LIF update uses ordered-quiet
 //    compares and blends that replicate the scalar if/else per lane.
 //
+// A backend may also block the work differently — the AVX2 matvecs sweep
+// the columns once per block of rows and widen each input column to double
+// once for the whole block — as long as every (row, lane) accumulator still
+// receives its terms in ascending column order; the blocking only changes
+// which independent accumulators share a column sweep.
+//
 // Backend selection happens once, on first use: AVX2 via cpuid
-// (__builtin_cpu_supports) on x86-64, NEON on aarch64 (baseline ISA), the
-// portable scalar code everywhere else. `SNNTEST_SIMD=scalar|avx2|neon|auto`
-// overrides the choice (unavailable/unknown values warn once and fall back
-// to the best available backend). Tests and benches can also switch
-// programmatically with force_backend().
+// (__builtin_cpu_supports) on x86-64, the portable scalar code everywhere
+// else. `SNNTEST_SIMD=scalar|avx2|auto` overrides the choice (unavailable or
+// unknown values warn once and fall back to the best available backend).
+// Tests and benches can also switch programmatically with force_backend().
 #pragma once
 
 #include <cstddef>
@@ -37,10 +42,9 @@ namespace snntest::tensor::simd {
 enum class Backend : uint8_t {
   kScalar = 0,  // portable reference kernels (always available)
   kAvx2 = 1,    // x86-64 AVX2: 4-wide f64 / 8-wide f32 across lanes
-  kNeon = 2,    // aarch64 NEON: 2-wide f64 / 4-wide f32 across lanes
 };
 
-/// Stable lower-case name ("scalar", "avx2", "neon") for logs and reports.
+/// Stable lower-case name ("scalar", "avx2") for logs and reports.
 const char* backend_name(Backend backend);
 
 /// Parse a backend name (as accepted by SNNTEST_SIMD, case-sensitive).
@@ -83,6 +87,18 @@ struct ConvLaneGeom {
   size_t output_size() const { return out_channels * out_height * out_width; }
 };
 
+/// Per-element LIF parameters of one lane-strided layer frame: element
+/// (neuron i, lane l) lives at [i*lanes + l], so a lane's neuron-fault
+/// override is just a different value in its own slot. `mode` holds
+/// snn::NeuronMode values (0 normal, 1 dead, 2 saturated).
+struct LifFrameParams {
+  const float* leak = nullptr;
+  const float* threshold = nullptr;
+  const int* refractory = nullptr;
+  const uint8_t* mode = nullptr;
+  float reset_v = 0.0f;
+};
+
 /// One backend's lane-kernel table. All pointers are non-null in every
 /// registered table; `lanes` is always in [1, kMaxLanes] (callers validate).
 struct LaneKernels {
@@ -105,13 +121,15 @@ struct LaneKernels {
   /// Lane sum pool: float window sums in the scalar (wy, wx) order.
   void (*pool_lanes)(size_t channels, size_t in_height, size_t in_width, size_t window,
                      const float* in_lanes, size_t lanes, float* syn_lanes);
-  /// One neuron's LIF update across its lanes (the no-override kNormal fast
-  /// path of snn::LaneLif::step): per lane,
+  /// One LIF update of a whole lane-strided frame of `count` elements, per
+  /// element exactly snn::lif_step_neuron: a normal element runs
   ///   refrac > 0 ? (--refrac, u = reset, spike 0)
   ///              : u_pre = leak*u + syn; u_pre >= threshold ?
-  ///                  (spike 1, u = reset, refrac = refractory) : u = u_pre.
-  void (*lif_lanes)(float* u, int* refrac, const float* syn, float* out, size_t lanes,
-                    float leak, float threshold, float reset_v, int refractory);
+  ///                  (spike 1, u = reset, refrac = refractory) : u = u_pre,
+  /// a dead element emits 0 and a saturated one 1, both leaving u and
+  /// refrac untouched.
+  void (*lif_frame)(const LifFrameParams& params, size_t count, const float* syn, float* u,
+                    int* refrac, float* out);
 };
 
 /// The active backend's kernel table. Cheap (one relaxed atomic load), but

@@ -10,8 +10,10 @@
 //
 // Vector width divides the lane dimension only — each lane's accumulation
 // order is untouched — so results are bit-identical to simd_scalar.cpp for
-// every lane count, including the scalar tail when lanes % 4 (or % 8 for
-// the float kernels) is nonzero.
+// every lane count, including the tail when lanes % 4 (or % 8 for the float
+// kernels) is nonzero. The matvecs additionally sweep each column once for
+// a block of rows; every (row, lane) accumulator still sums its columns in
+// ascending order, so the blocking changes no term order.
 #if !defined(__AVX2__)
 #error "simd_avx2.cpp must be compiled with -mavx2"
 #endif
@@ -29,71 +31,89 @@ struct LaneBlocks {
   static constexpr size_t kTail = LANES % 4;  // scalar double tail
 };
 
+/// Mask selecting the first `n` (1..3) of a 4-wide block's lanes, for the
+/// masked load/store of a lane count's last partial block.
+inline __m128i tail_mask(size_t n) {
+  return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(n)), _mm_setr_epi32(0, 1, 2, 3));
+}
+
+/// RB rows x LANES lanes of a lane-strided matvec, one column sweep: each
+/// visited column's lane values are widened to double once and feed the RB
+/// rows' independent accumulators. A partial last block of lanes is loaded
+/// masked (absent lanes read as 0.0f and are never stored), so every
+/// accumulator element is one lane of one row, summed in the order `cols`
+/// yields the columns (ascending) — bit-identical to the one-row scalar
+/// kernel. `col_at(i)` maps the i-th of `count` visited columns to its index.
+template <size_t LANES, size_t RB, typename ColAt>
+inline void matvec_row_block(const float* a, size_t cols, ColAt col_at, size_t count,
+                             const float* x_lanes, float* y_lanes) {
+  constexpr size_t NV = (LANES + 3) / 4;  // 4-wide double blocks, last maybe partial
+  constexpr size_t TAIL = LANES % 4;      // valid lanes of a partial last block
+  const __m128i mask = tail_mask(TAIL == 0 ? 4 : TAIL);
+  __m256d acc[RB][NV];
+  for (size_t j = 0; j < RB; ++j) {
+    for (size_t b = 0; b < NV; ++b) acc[j][b] = _mm256_setzero_pd();
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const size_t c = col_at(i);
+    const float* xv = x_lanes + c * LANES;
+    __m256d xd[NV];
+    for (size_t b = 0; b < NV; ++b) {
+      const __m128 xf = (TAIL != 0 && b + 1 == NV) ? _mm_maskload_ps(xv + 4 * b, mask)
+                                                   : _mm_loadu_ps(xv + 4 * b);
+      xd[b] = _mm256_cvtps_pd(xf);
+    }
+    for (size_t j = 0; j < RB; ++j) {
+      const __m256d wv = _mm256_set1_pd(static_cast<double>(a[j * cols + c]));
+      for (size_t b = 0; b < NV; ++b) {
+        acc[j][b] = _mm256_add_pd(acc[j][b], _mm256_mul_pd(wv, xd[b]));
+      }
+    }
+  }
+  for (size_t j = 0; j < RB; ++j) {
+    float* yr = y_lanes + j * LANES;
+    for (size_t b = 0; b < NV; ++b) {
+      const __m128 sum = _mm256_cvtpd_ps(acc[j][b]);
+      if (TAIL != 0 && b + 1 == NV) {
+        _mm_maskstore_ps(yr + 4 * b, mask, _mm_add_ps(_mm_maskload_ps(yr + 4 * b, mask), sum));
+      } else {
+        _mm_storeu_ps(yr + 4 * b, _mm_add_ps(_mm_loadu_ps(yr + 4 * b), sum));
+      }
+    }
+  }
+}
+
+/// Rows per column sweep: four while their accumulators fit the sixteen
+/// ymm registers beside the widened column (up to 8 lanes), else two.
+template <size_t LANES>
+inline constexpr size_t kRowBlock = LANES <= 8 ? 4 : 2;
+
+template <size_t LANES, typename ColAt>
+void matvec_rows(const float* a, size_t rows, size_t cols, ColAt col_at, size_t count,
+                 const float* x_lanes, float* y_lanes) {
+  constexpr size_t RB = kRowBlock<LANES>;
+  size_t r = 0;
+  for (; r + RB <= rows; r += RB) {
+    matvec_row_block<LANES, RB>(a + r * cols, cols, col_at, count, x_lanes,
+                                y_lanes + r * LANES);
+  }
+  for (; r < rows; ++r) {
+    matvec_row_block<LANES, 1>(a + r * cols, cols, col_at, count, x_lanes, y_lanes + r * LANES);
+  }
+}
+
 template <size_t LANES>
 void matvec_lanes_fixed(const float* a, size_t rows, size_t cols, const float* x_lanes,
                         float* y_lanes) {
-  constexpr size_t NB = LaneBlocks<LANES>::kVec;
-  constexpr size_t TAIL = LaneBlocks<LANES>::kTail;
-  for (size_t r = 0; r < rows; ++r) {
-    const float* row = a + r * cols;
-    __m256d acc[NB > 0 ? NB : 1];
-    for (size_t b = 0; b < NB; ++b) acc[b] = _mm256_setzero_pd();
-    double acc_tail[TAIL > 0 ? TAIL : 1] = {};
-    for (size_t c = 0; c < cols; ++c) {
-      const double w = row[c];
-      const float* xv = x_lanes + c * LANES;
-      if constexpr (NB > 0) {
-        const __m256d wv = _mm256_set1_pd(w);
-        for (size_t b = 0; b < NB; ++b) {
-          const __m256d xd = _mm256_cvtps_pd(_mm_loadu_ps(xv + 4 * b));
-          acc[b] = _mm256_add_pd(acc[b], _mm256_mul_pd(wv, xd));
-        }
-      }
-      for (size_t t = 0; t < TAIL; ++t) acc_tail[t] += w * xv[4 * NB + t];
-    }
-    float* yr = y_lanes + r * LANES;
-    for (size_t b = 0; b < NB; ++b) {
-      const __m128 sum = _mm256_cvtpd_ps(acc[b]);
-      _mm_storeu_ps(yr + 4 * b, _mm_add_ps(_mm_loadu_ps(yr + 4 * b), sum));
-    }
-    for (size_t t = 0; t < TAIL; ++t) {
-      yr[4 * NB + t] += static_cast<float>(acc_tail[t]);
-    }
-  }
+  matvec_rows<LANES>(a, rows, cols, [](size_t i) { return i; }, cols, x_lanes, y_lanes);
 }
 
 template <size_t LANES>
 void matvec_gather_lanes_fixed(const float* a, size_t rows, size_t cols, const float* x_lanes,
                                const uint32_t* active, size_t num_active, float* y_lanes) {
-  constexpr size_t NB = LaneBlocks<LANES>::kVec;
-  constexpr size_t TAIL = LaneBlocks<LANES>::kTail;
-  for (size_t r = 0; r < rows; ++r) {
-    const float* row = a + r * cols;
-    __m256d acc[NB > 0 ? NB : 1];
-    for (size_t b = 0; b < NB; ++b) acc[b] = _mm256_setzero_pd();
-    double acc_tail[TAIL > 0 ? TAIL : 1] = {};
-    for (size_t i = 0; i < num_active; ++i) {
-      const uint32_t c = active[i];
-      const double w = row[c];
-      const float* xv = x_lanes + static_cast<size_t>(c) * LANES;
-      if constexpr (NB > 0) {
-        const __m256d wv = _mm256_set1_pd(w);
-        for (size_t b = 0; b < NB; ++b) {
-          const __m256d xd = _mm256_cvtps_pd(_mm_loadu_ps(xv + 4 * b));
-          acc[b] = _mm256_add_pd(acc[b], _mm256_mul_pd(wv, xd));
-        }
-      }
-      for (size_t t = 0; t < TAIL; ++t) acc_tail[t] += w * xv[4 * NB + t];
-    }
-    float* yr = y_lanes + r * LANES;
-    for (size_t b = 0; b < NB; ++b) {
-      const __m128 sum = _mm256_cvtpd_ps(acc[b]);
-      _mm_storeu_ps(yr + 4 * b, _mm_add_ps(_mm_loadu_ps(yr + 4 * b), sum));
-    }
-    for (size_t t = 0; t < TAIL; ++t) {
-      yr[4 * NB + t] += static_cast<float>(acc_tail[t]);
-    }
-  }
+  matvec_rows<LANES>(
+      a, rows, cols, [active](size_t i) { return static_cast<size_t>(active[i]); }, num_active,
+      x_lanes, y_lanes);
 }
 
 template <size_t LANES>
@@ -311,54 +331,65 @@ void pool_lanes(size_t channels, size_t in_height, size_t in_width, size_t windo
   }
 }
 
-void lif_lanes(float* u, int* refrac, const float* syn, float* out, size_t lanes, float leak,
-               float threshold, float reset_v, int refractory) {
-  const __m256 leak_v = _mm256_set1_ps(leak);
-  const __m256 thr_v = _mm256_set1_ps(threshold);
-  const __m256 reset_ps = _mm256_set1_ps(reset_v);
+void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u, int* refrac,
+               float* out) {
+  const __m256 reset_ps = _mm256_set1_ps(p.reset_v);
   const __m256 one_ps = _mm256_set1_ps(1.0f);
-  const __m256i refractory_v = _mm256_set1_epi32(refractory);
   const __m256i zero_i = _mm256_setzero_si256();
-  size_t l = 0;
-  for (; l + 8 <= lanes; l += 8) {
-    const __m256 u_v = _mm256_loadu_ps(u + l);
-    const __m256 syn_v = _mm256_loadu_ps(syn + l);
-    const __m256i rf_v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(refrac + l));
-    // Refractory lanes: spike 0, u = reset, refrac decremented. The compare
-    // mask is all-ones (== -1) per true lane, so adding it decrements.
-    const __m256i in_refrac_i = _mm256_cmpgt_epi32(rf_v, zero_i);
+  const __m256i two_i = _mm256_set1_epi32(2);
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m256i md =
+        _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p.mode + i)));
+    const __m256i normal_i = _mm256_cmpeq_epi32(md, zero_i);
+    const __m256 saturated = _mm256_castsi256_ps(_mm256_cmpeq_epi32(md, two_i));
+    const __m256 u_v = _mm256_loadu_ps(u + i);
+    const __m256i rf_v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(refrac + i));
+    // Refractory normal elements: spike 0, u = reset, refrac decremented.
+    // The compare mask is all-ones (== -1) per true element, so adding it
+    // decrements.
+    const __m256i in_refrac_i = _mm256_and_si256(_mm256_cmpgt_epi32(rf_v, zero_i), normal_i);
     const __m256 in_refrac = _mm256_castsi256_ps(in_refrac_i);
-    // Integration (computed for every lane; refractory lanes discard it):
+    const __m256 integrating = _mm256_andnot_ps(in_refrac, _mm256_castsi256_ps(normal_i));
+    // Integration (computed for every element; the others discard it):
     // unfused mul + add, exactly the scalar `leak * u + syn`.
-    const __m256 u_pre = _mm256_add_ps(_mm256_mul_ps(leak_v, u_v), syn_v);
+    const __m256 u_pre =
+        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(p.leak + i), u_v), _mm256_loadu_ps(syn + i));
     // Quiet ordered >= : NaN u_pre compares false, like the scalar branch.
-    const __m256 ge = _mm256_cmp_ps(u_pre, thr_v, _CMP_GE_OQ);
-    const __m256 spike = _mm256_andnot_ps(in_refrac, ge);
-    const __m256i spike_i = _mm256_castps_si256(spike);
-    const __m256 u_new =
-        _mm256_blendv_ps(u_pre, reset_ps, _mm256_or_ps(in_refrac, spike));
+    const __m256 ge = _mm256_cmp_ps(u_pre, _mm256_loadu_ps(p.threshold + i), _CMP_GE_OQ);
+    const __m256 spike = _mm256_and_ps(ge, integrating);
+    // Dead and saturated elements keep u and refrac as they are.
+    const __m256 u_int = _mm256_blendv_ps(u_v, u_pre, integrating);
+    const __m256 u_new = _mm256_blendv_ps(u_int, reset_ps, _mm256_or_ps(in_refrac, spike));
     const __m256i rf_dec = _mm256_add_epi32(rf_v, in_refrac_i);
-    const __m256i rf_new = _mm256_blendv_epi8(rf_dec, refractory_v, spike_i);
-    _mm256_storeu_ps(u + l, u_new);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(refrac + l), rf_new);
-    _mm256_storeu_ps(out + l, _mm256_and_ps(spike, one_ps));
+    const __m256i rf_new =
+        _mm256_blendv_epi8(rf_dec,
+                           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p.refractory + i)),
+                           _mm256_castps_si256(spike));
+    _mm256_storeu_ps(u + i, u_new);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(refrac + i), rf_new);
+    _mm256_storeu_ps(out + i, _mm256_and_ps(_mm256_or_ps(spike, saturated), one_ps));
   }
-  for (; l < lanes; ++l) {
+  for (; i < count; ++i) {
     float spike = 0.0f;
-    if (refrac[l] > 0) {
-      --refrac[l];
-      u[l] = reset_v;
-    } else {
-      const float u_pre = leak * u[l] + syn[l];
-      if (u_pre >= threshold) {
-        spike = 1.0f;
-        u[l] = reset_v;
-        refrac[l] = refractory;
+    if (p.mode[i] == 0) {
+      if (refrac[i] > 0) {
+        --refrac[i];
+        u[i] = p.reset_v;
       } else {
-        u[l] = u_pre;
+        const float u_pre = p.leak[i] * u[i] + syn[i];
+        if (u_pre >= p.threshold[i]) {
+          spike = 1.0f;
+          u[i] = p.reset_v;
+          refrac[i] = p.refractory[i];
+        } else {
+          u[i] = u_pre;
+        }
       }
+    } else if (p.mode[i] == 2) {
+      spike = 1.0f;
     }
-    out[l] = spike;
+    out[i] = spike;
   }
 }
 
@@ -366,7 +397,7 @@ void lif_lanes(float* u, int* refrac, const float* syn, float* out, size_t lanes
 
 const LaneKernels kAvx2LaneKernels = {
     matvec_lanes, matvec_gather_lanes, conv_lanes_dense,
-    conv_lanes_scatter, pool_lanes, lif_lanes,
+    conv_lanes_scatter, pool_lanes, lif_frame,
 };
 
 }  // namespace snntest::tensor::simd

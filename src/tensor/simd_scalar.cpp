@@ -1,8 +1,9 @@
 // Portable reference lane kernels — the bit-exactness contract every SIMD
 // backend is tested against. The matvec bodies are the PR-5 lane kernels
-// (formerly in ops.cpp), the conv/pool/LIF bodies the lane-network frame
+// (formerly in ops.cpp), the conv/pool bodies the lane-network frame
 // kernels (formerly file-local in snn/lane_network.cpp), moved here so every
-// backend of one kernel lives behind the same dispatch table.
+// backend of one kernel lives behind the same dispatch table. They visit one
+// row at a time: the plainest statement of each lane's term order.
 //
 // This translation unit (like all simd_*.cpp) is compiled with
 // -ffp-contract=off so no host contracts `w * x + acc` into an FMA that the
@@ -218,26 +219,36 @@ void pool_lanes(size_t channels, size_t in_height, size_t in_width, size_t windo
   }
 }
 
-/// One neuron's LIF update across its lanes — the no-override kNormal fast
-/// path of snn::LaneLif::step, verbatim.
-void lif_lanes(float* u, int* refrac, const float* syn, float* out, size_t lanes, float leak,
-               float threshold, float reset_v, int refractory) {
-  for (size_t l = 0; l < lanes; ++l) {
+/// One LIF update of a whole lane-strided frame: per element the float
+/// expressions of snn::lif_step_neuron, verbatim (mode 1 dead, 2 saturated,
+/// both without touching the state).
+void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u, int* refrac,
+               float* out) {
+  for (size_t i = 0; i < count; ++i) {
     float spike = 0.0f;
-    if (refrac[l] > 0) {
-      --refrac[l];
-      u[l] = reset_v;
-    } else {
-      const float u_pre = leak * u[l] + syn[l];
-      if (u_pre >= threshold) {
+    switch (p.mode[i]) {
+      case 0:
+        if (refrac[i] > 0) {
+          --refrac[i];
+          u[i] = p.reset_v;
+        } else {
+          const float u_pre = p.leak[i] * u[i] + syn[i];
+          if (u_pre >= p.threshold[i]) {
+            spike = 1.0f;
+            u[i] = p.reset_v;
+            refrac[i] = p.refractory[i];
+          } else {
+            u[i] = u_pre;
+          }
+        }
+        break;
+      case 2:
         spike = 1.0f;
-        u[l] = reset_v;
-        refrac[l] = refractory;
-      } else {
-        u[l] = u_pre;
-      }
+        break;
+      default:
+        break;
     }
-    out[l] = spike;
+    out[i] = spike;
   }
 }
 
@@ -245,7 +256,7 @@ void lif_lanes(float* u, int* refrac, const float* syn, float* out, size_t lanes
 
 const LaneKernels kScalarLaneKernels = {
     matvec_lanes, matvec_gather_lanes, conv_lanes_dense,
-    conv_lanes_scatter, pool_lanes, lif_lanes,
+    conv_lanes_scatter, pool_lanes, lif_frame,
 };
 
 }  // namespace snntest::tensor::simd

@@ -1,6 +1,6 @@
 // Internal: per-backend kernel tables linked into the dispatcher. The AVX2
-// and NEON tables exist only when the matching SNNTEST_SIMD_* macro is set
-// by CMake (which also isolates the ISA flags to those translation units).
+// table exists only when CMake sets SNNTEST_SIMD_AVX2 (which also isolates
+// the ISA flag to that translation unit).
 #pragma once
 
 #include "tensor/simd.hpp"
@@ -10,9 +10,6 @@ namespace snntest::tensor::simd {
 extern const LaneKernels kScalarLaneKernels;
 #if defined(SNNTEST_SIMD_AVX2)
 extern const LaneKernels kAvx2LaneKernels;
-#endif
-#if defined(SNNTEST_SIMD_NEON)
-extern const LaneKernels kNeonLaneKernels;
 #endif
 
 }  // namespace snntest::tensor::simd

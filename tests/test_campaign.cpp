@@ -322,6 +322,44 @@ std::vector<fault::FaultDescriptor> all_kinds_universe(snn::Network& net, size_t
   return fault::sample_faults(universe, k, rng);
 }
 
+TEST(GoldenCache, TrainsFromCachedFramesMatchDirectForward) {
+  // A layer with cached synaptic frames gets its golden train (and its
+  // recorded LIF state) by running its LIF bank over those frames instead
+  // of its own forward: the trains and state traces must be bit-identical
+  // to a cache built without frames, for dense, conv, pool and recurrent
+  // layers in every kernel mode.
+  std::vector<snn::Network> nets;
+  nets.push_back(make_conv_pool_net());
+  nets.push_back(make_recurrent_net());
+  for (auto& net : nets) {
+    SCOPED_TRACE(net.name());
+    util::Rng rng(71);
+    const auto input = snn::random_spike_train(14, net.input_size(), 0.3, rng);
+    const size_t L = net.num_layers();
+    for (const auto mode :
+         {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
+      GoldenCacheOptions plain;
+      plain.mode = mode;
+      plain.state_traces = true;
+      GoldenCacheOptions framed = plain;
+      for (size_t l = 0; l < L; ++l) framed.synaptic_frame_layers.push_back(l);
+      const auto a = build_golden_cache(net, input, plain);
+      const auto b = build_golden_cache(net, input, framed);
+      for (size_t l = 0; l < L; ++l) {
+        SCOPED_TRACE("layer " + std::to_string(l));
+        ASSERT_NE(b.synaptic_frames(l), nullptr);
+        const auto& ta = a.layer_output(l);
+        const auto& tb = b.layer_output(l);
+        ASSERT_EQ(ta.shape(), tb.shape());
+        for (size_t i = 0; i < ta.numel(); ++i) ASSERT_EQ(ta[i], tb[i]);
+        ASSERT_TRUE(a.has_state_traces && b.has_state_traces);
+        EXPECT_EQ(a.state[l].u_post, b.state[l].u_post);
+        EXPECT_EQ(a.state[l].refrac, b.state[l].refrac);
+      }
+    }
+  }
+}
+
 TEST(LaneBatch, FuzzMatrixBitIdenticalToScalar) {
   // Property matrix: random fault populations (all kinds, mixed layers) on
   // three architectures, every lane width x kernel mode x telemetry state.
@@ -826,6 +864,107 @@ TEST(LaneBatch, SynapticFrameCountsIndependentOfThreads) {
     EXPECT_EQ(one.stats.synaptic_frames_cached, two.stats.synaptic_frames_cached);
     EXPECT_EQ(one.stats.synaptic_frames_computed, two.stats.synaptic_frames_computed);
     expect_results_identical(one.results, two.results);
+  }
+}
+
+TEST(LaneBatch, WeightFaultOnSilentInputColumnIsUndetected) {
+  // A weight fault on an input column the stimulus never drives only
+  // changes terms value * 0 = +/-0.0, so the faulty run is the golden run:
+  // undetected with output_l1 == 0, equal to the naive oracle, in every
+  // kernel mode at every width. In the lane batches every fault row is
+  // skipped (the fault-free row stands), none recomputed.
+  struct Case {
+    std::string name;
+    snn::Network net;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"dense", make_net()});
+  {
+    util::Rng rng(251);
+    snn::Network net("silent-recurrent");
+    auto rec = std::make_unique<snn::RecurrentLayer>(8, 10, snn::LifParams{});
+    rec->init_weights(rng, 1.3f, 0.5f);
+    net.add_layer(std::move(rec));
+    auto out = std::make_unique<snn::DenseLayer>(10, 4, snn::LifParams{});
+    out->init_weights(rng, 1.3f);
+    net.add_layer(std::move(out));
+    cases.push_back({"recurrent", std::move(net)});
+  }
+  const size_t silent = 3;
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const size_t cols = c.net.layer(0).num_inputs();
+    const size_t rows = c.net.layer(0).num_neurons();
+    tensor::Tensor input = busy_input(16, cols, 252);
+    const size_t T = input.shape().dim(0);
+    for (size_t t = 0; t < T; ++t) input[t * cols + silent] = 0.0f;
+    std::vector<fault::FaultDescriptor> faults;
+    for (size_t r = 0; r < rows; ++r) {
+      for (const auto kind :
+           {fault::FaultKind::kSynapseSaturatedPositive, fault::FaultKind::kSynapseSaturatedNegative,
+            fault::FaultKind::kSynapseDead, fault::FaultKind::kSynapseBitFlip}) {
+        fault::FaultDescriptor f;
+        f.kind = kind;
+        f.weight = {0, 0, r * cols + silent};
+        f.magnitude = kind == fault::FaultKind::kSynapseBitFlip ? 6.0f : 8.0f;
+        faults.push_back(f);
+      }
+    }
+    const auto naive = test_support::naive_reference(c.net, input, faults);
+    for (const auto& r : naive) {
+      ASSERT_FALSE(r.detected);
+      ASSERT_EQ(r.output_l1, 0.0);
+    }
+    for (const auto mode :
+         {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
+      for (const size_t width : {size_t{1}, size_t{2}, size_t{8}}) {
+        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                     " width=" + std::to_string(width));
+        EngineConfig cfg;
+        cfg.kernel_mode = mode;
+        cfg.lane_width = width;
+        const auto result = run_campaign(c.net, input, faults, cfg);
+        expect_results_identical(result.results, naive);
+        EXPECT_EQ(result.detected_count(), 0u);
+        EXPECT_EQ(result.stats.fault_rows_recomputed, 0u);
+        EXPECT_EQ(result.stats.fault_rows_skipped,
+                  width == 1 ? 0u : result.stats.lane_batched_faults * T);
+      }
+    }
+  }
+}
+
+TEST(LaneBatch, FaultRowCountsIndependentOfThreads) {
+  // Recomputed and skipped fault rows are sums of per-fault counts, so the
+  // thread count must not move them. Dense, recurrent W and V, conv tap and
+  // conv connection faults all contribute.
+  struct Case {
+    std::string name;
+    snn::Network net;
+    double density;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"conv-pool-dense", make_conv_pool_net(), 0.12});
+  cases.push_back({"recurrent", make_recurrent_net(), 0.4});
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    util::Rng rng(261);
+    const auto input = snn::random_spike_train(14, c.net.input_size(), c.density, rng);
+    const auto faults = per_layer_sample(c.net, 24, 262);
+    for (const bool detect_only : {false, true}) {
+      SCOPED_TRACE(detect_only ? "detect-only" : "full");
+      EngineConfig cfg;
+      cfg.detect_only = detect_only;
+      cfg.num_threads = 1;
+      const auto one = run_campaign(c.net, input, faults, cfg);
+      cfg.num_threads = 2;
+      const auto two = run_campaign(c.net, input, faults, cfg);
+      EXPECT_GT(one.stats.fault_rows_recomputed, 0u);
+      EXPECT_GT(one.stats.fault_rows_skipped, 0u);
+      EXPECT_EQ(one.stats.fault_rows_recomputed, two.stats.fault_rows_recomputed);
+      EXPECT_EQ(one.stats.fault_rows_skipped, two.stats.fault_rows_skipped);
+      expect_results_identical(one.results, two.results);
+    }
   }
 }
 

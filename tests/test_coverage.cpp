@@ -502,7 +502,8 @@ TEST(Minimize, DeterministicOnRealCampaignData) {
   IncrementalConfig config;
   config.engine.num_threads = 2;
   for (uint64_t seed : {5, 6, 7, 8}) {
-    config.stimulus_name = "s" + std::to_string(seed);
+    config.stimulus_name = std::to_string(seed);
+    config.stimulus_name.insert(0, 1, 's');
     run_incremental_campaign(net, busy_input(20, 8, seed), faults, dict, config);
   }
   const TestSchedule a = minimize_schedule(dict);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "campaign/engine.hpp"
@@ -344,6 +345,58 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(Injector, NonFiniteSynapseFaultValuesRejected) {
+  // A NaN or Inf magnitude makes the faulty weight non-finite, and then
+  // value * 0 is NaN where the sparse kernels skip the term: the fault
+  // table rejects it, naming the fault and the value, for every synapse
+  // kind — and so do the injector and the campaign that consume it.
+  auto net = make_mixed_net();
+  const auto stats = compute_weight_stats(net);
+  std::vector<FaultDescriptor> targets;
+  for (Target t : {Target::kDenseWeight, Target::kRecurrentLateral, Target::kConvTap,
+                   Target::kConvConnection}) {
+    targets.push_back(target_fault(FaultKind::kSynapseSaturatedPositive, t, 0.0f));
+  }
+  FaultDescriptor recurrent_w;
+  recurrent_w.kind = FaultKind::kSynapseSaturatedPositive;
+  recurrent_w.weight = {1, 0, 5};
+  targets.push_back(recurrent_w);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (FaultDescriptor f : targets) {
+    for (const FaultKind kind : {FaultKind::kSynapseSaturatedPositive,
+                                 FaultKind::kSynapseSaturatedNegative, FaultKind::kSynapseBitFlip}) {
+      for (const float m : {nan, inf, -inf}) {
+        f.kind = kind;
+        f.magnitude = m;
+        SCOPED_TRACE(f.to_string());
+        try {
+          resolve_lane_fault(net, stats, f);
+          ADD_FAILURE() << "non-finite magnitude accepted";
+        } catch (const std::invalid_argument& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find(f.to_string()), std::string::npos) << what;
+          EXPECT_TRUE(what.find("nan") != std::string::npos ||
+                      what.find("inf") != std::string::npos)
+              << what;
+        }
+        FaultInjector injector(net, stats);
+        EXPECT_THROW(injector.inject(f), std::invalid_argument);
+        EXPECT_FALSE(injector.active());
+      }
+    }
+    // A finite magnitude of the same fault resolves.
+    f.kind = FaultKind::kSynapseSaturatedPositive;
+    f.magnitude = 2.0f;
+    EXPECT_NO_THROW(resolve_lane_fault(net, stats, f));
+  }
+  util::Rng rng(3);
+  const auto input = snn::random_spike_train(6, net.input_size(), 0.5, rng);
+  FaultDescriptor bad = targets.front();
+  bad.magnitude = nan;
+  EXPECT_THROW(campaign::run_campaign(net, input, {bad, bad, bad}), std::invalid_argument);
+}
 
 TEST(Injector, SingleFaultAssumptionEnforced) {
   // With no fault active there is nothing to restore: remove() must leave

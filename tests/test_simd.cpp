@@ -15,10 +15,14 @@
 // dispatch-surface tests (parse/name/availability/force) still run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "snn/lane_network.hpp"
+#include "snn/neuron.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
 #include "util/rng.hpp"
@@ -101,17 +105,36 @@ KernelOutputs run_kernels(size_t lanes, uint64_t seed) {
   out.pool_syn.assign(pc * (ph / win) * (pw / win) * lanes, 0.0f);
   ops.pool_lanes(pc, ph, pw, win, pin.data(), lanes, out.pool_syn.data());
 
-  // Six sequential LIF steps with synaptic drive straddling the threshold,
-  // so spikes, refractory entry, refractory countdown and plain integration
-  // all occur across the lanes.
-  out.lif_u = random_vec(rng, lanes, 0.0f, 0.9f);
-  out.lif_refrac.assign(lanes, 0);
-  for (size_t l = 0; l < lanes; l += 3) out.lif_refrac[l] = 1 + static_cast<int>(l % 3);
-  out.lif_out.assign(lanes, 0.0f);
+  // Six sequential frame-LIF steps over 5 neurons x `lanes` elements with
+  // per-element parameters, synaptic drive straddling the threshold and a
+  // mode mix (every 7th element dead, every 5th saturated), so spikes,
+  // refractory entry, refractory countdown, plain integration and the
+  // state-preserving dead/saturated elements all occur, and the frame
+  // length (5 * lanes) leaves every remainder of the 8-wide float blocks.
+  const size_t count = 5 * lanes;
+  const auto leak = random_vec(rng, count, 0.5f, 1.0f);
+  const auto thr = random_vec(rng, count, 0.5f, 1.5f);
+  std::vector<int> refractory(count);
+  std::vector<uint8_t> mode(count, 0);
+  for (size_t i = 0; i < count; ++i) {
+    refractory[i] = static_cast<int>(i % 4);
+    if (i % 7 == 3) mode[i] = 1;
+    if (i % 5 == 2) mode[i] = 2;
+  }
+  LifFrameParams params;
+  params.leak = leak.data();
+  params.threshold = thr.data();
+  params.refractory = refractory.data();
+  params.mode = mode.data();
+  params.reset_v = 0.0f;
+  out.lif_u = random_vec(rng, count, 0.0f, 0.9f);
+  out.lif_refrac.assign(count, 0);
+  for (size_t i = 0; i < count; i += 3) out.lif_refrac[i] = 1 + static_cast<int>(i % 3);
+  out.lif_out.assign(count, 0.0f);
   for (int step = 0; step < 6; ++step) {
-    const auto syn = random_vec(rng, lanes, -0.5f, 1.5f);
-    ops.lif_lanes(out.lif_u.data(), out.lif_refrac.data(), syn.data(), out.lif_out.data(), lanes,
-                  0.9f, 1.0f, 0.0f, 2);
+    const auto syn = random_vec(rng, count, -0.5f, 1.5f);
+    ops.lif_frame(params, count, syn.data(), out.lif_u.data(), out.lif_refrac.data(),
+                  out.lif_out.data());
   }
   return out;
 }
@@ -130,14 +153,13 @@ void expect_bits_equal(const std::vector<float>& got, const std::vector<float>& 
 }
 
 TEST(SimdDispatch, BackendNamesRoundTrip) {
-  for (const Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+  for (const Backend b : {Backend::kScalar, Backend::kAvx2}) {
     Backend parsed = Backend::kScalar;
     ASSERT_TRUE(parse_backend(backend_name(b), parsed)) << backend_name(b);
     EXPECT_EQ(parsed, b);
   }
   EXPECT_STREQ(backend_name(Backend::kScalar), "scalar");
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
-  EXPECT_STREQ(backend_name(Backend::kNeon), "neon");
 }
 
 TEST(SimdDispatch, ParseRejectsUnknownAndAuto) {
@@ -146,6 +168,7 @@ TEST(SimdDispatch, ParseRejectsUnknownAndAuto) {
   EXPECT_FALSE(parse_backend("auto", out));  // "auto" maps to best_available, not a backend
   EXPECT_FALSE(parse_backend("AVX2", out));  // case-sensitive, like the env var
   EXPECT_FALSE(parse_backend("sse", out));
+  EXPECT_FALSE(parse_backend("neon", out));  // no NEON backend: the unknown-name path
   EXPECT_EQ(out, Backend::kAvx2);  // rejected parses leave `out` untouched
 }
 
@@ -165,7 +188,7 @@ TEST(SimdDispatch, ForceBackendSwitchesAndRestores) {
     EXPECT_EQ(active_backend(), b);
   }
   // Forcing an unavailable backend fails and leaves the active one alone.
-  for (const Backend b : {Backend::kAvx2, Backend::kNeon}) {
+  for (const Backend b : {Backend::kAvx2}) {
     if (backend_available(b)) continue;
     const Backend before = active_backend();
     EXPECT_FALSE(force_backend(b)) << backend_name(b);
@@ -193,9 +216,99 @@ TEST(SimdKernels, EveryBackendBitIdenticalToScalar) {
       expect_bits_equal(got.conv_dense_syn, ref.conv_dense_syn, "conv_lanes_dense");
       expect_bits_equal(got.conv_scatter_syn, ref.conv_scatter_syn, "conv_lanes_scatter");
       expect_bits_equal(got.pool_syn, ref.pool_syn, "pool_lanes");
-      expect_bits_equal(got.lif_u, ref.lif_u, "lif_lanes u");
-      expect_bits_equal(got.lif_out, ref.lif_out, "lif_lanes out");
-      EXPECT_EQ(got.lif_refrac, ref.lif_refrac) << "lif_lanes refrac";
+      expect_bits_equal(got.lif_u, ref.lif_u, "lif_frame u");
+      expect_bits_equal(got.lif_out, ref.lif_out, "lif_frame out");
+      EXPECT_EQ(got.lif_refrac, ref.lif_refrac) << "lif_frame refrac";
+    }
+  }
+}
+
+TEST(SimdKernels, FrameLifMatchesLifBankStepAtEveryWidth) {
+  // snn::LaneLif folds the bank's per-neuron parameters and each lane's
+  // neuron-fault override into per-element arrays and runs one frame
+  // kernel per step. Every lane must spike exactly like its own LifBank
+  // with the override written in, at every lane count, under every
+  // backend, across a mid-run compaction.
+  BackendGuard guard;
+  const size_t n = 11;
+  snn::LifBank bank(n, snn::LifParams{1.0f, 0.9f, 2, 0.0f});
+  for (size_t i = 0; i < n; ++i) {
+    bank.thresholds()[i] = 0.6f + 0.1f * static_cast<float>(i);
+    bank.leaks()[i] = 0.7f + 0.02f * static_cast<float>(i);
+    bank.refractories()[i] = static_cast<int>(i % 4);
+  }
+  bank.modes()[3] = snn::NeuronMode::kDead;
+  bank.modes()[7] = snn::NeuronMode::kSaturated;
+
+  const size_t steps = 40;
+  const size_t compact_at = 20;
+  for (const Backend b : available_backends()) {
+    ASSERT_TRUE(force_backend(b));
+    for (size_t lanes = 1; lanes <= kMaxLanes; ++lanes) {
+      SCOPED_TRACE(std::string("backend=") + backend_name(b) + " lanes=" +
+                   std::to_string(lanes));
+      // Per-lane overrides: parameter variations, a dead and a saturated
+      // neuron, a revived dead neuron, and lanes without a fault.
+      std::vector<snn::LaneFault> faults(lanes);
+      for (size_t l = 0; l < lanes; ++l) {
+        snn::LaneNeuronOverride& o = faults[l].neuron;
+        const size_t i = (l * 5 + 1) % n;
+        o = {true, static_cast<uint32_t>(i), bank.thresholds()[i], bank.leaks()[i],
+             bank.refractories()[i], bank.modes()[i]};
+        switch (l % 5) {
+          case 0: o.threshold *= 0.5f; o.leak = 1.0f; o.refractory = 3; break;
+          case 1: o.mode = snn::NeuronMode::kDead; break;
+          case 2: o.mode = snn::NeuronMode::kSaturated; break;
+          case 3: o.neuron = 3; o.mode = snn::NeuronMode::kNormal; break;
+          default: o.active = false; break;
+        }
+      }
+      std::vector<snn::LifBank> ref(lanes, bank);
+      for (size_t l = 0; l < lanes; ++l) {
+        const snn::LaneNeuronOverride& o = faults[l].neuron;
+        if (o.active) {
+          ref[l].thresholds()[o.neuron] = o.threshold;
+          ref[l].leaks()[o.neuron] = o.leak;
+          ref[l].refractories()[o.neuron] = o.refractory;
+          ref[l].modes()[o.neuron] = o.mode;
+        }
+        ref[l].begin_run(steps, /*record_traces=*/false);
+      }
+      snn::LaneLif lif;
+      lif.reset(bank, lanes, faults.data());
+
+      util::Rng rng(700 + lanes);
+      std::vector<size_t> live(lanes);  // lane -> reference bank
+      for (size_t l = 0; l < lanes; ++l) live[l] = l;
+      std::vector<float> syn_ref(n), spikes_ref(n);
+      for (size_t t = 0; t < steps; ++t) {
+        if (t == compact_at && live.size() > 1) {
+          std::vector<uint8_t> keep(live.size(), 1);
+          std::vector<size_t> kept;
+          for (size_t l = 0; l < live.size(); ++l) {
+            if (l % 3 == 1) keep[l] = 0;
+            else kept.push_back(live[l]);
+          }
+          lif.compact(keep.data());
+          live = kept;
+        }
+        const size_t w = live.size();
+        ASSERT_EQ(lif.lanes(), w);
+        std::vector<float> syn = random_vec(rng, n * w, -0.5f, 1.5f);
+        if (t == 9) syn[0] = std::numeric_limits<float>::quiet_NaN();  // NaN never fires
+        std::vector<float> out(n * w, -1.0f);
+        lif.step(syn.data(), out.data());
+        for (size_t l = 0; l < w; ++l) {
+          for (size_t i = 0; i < n; ++i) syn_ref[i] = syn[i * w + l];
+          ref[live[l]].step(syn_ref.data(), spikes_ref.data());
+          for (size_t i = 0; i < n; ++i) {
+            uint32_t got = 0, want = 0;
+            std::memcpy(&got, &out[i * w + l], sizeof(got));
+            std::memcpy(&want, &spikes_ref[i], sizeof(want));
+            ASSERT_EQ(got, want) << "step " << t << " lane " << live[l] << " neuron " << i;
+          }
+        }
+      }
     }
   }
 }

@@ -2,6 +2,10 @@
 // and the numeric kernels used by the SNN hot loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -182,6 +186,52 @@ TEST(SparseOps, GatherMatvecBitIdenticalToDense) {
                                y_gather.data());
       for (size_t r = 0; r < rows; ++r) {
         ASSERT_EQ(y_dense[r], y_gather[r]) << "row " << r << " density " << density;
+      }
+    }
+  }
+}
+
+TEST(SparseOps, ExtractActiveUnionMatchesNaiveScan) {
+  // The branch-free union extraction must return exactly the columns a
+  // naive `!= 0.0f` scan finds in any lane: -0.0f is zero, NaN and
+  // subnormals are active — at every lane count the engine runs.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, 1.0f, -1.0f, nan, 1e-45f, -1e-45f, 0.5f};
+  uint64_t state = 12345;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (size_t lanes = 1; lanes <= kMaxLanes; ++lanes) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{37}}) {
+      std::vector<float> x(n * lanes, 0.0f);
+      for (auto& v : x) {
+        const uint64_t r = next() % 16;
+        v = r < 8 ? (r < 4 ? 0.0f : -0.0f) : specials[r % 8];
+      }
+      // One column that is only -0.0f in every lane, one only NaN.
+      if (n > 1) {
+        for (size_t l = 0; l < lanes; ++l) {
+          x[0 * lanes + l] = -0.0f;
+          x[1 * lanes + l] = l == 0 ? nan : 0.0f;
+        }
+      }
+      std::vector<uint32_t> want;
+      for (size_t c = 0; c < n; ++c) {
+        for (size_t l = 0; l < lanes; ++l) {
+          if (x[c * lanes + l] != 0.0f) {
+            want.push_back(static_cast<uint32_t>(c));
+            break;
+          }
+        }
+      }
+      std::vector<uint32_t> got = {99, 98};  // stale contents are overwritten
+      const size_t count = extract_active_union(x.data(), n, lanes, got);
+      ASSERT_EQ(count, want.size()) << "lanes " << lanes << " n " << n;
+      ASSERT_EQ(got, want) << "lanes " << lanes << " n " << n;
+      if (n > 1) {
+        EXPECT_TRUE(std::find(got.begin(), got.end(), 0u) == got.end()) << "-0.0f is zero";
+        EXPECT_TRUE(std::find(got.begin(), got.end(), 1u) != got.end()) << "NaN is active";
       }
     }
   }
