@@ -6,8 +6,6 @@
 #include "campaign/fingerprint.hpp"
 #include "obs/trace.hpp"
 #include "snn/lane_network.hpp"
-#include "snn/recurrent_layer.hpp"
-#include "tensor/ops.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
 
@@ -66,30 +64,6 @@ std::vector<float> synaptic_trace(const snn::Layer& layer, const tensor::Tensor&
     snn::shared_synaptic_frame(layer, input.row(t), mode, active, frames.data() + t * n);
   }
   return frames;
-}
-
-/// The golden spike train of `layer` from its cached synaptic frames: the
-/// layer's LIF bank stepped over each frame, plus, for a recurrent layer,
-/// the separately rounded lateral term float(V·prev) the layer's forward
-/// adds (an ordered double sum whatever kernel computes it). That is the
-/// layer's own forward with the feed-forward term read instead of
-/// recomputed, so the train and any recorded LIF traces are identical.
-tensor::Tensor train_from_frames(snn::Layer& layer, const std::vector<float>& frames, size_t T,
-                                 bool record) {
-  const size_t n = layer.num_neurons();
-  const float* v = layer.kind() == snn::LayerKind::kRecurrent
-                       ? static_cast<const snn::RecurrentLayer&>(layer).recurrent_weights().data()
-                       : nullptr;
-  snn::LifBank& bank = layer.lif();
-  bank.begin_run(T, record);
-  tensor::Tensor out(tensor::Shape{T, n});
-  std::vector<float> syn(n);
-  for (size_t t = 0; t < T; ++t) {
-    std::copy(frames.data() + t * n, frames.data() + (t + 1) * n, syn.begin());
-    if (v != nullptr && t > 0) tensor::matvec_accumulate(v, n, n, out.row(t - 1), syn.data());
-    bank.step(syn.data(), out.row(t));
-  }
-  return out;
 }
 
 }  // namespace
@@ -163,16 +137,11 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
   if (want_syn) cache.synaptic.resize(L);
   const tensor::Tensor* current = &stimulus;
   for (size_t l = 0; l < L; ++l) {
-    const bool record = want_state && l >= from;
     if (want_syn && syn_bytes[l] > 0) {
-      // The frames are the layer forward's feed-forward term: compute them
-      // once and run the layer's LIF over them.
       cache.synaptic[l] = synaptic_trace(golden.layer(l), *current, options.mode);
-      cache.forward.layer_outputs.push_back(
-          train_from_frames(golden.layer(l), cache.synaptic[l], T, record));
-    } else {
-      cache.forward.layer_outputs.push_back(golden.layer(l).forward(*current, record));
     }
+    const bool record = want_state && l >= from;
+    cache.forward.layer_outputs.push_back(golden.layer(l).forward(*current, record));
     current = &cache.forward.layer_outputs.back();
   }
   cache.output_counts = cache.forward.output_counts();

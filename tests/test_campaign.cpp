@@ -322,44 +322,6 @@ std::vector<fault::FaultDescriptor> all_kinds_universe(snn::Network& net, size_t
   return fault::sample_faults(universe, k, rng);
 }
 
-TEST(GoldenCache, TrainsFromCachedFramesMatchDirectForward) {
-  // A layer with cached synaptic frames gets its golden train (and its
-  // recorded LIF state) by running its LIF bank over those frames instead
-  // of its own forward: the trains and state traces must be bit-identical
-  // to a cache built without frames, for dense, conv, pool and recurrent
-  // layers in every kernel mode.
-  std::vector<snn::Network> nets;
-  nets.push_back(make_conv_pool_net());
-  nets.push_back(make_recurrent_net());
-  for (auto& net : nets) {
-    SCOPED_TRACE(net.name());
-    util::Rng rng(71);
-    const auto input = snn::random_spike_train(14, net.input_size(), 0.3, rng);
-    const size_t L = net.num_layers();
-    for (const auto mode :
-         {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
-      GoldenCacheOptions plain;
-      plain.mode = mode;
-      plain.state_traces = true;
-      GoldenCacheOptions framed = plain;
-      for (size_t l = 0; l < L; ++l) framed.synaptic_frame_layers.push_back(l);
-      const auto a = build_golden_cache(net, input, plain);
-      const auto b = build_golden_cache(net, input, framed);
-      for (size_t l = 0; l < L; ++l) {
-        SCOPED_TRACE("layer " + std::to_string(l));
-        ASSERT_NE(b.synaptic_frames(l), nullptr);
-        const auto& ta = a.layer_output(l);
-        const auto& tb = b.layer_output(l);
-        ASSERT_EQ(ta.shape(), tb.shape());
-        for (size_t i = 0; i < ta.numel(); ++i) ASSERT_EQ(ta[i], tb[i]);
-        ASSERT_TRUE(a.has_state_traces && b.has_state_traces);
-        EXPECT_EQ(a.state[l].u_post, b.state[l].u_post);
-        EXPECT_EQ(a.state[l].refrac, b.state[l].refrac);
-      }
-    }
-  }
-}
-
 TEST(LaneBatch, FuzzMatrixBitIdenticalToScalar) {
   // Property matrix: random fault populations (all kinds, mixed layers) on
   // three architectures, every lane width x kernel mode x telemetry state.
