@@ -101,9 +101,10 @@ struct WorkItem {
   size_t count = 0;
 };
 
-/// Group the pending faults by fault layer and chunk each group into lane
-/// batches of up to `lane_width`, preserving the campaign order within a
-/// group. Leftover singletons become scalar items.
+/// Group the pending faults by fault layer and split each group of n >= 2
+/// faults into ceil(n / lane_width) lane batches of near-equal size (17 at
+/// width 8 becomes 6/6/5, not 8/8/1), preserving the campaign order within
+/// a group. A layer's single pending fault becomes a scalar item.
 void build_worklist(const std::vector<fault::FaultDescriptor>& faults,
                     const std::vector<char>& have, size_t num_layers, size_t lane_width,
                     bool lane_batching, std::vector<size_t>& order,
@@ -123,10 +124,16 @@ void build_worklist(const std::vector<fault::FaultDescriptor>& faults,
     if (!have[j]) by_layer[fault_layer(faults[j])].push_back(j);
   }
   for (const auto& group : by_layer) {
-    for (size_t i = 0; i < group.size(); i += lane_width) {
-      const size_t count = std::min(lane_width, group.size() - i);
+    const size_t n = group.size();
+    if (n == 0) continue;
+    const size_t batches = (n + lane_width - 1) / lane_width;
+    size_t begin = 0;
+    for (size_t b = 0; b < batches; ++b) {
+      // The first n % batches batches take one fault more.
+      const size_t count = n / batches + (b < n % batches ? 1 : 0);
       items.push_back({order.size(), count});
-      order.insert(order.end(), group.begin() + i, group.begin() + i + count);
+      order.insert(order.end(), group.begin() + begin, group.begin() + begin + count);
+      begin += count;
     }
   }
 }
@@ -228,6 +235,10 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     }
     for (size_t l = 0; l < L; ++l) {
       if (batches_at[l] >= 2) cache_options.synaptic_frame_layers.push_back(l);
+      // Lane batches read golden sums at their fault layer and downstream.
+      if (batches_at[l] >= 1) {
+        cache_options.golden_sums_from_layer = std::min(cache_options.golden_sums_from_layer, l);
+      }
     }
   }
   const GoldenCache cache = build_golden_cache(net, stimulus, cache_options);
@@ -395,6 +406,9 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   outcome.stats.synaptic_frames_computed = counters.synaptic_frames_computed.load();
   outcome.stats.fault_rows_recomputed = counters.fault_rows_recomputed.load();
   outcome.stats.fault_rows_skipped = counters.fault_rows_skipped.load();
+  outcome.stats.lane_synaptic_adds = counters.lane_synaptic_adds.load();
+  outcome.stats.delta_rows_certified = counters.delta_rows_certified.load();
+  outcome.stats.delta_rows_uncertified = counters.delta_rows_uncertified.load();
   outcome.stats.frontier_faults = counters.frontier_faults.load();
   outcome.stats.frontier_neuron_updates = counters.frontier_neuron_updates.load();
   outcome.stats.frontier_neuron_updates_dense = counters.frontier_neuron_updates_dense.load();
@@ -459,6 +473,12 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
                             static_cast<uint64_t>(s.fault_rows_recomputed));
       obs::set_report_field("campaign_fault_rows_skipped",
                             static_cast<uint64_t>(s.fault_rows_skipped));
+      obs::set_report_field("campaign_lane_synaptic_adds",
+                            static_cast<uint64_t>(s.lane_synaptic_adds));
+      obs::set_report_field("campaign_delta_rows_certified",
+                            static_cast<uint64_t>(s.delta_rows_certified));
+      obs::set_report_field("campaign_delta_rows_uncertified",
+                            static_cast<uint64_t>(s.delta_rows_uncertified));
     }
     obs::set_report_field("simd_backend",
                           std::string(tensor::simd::backend_name(tensor::simd::active_backend())));

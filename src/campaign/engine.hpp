@@ -98,8 +98,10 @@ struct EngineConfig {
   bool frontier_adaptive = true;
   /// Memory budget for the golden cache, in bytes (0 = unlimited). The
   /// per-layer spike trains are irreducible. Over budget, the cached
-  /// fault-layer synaptic frames are dropped first (lane batches compute
-  /// them in place); when trains + LIF state traces still exceed it the
+  /// fault-layer synaptic frames and the golden sums of the dense and
+  /// recurrent layers are dropped first (lane batches compute the frames in
+  /// place and take the ordered lane kernels instead of golden-plus-delta
+  /// sums); when trains + LIF state traces still exceed it the
   /// state traces are dropped too (fail-soft to prefix-only caching,
   /// disabling frontier simulation). Each step warns once; results are
   /// identical either way.
@@ -170,6 +172,15 @@ struct EngineStats {
   /// so they do not depend on threads or scheduling.
   size_t fault_rows_recomputed = 0;
   size_t fault_rows_skipped = 0;
+  /// Golden-plus-delta work of the lane batches' dense and recurrent sums,
+  /// summed per lane (snn::LaneLayerRun::lane_synaptic_adds): weight
+  /// columns added into lane sums, and (row, frame) sums taken by the delta
+  /// route (certified) or by the ordered lane kernels because the row
+  /// failed the exactness certificate (uncertified). Per-batch sums of
+  /// per-lane work, so they do not depend on threads or scheduling.
+  size_t lane_synaptic_adds = 0;
+  size_t delta_rows_certified = 0;
+  size_t delta_rows_uncertified = 0;
   /// True when the run actually used divergence-frontier simulation
   /// (EngineConfig::frontier requested AND every prerequisite held).
   bool frontier_active = false;

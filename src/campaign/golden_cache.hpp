@@ -8,11 +8,16 @@
 // (output spike counts) and a fingerprint of (network, stimulus) that the
 // run report's campaign_fingerprint extends.
 //
-// Two optional per-layer traces ride along, both bit-exact and both shed by
-// the memory budget (synaptic frames first, then state traces):
+// Optional per-layer traces ride along, all bit-exact and all shed by the
+// memory budget (synaptic frames and golden sums first, then state traces):
+//  * golden double synaptic sums of the dense and recurrent layers from the
+//    shallowest lane-batch fault layer on, with the weights' exactness
+//    certificates and column-major copies — the operands of the lane
+//    route's golden-plus-delta sums (snn::LaneDelta, DESIGN.md §12);
 //  * fault-free synaptic frames of the fault layers that host two or more
 //    lane batches — the frame every lane batch at that layer would
-//    otherwise recompute (snn/lane_network.hpp, DESIGN.md §12);
+//    otherwise recompute; for a dense or recurrent layer, the float cast
+//    of its golden sums;
 //  * LIF state traces for the divergence-frontier walk (DESIGN.md §17).
 #pragma once
 
@@ -21,6 +26,7 @@
 
 #include "campaign/fingerprint.hpp"
 #include "fault/registry.hpp"
+#include "snn/lane_network.hpp"
 #include "snn/network.hpp"
 #include "tensor/tensor.hpp"
 
@@ -35,6 +41,26 @@ namespace snntest::campaign {
 struct GoldenLayerState {
   std::vector<float> u_post;    // time-major [T, N_l]
   std::vector<int32_t> refrac;  // time-major [T, N_l]
+};
+
+/// Golden-plus-delta operands of one dense or recurrent layer: the double
+/// sums matvec_sums takes over the golden frames (the float synaptic frame
+/// is their cast), the weights column-major, and the rows that fail
+/// snn::row_sum_exact. A recurrent layer keeps its feed-forward W·x and its
+/// lateral V·prev apart, because the scalar forward casts them separately.
+struct GoldenSums {
+  std::vector<double> w_sums;           // [T, N]: W times golden input frame t
+  std::vector<double> v_sums;           // [T, N]: V times golden output frame t-1 (row 0: 0)
+  std::vector<float> wt;                // W column-major [num_inputs, N]
+  std::vector<float> vt;                // V column-major [N, N]
+  std::vector<uint32_t> w_uncertified;  // ascending rows of W failing the certificate
+  std::vector<uint32_t> v_uncertified;
+
+  size_t bytes() const {
+    return (w_sums.size() + v_sums.size()) * sizeof(double) +
+           (wt.size() + vt.size()) * sizeof(float) +
+           (w_uncertified.size() + v_uncertified.size()) * sizeof(uint32_t);
+  }
 };
 
 struct GoldenCache {
@@ -61,8 +87,14 @@ struct GoldenCache {
   /// for every layer not listed in GoldenCacheOptions::synaptic_frame_layers
   /// and for all layers after a budget fail-soft.
   std::vector<std::vector<float>> synaptic;
-  /// Bytes cached per layer (spike train + any synaptic frames and state
-  /// traces) and their sum.
+  /// Per-layer golden sums; empty (w_sums empty) for layers without them —
+  /// conv and pool layers, layers above GoldenCacheOptions::
+  /// golden_sums_from_layer, and all layers after a budget fail-soft.
+  std::vector<GoldenSums> sums;
+  /// Every stimulus value is 0 or 1 (layer 0's golden-plus-delta condition).
+  bool stimulus_binary = false;
+  /// Bytes cached per layer (spike train + any synaptic frames, golden sums
+  /// and state traces) and their sum.
   std::vector<size_t> layer_bytes;
   size_t total_bytes = 0;
 
@@ -70,6 +102,10 @@ struct GoldenCache {
   const float* synaptic_frames(size_t l) const {
     return l < synaptic.size() && !synaptic[l].empty() ? synaptic[l].data() : nullptr;
   }
+  /// Golden-plus-delta view of layer `l` for snn::LaneLayerRun (w.sums
+  /// null when the layer kept no sums). `stimulus` is the cache's own
+  /// stimulus, layer 0's golden input; the view borrows it and the cache.
+  snn::LaneDelta lane_delta(size_t l, const tensor::Tensor& stimulus) const;
   const tensor::Tensor& layer_output(size_t l) const { return forward.layer_outputs[l]; }
   const tensor::Tensor& output() const { return forward.output(); }
   size_t num_layers() const { return forward.num_layers(); }
@@ -90,11 +126,19 @@ struct GoldenCacheOptions {
   /// batches start, so every trace is read by several batches and costs
   /// at most the size of that layer's spike train.
   std::vector<size_t> synaptic_frame_layers;
+  /// First layer whose dense and recurrent layers keep golden sums
+  /// (SIZE_MAX: none). run_campaign sets the shallowest layer at which a
+  /// lane batch starts: only lane batches read the sums, at their fault
+  /// layer and downstream of it. The golden pass of such a layer takes the
+  /// sums once and steps the layer's LIF bank on their casts, instead of
+  /// rerunning the layer's synaptic kernels.
+  size_t golden_sums_from_layer = SIZE_MAX;
   /// Memory budget over everything the cache retains (0 = unlimited). The
   /// spike trains are irreducible (prefix reuse and detection need them).
-  /// Over budget, the synaptic frames go first (lane batches recompute
-  /// them in place); if trains + state traces still exceed it the state
-  /// traces go too — fail-soft to prefix-only. Each shedding warns once.
+  /// Over budget, the synaptic frames and golden sums go first (lane
+  /// batches then compute frames in place and take the ordered lane
+  /// kernels); if trains + state traces still exceed it the state traces
+  /// go too — fail-soft to prefix-only. Each shedding warns once.
   size_t budget_bytes = 0;
 };
 
@@ -105,8 +149,8 @@ struct GoldenCacheOptions {
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
                                snn::KernelMode mode = snn::KernelMode::kDense);
 
-/// Options overload: synaptic frames, state traces and the memory budget
-/// (fail-soft).
+/// Options overload: synaptic frames, golden sums, state traces and the
+/// memory budget (fail-soft).
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
                                const GoldenCacheOptions& options);
 

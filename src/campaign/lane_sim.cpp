@@ -95,6 +95,14 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
     counters.fault_rows_skipped.fetch_add(ctx.run.fault_rows_skipped(),
                                           std::memory_order_relaxed);
   };
+  auto count_delta_work = [&] {
+    counters.lane_synaptic_adds.fetch_add(ctx.run.lane_synaptic_adds(),
+                                          std::memory_order_relaxed);
+    counters.delta_rows_certified.fetch_add(ctx.run.delta_rows_certified(),
+                                            std::memory_order_relaxed);
+    counters.delta_rows_uncertified.fetch_add(ctx.run.delta_rows_uncertified(),
+                                              std::memory_order_relaxed);
+  };
   // The input train of a downstream layer is the previous layer's output
   // buffer, strided by `in_stride` lanes. Retired lanes are never repacked
   // out of it: lane j of the current run reads its lane in_map[j], and a
@@ -125,8 +133,12 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
     const size_t in_n = layer.num_inputs();
     const bool fault_here = l == k;
     const bool final_layer = l + 1 == L;
+    // Golden-plus-delta operands of a dense or recurrent layer, when the
+    // golden cache kept its sums.
+    const snn::LaneDelta delta = cache.lane_delta(l, stimulus);
     ctx.run.reset(layer, lanes, fault_here ? ctx.lane_faults.data() : nullptr,
-                  config.kernel_mode, fault_here ? frames : nullptr);
+                  config.kernel_mode, fault_here ? frames : nullptr,
+                  delta.w.sums ? &delta : nullptr);
     counters.layer_forwards.fetch_add(lanes, std::memory_order_relaxed);
     const std::vector<float>& in_buf = ctx.bufs[flip ^ 1];  // lane input train when !fault_here
 
@@ -178,6 +190,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
         }
       }
       if (fault_here) count_shared_steps(shared_steps);
+      count_delta_work();
       // Survivors never crossed the threshold: undetected, exact full L1.
       for (size_t lane = 0; lane < lanes; ++lane) {
         fault::DetectionResult& r = results[ctx.result_index[lane]];
@@ -214,6 +227,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
       }
     }
     if (fault_here) count_shared_steps(T);
+    count_delta_work();
     // The next layer reads this buffer at its own stride.
     in_stride = lanes;
     for (size_t lane = 0; lane < lanes; ++lane) in_map[lane] = static_cast<uint8_t>(lane);

@@ -124,6 +124,9 @@ struct SimCounters {
   std::atomic<size_t> synaptic_frames_computed{0};
   std::atomic<size_t> fault_rows_recomputed{0};
   std::atomic<size_t> fault_rows_skipped{0};
+  std::atomic<size_t> lane_synaptic_adds{0};
+  std::atomic<size_t> delta_rows_certified{0};
+  std::atomic<size_t> delta_rows_uncertified{0};
   // divergence-frontier path only (campaign/frontier_sim.hpp)
   std::atomic<size_t> frontier_faults{0};
   std::atomic<size_t> frontier_neuron_updates{0};

@@ -1,6 +1,9 @@
 #include "snn/lane_network.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "snn/conv_layer.hpp"
@@ -132,7 +135,117 @@ void pool_frame_lanes(const SumPoolLayer& pool, const float* in_lanes, size_t la
                                       lanes, syn_lanes);
 }
 
+/// Feed-forward weights W [rows, cols] of a dense or recurrent layer.
+const float* layer_weights(const Layer& layer) {
+  return layer.kind() == LayerKind::kRecurrent
+             ? static_cast<const RecurrentLayer&>(layer).weights().data()
+             : static_cast<const DenseLayer&>(layer).weights().data();
+}
+
+/// A float's bit pattern without the sign bit: nonzero exactly when the
+/// value is active (`!= 0.0f`, NaN included).
+inline uint32_t magnitude_bits(const float* v) {
+  uint32_t b;
+  std::memcpy(&b, v, sizeof(b));
+  return b & 0x7fffffffu;
+}
+
+/// Per-lane spike differences of the lane frame `x_lanes` [cols, lanes]
+/// against the golden frame `g` [cols], both 0/1: the ascending columns
+/// where lane l spikes and golden does not go to plus[l*cols ...] (count
+/// np[l]), those where golden spikes and lane l does not to minus[l*cols
+/// ...] (count nm[l]). A first branch-free sweep collects the columns where
+/// any lane differs into `diff` [cols], so the per-lane sweep only visits
+/// those. Returns the golden frame's active count.
+template <size_t LANES>
+size_t diff_scan(const float* x_lanes, const float* g, size_t cols, size_t lanes, uint32_t* diff,
+                 uint32_t* plus, uint32_t* minus, uint32_t* np, uint32_t* nm) {
+  const size_t width = LANES == 0 ? lanes : LANES;  // 0: run-time lane count
+  size_t num_diff = 0;
+  size_t golden_active = 0;
+  for (size_t c = 0; c < cols; ++c) {
+    const uint32_t gb = magnitude_bits(g + c);
+    const float* xc = x_lanes + c * width;
+    uint32_t d = 0;
+    if constexpr (LANES % 2 == 0 && LANES > 0) {
+      // Two lanes per 64-bit XOR; the sign bits are dropped after the fold.
+      const uint64_t gg = (static_cast<uint64_t>(gb) << 32) | gb;
+      uint64_t d2 = 0;
+      for (size_t l = 0; l < LANES; l += 2) {
+        uint64_t pair;
+        std::memcpy(&pair, xc + l, sizeof(pair));
+        d2 |= pair ^ gg;
+      }
+      d = static_cast<uint32_t>(d2 | (d2 >> 32)) & 0x7fffffffu;
+    } else {
+      for (size_t l = 0; l < width; ++l) d |= magnitude_bits(xc + l) ^ gb;
+    }
+    diff[num_diff] = static_cast<uint32_t>(c);
+    num_diff += d != 0 ? 1 : 0;
+    golden_active += gb != 0 ? 1 : 0;
+  }
+  for (size_t l = 0; l < width; ++l) np[l] = nm[l] = 0;
+  for (size_t i = 0; i < num_diff; ++i) {
+    const uint32_t c = diff[i];
+    const uint32_t gb = magnitude_bits(g + c);
+    const uint32_t on = gb != 0 ? 1 : 0;
+    const float* xc = x_lanes + static_cast<size_t>(c) * width;
+    for (size_t l = 0; l < width; ++l) {
+      const uint32_t differs = magnitude_bits(xc + l) != gb ? 1 : 0;
+      plus[l * cols + np[l]] = c;
+      np[l] += differs & (on ^ 1);
+      minus[l * cols + nm[l]] = c;
+      nm[l] += differs & on;
+    }
+  }
+  return golden_active;
+}
+
+size_t diff_scan(const float* x_lanes, const float* g, size_t cols, size_t lanes, uint32_t* diff,
+                 uint32_t* plus, uint32_t* minus, uint32_t* np, uint32_t* nm) {
+  switch (lanes) {
+#define SNNTEST_CASE(n) \
+  case n: return diff_scan<n>(x_lanes, g, cols, lanes, diff, plus, minus, np, nm);
+    SNNTEST_CASE(1) SNNTEST_CASE(2) SNNTEST_CASE(3) SNNTEST_CASE(4)
+    SNNTEST_CASE(5) SNNTEST_CASE(6) SNNTEST_CASE(7) SNNTEST_CASE(8)
+#undef SNNTEST_CASE
+    default: return diff_scan<0>(x_lanes, g, cols, lanes, diff, plus, minus, np, nm);
+  }
+}
+
 }  // namespace
+
+// --- Exactness certificate -------------------------------------------------
+
+RowBound row_bound(const float* row, size_t cols) {
+  RowBound b;
+  for (size_t c = 0; c < cols; ++c) b = with_weight(b, row[c]);
+  return b;
+}
+
+RowBound with_weight(RowBound b, float w) {
+  uint32_t bits;
+  std::memcpy(&bits, &w, sizeof(bits));
+  const int biased = static_cast<int>((bits >> 23) & 0xffu);
+  if (biased != 0 && biased != 0xff) {
+    b.e_min = std::min(b.e_min, biased - 127);  // ilogb of a normal float
+  } else if (biased == 0 && (bits & 0x7fffffu) != 0) {
+    b.e_min = std::min(b.e_min, std::ilogb(w));  // subnormal
+  }
+  b.abs_sum += std::fabs(static_cast<double>(w));
+  return b;
+}
+
+bool row_sum_exact(const RowBound& b) {
+  if (b.abs_sum == 0.0) return true;
+  // NaN or infinite weights (NaN fails every comparison below too).
+  if (!(b.abs_sum < std::numeric_limits<double>::infinity())) return false;
+  // abs_sum is finite and nonzero, so some weight is finite and nonzero and
+  // e_min <= 127. The double abs_sum is exact below the bound and, being a
+  // monotone sum of positive terms, cannot round down past it from above.
+  const int q = std::max(b.e_min - 23, -149);
+  return b.abs_sum < std::ldexp(1.0, q + 53);
+}
 
 // --- Shared fault-free frame ---------------------------------------------
 
@@ -239,17 +352,34 @@ void LaneLif::compact(const uint8_t* keep) {
 // --- LaneLayerRun --------------------------------------------------------
 
 void LaneLayerRun::reset(const Layer& layer, size_t lanes, const LaneFault* faults,
-                         KernelMode mode, const float* frames) {
+                         KernelMode mode, const float* frames, const LaneDelta* delta) {
   layer_ = &layer;
   lanes_ = lanes;
   n_ = layer.num_neurons();
   mode_ = mode;
   frames_ = frames;
+  delta_ = delta ? *delta : LaneDelta{};
   t_ = 0;
   rows_recomputed_ = 0;
   rows_skipped_ = 0;
+  synaptic_adds_ = 0;
+  rows_certified_ = 0;
+  rows_uncertified_ = 0;
   faults_.clear();
-  if (faults) faults_.assign(faults, faults + lanes);
+  exact_fault_row_.clear();
+  if (faults) {
+    faults_.assign(faults, faults + lanes);
+    exact_fault_row_.assign(lanes, 0);
+    if (delta && delta->w.sums && delta->binary_input) {
+      for (size_t l = 0; l < lanes; ++l) {
+        const LaneSynapseFault& sf = faults[l].synapse;
+        if (sf.kind != LaneSynapseFault::Kind::kWeight) continue;
+        const size_t cols = layer.num_inputs();
+        const float* row = layer_weights(layer) + (sf.index / cols) * cols;
+        exact_fault_row_[l] = row_sum_exact(with_weight(row_bound(row, cols), sf.value)) ? 1 : 0;
+      }
+    }
+  }
   scan_faults();
   lif_.reset(layer.lif(), lanes, faults);
   base_.resize(n_);
@@ -294,10 +424,20 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
           ++rows_skipped_;
           break;
         }
-        const float* w = layer_->kind() == LayerKind::kRecurrent
-                             ? static_cast<const RecurrentLayer&>(*layer_).weights().data()
-                             : static_cast<const DenseLayer&>(*layer_).weights().data();
+        const float* w = layer_weights(*layer_);
         const size_t r = sf.index / cols;
+        if (exact_fault_row_[l]) {
+          // O(1) row: x[col] is 1.0f (a 0/1 frame, nonzero here), so the
+          // faulty sum is the golden sum minus w plus the faulty value.
+          // Both partial sums are signed 0/1-subset sums of the row widened
+          // by the faulty value, exact under its certificate, so the cast
+          // is the scalar ordered sum's float.
+          const double golden = delta_.w.sums[t_ * n_ + r];
+          syn_lanes[r * lanes_ + l] = static_cast<float>(
+              (golden - static_cast<double>(w[sf.index])) + static_cast<double>(sf.value));
+          ++rows_recomputed_;
+          break;
+        }
         if (num_active == SIZE_MAX && mode_ != KernelMode::kDense) {
           num_active = tensor::extract_active(in_frame, cols, active_);
         }
@@ -380,13 +520,19 @@ void LaneLayerRun::apply_recurrent_faults(const float* v) {
 
 void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
   // Shared fault-free base frame: the cached trace row when the campaign
-  // built one for this layer, else computed in place (which extracts the
-  // input's active set anyway to pick dense or sparse). Otherwise the
-  // active set is only read by weight-fault row recomputes, which extract
-  // it on first need.
+  // built one for this layer, else a cast of the golden sums when it kept
+  // those, else computed in place (which extracts the input's active set
+  // anyway to pick dense or sparse). Otherwise the active set is only read
+  // by weight-fault row recomputes, which extract it on first need.
   size_t num_active = SIZE_MAX;
   if (frames_) {
     base_frame_ = frames_ + t_ * n_;
+  } else if (delta_.w.sums) {
+    // The ordered sum starts at +0.0 and so is never -0.0: the plain cast
+    // is the scalar kernel's 0.0f + float(sum).
+    const double* sums = delta_.w.sums + t_ * n_;
+    for (size_t r = 0; r < n_; ++r) base_[r] = static_cast<float>(sums[r]);
+    base_frame_ = base_.data();
   } else {
     num_active = shared_synaptic_frame(*layer_, in_frame, mode_, active_, base_.data());
     base_frame_ = base_.data();
@@ -394,51 +540,146 @@ void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
   broadcast_base(syn_.data());
   if (has_synapse_faults_) apply_shared_synapse_faults(in_frame, num_active, syn_.data());
   if (layer_->kind() == LayerKind::kRecurrent && t_ > 0) {
-    const auto& rec = static_cast<const RecurrentLayer&>(*layer_);
-    const float* v = rec.recurrent_weights().data();
     // Per-lane feedback: prev outputs already diverge across lanes, so this
-    // is a lane matvec even though the layer input frame is shared.
-    if (mode_ == KernelMode::kDense) {
-      tensor::matvec_accumulate_lanes(v, n_, n_, prev_out_.data(), lanes_, syn_.data());
-    } else {
-      const size_t na = tensor::extract_active_union(prev_out_.data(), n_, lanes_, active_);
-      if (mode_ == KernelMode::kSparse || sparse_frame_wins(na, n_)) {
-        tensor::matvec_accumulate_gather_lanes(v, n_, n_, prev_out_.data(), lanes_,
-                                               active_.data(), na, syn_.data());
-      } else {
-        tensor::matvec_accumulate_lanes(v, n_, n_, prev_out_.data(), lanes_, syn_.data());
-      }
+    // is a lane sum even though the layer input frame is shared.
+    feedback_lanes();
+    if (has_synapse_faults_) {
+      apply_recurrent_faults(
+          static_cast<const RecurrentLayer&>(*layer_).recurrent_weights().data());
     }
-    if (has_synapse_faults_) apply_recurrent_faults(v);
   }
   finish_step(out_lanes);
 }
 
+void LaneLayerRun::feedback_lanes() {
+  const float* v = static_cast<const RecurrentLayer&>(*layer_).recurrent_weights().data();
+  if (delta_.v.sums) {
+    delta_term(delta_.v, v, n_, prev_out_.data(), t_ - 1, /*add=*/true, syn_.data());
+    return;
+  }
+  if (mode_ == KernelMode::kDense) {
+    tensor::matvec_accumulate_lanes(v, n_, n_, prev_out_.data(), lanes_, syn_.data());
+    return;
+  }
+  const size_t na = tensor::extract_active_union(prev_out_.data(), n_, lanes_, active_);
+  if (mode_ == KernelMode::kSparse || sparse_frame_wins(na, n_)) {
+    tensor::matvec_accumulate_gather_lanes(v, n_, n_, prev_out_.data(), lanes_, active_.data(), na,
+                                           syn_.data());
+  } else {
+    tensor::matvec_accumulate_lanes(v, n_, n_, prev_out_.data(), lanes_, syn_.data());
+  }
+}
+
+void LaneLayerRun::delta_term(const DeltaMatrix& m, const float* w, size_t cols,
+                              const float* x_lanes, size_t golden_row, bool add,
+                              float* syn_lanes) {
+  const size_t lanes = lanes_;
+  if (plus_.size() < lanes * cols) {
+    plus_.resize(lanes * cols);
+    minus_.resize(lanes * cols);
+  }
+  active_.resize(cols);
+  uint32_t np[kMaxLaneWidth];
+  uint32_t nm[kMaxLaneWidth];
+  const size_t golden_active = diff_scan(x_lanes, m.golden_in + golden_row * cols, cols, lanes,
+                                         active_.data(), plus_.data(), minus_.data(), np, nm);
+  // The feedback term is added to the feed-forward floats; rows that fail
+  // the certificate keep theirs aside and add the ordered sum below.
+  if (add && m.num_uncertified > 0) {
+    held_.resize(m.num_uncertified * lanes);
+    for (size_t u = 0; u < m.num_uncertified; ++u) {
+      std::copy_n(syn_lanes + m.uncertified[u] * lanes, lanes, held_.data() + u * lanes);
+    }
+  }
+  const double* sums = m.sums + t_ * n_;
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
+  acc_.resize(n_);
+  double* acc = acc_.data();
+  bool golden_cast = false;
+  for (size_t l = 0; l < lanes; ++l) {
+    uint32_t* plus = plus_.data() + l * cols;
+    const size_t num_diff = np[l] + nm[l];
+    const size_t num_active = golden_active + np[l] - nm[l];
+    float* y = syn_lanes + l;
+    if (num_diff == 0) {
+      // Most lanes match golden in most frames: the golden floats as they are.
+      if (!golden_cast) {
+        golden_f_.resize(n_);
+        for (size_t r = 0; r < n_; ++r) golden_f_[r] = static_cast<float>(sums[r]);
+        golden_cast = true;
+      }
+      if (add) {
+        for (size_t r = 0; r < n_; ++r) y[r * lanes] += golden_f_[r];
+      } else {
+        for (size_t r = 0; r < n_; ++r) y[r * lanes] = golden_f_[r];
+      }
+      continue;
+    }
+    if (num_diff <= num_active) {
+      // Golden plus the lane's differences.
+      std::copy_n(sums, n_, acc);
+      ops.column_adds(m.wt, n_, plus, np[l], minus_.data() + l * cols, nm[l], acc);
+      synaptic_adds_ += num_diff;
+    } else {
+      // The lane's own active columns are fewer: sum them from +0.0.
+      size_t count = 0;
+      for (size_t c = 0; c < cols; ++c) {
+        plus[count] = static_cast<uint32_t>(c);
+        count += magnitude_bits(x_lanes + c * lanes + l) != 0 ? 1 : 0;
+      }
+      std::fill_n(acc, n_, 0.0);
+      ops.column_adds(m.wt, n_, plus, count, nullptr, 0, acc);
+      synaptic_adds_ += count;
+    }
+    // Every partial sum above is exact for a certified row, so the cast is
+    // the ordered sum's float (never -0.0: see step_shared).
+    if (add) {
+      for (size_t r = 0; r < n_; ++r) y[r * lanes] += static_cast<float>(acc[r]);
+    } else {
+      for (size_t r = 0; r < n_; ++r) y[r * lanes] = static_cast<float>(acc[r]);
+    }
+  }
+  rows_certified_ += (n_ - m.num_uncertified) * lanes;
+  rows_uncertified_ += m.num_uncertified * lanes;
+  if (m.num_uncertified == 0) return;
+  // Rows that fail the certificate: the ordered per-lane sums over the
+  // union of the lanes' active columns, one row at a time.
+  const size_t nu = tensor::extract_active_union(x_lanes, cols, lanes, active_);
+  for (size_t u = 0; u < m.num_uncertified; ++u) {
+    const size_t r = m.uncertified[u];
+    float* y = syn_lanes + r * lanes;
+    if (add) {
+      std::copy_n(held_.data() + u * lanes, lanes, y);
+    } else {
+      std::fill_n(y, lanes, 0.0f);
+    }
+    ops.matvec_gather_lanes(w + r * cols, 1, cols, x_lanes, lanes, active_.data(), nu, y);
+  }
+}
+
 void LaneLayerRun::synaptic_lanes(const float* in_lanes, float* syn_lanes) {
   const size_t cols = layer_->num_inputs();
-  auto matvec = [&](const float* w, size_t wc, const float* x_lanes) {
-    if (mode_ == KernelMode::kDense) {
-      tensor::matvec_accumulate_lanes(w, n_, wc, x_lanes, lanes_, syn_lanes);
-      return;
-    }
-    const size_t na = tensor::extract_active_union(x_lanes, wc, lanes_, active_);
-    if (mode_ == KernelMode::kSparse || sparse_frame_wins(na, wc)) {
-      tensor::matvec_accumulate_gather_lanes(w, n_, wc, x_lanes, lanes_, active_.data(), na,
-                                             syn_lanes);
-    } else {
-      tensor::matvec_accumulate_lanes(w, n_, wc, x_lanes, lanes_, syn_lanes);
-    }
-  };
   switch (layer_->kind()) {
     case LayerKind::kDense:
-      std::fill(syn_lanes, syn_lanes + n_ * lanes_, 0.0f);
-      matvec(static_cast<const DenseLayer&>(*layer_).weights().data(), cols, in_lanes);
-      break;
     case LayerKind::kRecurrent: {
-      const auto& rec = static_cast<const RecurrentLayer&>(*layer_);
-      std::fill(syn_lanes, syn_lanes + n_ * lanes_, 0.0f);
-      matvec(rec.weights().data(), cols, in_lanes);
-      if (t_ > 0) matvec(rec.recurrent_weights().data(), n_, prev_out_.data());
+      const float* w = layer_weights(*layer_);
+      if (delta_.w.sums) {
+        delta_term(delta_.w, w, cols, in_lanes, t_, /*add=*/false, syn_lanes);
+      } else {
+        std::fill(syn_lanes, syn_lanes + n_ * lanes_, 0.0f);
+        if (mode_ == KernelMode::kDense) {
+          tensor::matvec_accumulate_lanes(w, n_, cols, in_lanes, lanes_, syn_lanes);
+        } else {
+          const size_t na = tensor::extract_active_union(in_lanes, cols, lanes_, active_);
+          if (mode_ == KernelMode::kSparse || sparse_frame_wins(na, cols)) {
+            tensor::matvec_accumulate_gather_lanes(w, n_, cols, in_lanes, lanes_, active_.data(),
+                                                   na, syn_lanes);
+          } else {
+            tensor::matvec_accumulate_lanes(w, n_, cols, in_lanes, lanes_, syn_lanes);
+          }
+        }
+      }
+      if (layer_->kind() == LayerKind::kRecurrent && t_ > 0) feedback_lanes();
       break;
     }
     case LayerKind::kConv2d: {
@@ -482,6 +723,7 @@ void LaneLayerRun::compact(const uint8_t* keep) {
   if (!prev_out_.empty()) compact_lanes(prev_out_, n_, lanes_, keep, kept);
   if (!faults_.empty()) {
     compact_lanes(faults_, 1, lanes_, keep, kept);
+    compact_lanes(exact_fault_row_, 1, lanes_, keep, kept);
     scan_faults();
   }
   lanes_ = kept;

@@ -12,20 +12,31 @@
 //    free synaptic frame (shared_synaptic_frame, the scalar kernels) is
 //    the same for every lane and every batch: the campaign caches it per
 //    frame in the golden cache when two or more batches start at the
-//    layer, and LaneLayerRun computes it in place otherwise. Either way it
-//    is broadcast; a lane's synapse fault only changes the rows/outputs it
+//    layer, and LaneLayerRun computes it in place otherwise (for a dense or
+//    recurrent layer, as the cast of the golden sums). Either way it is
+//    broadcast; a lane's synapse fault only changes the rows/outputs it
 //    touches, and those are recomputed per lane with the faulty value
 //    substituted in the scalar accumulation order (ordered double sums) —
 //    unless the input the faulty synapse taps is zero in this frame: the
 //    faulty term is then value * 0 = +/-0.0 (the value is finite, which
 //    fault::resolve_lane_fault guarantees), it leaves the double
 //    accumulator unchanged, and the broadcast fault-free value is already
-//    the faulty one.
-//  * At the layers after the fault the weights are fault-free and shared;
-//    the lane-strided kernels accumulate each lane's ordered double sum
-//    exactly like the scalar kernels (see tensor/ops.hpp), and the sparse
+//    the faulty one. A certified dense/recurrent weight-fault row with a
+//    nonzero tap is the golden sum minus the stored weight plus the faulty
+//    value, O(1) per frame.
+//  * At the layers after the fault the weights are fault-free and shared.
+//    A dense or recurrent row whose weights pass the exactness certificate
+//    (row_sum_exact) sums every 0/1 subset of its weights exactly in
+//    double, in any order, so a lane takes the golden double sum of the
+//    frame and adds or subtracts only the weights of the input columns
+//    where its spike differs from golden (golden-plus-delta, LaneDelta);
+//    the cast gives the scalar ordered sum's float. Rows that fail the
+//    certificate, conv and pool layers, and runs without golden sums use
+//    the lane-strided kernels, which accumulate each lane's ordered double
+//    sum exactly like the scalar kernels (see tensor/ops.hpp); their sparse
 //    variants gather over the union of the lanes' active sets (the skipped
-//    terms are exact +/-0.0 for every lane).
+//    terms are exact +/-0.0 for every lane). The recurrent V·prev term takes
+//    the same two routes at the fault layer too.
 //  * Neuron faults never touch the synaptic frame: LaneLif folds a
 //    per-lane single-neuron parameter override into its per-element
 //    parameters for the (elementwise) LIF update.
@@ -35,6 +46,7 @@
 // fault::FaultDescriptor into the plain LaneFault PODs below.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <vector>
 
@@ -118,6 +130,55 @@ class LaneLif {
   std::vector<int> refrac_;    // [n * lanes]
 };
 
+/// Inputs of the exactness certificate of one weight row: e_min is the
+/// smallest ilogb over the row's finite nonzero weights (INT_MAX when there
+/// is none) and abs_sum the double sum of every |w|.
+struct RowBound {
+  int e_min = INT_MAX;
+  double abs_sum = 0.0;
+};
+
+RowBound row_bound(const float* row, size_t cols);
+
+/// `b` widened by one more weight — the faulty value of a synapse fault,
+/// so one certificate covers both the fault-free and the faulty row.
+RowBound with_weight(RowBound b, float w);
+
+/// The exactness certificate (DESIGN.md §12): every weight of the row is a
+/// multiple of 2^q with q = max(e_min - 23, -149) (the float quantum of its
+/// smallest binade, or of the subnormals), so every signed sum of a subset
+/// of the row's weights is an integer multiple of 2^q no larger than
+/// abs_sum. When abs_sum < 2^(q + 53) each such sum — every partial sum of
+/// a row times a 0/1 spike frame, in any order — is exact in double.
+/// A zero row passes; a NaN or infinite weight fails.
+bool row_sum_exact(const RowBound& b);
+
+/// Golden-plus-delta operands of one weight matrix W [rows, cols] of a
+/// dense or recurrent layer: the golden double sums of W times the layer's
+/// golden input frames, the golden input train they were taken over, W in
+/// column-major order for the column adds, and the rows that fail
+/// row_sum_exact. All borrowed from the golden cache.
+struct DeltaMatrix {
+  const double* sums = nullptr;          // [T, rows]; row t sums golden input frame t
+  const float* golden_in = nullptr;      // [T, cols] golden input train
+  const float* wt = nullptr;             // [cols, rows] column-major W
+  const uint32_t* uncertified = nullptr;  // ascending rows failing the certificate
+  size_t num_uncertified = 0;
+};
+
+/// Golden-plus-delta view of one dense or recurrent layer for LaneLayerRun.
+/// For the lateral V of a recurrent layer, `v.golden_in` is the layer's own
+/// golden spike train and sums row t is V times its frame t - 1 (row 0,
+/// which has no feedback, is never read).
+struct LaneDelta {
+  DeltaMatrix w;
+  DeltaMatrix v;
+  /// Every golden input frame of W is 0/1 (always true after layer 0; for
+  /// layer 0 a property of the stimulus). The fault layer's O(1) weight-
+  /// fault row needs it: its input frame is the golden one.
+  bool binary_input = false;
+};
+
 /// The fault-free synaptic frame of `layer` for one input frame, written to
 /// `out` [num_neurons]. For a recurrent layer this is only the feed-forward
 /// W·x term; the V·prev feedback differs per lane and is added by the
@@ -142,9 +203,13 @@ class LaneLayerRun {
   /// (bit-identical either way). `frames` is null or, for a fault layer,
   /// the layer's cached fault-free synaptic frames [T, num_neurons]
   /// (borrowed; shared_synaptic_frame of the golden input frame t at row t),
-  /// which step_shared then reads instead of recomputing.
+  /// which step_shared then reads instead of recomputing. `delta` is null
+  /// or, for a dense or recurrent layer, its golden-plus-delta operands
+  /// (the view is copied; the arrays it points at are borrowed): step_lanes and the recurrent feedback then take the delta
+  /// route for certified rows, and a certified weight-fault row at the
+  /// fault layer costs O(1) per frame.
   void reset(const Layer& layer, size_t lanes, const LaneFault* faults, KernelMode mode,
-             const float* frames);
+             const float* frames, const LaneDelta* delta = nullptr);
 
   size_t lanes() const { return lanes_; }
 
@@ -171,6 +236,14 @@ class LaneLayerRun {
   size_t fault_rows_recomputed() const { return rows_recomputed_; }
   size_t fault_rows_skipped() const { return rows_skipped_; }
 
+  /// Delta-route work since reset(), summed over lanes: weight columns
+  /// added into lane sums by the column-add kernel, and (row, frame) sums
+  /// taken by the delta route (certified) or by the ordered lane kernels
+  /// because the row failed the certificate (uncertified).
+  size_t lane_synaptic_adds() const { return synaptic_adds_; }
+  size_t delta_rows_certified() const { return rows_certified_; }
+  size_t delta_rows_uncertified() const { return rows_uncertified_; }
+
  private:
   void scan_faults();
   void broadcast_base(float* syn_lanes) const;
@@ -184,6 +257,14 @@ class LaneLayerRun {
   /// feedback matvec has added the fault-free V·prev term.
   void apply_recurrent_faults(const float* v);
   void synaptic_lanes(const float* in_lanes, float* syn_lanes);
+  /// Golden-plus-delta sum of `m` (a layer matrix `w` [n_, cols]) over the
+  /// lane frame `x_lanes` into syn_lanes: assigned for the feed-forward
+  /// term, added (`add`) for the recurrent feedback. `golden_row` is the
+  /// golden input frame the sums row `t_` was taken over.
+  void delta_term(const DeltaMatrix& m, const float* w, size_t cols, const float* x_lanes,
+                  size_t golden_row, bool add, float* syn_lanes);
+  /// The fault-free feedback V·prev of a recurrent layer into syn_.
+  void feedback_lanes();
   void finish_step(float* out_lanes);
 
   const Layer* layer_ = nullptr;
@@ -191,18 +272,29 @@ class LaneLayerRun {
   size_t n_ = 0;  // num_neurons
   KernelMode mode_ = KernelMode::kAuto;
   const float* frames_ = nullptr;      // cached fault-free syn frames [T, n] or null
+  LaneDelta delta_;                    // golden-plus-delta operands (w.sums null: none)
   const float* base_frame_ = nullptr;  // this step's fault-free syn frame [n]
   size_t t_ = 0;
   bool has_synapse_faults_ = false;
   std::vector<LaneFault> faults_;  // per-lane, compacted along with state
+  // Per lane: its weight-fault row passes the certificate with the faulty
+  // value included (O(1) fault row); compacted along with faults_.
+  std::vector<uint8_t> exact_fault_row_;
   LaneLif lif_;
   std::vector<float> base_;       // in-place fault-free syn frame [n]
   std::vector<float> syn_;        // lane-strided syn frame [n*lanes]
   std::vector<float> prev_out_;   // recurrent feedback [n*lanes]
   size_t rows_recomputed_ = 0;
   size_t rows_skipped_ = 0;
-  std::vector<double> acc_;       // conv lane scatter accumulators [n*lanes]
+  size_t synaptic_adds_ = 0;
+  size_t rows_certified_ = 0;
+  size_t rows_uncertified_ = 0;
+  std::vector<double> acc_;       // conv scatter [n*lanes] / delta sums [n] accumulators
   std::vector<uint32_t> active_;  // per-frame active / union-active indices
+  std::vector<uint32_t> plus_;    // delta route: per-lane columns [lanes * cols]
+  std::vector<uint32_t> minus_;
+  std::vector<float> held_;       // uncertified rows' feed-forward floats
+  std::vector<float> golden_f_;   // the frame's golden sums as floats
 };
 
 }  // namespace snntest::snn

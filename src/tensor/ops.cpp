@@ -9,13 +9,17 @@
 
 namespace snntest::tensor {
 
-// Both matvec kernels sweep the columns once per block of 4 rows: the
+namespace {
+
+// Every matvec kernel sweeps its columns once per block of 4 rows: the
 // block's accumulators are independent, so the adds of one column overlap
 // instead of waiting on a single add-latency chain, while every row still
-// sums its terms in ascending column order into its own double (DESIGN.md
-// §9). The rows % 4 tail runs one row at a time.
-
-void matvec_accumulate(const float* a, size_t rows, size_t cols, const float* x, float* y) {
+// sums its terms in the order `col_at` yields them (ascending) into its own
+// double (DESIGN.md §9). The rows % 4 tail runs one row at a time.
+// `store(r, acc)` hands row r's finished double sum to the caller's cast.
+template <typename ColAt, typename Store>
+inline void matvec_rows(const float* a, size_t rows, size_t cols, ColAt col_at, size_t count,
+                        const float* x, Store store) {
   size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
     const float* r0 = a + r * cols;
@@ -23,32 +27,69 @@ void matvec_accumulate(const float* a, size_t rows, size_t cols, const float* x,
     const float* r2 = r1 + cols;
     const float* r3 = r2 + cols;
     double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (size_t c = 0; c < cols; ++c) {
+    for (size_t i = 0; i < count; ++i) {
+      const size_t c = col_at(i);
       const double xc = x[c];
       acc0 += static_cast<double>(r0[c]) * xc;
       acc1 += static_cast<double>(r1[c]) * xc;
       acc2 += static_cast<double>(r2[c]) * xc;
       acc3 += static_cast<double>(r3[c]) * xc;
     }
-    y[r] += static_cast<float>(acc0);
-    y[r + 1] += static_cast<float>(acc1);
-    y[r + 2] += static_cast<float>(acc2);
-    y[r + 3] += static_cast<float>(acc3);
+    store(r, acc0);
+    store(r + 1, acc1);
+    store(r + 2, acc2);
+    store(r + 3, acc3);
   }
   for (; r < rows; ++r) {
     const float* row = a + r * cols;
     double acc = 0.0;
-    for (size_t c = 0; c < cols; ++c) acc += static_cast<double>(row[c]) * x[c];
-    y[r] += static_cast<float>(acc);
+    for (size_t i = 0; i < count; ++i) {
+      const size_t c = col_at(i);
+      acc += static_cast<double>(row[c]) * x[c];
+    }
+    store(r, acc);
   }
 }
 
-size_t extract_active(const float* frame, size_t n, std::vector<uint32_t>& scratch) {
-  scratch.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (frame[i] != 0.0f) scratch.push_back(static_cast<uint32_t>(i));
+/// The nonzero test of the active-set scans without a per-column branch:
+/// OR the lanes' bit patterns, drop the sign bit (so -0.0f counts as zero,
+/// exactly like `!= 0.0f`; NaN stays active), and write the index
+/// unconditionally, advancing the count only for an active column.
+template <size_t LANES>
+size_t extract_union_fixed(const float* x_lanes, size_t n, size_t lanes, uint32_t* out) {
+  const size_t width = LANES == 0 ? lanes : LANES;  // 0: run-time lane count
+  size_t count = 0;
+  for (size_t c = 0; c < n; ++c) {
+    const float* p = x_lanes + c * width;
+    uint32_t bits = 0;
+    for (size_t l = 0; l < width; ++l) {
+      uint32_t b;
+      std::memcpy(&b, p + l, sizeof(b));
+      bits |= b;
+    }
+    out[count] = static_cast<uint32_t>(c);
+    count += (bits & 0x7fffffffu) != 0 ? 1 : 0;
   }
-  return scratch.size();
+  return count;
+}
+
+}  // namespace
+
+void matvec_accumulate(const float* a, size_t rows, size_t cols, const float* x, float* y) {
+  matvec_rows(a, rows, cols, [](size_t i) { return i; }, cols, x,
+              [y](size_t r, double acc) { y[r] += static_cast<float>(acc); });
+}
+
+void matvec_sums(const float* a, size_t rows, size_t cols, const float* x, double* sums) {
+  matvec_rows(a, rows, cols, [](size_t i) { return i; }, cols, x,
+              [sums](size_t r, double acc) { sums[r] = acc; });
+}
+
+size_t extract_active(const float* frame, size_t n, std::vector<uint32_t>& scratch) {
+  scratch.resize(n);
+  const size_t count = extract_union_fixed<1>(frame, n, 1, scratch.data());
+  scratch.resize(count);
+  return count;
 }
 
 SpikeFrameView make_frame_view(const float* frame, size_t n, std::vector<uint32_t>& scratch) {
@@ -62,35 +103,14 @@ SpikeFrameView make_frame_view(const float* frame, size_t n, std::vector<uint32_
 
 void matvec_accumulate_gather(const float* a, size_t rows, size_t cols, const float* x,
                               const uint32_t* active, size_t num_active, float* y) {
-  size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const float* r0 = a + r * cols;
-    const float* r1 = r0 + cols;
-    const float* r2 = r1 + cols;
-    const float* r3 = r2 + cols;
-    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (size_t i = 0; i < num_active; ++i) {
-      const uint32_t c = active[i];
-      const double xc = x[c];
-      acc0 += static_cast<double>(r0[c]) * xc;
-      acc1 += static_cast<double>(r1[c]) * xc;
-      acc2 += static_cast<double>(r2[c]) * xc;
-      acc3 += static_cast<double>(r3[c]) * xc;
-    }
-    y[r] += static_cast<float>(acc0);
-    y[r + 1] += static_cast<float>(acc1);
-    y[r + 2] += static_cast<float>(acc2);
-    y[r + 3] += static_cast<float>(acc3);
-  }
-  for (; r < rows; ++r) {
-    const float* row = a + r * cols;
-    double acc = 0.0;
-    for (size_t i = 0; i < num_active; ++i) {
-      const uint32_t c = active[i];
-      acc += static_cast<double>(row[c]) * x[c];
-    }
-    y[r] += static_cast<float>(acc);
-  }
+  matvec_rows(a, rows, cols, [active](size_t i) { return static_cast<size_t>(active[i]); },
+              num_active, x, [y](size_t r, double acc) { y[r] += static_cast<float>(acc); });
+}
+
+void matvec_gather_sums(const float* a, size_t rows, size_t cols, const float* x,
+                        const uint32_t* active, size_t num_active, double* sums) {
+  matvec_rows(a, rows, cols, [active](size_t i) { return static_cast<size_t>(active[i]); },
+              num_active, x, [sums](size_t r, double acc) { sums[r] = acc; });
 }
 
 // The lane-strided kernel bodies live behind the SIMD dispatch layer
@@ -114,31 +134,6 @@ void matvec_accumulate_gather_lanes(const float* a, size_t rows, size_t cols,
                                        y_lanes);
 }
 
-namespace {
-
-/// extract_active_union for a compile-time lane count, without a branch per
-/// column: OR the lanes' bit patterns, drop the sign bit (so -0.0f counts
-/// as zero, exactly like `!= 0.0f`; NaN stays active), and write the index
-/// unconditionally, advancing the count only for an active column.
-template <size_t LANES>
-size_t extract_union_fixed(const float* x_lanes, size_t n, size_t lanes, uint32_t* out) {
-  const size_t width = LANES == 0 ? lanes : LANES;  // 0: run-time lane count
-  size_t count = 0;
-  for (size_t c = 0; c < n; ++c) {
-    const float* p = x_lanes + c * width;
-    uint32_t bits = 0;
-    for (size_t l = 0; l < width; ++l) {
-      uint32_t b;
-      std::memcpy(&b, p + l, sizeof(b));
-      bits |= b;
-    }
-    out[count] = static_cast<uint32_t>(c);
-    count += (bits & 0x7fffffffu) != 0 ? 1 : 0;
-  }
-  return count;
-}
-
-}  // namespace
 
 size_t extract_active_union(const float* x_lanes, size_t n, size_t lanes,
                             std::vector<uint32_t>& scratch) {

@@ -17,6 +17,12 @@ namespace snntest::tensor {
 /// y += A x, with A stored row-major [rows, cols]: y[r] += sum_c A[r,c]*x[c].
 void matvec_accumulate(const float* a, size_t rows, size_t cols, const float* x, float* y);
 
+/// sums[r] = the double sum matvec_accumulate rounds to float for row r:
+/// sum_c A[r,c]*x[c], accumulated in ascending column order from +0.0.
+/// The golden cache keeps these sums so the lane route can add a lane's
+/// spike differences to them (DESIGN.md §12).
+void matvec_sums(const float* a, size_t rows, size_t cols, const float* x, double* sums);
+
 /// One spike frame plus the ascending indices of its nonzero entries.
 /// Spike frames are binary almost everywhere in this codebase, so a frame at
 /// low activity is described completely by a short index list; the sparse
@@ -34,8 +40,9 @@ struct SpikeFrameView {
 
 /// Collect the ascending indices of nonzero entries of `frame` into
 /// `scratch` (overwritten) and return the count. Exact zeros (either sign)
-/// are inactive; any other value is active, so the extraction is valid for
-/// relaxed (non-binary) frames too.
+/// are inactive; any other value (NaN included) is active, so the
+/// extraction is valid for relaxed (non-binary) frames too. Runs without a
+/// per-element branch (the bit-pattern test of extract_active_union).
 size_t extract_active(const float* frame, size_t n, std::vector<uint32_t>& scratch);
 
 /// extract_active + view assembly in one call; `scratch` owns the indices.
@@ -51,6 +58,12 @@ SpikeFrameView make_frame_view(const float* frame, size_t n, std::vector<uint32_
 /// double accumulator that starts at +0.0.
 void matvec_accumulate_gather(const float* a, size_t rows, size_t cols, const float* x,
                               const uint32_t* active, size_t num_active, float* y);
+
+/// matvec_sums over the active entries of x only (the double sums
+/// matvec_accumulate_gather rounds); equal to matvec_sums under the same
+/// condition as the float kernels.
+void matvec_gather_sums(const float* a, size_t rows, size_t cols, const float* x,
+                        const uint32_t* active, size_t num_active, double* sums);
 
 /// Sparse rank-1 update over the active entries of v only:
 /// A[r,c] += alpha * u[r] * v[c] for c in active.

@@ -121,6 +121,14 @@ struct LaneKernels {
   /// Lane sum pool: float window sums in the scalar (wy, wx) order.
   void (*pool_lanes)(size_t channels, size_t in_height, size_t in_width, size_t window,
                      const float* in_lanes, size_t lanes, float* syn_lanes);
+  /// Golden-plus-delta column adds (DESIGN.md §12): for every row r <
+  /// rows, acc[r] += wt[c*rows + r] for each c in `plus`, in list order,
+  /// then acc[r] -= wt[c*rows + r] for each c in `minus`. `wt` is a weight
+  /// matrix stored column-major [cols, rows]. Vectorized across rows, so
+  /// each row sees the identical term order on every backend; callers only
+  /// rely on rows whose sums are certified exact in any order.
+  void (*column_adds)(const float* wt, size_t rows, const uint32_t* plus, size_t num_plus,
+                      const uint32_t* minus, size_t num_minus, double* acc);
   /// One LIF update of a whole lane-strided frame of `count` elements, per
   /// element exactly snn::lif_step_neuron: a normal element runs
   ///   refrac > 0 ? (--refrac, u = reset, spike 0)

@@ -331,6 +331,46 @@ void pool_lanes(size_t channels, size_t in_height, size_t in_width, size_t windo
   }
 }
 
+/// RB 4-row blocks of column adds: the block's accumulators stay in
+/// registers while the plus and then the minus columns stream past, so each
+/// row takes its terms in the scalar kernel's order.
+template <size_t RB>
+inline void column_add_block(const float* wt, size_t rows, const uint32_t* plus, size_t num_plus,
+                             const uint32_t* minus, size_t num_minus, double* acc) {
+  __m256d a[RB];
+  for (size_t j = 0; j < RB; ++j) a[j] = _mm256_loadu_pd(acc + 4 * j);
+  for (size_t i = 0; i < num_plus; ++i) {
+    const float* col = wt + static_cast<size_t>(plus[i]) * rows;
+    for (size_t j = 0; j < RB; ++j) {
+      a[j] = _mm256_add_pd(a[j], _mm256_cvtps_pd(_mm_loadu_ps(col + 4 * j)));
+    }
+  }
+  for (size_t i = 0; i < num_minus; ++i) {
+    const float* col = wt + static_cast<size_t>(minus[i]) * rows;
+    for (size_t j = 0; j < RB; ++j) {
+      a[j] = _mm256_sub_pd(a[j], _mm256_cvtps_pd(_mm_loadu_ps(col + 4 * j)));
+    }
+  }
+  for (size_t j = 0; j < RB; ++j) _mm256_storeu_pd(acc + 4 * j, a[j]);
+}
+
+void column_adds(const float* wt, size_t rows, const uint32_t* plus, size_t num_plus,
+                 const uint32_t* minus, size_t num_minus, double* acc) {
+  size_t r = 0;
+  for (; r + 16 <= rows; r += 16) {
+    column_add_block<4>(wt + r, rows, plus, num_plus, minus, num_minus, acc + r);
+  }
+  for (; r + 4 <= rows; r += 4) {
+    column_add_block<1>(wt + r, rows, plus, num_plus, minus, num_minus, acc + r);
+  }
+  for (; r < rows; ++r) {
+    double v = acc[r];
+    for (size_t i = 0; i < num_plus; ++i) v += static_cast<double>(wt[plus[i] * rows + r]);
+    for (size_t i = 0; i < num_minus; ++i) v -= static_cast<double>(wt[minus[i] * rows + r]);
+    acc[r] = v;
+  }
+}
+
 void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u, int* refrac,
                float* out) {
   const __m256 reset_ps = _mm256_set1_ps(p.reset_v);
@@ -396,8 +436,8 @@ void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u
 }  // namespace
 
 const LaneKernels kAvx2LaneKernels = {
-    matvec_lanes, matvec_gather_lanes, conv_lanes_dense,
-    conv_lanes_scatter, pool_lanes, lif_frame,
+    matvec_lanes, matvec_gather_lanes, conv_lanes_dense, conv_lanes_scatter,
+    pool_lanes, column_adds, lif_frame,
 };
 
 }  // namespace snntest::tensor::simd

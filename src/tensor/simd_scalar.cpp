@@ -219,6 +219,20 @@ void pool_lanes(size_t channels, size_t in_height, size_t in_width, size_t windo
   }
 }
 
+/// Column adds one column at a time: every row takes the plus columns in
+/// list order, then the minus columns.
+void column_adds(const float* wt, size_t rows, const uint32_t* plus, size_t num_plus,
+                 const uint32_t* minus, size_t num_minus, double* acc) {
+  for (size_t i = 0; i < num_plus; ++i) {
+    const float* col = wt + static_cast<size_t>(plus[i]) * rows;
+    for (size_t r = 0; r < rows; ++r) acc[r] += static_cast<double>(col[r]);
+  }
+  for (size_t i = 0; i < num_minus; ++i) {
+    const float* col = wt + static_cast<size_t>(minus[i]) * rows;
+    for (size_t r = 0; r < rows; ++r) acc[r] -= static_cast<double>(col[r]);
+  }
+}
+
 /// One LIF update of a whole lane-strided frame: per element the float
 /// expressions of snn::lif_step_neuron, verbatim (mode 1 dead, 2 saturated,
 /// both without touching the state).
@@ -255,8 +269,8 @@ void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u
 }  // namespace
 
 const LaneKernels kScalarLaneKernels = {
-    matvec_lanes, matvec_gather_lanes, conv_lanes_dense,
-    conv_lanes_scatter, pool_lanes, lif_frame,
+    matvec_lanes, matvec_gather_lanes, conv_lanes_dense, conv_lanes_scatter,
+    pool_lanes, column_adds, lif_frame,
 };
 
 }  // namespace snntest::tensor::simd

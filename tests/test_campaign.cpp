@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <string>
 
 #include "campaign/engine.hpp"
@@ -665,13 +668,65 @@ std::vector<fault::FaultDescriptor> per_layer_sample(snn::Network& net, size_t p
 }
 
 /// Lane batches (two or more faults) that start at each layer, exactly as
-/// the engine's worklist chunks the pending faults at `width`.
+/// the engine's worklist splits the pending faults at `width`: n faults
+/// make ceil(n / width) near-equal parts, the first n % parts one larger,
+/// and a part of one fault (a lone fault, or width 2 with n odd) runs
+/// scalar.
 std::vector<size_t> lane_batches_per_layer(const std::vector<fault::FaultDescriptor>& faults,
                                            size_t num_layers, size_t width) {
   std::vector<size_t> per_layer(num_layers, 0);
   for (const auto& f : faults) ++per_layer[fault_layer(f)];
-  for (size_t& n : per_layer) n = width < 2 ? 0 : n / width + (n % width >= 2 ? 1 : 0);
+  for (size_t& n : per_layer) {
+    if (width < 2 || n == 0) {
+      n = 0;
+      continue;
+    }
+    const size_t parts = (n + width - 1) / width;
+    size_t batches = 0;
+    for (size_t b = 0; b < parts; ++b) batches += n / parts + (b < n % parts ? 1 : 0) >= 2 ? 1 : 0;
+    n = batches;
+  }
   return per_layer;
+}
+
+/// Rows of the row-major [rows, cols] matrix `w` that fail the exactness
+/// certificate.
+size_t uncertified_rows(const float* w, size_t rows, size_t cols) {
+  size_t count = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    count += snn::row_sum_exact(snn::row_bound(w + r * cols, cols)) ? 0 : 1;
+  }
+  return count;
+}
+
+/// Closed form of the golden sums the cache keeps for a dense or recurrent
+/// layer over T frames: T*N doubles per matrix (W·x, and V·prev for a
+/// recurrent layer), the matrix's column-major float copy, and one index
+/// per row that fails the certificate. Conv and pool layers keep none.
+size_t golden_sums_bytes(const snn::Layer& layer, size_t T) {
+  const size_t n = layer.num_neurons();
+  const size_t cols = layer.num_inputs();
+  if (layer.kind() == snn::LayerKind::kDense) {
+    const float* w = static_cast<const snn::DenseLayer&>(layer).weights().data();
+    return T * n * sizeof(double) + n * cols * sizeof(float) +
+           uncertified_rows(w, n, cols) * sizeof(uint32_t);
+  }
+  if (layer.kind() == snn::LayerKind::kRecurrent) {
+    const auto& rec = static_cast<const snn::RecurrentLayer&>(layer);
+    return 2 * T * n * sizeof(double) + (n * cols + n * n) * sizeof(float) +
+           (uncertified_rows(rec.weights().data(), n, cols) +
+            uncertified_rows(rec.recurrent_weights().data(), n, n)) *
+               sizeof(uint32_t);
+  }
+  return 0;
+}
+
+/// The shallowest layer at which a lane batch starts (num_layers if none):
+/// the cache keeps golden sums of the dense and recurrent layers from it on.
+size_t first_batch_layer(const std::vector<size_t>& batches) {
+  size_t l = 0;
+  while (l < batches.size() && batches[l] == 0) ++l;
+  return l;
 }
 
 TEST(LaneBatch, CachedSynapticFramesBitIdenticalToNaiveReference) {
@@ -930,6 +985,285 @@ TEST(LaneBatch, FaultRowCountsIndependentOfThreads) {
   }
 }
 
+// ---- Golden-plus-delta lane sums (DESIGN.md §12) --------------------------
+
+TEST(LaneBatch, RowCertificateHoldsExactlyUpToTheBound) {
+  // A row passes when sum|w| < 2^(max(e_min - 23, -149) + 53), e_min the
+  // smallest binade of its nonzero weights. Rows just under and just over
+  // the bound, the smallest binade setting the quantum, the subnormal
+  // quantum, zero rows and non-finite weights.
+  auto exact = [](const std::vector<float>& row) {
+    return snn::row_sum_exact(snn::row_bound(row.data(), row.size()));
+  };
+  EXPECT_TRUE(exact({}));
+  EXPECT_TRUE(exact({0.0f, -0.0f, 0.0f}));
+  for (const int e : {-100, -20, 0, 7, 60}) {
+    SCOPED_TRACE("e=" + std::to_string(e));
+    const float small = std::ldexp(1.0f, e);
+    const float top = std::ldexp(1.0f, e + 30);     // the bound for quantum 2^(e-23)
+    const float below = std::nextafter(top, 0.0f);  // top - 2^(e+6)
+    EXPECT_TRUE(exact({small, below}));             // sum = top - 2^(e+6) + 2^e
+    EXPECT_TRUE(exact({-small, 0.0f, -below}));
+    EXPECT_FALSE(exact({small, top}));               // sum = top + 2^e
+    EXPECT_FALSE(exact({small * 0.5f, below}));      // one binade lower halves the bound
+    EXPECT_TRUE(exact({small * 0.5f, std::nextafter(top * 0.5f, 0.0f)}));
+  }
+  // Subnormals: the quantum is 2^-149 however small the binade, so a row of
+  // a subnormal and a weight near 2^-100 is exact (a quantum of
+  // 2^(ilogb - 23) would reject it), while the bound 2^-96 still holds.
+  const float sub = std::ldexp(1.0f, -140);
+  EXPECT_TRUE(exact({sub, std::ldexp(1.0f, -100)}));
+  EXPECT_TRUE(exact({std::ldexp(1.0f, -149), 3 * std::ldexp(1.0f, -149), sub}));
+  EXPECT_TRUE(exact({std::ldexp(1.0f, -149), std::nextafter(std::ldexp(1.0f, -96), 0.0f)}));
+  EXPECT_FALSE(exact({std::ldexp(1.0f, -149), std::ldexp(1.0f, -96)}));
+  // Non-finite weights never pass.
+  EXPECT_FALSE(exact({1.0f, std::numeric_limits<float>::infinity()}));
+  EXPECT_FALSE(exact({1.0f, std::numeric_limits<float>::quiet_NaN()}));
+  // A faulty value widens the row: one certificate covers both rows.
+  const std::vector<float> row = {0.5f, -0.25f, 0.125f};
+  const snn::RowBound b = snn::row_bound(row.data(), row.size());
+  EXPECT_TRUE(snn::row_sum_exact(snn::with_weight(b, 0.0f)));
+  EXPECT_TRUE(snn::row_sum_exact(snn::with_weight(b, -1.5f)));
+  EXPECT_FALSE(snn::row_sum_exact(snn::with_weight(b, 1e30f)));
+  EXPECT_FALSE(snn::row_sum_exact(snn::with_weight(b, std::ldexp(1.0f, -40))));
+
+  // What the certificate buys: on a passing row every order of every 0/1
+  // subset sums to the same double; on this failing row the order shows.
+  const std::vector<float> wide = {std::ldexp(1.0f, 60), 1.0f, -std::ldexp(1.0f, 60)};
+  EXPECT_FALSE(exact(wide));
+  EXPECT_NE((static_cast<double>(wide[0]) + wide[1]) + wide[2],
+            (static_cast<double>(wide[0]) + wide[2]) + wide[1]);
+  util::Rng rng(271);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<float> w(24);
+    for (auto& v : w) {
+      v = std::ldexp(static_cast<float>(rng.uniform(-1.0, 1.0)), static_cast<int>(rng.uniform_int(0, 20)) - 10);
+    }
+    if (!exact(w)) continue;
+    std::vector<double> terms;
+    for (const float v : w) {
+      if (rng.bernoulli(0.5)) terms.push_back(v);
+    }
+    double ascending = 0.0;
+    for (const double t : terms) ascending += t;
+    for (int perm = 0; perm < 3; ++perm) {
+      for (size_t i = terms.size(); i > 1; --i) {
+        std::swap(terms[i - 1], terms[rng.uniform_int(0, static_cast<int64_t>(i) - 1)]);
+      }
+      double shuffled = 0.0;
+      for (const double t : terms) shuffled += t;
+      ASSERT_EQ(shuffled, ascending) << "trial " << trial;
+    }
+  }
+}
+
+/// make_net with weights spanning far more binades than the certificate
+/// allows on some rows: layer 1's row 0 holds +2^60 at column 0 and -2^60
+/// at column 15, so the ordered sum loses columns 1-14 whenever input 0
+/// spikes (a delta sum would not); rows 1-5 hold one weight scaled by
+/// 2^-40 (40 binades); layer 2's row 1 one scaled by 2^-45.
+snn::Network make_wide_binade_net() {
+  snn::Network net = make_net(61);
+  auto& w1 = static_cast<snn::DenseLayer&>(net.layer(1)).weights();
+  const size_t c1 = net.layer(1).num_inputs();
+  w1[0] = std::ldexp(1.0f, 60);
+  w1[15] = -std::ldexp(1.0f, 60);
+  for (size_t r = 1; r <= 5; ++r) w1[r * c1 + r] *= std::ldexp(1.0f, -40);
+  auto& w2 = static_cast<snn::DenseLayer&>(net.layer(2)).weights();
+  w2[1 * net.layer(2).num_inputs() + 3] *= std::ldexp(1.0f, -45);
+  return net;
+}
+
+TEST(LaneBatch, WideBinadeWeightsFailCertificateAndMatchNaiveReference) {
+  // Rows that fail the certificate keep the ordered lane sums; the rest of
+  // the layer takes the delta route. Both must reproduce the naive oracle
+  // at every kernel mode and width, full and detect-only.
+  auto net = make_wide_binade_net();
+  const auto& w1 = static_cast<const snn::DenseLayer&>(net.layer(1)).weights();
+  const size_t c1 = net.layer(1).num_inputs();
+  EXPECT_FALSE(snn::row_sum_exact(snn::row_bound(w1.data(), c1)));
+  EXPECT_FALSE(snn::row_sum_exact(snn::row_bound(w1.data() + 3 * c1, c1)));
+  EXPECT_TRUE(snn::row_sum_exact(snn::row_bound(w1.data() + 7 * c1, c1)));
+  const auto input = busy_input(16, 8, 272);
+  const auto faults = per_layer_sample(net, 24, 273);
+  const auto naive = test_support::naive_reference(net, input, faults);
+  EngineConfig scalar_detect;
+  scalar_detect.lane_width = 1;
+  scalar_detect.detect_only = true;
+  const auto scalar_fast = run_campaign(net, input, faults, scalar_detect);
+  for (const auto mode :
+       {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
+    for (const size_t width : {size_t{2}, size_t{5}, size_t{8}}) {
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " width=" + std::to_string(width));
+      EngineConfig cfg;
+      cfg.kernel_mode = mode;
+      cfg.lane_width = width;
+      const auto lane = run_campaign(net, input, faults, cfg);
+      expect_results_identical(lane.results, naive);
+      EXPECT_GT(lane.stats.delta_rows_certified, 0u);
+      EXPECT_GT(lane.stats.delta_rows_uncertified, 0u);
+      EngineConfig dcfg = cfg;
+      dcfg.detect_only = true;
+      expect_results_identical(run_campaign(net, input, faults, dcfg).results, scalar_fast.results);
+    }
+  }
+}
+
+TEST(LaneBatch, DeltaSumsBitIdenticalToNaiveReference) {
+  // Golden-plus-delta fuzz: dense, conv-pool-dense (delta only in the dense
+  // head) and a net whose recurrent layer runs downstream of layer-0 faults
+  // and as a fault layer (V·prev delta), every kernel mode x widths 2/5/8,
+  // full results against the naive oracle and detect-only against the
+  // scalar engine. The delta route must actually run.
+  struct Case {
+    std::string name;
+    snn::Network net;
+    tensor::Tensor input;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"dense", make_net(), busy_input(18, 8, 281)});
+  {
+    auto net = make_conv_pool_net();
+    util::Rng rng(282);
+    auto input = snn::random_spike_train(14, net.input_size(), 0.15, rng);
+    cases.push_back({"conv-pool-dense", std::move(net), std::move(input)});
+  }
+  {
+    auto net = make_recurrent_net();
+    util::Rng rng(283);
+    auto input = snn::random_spike_train(18, net.input_size(), 0.4, rng);
+    cases.push_back({"recurrent", std::move(net), std::move(input)});
+  }
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto faults = per_layer_sample(c.net, 21, 284);
+    const auto naive = test_support::naive_reference(c.net, c.input, faults);
+    EngineConfig scalar_detect;
+    scalar_detect.lane_width = 1;
+    scalar_detect.detect_only = true;
+    const auto scalar_fast = run_campaign(c.net, c.input, faults, scalar_detect);
+    for (const auto mode :
+         {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
+      for (const size_t width : {size_t{2}, size_t{5}, size_t{8}}) {
+        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                     " width=" + std::to_string(width));
+        EngineConfig cfg;
+        cfg.kernel_mode = mode;
+        cfg.lane_width = width;
+        const auto lane = run_campaign(c.net, c.input, faults, cfg);
+        expect_results_identical(lane.results, naive);
+        EXPECT_GT(lane.stats.delta_rows_certified, 0u);
+        EXPECT_EQ(lane.stats.delta_rows_uncertified, 0u);
+        EXPECT_GT(lane.stats.lane_synaptic_adds, 0u);
+        EngineConfig dcfg = cfg;
+        dcfg.detect_only = true;
+        const auto lane_fast = run_campaign(c.net, c.input, faults, dcfg);
+        expect_results_identical(lane_fast.results, scalar_fast.results);
+        EXPECT_GT(lane_fast.stats.delta_rows_certified, 0u);
+      }
+    }
+  }
+}
+
+TEST(LaneBatch, BudgetSheddingGoldenSumsKeepsResults) {
+  // A budget below the spike trains sheds the golden sums with the frames:
+  // the lane batches take the ordered lane kernels (no delta work is
+  // counted) and every result stays identical.
+  for (auto net : {make_net(), make_recurrent_net()}) {
+    SCOPED_TRACE(net.name());
+    util::Rng rng(291);
+    const auto input = snn::random_spike_train(16, net.input_size(), 0.4, rng);
+    const auto faults = per_layer_sample(net, 20, 292);
+    const auto naive = test_support::naive_reference(net, input, faults);
+    for (const bool detect_only : {false, true}) {
+      SCOPED_TRACE(detect_only ? "detect-only" : "full");
+      EngineConfig cfg;
+      cfg.detect_only = detect_only;
+      const auto kept = run_campaign(net, input, faults, cfg);
+      cfg.golden_cache_budget_bytes = 1;
+      const auto shed = run_campaign(net, input, faults, cfg);
+      EXPECT_GT(kept.stats.delta_rows_certified, 0u);
+      EXPECT_EQ(shed.stats.delta_rows_certified, 0u);
+      EXPECT_EQ(shed.stats.delta_rows_uncertified, 0u);
+      EXPECT_EQ(shed.stats.lane_synaptic_adds, 0u);
+      EXPECT_LT(shed.stats.golden_cache_bytes, kept.stats.golden_cache_bytes);
+      expect_results_identical(shed.results, kept.results);
+      if (!detect_only) expect_results_identical(shed.results, naive);
+    }
+  }
+}
+
+TEST(LaneBatch, DeltaCountsIndependentOfThreads) {
+  // Column adds and certified/uncertified delta rows are sums of per-lane
+  // work over the worklist's batches, so the thread count must not move
+  // them; the wide-binade net contributes uncertified rows.
+  for (auto net : {make_recurrent_net(), make_wide_binade_net()}) {
+    SCOPED_TRACE(net.name());
+    util::Rng rng(301);
+    const auto input = snn::random_spike_train(14, net.input_size(), 0.4, rng);
+    const auto faults = per_layer_sample(net, 24, 302);
+    for (const bool detect_only : {false, true}) {
+      SCOPED_TRACE(detect_only ? "detect-only" : "full");
+      EngineConfig cfg;
+      cfg.detect_only = detect_only;
+      cfg.num_threads = 1;
+      const auto one = run_campaign(net, input, faults, cfg);
+      cfg.num_threads = 2;
+      const auto two = run_campaign(net, input, faults, cfg);
+      EXPECT_GT(one.stats.lane_synaptic_adds, 0u);
+      EXPECT_GT(one.stats.delta_rows_certified, 0u);
+      EXPECT_EQ(one.stats.lane_synaptic_adds, two.stats.lane_synaptic_adds);
+      EXPECT_EQ(one.stats.delta_rows_certified, two.stats.delta_rows_certified);
+      EXPECT_EQ(one.stats.delta_rows_uncertified, two.stats.delta_rows_uncertified);
+      expect_results_identical(one.results, two.results);
+    }
+  }
+}
+
+TEST(LaneBatch, WorklistSplitsLayerGroupsIntoNearEqualBatches) {
+  // n >= 2 pending faults of a layer ride ceil(n / width) near-equal lane
+  // batches — 17 at width 8 is 6/6/5, 9 is 5/4 — and only a lone fault
+  // (or the odd one out at width 2) runs scalar.
+  auto net = make_net();
+  const auto input = busy_input(12, 8, 311);
+  const auto universe = fault::enumerate_faults(net, all_kinds_config(false));
+  auto take = [&](size_t layer, size_t count) {
+    std::vector<fault::FaultDescriptor> out;
+    for (const auto& f : universe) {
+      if (fault_layer(f) == layer && out.size() < count) out.push_back(f);
+    }
+    return out;
+  };
+  struct Split {
+    std::vector<size_t> per_layer;
+    size_t width;
+    size_t batches;
+  };
+  for (const Split& s : {Split{{17, 9, 1}, 8, 5}, Split{{3, 2, 0}, 2, 2},
+                         Split{{16, 0, 5}, 8, 3}, Split{{8, 0, 0}, 8, 1}}) {
+    std::vector<fault::FaultDescriptor> faults;
+    size_t total = 0;
+    for (size_t l = 0; l < s.per_layer.size(); ++l) {
+      const auto picked = take(l, s.per_layer[l]);
+      ASSERT_EQ(picked.size(), s.per_layer[l]);
+      faults.insert(faults.end(), picked.begin(), picked.end());
+      total += s.per_layer[l];
+    }
+    SCOPED_TRACE("faults=" + std::to_string(total) + " width=" + std::to_string(s.width));
+    const auto batches = lane_batches_per_layer(faults, net.num_layers(), s.width);
+    EXPECT_EQ(std::accumulate(batches.begin(), batches.end(), size_t{0}), s.batches);
+    EngineConfig cfg;
+    cfg.lane_width = s.width;
+    const auto result = run_campaign(net, input, faults, cfg);
+    EXPECT_EQ(result.stats.lane_batches, s.batches);
+    size_t singles = 0;
+    for (const size_t n : s.per_layer) singles += n == 1 || (s.width == 2 && n % 2 == 1) ? 1 : 0;
+    EXPECT_EQ(result.stats.lane_batched_faults, total - singles);
+    expect_results_identical(result.results, test_support::naive_reference(net, input, faults));
+  }
+}
+
 // The contract the sharded orchestrator (DESIGN.md §15) leans on: splitting
 // a campaign into contiguous shards and running each shard independently —
 // under ANY combination of shard count, lane width and thread count — yields
@@ -1127,12 +1461,15 @@ TEST(Frontier, BudgetExhaustionFailsSoftToPrefixOnly) {
   const auto faults = all_kinds_universe(net, 32, 192);
   const auto base = run_campaign(net, input, faults, {});
 
-  // Closed form of the synaptic frames: T*N*4 bytes per layer at which two
-  // or more lane batches start (the adaptive frontier lets batches run).
+  // Closed form of the synaptic frames, T*N*4 bytes per layer at which two
+  // or more lane batches start, and of the golden sums, kept from the first
+  // lane-batch layer on (the adaptive frontier lets batches run); the budget
+  // sheds them together.
   size_t syn_bytes = 0;
   const auto batches = lane_batches_per_layer(faults, net.num_layers(), 8);
   for (size_t l = 0; l < net.num_layers(); ++l) {
     if (batches[l] >= 2) syn_bytes += T * net.layer(l).num_neurons() * sizeof(float);
+    if (l >= first_batch_layer(batches)) syn_bytes += golden_sums_bytes(net.layer(l), T);
   }
   ASSERT_GT(syn_bytes, 0u);
 
@@ -1142,7 +1479,8 @@ TEST(Frontier, BudgetExhaustionFailsSoftToPrefixOnly) {
   ASSERT_TRUE(roomy.stats.frontier_active);
   ASSERT_TRUE(roomy.stats.golden_cache_state_traces);
 
-  // One byte short: the synaptic frames go, the state traces stay.
+  // One byte short: the synaptic frames and golden sums go, the state
+  // traces stay.
   EngineConfig no_syn_cfg;
   no_syn_cfg.frontier = true;
   no_syn_cfg.golden_cache_budget_bytes = roomy.stats.golden_cache_bytes - 1;
@@ -1151,6 +1489,7 @@ TEST(Frontier, BudgetExhaustionFailsSoftToPrefixOnly) {
   EXPECT_TRUE(no_syn.stats.golden_cache_state_traces);
   EXPECT_EQ(no_syn.stats.golden_cache_bytes, roomy.stats.golden_cache_bytes - syn_bytes);
   EXPECT_EQ(no_syn.stats.synaptic_frames_cached, 0u);
+  EXPECT_EQ(no_syn.stats.delta_rows_certified, 0u);
   expect_results_identical(no_syn.results, base.results);
 
   EngineConfig tight_cfg;
@@ -1181,8 +1520,10 @@ TEST(Frontier, BudgetExhaustionFailsSoftToPrefixOnly) {
 TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
   // Per-layer byte accounting: spike train = T*N*4 bytes; a layer at which
   // two or more lane batches start adds its fault-free synaptic frames,
-  // T*N*4 bytes, unless the frontier walk takes every batch (frontier on,
-  // not adaptive); state traces add T*N*(4+4) bytes per layer when
+  // T*N*4 bytes, and every dense or recurrent layer from the first
+  // lane-batch layer on adds its golden sums (golden_sums_bytes), unless
+  // the frontier walk takes every batch (frontier on, not adaptive); state
+  // traces add T*N*(4+4) bytes per layer when
   // retained — and they are retained only from the campaign's shallowest
   // fault layer down (layers above it are never read by the frontier
   // walk). The stats must reproduce the closed form exactly, with and
@@ -1217,6 +1558,7 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
   runs.push_back({"frontier-forced-w2", forced, true, false});
 
   bool some_syn = false;
+  bool some_sums = false;
   for (const Run& run : runs) {
     SCOPED_TRACE(run.name);
     const auto result = run_campaign(net, input, faults, run.cfg);
@@ -1227,8 +1569,13 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
       const size_t n = net.layer(l).num_neurons();
       const size_t expected_state =
           run.state && l >= min_layer ? T * n * (sizeof(float) + sizeof(int32_t)) : size_t{0};
-      const size_t expected_syn = run.syn && batches[l] >= 2 ? T * n * sizeof(float) : size_t{0};
+      size_t expected_syn = run.syn && batches[l] >= 2 ? T * n * sizeof(float) : size_t{0};
       some_syn = some_syn || expected_syn > 0;
+      if (run.syn && l >= first_batch_layer(batches)) {
+        const size_t sums = golden_sums_bytes(net.layer(l), T);
+        some_sums = some_sums || sums > 0;
+        expected_syn += sums;
+      }
       EXPECT_EQ(result.stats.golden_cache_layer_bytes[l],
                 T * n * sizeof(float) + expected_state + expected_syn)
           << "layer " << l;
@@ -1238,6 +1585,7 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
     EXPECT_EQ(result.stats.golden_cache_state_traces, run.state);
   }
   EXPECT_TRUE(some_syn);
+  EXPECT_TRUE(some_sums);
 }
 
 TEST(Frontier, ComposesWithResultCache) {

@@ -52,6 +52,7 @@ struct KernelOutputs {
   std::vector<float> conv_dense_syn;
   std::vector<float> conv_scatter_syn;
   std::vector<float> pool_syn;
+  std::vector<double> column_acc;
   std::vector<float> lif_u;
   std::vector<int> lif_refrac;
   std::vector<float> lif_out;
@@ -104,6 +105,18 @@ KernelOutputs run_kernels(size_t lanes, uint64_t seed) {
   const auto pin = random_vec(rng, pc * ph * pw * lanes);
   out.pool_syn.assign(pc * (ph / win) * (pw / win) * lanes, 0.0f);
   ops.pool_lanes(pc, ph, pw, win, pin.data(), lanes, out.pool_syn.data());
+
+  // Column adds over a column-major [9, rows] matrix; rows = 19 + lanes
+  // walks the 16-row and 4-row blocks and every row tail. Columns repeat
+  // and cross the plus and minus lists.
+  const size_t ca_rows = 19 + lanes, ca_cols = 9;
+  const auto wt = random_vec(rng, ca_cols * ca_rows);
+  const std::vector<uint32_t> plus = {0, 3, 3, 8};
+  const std::vector<uint32_t> minus = {1, 3, 7};
+  out.column_acc.resize(ca_rows);
+  for (auto& v : out.column_acc) v = rng.uniform(-2.0, 2.0);
+  ops.column_adds(wt.data(), ca_rows, plus.data(), plus.size(), minus.data(), minus.size(),
+                  out.column_acc.data());
 
   // Six sequential frame-LIF steps over 5 neurons x `lanes` elements with
   // per-element parameters, synaptic drive straddling the threshold and a
@@ -216,6 +229,11 @@ TEST(SimdKernels, EveryBackendBitIdenticalToScalar) {
       expect_bits_equal(got.conv_dense_syn, ref.conv_dense_syn, "conv_lanes_dense");
       expect_bits_equal(got.conv_scatter_syn, ref.conv_scatter_syn, "conv_lanes_scatter");
       expect_bits_equal(got.pool_syn, ref.pool_syn, "pool_lanes");
+      ASSERT_EQ(got.column_acc.size(), ref.column_acc.size());
+      EXPECT_EQ(std::memcmp(got.column_acc.data(), ref.column_acc.data(),
+                            ref.column_acc.size() * sizeof(double)),
+                0)
+          << "column_adds";
       expect_bits_equal(got.lif_u, ref.lif_u, "lif_frame u");
       expect_bits_equal(got.lif_out, ref.lif_out, "lif_frame out");
       EXPECT_EQ(got.lif_refrac, ref.lif_refrac) << "lif_frame refrac";

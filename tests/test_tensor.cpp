@@ -194,7 +194,9 @@ TEST(SparseOps, GatherMatvecBitIdenticalToDense) {
 TEST(SparseOps, ExtractActiveUnionMatchesNaiveScan) {
   // The branch-free union extraction must return exactly the columns a
   // naive `!= 0.0f` scan finds in any lane: -0.0f is zero, NaN and
-  // subnormals are active — at every lane count the engine runs.
+  // subnormals are active — at every lane count the engine runs. The
+  // branch-free single-frame extract_active must match the naive scan of
+  // the same buffer.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float specials[] = {0.0f, -0.0f, 1.0f, -1.0f, nan, 1e-45f, -1e-45f, 0.5f};
   uint64_t state = 12345;
@@ -229,6 +231,15 @@ TEST(SparseOps, ExtractActiveUnionMatchesNaiveScan) {
       const size_t count = extract_active_union(x.data(), n, lanes, got);
       ASSERT_EQ(count, want.size()) << "lanes " << lanes << " n " << n;
       ASSERT_EQ(got, want) << "lanes " << lanes << " n " << n;
+      // The single-frame scan reads the lane-strided buffer as one frame of
+      // n * lanes values and must agree with the naive scan there too.
+      std::vector<uint32_t> want_flat;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (x[i] != 0.0f) want_flat.push_back(static_cast<uint32_t>(i));
+      }
+      std::vector<uint32_t> flat(x.size() + 3, 77u);  // stale and longer
+      ASSERT_EQ(extract_active(x.data(), x.size(), flat), want_flat.size());
+      ASSERT_EQ(flat, want_flat) << "extract_active lanes " << lanes << " n " << n;
       if (n > 1) {
         EXPECT_TRUE(std::find(got.begin(), got.end(), 0u) == got.end()) << "-0.0f is zero";
         EXPECT_TRUE(std::find(got.begin(), got.end(), 1u) != got.end()) << "NaN is active";
