@@ -1034,12 +1034,14 @@ TEST(LaneBatch, RowCertificateHoldsExactlyUpToTheBound) {
   EXPECT_NE((static_cast<double>(wide[0]) + wide[1]) + wide[2],
             (static_cast<double>(wide[0]) + wide[2]) + wide[1]);
   util::Rng rng(271);
+  size_t certified = 0;
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<float> w(24);
     for (auto& v : w) {
       v = std::ldexp(static_cast<float>(rng.uniform(-1.0, 1.0)), static_cast<int>(rng.uniform_int(0, 20)) - 10);
     }
     if (!exact(w)) continue;
+    ++certified;
     std::vector<double> terms;
     for (const float v : w) {
       if (rng.bernoulli(0.5)) terms.push_back(v);
@@ -1055,22 +1057,32 @@ TEST(LaneBatch, RowCertificateHoldsExactlyUpToTheBound) {
       ASSERT_EQ(shuffled, ascending) << "trial " << trial;
     }
   }
+  EXPECT_GT(certified, 100u);
 }
 
 /// make_net with weights spanning far more binades than the certificate
-/// allows on some rows: layer 1's row 0 holds +2^60 at column 0 and -2^60
-/// at column 15, so the ordered sum loses columns 1-14 whenever input 0
-/// spikes (a delta sum would not); rows 1-5 hold one weight scaled by
-/// 2^-40 (40 binades); layer 2's row 1 one scaled by 2^-45.
+/// allows on some rows. Layer 0's neurons 0 and 15 get identical strong
+/// rows, so they spike together; layer 1's row 0 holds +2^60 at column 0,
+/// 2.0 at columns 1-14 and -2^60 at column 15, so its ordered double sum
+/// loses columns 1-14 whenever column 0 spikes (a golden-plus-delta sum
+/// would keep them), and layer 1's neuron 0 drives every output neuron.
+/// Rows 1-5 of layer 1 hold one weight scaled by 2^-40 (40 binades), row 1
+/// of layer 2 one scaled by 2^-45.
 snn::Network make_wide_binade_net() {
   snn::Network net = make_net(61);
+  auto& w0 = static_cast<snn::DenseLayer&>(net.layer(0)).weights();
+  const size_t c0 = net.layer(0).num_inputs();
+  for (size_t c = 0; c < c0; ++c) w0[c] = w0[15 * c0 + c] = 2.0f;
   auto& w1 = static_cast<snn::DenseLayer&>(net.layer(1)).weights();
   const size_t c1 = net.layer(1).num_inputs();
+  for (size_t c = 1; c < 15; ++c) w1[c] = 2.0f;
   w1[0] = std::ldexp(1.0f, 60);
   w1[15] = -std::ldexp(1.0f, 60);
   for (size_t r = 1; r <= 5; ++r) w1[r * c1 + r] *= std::ldexp(1.0f, -40);
   auto& w2 = static_cast<snn::DenseLayer&>(net.layer(2)).weights();
-  w2[1 * net.layer(2).num_inputs() + 3] *= std::ldexp(1.0f, -45);
+  const size_t c2 = net.layer(2).num_inputs();
+  for (size_t r = 0; r < net.layer(2).num_neurons(); ++r) w2[r * c2] = 5.0f;
+  w2[1 * c2 + 3] *= std::ldexp(1.0f, -45);
   return net;
 }
 
