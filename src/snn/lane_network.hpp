@@ -138,6 +138,7 @@ struct RowBound {
   double abs_sum = 0.0;
 };
 
+/// The certificate inputs of `row` [cols].
 RowBound row_bound(const float* row, size_t cols);
 
 /// `b` widened by one more weight — the faulty value of a synapse fault,
@@ -205,9 +206,10 @@ class LaneLayerRun {
   /// (borrowed; shared_synaptic_frame of the golden input frame t at row t),
   /// which step_shared then reads instead of recomputing. `delta` is null
   /// or, for a dense or recurrent layer, its golden-plus-delta operands
-  /// (the view is copied; the arrays it points at are borrowed): step_lanes and the recurrent feedback then take the delta
-  /// route for certified rows, and a certified weight-fault row at the
-  /// fault layer costs O(1) per frame.
+  /// (the view is copied; the arrays it points at are borrowed):
+  /// step_lanes and the recurrent feedback then take the delta route for
+  /// certified rows, and a certified weight-fault row at the fault layer
+  /// costs O(1) per frame.
   void reset(const Layer& layer, size_t lanes, const LaneFault* faults, KernelMode mode,
              const float* frames, const LaneDelta* delta = nullptr);
 

@@ -1038,7 +1038,8 @@ TEST(LaneBatch, RowCertificateHoldsExactlyUpToTheBound) {
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<float> w(24);
     for (auto& v : w) {
-      v = std::ldexp(static_cast<float>(rng.uniform(-1.0, 1.0)), static_cast<int>(rng.uniform_int(0, 20)) - 10);
+      const int binade = static_cast<int>(rng.uniform_int(0, 20)) - 10;
+      v = std::ldexp(static_cast<float>(rng.uniform(-1.0, 1.0)), binade);
     }
     if (!exact(w)) continue;
     ++certified;
