@@ -164,6 +164,18 @@ size_t diff_scan(const float* x_lanes, const float* g, size_t cols, size_t lanes
   size_t num_diff = 0;
   size_t golden_active = 0;
   for (size_t c = 0; c < cols; ++c) {
+    if (c % 4 == 0 && c + 4 <= cols) {
+      // Spike frames are sparse: skip four columns at once when golden and
+      // every lane are silent in all of them (one branch, rarely taken
+      // the other way).
+      uint32_t any = 0;
+      for (size_t i = 0; i < 4; ++i) any |= magnitude_bits(g + c + i);
+      for (size_t i = 0; i < 4 * width; ++i) any |= magnitude_bits(x_lanes + c * width + i);
+      if (any == 0) {
+        c += 3;
+        continue;
+      }
+    }
     const uint32_t gb = magnitude_bits(g + c);
     const float* xc = x_lanes + c * width;
     uint32_t d = 0;
@@ -592,26 +604,29 @@ void LaneLayerRun::delta_term(const DeltaMatrix& m, const float* w, size_t cols,
     }
   }
   const double* sums = m.sums + t_ * n_;
+  // Most lanes match golden in most frames and take the golden floats as
+  // they are; for the feed-forward term they are broadcast to every lane
+  // first (contiguous stores), and a lane that differs overwrites its own.
+  bool any_golden = false;
+  for (size_t l = 0; l < lanes; ++l) any_golden |= np[l] + nm[l] == 0;
+  if (any_golden) {
+    golden_f_.resize(n_);
+    for (size_t r = 0; r < n_; ++r) golden_f_[r] = static_cast<float>(sums[r]);
+    if (!add) {
+      for (size_t r = 0; r < n_; ++r) std::fill_n(syn_lanes + r * lanes, lanes, golden_f_[r]);
+    }
+  }
   const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
   acc_.resize(n_);
   double* acc = acc_.data();
-  bool golden_cast = false;
   for (size_t l = 0; l < lanes; ++l) {
     uint32_t* plus = plus_.data() + l * cols;
     const size_t num_diff = np[l] + nm[l];
     const size_t num_active = golden_active + np[l] - nm[l];
     float* y = syn_lanes + l;
     if (num_diff == 0) {
-      // Most lanes match golden in most frames: the golden floats as they are.
-      if (!golden_cast) {
-        golden_f_.resize(n_);
-        for (size_t r = 0; r < n_; ++r) golden_f_[r] = static_cast<float>(sums[r]);
-        golden_cast = true;
-      }
       if (add) {
         for (size_t r = 0; r < n_; ++r) y[r * lanes] += golden_f_[r];
-      } else {
-        for (size_t r = 0; r < n_; ++r) y[r * lanes] = golden_f_[r];
       }
       continue;
     }
