@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                        {"metrics-out", ""}},
                       "Inject one fault of each kind and visualize the output corruption; "
                       "with --dict, run a resumable detection campaign. --lane-width N "
-                      "batches N same-layer faults per forward pass (1 = scalar engine; "
+                      "batches N same-layer faults per forward pass (1 = batches of one; "
                       "results are bit-identical at every width).");
   // Validate every numeric flag up front — a malformed --lane-width must be
   // a usage error even on runs (no --dict) that never read it.

@@ -29,96 +29,53 @@
 namespace snntest::campaign {
 namespace {
 
+/// Per-worker scratch of the two fast routes, sized on first use and
+/// reused for every item the worker claims.
 struct WorkerContext {
+  LaneSimContext lane;
+  FrontierSimContext frontier;
+};
+
+/// The naive reference walk that EngineConfig::prefix_reuse = false
+/// selects: the fault written into a per-worker network clone, then every
+/// layer from the stimulus, no pruning, one fault at a time.
+struct ReferenceWalk {
   snn::Network net;
   fault::FaultInjector injector;
-  /// Ping-pong spike-train buffers for the scalar pruning loop: sized on
-  /// the first fault, reused (storage kept) for every subsequent layer
-  /// forward instead of allocating a fresh train per call.
-  tensor::Tensor bufs[2];
-  /// Lane-batched path scratch, likewise reused across batches.
-  LaneSimContext lane;
-  /// Divergence-frontier path scratch, likewise reused across batches.
-  FrontierSimContext frontier;
 
-  WorkerContext(const snn::Network& reference, const std::vector<fault::LayerWeightStats>& stats,
+  ReferenceWalk(const snn::Network& reference, const std::vector<fault::LayerWeightStats>& stats,
                 snn::KernelMode mode)
       : net(reference), injector(net, stats) {
     net.set_kernel_mode(mode);
   }
-};
 
-void simulate_fault(WorkerContext& worker, const fault::FaultDescriptor& f,
-                    const tensor::Tensor& stimulus, const GoldenCache& cache,
-                    const EngineConfig& config, fault::DetectionResult& r,
-                    detail::SimCounters& counters) {
-  const size_t L = cache.num_layers();
-  const size_t k = config.prefix_reuse ? fault_layer(f) : 0;
-  const tensor::Tensor& start_input = k == 0 ? stimulus : cache.layer_output(k - 1);
-  fault::ScopedFault scoped(worker.injector, f);
-
-  if (!config.convergence_pruning) {
-    const auto fr = worker.net.forward_from(k, start_input, /*record_traces=*/false);
-    counters.layer_forwards.fetch_add(L - k, std::memory_order_relaxed);
+  void simulate(const fault::FaultDescriptor& f, const tensor::Tensor& stimulus,
+                const GoldenCache& cache, const EngineConfig& config, fault::DetectionResult& r,
+                detail::SimCounters& counters) {
+    fault::ScopedFault scoped(injector, f);
+    const auto fr = net.forward(stimulus);
+    counters.layer_forwards.fetch_add(net.num_layers(), std::memory_order_relaxed);
     if (config.detect_only) {
       detail::fill_detect_only_result(r, fr.output(), cache, config.detection_threshold);
     } else {
       detail::fill_full_result(r, fr.output(), cache, config.detection_threshold);
     }
-    return;
   }
-
-  // Convergence is only decisive at layers >= the faulty one: before it the
-  // output trivially equals golden (the fault has not acted yet), which
-  // matters when prefix_reuse is off and the walk starts at layer 0.
-  const size_t fk = config.prefix_reuse ? k : fault_layer(f);
-  const tensor::Tensor* input = &start_input;
-  int flip = 0;
-  for (size_t l = k; l < L; ++l) {
-    tensor::Tensor& out = worker.bufs[flip];
-    worker.net.layer(l).forward_into(*input, /*record_traces=*/false, out);
-    counters.layer_forwards.fetch_add(1, std::memory_order_relaxed);
-    if (l >= fk && detail::trains_equal(out, cache.layer_output(l))) {
-      detail::fill_converged_result(r, cache, config);
-      if (l + 1 < L) counters.pruned.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    input = &out;
-    flip ^= 1;
-  }
-  if (config.detect_only) {
-    detail::fill_detect_only_result(r, *input, cache, config.detection_threshold);
-  } else {
-    detail::fill_full_result(r, *input, cache, config.detection_threshold);
-  }
-}
+};
 
 /// One dynamic-scheduler work unit: `count` pending fault indices starting
-/// at `begin` in the batched order array. count > 1 means a lane batch of
-/// same-layer faults; count == 1 runs the scalar path.
+/// at `begin` in the batched order array, all confined to one layer.
 struct WorkItem {
   size_t begin = 0;
   size_t count = 0;
 };
 
-/// Group the pending faults by fault layer and split each group of n >= 2
-/// faults into ceil(n / lane_width) lane batches of near-equal size (17 at
-/// width 8 becomes 6/6/5, not 8/8/1), preserving the campaign order within
-/// a group. A layer's single pending fault becomes a scalar item.
+/// Group the pending faults by fault layer and split each group of n faults
+/// into ceil(n / lane_width) items of near-equal size (17 at width 8
+/// becomes 6/6/5, not 8/8/1), preserving the campaign order within a group.
 void build_worklist(const std::vector<fault::FaultDescriptor>& faults,
                     const std::vector<char>& have, size_t num_layers, size_t lane_width,
-                    bool lane_batching, std::vector<size_t>& order,
-                    std::vector<WorkItem>& items) {
-  order.clear();
-  items.clear();
-  if (!lane_batching) {
-    for (size_t j = 0; j < faults.size(); ++j) {
-      if (!have[j]) order.push_back(j);
-    }
-    items.reserve(order.size());
-    for (size_t i = 0; i < order.size(); ++i) items.push_back({i, 1});
-    return;
-  }
+                    std::vector<size_t>& order, std::vector<WorkItem>& items) {
   std::vector<std::vector<size_t>> by_layer(num_layers);
   for (size_t j = 0; j < faults.size(); ++j) {
     if (!have[j]) by_layer[fault_layer(faults[j])].push_back(j);
@@ -202,13 +159,11 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
 
   // --- lane-batched worklist -----------------------------------------------
   // Same-layer faults share a golden prefix, so up to lane_width of them
-  // ride one multi-lane forward (campaign/lane_sim.cpp). Without prefix
-  // reuse there is no shared prefix to batch from (and the "naive" baseline
-  // configuration must stay truly naive), so batching requires it.
-  const bool lane_batching = lane_width > 1 && config.prefix_reuse;
+  // ride one multi-lane forward (campaign/lane_sim.cpp); a lone fault is a
+  // batch of one.
   std::vector<size_t> order;
   std::vector<WorkItem> items;
-  build_worklist(faults, have, L, lane_width, lane_batching, order, items);
+  build_worklist(faults, have, L, lane_width, order, items);
 
   bool layers_ok = true;
   for (size_t l = 0; l < L; ++l) layers_ok = layers_ok && net.layer(l).frontier_supported();
@@ -226,13 +181,11 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   }
   // Every lane batch at a layer recomputes the same fault-free synaptic
   // frames, so a layer where two or more batches start gets them cached
-  // once. Lane batches run unless the frontier walk takes every batch
-  // (frontier on, not adaptive, and available).
-  if (!(config.frontier && !config.frontier_adaptive && layers_ok)) {
+  // once. Lane batches run unless the reference walk or the frontier walk
+  // takes every item (frontier on, not adaptive, and available).
+  if (config.prefix_reuse && !(config.frontier && !config.frontier_adaptive && layers_ok)) {
     std::vector<size_t> batches_at(L, 0);
-    for (const WorkItem& item : items) {
-      if (item.count > 1) ++batches_at[fault_layer(faults[order[item.begin]])];
-    }
+    for (const WorkItem& item : items) ++batches_at[fault_layer(faults[order[item.begin]])];
     for (size_t l = 0; l < L; ++l) {
       if (batches_at[l] >= 2) cache_options.synaptic_frame_layers.push_back(l);
       // Lane batches read golden sums at their fault layer and downstream.
@@ -276,9 +229,12 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
 
   const size_t num_workers = util::dynamic_workers(pool_ptr);
   std::vector<std::unique_ptr<WorkerContext>> workers;
-  workers.reserve(num_workers);
+  std::vector<std::unique_ptr<ReferenceWalk>> reference;
   for (size_t w = 0; w < num_workers; ++w) {
-    workers.push_back(std::make_unique<WorkerContext>(net, cache.stats, config.kernel_mode));
+    workers.push_back(std::make_unique<WorkerContext>());
+    if (!config.prefix_reuse) {
+      reference.push_back(std::make_unique<ReferenceWalk>(net, cache.stats, config.kernel_mode));
+    }
   }
 
   // Auto grain (config.grain == 0): ~8 scheduler round-trips per worker
@@ -299,18 +255,18 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   // dense equivalent over the first probe batches; once a layer's observed
   // recompute fraction exceeds the profitability cutoff, its later batches
   // run the dense/lane kernels instead (bit-identical, just cheaper there).
-  // The cutoffs come from bench_campaign_engine's frontier sweep: a scalar
-  // batch beats one dense frame walk while the cone stays under about half
-  // the layer, whereas a lane batch competes with SIMD-across-lanes kernels
-  // and only wins clearly sparse cones.
+  // The cutoff comes from bench_campaign_engine's frontier sweep: the walk
+  // competes with a lane batch of the same faults (a lone fault's with a
+  // batch of one), whose golden-plus-delta sums and SIMD-across-lanes
+  // kernels are cheap even for one lane, so it only wins clearly sparse
+  // cones, at width 1 as at width 8.
   struct FrontierLayerPolicy {
     std::atomic<size_t> batches{0};
     std::atomic<size_t> updates{0};
     std::atomic<size_t> updates_dense{0};
   };
   constexpr size_t kFrontierProbeBatches = 1;
-  constexpr double kFrontierScalarCutoff = 0.45;
-  constexpr double kFrontierLaneCutoff = 0.10;
+  constexpr double kFrontierCutoff = 0.10;
   std::vector<FrontierLayerPolicy> frontier_policy(frontier_ok ? L : 0);
 
   // Per-fault telemetry (sim-time and prefix-depth histograms, one span per
@@ -333,6 +289,13 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     const WorkItem item = items[i];
     const size_t* batch = order.data() + item.begin;
     auto run_item = [&] {
+      if (!config.prefix_reuse) {
+        for (size_t b = 0; b < item.count; ++b) {
+          reference[w]->simulate(faults[batch[b]], stimulus, cache, config,
+                                 outcome.results[batch[b]], counters);
+        }
+        return;
+      }
       bool use_frontier = frontier_ok;
       if (use_frontier && config.frontier_adaptive) {
         FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
@@ -341,27 +304,22 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
           const double frac =
               dense > 0.0 ? static_cast<double>(p.updates.load(std::memory_order_relaxed)) / dense
                           : 0.0;
-          use_frontier =
-              frac < (item.count > 1 ? kFrontierLaneCutoff : kFrontierScalarCutoff);
+          use_frontier = frac < kFrontierCutoff;
         }
       }
-      if (use_frontier) {
-        simulate_fault_frontier(workers[w]->net, stimulus, cache, config, cache.stats, faults,
-                                batch, item.count, outcome.results, counters,
-                                workers[w]->frontier);
-        if (config.frontier_adaptive) {
-          FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
-          p.updates.fetch_add(workers[w]->frontier.last_updates, std::memory_order_relaxed);
-          p.updates_dense.fetch_add(workers[w]->frontier.last_updates_dense,
-                                    std::memory_order_relaxed);
-          p.batches.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (item.count > 1) {
-        simulate_fault_batch(net, stimulus, cache, config, cache.stats, faults, batch,
-                             item.count, outcome.results, counters, workers[w]->lane);
-      } else {
-        simulate_fault(*workers[w], faults[batch[0]], stimulus, cache, config,
-                       outcome.results[batch[0]], counters);
+      if (!use_frontier) {
+        simulate_fault_batch(net, stimulus, cache, config, cache.stats, faults, batch, item.count,
+                             outcome.results, counters, workers[w]->lane);
+        return;
+      }
+      simulate_fault_frontier(net, stimulus, cache, config, cache.stats, faults, batch,
+                              item.count, outcome.results, counters, workers[w]->frontier);
+      if (config.frontier_adaptive) {
+        FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
+        p.updates.fetch_add(workers[w]->frontier.last_updates, std::memory_order_relaxed);
+        p.updates_dense.fetch_add(workers[w]->frontier.last_updates_dense,
+                                  std::memory_order_relaxed);
+        p.batches.fetch_add(1, std::memory_order_relaxed);
       }
     };
     if (obs_on) {

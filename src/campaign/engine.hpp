@@ -19,13 +19,16 @@
 //    threshold (a decisive divergence — later timesteps can only grow it).
 //    `output_l1` then holds a lower bound of the full L1 (exact when the
 //    train ends below the threshold) and class_count_diff is left empty.
-//  * Lane batching — up to `lane_width` pending faults confined to the
-//    same layer share one multi-lane forward from the golden prefix: each
-//    layer streams its weights once per frame for all lanes (per-lane
-//    membrane state, per-lane spike trains), and retired lanes (converged
-//    or decisively divergent in detect-only mode) are compacted away so
-//    the remaining frames run narrower. Results stay bit-identical to the
-//    scalar path (snn/lane_network.hpp, DESIGN.md §12).
+//  * Lane batching — every pending fault rides a lane batch of 1 to
+//    `lane_width` faults confined to the same layer, one multi-lane forward
+//    from the golden prefix: each layer streams its weights once per frame
+//    for all lanes (per-lane membrane state, per-lane spike trains), and
+//    retired lanes (converged or decisively divergent in detect-only mode)
+//    are compacted away so the remaining frames run narrower. The lanes
+//    apply each resolved fault to the shared fault-free network, so no
+//    route writes a fault into a network; results stay bit-identical to
+//    the naive walk (snn/lane_network.hpp, DESIGN.md §12). The divergence
+//    frontier (`frontier`) is the other fast route for the same items.
 //  * Dynamic scheduling — per-fault cost varies by orders of magnitude
 //    with fault depth, so workers claim small chunks from a shared atomic
 //    counter (util::parallel_for_dynamic) instead of static ranges.
@@ -47,23 +50,28 @@ namespace snntest::campaign {
 struct EngineConfig {
   size_t num_threads = 0;  // 0 = hardware concurrency
   /// Worklist items claimed per scheduler round-trip (one item is a lane
-  /// batch or a single scalar fault). 0 (default) auto-tunes from the
+  /// batch of 1 to lane_width faults). 0 (default) auto-tunes from the
   /// worklist size: items / (workers * 8), clamped to [1, 64] — small
   /// enough to balance uneven per-fault cost, large enough to amortize the
   /// atomic traffic. An explicit value is authoritative.
   size_t grain = 0;
   /// Faults evaluated per forward pass: pending faults confined to the
   /// same layer are packed into lane batches of up to this many lanes
-  /// (clamped to snn::kMaxLaneWidth). 1 disables lane batching (pure
-  /// scalar path); batching also falls back to scalar for single-fault
-  /// groups and when prefix_reuse is off. Results are bit-identical at
-  /// every width.
+  /// (clamped to snn::kMaxLaneWidth); 1 runs every fault as a batch of one,
+  /// as is a layer's lone pending fault at any width. Results are
+  /// bit-identical at every width.
   size_t lane_width = 8;
   /// detected = output_l1 > detection_threshold (default keeps Eq. (3)).
   double detection_threshold = 0.0;
-  /// Reuse golden activations of the layers before the faulty one.
+  /// Reuse golden activations of the layers before the faulty one. False
+  /// selects the naive reference walk instead of the fast routes: each
+  /// fault is written into a per-worker network clone (fault::ScopedFault)
+  /// and every layer runs from the stimulus, with no lanes, no frontier and
+  /// no pruning (convergence_pruning is not read). Meant as a baseline for
+  /// benches and identity gates; results are identical either way.
   bool prefix_reuse = true;
-  /// Stop as soon as a layer's faulty output matches its golden output.
+  /// Retire a fault as soon as a layer's faulty output matches its golden
+  /// output (the lane and frontier routes).
   bool convergence_pruning = true;
   /// Only decide detected/undetected: accumulate the output L1 timestep by
   /// timestep and stop once it crosses detection_threshold (or the train
@@ -125,10 +133,10 @@ struct EngineConfig {
   /// Progress callback (completed, total); called from worker threads.
   std::function<void(size_t, size_t)> progress;
   /// Cooperative cancellation, polled once per work item (a lane batch of
-  /// up to lane_width faults, or one scalar fault). Returning true makes
-  /// workers stop claiming work; the partial outcome (completed=false) has
-  /// streamed every finished pair through result_sink, so a dictionary-
-  /// backed rerun resumes from it.
+  /// 1 to lane_width faults). Returning true makes workers stop claiming
+  /// work; the partial outcome (completed=false) has streamed every
+  /// finished pair through result_sink, so a dictionary-backed rerun
+  /// resumes from it.
   std::function<bool()> cancel;
 };
 
@@ -150,9 +158,9 @@ struct EngineStats {
   /// when the request was out of range (which also logs a one-time
   /// warning).
   size_t lane_width_effective = 0;
-  /// Lane-batched passes executed and the faults they carried; the
-  /// remaining simulated faults ran the scalar path (singleton layer
-  /// groups, lane_width 1, or prefix_reuse off).
+  /// Work items the lane and frontier routes executed, batches of one
+  /// included, and the faults they carried: every simulated fault unless
+  /// prefix_reuse is off (the reference walk runs no batches).
   size_t lane_batches = 0;
   size_t lane_batched_faults = 0;
   /// Lanes retired before their batch finished: converged onto the golden
@@ -161,8 +169,9 @@ struct EngineStats {
   size_t lanes_retired_early = 0;
   /// Fault-layer frames the lane batches ran, split by where the shared
   /// fault-free synaptic frame came from: read from the golden cache (the
-  /// layer hosts two or more lane batches) or computed in place. Their sum
-  /// depends only on the worklist, not on threads or scheduling.
+  /// layer hosts two or more lane batches, of any size) or computed in
+  /// place. Their sum depends only on the worklist, not on threads or
+  /// scheduling.
   size_t synaptic_frames_cached = 0;
   size_t synaptic_frames_computed = 0;
   /// Fault rows of the lane batches' synapse faults at their fault layer,
@@ -235,11 +244,11 @@ struct CampaignResult {
 using fault::fault_layer;
 
 /// Simulate every fault in `faults` against `stimulus` with the
-/// differential engine. `net` must be fault-free; it is not modified
-/// (workers use clones). Results are bit-identical to the naive
-/// re-simulate-everything campaign unless `detect_only` is set. Throws
-/// std::out_of_range, before any simulation, if a fault targets a layer
-/// outside `net`.
+/// differential engine. `net` must be fault-free; it is not modified (the
+/// fast routes share it read-only; the reference walk uses clones).
+/// Results are bit-identical to the naive re-simulate-everything campaign
+/// unless `detect_only` is set. Throws std::out_of_range, before any
+/// simulation, if a fault targets a layer outside `net`.
 CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
                             const std::vector<fault::FaultDescriptor>& faults,
                             const EngineConfig& config = {});

@@ -70,7 +70,7 @@ void synapse_frame_lanes(const snn::Layer& layer, const float* in_lanes,
 
 }  // namespace
 
-void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
+void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stimulus,
                              const GoldenCache& cache, const EngineConfig& config,
                              const std::vector<fault::LayerWeightStats>& stats,
                              const std::vector<fault::FaultDescriptor>& faults,
@@ -83,10 +83,8 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
   const bool obs_on = obs::telemetry_enabled();
 
   counters.frontier_faults.fetch_add(count, std::memory_order_relaxed);
-  if (count > 1) {
-    counters.lane_batches.fetch_add(1, std::memory_order_relaxed);
-    counters.lane_batched_faults.fetch_add(count, std::memory_order_relaxed);
-  }
+  counters.lane_batches.fetch_add(1, std::memory_order_relaxed);
+  counters.lane_batched_faults.fetch_add(count, std::memory_order_relaxed);
   // Hot-loop tallies stay in locals; flushed to the shared atomics once.
   size_t updates = 0;
   size_t updates_dense = 0;
@@ -108,7 +106,7 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
   size_t active_count = count;
 
   for (size_t l = k; l < L && active_count > 0; ++l) {
-    snn::Layer& layer = net.layer(l);
+    const snn::Layer& layer = net.layer(l);
     const size_t n = layer.num_neurons();
     const size_t ni = layer.num_inputs();
     const bool fault_here = l == k;
@@ -263,24 +261,29 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
 
       // Phase B: recompute the dirty neurons' synapses and step them.
       if (fault_here) {
-        // Synapse faults are poked into the shared worker clone, so the
-        // fault layer runs its lanes strictly one at a time.
+        // Neurons the lane's synapse fault reads take their fault row from
+        // the resolved fault (snn::fault_row); every other neuron, and every
+        // neuron of a neuron fault, reads the fault-free layer.
         const float* in_frame = golden_in->row(t);
         for (size_t b = 0; b < count; ++b) {
           FrontierLaneState& lane = ctx.lanes[b];
           if (!lane.active || lane.dirty_list.empty()) continue;
-          const auto poke = fault::apply_synapse_fault(layer, lane.fault.synapse);
+          const snn::LaneSynapseFault& sf = lane.fault.synapse;
+          const bool synapse_fault = sf.kind != snn::LaneSynapseFault::Kind::kNone;
           const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
           if (lane.full_frame) {
             lane.syn.resize(n);
             layer.frontier_synapse_frame(in_frame, prev, lane.syn.data());
-            for (uint32_t i : lane.dirty_list) step_neuron(lane, t, i, lane.syn[i]);
-          } else {
-            for (uint32_t i : lane.dirty_list) {
-              step_neuron(lane, t, i, layer.frontier_synapse(in_frame, prev, i));
-            }
           }
-          fault::restore_synapse_fault(poke);
+          for (uint32_t i : lane.dirty_list) {
+            float syn;
+            if (synapse_fault && lane.param_dirty[i]) {
+              syn = snn::fault_row(layer, sf, i, in_frame, prev, 1);
+            } else {
+              syn = lane.full_frame ? lane.syn[i] : layer.frontier_synapse(in_frame, prev, i);
+            }
+            step_neuron(lane, t, i, syn);
+          }
         }
       } else {
         // Downstream layers are fault-free and shared. Full-frame lanes are
@@ -394,8 +397,8 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
             lane.first_frame = static_cast<int64_t>(t);
           }
           if (config.detect_only && lane.first_frame >= 0) {
-            // Decisive divergence: the scalar fill_detect_only_result early
-            // exit, lane-retired mid-window like the lane-batched path.
+            // Decisive divergence: the fill_detect_only_result early exit,
+            // lane-retired mid-window like the lane-batched path.
             fault::DetectionResult& r = results[lane.result_index];
             r.detected = true;
             r.output_l1 = lane.l1;
@@ -405,7 +408,7 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
                   obs::Registry::instance().counter("campaign/detect_only_early_exits");
               early_exits.add(1);
             }
-            if (count > 1) ++retired;
+            ++retired;
             lane.active = false;
             --active_count;
           }
@@ -438,7 +441,7 @@ void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
         // early exit (downstream is bit-identical too).
         detail::fill_converged_result(results[lane.result_index], cache, config);
         ++pruned;
-        if (count > 1) ++retired;
+        ++retired;
         lane.active = false;
         --active_count;
         continue;

@@ -8,23 +8,22 @@
 // re-simulated, with the exact per-neuron accumulation orders of the dense
 // kernels (Layer::frontier_synapse) and the exact LifBank update
 // (snn::lif_step_neuron), so every DetectionResult is bit-identical to the
-// dense scalar/lane paths. A neuron whose (u, refrac) state re-matches the
+// lane route and the naive forward. A neuron whose (u, refrac) state re-matches the
 // cached golden state traces retires from the dirty set; a layer whose
 // frame frontier stays empty is a converged lane — exactly the engine's
 // convergence pruning. When a frame's dirty fraction exceeds
 // EngineConfig::frontier_threshold the frame falls back to the full dense
 // frame kernel (Layer::frontier_synapse_frame), still bit-identical.
 //
-// One routine serves both the scalar path (count == 1) and lane batches
-// (count up to snn::kMaxLaneWidth, all faults confined to the same layer):
-// per-lane faults are resolved by the one fault table
-// (fault::resolve_lane_fault) into snn::LaneFault PODs; neuron faults are
-// applied as parameter overrides inside the shared LIF step, synapse faults
-// are written into the worker's mutable clone around each lane's
-// fault-layer recomputes by fault::apply_synapse_fault /
-// restore_synapse_fault, the same write FaultInjector makes. Downstream
-// layers iterate the union of the lanes' dirty sets so consecutive lanes
-// reuse hot weight rows.
+// One routine serves a lone fault (count == 1) and lane batches (count up
+// to snn::kMaxLaneWidth, all faults confined to the same layer): per-lane
+// faults are resolved by the one fault table (fault::resolve_lane_fault)
+// into snn::LaneFault PODs; neuron faults are applied as parameter
+// overrides inside the shared LIF step, and the fault layer's neurons that
+// a synapse fault reads take their synaptic current from snn::fault_row,
+// as the lane kernels do, so the shared network is never written.
+// Downstream layers iterate the union of the lanes' dirty sets so
+// consecutive lanes reuse hot weight rows.
 #pragma once
 
 #include <cstdint>
@@ -88,10 +87,10 @@ struct FrontierSimContext {
 /// the same layer — with the divergence-frontier walk, writing
 /// `results[batch[i]]`. Requires config.prefix_reuse, golden state traces
 /// (cache.has_state_traces) and frontier_supported() on every layer; the
-/// engine checks all three before routing here. `net` is the WORKER's
-/// mutable fault-free clone: synapse faults are poked in around each
-/// lane's fault-layer recomputes and restored before return.
-void simulate_fault_frontier(snn::Network& net, const tensor::Tensor& stimulus,
+/// engine checks all three before routing here. `net` is the fault-free
+/// reference network and is never mutated, so workers share the caller's
+/// instance; `stats` must come from compute_weight_stats on it.
+void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stimulus,
                              const GoldenCache& cache, const EngineConfig& config,
                              const std::vector<fault::LayerWeightStats>& stats,
                              const std::vector<fault::FaultDescriptor>& faults,

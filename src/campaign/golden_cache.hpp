@@ -3,7 +3,7 @@
 // One fault-free forward pass is shared by every fault of a campaign: a
 // fault confined to layer k (faults are single-layer by construction, see
 // fault/injector.hpp) leaves layers 0..k-1 bit-identical to the golden run,
-// so their cached spike trains feed Network::forward_from(k, ...) directly.
+// so their cached spike trains feed layer k's simulation directly.
 // The cache also precomputes everything the detection comparison needs
 // (output spike counts) and a fingerprint of (network, stimulus) that the
 // run report's campaign_fingerprint extends.

@@ -11,8 +11,8 @@ namespace {
 
 /// ORs, per lane l, the XOR of lane l's bit patterns in the lane-strided
 /// frame `f` [n, lanes] with golden frame `g` [n] into diff[l]: nonzero
-/// once the lane's train differs from golden, which is the scalar path's
-/// memcmp. Branch-free integer work, so the lane loop vectorizes.
+/// once the lane's train differs from golden (a bitwise comparison of the
+/// trains). Branch-free integer work, so the lane loop vectorizes.
 template <size_t LANES>
 void or_frame_diff(const float* f, const float* g, size_t n, size_t lanes, uint32_t* diff) {
   const size_t width = LANES == 0 ? lanes : LANES;  // 0: run-time lane count
@@ -146,8 +146,8 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
       // Frame-by-frame output comparison with mid-window retirement: once a
       // lane's accumulated L1 crosses the threshold the divergence is
       // decisive (later timesteps only grow it), which is exactly the
-      // scalar fill_detect_only_result early exit — so the lane retires and
-      // the remaining frames run narrower.
+      // fill_detect_only_result early exit — so the lane retires and the
+      // remaining frames run narrower.
       ctx.frame.resize(n * lanes);
       ctx.l1_acc.assign(lanes, 0.0);
       const tensor::Tensor& golden = cache.output();
@@ -202,8 +202,8 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
     }
 
     // A lane whose train re-converged onto the golden trajectory is done:
-    // every downstream layer would be bit-identical too (same exact early
-    // exit as the scalar path). The final layer needs no check — a
+    // every downstream layer would be bit-identical too, so the naive walk's
+    // result is already known. The final layer needs no check — a
     // converged final train makes fill_full_result produce exactly
     // fill_converged_result's values. The check ORs each frame into a
     // per-lane difference while the frame is hot, and stops once every
@@ -250,7 +250,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
   if (lanes == 0) return;
 
   // Full-result extraction: pull each surviving lane's [T, n] train out of
-  // the lane-strided final buffer and fill exactly like the scalar path.
+  // the lane-strided final buffer and fill exactly like the reference walk.
   const size_t out_n = net.layer(L - 1).num_neurons();
   const std::vector<float>& final_buf = ctx.bufs[flip ^ 1];
   for (size_t lane = 0; lane < lanes; ++lane) {

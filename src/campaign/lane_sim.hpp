@@ -1,13 +1,14 @@
 // Lane-batched fault simulation: W same-layer faults per forward pass.
 //
-// simulate_fault_batch packs up to lane_width pending faults that share a
+// simulate_fault_batch packs 1 to lane_width pending faults that share a
 // fault layer into one multi-lane forward from the shared golden prefix
 // (snn/lane_network.hpp): each downstream layer streams its weights once
 // per frame for all lanes instead of once per fault. Every lane's
-// DetectionResult is bit-identical to the scalar simulate_fault path —
-// the lane kernels replay the scalar ordered-double accumulation per lane,
-// and retirement (convergence pruning, detect-only threshold crossing)
-// reproduces the scalar early exits exactly (DESIGN.md §12).
+// DetectionResult is bit-identical to the naive walk (the fault written
+// into the network, every layer run) — the lane kernels replay the ordered
+// double accumulation of the single-fault kernels per lane, and retirement
+// (convergence pruning, detect-only threshold crossing) only stops work
+// whose outcome is already decided (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -37,8 +38,8 @@ struct LaneSimContext {
 
 /// Simulate the `count` faults `faults[batch[0..count)]` — all confined to
 /// the same layer — in one lane-batched pass, writing `results[batch[i]]`.
-/// Requires prefix_reuse (the caller falls back to the scalar path
-/// otherwise) and 2 <= count <= snn::kMaxLaneWidth. `net` is the fault-free
+/// Requires 1 <= count <= snn::kMaxLaneWidth; prefix_reuse is assumed (the
+/// engine runs the reference walk instead when it is off). `net` is the fault-free
 /// reference network and is never mutated, so workers share the caller's
 /// instance; `stats` must come from compute_weight_stats on it.
 void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulus,

@@ -1,12 +1,12 @@
-// Internals shared by the scalar (engine.cpp) and lane-batched
-// (lane_sim.cpp) fault-simulation paths. Both paths must emit identical
-// DetectionResults, so the result-filling helpers live here in one audited
-// place rather than being duplicated.
+// Internals shared by the fault-simulation routes: the reference walk
+// (engine.cpp), the lane batches (lane_sim.cpp) and the frontier walk
+// (frontier_sim.cpp). Every route must emit identical DetectionResults, so
+// the result-filling helpers live here in one audited place rather than
+// being duplicated.
 #pragma once
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "campaign/engine.hpp"
@@ -15,10 +15,6 @@
 #include "snn/spike_train.hpp"
 
 namespace snntest::campaign::detail {
-
-inline bool trains_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
-  return std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
-}
 
 /// Per-class first spike frame of a time-major [T, n] train, T for a class
 /// that never fires — exactly ForwardResult::output_first_spike_times.
@@ -116,7 +112,7 @@ struct SimCounters {
   std::atomic<size_t> pruned{0};
   std::atomic<size_t> layer_forwards{0};
   std::atomic<size_t> completed{0};
-  // lane-batched path only
+  // lane and frontier routes
   std::atomic<size_t> lane_batches{0};
   std::atomic<size_t> lane_batched_faults{0};
   std::atomic<size_t> lanes_retired_early{0};

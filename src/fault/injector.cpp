@@ -54,6 +54,22 @@ std::invalid_argument non_finite(const FaultDescriptor& fault, const char* what,
                                what + " " + std::to_string(value) + " (must be finite)");
 }
 
+/// The stored-weight slot of a resolved weight fault (not a conv
+/// connection, which is an override, not a stored weight).
+float& weight_slot(snn::Layer& layer, const snn::LaneSynapseFault& sf) {
+  using Kind = snn::LaneSynapseFault::Kind;
+  switch (sf.kind) {
+    case Kind::kRecurrentWeight:
+      return static_cast<snn::RecurrentLayer&>(layer).recurrent_weights()[sf.index];
+    case Kind::kConvWeight:
+      return static_cast<snn::ConvLayer&>(layer).weights()[sf.index];
+    default:
+      return layer.kind() == snn::LayerKind::kDense
+                 ? static_cast<snn::DenseLayer&>(layer).weights()[sf.index]
+                 : static_cast<snn::RecurrentLayer&>(layer).weights()[sf.index];
+  }
+}
+
 void write_neuron(snn::LifBank& lif, const snn::LaneNeuronOverride& o) {
   lif.thresholds()[o.neuron] = o.threshold;
   lif.leaks()[o.neuron] = o.leak;
@@ -140,43 +156,6 @@ snn::LaneFault resolve_lane_fault(const snn::Network& net,
   return lane;
 }
 
-SynapsePoke apply_synapse_fault(snn::Layer& layer, const snn::LaneSynapseFault& sf) {
-  SynapsePoke p;
-  using Kind = snn::LaneSynapseFault::Kind;
-  switch (sf.kind) {
-    case Kind::kNone:
-      return p;
-    case Kind::kWeight:
-      p.slot = layer.kind() == snn::LayerKind::kDense
-                   ? &static_cast<snn::DenseLayer&>(layer).weights()[sf.index]
-                   : &static_cast<snn::RecurrentLayer&>(layer).weights()[sf.index];
-      break;
-    case Kind::kRecurrentWeight:
-      p.slot = &static_cast<snn::RecurrentLayer&>(layer).recurrent_weights()[sf.index];
-      break;
-    case Kind::kConvWeight:
-      p.slot = &static_cast<snn::ConvLayer&>(layer).weights()[sf.index];
-      break;
-    case Kind::kConvConnection: {
-      auto& conv = static_cast<snn::ConvLayer&>(layer);
-      if (conv.connection_override_active()) {
-        throw std::logic_error("apply_synapse_fault: connection override already active");
-      }
-      conv.set_connection_override(sf.out_index, sf.in_index, sf.value);
-      p.conv = &conv;
-      return p;
-    }
-  }
-  p.clean = *p.slot;
-  *p.slot = sf.value;
-  return p;
-}
-
-void restore_synapse_fault(const SynapsePoke& poke) {
-  if (poke.slot != nullptr) *poke.slot = poke.clean;
-  if (poke.conv != nullptr) poke.conv->clear_connection_override();
-}
-
 FaultInjector::FaultInjector(snn::Network& net, std::vector<LayerWeightStats> stats)
     : net_(&net), stats_(std::move(stats)) {
   if (stats_.size() != net.num_layers()) {
@@ -193,21 +172,36 @@ void FaultInjector::inject(const FaultDescriptor& fault) {
   if (active_) throw std::logic_error("FaultInjector: a fault is already active");
   const snn::LaneFault resolved = resolve_lane_fault(*net_, stats_, fault);
   snn::Layer& layer = net_->layer(fault_layer(fault));
+  synapse_ = resolved.synapse;
+  using Kind = snn::LaneSynapseFault::Kind;
   if (resolved.neuron.active) {
     saved_neuron_ = read_neuron(layer.lif(), resolved.neuron.neuron);
     write_neuron(layer.lif(), resolved.neuron);
-  } else {
-    poke_ = apply_synapse_fault(layer, resolved.synapse);
+  } else if (synapse_.kind == Kind::kConvConnection) {
+    // The override's delta is bit-for-bit the resolved `delta`.
+    auto& conv = static_cast<snn::ConvLayer&>(layer);
+    if (conv.connection_override_active()) {
+      throw std::logic_error("FaultInjector: connection override already active");
+    }
+    conv.set_connection_override(synapse_.out_index, synapse_.in_index, synapse_.value);
+  } else if (synapse_.kind != Kind::kNone) {
+    float& slot = weight_slot(layer, synapse_);
+    clean_weight_ = slot;
+    slot = synapse_.value;
   }
   active_ = fault;
 }
 
 void FaultInjector::remove() {
   if (!active_) return;
+  snn::Layer& layer = net_->layer(fault_layer(*active_));
+  using Kind = snn::LaneSynapseFault::Kind;
   if (active_->targets_neuron()) {
-    write_neuron(net_->layer(fault_layer(*active_)).lif(), saved_neuron_);
-  } else {
-    restore_synapse_fault(poke_);
+    write_neuron(layer.lif(), saved_neuron_);
+  } else if (synapse_.kind == Kind::kConvConnection) {
+    static_cast<snn::ConvLayer&>(layer).clear_connection_override();
+  } else if (synapse_.kind != Kind::kNone) {
+    weight_slot(layer, synapse_) = clean_weight_;
   }
   active_.reset();
 }

@@ -4,15 +4,14 @@
 // resolve_lane_fault is the one place a FaultDescriptor becomes faulty
 // values: a neuron-parameter override or a faulty synapse weight, packed
 // into the plain snn::LaneFault POD. Every simulation path consumes it:
-//  * FaultInjector (the scalar path) writes it into a worker's network
-//    clone and records exactly what it changed, so removal is a perfect
-//    restore. `ScopedFault` is the RAII form used by campaign workers.
-//  * The lane kernels (snn/lane_network.hpp) apply it per lane on a const,
-//    shared, fault-free network.
-//  * The frontier walk (campaign/frontier_sim.hpp) pokes its synapse half
-//    into the worker clone around each lane's fault-layer recompute with
-//    apply_synapse_fault / restore_synapse_fault, the same pair
-//    FaultInjector uses.
+//  * The lane kernels (snn/lane_network.hpp) and the frontier walk
+//    (campaign/frontier_sim.hpp) apply it per lane on a const, shared,
+//    fault-free network; a synapse fault's effect comes from
+//    snn::fault_row.
+//  * FaultInjector writes it into a mutable network and records exactly
+//    what it changed, so removal is a perfect restore. `ScopedFault` is its
+//    RAII form. The examples, the test oracles and the campaign engine's
+//    naive reference walk (EngineConfig::prefix_reuse = false) use it.
 #pragma once
 
 #include <optional>
@@ -20,10 +19,6 @@
 #include "fault/fault.hpp"
 #include "fault/registry.hpp"
 #include "snn/lane_network.hpp"
-
-namespace snntest::snn {
-class ConvLayer;
-}
 
 namespace snntest::fault {
 
@@ -36,23 +31,6 @@ namespace snntest::fault {
 snn::LaneFault resolve_lane_fault(const snn::Network& net,
                                   const std::vector<LayerWeightStats>& stats,
                                   const FaultDescriptor& fault);
-
-/// A resolved synapse fault written into a mutable layer, and what it
-/// replaced.
-struct SynapsePoke {
-  float* slot = nullptr;  // stored-weight slot, holds the faulty value
-  float clean = 0.0f;
-  snn::ConvLayer* conv = nullptr;  // connection-granularity override owner
-};
-
-/// Write `sf` into `layer`, the layer it was resolved against: the faulty
-/// value into its stored-weight slot, or, for a conv connection, the
-/// override set_connection_override(out, in, value), whose delta is
-/// bit-for-bit `sf.delta`. Kind::kNone writes nothing. Throws
-/// std::logic_error if a connection override is already active.
-SynapsePoke apply_synapse_fault(snn::Layer& layer, const snn::LaneSynapseFault& sf);
-/// Undo apply_synapse_fault byte-exactly.
-void restore_synapse_fault(const SynapsePoke& poke);
 
 class FaultInjector {
  public:
@@ -81,7 +59,8 @@ class FaultInjector {
   std::vector<LayerWeightStats> stats_;
   std::optional<FaultDescriptor> active_;
   snn::LaneNeuronOverride saved_neuron_{};  // clean parameters (neuron faults)
-  SynapsePoke poke_{};
+  snn::LaneSynapseFault synapse_{};         // the active synapse fault, if any
+  float clean_weight_ = 0.0f;               // the stored weight it replaced
 };
 
 /// RAII single-fault scope.

@@ -16,14 +16,16 @@ namespace snntest::snn {
 
 namespace {
 
-/// Faulty dense/recurrent row: the scalar path stores `value` at flat weight
-/// `col` and runs the ordered-double matvec row; substituting the value in
-/// the same sweep yields the identical float.
-float recompute_row(const float* row, size_t cols, size_t col, float value, const float* x) {
+/// Ordered double sum of `row` [cols] times the `stride`-strided vector
+/// `x`, with `value` in place of row[col] (col == SIZE_MAX: none), cast to
+/// float: one row of the scalar matvec with the faulty value substituted in
+/// the same sweep, hence the identical float.
+float recompute_row(const float* row, size_t cols, size_t col, float value, const float* x,
+                    size_t stride) {
   double acc = 0.0;
   for (size_t c = 0; c < cols; ++c) {
     const float w = (c == col) ? value : row[c];
-    acc += static_cast<double>(w) * x[c];
+    acc += static_cast<double>(w) * x[c * stride];
   }
   return static_cast<float>(acc);
 }
@@ -44,13 +46,18 @@ float recompute_row_gather(const float* row, size_t col, float value, const floa
   return static_cast<float>(acc);
 }
 
-/// One faulty conv output pixel (oc, oy, ox): conv_forward_frame's ordered
-/// (ic, ky, kx) double sum for that pixel with the stored weight at flat
-/// index `tap` replaced by `value` — the float the scalar faulty pass
-/// computes there.
+/// Conv output pixel `out`: conv_forward_frame's ordered (ic, ky, kx) double
+/// sum for that pixel with the stored weight at flat index `tap` replaced by
+/// `value` (tap == SIZE_MAX: none) — the float the layer's forward computes
+/// there with the fault written in.
 float recompute_conv_pixel(const ConvLayer& conv, size_t tap, float value, const float* in,
-                           size_t oc, size_t oy, size_t ox) {
+                           size_t out) {
   const Conv2dSpec& s = conv.spec();
+  const size_t oh = s.out_height();
+  const size_t ow = s.out_width();
+  const size_t oc = out / (oh * ow);
+  const size_t oy = (out / ow) % oh;
+  const size_t ox = out % ow;
   const size_t k = s.kernel;
   const float* weights = conv.weights().data();
   double acc = 0.0;
@@ -296,6 +303,44 @@ size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMo
   return SIZE_MAX;
 }
 
+// --- Fault rows ----------------------------------------------------------
+
+float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out, const float* in_frame,
+                const float* prev, size_t prev_stride, const float* clean, const uint32_t* active,
+                size_t num_active) {
+  using Kind = LaneSynapseFault::Kind;
+  if (layer.kind() == LayerKind::kConv2d) {
+    const auto& conv = static_cast<const ConvLayer&>(layer);
+    if (sf.kind == Kind::kConvWeight) {
+      return recompute_conv_pixel(conv, sf.index, sf.value, in_frame, out);
+    }
+    // A connection override lands on top of the fault-free pixel, as
+    // ConvLayer::forward_into applies it.
+    const float pixel =
+        clean ? *clean : recompute_conv_pixel(conv, SIZE_MAX, 0.0f, in_frame, out);
+    return out == sf.out_index ? pixel + sf.delta * in_frame[sf.in_index] : pixel;
+  }
+  const size_t cols = layer.num_inputs();
+  const float* w = layer_weights(layer) + out * cols;
+  float syn;
+  if (sf.kind == Kind::kWeight) {
+    const size_t col = sf.index / cols == out ? sf.index % cols : SIZE_MAX;
+    syn = active ? recompute_row_gather(w, col, sf.value, in_frame, active, num_active)
+                 : recompute_row(w, cols, col, sf.value, in_frame, 1);
+  } else {
+    syn = clean ? *clean : recompute_row(w, cols, SIZE_MAX, 0.0f, in_frame, 1);
+  }
+  if (layer.kind() == LayerKind::kRecurrent && prev) {
+    // Two separately rounded terms, as RecurrentLayer::forward_into adds them.
+    const size_t n = layer.num_neurons();
+    const float* v = static_cast<const RecurrentLayer&>(layer).recurrent_weights().data();
+    const size_t col = sf.kind == Kind::kRecurrentWeight && sf.index / n == out ? sf.index % n
+                                                                                : SIZE_MAX;
+    syn += recompute_row(v + out * n, n, col, sf.value, prev, prev_stride);
+  }
+  return syn;
+}
+
 // --- LaneLif -------------------------------------------------------------
 
 static_assert(static_cast<uint8_t>(NeuronMode::kNormal) == 0 &&
@@ -430,14 +475,13 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
         break;
       case LaneSynapseFault::Kind::kWeight: {
         const size_t cols = layer_->num_inputs();
-        const size_t col = sf.index % cols;
-        if (in_frame[col] == 0.0f) {
+        if (in_frame[sf.index % cols] == 0.0f) {
           // value * 0 = +/-0.0: the broadcast fault-free row is the faulty row.
           ++rows_skipped_;
           break;
         }
-        const float* w = layer_weights(*layer_);
         const size_t r = sf.index / cols;
+        float& y = syn_lanes[r * lanes_ + l];
         if (exact_fault_row_[l]) {
           // O(1) row: x[col] is 1.0f (a 0/1 frame, nonzero here), so the
           // faulty sum is the golden sum minus w plus the faulty value.
@@ -445,19 +489,15 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
           // by the faulty value, exact under its certificate, so the cast
           // is the scalar ordered sum's float.
           const double golden = delta_.w.sums[t_ * n_ + r];
-          syn_lanes[r * lanes_ + l] = static_cast<float>(
-              (golden - static_cast<double>(w[sf.index])) + static_cast<double>(sf.value));
-          ++rows_recomputed_;
-          break;
+          y = static_cast<float>((golden - static_cast<double>(layer_weights(*layer_)[sf.index])) +
+                                 static_cast<double>(sf.value));
+        } else {
+          if (num_active == SIZE_MAX && mode_ != KernelMode::kDense) {
+            num_active = tensor::extract_active(in_frame, cols, active_);
+          }
+          y = fault_row(*layer_, sf, r, in_frame, nullptr, 0, nullptr,
+                        num_active == SIZE_MAX ? nullptr : active_.data(), num_active);
         }
-        if (num_active == SIZE_MAX && mode_ != KernelMode::kDense) {
-          num_active = tensor::extract_active(in_frame, cols, active_);
-        }
-        syn_lanes[r * lanes_ + l] =
-            num_active == SIZE_MAX
-                ? recompute_row(w + r * cols, cols, col, sf.value, in_frame)
-                : recompute_row_gather(w + r * cols, col, sf.value, in_frame, active_.data(),
-                                       num_active);
         ++rows_recomputed_;
         break;
       }
@@ -465,8 +505,7 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
         // The tap (oc, ic, ky, kx) feeds output pixel (oy, ox) from input
         // pixel (ic, oy*stride + ky - pad, ox*stride + kx - pad). Only the
         // pixels whose tapped input is nonzero can differ from fault-free.
-        const auto& conv = static_cast<const ConvLayer&>(*layer_);
-        const Conv2dSpec& s = conv.spec();
+        const Conv2dSpec& s = static_cast<const ConvLayer&>(*layer_).spec();
         const size_t k = s.kernel;
         const size_t oc = sf.index / (s.in_channels * k * k);
         const size_t ic = (sf.index / (k * k)) % s.in_channels;
@@ -485,47 +524,38 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
               ++rows_skipped_;
               continue;
             }
-            syn_lanes[((oc * oh + oy) * ow + ox) * lanes_ + l] =
-                recompute_conv_pixel(conv, sf.index, sf.value, in_frame, oc, oy, ox);
+            const size_t out = (oc * oh + oy) * ow + ox;
+            syn_lanes[out * lanes_ + l] = fault_row(*layer_, sf, out, in_frame, nullptr, 0);
             ++rows_recomputed_;
           }
         }
         break;
       }
-      case LaneSynapseFault::Kind::kConvConnection: {
-        // Mirrors the scalar override: syn[out] += delta * in[in] after the
-        // fault-free frame (base already broadcast into this slot).
-        syn_lanes[sf.out_index * lanes_ + l] =
-            base_frame_[sf.out_index] + sf.delta * in_frame[sf.in_index];
+      case LaneSynapseFault::Kind::kConvConnection:
+        // The fault-free pixel is already broadcast into this slot.
+        syn_lanes[sf.out_index * lanes_ + l] = fault_row(*layer_, sf, sf.out_index, in_frame,
+                                                         nullptr, 0, base_frame_ + sf.out_index);
         ++rows_recomputed_;
         break;
-      }
     }
   }
 }
 
-void LaneLayerRun::apply_recurrent_faults(const float* v) {
+void LaneLayerRun::apply_recurrent_faults(const float* in_frame) {
   for (size_t l = 0; l < lanes_; ++l) {
     const LaneSynapseFault& sf = faults_[l].synapse;
     if (sf.kind != LaneSynapseFault::Kind::kRecurrentWeight) continue;
     const size_t r = sf.index / n_;
-    const size_t col = sf.index % n_;
-    if (prev_out_[col * lanes_ + l] == 0.0f) {
+    if (prev_out_[(sf.index % n_) * lanes_ + l] == 0.0f) {
       // value * 0 = +/-0.0: the fault-free feedback already added is exact.
       ++rows_skipped_;
       continue;
     }
-    // Scalar path: syn[r] = float(W row . in) then += float(V' row . prev).
-    // This lane carries no W fault (single fault), so the first term is
-    // base_frame_[r]; recompute the faulty V term against the lane's own
-    // prev frame and overwrite the unfaulted feedback added before.
-    const float* vrow = v + r * n_;
-    double acc = 0.0;
-    for (size_t c = 0; c < n_; ++c) {
-      const float w = (c == col) ? sf.value : vrow[c];
-      acc += static_cast<double>(w) * prev_out_[c * lanes_ + l];
-    }
-    syn_[r * lanes_ + l] = base_frame_[r] + static_cast<float>(acc);
+    // This lane carries no W fault (single fault), so the feed-forward term
+    // is base_frame_[r]; the faulty V row against the lane's own prev frame
+    // overwrites the fault-free feedback added before.
+    syn_[r * lanes_ + l] =
+        fault_row(*layer_, sf, r, in_frame, prev_out_.data() + l, lanes_, base_frame_ + r);
     ++rows_recomputed_;
   }
 }
@@ -555,10 +585,7 @@ void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
     // Per-lane feedback: prev outputs already diverge across lanes, so this
     // is a lane sum even though the layer input frame is shared.
     feedback_lanes();
-    if (has_synapse_faults_) {
-      apply_recurrent_faults(
-          static_cast<const RecurrentLayer&>(*layer_).recurrent_weights().data());
-    }
+    if (has_synapse_faults_) apply_recurrent_faults(in_frame);
   }
   finish_step(out_lanes);
 }

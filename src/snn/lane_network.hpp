@@ -1,13 +1,14 @@
 // Lane-batched layer execution for parallel fault simulation (DESIGN.md §12).
 //
-// The campaign engine packs up to W same-layer faults into one multi-lane
+// The campaign engine packs 1 to W same-layer faults into one multi-lane
 // pass: every lane shares the identical fault-free prefix and the identical
 // weights, so each layer streams its weight matrix once per frame and feeds
 // W per-lane accumulators (tensor/ops.hpp lane kernels), with per-lane
 // membrane/refractory state and per-lane spike output.
 //
 // Bit-identity discipline: a lane must produce exactly the spike train the
-// scalar engine produces for that lane's fault.
+// layer's own (scalar) forward produces with that lane's fault written into
+// the network.
 //  * At the fault layer the input is shared (golden prefix), so the fault-
 //    free synaptic frame (shared_synaptic_frame, the scalar kernels) is
 //    the same for every lane and every batch: the campaign caches it per
@@ -15,8 +16,9 @@
 //    layer, and LaneLayerRun computes it in place otherwise (for a dense or
 //    recurrent layer, as the cast of the golden sums). Either way it is
 //    broadcast; a lane's synapse fault only changes the rows/outputs it
-//    touches, and those are recomputed per lane with the faulty value
-//    substituted in the scalar accumulation order (ordered double sums) —
+//    touches, and those are recomputed per lane by fault_row with the
+//    faulty value substituted in the scalar accumulation order (ordered
+//    double sums) —
 //    unless the input the faulty synapse taps is zero in this frame: the
 //    faulty term is then value * 0 = +/-0.0 (the value is finite, which
 //    fault::resolve_lane_fault guarantees), it leaves the double
@@ -71,8 +73,8 @@ struct LaneNeuronOverride {
 };
 
 /// Per-lane synaptic perturbation at the fault layer — the resolved effect
-/// of a synapse fault (the faulty stored value, not a delta, so the
-/// affected row is recomputed exactly as the scalar path computes it).
+/// of a synapse fault (the faulty stored value, not a delta, so fault_row
+/// recomputes the affected row exactly as the faulty forward computes it).
 struct LaneSynapseFault {
   enum class Kind : uint8_t {
     kNone = 0,
@@ -89,10 +91,10 @@ struct LaneSynapseFault {
   float delta = 0.0f;    // conv connection: effective - stored weight
 };
 
-/// One resolved fault: the output of fault::resolve_lane_fault, consumed by
-/// all three simulation paths — FaultInjector writes it into a network
-/// clone (scalar path), the lane kernels apply it per lane, and the
-/// frontier walk pokes it around its fault-layer recomputes. At most one of
+/// One resolved fault: the output of fault::resolve_lane_fault. The lane
+/// kernels and the frontier walk apply it per lane to a const network (the
+/// synapse half through fault_row); FaultInjector writes it into a mutable
+/// network for the naive reference walk and the oracles. At most one of
 /// {neuron, synapse} is active (single-fault assumption).
 struct LaneFault {
   LaneNeuronOverride neuron;
@@ -192,6 +194,30 @@ struct LaneDelta {
 size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMode mode,
                              std::vector<uint32_t>& active, float* out);
 
+/// One fault row (see LaneLayerRun::fault_rows_recomputed): the synaptic
+/// current of output `out` of `layer` in one frame with synapse fault `sf`
+/// written into the layer, bit for bit the float its forward computes
+/// there (the fault-free current for an output the fault does not read).
+/// The lane kernels and the frontier walk both take a synapse fault's
+/// effect from here, so neither writes it into a network.
+///  * kWeight: the faulty feed-forward row, summed over the frame's
+///    `active` columns when `active` is not null (bit-identical: the skipped
+///    terms are exact +/-0.0).
+///  * kConvWeight: the faulty conv pixel.
+///  * kConvConnection: the fault-free pixel plus delta times the tapped
+///    input.
+///  * kRecurrentWeight: the feed-forward float plus the faulty V row times
+///    `prev`.
+/// `prev` is the layer's own output at the previous frame, strided by
+/// `prev_stride` floats, or null: at frame 0, or to leave a recurrent
+/// layer's feedback term out of a kWeight row. `clean`, when not null, is
+/// output `out`'s fault-free feed-forward float, which a conv connection or
+/// a lateral fault then reads instead of recomputing it. `sf` must be a
+/// synapse fault of `layer` (not kNone).
+float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out, const float* in_frame,
+                const float* prev, size_t prev_stride, const float* clean = nullptr,
+                const uint32_t* active = nullptr, size_t num_active = 0);
+
 /// Runs one layer of a (const, fault-free) network over a window for W
 /// lanes, one timestep at a time, so the caller can interleave per-frame
 /// detection checks and lane retirement. Reusable: reset() rebinds without
@@ -257,7 +283,7 @@ class LaneLayerRun {
   void apply_shared_synapse_faults(const float* in_frame, size_t num_active, float* syn_lanes);
   /// The recurrent lateral (V) faults of the lanes, after the per-lane
   /// feedback matvec has added the fault-free V·prev term.
-  void apply_recurrent_faults(const float* v);
+  void apply_recurrent_faults(const float* in_frame);
   void synaptic_lanes(const float* in_lanes, float* syn_lanes);
   /// Golden-plus-delta sum of `m` (a layer matrix `w` [n_, cols]) over the
   /// lane frame `x_lanes` into syn_lanes: assigned for the feed-forward

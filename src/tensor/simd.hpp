@@ -7,7 +7,7 @@
 // 4-wide AVX2 double add performs four independent lane updates in one
 // instruction, each lane still seeing exactly the ordered scalar sum the
 // portable kernel computes. That is why every backend below is bit-identical
-// to the scalar engine (enforced by tests/test_simd.cpp and the
+// to the scalar reference kernels (enforced by tests/test_simd.cpp and the
 // backend-forced campaign fuzz in tests/test_campaign.cpp):
 //
 //  * identical per-lane term order — vector width divides across lanes,
