@@ -411,10 +411,10 @@ TEST(LaneBatch, FuzzMatrixBitIdenticalToNaiveReference) {
 TEST(LaneBatch, BackendForcedBitIdenticalAcrossWidths) {
   // The SIMD dispatch axis of the fuzz matrix: every backend available on
   // this host (tensor/simd.hpp) must reproduce the naive oracle bit for bit
-  // at every lane width — including widths that are not a multiple of any
-  // vector width (6), so the tail paths run — in both kernel modes and in
-  // full + detect-only runs, with the scalar-backend width-1 campaign's
-  // pruning and forward accounting.
+  // at every lane width 1-8 and 16 — widths that are not a multiple of any
+  // vector width run the tail paths — on the three architectures, in every
+  // kernel mode and in full + detect-only runs, with the scalar-backend
+  // width-1 campaign's pruning and forward accounting.
   namespace simd = tensor::simd;
   const simd::Backend prior = simd::active_backend();
   struct Case {
@@ -437,6 +437,13 @@ TEST(LaneBatch, BackendForcedBitIdenticalAcrossWidths) {
     auto faults = all_kinds_universe(net, 32, 84, /*conv_connections=*/true);
     cases.push_back({"conv-pool-dense", std::move(net), std::move(input), std::move(faults)});
   }
+  {
+    auto net = make_recurrent_net();
+    util::Rng rng(85);
+    auto input = snn::random_spike_train(12, net.input_size(), 0.4, rng);
+    auto faults = all_kinds_universe(net, 32, 86);
+    cases.push_back({"recurrent", std::move(net), std::move(input), std::move(faults)});
+  }
 
   for (auto& c : cases) {
     const auto naive = test_support::naive_reference(c.net, c.input, c.faults);
@@ -449,9 +456,9 @@ TEST(LaneBatch, BackendForcedBitIdenticalAcrossWidths) {
 
     for (const simd::Backend backend : simd::available_backends()) {
       ASSERT_TRUE(simd::force_backend(backend));
-      for (const size_t width : {size_t{1}, size_t{2}, size_t{4}, size_t{6}, size_t{8},
-                                 size_t{16}}) {
-        for (const auto mode : {snn::KernelMode::kDense, snn::KernelMode::kSparse}) {
+      for (const size_t width : {1, 2, 3, 4, 5, 6, 7, 8, 16}) {
+        for (const auto mode :
+             {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
           SCOPED_TRACE(c.name + " backend=" + simd::backend_name(backend) +
                        " width=" + std::to_string(width) + " mode=" +
                        std::to_string(static_cast<int>(mode)));
