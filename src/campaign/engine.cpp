@@ -34,6 +34,7 @@ namespace {
 struct WorkerContext {
   LaneSimContext lane;
   FrontierSimContext frontier;
+  detail::SimCounters counters;
 };
 
 /// The naive reference walk that EngineConfig::prefix_reuse = false
@@ -54,7 +55,7 @@ struct ReferenceWalk {
                 detail::SimCounters& counters) {
     fault::ScopedFault scoped(injector, f);
     const auto fr = net.forward(stimulus);
-    counters.layer_forwards.fetch_add(net.num_layers(), std::memory_order_relaxed);
+    counters.layer_forwards += net.num_layers();
     if (config.detect_only) {
       detail::fill_detect_only_result(r, fr.output(), cache, config.detection_threshold);
     } else {
@@ -179,16 +180,15 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     for (const auto& f : faults) min_layer = std::min(min_layer, fault_layer(f));
     cache_options.state_traces_from_layer = min_layer;
   }
-  // Every lane batch at a layer recomputes the same fault-free synaptic
-  // frames, so a layer where two or more batches start gets them cached
-  // once. Lane batches run unless the reference walk or the frontier walk
-  // takes every item (frontier on, not adaptive, and available).
-  if (config.prefix_reuse && !(config.frontier && !config.frontier_adaptive && layers_ok)) {
+  // Every item at a layer, a lane batch or a frontier walk, reads the same
+  // fault-free synaptic frames, so a layer where two or more items start
+  // gets them cached once. Both routes read golden sums at their fault
+  // layer and downstream.
+  if (config.prefix_reuse) {
     std::vector<size_t> batches_at(L, 0);
     for (const WorkItem& item : items) ++batches_at[fault_layer(faults[order[item.begin]])];
     for (size_t l = 0; l < L; ++l) {
       if (batches_at[l] >= 2) cache_options.synaptic_frame_layers.push_back(l);
-      // Lane batches read golden sums at their fault layer and downstream.
       if (batches_at[l] >= 1) {
         cache_options.golden_sums_from_layer = std::min(cache_options.golden_sums_from_layer, l);
       }
@@ -245,8 +245,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
           ? config.grain
           : std::clamp<size_t>(items.size() / (num_workers * 8), 1, 64);
 
-  detail::SimCounters counters;
-  counters.completed.store(outcome.stats.pairs_reused);
+  std::atomic<size_t> completed{outcome.stats.pairs_reused};
   std::atomic<bool> cancelled{false};
   std::mutex sink_mutex;  // serializes EngineConfig::result_sink calls
 
@@ -292,7 +291,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
       if (!config.prefix_reuse) {
         for (size_t b = 0; b < item.count; ++b) {
           reference[w]->simulate(faults[batch[b]], stimulus, cache, config,
-                                 outcome.results[batch[b]], counters);
+                                 outcome.results[batch[b]], workers[w]->counters);
         }
         return;
       }
@@ -309,11 +308,12 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
       }
       if (!use_frontier) {
         simulate_fault_batch(net, stimulus, cache, config, cache.stats, faults, batch, item.count,
-                             outcome.results, counters, workers[w]->lane);
+                             outcome.results, workers[w]->counters, workers[w]->lane);
         return;
       }
       simulate_fault_frontier(net, stimulus, cache, config, cache.stats, faults, batch,
-                              item.count, outcome.results, counters, workers[w]->frontier);
+                              item.count, outcome.results, workers[w]->counters,
+                              workers[w]->frontier);
       if (config.frontier_adaptive) {
         FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
         p.updates.fetch_add(workers[w]->frontier.last_updates, std::memory_order_relaxed);
@@ -334,7 +334,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     } else {
       run_item();
     }
-    counters.simulated.fetch_add(item.count, std::memory_order_relaxed);
+    workers[w]->counters.simulated += item.count;
     for (size_t b = 0; b < item.count; ++b) {
       const size_t j = batch[b];
       have[j] = 1;
@@ -342,7 +342,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
         std::lock_guard<std::mutex> lock(sink_mutex);
         config.result_sink(j, outcome.results[j]);
       }
-      const size_t done = counters.completed.fetch_add(1, std::memory_order_relaxed) + 1;
+      const size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
       if (config.progress) config.progress(done, faults.size());
     }
   });
@@ -353,25 +353,29 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
       break;
     }
   }
-  outcome.stats.faults_simulated = counters.simulated.load();
-  outcome.stats.faults_pruned = counters.pruned.load();
-  outcome.stats.layer_forwards = counters.layer_forwards.load();
-  outcome.stats.layer_forwards_naive = outcome.stats.faults_simulated * L;
-  outcome.stats.lane_batches = counters.lane_batches.load();
-  outcome.stats.lane_batched_faults = counters.lane_batched_faults.load();
-  outcome.stats.lanes_retired_early = counters.lanes_retired_early.load();
-  outcome.stats.synaptic_frames_cached = counters.synaptic_frames_cached.load();
-  outcome.stats.synaptic_frames_computed = counters.synaptic_frames_computed.load();
-  outcome.stats.fault_rows_recomputed = counters.fault_rows_recomputed.load();
-  outcome.stats.fault_rows_skipped = counters.fault_rows_skipped.load();
-  outcome.stats.lane_synaptic_adds = counters.lane_synaptic_adds.load();
-  outcome.stats.delta_rows_certified = counters.delta_rows_certified.load();
-  outcome.stats.delta_rows_uncertified = counters.delta_rows_uncertified.load();
-  outcome.stats.frontier_faults = counters.frontier_faults.load();
-  outcome.stats.frontier_neuron_updates = counters.frontier_neuron_updates.load();
-  outcome.stats.frontier_neuron_updates_dense = counters.frontier_neuron_updates_dense.load();
-  outcome.stats.frontier_fallback_frames = counters.frontier_fallback_frames.load();
-  outcome.stats.elapsed_seconds = timer.seconds();
+  EngineStats& st = outcome.stats;
+  for (const auto& worker : workers) {
+    const detail::SimCounters& c = worker->counters;
+    st.faults_simulated += c.simulated;
+    st.faults_pruned += c.pruned;
+    st.layer_forwards += c.layer_forwards;
+    st.lane_batches += c.lane_batches;
+    st.lane_batched_faults += c.lane_batched_faults;
+    st.lanes_retired_early += c.lanes_retired_early;
+    st.synaptic_frames_cached += c.synaptic_frames_cached;
+    st.synaptic_frames_computed += c.synaptic_frames_computed;
+    st.fault_rows_recomputed += c.fault_rows_recomputed;
+    st.fault_rows_skipped += c.fault_rows_skipped;
+    st.lane_synaptic_adds += c.lane_synaptic_adds;
+    st.delta_rows_certified += c.delta_rows_certified;
+    st.delta_rows_uncertified += c.delta_rows_uncertified;
+    st.frontier_faults += c.frontier_faults;
+    st.frontier_neuron_updates += c.frontier_neuron_updates;
+    st.frontier_neuron_updates_dense += c.frontier_neuron_updates_dense;
+    st.frontier_fallback_frames += c.frontier_fallback_frames;
+  }
+  st.layer_forwards_naive = st.faults_simulated * L;
+  st.elapsed_seconds = timer.seconds();
 
   // Campaign-total metrics (coarse, unconditional). "Golden-cache hits" are
   // the layer forwards the naive all-layers path would have run but the

@@ -109,7 +109,8 @@ struct EngineConfig {
   /// fault-layer synaptic frames and the golden sums of the dense and
   /// recurrent layers are dropped first (lane batches compute the frames in
   /// place and take the ordered lane kernels instead of golden-plus-delta
-  /// sums); when trains + LIF state traces still exceed it the
+  /// sums, and the frontier walk sweeps its rows in order); when trains +
+  /// LIF state traces still exceed it the
   /// state traces are dropped too (fail-soft to prefix-only caching,
   /// disabling frontier simulation). Each step warns once; results are
   /// identical either way.

@@ -1,74 +1,12 @@
 #include "campaign/frontier_sim.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.hpp"
-#include "snn/conv_layer.hpp"
-#include "snn/dense_layer.hpp"
 #include "snn/neuron.hpp"
-#include "snn/pool_layer.hpp"
-#include "snn/recurrent_layer.hpp"
-#include "tensor/ops.hpp"
-#include "tensor/simd.hpp"
 
 namespace snntest::campaign {
-namespace {
-
-static_assert(snn::kMaxLaneWidth <= 16, "union_mask packs lane membership into uint16_t");
-
-/// Lane-strided dense frame kernel over `lanes` interleaved frames — the
-/// exact per-layer dispatch of snn::LaneLayerRun::synaptic_lanes' dense
-/// mode, so each lane's column of syn_lanes is bit-identical to
-/// Layer::frontier_synapse_frame on that lane's frames (the lane kernels'
-/// per-lane ordered-double-sum contract, tensor/simd.hpp).
-void synapse_frame_lanes(const snn::Layer& layer, const float* in_lanes,
-                         const float* prev_lanes, size_t lanes, float* syn_lanes) {
-  const size_t n = layer.num_neurons();
-  const size_t ni = layer.num_inputs();
-  switch (layer.kind()) {
-    case snn::LayerKind::kDense:
-      std::fill(syn_lanes, syn_lanes + n * lanes, 0.0f);
-      tensor::matvec_accumulate_lanes(static_cast<const snn::DenseLayer&>(layer).weights().data(),
-                                      n, ni, in_lanes, lanes, syn_lanes);
-      break;
-    case snn::LayerKind::kRecurrent: {
-      const auto& rec = static_cast<const snn::RecurrentLayer&>(layer);
-      std::fill(syn_lanes, syn_lanes + n * lanes, 0.0f);
-      tensor::matvec_accumulate_lanes(rec.weights().data(), n, ni, in_lanes, lanes, syn_lanes);
-      if (prev_lanes != nullptr) {
-        tensor::matvec_accumulate_lanes(rec.recurrent_weights().data(), n, n, prev_lanes, lanes,
-                                        syn_lanes);
-      }
-      break;
-    }
-    case snn::LayerKind::kConv2d: {
-      const snn::Conv2dSpec& s = static_cast<const snn::ConvLayer&>(layer).spec();
-      tensor::simd::ConvLaneGeom g;
-      g.in_channels = s.in_channels;
-      g.in_height = s.in_height;
-      g.in_width = s.in_width;
-      g.out_channels = s.out_channels;
-      g.out_height = s.out_height();
-      g.out_width = s.out_width();
-      g.kernel = s.kernel;
-      g.stride = s.stride;
-      g.padding = s.padding;
-      tensor::simd::lane_ops().conv_lanes_dense(
-          g, static_cast<const snn::ConvLayer&>(layer).weights().data(), in_lanes, lanes,
-          syn_lanes);
-      break;
-    }
-    case snn::LayerKind::kSumPool: {
-      const snn::SumPoolSpec& s = static_cast<const snn::SumPoolLayer&>(layer).spec();
-      tensor::simd::lane_ops().pool_lanes(s.channels, s.in_height, s.in_width, s.window, in_lanes,
-                                          lanes, syn_lanes);
-      break;
-    }
-  }
-}
-
-}  // namespace
 
 void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stimulus,
                              const GoldenCache& cache, const EngineConfig& config,
@@ -82,10 +20,10 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
   const size_t T = stimulus.shape().dim(0);
   const bool obs_on = obs::telemetry_enabled();
 
-  counters.frontier_faults.fetch_add(count, std::memory_order_relaxed);
-  counters.lane_batches.fetch_add(1, std::memory_order_relaxed);
-  counters.lane_batched_faults.fetch_add(count, std::memory_order_relaxed);
-  // Hot-loop tallies stay in locals; flushed to the shared atomics once.
+  counters.frontier_faults += count;
+  ++counters.lane_batches;
+  counters.lane_batched_faults += count;
+  // Hot-loop tallies stay in locals; added to the worker's counters once.
   size_t updates = 0;
   size_t updates_dense = 0;
   size_t fallback_frames = 0;
@@ -119,7 +57,20 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
     const tensor::Tensor* golden_in =
         fault_here ? (l == 0 ? &stimulus : &cache.layer_output(l - 1)) : nullptr;
     forwards += active_count;
-    if (ctx.union_mask.size() < n) ctx.union_mask.assign(n, 0);
+    // Golden-plus-delta operands of a dense or recurrent layer (DESIGN.md
+    // §12), and the fault layer's cached fault-free frames.
+    const snn::LaneDelta delta = cache.lane_delta(l, stimulus);
+    const bool use_delta = delta.w.sums != nullptr;
+    if (use_delta) {
+      ctx.exact_rows.assign(n, 1);
+      for (size_t u = 0; u < delta.w.num_uncertified; ++u) {
+        ctx.exact_rows[delta.w.uncertified[u]] = 0;
+      }
+      for (size_t u = 0; u < delta.v.num_uncertified; ++u) {
+        ctx.exact_rows[delta.v.uncertified[u]] = 0;
+      }
+    }
+    const float* frames = fault_here ? cache.synaptic_frames(l) : nullptr;
 
     // A newly dirty neuron enters the walk carrying its exact pre-frame
     // state: the golden traces at t-1 (it was bit-identical to golden until
@@ -166,6 +117,46 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
       }
     };
 
+    // The fault-free synaptic current of neuron i in the lane's frame t.
+    // With golden sums and certified rows it is the golden sum plus the
+    // lane's divergent inputs: the fault layer's input is golden, a
+    // downstream layer's differs at the previous layer's divergent spikes,
+    // and a recurrent layer's lateral term at its own divergent spikes of
+    // t - 1. Each partial sum is a 0/1 subset sum of the row, exact in
+    // double, so the cast is the ordered row sweep's float; uncertified
+    // rows take that sweep (Layer::frontier_synapse).
+    auto synapse = [&](const FrontierLaneState& lane, size_t t, uint32_t i) -> float {
+      const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
+      if (frames && !recurrent) return frames[t * n + i];
+      if (!use_delta || !ctx.exact_rows[i]) {
+        return layer.frontier_synapse(
+            fault_here ? golden_in->row(t) : lane.in_train.data() + t * ni, prev, i);
+      }
+      double w = delta.w.sums[t * n + i];
+      if (!fault_here) {
+        const float* x = lane.in_train.data() + t * ni;
+        for (uint32_t e = lane.in_div_off[t]; e < lane.in_div_off[t + 1]; ++e) {
+          const uint32_t j = lane.in_div_idx[e];
+          const double wj = delta.w.wt[j * n + i];
+          w += x[j] != 0.0f ? wj : -wj;
+        }
+      }
+      // Layer::frontier_synapse's cast points: a zeroed float, plus the
+      // feed-forward float, plus the lateral float.
+      float syn = 0.0f;
+      syn += static_cast<float>(w);
+      if (prev != nullptr) {
+        double v = delta.v.sums[t * n + i];
+        for (uint32_t e = lane.div_off[t - 1]; e < lane.div_off[t]; ++e) {
+          const uint32_t j = lane.div_idx[e];
+          const double vj = delta.v.wt[j * n + i];
+          v += prev[j] != 0.0f ? vj : -vj;
+        }
+        syn += static_cast<float>(v);
+      }
+      return syn;
+    };
+
     // --- per-layer lane init: start bit-identical to golden -----------------
     for (size_t b = 0; b < count; ++b) {
       FrontierLaneState& lane = ctx.lanes[b];
@@ -173,7 +164,6 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
       lane.train.resize(T * n);
       std::memcpy(lane.train.data(), gtrain, T * n * sizeof(float));
       lane.dirty.assign(n, 0);
-      lane.param_dirty.assign(n, 0);
       lane.dirty_list.clear();
       lane.u.resize(n);
       lane.refrac.resize(n);
@@ -185,45 +175,95 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
         if (!config.detect_only) lane.class_diff.assign(n, 0);
       }
       if (fault_here) {
-        // Seed the neurons the fault acts on directly. They stay
-        // param-dirty for the whole window: the perturbation re-applies
-        // every frame, so state re-convergence is not decisive for them.
-        ctx.fanout.clear();
+        // The neurons the fault acts on directly. A neuron fault's seed is
+        // pinned dirty for the whole window: its parameters differ every
+        // frame, so state re-convergence is not decisive for it. A synapse
+        // fault's seeds are marked dirty only in the frames where its tap
+        // reads a nonzero input (phase A); in every other frame their
+        // current is the fault-free one, and they retire like any neuron.
+        lane.seeds.clear();
         bool seed_all = false;
         const snn::LaneFault& f = lane.fault;
+        lane.pinned = f.neuron.active;
         if (f.neuron.active) {
-          ctx.fanout.push_back(f.neuron.neuron);
+          lane.seeds.push_back(f.neuron.neuron);
         } else {
           using Kind = snn::LaneSynapseFault::Kind;
           switch (f.synapse.kind) {
             case Kind::kNone:
               break;
             case Kind::kWeight:
-              seed_all = !layer.frontier_weight_fanout(0, f.synapse.index, ctx.fanout);
+            case Kind::kConvWeight:
+              seed_all = !layer.frontier_weight_fanout(0, f.synapse.index, lane.seeds);
               break;
             case Kind::kRecurrentWeight:
-              seed_all = !layer.frontier_weight_fanout(1, f.synapse.index, ctx.fanout);
-              break;
-            case Kind::kConvWeight:
-              seed_all = !layer.frontier_weight_fanout(0, f.synapse.index, ctx.fanout);
+              seed_all = !layer.frontier_weight_fanout(1, f.synapse.index, lane.seeds);
               break;
             case Kind::kConvConnection:
-              ctx.fanout.push_back(static_cast<uint32_t>(f.synapse.out_index));
+              lane.seeds.push_back(static_cast<uint32_t>(f.synapse.out_index));
               break;
           }
         }
         if (seed_all) {
-          for (size_t i = 0; i < n; ++i) ctx.fanout.push_back(static_cast<uint32_t>(i));
+          lane.seeds.clear();
+          for (size_t i = 0; i < n; ++i) lane.seeds.push_back(static_cast<uint32_t>(i));
         }
-        for (uint32_t i : ctx.fanout) {
-          lane.param_dirty[i] = 1;
-          mark_dirty(lane, 0, i);
-        }
+        lane.seeded.assign(n, 0);
+        for (uint32_t i : lane.seeds) lane.seeded[i] = 1;
+        if (lane.pinned) mark_dirty(lane, 0, lane.seeds[0]);
       }
     }
 
+    // Whether the lane's synapse fault reads a nonzero input at its seed i
+    // in frame t.
+    auto tap_live = [&](const FrontierLaneState& lane, size_t t, uint32_t i) {
+      const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
+      return snn::fault_tap_live(layer, lane.fault.synapse, i, golden_in->row(t), prev);
+    };
+
+    // The first frame from `t` on in which some lane has work: a dirty or
+    // pinned neuron, an input divergence, a live fault tap, an own
+    // divergent spike feeding back, or a detection threshold to record.
+    // Until then every lane's frames are its golden frames.
+    auto next_busy_frame = [&](size_t t) -> size_t {
+      size_t next = T;
+      for (size_t b = 0; b < count && next > t; ++b) {
+        const FrontierLaneState& lane = ctx.lanes[b];
+        if (!lane.active) continue;
+        if (!lane.dirty_list.empty() || (fault_here && lane.pinned) ||
+            (recurrent && t > 0 && lane.div_off[t] > lane.div_off[t - 1]) ||
+            (final_layer && lane.first_frame < 0 && lane.l1 > config.detection_threshold)) {
+          return t;
+        }
+        size_t e = t;
+        if (fault_here) {
+          auto any_live = [&](size_t f) {
+            return std::any_of(lane.seeds.begin(), lane.seeds.end(),
+                               [&](uint32_t i) { return tap_live(lane, f, i); });
+          };
+          while (e < next && !any_live(e)) ++e;
+        } else {
+          while (e < next && lane.in_div_off[e + 1] == lane.in_div_off[e]) ++e;
+        }
+        next = e;
+      }
+      return next;
+    };
+
     // --- frame loop ---------------------------------------------------------
     for (size_t t = 0; t < T && active_count > 0; ++t) {
+      const size_t busy = next_busy_frame(t);
+      if (busy > t) {
+        // Quiet frames: no divergence to record, no neuron to step.
+        for (size_t b = 0; b < count; ++b) {
+          FrontierLaneState& lane = ctx.lanes[b];
+          if (!lane.active) continue;
+          lane.div_off.resize(lane.div_off.size() + (busy - t), lane.div_off.back());
+          updates_dense += n * (busy - t);
+        }
+        t = busy - 1;
+        continue;
+      }
       // Phase A: grow each lane's dirty set with this frame's frontier.
       for (size_t b = 0; b < count; ++b) {
         FrontierLaneState& lane = ctx.lanes[b];
@@ -234,6 +274,11 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
         // Lateral feedback fans out densely: one divergent own-output spike
         // at t-1 perturbs every neuron's recurrent sum at t.
         if (recurrent && t > 0 && lane.div_off[t] > lane.div_off[t - 1]) dirty_all = true;
+        if (!dirty_all && fault_here && !lane.pinned) {
+          for (uint32_t i : lane.seeds) {
+            if (tap_live(lane, t, i)) mark_dirty(lane, t, i);
+          }
+        }
         if (!dirty_all && !fault_here) {
           const uint32_t e0 = lane.in_div_off[t];
           const uint32_t e1 = lane.in_div_off[t + 1];
@@ -259,113 +304,39 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
         }
       }
 
-      // Phase B: recompute the dirty neurons' synapses and step them.
+      // Phase B: recompute the dirty neurons' synapses and step them. On
+      // the fault layer the seeds of a synapse fault take their current
+      // from the resolved fault (snn::fault_row); every other neuron reads
+      // the fault-free layer: a golden-plus-delta row or the cached frame
+      // where the golden cache has them, else the frame kernel for a full
+      // frame and the ordered row sweep per neuron.
+      snn::FaultFrame fault_frame;
       if (fault_here) {
-        // Neurons the lane's synapse fault reads take their fault row from
-        // the resolved fault (snn::fault_row); every other neuron, and every
-        // neuron of a neuron fault, reads the fault-free layer.
-        const float* in_frame = golden_in->row(t);
-        for (size_t b = 0; b < count; ++b) {
-          FrontierLaneState& lane = ctx.lanes[b];
-          if (!lane.active || lane.dirty_list.empty()) continue;
-          const snn::LaneSynapseFault& sf = lane.fault.synapse;
-          const bool synapse_fault = sf.kind != snn::LaneSynapseFault::Kind::kNone;
-          const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
-          if (lane.full_frame) {
-            lane.syn.resize(n);
-            layer.frontier_synapse_frame(in_frame, prev, lane.syn.data());
-          }
-          for (uint32_t i : lane.dirty_list) {
-            float syn;
-            if (synapse_fault && lane.param_dirty[i]) {
-              syn = snn::fault_row(layer, sf, i, in_frame, prev, 1);
-            } else {
-              syn = lane.full_frame ? lane.syn[i] : layer.frontier_synapse(in_frame, prev, i);
-            }
-            step_neuron(lane, t, i, syn);
-          }
+        fault_frame.in = golden_in->row(t);
+        if (frames) fault_frame.clean = frames + t * n;
+        if (use_delta) {
+          fault_frame.sums = delta.w.sums + t * n;
+          fault_frame.binary_in = delta.binary_input;
         }
-      } else {
-        // Downstream layers are fault-free and shared. Full-frame lanes are
-        // interleaved and batched through the SIMD lane kernels (one weight
-        // stream for all of them); the remaining partial lanes are
-        // union-scheduled so a weight row streams once for every lane that
-        // needs it (consecutive lane visits keep it cache-hot).
-        uint16_t partial = 0;
-        ctx.full_list.clear();
-        for (size_t b = 0; b < count; ++b) {
-          FrontierLaneState& lane = ctx.lanes[b];
-          if (!lane.active || lane.dirty_list.empty()) continue;
-          if (lane.full_frame) {
-            ctx.full_list.push_back(b);
-          } else {
-            partial |= static_cast<uint16_t>(1u << b);
-          }
-        }
-        if (ctx.full_list.size() == 1) {
-          FrontierLaneState& lane = ctx.lanes[ctx.full_list[0]];
+      }
+      for (size_t b = 0; b < count; ++b) {
+        FrontierLaneState& lane = ctx.lanes[b];
+        if (!lane.active || lane.dirty_list.empty()) continue;
+        const snn::LaneSynapseFault& sf = lane.fault.synapse;
+        const bool synapse_fault = fault_here && sf.kind != snn::LaneSynapseFault::Kind::kNone;
+        const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
+        const bool full = lane.full_frame && !use_delta && !frames;
+        if (full) {
           lane.syn.resize(n);
           layer.frontier_synapse_frame(
-              lane.in_train.data() + t * ni,
-              recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr, lane.syn.data());
-          for (uint32_t i : lane.dirty_list) step_neuron(lane, t, i, lane.syn[i]);
-        } else if (!ctx.full_list.empty()) {
-          const size_t W = ctx.full_list.size();
-          ctx.in_lanes.resize(ni * W);
-          ctx.syn_lanes.resize(n * W);
-          for (size_t j = 0; j < W; ++j) {
-            const float* src = ctx.lanes[ctx.full_list[j]].in_train.data() + t * ni;
-            for (size_t c = 0; c < ni; ++c) ctx.in_lanes[c * W + j] = src[c];
-          }
-          const float* prev_lanes = nullptr;
-          if (recurrent && t > 0) {
-            ctx.prev_lanes.resize(n * W);
-            for (size_t j = 0; j < W; ++j) {
-              const float* src = ctx.lanes[ctx.full_list[j]].train.data() + (t - 1) * n;
-              for (size_t i = 0; i < n; ++i) ctx.prev_lanes[i * W + j] = src[i];
-            }
-            prev_lanes = ctx.prev_lanes.data();
-          }
-          synapse_frame_lanes(layer, ctx.in_lanes.data(), prev_lanes, W, ctx.syn_lanes.data());
-          for (size_t j = 0; j < W; ++j) {
-            FrontierLaneState& lane = ctx.lanes[ctx.full_list[j]];
-            for (uint32_t i : lane.dirty_list) {
-              step_neuron(lane, t, i, ctx.syn_lanes[i * W + j]);
-            }
-          }
+              fault_here ? fault_frame.in : lane.in_train.data() + t * ni, prev, lane.syn.data());
         }
-        if (partial != 0 && (partial & (partial - 1)) == 0) {
-          // Single partial lane: plain gather loop, no union bookkeeping.
-          FrontierLaneState& lane = ctx.lanes[static_cast<size_t>(std::countr_zero(partial))];
-          const float* in_frame = lane.in_train.data() + t * ni;
-          const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
-          for (uint32_t i : lane.dirty_list) {
-            step_neuron(lane, t, i, layer.frontier_synapse(in_frame, prev, i));
-          }
-        } else if (partial != 0) {
-          ctx.union_list.clear();
-          for (size_t b = 0; b < count; ++b) {
-            if (!(partial & (1u << b))) continue;
-            for (uint32_t i : ctx.lanes[b].dirty_list) {
-              if (ctx.union_mask[i] == 0) ctx.union_list.push_back(i);
-              ctx.union_mask[i] |= static_cast<uint16_t>(1u << b);
-            }
-          }
-          for (uint32_t i : ctx.union_list) {
-            uint16_t m = ctx.union_mask[i];
-            ctx.union_mask[i] = 0;  // leave the mask all-zero for the next frame
-            while (m != 0) {
-              const size_t b = static_cast<size_t>(std::countr_zero(m));
-              m &= static_cast<uint16_t>(m - 1);
-              FrontierLaneState& lane = ctx.lanes[b];
-              step_neuron(lane, t, i,
-                          layer.frontier_synapse(lane.in_train.data() + t * ni,
-                                                 recurrent && t > 0
-                                                     ? lane.train.data() + (t - 1) * n
-                                                     : nullptr,
-                                                 i));
-            }
-          }
+        for (uint32_t i : lane.dirty_list) {
+          const float syn = synapse_fault && lane.seeded[i]
+                                ? snn::fault_row(layer, sf, i, fault_frame, prev)
+                            : full ? lane.syn[i]
+                                   : synapse(lane, t, i);
+          step_neuron(lane, t, i, syn);
         }
       }
 
@@ -383,7 +354,7 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
           // Numeric equality is exact here: future spike decisions compare
           // values numerically, so +0.0 == -0.0 states are interchangeable;
           // a NaN membrane never retires (conservative).
-          if (!lane.param_dirty[i] && lane.u[i] == gu[i] &&
+          if (!(fault_here && lane.pinned && lane.seeded[i]) && lane.u[i] == gu[i] &&
               lane.refrac[i] == static_cast<int>(gr[i])) {
             lane.dirty[i] = 0;
             lane.dirty_list[s] = lane.dirty_list.back();
@@ -454,12 +425,12 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
 
   ctx.last_updates = updates;
   ctx.last_updates_dense = updates_dense;
-  counters.layer_forwards.fetch_add(forwards, std::memory_order_relaxed);
-  counters.pruned.fetch_add(pruned, std::memory_order_relaxed);
-  counters.lanes_retired_early.fetch_add(retired, std::memory_order_relaxed);
-  counters.frontier_neuron_updates.fetch_add(updates, std::memory_order_relaxed);
-  counters.frontier_neuron_updates_dense.fetch_add(updates_dense, std::memory_order_relaxed);
-  counters.frontier_fallback_frames.fetch_add(fallback_frames, std::memory_order_relaxed);
+  counters.layer_forwards += forwards;
+  counters.pruned += pruned;
+  counters.lanes_retired_early += retired;
+  counters.frontier_neuron_updates += updates;
+  counters.frontier_neuron_updates_dense += updates_dense;
+  counters.frontier_fallback_frames += fallback_frames;
 }
 
 }  // namespace snntest::campaign

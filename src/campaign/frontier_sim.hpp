@@ -5,15 +5,19 @@
 // starts as a memcpy of the golden train, and per frame only the neurons
 // reachable from the current divergence frontier (plus neurons whose LIF
 // state still differs from golden — the persistent-state set) are
-// re-simulated, with the exact per-neuron accumulation orders of the dense
-// kernels (Layer::frontier_synapse) and the exact LifBank update
-// (snn::lif_step_neuron), so every DetectionResult is bit-identical to the
-// lane route and the naive forward. A neuron whose (u, refrac) state re-matches the
-// cached golden state traces retires from the dirty set; a layer whose
-// frame frontier stays empty is a converged lane — exactly the engine's
-// convergence pruning. When a frame's dirty fraction exceeds
-// EngineConfig::frontier_threshold the frame falls back to the full dense
-// frame kernel (Layer::frontier_synapse_frame), still bit-identical.
+// re-simulated, with the exact LifBank update (snn::lif_step_neuron), so
+// every DetectionResult is bit-identical to the lane route and the naive
+// forward. A dense or recurrent layer whose golden sums the cache keeps
+// takes a dirty neuron's synaptic current as the golden sum plus the lane's
+// divergent inputs, exact under the rows' certificate (DESIGN.md §12);
+// other rows keep the dense kernels' ordered sweep (Layer::frontier_synapse).
+// A neuron whose (u, refrac) state re-matches the cached golden state
+// traces retires from the dirty set; a layer whose frame frontier stays
+// empty is a converged lane — exactly the engine's convergence pruning —
+// and a run of frames in which no lane has work is skipped. When a frame's
+// dirty fraction exceeds EngineConfig::frontier_threshold the frame takes
+// every neuron (the full frame kernel, Layer::frontier_synapse_frame, where
+// no golden sums apply), still bit-identical.
 //
 // One routine serves a lone fault (count == 1) and lane batches (count up
 // to snn::kMaxLaneWidth, all faults confined to the same layer): per-lane
@@ -21,9 +25,11 @@
 // into snn::LaneFault PODs; neuron faults are applied as parameter
 // overrides inside the shared LIF step, and the fault layer's neurons that
 // a synapse fault reads take their synaptic current from snn::fault_row,
-// as the lane kernels do, so the shared network is never written.
-// Downstream layers iterate the union of the lanes' dirty sets so
-// consecutive lanes reuse hot weight rows.
+// as the lane kernels do, so the shared network is never written. Those
+// neurons enter the walk only in frames where the fault's tap reads a
+// nonzero input (snn::fault_tap_live). Downstream layers without golden
+// sums iterate the union of the lanes' dirty sets so consecutive lanes
+// reuse hot weight rows.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +49,9 @@ struct FrontierLaneState {
   bool active = false;
   bool full_frame = false;  // this frame fell back to the dense frame kernel
   std::vector<uint8_t> dirty;        // [n] membership flags of dirty_list
-  std::vector<uint8_t> param_dirty;  // [n] fault-layer seeds, never retired
+  std::vector<uint8_t> seeded;   // [n] fault-layer neurons the fault acts on
+  std::vector<uint32_t> seeds;   // the same neurons, listed
+  bool pinned = false;  // a neuron fault: its seed never retires
   std::vector<uint32_t> dirty_list;
   std::vector<float> u;    // [n] live membrane of dirty neurons
   std::vector<int> refrac; // [n] live refractory counters of dirty neurons
@@ -66,17 +74,8 @@ struct FrontierLaneState {
 struct FrontierSimContext {
   std::vector<FrontierLaneState> lanes;
   std::vector<uint32_t> fanout;      // per-input fanout query scratch
-  std::vector<uint16_t> union_mask;  // neuron -> bitmask of dirty lanes
-  std::vector<uint32_t> union_list;
-  // Full-frame batching scratch: when several lanes of one frame fall back
-  // to the dense frame kernel, their frames are interleaved lane-strided
-  // and run through the SIMD lane kernels (bit-identical per lane to the
-  // scalar frame kernel) instead of one scalar pass per lane.
-  std::vector<size_t> full_list;
-  std::vector<float> in_lanes;    // [num_inputs * full lanes]
-  std::vector<float> prev_lanes;  // recurrent feedback [n * full lanes]
-  std::vector<float> syn_lanes;   // [n * full lanes]
-  // Last batch's recompute tally (also added to the shared counters) — the
+  std::vector<uint8_t> exact_rows;   // neuron -> its rows pass the certificate
+  // Last batch's recompute tally (also added to the worker's counters) — the
   // engine's adaptive routing reads these to estimate the fault layer's
   // frontier profitability.
   size_t last_updates = 0;

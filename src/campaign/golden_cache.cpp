@@ -249,7 +249,7 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
     if (!warned.exchange(true)) {
       SNNTEST_LOG_WARN("build_golden_cache: synaptic frames and golden sums need %zu bytes, "
                        "over golden_cache_budget_bytes=%zu; lane batches compute frames in "
-                       "place and take ordered lane sums",
+                       "place and take ordered sums, as the frontier walk does",
                        syn_total, options.budget_bytes);
     }
     want_syn = false;

@@ -11,13 +11,14 @@
 // Optional per-layer traces ride along, all bit-exact and all shed by the
 // memory budget (synaptic frames and golden sums first, then state traces):
 //  * golden double synaptic sums of the dense and recurrent layers from the
-//    shallowest lane-batch fault layer on, with the weights' exactness
+//    shallowest fault layer of a work item on, with the weights' exactness
 //    certificates and column-major copies — the operands of the lane
-//    route's golden-plus-delta sums (snn::LaneDelta, DESIGN.md §12);
+//    route's and the frontier walk's golden-plus-delta sums
+//    (snn::LaneDelta, DESIGN.md §12 and §17);
 //  * fault-free synaptic frames of the fault layers that host two or more
-//    lane batches — the frame every lane batch at that layer would
-//    otherwise recompute; for a dense or recurrent layer, the float cast
-//    of its golden sums;
+//    work items — the frame every item at that layer would otherwise
+//    recompute; for a dense or recurrent layer, the float cast of its
+//    golden sums;
 //  * LIF state traces for the divergence-frontier walk (DESIGN.md §17).
 #pragma once
 
@@ -121,15 +122,15 @@ struct GoldenCacheOptions {
   /// layer, so a campaign whose shallowest fault lives in layer k skips
   /// both the recording cost and the memory for layers 0..k-1.
   size_t state_traces_from_layer = 0;
-  /// Layers whose fault-free synaptic frames [T, N_l] are cached for the
-  /// lane path. run_campaign lists each layer at which two or more lane
-  /// batches start, so every trace is read by several batches and costs
-  /// at most the size of that layer's spike train.
+  /// Layers whose fault-free synaptic frames [T, N_l] are cached.
+  /// run_campaign lists each layer at which two or more work items (lane
+  /// batches or frontier walks) start, so every trace is read by several
+  /// items and costs at most the size of that layer's spike train.
   std::vector<size_t> synaptic_frame_layers;
   /// First layer whose dense and recurrent layers keep golden sums
   /// (SIZE_MAX: none). run_campaign sets the shallowest layer at which a
-  /// lane batch starts: only lane batches read the sums, at their fault
-  /// layer and downstream of it. The golden pass of such a layer takes the
+  /// work item starts: the items read the sums at their fault layer and
+  /// downstream of it. The golden pass of such a layer takes the
   /// sums once and steps the layer's LIF bank on their casts, instead of
   /// rerunning the layer's synaptic kernels.
   size_t golden_sums_from_layer = SIZE_MAX;

@@ -71,8 +71,8 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
   const tensor::Tensor& start_input = k == 0 ? stimulus : cache.layer_output(k - 1);
   const size_t T = start_input.shape().dim(0);
 
-  counters.lane_batches.fetch_add(1, std::memory_order_relaxed);
-  counters.lane_batched_faults.fetch_add(count, std::memory_order_relaxed);
+  ++counters.lane_batches;
+  counters.lane_batched_faults += count;
 
   ctx.lane_faults.resize(count);
   ctx.result_index.resize(count);
@@ -88,20 +88,14 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
   // start there; otherwise step_shared computes each frame in place.
   const float* frames = cache.synaptic_frames(k);
   auto count_shared_steps = [&](size_t steps) {
-    (frames ? counters.synaptic_frames_cached : counters.synaptic_frames_computed)
-        .fetch_add(steps, std::memory_order_relaxed);
-    counters.fault_rows_recomputed.fetch_add(ctx.run.fault_rows_recomputed(),
-                                             std::memory_order_relaxed);
-    counters.fault_rows_skipped.fetch_add(ctx.run.fault_rows_skipped(),
-                                          std::memory_order_relaxed);
+    (frames ? counters.synaptic_frames_cached : counters.synaptic_frames_computed) += steps;
+    counters.fault_rows_recomputed += ctx.run.fault_rows_recomputed();
+    counters.fault_rows_skipped += ctx.run.fault_rows_skipped();
   };
   auto count_delta_work = [&] {
-    counters.lane_synaptic_adds.fetch_add(ctx.run.lane_synaptic_adds(),
-                                          std::memory_order_relaxed);
-    counters.delta_rows_certified.fetch_add(ctx.run.delta_rows_certified(),
-                                            std::memory_order_relaxed);
-    counters.delta_rows_uncertified.fetch_add(ctx.run.delta_rows_uncertified(),
-                                              std::memory_order_relaxed);
+    counters.lane_synaptic_adds += ctx.run.lane_synaptic_adds();
+    counters.delta_rows_certified += ctx.run.delta_rows_certified();
+    counters.delta_rows_uncertified += ctx.run.delta_rows_uncertified();
   };
   // The input train of a downstream layer is the previous layer's output
   // buffer, strided by `in_stride` lanes. Retired lanes are never repacked
@@ -139,7 +133,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
     ctx.run.reset(layer, lanes, fault_here ? ctx.lane_faults.data() : nullptr,
                   config.kernel_mode, fault_here ? frames : nullptr,
                   delta.w.sums ? &delta : nullptr);
-    counters.layer_forwards.fetch_add(lanes, std::memory_order_relaxed);
+    counters.layer_forwards += lanes;
     const std::vector<float>& in_buf = ctx.bufs[flip ^ 1];  // lane input train when !fault_here
 
     if (final_layer && config.detect_only) {
@@ -178,7 +172,7 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
                   obs::Registry::instance().counter("campaign/detect_only_early_exits");
               early_exits.add(1);
             }
-            counters.lanes_retired_early.fetch_add(1, std::memory_order_relaxed);
+            ++counters.lanes_retired_early;
             ctx.keep[lane] = 0;
             --kept;
           }
@@ -238,8 +232,8 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
       for (size_t lane = 0; lane < lanes; ++lane) {
         if (diff[lane] != 0) continue;
         detail::fill_converged_result(results[ctx.result_index[lane]], cache, config);
-        counters.pruned.fetch_add(1, std::memory_order_relaxed);
-        counters.lanes_retired_early.fetch_add(1, std::memory_order_relaxed);
+        ++counters.pruned;
+        ++counters.lanes_retired_early;
         ctx.keep[lane] = 0;
         --kept;
       }

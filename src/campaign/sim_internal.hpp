@@ -5,7 +5,6 @@
 // being duplicated.
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -107,27 +106,29 @@ inline void fill_converged_result(fault::DetectionResult& r, const GoldenCache& 
   }
 }
 
+/// One worker's tallies of the simulation routes. Each worker owns one and
+/// run_campaign sums them into EngineStats after the run, so the hot loop
+/// writes no shared cache line.
 struct SimCounters {
-  std::atomic<size_t> simulated{0};
-  std::atomic<size_t> pruned{0};
-  std::atomic<size_t> layer_forwards{0};
-  std::atomic<size_t> completed{0};
+  size_t simulated = 0;
+  size_t pruned = 0;
+  size_t layer_forwards = 0;
   // lane and frontier routes
-  std::atomic<size_t> lane_batches{0};
-  std::atomic<size_t> lane_batched_faults{0};
-  std::atomic<size_t> lanes_retired_early{0};
-  std::atomic<size_t> synaptic_frames_cached{0};
-  std::atomic<size_t> synaptic_frames_computed{0};
-  std::atomic<size_t> fault_rows_recomputed{0};
-  std::atomic<size_t> fault_rows_skipped{0};
-  std::atomic<size_t> lane_synaptic_adds{0};
-  std::atomic<size_t> delta_rows_certified{0};
-  std::atomic<size_t> delta_rows_uncertified{0};
+  size_t lane_batches = 0;
+  size_t lane_batched_faults = 0;
+  size_t lanes_retired_early = 0;
+  size_t synaptic_frames_cached = 0;
+  size_t synaptic_frames_computed = 0;
+  size_t fault_rows_recomputed = 0;
+  size_t fault_rows_skipped = 0;
+  size_t lane_synaptic_adds = 0;
+  size_t delta_rows_certified = 0;
+  size_t delta_rows_uncertified = 0;
   // divergence-frontier path only (campaign/frontier_sim.hpp)
-  std::atomic<size_t> frontier_faults{0};
-  std::atomic<size_t> frontier_neuron_updates{0};
-  std::atomic<size_t> frontier_neuron_updates_dense{0};
-  std::atomic<size_t> frontier_fallback_frames{0};
+  size_t frontier_faults = 0;
+  size_t frontier_neuron_updates = 0;
+  size_t frontier_neuron_updates_dense = 0;
+  size_t frontier_fallback_frames = 0;
 };
 
 }  // namespace snntest::campaign::detail

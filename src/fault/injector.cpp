@@ -41,6 +41,12 @@ float stored_weight(const snn::Layer& layer, const snn::WeightRef& ref,
     throw std::out_of_range("resolve_lane_fault: bad weight ref");
   }
   sf.index = ref.index;
+  if (sf.kind != Kind::kConvWeight) {
+    // A dense or lateral weight matrix is [outputs, inputs] row-major.
+    const size_t cols = sf.kind == Kind::kWeight ? layer.num_inputs() : layer.num_neurons();
+    sf.out_index = ref.index / cols;
+    sf.in_index = ref.index % cols;
+  }
   return (*w)[ref.index];
 }
 
@@ -152,6 +158,15 @@ snn::LaneFault resolve_lane_fault(const snn::Network& net,
     // The delta ConvLayer::set_connection_override stores for this value.
     sf.delta = sf.value - stored;
     if (!std::isfinite(sf.delta)) throw non_finite(fault, "connection weight delta", sf.delta);
+  }
+  if (sf.kind == snn::LaneSynapseFault::Kind::kWeight) {
+    const size_t cols = layer.num_inputs();
+    const float* row = (layer.kind() == snn::LayerKind::kDense
+                            ? static_cast<const snn::DenseLayer&>(layer).weights()
+                            : static_cast<const snn::RecurrentLayer&>(layer).weights())
+                           .data() +
+                       sf.out_index * cols;
+    sf.row_exact = snn::row_sum_exact(snn::with_weight(snn::row_bound(row, cols), sf.value));
   }
   return lane;
 }

@@ -30,22 +30,6 @@ float recompute_row(const float* row, size_t cols, size_t col, float value, cons
   return static_cast<float>(acc);
 }
 
-/// recompute_row over the frame's active (nonzero) columns only, ascending.
-/// Bit-identical to the dense sweep: every skipped term is w * 0.0f, an
-/// exact +/-0.0 double addend that never changes the accumulator (the
-/// matvec_accumulate_gather argument). The faulty column needs no special
-/// casing — if x[col] is zero its term vanishes for any weight value.
-float recompute_row_gather(const float* row, size_t col, float value, const float* x,
-                           const uint32_t* active, size_t num_active) {
-  double acc = 0.0;
-  for (size_t a = 0; a < num_active; ++a) {
-    const size_t c = active[a];
-    const float w = (c == col) ? value : row[c];
-    acc += static_cast<double>(w) * x[c];
-  }
-  return static_cast<float>(acc);
-}
-
 /// Conv output pixel `out`: conv_forward_frame's ordered (ic, ky, kx) double
 /// sum for that pixel with the stored weight at flat index `tap` replaced by
 /// `value` (tap == SIZE_MAX: none) — the float the layer's forward computes
@@ -268,16 +252,16 @@ bool row_sum_exact(const RowBound& b) {
 
 // --- Shared fault-free frame ---------------------------------------------
 
-size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMode mode,
-                             std::vector<uint32_t>& active, float* out) {
+void shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMode mode,
+                           std::vector<uint32_t>& active, float* out) {
   const size_t n = layer.num_neurons();
   // Dense/recurrent feed-forward term, dense or sparse decided per frame
   // like Layer::forward does (bit-identical either way).
-  auto matvec = [&](const float* w, size_t cols) -> size_t {
+  auto matvec = [&](const float* w, size_t cols) {
     std::fill(out, out + n, 0.0f);
     if (mode == KernelMode::kDense) {
       tensor::matvec_accumulate(w, n, cols, in_frame, out);
-      return SIZE_MAX;
+      return;
     }
     const size_t na = tensor::extract_active(in_frame, cols, active);
     if (mode == KernelMode::kSparse || sparse_frame_wins(na, cols)) {
@@ -285,14 +269,14 @@ size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMo
     } else {
       tensor::matvec_accumulate(w, n, cols, in_frame, out);
     }
-    return na;
   };
   switch (layer.kind()) {
     case LayerKind::kDense:
-      return matvec(static_cast<const DenseLayer&>(layer).weights().data(), layer.num_inputs());
+      matvec(static_cast<const DenseLayer&>(layer).weights().data(), layer.num_inputs());
+      break;
     case LayerKind::kRecurrent:
-      return matvec(static_cast<const RecurrentLayer&>(layer).weights().data(),
-                    layer.num_inputs());
+      matvec(static_cast<const RecurrentLayer&>(layer).weights().data(), layer.num_inputs());
+      break;
     case LayerKind::kConv2d:
       static_cast<const ConvLayer&>(layer).conv_forward_frame(in_frame, out);
       break;
@@ -300,42 +284,95 @@ size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMo
       static_cast<const SumPoolLayer&>(layer).pool_frame(in_frame, out);
       break;
   }
-  return SIZE_MAX;
 }
 
 // --- Fault rows ----------------------------------------------------------
 
-float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out, const float* in_frame,
-                const float* prev, size_t prev_stride, const float* clean, const uint32_t* active,
-                size_t num_active) {
+namespace {
+
+/// The flat input index that stored conv weight `tap` reads at output
+/// pixel `out`, or SIZE_MAX when the tap does not feed that pixel (another
+/// output channel, or an input position in the padding).
+size_t conv_tap_input(const Conv2dSpec& s, size_t tap, size_t out) {
+  const size_t k = s.kernel;
+  const size_t oh = s.out_height();
+  const size_t ow = s.out_width();
+  if (out / (oh * ow) != tap / (s.in_channels * k * k)) return SIZE_MAX;
+  const size_t ic = (tap / (k * k)) % s.in_channels;
+  const long iy = static_cast<long>(((out / ow) % oh) * s.stride + (tap / k) % k) -
+                  static_cast<long>(s.padding);
+  const long ix = static_cast<long>((out % ow) * s.stride + tap % k) -
+                  static_cast<long>(s.padding);
+  if (iy < 0 || iy >= static_cast<long>(s.in_height) || ix < 0 ||
+      ix >= static_cast<long>(s.in_width)) {
+    return SIZE_MAX;
+  }
+  return (ic * s.in_height + static_cast<size_t>(iy)) * s.in_width + static_cast<size_t>(ix);
+}
+
+}  // namespace
+
+bool fault_tap_live(const Layer& layer, const LaneSynapseFault& sf, size_t out,
+                    const float* in_frame, const float* prev) {
   using Kind = LaneSynapseFault::Kind;
-  if (layer.kind() == LayerKind::kConv2d) {
-    const auto& conv = static_cast<const ConvLayer&>(layer);
-    if (sf.kind == Kind::kConvWeight) {
-      return recompute_conv_pixel(conv, sf.index, sf.value, in_frame, out);
+  switch (sf.kind) {
+    case Kind::kNone:
+      return false;
+    case Kind::kWeight:
+      return out == sf.out_index && in_frame[sf.in_index] != 0.0f;
+    case Kind::kRecurrentWeight:
+      return prev != nullptr && out == sf.out_index && prev[sf.in_index] != 0.0f;
+    case Kind::kConvWeight: {
+      const size_t in =
+          conv_tap_input(static_cast<const ConvLayer&>(layer).spec(), sf.index, out);
+      return in != SIZE_MAX && in_frame[in] != 0.0f;
     }
+    case Kind::kConvConnection:
+      return out == sf.out_index && in_frame[sf.in_index] != 0.0f;
+  }
+  return false;
+}
+
+float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out,
+                const FaultFrame& frame, const float* prev, size_t prev_stride) {
+  using Kind = LaneSynapseFault::Kind;
+  const LayerKind kind = layer.kind();
+  const bool live = fault_tap_live(layer, sf, out, frame.in, nullptr);  // feed-forward tap
+  if (kind == LayerKind::kConv2d) {
+    const auto& conv = static_cast<const ConvLayer&>(layer);
+    if (sf.kind == Kind::kConvWeight && live) {
+      return recompute_conv_pixel(conv, sf.index, sf.value, frame.in, out);
+    }
+    const float pixel =
+        frame.clean ? frame.clean[out] : recompute_conv_pixel(conv, SIZE_MAX, 0.0f, frame.in, out);
     // A connection override lands on top of the fault-free pixel, as
     // ConvLayer::forward_into applies it.
-    const float pixel =
-        clean ? *clean : recompute_conv_pixel(conv, SIZE_MAX, 0.0f, in_frame, out);
-    return out == sf.out_index ? pixel + sf.delta * in_frame[sf.in_index] : pixel;
+    return sf.kind == Kind::kConvConnection && out == sf.out_index
+               ? pixel + sf.delta * frame.in[sf.in_index]
+               : pixel;
   }
   const size_t cols = layer.num_inputs();
   const float* w = layer_weights(layer) + out * cols;
   float syn;
-  if (sf.kind == Kind::kWeight) {
-    const size_t col = sf.index / cols == out ? sf.index % cols : SIZE_MAX;
-    syn = active ? recompute_row_gather(w, col, sf.value, in_frame, active, num_active)
-                 : recompute_row(w, cols, col, sf.value, in_frame, 1);
+  if (sf.kind != Kind::kWeight || !live) {
+    syn = frame.clean  ? frame.clean[out]
+          : frame.sums ? static_cast<float>(frame.sums[out])
+                       : recompute_row(w, cols, SIZE_MAX, 0.0f, frame.in, 1);
+  } else if (frame.sums && frame.binary_in && sf.row_exact) {
+    // O(1) row: both partial sums are signed 0/1-subset sums of the row
+    // widened by the faulty value, exact under its certificate, so the
+    // cast is the scalar ordered sum's float.
+    syn = static_cast<float>((frame.sums[out] - static_cast<double>(w[sf.in_index])) +
+                             static_cast<double>(sf.value));
   } else {
-    syn = clean ? *clean : recompute_row(w, cols, SIZE_MAX, 0.0f, in_frame, 1);
+    syn = recompute_row(w, cols, sf.in_index, sf.value, frame.in, 1);
   }
-  if (layer.kind() == LayerKind::kRecurrent && prev) {
+  if (kind == LayerKind::kRecurrent && prev) {
     // Two separately rounded terms, as RecurrentLayer::forward_into adds them.
     const size_t n = layer.num_neurons();
     const float* v = static_cast<const RecurrentLayer&>(layer).recurrent_weights().data();
-    const size_t col = sf.kind == Kind::kRecurrentWeight && sf.index / n == out ? sf.index % n
-                                                                                : SIZE_MAX;
+    const size_t col =
+        sf.kind == Kind::kRecurrentWeight && out == sf.out_index ? sf.in_index : SIZE_MAX;
     syn += recompute_row(v + out * n, n, col, sf.value, prev, prev_stride);
   }
   return syn;
@@ -423,20 +460,7 @@ void LaneLayerRun::reset(const Layer& layer, size_t lanes, const LaneFault* faul
   rows_certified_ = 0;
   rows_uncertified_ = 0;
   faults_.clear();
-  exact_fault_row_.clear();
-  if (faults) {
-    faults_.assign(faults, faults + lanes);
-    exact_fault_row_.assign(lanes, 0);
-    if (delta && delta->w.sums && delta->binary_input) {
-      for (size_t l = 0; l < lanes; ++l) {
-        const LaneSynapseFault& sf = faults[l].synapse;
-        if (sf.kind != LaneSynapseFault::Kind::kWeight) continue;
-        const size_t cols = layer.num_inputs();
-        const float* row = layer_weights(layer) + (sf.index / cols) * cols;
-        exact_fault_row_[l] = row_sum_exact(with_weight(row_bound(row, cols), sf.value)) ? 1 : 0;
-      }
-    }
-  }
+  if (faults) faults_.assign(faults, faults + lanes);
   scan_faults();
   lif_.reset(layer.lif(), lanes, faults);
   base_.resize(n_);
@@ -463,8 +487,7 @@ void LaneLayerRun::broadcast_base(float* syn_lanes) const {
   }
 }
 
-void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num_active,
-                                               float* syn_lanes) {
+void LaneLayerRun::apply_shared_synapse_faults(const FaultFrame& frame, float* syn_lanes) {
   for (size_t l = 0; l < lanes_; ++l) {
     const LaneSynapseFault& sf = faults_[l].synapse;
     switch (sf.kind) {
@@ -474,88 +497,57 @@ void LaneLayerRun::apply_shared_synapse_faults(const float* in_frame, size_t num
         // handled after the lane feedback matvec (apply_recurrent_faults).
         break;
       case LaneSynapseFault::Kind::kWeight: {
-        const size_t cols = layer_->num_inputs();
-        if (in_frame[sf.index % cols] == 0.0f) {
+        if (frame.in[sf.in_index] == 0.0f) {
           // value * 0 = +/-0.0: the broadcast fault-free row is the faulty row.
           ++rows_skipped_;
           break;
         }
-        const size_t r = sf.index / cols;
-        float& y = syn_lanes[r * lanes_ + l];
-        if (exact_fault_row_[l]) {
-          // O(1) row: x[col] is 1.0f (a 0/1 frame, nonzero here), so the
-          // faulty sum is the golden sum minus w plus the faulty value.
-          // Both partial sums are signed 0/1-subset sums of the row widened
-          // by the faulty value, exact under its certificate, so the cast
-          // is the scalar ordered sum's float.
-          const double golden = delta_.w.sums[t_ * n_ + r];
-          y = static_cast<float>((golden - static_cast<double>(layer_weights(*layer_)[sf.index])) +
-                                 static_cast<double>(sf.value));
-        } else {
-          if (num_active == SIZE_MAX && mode_ != KernelMode::kDense) {
-            num_active = tensor::extract_active(in_frame, cols, active_);
-          }
-          y = fault_row(*layer_, sf, r, in_frame, nullptr, 0, nullptr,
-                        num_active == SIZE_MAX ? nullptr : active_.data(), num_active);
-        }
+        syn_lanes[sf.out_index * lanes_ + l] = fault_row(*layer_, sf, sf.out_index, frame);
         ++rows_recomputed_;
         break;
       }
       case LaneSynapseFault::Kind::kConvWeight: {
-        // The tap (oc, ic, ky, kx) feeds output pixel (oy, ox) from input
-        // pixel (ic, oy*stride + ky - pad, ox*stride + kx - pad). Only the
-        // pixels whose tapped input is nonzero can differ from fault-free.
+        // The tap feeds one input pixel into each output pixel of its
+        // channel; only the pixels whose tapped input is nonzero can
+        // differ from fault-free.
         const Conv2dSpec& s = static_cast<const ConvLayer&>(*layer_).spec();
-        const size_t k = s.kernel;
-        const size_t oc = sf.index / (s.in_channels * k * k);
-        const size_t ic = (sf.index / (k * k)) % s.in_channels;
-        const size_t ky = (sf.index / k) % k;
-        const size_t kx = sf.index % k;
-        const size_t oh = s.out_height();
-        const size_t ow = s.out_width();
-        const float* in_plane = in_frame + ic * s.in_height * s.in_width;
-        for (size_t oy = 0; oy < oh; ++oy) {
-          const long iy = static_cast<long>(oy * s.stride + ky) - static_cast<long>(s.padding);
-          if (iy < 0 || iy >= static_cast<long>(s.in_height)) continue;
-          for (size_t ox = 0; ox < ow; ++ox) {
-            const long ix = static_cast<long>(ox * s.stride + kx) - static_cast<long>(s.padding);
-            if (ix < 0 || ix >= static_cast<long>(s.in_width)) continue;
-            if (in_plane[iy * static_cast<long>(s.in_width) + ix] == 0.0f) {
-              ++rows_skipped_;
-              continue;
-            }
-            const size_t out = (oc * oh + oy) * ow + ox;
-            syn_lanes[out * lanes_ + l] = fault_row(*layer_, sf, out, in_frame, nullptr, 0);
-            ++rows_recomputed_;
+        const size_t plane = s.out_height() * s.out_width();
+        const size_t first = sf.index / (s.in_channels * s.kernel * s.kernel) * plane;
+        for (size_t out = first; out < first + plane; ++out) {
+          const size_t in = conv_tap_input(s, sf.index, out);
+          if (in == SIZE_MAX) continue;
+          if (frame.in[in] == 0.0f) {
+            ++rows_skipped_;
+            continue;
           }
+          syn_lanes[out * lanes_ + l] = fault_row(*layer_, sf, out, frame);
+          ++rows_recomputed_;
         }
         break;
       }
       case LaneSynapseFault::Kind::kConvConnection:
         // The fault-free pixel is already broadcast into this slot.
-        syn_lanes[sf.out_index * lanes_ + l] = fault_row(*layer_, sf, sf.out_index, in_frame,
-                                                         nullptr, 0, base_frame_ + sf.out_index);
+        syn_lanes[sf.out_index * lanes_ + l] = fault_row(*layer_, sf, sf.out_index, frame);
         ++rows_recomputed_;
         break;
     }
   }
 }
 
-void LaneLayerRun::apply_recurrent_faults(const float* in_frame) {
+void LaneLayerRun::apply_recurrent_faults(const FaultFrame& frame) {
   for (size_t l = 0; l < lanes_; ++l) {
     const LaneSynapseFault& sf = faults_[l].synapse;
     if (sf.kind != LaneSynapseFault::Kind::kRecurrentWeight) continue;
-    const size_t r = sf.index / n_;
-    if (prev_out_[(sf.index % n_) * lanes_ + l] == 0.0f) {
+    const size_t r = sf.out_index;
+    if (prev_out_[sf.in_index * lanes_ + l] == 0.0f) {
       // value * 0 = +/-0.0: the fault-free feedback already added is exact.
       ++rows_skipped_;
       continue;
     }
     // This lane carries no W fault (single fault), so the feed-forward term
-    // is base_frame_[r]; the faulty V row against the lane's own prev frame
-    // overwrites the fault-free feedback added before.
-    syn_[r * lanes_ + l] =
-        fault_row(*layer_, sf, r, in_frame, prev_out_.data() + l, lanes_, base_frame_ + r);
+    // is the fault-free frame's; the faulty V row against the lane's own
+    // prev frame overwrites the fault-free feedback added before.
+    syn_[r * lanes_ + l] = fault_row(*layer_, sf, r, frame, prev_out_.data() + l, lanes_);
     ++rows_recomputed_;
   }
 }
@@ -563,10 +555,7 @@ void LaneLayerRun::apply_recurrent_faults(const float* in_frame) {
 void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
   // Shared fault-free base frame: the cached trace row when the campaign
   // built one for this layer, else a cast of the golden sums when it kept
-  // those, else computed in place (which extracts the input's active set
-  // anyway to pick dense or sparse). Otherwise the active set is only read
-  // by weight-fault row recomputes, which extract it on first need.
-  size_t num_active = SIZE_MAX;
+  // those, else computed in place.
   if (frames_) {
     base_frame_ = frames_ + t_ * n_;
   } else if (delta_.w.sums) {
@@ -576,16 +565,23 @@ void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
     for (size_t r = 0; r < n_; ++r) base_[r] = static_cast<float>(sums[r]);
     base_frame_ = base_.data();
   } else {
-    num_active = shared_synaptic_frame(*layer_, in_frame, mode_, active_, base_.data());
+    shared_synaptic_frame(*layer_, in_frame, mode_, active_, base_.data());
     base_frame_ = base_.data();
   }
   broadcast_base(syn_.data());
-  if (has_synapse_faults_) apply_shared_synapse_faults(in_frame, num_active, syn_.data());
+  FaultFrame frame;
+  frame.in = in_frame;
+  frame.clean = base_frame_;
+  if (delta_.w.sums) {
+    frame.sums = delta_.w.sums + t_ * n_;
+    frame.binary_in = delta_.binary_input;
+  }
+  if (has_synapse_faults_) apply_shared_synapse_faults(frame, syn_.data());
   if (layer_->kind() == LayerKind::kRecurrent && t_ > 0) {
     // Per-lane feedback: prev outputs already diverge across lanes, so this
     // is a lane sum even though the layer input frame is shared.
     feedback_lanes();
-    if (has_synapse_faults_) apply_recurrent_faults(in_frame);
+    if (has_synapse_faults_) apply_recurrent_faults(frame);
   }
   finish_step(out_lanes);
 }
@@ -765,7 +761,6 @@ void LaneLayerRun::compact(const uint8_t* keep) {
   if (!prev_out_.empty()) compact_lanes(prev_out_, n_, lanes_, keep, kept);
   if (!faults_.empty()) {
     compact_lanes(faults_, 1, lanes_, keep, kept);
-    compact_lanes(exact_fault_row_, 1, lanes_, keep, kept);
     scan_faults();
   }
   lanes_ = kept;

@@ -86,9 +86,15 @@ struct LaneSynapseFault {
   Kind kind = Kind::kNone;
   size_t index = 0;      // flat weight index within the faulted parameter
   float value = 0.0f;    // faulty stored weight (conv connection: effective weight)
-  size_t out_index = 0;  // conv connection endpoints
+  // The output the faulty synapse feeds and the input it reads: row and
+  // column of a weight or lateral weight, a conv connection's endpoints;
+  // unused for a conv weight tap, which feeds every pixel of its channel.
+  size_t out_index = 0;
   size_t in_index = 0;
   float delta = 0.0f;    // conv connection: effective - stored weight
+  // kWeight: the faulty row passes row_sum_exact with the faulty value
+  // included, so its sum over a 0/1 frame is O(1) from the golden sum.
+  bool row_exact = false;
 };
 
 /// One resolved fault: the output of fault::resolve_lane_fault. The lane
@@ -186,37 +192,53 @@ struct LaneDelta {
 /// `out` [num_neurons]. For a recurrent layer this is only the feed-forward
 /// W·x term; the V·prev feedback differs per lane and is added by the
 /// caller. Dense or sparse kernels are picked per frame as Layer::forward
-/// picks them (bit-identical either way). Returns the input's active count
-/// when the choice extracted an active set into `active`, SIZE_MAX
-/// otherwise. The golden cache builds its synaptic traces with this
-/// function and LaneLayerRun::step_shared falls back to it, so the frame
-/// has one definition.
-size_t shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMode mode,
-                             std::vector<uint32_t>& active, float* out);
+/// picks them (bit-identical either way); `active` is scratch for the
+/// input's active set. The golden cache builds its synaptic traces with
+/// this function and LaneLayerRun::step_shared falls back to it, so the
+/// frame has one definition.
+void shared_synaptic_frame(const Layer& layer, const float* in_frame, KernelMode mode,
+                           std::vector<uint32_t>& active, float* out);
+
+/// Whether synapse fault `sf` of `layer` reads a nonzero input at output
+/// `out` in this frame: `in_frame` for a weight, conv-weight or
+/// conv-connection tap, the layer's previous output frame `prev` (null at
+/// frame 0) for a lateral tap. When it does not, the faulty term is
+/// value * 0 (or delta * 0), an exact +/-0.0 addend, so output `out`'s
+/// synaptic current is the fault-free one for the same `prev`.
+bool fault_tap_live(const Layer& layer, const LaneSynapseFault& sf, size_t out,
+                    const float* in_frame, const float* prev);
+
+/// The fault layer's shared inputs in one frame: its input frame, which
+/// is golden (the fault layer reads the golden prefix), and what the
+/// caller already holds of the fault-free result.
+struct FaultFrame {
+  const float* in = nullptr;         // input frame [num_inputs]
+  const float* clean = nullptr;      // fault-free feed-forward frame [n], or null
+  const double* sums = nullptr;      // golden double sums of W over `in` [n], or null
+  bool binary_in = false;            // every value of `in` is 0 or 1
+};
 
 /// One fault row (see LaneLayerRun::fault_rows_recomputed): the synaptic
 /// current of output `out` of `layer` in one frame with synapse fault `sf`
 /// written into the layer, bit for bit the float its forward computes
-/// there (the fault-free current for an output the fault does not read).
-/// The lane kernels and the frontier walk both take a synapse fault's
-/// effect from here, so neither writes it into a network.
-///  * kWeight: the faulty feed-forward row, summed over the frame's
-///    `active` columns when `active` is not null (bit-identical: the skipped
-///    terms are exact +/-0.0).
-///  * kConvWeight: the faulty conv pixel.
+/// there. The lane kernels and the frontier walk both take a synapse
+/// fault's effect from here, so neither writes it into a network.
+/// Where the fault's tap is not live at `out` (fault_tap_live), the
+/// feed-forward term is the fault-free float: `frame.clean`, else the cast
+/// of `frame.sums`, else the ordered row sweep.
+///  * kWeight with a live tap: the golden sum minus the stored weight plus
+///    the faulty one when `frame.sums`, `frame.binary_in` and
+///    `sf.row_exact` hold (x[col] is 1.0f, and every partial sum is exact
+///    under the certificate); else the ordered sweep of the faulty row.
+///  * kConvWeight with a live tap: the faulty conv pixel.
 ///  * kConvConnection: the fault-free pixel plus delta times the tapped
 ///    input.
-///  * kRecurrentWeight: the feed-forward float plus the faulty V row times
-///    `prev`.
-/// `prev` is the layer's own output at the previous frame, strided by
-/// `prev_stride` floats, or null: at frame 0, or to leave a recurrent
-/// layer's feedback term out of a kWeight row. `clean`, when not null, is
-/// output `out`'s fault-free feed-forward float, which a conv connection or
-/// a lateral fault then reads instead of recomputing it. `sf` must be a
-/// synapse fault of `layer` (not kNone).
-float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out, const float* in_frame,
-                const float* prev, size_t prev_stride, const float* clean = nullptr,
-                const uint32_t* active = nullptr, size_t num_active = 0);
+///  * A recurrent layer adds the V row (faulty for kRecurrentWeight) times
+///    `prev`, the layer's own output at the previous frame strided by
+///    `prev_stride` floats, as a second separately rounded term; `prev` is
+///    null at frame 0. `sf` must be a synapse fault of `layer` (not kNone).
+float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out,
+                const FaultFrame& frame, const float* prev = nullptr, size_t prev_stride = 1);
 
 /// Runs one layer of a (const, fault-free) network over a window for W
 /// lanes, one timestep at a time, so the caller can interleave per-frame
@@ -275,15 +297,12 @@ class LaneLayerRun {
  private:
   void scan_faults();
   void broadcast_base(float* syn_lanes) const;
-  /// `num_active` is the length of the input frame's active set in
-  /// `active_` (SIZE_MAX when none was extracted yet; extracted on first
-  /// need unless the kernel mode is dense): weight-fault row recomputes then
-  /// walk only the active columns — bit-identical, the skipped terms are
-  /// exact +/-0.0 contributions.
-  void apply_shared_synapse_faults(const float* in_frame, size_t num_active, float* syn_lanes);
+  /// The lanes' feed-forward synapse faults on top of the broadcast
+  /// fault-free frame; a fault whose tap is silent in this frame is skipped.
+  void apply_shared_synapse_faults(const FaultFrame& frame, float* syn_lanes);
   /// The recurrent lateral (V) faults of the lanes, after the per-lane
   /// feedback matvec has added the fault-free V·prev term.
-  void apply_recurrent_faults(const float* in_frame);
+  void apply_recurrent_faults(const FaultFrame& frame);
   void synaptic_lanes(const float* in_lanes, float* syn_lanes);
   /// Golden-plus-delta sum of `m` (a layer matrix `w` [n_, cols]) over the
   /// lane frame `x_lanes` into syn_lanes: assigned for the feed-forward
@@ -305,9 +324,6 @@ class LaneLayerRun {
   size_t t_ = 0;
   bool has_synapse_faults_ = false;
   std::vector<LaneFault> faults_;  // per-lane, compacted along with state
-  // Per lane: its weight-fault row passes the certificate with the faulty
-  // value included (O(1) fault row); compacted along with faults_.
-  std::vector<uint8_t> exact_fault_row_;
   LaneLif lif_;
   std::vector<float> base_;       // in-place fault-free syn frame [n]
   std::vector<float> syn_;        // lane-strided syn frame [n*lanes]

@@ -1106,6 +1106,16 @@ TEST(LaneBatch, WideBinadeWeightsFailCertificateAndMatchNaiveReference) {
       EngineConfig dcfg = cfg;
       dcfg.detect_only = true;
       expect_results_identical(run_campaign(net, input, faults, dcfg).results, naive_detect);
+      // The frontier walk's golden-plus-delta rows take the same
+      // certificate; its uncertified rows sweep the row in order.
+      EngineConfig fcfg = cfg;
+      fcfg.frontier = true;
+      fcfg.frontier_adaptive = false;
+      const auto frontier = run_campaign(net, input, faults, fcfg);
+      EXPECT_EQ(frontier.stats.frontier_faults, faults.size());
+      expect_results_identical(frontier.results, naive);
+      fcfg.detect_only = true;
+      expect_results_identical(run_campaign(net, input, faults, fcfg).results, naive_detect);
     }
   }
 }
@@ -1392,6 +1402,16 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
           EXPECT_EQ(frontier.stats.faults_pruned, base.stats.faults_pruned);
 
           expect_results_identical(frontier_fast.results, naive_detect);
+
+          // Without the cached frames and golden sums (a budget one byte
+          // short sheds them, keeping the state traces) the walk sweeps
+          // every row in order: identical results.
+          EngineConfig shed_cfg = cfg;
+          shed_cfg.golden_cache_budget_bytes = frontier.stats.golden_cache_bytes - 1;
+          const auto shed = run_campaign(c.net, c.input, c.faults, shed_cfg);
+          EXPECT_TRUE(shed.stats.frontier_active);
+          EXPECT_LT(shed.stats.golden_cache_bytes, frontier.stats.golden_cache_bytes);
+          expect_results_identical(shed.results, naive);
         }
       }
     }
@@ -1519,11 +1539,10 @@ TEST(Frontier, BudgetExhaustionFailsSoftToPrefixOnly) {
 
 TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
   // Per-layer byte accounting: spike train = T*N*4 bytes; a layer at which
-  // two or more lane batches start adds its fault-free synaptic frames,
-  // T*N*4 bytes, and every dense or recurrent layer from the first
-  // lane-batch layer on adds its golden sums (golden_sums_bytes), unless
-  // the frontier walk takes every batch (frontier on, not adaptive); state
-  // traces add T*N*(4+4) bytes per layer when
+  // two or more work items (lane batches or frontier walks) start adds its
+  // fault-free synaptic frames, T*N*4 bytes, and every dense or recurrent
+  // layer from the first item's layer on adds its golden sums
+  // (golden_sums_bytes); state traces add T*N*(4+4) bytes per layer when
   // retained — and they are retained only from the campaign's shallowest
   // fault layer down (layers above it are never read by the frontier
   // walk). The stats must reproduce the closed form exactly, with and
@@ -1540,22 +1559,21 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
     std::string name;
     EngineConfig cfg;
     bool state;
-    bool syn;
   };
   std::vector<Run> runs;
-  runs.push_back({"plain", {}, false, true});
+  runs.push_back({"plain", {}, false});
   EngineConfig fcfg;
   fcfg.frontier = true;
-  runs.push_back({"frontier", fcfg, true, true});
+  runs.push_back({"frontier", fcfg, true});
   EngineConfig narrow;
   narrow.lane_width = 2;
-  runs.push_back({"plain-w2", narrow, false, true});
+  runs.push_back({"plain-w2", narrow, false});
   EngineConfig fnarrow = narrow;
   fnarrow.frontier = true;
-  runs.push_back({"frontier-w2", fnarrow, true, true});
+  runs.push_back({"frontier-w2", fnarrow, true});
   EngineConfig forced = fnarrow;
   forced.frontier_adaptive = false;
-  runs.push_back({"frontier-forced-w2", forced, true, false});
+  runs.push_back({"frontier-forced-w2", forced, true});
 
   bool some_syn = false;
   bool some_sums = false;
@@ -1569,9 +1587,9 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
       const size_t n = net.layer(l).num_neurons();
       const size_t expected_state =
           run.state && l >= min_layer ? T * n * (sizeof(float) + sizeof(int32_t)) : size_t{0};
-      size_t expected_syn = run.syn && batches[l] >= 2 ? T * n * sizeof(float) : size_t{0};
+      size_t expected_syn = batches[l] >= 2 ? T * n * sizeof(float) : size_t{0};
       some_syn = some_syn || expected_syn > 0;
-      if (run.syn && l >= first_batch_layer(batches)) {
+      if (l >= first_batch_layer(batches)) {
         const size_t sums = golden_sums_bytes(net.layer(l), T);
         some_sums = some_sums || sums > 0;
         expected_syn += sums;
