@@ -14,9 +14,9 @@ namespace {
 
 /// Stored (fault-free) weight behind a WeightRef, via the const per-kind
 /// accessors (Layer::params() is non-const); also sets the lane kind and
-/// index the ref maps to.
-float stored_weight(const snn::Layer& layer, const snn::WeightRef& ref,
-                    snn::LaneSynapseFault& sf) {
+/// the index, row and column the ref maps to.
+const float* stored_weight(const snn::Layer& layer, const snn::WeightRef& ref,
+                           snn::LaneSynapseFault& sf) {
   using Kind = snn::LaneSynapseFault::Kind;
   const std::vector<float>* w = nullptr;
   switch (layer.kind()) {
@@ -47,7 +47,7 @@ float stored_weight(const snn::Layer& layer, const snn::WeightRef& ref,
     sf.out_index = ref.index / cols;
     sf.in_index = ref.index % cols;
   }
-  return (*w)[ref.index];
+  return w->data() + ref.index;
 }
 
 snn::LaneNeuronOverride read_neuron(const snn::LifBank& lif, size_t i) {
@@ -99,6 +99,7 @@ snn::LaneFault resolve_lane_fault(const snn::Network& net,
   snn::LaneNeuronOverride& o = lane.neuron;
   snn::LaneSynapseFault& sf = lane.synapse;
   float stored = 0.0f;
+  const float* slot = nullptr;  // the stored weight of a weight fault
   if (fault.targets_neuron()) {
     const snn::LifBank& lif = layer.lif();
     const size_t i = fault.neuron.index;
@@ -114,7 +115,8 @@ snn::LaneFault resolve_lane_fault(const snn::Network& net,
     stored = static_cast<const snn::ConvLayer&>(layer).connection_weight(sf.out_index,
                                                                          sf.in_index);
   } else {
-    stored = stored_weight(layer, fault.weight, sf);
+    slot = stored_weight(layer, fault.weight, sf);
+    stored = *slot;
   }
 
   const float m = fault.magnitude;
@@ -160,13 +162,8 @@ snn::LaneFault resolve_lane_fault(const snn::Network& net,
     if (!std::isfinite(sf.delta)) throw non_finite(fault, "connection weight delta", sf.delta);
   }
   if (sf.kind == snn::LaneSynapseFault::Kind::kWeight) {
-    const size_t cols = layer.num_inputs();
-    const float* row = (layer.kind() == snn::LayerKind::kDense
-                            ? static_cast<const snn::DenseLayer&>(layer).weights()
-                            : static_cast<const snn::RecurrentLayer&>(layer).weights())
-                           .data() +
-                       sf.out_index * cols;
-    sf.row_exact = snn::row_sum_exact(snn::with_weight(snn::row_bound(row, cols), sf.value));
+    const snn::RowBound row = snn::row_bound(slot - sf.in_index, layer.num_inputs());
+    sf.row_exact = snn::row_sum_exact(snn::with_weight(row, sf.value));
   }
   return lane;
 }

@@ -337,10 +337,10 @@ float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out,
                 const FaultFrame& frame, const float* prev, size_t prev_stride) {
   using Kind = LaneSynapseFault::Kind;
   const LayerKind kind = layer.kind();
-  const bool live = fault_tap_live(layer, sf, out, frame.in, nullptr);  // feed-forward tap
   if (kind == LayerKind::kConv2d) {
     const auto& conv = static_cast<const ConvLayer&>(layer);
-    if (sf.kind == Kind::kConvWeight && live) {
+    if (sf.kind == Kind::kConvWeight &&
+        (!frame.clean || fault_tap_live(layer, sf, out, frame.in, nullptr))) {
       return recompute_conv_pixel(conv, sf.index, sf.value, frame.in, out);
     }
     const float pixel =
@@ -354,7 +354,7 @@ float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out,
   const size_t cols = layer.num_inputs();
   const float* w = layer_weights(layer) + out * cols;
   float syn;
-  if (sf.kind != Kind::kWeight || !live) {
+  if (sf.kind != Kind::kWeight || !fault_tap_live(layer, sf, out, frame.in, nullptr)) {
     syn = frame.clean  ? frame.clean[out]
           : frame.sums ? static_cast<float>(frame.sums[out])
                        : recompute_row(w, cols, SIZE_MAX, 0.0f, frame.in, 1);
@@ -507,21 +507,33 @@ void LaneLayerRun::apply_shared_synapse_faults(const FaultFrame& frame, float* s
         break;
       }
       case LaneSynapseFault::Kind::kConvWeight: {
-        // The tap feeds one input pixel into each output pixel of its
-        // channel; only the pixels whose tapped input is nonzero can
-        // differ from fault-free.
+        // The tap (oc, ic, ky, kx) feeds output pixel (oy, ox) from input
+        // pixel (ic, oy*stride + ky - pad, ox*stride + kx - pad). Only the
+        // pixels whose tapped input is nonzero can differ from fault-free.
         const Conv2dSpec& s = static_cast<const ConvLayer&>(*layer_).spec();
-        const size_t plane = s.out_height() * s.out_width();
-        const size_t first = sf.index / (s.in_channels * s.kernel * s.kernel) * plane;
-        for (size_t out = first; out < first + plane; ++out) {
-          const size_t in = conv_tap_input(s, sf.index, out);
-          if (in == SIZE_MAX) continue;
-          if (frame.in[in] == 0.0f) {
-            ++rows_skipped_;
-            continue;
+        const size_t k = s.kernel;
+        const size_t oc = sf.index / (s.in_channels * k * k);
+        const size_t ic = (sf.index / (k * k)) % s.in_channels;
+        const size_t ky = (sf.index / k) % k;
+        const size_t kx = sf.index % k;
+        const size_t oh = s.out_height();
+        const size_t ow = s.out_width();
+        const float* in_plane = frame.in + ic * s.in_height * s.in_width;
+        for (size_t oy = 0; oy < oh; ++oy) {
+          const long iy = static_cast<long>(oy * s.stride + ky) - static_cast<long>(s.padding);
+          if (iy < 0 || iy >= static_cast<long>(s.in_height)) continue;
+          for (size_t ox = 0; ox < ow; ++ox) {
+            const long ix = static_cast<long>(ox * s.stride + kx) - static_cast<long>(s.padding);
+            if (ix < 0 || ix >= static_cast<long>(s.in_width)) continue;
+            if (in_plane[iy * static_cast<long>(s.in_width) + ix] == 0.0f) {
+              ++rows_skipped_;
+              continue;
+            }
+            const size_t out = (oc * oh + oy) * ow + ox;
+            syn_lanes[out * lanes_ + l] = recompute_conv_pixel(
+                static_cast<const ConvLayer&>(*layer_), sf.index, sf.value, frame.in, out);
+            ++rows_recomputed_;
           }
-          syn_lanes[out * lanes_ + l] = fault_row(*layer_, sf, out, frame);
-          ++rows_recomputed_;
         }
         break;
       }
