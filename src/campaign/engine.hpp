@@ -92,10 +92,10 @@ struct EngineConfig {
   /// the dense/sparse/lane kernels instead. Off by default.
   bool frontier = false;
   /// Dirty-fraction fallback: when more than this fraction of a layer's
-  /// neurons is dirty in a frame, that frame runs the full dense frame
-  /// kernel (counted in EngineStats::frontier_fallback_frames). 0 forces
-  /// the dense kernel every frame (useful to bound frontier overhead);
-  /// values >= 1 never fall back.
+  /// neurons is dirty in a frame, that frame recomputes every neuron — the
+  /// full frame kernel on a layer without golden sums — (counted in
+  /// EngineStats::frontier_fallback_frames). 0 forces that every frame
+  /// (useful to bound frontier overhead); values >= 1 never fall back.
   double frontier_threshold = 0.5;
   /// Adaptive frontier routing: after a few probe batches per fault layer,
   /// the engine keeps routing a layer's batches through the frontier walk

@@ -27,9 +27,7 @@
 // a synapse fault reads take their synaptic current from snn::fault_row,
 // as the lane kernels do, so the shared network is never written. Those
 // neurons enter the walk only in frames where the fault's tap reads a
-// nonzero input (snn::fault_tap_live). Downstream layers without golden
-// sums iterate the union of the lanes' dirty sets so consecutive lanes
-// reuse hot weight rows.
+// nonzero input (snn::fault_tap_live). Each lane steps its own dirty set.
 #pragma once
 
 #include <cstdint>

@@ -1420,7 +1420,8 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
 
 TEST(Frontier, ForcedFallbackThresholdZeroStaysIdentical) {
   // frontier_threshold = 0 forces every frame with a non-empty dirty set
-  // through the dense frame kernel — the degenerate configuration exercises
+  // to recompute every neuron (the frame kernel on the conv and pool
+  // layers, which keep no golden sums) — the degenerate configuration exercises
   // the fallback path on every architecture and must stay bit-identical
   // (and actually count its fallbacks).
   struct Case {
