@@ -214,7 +214,6 @@ int cmd_build(int argc, char** argv) {
                        {"threshold", "0"},
                        {"detect-only", "0"},
                        {"frontier", "0"},
-                       {"frontier-threshold", "0.5"},
                        {"golden-cache-budget", "0"},
                        {"trace-out", ""},
                        {"metrics-out", ""}},
@@ -242,7 +241,6 @@ int cmd_build(int argc, char** argv) {
   engine.detection_threshold = cli.get_double("threshold");
   engine.detect_only = cli.get_bool("detect-only");
   engine.frontier = cli.get_bool("frontier");
-  engine.frontier_threshold = cli.get_double("frontier-threshold");
   engine.golden_cache_budget_bytes = cli.get_size("golden-cache-budget");
 
   const std::string dict_path = cli.get("dict");
@@ -605,7 +603,6 @@ int cmd_replay(int argc, char** argv) {
                        {"threshold", "0"},
                        {"detect-only", "0"},
                        {"frontier", "0"},
-                       {"frontier-threshold", "0.5"},
                        {"golden-cache-budget", "0"},
                        {"json", ""},
                        {"trace-out", ""},
@@ -635,7 +632,6 @@ int cmd_replay(int argc, char** argv) {
   config.engine.detection_threshold = cli.get_double("threshold");
   config.engine.detect_only = cli.get_bool("detect-only");
   config.engine.frontier = cli.get_bool("frontier");
-  config.engine.frontier_threshold = cli.get_double("frontier-threshold");
   config.engine.golden_cache_budget_bytes = cli.get_size("golden-cache-budget");
 
   const auto replay = coverage::replay_schedule(net, schedule, faults, config);

@@ -5,7 +5,7 @@
 // reuse by examples/infield_test.
 //
 // Run:  ./build/examples/testgen_pipeline --benchmark shd
-//       [--steps 300] [--restarts 1] [--threads 1] [--kernel-mode auto]
+//       [--steps 300] [--restarts 1] [--threads 1]
 //       [--fault-sample 4000] [--out stimulus.bin] [--iters 0]
 //       [--train-budget 1.0] [--trace-out trace.json] [--metrics-out m.json]
 #include <cstdio>
@@ -29,7 +29,6 @@ namespace {
 int run(const util::CliParser& cli) {
   obs::configure(cli.get("trace-out"), cli.get("metrics-out"));
   obs::set_report_field("benchmark", cli.get("benchmark"));
-  obs::set_report_field("kernel_mode", cli.get("kernel-mode"));
 
   const auto id = zoo::parse_benchmark(cli.get("benchmark"));
   zoo::ZooOptions zoo_opts;
@@ -55,7 +54,6 @@ int run(const util::CliParser& cli) {
   cfg.restarts = cli.get_size("restarts");
   cfg.num_threads = cli.get_size("threads");
   if (cli.get_size("iters") > 0) cfg.max_iterations = cli.get_size("iters");
-  cfg.kernel_mode = snn::parse_kernel_mode(cli.get("kernel-mode"));
   cfg.verbose = true;
   core::TestGenerator generator(net, cfg);
   auto report = generator.generate();
@@ -96,7 +94,6 @@ int main(int argc, char** argv) {
                        {"steps", "300"},
                        {"restarts", "1"},
                        {"threads", "1"},
-                       {"kernel-mode", "auto"},
                        {"fault-sample", "4000"},
                        {"classify-samples", "48"},
                        {"iters", "0"},

@@ -33,7 +33,6 @@ ClassificationOutcome classify_faults(const snn::Network& net,
 
   campaign::EngineConfig engine;
   engine.num_threads = config.num_threads;
-  engine.kernel_mode = config.kernel_mode;
   // The engine reports (done, faults) per campaign from worker threads;
   // offset it by the samples already finished and forward only new maxima,
   // so the caller sees one serialized, strictly increasing pair count.
@@ -50,7 +49,7 @@ ClassificationOutcome classify_faults(const snn::Network& net,
   }
 
   snn::Network golden_net(net);
-  golden_net.set_kernel_mode(config.kernel_mode);
+  golden_net.set_kernel_mode(snn::KernelMode::kAuto);
   std::vector<size_t> faulty_correct(faults.size(), 0);
   size_t golden_correct = 0;
   for (size_t i = 0; i < n_samples; ++i) {

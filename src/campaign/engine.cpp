@@ -107,6 +107,12 @@ size_t CampaignResult::detected_count() const {
 CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
                             const std::vector<fault::FaultDescriptor>& faults,
                             const EngineConfig& config) {
+  return detail::run_campaign(net, stimulus, faults, config, detail::Route::kAuto);
+}
+
+CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
+                                    const std::vector<fault::FaultDescriptor>& faults,
+                                    const EngineConfig& config, Route route) {
   OBS_SPAN("campaign/run");
   util::Timer timer;
   CampaignResult outcome;
@@ -166,12 +172,10 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   std::vector<WorkItem> items;
   build_worklist(faults, have, L, lane_width, order, items);
 
-  bool layers_ok = true;
-  for (size_t l = 0; l < L; ++l) layers_ok = layers_ok && net.layer(l).frontier_supported();
-
+  const bool frontier_requested = config.frontier || route == Route::kFrontier;
   GoldenCacheOptions cache_options;
   cache_options.mode = config.kernel_mode;
-  cache_options.state_traces = config.frontier && config.prefix_reuse;
+  cache_options.state_traces = frontier_requested && config.prefix_reuse;
   cache_options.budget_bytes = config.golden_cache_budget_bytes;
   if (cache_options.state_traces) {
     // The frontier walk only reads state traces of layers at or downstream
@@ -199,22 +203,21 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
   outcome.stats.golden_cache_layer_bytes = cache.layer_bytes;
   outcome.stats.golden_cache_state_traces = cache.has_state_traces;
 
-  // Frontier simulation needs the golden prefix (the walk starts from it),
-  // the golden LIF state traces (dirty-neuron seeding/retirement), and
-  // frontier-capable layers. Anything missing falls back to the
-  // dense/sparse/lane kernels — results are bit-identical either way, so
-  // this is a performance downgrade worth one warning, not an error.
+  // Frontier simulation needs the golden prefix (the walk starts from it)
+  // and the golden LIF state traces (dirty-neuron seeding/retirement).
+  // Either missing falls back to the lane batches — results are
+  // bit-identical either way, so this is a performance downgrade worth one
+  // warning, not an error.
   bool frontier_ok = false;
-  if (config.frontier) {
-    frontier_ok = config.prefix_reuse && cache.has_state_traces && layers_ok;
+  if (frontier_requested) {
+    frontier_ok = config.prefix_reuse && cache.has_state_traces;
     if (!frontier_ok) {
       static std::atomic<bool> warned{false};
       if (!warned.exchange(true)) {
         SNNTEST_LOG_WARN("run_campaign: frontier simulation requested but unavailable "
-                         "(prefix_reuse=%d, state_traces=%d, layers_supported=%d); "
-                         "running dense/lane kernels instead",
-                         config.prefix_reuse ? 1 : 0, cache.has_state_traces ? 1 : 0,
-                         layers_ok ? 1 : 0);
+                         "(prefix_reuse=%d, state_traces=%d); running dense/lane kernels "
+                         "instead",
+                         config.prefix_reuse ? 1 : 0, cache.has_state_traces ? 1 : 0);
       }
     }
   }
@@ -237,35 +240,26 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
     }
   }
 
-  // Auto grain (config.grain == 0): ~8 scheduler round-trips per worker
-  // balances the orders-of-magnitude spread in per-item cost without
-  // hammering the shared counter. An explicit grain is authoritative.
-  const size_t grain =
-      config.grain != 0
-          ? config.grain
-          : std::clamp<size_t>(items.size() / (num_workers * 8), 1, 64);
+  // ~8 scheduler round-trips per worker balances the orders-of-magnitude
+  // spread in per-item cost without hammering the shared counter.
+  const size_t grain = std::clamp<size_t>(items.size() / (num_workers * 8), 1, 64);
 
   std::atomic<size_t> completed{outcome.stats.pairs_reused};
   std::atomic<bool> cancelled{false};
   std::mutex sink_mutex;  // serializes EngineConfig::result_sink calls
 
-  // Adaptive frontier routing (EngineConfig::frontier_adaptive): per fault
-  // layer, tally the frontier walk's recomputed neuron-updates against the
-  // dense equivalent over the first probe batches; once a layer's observed
-  // recompute fraction exceeds the profitability cutoff, its later batches
-  // run the dense/lane kernels instead (bit-identical, just cheaper there).
-  // The cutoff comes from bench_campaign_engine's frontier sweep: the walk
-  // competes with a lane batch of the same faults (a lone fault's with a
-  // batch of one), whose golden-plus-delta sums and SIMD-across-lanes
-  // kernels are cheap even for one lane, so it only wins clearly sparse
-  // cones, at width 1 as at width 8.
+  // Frontier router (kFrontierCutoff, campaign/frontier_sim.hpp): per
+  // fault layer, tally the walk's recomputed neuron-updates against the
+  // dense equivalent over the probe batches; once a layer's observed
+  // recompute fraction reaches the cutoff, its later batches run the lane
+  // kernels instead (bit-identical, just cheaper there). Route::kFrontier
+  // skips the router.
+  const bool adaptive = route == Route::kAuto;
   struct FrontierLayerPolicy {
     std::atomic<size_t> batches{0};
     std::atomic<size_t> updates{0};
     std::atomic<size_t> updates_dense{0};
   };
-  constexpr size_t kFrontierProbeBatches = 1;
-  constexpr double kFrontierCutoff = 0.10;
   std::vector<FrontierLayerPolicy> frontier_policy(frontier_ok ? L : 0);
 
   // Per-fault telemetry (sim-time and prefix-depth histograms, one span per
@@ -296,7 +290,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
         return;
       }
       bool use_frontier = frontier_ok;
-      if (use_frontier && config.frontier_adaptive) {
+      if (use_frontier && adaptive) {
         FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
         if (p.batches.load(std::memory_order_relaxed) >= kFrontierProbeBatches) {
           const auto dense = static_cast<double>(p.updates_dense.load(std::memory_order_relaxed));
@@ -314,7 +308,7 @@ CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimu
       simulate_fault_frontier(net, stimulus, cache, config, cache.stats, faults, batch,
                               item.count, outcome.results, workers[w]->counters,
                               workers[w]->frontier);
-      if (config.frontier_adaptive) {
+      if (adaptive) {
         FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
         p.updates.fetch_add(workers[w]->frontier.last_updates, std::memory_order_relaxed);
         p.updates_dense.fetch_add(workers[w]->frontier.last_updates_dense,

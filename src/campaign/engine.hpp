@@ -49,12 +49,6 @@ namespace snntest::campaign {
 
 struct EngineConfig {
   size_t num_threads = 0;  // 0 = hardware concurrency
-  /// Worklist items claimed per scheduler round-trip (one item is a lane
-  /// batch of 1 to lane_width faults). 0 (default) auto-tunes from the
-  /// worklist size: items / (workers * 8), clamped to [1, 64] — small
-  /// enough to balance uneven per-fault cost, large enough to amortize the
-  /// atomic traffic. An explicit value is authoritative.
-  size_t grain = 0;
   /// Faults evaluated per forward pass: pending faults confined to the
   /// same layer are packed into lane batches of up to this many lanes
   /// (clamped to snn::kMaxLaneWidth); 1 runs every fault as a batch of one,
@@ -86,24 +80,13 @@ struct EngineConfig {
   /// fault layer, recompute per frame only the neurons reachable from the
   /// set of diverged spikes/state (copying golden values for the rest), in
   /// the exact dense accumulation order — results stay bit-identical at
-  /// every lane width. Requires prefix_reuse, golden state traces (see
-  /// golden_cache_budget_bytes) and frontier-capable layers; when any
-  /// prerequisite is missing the engine logs a one-time warning and runs
-  /// the dense/sparse/lane kernels instead. Off by default.
+  /// every lane width. The engine's router probes each fault layer and
+  /// keeps the walk only where its recompute fraction says it beats the
+  /// lane batches (sparse cones win; heavily divergent layers lose to SIMD
+  /// lane batching). Requires prefix_reuse and golden state traces (see
+  /// golden_cache_budget_bytes); when either is missing the engine logs a
+  /// one-time warning and runs the lane batches instead. Off by default.
   bool frontier = false;
-  /// Dirty-fraction fallback: when more than this fraction of a layer's
-  /// neurons is dirty in a frame, that frame recomputes every neuron — the
-  /// full frame kernel on a layer without golden sums — (counted in
-  /// EngineStats::frontier_fallback_frames). 0 forces that every frame
-  /// (useful to bound frontier overhead); values >= 1 never fall back.
-  double frontier_threshold = 0.5;
-  /// Adaptive frontier routing: after a few probe batches per fault layer,
-  /// the engine keeps routing a layer's batches through the frontier walk
-  /// only while its observed recompute fraction says the walk beats the
-  /// dense/lane kernels (sparse cones win; heavily divergent layers lose to
-  /// SIMD lane batching). Results are bit-identical either way. Force off
-  /// to route every batch through the frontier walk unconditionally.
-  bool frontier_adaptive = true;
   /// Memory budget for the golden cache, in bytes (0 = unlimited). The
   /// per-layer spike trains are irreducible. Over budget, the cached
   /// fault-layer synaptic frames and the golden sums of the dense and
@@ -202,8 +185,8 @@ struct EngineStats {
   /// per-neuron work reduction; full-frame fallbacks count on both sides.
   size_t frontier_neuron_updates = 0;
   size_t frontier_neuron_updates_dense = 0;
-  /// Frames that exceeded EngineConfig::frontier_threshold and fell back
-  /// to the dense frame kernel.
+  /// Frames whose dirty fraction exceeded kFrontierFallbackFraction
+  /// (campaign/frontier_sim.hpp), so the walk recomputed every neuron.
   size_t frontier_fallback_frames = 0;
   /// Golden-cache footprint: total retained bytes, the per-layer
   /// breakdown (spike train + any synaptic frames and state traces), and

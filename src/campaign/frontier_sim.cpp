@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/metrics.hpp"
+#include "snn/conv_layer.hpp"
 #include "snn/neuron.hpp"
 
 namespace snntest::campaign {
@@ -181,32 +182,18 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
         // fault's seeds are marked dirty only in the frames where its tap
         // reads a nonzero input (phase A); in every other frame their
         // current is the fault-free one, and they retire like any neuron.
+        // A weight, a lateral weight or a conv connection feeds the one
+        // output resolve_lane_fault names; a conv kernel tap feeds every
+        // pixel of its channel.
         lane.seeds.clear();
-        bool seed_all = false;
         const snn::LaneFault& f = lane.fault;
         lane.pinned = f.neuron.active;
         if (f.neuron.active) {
           lane.seeds.push_back(f.neuron.neuron);
-        } else {
-          using Kind = snn::LaneSynapseFault::Kind;
-          switch (f.synapse.kind) {
-            case Kind::kNone:
-              break;
-            case Kind::kWeight:
-            case Kind::kConvWeight:
-              seed_all = !layer.frontier_weight_fanout(0, f.synapse.index, lane.seeds);
-              break;
-            case Kind::kRecurrentWeight:
-              seed_all = !layer.frontier_weight_fanout(1, f.synapse.index, lane.seeds);
-              break;
-            case Kind::kConvConnection:
-              lane.seeds.push_back(static_cast<uint32_t>(f.synapse.out_index));
-              break;
-          }
-        }
-        if (seed_all) {
-          lane.seeds.clear();
-          for (size_t i = 0; i < n; ++i) lane.seeds.push_back(static_cast<uint32_t>(i));
+        } else if (f.synapse.kind == snn::LaneSynapseFault::Kind::kConvWeight) {
+          static_cast<const snn::ConvLayer&>(layer).tap_fanout(f.synapse.index, lane.seeds);
+        } else if (f.synapse.kind != snn::LaneSynapseFault::Kind::kNone) {
+          lane.seeds.push_back(static_cast<uint32_t>(f.synapse.out_index));
         }
         lane.seeded.assign(n, 0);
         for (uint32_t i : lane.seeds) lane.seeded[i] = 1;
@@ -295,7 +282,7 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
           mark_all(lane, t);
           lane.full_frame = true;
         } else if (static_cast<double>(lane.dirty_list.size()) >
-                   config.frontier_threshold * static_cast<double>(n)) {
+                   kFrontierFallbackFraction * static_cast<double>(n)) {
           mark_all(lane, t);
           lane.full_frame = true;
           ++fallback_frames;

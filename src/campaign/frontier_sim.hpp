@@ -15,9 +15,9 @@
 // traces retires from the dirty set; a layer whose frame frontier stays
 // empty is a converged lane — exactly the engine's convergence pruning —
 // and a run of frames in which no lane has work is skipped. When a frame's
-// dirty fraction exceeds EngineConfig::frontier_threshold the frame takes
-// every neuron (the full frame kernel, Layer::frontier_synapse_frame, where
-// no golden sums apply), still bit-identical.
+// dirty fraction exceeds kFrontierFallbackFraction the frame takes every
+// neuron (the full frame kernel, Layer::frontier_synapse_frame, where no
+// golden sums apply), still bit-identical.
 //
 // One routine serves a lone fault (count == 1) and lane batches (count up
 // to snn::kMaxLaneWidth, all faults confined to the same layer): per-lane
@@ -39,6 +39,21 @@
 #include "fault/injector.hpp"
 
 namespace snntest::campaign {
+
+/// The engine's frontier router (DESIGN.md §17): per fault layer, the first
+/// kFrontierProbeBatches items run the walk; later items keep it only while
+/// the layer's recompute fraction (frontier neuron updates over the dense
+/// equivalent) stays under kFrontierCutoff, else they run lane batches. The
+/// walk competes with a lane batch of the same faults (a lone fault's with
+/// a batch of one), whose golden-plus-delta sums and SIMD-across-lanes
+/// kernels are cheap even for one lane, so it only wins clearly sparse
+/// cones (bench_campaign_engine's frontier sweep).
+inline constexpr size_t kFrontierProbeBatches = 1;
+inline constexpr double kFrontierCutoff = 0.10;
+/// Dirty-fraction fallback: a frame in which more than this fraction of a
+/// layer's neurons is dirty recomputes every neuron (counted in
+/// EngineStats::frontier_fallback_frames).
+inline constexpr double kFrontierFallbackFraction = 0.5;
 
 /// Per-lane frontier walk state, reused across layers and batches.
 struct FrontierLaneState {
@@ -74,17 +89,17 @@ struct FrontierSimContext {
   std::vector<uint32_t> fanout;      // per-input fanout query scratch
   std::vector<uint8_t> exact_rows;   // neuron -> its rows pass the certificate
   // Last batch's recompute tally (also added to the worker's counters) — the
-  // engine's adaptive routing reads these to estimate the fault layer's
-  // frontier profitability.
+  // engine's router reads these to estimate the fault layer's frontier
+  // profitability.
   size_t last_updates = 0;
   size_t last_updates_dense = 0;
 };
 
 /// Simulate the `count` faults `faults[batch[0..count)]` — all confined to
 /// the same layer — with the divergence-frontier walk, writing
-/// `results[batch[i]]`. Requires config.prefix_reuse, golden state traces
-/// (cache.has_state_traces) and frontier_supported() on every layer; the
-/// engine checks all three before routing here. `net` is the fault-free
+/// `results[batch[i]]`. Requires config.prefix_reuse and golden state
+/// traces (cache.has_state_traces); the engine checks both before routing
+/// here. `net` is the fault-free
 /// reference network and is never mutated, so workers share the caller's
 /// instance; `stats` must come from compute_weight_stats on it.
 void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stimulus,

@@ -13,9 +13,9 @@ namespace {
 
 constexpr uint32_t kJobMagic = 0x424A4E53;  // "SNJB"
 // job.bin is rewritten by every run_sharded_campaign, so only the current
-// version needs a reader. Version 4 added the frontier settings and the
-// golden-cache budget.
-constexpr uint32_t kJobVersion = 4;
+// version needs a reader. Version 5 dropped the grain and the two frontier
+// tuning fields that version 4 carried.
+constexpr uint32_t kJobVersion = 5;
 
 /// Read a u32 enum field, rejecting values past `max` instead of letting a
 /// static_cast wrap them into some other valid enumerator.
@@ -104,7 +104,6 @@ void save_job(const ShardJob& job, const std::string& path) {
   for (const auto& f : job.faults) write_fault(os, f);
 
   util::write_u64(os, job.engine.num_threads);
-  util::write_u64(os, job.engine.grain);
   util::write_u64(os, job.engine.lane_width);
   util::write_f64(os, job.engine.detection_threshold);
   util::write_u32(os, job.engine.prefix_reuse ? 1u : 0u);
@@ -112,8 +111,6 @@ void save_job(const ShardJob& job, const std::string& path) {
   util::write_u32(os, job.engine.detect_only ? 1u : 0u);
   util::write_u32(os, static_cast<uint32_t>(job.engine.kernel_mode));
   util::write_u32(os, job.engine.frontier ? 1u : 0u);
-  util::write_f64(os, job.engine.frontier_threshold);
-  util::write_u32(os, job.engine.frontier_adaptive ? 1u : 0u);
   util::write_u64(os, job.engine.golden_cache_budget_bytes);
   util::atomic_write_file(path, os.str());
 }
@@ -140,7 +137,6 @@ ShardJob load_job(const std::string& path) {
   for (uint64_t i = 0; i < num_faults; ++i) job.faults.push_back(read_fault(is));
 
   job.engine.num_threads = util::read_u64(is);
-  job.engine.grain = util::read_u64(is);
   job.engine.lane_width = util::read_u64(is);
   job.engine.detection_threshold = util::read_f64(is);
   job.engine.prefix_reuse = util::read_u32(is) != 0;
@@ -149,8 +145,6 @@ ShardJob load_job(const std::string& path) {
   job.engine.kernel_mode = static_cast<snn::KernelMode>(
       read_enum(is, static_cast<uint32_t>(snn::KernelMode::kAuto), "kernel mode"));
   job.engine.frontier = util::read_u32(is) != 0;
-  job.engine.frontier_threshold = util::read_f64(is);
-  job.engine.frontier_adaptive = util::read_u32(is) != 0;
   job.engine.golden_cache_budget_bytes = util::read_u64(is);
   return job;
 }

@@ -2,10 +2,12 @@
 // (engine.cpp), the lane batches (lane_sim.cpp) and the frontier walk
 // (frontier_sim.cpp). Every route must emit identical DetectionResults, so
 // the result-filling helpers live here in one audited place rather than
-// being duplicated.
+// being duplicated. The one way to force a route past the engine's router
+// is detail::run_campaign below.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "campaign/engine.hpp"
@@ -130,5 +132,17 @@ struct SimCounters {
   size_t frontier_neuron_updates_dense = 0;
   size_t frontier_fallback_frames = 0;
 };
+
+/// Where run_campaign sends its work items. kAuto is the public
+/// behaviour: lane batches, plus the frontier router's pick per fault layer
+/// when EngineConfig::frontier is set. kFrontier requests the frontier and
+/// sends every item through the walk, past the router, so the identity
+/// tests cover it on layers the router would divert.
+enum class Route : uint8_t { kAuto, kFrontier };
+
+/// campaign::run_campaign with the route forced.
+CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
+                            const std::vector<fault::FaultDescriptor>& faults,
+                            const EngineConfig& config, Route route);
 
 }  // namespace snntest::campaign::detail

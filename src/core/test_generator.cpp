@@ -109,7 +109,7 @@ TestGenerator::TestGenerator(snn::Network& net, TestGenConfig config)
 
 size_t TestGenerator::find_min_input_duration(snn::Network& net, const TestGenConfig& config,
                                               util::Rng& rng) {
-  net.set_kernel_mode(config.kernel_mode);
+  net.set_kernel_mode(snn::KernelMode::kAuto);
   StageConfig stage;
   stage.num_steps = std::max<size_t>(40, config.steps_stage1 / 4);
   stage.lr_initial = config.lr_initial;
@@ -146,13 +146,12 @@ TestGenReport TestGenerator::generate() {
   obs::set_report_field("testgen_seed", static_cast<uint64_t>(config_.seed));
   obs::set_report_field("testgen_restarts",
                         static_cast<uint64_t>(std::max<size_t>(1, config_.restarts)));
-  obs::set_report_field("testgen_kernel_mode", snn::kernel_mode_name(config_.kernel_mode));
 
   // The Gumbel input emits hard 0/1 spike frames, so every optimization
   // forward *and* backward benefits from the sparse kernels; kAuto falls
   // back to the dense sweep per frame whenever a candidate is busy
   // (bit-identical results in every mode).
-  net_->set_kernel_mode(config_.kernel_mode);
+  net_->set_kernel_mode(snn::KernelMode::kAuto);
 
   // --- T_in,min (Sec. V-C) ---
   report.t_in_min = config_.t_in_min != 0

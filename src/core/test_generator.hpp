@@ -52,10 +52,6 @@ struct TestGenConfig {
   size_t restarts = 1;
   size_t num_threads = 1;  // threads for the restart fan-out (0 = hardware)
 
-  // Kernel selection for every forward/backward inside the generator; all
-  // modes produce bit-identical stimuli (kAuto is fastest on sparse data).
-  snn::KernelMode kernel_mode = snn::KernelMode::kAuto;
-
   // losses
   size_t td_min_override = 0;  // 0 -> max(1, t_in_min / 10)
   bool use_l1 = true;          // ablation switches

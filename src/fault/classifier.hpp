@@ -38,9 +38,6 @@ struct ClassifierConfig {
   /// Output decoding used for the top-1 criterion (rate or TTFS —
   /// criticality depends on how the deployed model reads its outputs).
   snn::Decoding decoding = snn::Decoding::kRate;
-  /// Forward-kernel selection for the golden pass and the engine
-  /// (bit-identical results across modes; kAuto exploits event sparsity).
-  snn::KernelMode kernel_mode = snn::KernelMode::kAuto;
   /// Progress callback (completed, total) over (fault, sample) pairs, with
   /// total = faults × evaluated samples. Calls are serialized, `completed`
   /// is strictly increasing, and the last call has completed == total. Not

@@ -490,16 +490,12 @@ bool ConvLayer::frontier_fanout(size_t in_index, std::vector<uint32_t>& out) con
   return true;
 }
 
-bool ConvLayer::frontier_weight_fanout(size_t param, size_t index,
-                                       std::vector<uint32_t>& out) const {
-  if (param != 0 || index >= weights_.size()) return false;
-  // A stored kernel tap is shared by every output position of its channel.
+void ConvLayer::tap_fanout(size_t index, std::vector<uint32_t>& out) const {
   const size_t positions = spec_.out_height() * spec_.out_width();
   const size_t oc = index / (spec_.in_channels * spec_.kernel * spec_.kernel);
   for (size_t p = 0; p < positions; ++p) {
     out.push_back(static_cast<uint32_t>(oc * positions + p));
   }
-  return true;
 }
 
 Tensor ConvLayer::backward(const Tensor& grad_out) {

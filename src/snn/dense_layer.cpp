@@ -88,13 +88,6 @@ bool DenseLayer::frontier_fanout(size_t /*in_index*/, std::vector<uint32_t>& /*o
   return false;  // every neuron reads every input
 }
 
-bool DenseLayer::frontier_weight_fanout(size_t param, size_t index,
-                                        std::vector<uint32_t>& out) const {
-  if (param != 0 || index >= weights_.size()) return false;
-  out.push_back(static_cast<uint32_t>(index / num_inputs_));
-  return true;
-}
-
 Tensor DenseLayer::backward(const Tensor& grad_out) {
   const size_t T = grad_out.shape().dim(0);
   if (saved_input_.empty() || saved_input_.shape().dim(0) != T) {

@@ -26,14 +26,11 @@ class DenseLayer final : public Layer {
   void forward_into(const Tensor& in, bool record_traces, Tensor& out) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  bool frontier_supported() const override { return true; }
   float frontier_synapse(const float* in_frame, const float* prev_out_frame,
                          size_t neuron) const override;
   void frontier_synapse_frame(const float* in_frame, const float* prev_out_frame,
                               float* syn) const override;
   bool frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const override;
-  bool frontier_weight_fanout(size_t param, size_t index,
-                              std::vector<uint32_t>& out) const override;
 
   std::vector<ParamView> params() override;
   LifBank& lif() override { return lif_; }

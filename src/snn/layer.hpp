@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,7 @@ inline bool sparse_frame_wins(size_t num_active, size_t frame_size) {
   return num_active * 4 <= frame_size;
 }
 
-/// CLI-facing names for KernelMode (bench/example `--kernel-mode` flags).
+/// Display names for KernelMode (test traces and logs).
 inline const char* kernel_mode_name(KernelMode mode) {
   switch (mode) {
     case KernelMode::kDense: return "dense";
@@ -60,14 +59,6 @@ inline const char* kernel_mode_name(KernelMode mode) {
     case KernelMode::kAuto: return "auto";
   }
   return "dense";
-}
-
-/// Inverse of kernel_mode_name; throws std::invalid_argument on bad input.
-inline KernelMode parse_kernel_mode(const std::string& name) {
-  if (name == "dense") return KernelMode::kDense;
-  if (name == "sparse") return KernelMode::kSparse;
-  if (name == "auto") return KernelMode::kAuto;
-  throw std::invalid_argument("unknown kernel mode '" + name + "' (expected dense|sparse|auto)");
 }
 
 /// A view over one trainable parameter array of a layer.
@@ -136,7 +127,7 @@ class Layer {
   /// Forward-kernel selection; results are bit-identical across modes.
   /// Layers without a sparse kernel (pool) ignore it. Default kDense runs
   /// the dense kernels on every frame; the campaign engine, classifier and
-  /// test generators opt into kAuto.
+  /// test generators run kAuto.
   void set_kernel_mode(KernelMode mode) { kernel_mode_ = mode; }
   KernelMode kernel_mode() const { return kernel_mode_; }
 
@@ -145,12 +136,7 @@ class Layer {
   // The frontier simulator replays single neurons from snapshotted golden
   // state, so each hook must reproduce the EXACT float value the layer's
   // full forward produces for that neuron (same ordered double accumulation,
-  // same cast points; DESIGN.md §17). Layers that cannot guarantee this
-  // keep the default frontier_supported() == false and the engine falls
-  // back to dense simulation.
-
-  /// True when the frontier hooks below are implemented bit-identically.
-  virtual bool frontier_supported() const { return false; }
+  // same cast points; DESIGN.md §17). Every layer kind implements them.
 
   /// Synaptic current of ONE neuron for one frame. `in_frame` is the input
   /// frame [num_inputs]; `prev_out_frame` is this layer's own output at the
@@ -158,45 +144,20 @@ class Layer {
   /// layers read it). Must equal element `neuron` of the dense kernel's syn
   /// frame bit-for-bit.
   virtual float frontier_synapse(const float* in_frame, const float* prev_out_frame,
-                                 size_t neuron) const {
-    (void)in_frame;
-    (void)prev_out_frame;
-    (void)neuron;
-    throw std::logic_error("frontier_synapse: not supported by " + name());
-  }
+                                 size_t neuron) const = 0;
 
   /// Full-frame synaptic currents into `syn` [num_neurons] — the dense
   /// fallback for frames whose frontier exceeds the recompute threshold.
   /// Bit-identical to the frame the forward path feeds LifBank::step.
   virtual void frontier_synapse_frame(const float* in_frame, const float* prev_out_frame,
-                                      float* syn) const {
-    (void)in_frame;
-    (void)prev_out_frame;
-    (void)syn;
-    throw std::logic_error("frontier_synapse_frame: not supported by " + name());
-  }
+                                      float* syn) const = 0;
 
   /// Output neurons whose synaptic current reads input element `in_index`
   /// (appended to `out`, which the caller clears). Returns false when the
   /// fan-out is effectively dense (every output reads every input), in
   /// which case `out` is left untouched and the caller dirties the whole
   /// layer.
-  virtual bool frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const {
-    (void)in_index;
-    (void)out;
-    return false;
-  }
-
-  /// Output neurons whose synaptic current reads stored weight `index` of
-  /// parameter `param` (same indexing as params()). Returns false when
-  /// unknown — the caller then seeds the whole layer as dirty.
-  virtual bool frontier_weight_fanout(size_t param, size_t index,
-                                      std::vector<uint32_t>& out) const {
-    (void)param;
-    (void)index;
-    (void)out;
-    return false;
-  }
+  virtual bool frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const = 0;
 
   /// When disabled, backward() skips accumulating parameter gradients
   /// (dL/dW) and computes only dL/d(input spikes). The input-optimization

@@ -41,7 +41,6 @@ class SumPoolLayer final : public Layer {
   void forward_into(const Tensor& in, bool record_traces, Tensor& out) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  bool frontier_supported() const override { return true; }
   float frontier_synapse(const float* in_frame, const float* prev_out_frame,
                          size_t neuron) const override;
   void frontier_synapse_frame(const float* in_frame, const float* prev_out_frame,

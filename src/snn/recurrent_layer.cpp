@@ -119,19 +119,6 @@ bool RecurrentLayer::frontier_fanout(size_t /*in_index*/, std::vector<uint32_t>&
   return false;  // dense fan-out (and the lateral matrix couples everything)
 }
 
-bool RecurrentLayer::frontier_weight_fanout(size_t param, size_t index,
-                                            std::vector<uint32_t>& out) const {
-  if (param == 0 && index < weights_.size()) {
-    out.push_back(static_cast<uint32_t>(index / num_inputs_));
-    return true;
-  }
-  if (param == 1 && index < recurrent_.size()) {
-    out.push_back(static_cast<uint32_t>(index / lif_.size()));
-    return true;
-  }
-  return false;
-}
-
 Tensor RecurrentLayer::backward(const Tensor& grad_out) {
   const size_t T = grad_out.shape().dim(0);
   const size_t n = lif_.size();

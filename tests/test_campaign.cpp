@@ -14,6 +14,7 @@
 #include "campaign/engine.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/shard.hpp"
+#include "campaign/sim_internal.hpp"
 #include "fault/coverage.hpp"
 #include "fault/registry.hpp"
 #include "obs/metrics.hpp"
@@ -116,7 +117,6 @@ TEST(Engine, BitIdenticalToNaiveReference) {
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     EngineConfig cfg;
     cfg.num_threads = threads;
-    cfg.grain = 3;
     const auto result = run_campaign(net, input, faults, cfg);
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(result.stats.faults_simulated, faults.size());
@@ -1108,14 +1108,14 @@ TEST(LaneBatch, WideBinadeWeightsFailCertificateAndMatchNaiveReference) {
       expect_results_identical(run_campaign(net, input, faults, dcfg).results, naive_detect);
       // The frontier walk's golden-plus-delta rows take the same
       // certificate; its uncertified rows sweep the row in order.
+      constexpr auto kWalk = detail::Route::kFrontier;
       EngineConfig fcfg = cfg;
-      fcfg.frontier = true;
-      fcfg.frontier_adaptive = false;
-      const auto frontier = run_campaign(net, input, faults, fcfg);
+      const auto frontier = detail::run_campaign(net, input, faults, fcfg, kWalk);
       EXPECT_EQ(frontier.stats.frontier_faults, faults.size());
       expect_results_identical(frontier.results, naive);
       fcfg.detect_only = true;
-      expect_results_identical(run_campaign(net, input, faults, fcfg).results, naive_detect);
+      expect_results_identical(detail::run_campaign(net, input, faults, fcfg, kWalk).results,
+                               naive_detect);
     }
   }
 }
@@ -1376,18 +1376,17 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
                        std::to_string(static_cast<int>(mode)) +
                        (telemetry ? " telemetry" : ""));
           obs::set_telemetry_enabled(telemetry);
-          EngineConfig cfg;
-          cfg.frontier = true;
           // Route every batch through the frontier walk so the matrix
-          // exercises it unconditionally (the adaptive router would divert
-          // unprofitable layers to the dense/lane kernels).
-          cfg.frontier_adaptive = false;
+          // exercises it unconditionally (the engine's router would divert
+          // unprofitable layers to the lane kernels).
+          constexpr auto kWalk = detail::Route::kFrontier;
+          EngineConfig cfg;
           cfg.lane_width = width;
           cfg.kernel_mode = mode;
-          const auto frontier = run_campaign(c.net, c.input, c.faults, cfg);
+          const auto frontier = detail::run_campaign(c.net, c.input, c.faults, cfg, kWalk);
           EngineConfig dcfg = cfg;
           dcfg.detect_only = true;
-          const auto frontier_fast = run_campaign(c.net, c.input, c.faults, dcfg);
+          const auto frontier_fast = detail::run_campaign(c.net, c.input, c.faults, dcfg, kWalk);
           obs::set_telemetry_enabled(telemetry_before);
 
           EXPECT_TRUE(frontier.stats.frontier_active);
@@ -1408,7 +1407,7 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
           // every row in order: identical results.
           EngineConfig shed_cfg = cfg;
           shed_cfg.golden_cache_budget_bytes = frontier.stats.golden_cache_bytes - 1;
-          const auto shed = run_campaign(c.net, c.input, c.faults, shed_cfg);
+          const auto shed = detail::run_campaign(c.net, c.input, c.faults, shed_cfg, kWalk);
           EXPECT_TRUE(shed.stats.frontier_active);
           EXPECT_LT(shed.stats.golden_cache_bytes, frontier.stats.golden_cache_bytes);
           expect_results_identical(shed.results, naive);
@@ -1418,12 +1417,12 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
   }
 }
 
-TEST(Frontier, ForcedFallbackThresholdZeroStaysIdentical) {
-  // frontier_threshold = 0 forces every frame with a non-empty dirty set
-  // to recompute every neuron (the frame kernel on the conv and pool
-  // layers, which keep no golden sums) — the degenerate configuration exercises
-  // the fallback path on every architecture and must stay bit-identical
-  // (and actually count its fallbacks).
+TEST(Frontier, DirtyFractionFallbackStaysIdentical) {
+  // A frame whose dirty set holds more than kFrontierFallbackFraction of a
+  // layer's neurons recomputes every neuron (the frame kernel on the conv
+  // and pool layers, which keep no golden sums). The forced walk must take
+  // that fallback on both architectures, at widths 1 and 8, and stay
+  // bit-identical to the naive oracle, full and detect-only.
   struct Case {
     std::string name;
     snn::Network net;
@@ -1446,25 +1445,24 @@ TEST(Frontier, ForcedFallbackThresholdZeroStaysIdentical) {
   }
   for (auto& c : cases) {
     SCOPED_TRACE(c.name);
-    const auto base = run_campaign(c.net, c.input, c.faults, {});
+    const auto naive = test_support::naive_reference(c.net, c.input, c.faults);
+    const auto naive_detect =
+        test_support::naive_reference(c.net, c.input, c.faults, 0.0, /*detect_only=*/true);
     for (const size_t width : {size_t{1}, size_t{8}}) {
       SCOPED_TRACE("width=" + std::to_string(width));
       EngineConfig cfg;
-      cfg.frontier = true;
-      cfg.frontier_adaptive = false;
-      cfg.frontier_threshold = 0.0;
       cfg.lane_width = width;
-      const auto forced = run_campaign(c.net, c.input, c.faults, cfg);
+      const auto forced =
+          detail::run_campaign(c.net, c.input, c.faults, cfg, detail::Route::kFrontier);
       EXPECT_TRUE(forced.stats.frontier_active);
       EXPECT_GT(forced.stats.frontier_fallback_frames, 0u);
-      expect_results_identical(forced.results, base.results);
+      expect_results_identical(forced.results, naive);
 
-      // And a threshold >= 1 never falls back, with identical results too.
-      EngineConfig never_cfg = cfg;
-      never_cfg.frontier_threshold = 1.0;
-      const auto never = run_campaign(c.net, c.input, c.faults, never_cfg);
-      EXPECT_EQ(never.stats.frontier_fallback_frames, 0u);
-      expect_results_identical(never.results, base.results);
+      cfg.detect_only = true;
+      const auto fast =
+          detail::run_campaign(c.net, c.input, c.faults, cfg, detail::Route::kFrontier);
+      EXPECT_GT(fast.stats.frontier_fallback_frames, 0u);
+      expect_results_identical(fast.results, naive_detect);
     }
   }
 }
@@ -1484,7 +1482,7 @@ TEST(Frontier, BudgetExhaustionFailsSoftToPrefixOnly) {
 
   // Closed form of the synaptic frames, T*N*4 bytes per layer at which two
   // or more lane batches start, and of the golden sums, kept from the first
-  // lane-batch layer on (the adaptive frontier lets batches run); the budget
+  // lane-batch layer on (the frontier router lets batches run); the budget
   // sheds them together.
   size_t syn_bytes = 0;
   const auto batches = lane_batches_per_layer(faults, net.num_layers(), 8);
@@ -1560,6 +1558,7 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
     std::string name;
     EngineConfig cfg;
     bool state;
+    detail::Route route = detail::Route::kAuto;
   };
   std::vector<Run> runs;
   runs.push_back({"plain", {}, false});
@@ -1572,15 +1571,13 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
   EngineConfig fnarrow = narrow;
   fnarrow.frontier = true;
   runs.push_back({"frontier-w2", fnarrow, true});
-  EngineConfig forced = fnarrow;
-  forced.frontier_adaptive = false;
-  runs.push_back({"frontier-forced-w2", forced, true});
+  runs.push_back({"frontier-forced-w2", narrow, true, detail::Route::kFrontier});
 
   bool some_syn = false;
   bool some_sums = false;
   for (const Run& run : runs) {
     SCOPED_TRACE(run.name);
-    const auto result = run_campaign(net, input, faults, run.cfg);
+    const auto result = detail::run_campaign(net, input, faults, run.cfg, run.route);
     ASSERT_EQ(result.stats.golden_cache_layer_bytes.size(), net.num_layers());
     const auto batches = lane_batches_per_layer(faults, net.num_layers(), run.cfg.lane_width);
     size_t total = 0;
@@ -1618,23 +1615,22 @@ TEST(Frontier, ComposesWithResultCache) {
   const auto truth = run_campaign(net, input, faults, {});
 
   EngineConfig cache_cfg;
-  cache_cfg.frontier = true;
-  cache_cfg.frontier_adaptive = false;
   cache_cfg.result_cache = [&truth](size_t j, fault::DetectionResult& r) {
     if (j % 2 == 0) return false;
     r = truth.results[j];
     return true;
   };
-  const auto cached = run_campaign(net, input, faults, cache_cfg);
+  const auto cached =
+      detail::run_campaign(net, input, faults, cache_cfg, detail::Route::kFrontier);
   EXPECT_EQ(cached.stats.pairs_reused, faults.size() / 2);
   EXPECT_EQ(cached.stats.frontier_faults, cached.stats.faults_simulated);
   expect_results_identical(cached.results, truth.results);
 }
 
 TEST(Frontier, AdaptiveRoutingStaysIdenticalWhileDivertingHotLayers) {
-  // The default adaptive router probes each fault layer and keeps the
-  // frontier walk only where its recompute fraction says it wins; diverted
-  // batches run the dense/lane kernels. Either route is bit-identical, so
+  // The engine's router probes each fault layer and keeps the frontier walk
+  // only where its recompute fraction says it wins; diverted batches run
+  // the lane kernels. Either route is bit-identical, so
   // the campaign output must not change — only frontier_faults may shrink.
   struct Case {
     std::string name;
@@ -1662,7 +1658,7 @@ TEST(Frontier, AdaptiveRoutingStaysIdenticalWhileDivertingHotLayers) {
     for (const size_t width : {size_t{1}, size_t{8}}) {
       SCOPED_TRACE("width=" + std::to_string(width));
       EngineConfig cfg;
-      cfg.frontier = true;  // frontier_adaptive stays at its default (on)
+      cfg.frontier = true;
       cfg.lane_width = width;
       const auto adaptive = run_campaign(c.net, c.input, c.faults, cfg);
       EXPECT_TRUE(adaptive.stats.frontier_active);

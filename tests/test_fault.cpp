@@ -840,7 +840,7 @@ void expect_labels_identical(const ClassificationOutcome& got,
   }
 }
 
-TEST(Classifier, MatchesNaiveOracleAcrossNetsDecodingsThreadsAndModes) {
+TEST(Classifier, MatchesNaiveOracleAcrossNetsDecodingsAndThreads) {
   struct Case {
     std::string name;
     snn::Network net;
@@ -877,15 +877,11 @@ TEST(Classifier, MatchesNaiveOracleAcrossNetsDecodingsThreadsAndModes) {
       EXPECT_GT(oracle.critical_count(), 0u) << c.name;
       EXPECT_LT(oracle.critical_count(), c.faults.size()) << c.name;
       for (const size_t threads : {size_t{1}, size_t{4}}) {
-        for (const auto mode : {snn::KernelMode::kDense, snn::KernelMode::kAuto}) {
-          SCOPED_TRACE(c.name + " decoding=" + std::to_string(static_cast<int>(decoding)) +
-                       " threads=" + std::to_string(threads) +
-                       " mode=" + std::to_string(static_cast<int>(mode)));
-          ClassifierConfig cfg = base;
-          cfg.num_threads = threads;
-          cfg.kernel_mode = mode;
-          expect_labels_identical(classify_faults(c.net, c.faults, c.data, cfg), oracle);
-        }
+        SCOPED_TRACE(c.name + " decoding=" + std::to_string(static_cast<int>(decoding)) +
+                     " threads=" + std::to_string(threads));
+        ClassifierConfig cfg = base;
+        cfg.num_threads = threads;
+        expect_labels_identical(classify_faults(c.net, c.faults, c.data, cfg), oracle);
       }
     }
   }

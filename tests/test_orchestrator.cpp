@@ -195,36 +195,35 @@ TEST(ShardJobFile, RoundTripKeepsFrontierSettings) {
   auto net = make_net();
   ShardJob job = make_job(net, 4);
   job.engine.frontier = true;
-  job.engine.frontier_threshold = 0.3;
-  job.engine.frontier_adaptive = false;
   job.engine.golden_cache_budget_bytes = 123456;
   const std::string path = testing::TempDir() + "orchestrator_frontier_job.bin";
   save_job(job, path);
   const ShardJob loaded = load_job(path);
   EXPECT_TRUE(loaded.engine.frontier);
-  EXPECT_EQ(loaded.engine.frontier_threshold, 0.3);
-  EXPECT_FALSE(loaded.engine.frontier_adaptive);
   EXPECT_EQ(loaded.engine.golden_cache_budget_bytes, 123456u);
   std::remove(path.c_str());
 }
 
-TEST(ShardJobFile, Version3FileIsRejectedNamingTheVersion) {
-  // Version 3 job files lack the frontier settings; reading one as version
-  // 4 would misparse, so the magic check must refuse it by version.
+TEST(ShardJobFile, Version4FileIsRejectedNamingTheVersion) {
+  // Version 4 job files carry the grain and two frontier tuning fields that
+  // version 5 dropped; reading one as version 5 would misparse, so the
+  // magic check must refuse it, naming both versions.
   auto net = make_net();
-  const std::string path = testing::TempDir() + "orchestrator_v3_job.bin";
+  const std::string path = testing::TempDir() + "orchestrator_v4_job.bin";
   save_job(make_job(net, 4), path);
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    const uint32_t v3 = 3;
+    const uint32_t v4 = 4;
     f.seekp(4);  // u32 magic, then u32 version
-    f.write(reinterpret_cast<const char*>(&v3), sizeof(v3));
+    f.write(reinterpret_cast<const char*>(&v4), sizeof(v4));
   }
   try {
     load_job(path);
-    FAIL() << "load_job accepted a version 3 job file";
+    FAIL() << "load_job accepted a version 4 job file";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos) << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("expects 5"), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }

@@ -153,10 +153,9 @@ TEST(TestGenerator, DeterministicForFixedSeed) {
   for (size_t i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]);
 }
 
-TEST(TestGenerator, BitIdenticalAcrossThreadsAndKernelModes) {
+TEST(TestGenerator, BitIdenticalAcrossThreadCounts) {
   // The DESIGN.md §10 contract: for a fixed seed the assembled stimulus is
-  // byte-identical no matter how many threads run the restart fan-out and
-  // no matter which kernel mode computes the forward/backward passes.
+  // byte-identical no matter how many threads run the restart fan-out.
   auto net = make_net(8, 12, 4, 15);
   auto cfg = fast_config();
   cfg.seed = 4321;
@@ -167,33 +166,24 @@ TEST(TestGenerator, BitIdenticalAcrossThreadsAndKernelModes) {
 
   std::vector<float> reference;
   size_t reference_chunks = 0;
-  const size_t thread_counts[] = {1, 2, 8};
-  const snn::KernelMode modes[] = {snn::KernelMode::kDense, snn::KernelMode::kSparse,
-                                   snn::KernelMode::kAuto};
-  for (size_t threads : thread_counts) {
-    for (snn::KernelMode mode : modes) {
-      auto run_cfg = cfg;
-      run_cfg.num_threads = threads;
-      run_cfg.kernel_mode = mode;
-      TestGenerator generator(net, run_cfg);
-      const auto report = generator.generate();
-      const auto stimulus = report.stimulus.assemble();
-      if (reference.empty()) {
-        reference.assign(stimulus.data(), stimulus.data() + stimulus.numel());
-        reference_chunks = report.stimulus.num_chunks();
-        ASSERT_FALSE(reference.empty());
-        continue;
-      }
-      ASSERT_EQ(report.stimulus.num_chunks(), reference_chunks)
-          << "threads=" << threads << " mode=" << snn::kernel_mode_name(mode);
-      ASSERT_EQ(stimulus.numel(), reference.size())
-          << "threads=" << threads << " mode=" << snn::kernel_mode_name(mode);
-      // byte-identical, not just numerically close
-      ASSERT_EQ(std::memcmp(stimulus.data(), reference.data(),
-                            reference.size() * sizeof(float)),
-                0)
-          << "threads=" << threads << " mode=" << snn::kernel_mode_name(mode);
+  for (const size_t threads : {1, 2, 8}) {
+    auto run_cfg = cfg;
+    run_cfg.num_threads = threads;
+    TestGenerator generator(net, run_cfg);
+    const auto report = generator.generate();
+    const auto stimulus = report.stimulus.assemble();
+    if (reference.empty()) {
+      reference.assign(stimulus.data(), stimulus.data() + stimulus.numel());
+      reference_chunks = report.stimulus.num_chunks();
+      ASSERT_FALSE(reference.empty());
+      continue;
     }
+    ASSERT_EQ(report.stimulus.num_chunks(), reference_chunks) << "threads=" << threads;
+    ASSERT_EQ(stimulus.numel(), reference.size()) << "threads=" << threads;
+    // byte-identical, not just numerically close
+    ASSERT_EQ(std::memcmp(stimulus.data(), reference.data(), reference.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
   }
 }
 
