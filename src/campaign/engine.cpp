@@ -253,7 +253,7 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
   // dense equivalent over the probe batches; once a layer's observed
   // recompute fraction reaches the cutoff, its later batches run the lane
   // kernels instead (bit-identical, just cheaper there). Route::kFrontier
-  // skips the router.
+  // skips the router and walks every item.
   const bool adaptive = route == Route::kAuto;
   struct FrontierLayerPolicy {
     std::atomic<size_t> batches{0};

@@ -99,9 +99,9 @@ struct FrontierSimContext {
 /// the same layer — with the divergence-frontier walk, writing
 /// `results[batch[i]]`. Requires config.prefix_reuse and golden state
 /// traces (cache.has_state_traces); the engine checks both before routing
-/// here. `net` is the fault-free
-/// reference network and is never mutated, so workers share the caller's
-/// instance; `stats` must come from compute_weight_stats on it.
+/// here. `net` is the fault-free reference network and is never mutated,
+/// so workers share the caller's instance; `stats` must come from
+/// compute_weight_stats on it.
 void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stimulus,
                              const GoldenCache& cache, const EngineConfig& config,
                              const std::vector<fault::LayerWeightStats>& stats,

@@ -51,7 +51,7 @@ inline bool sparse_frame_wins(size_t num_active, size_t frame_size) {
   return num_active * 4 <= frame_size;
 }
 
-/// Display names for KernelMode (test traces and logs).
+/// Display names for KernelMode (test failure messages).
 inline const char* kernel_mode_name(KernelMode mode) {
   switch (mode) {
     case KernelMode::kDense: return "dense";

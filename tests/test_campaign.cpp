@@ -1318,9 +1318,9 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
   // The frontier walk recomputes only the fault-effect cone; every
   // configuration must reproduce the naive oracle's DetectionResults
   // bit-for-bit, and the frontier-off engine's pruning: three
-  // architectures (dense MLP, conv+pool with conv-connection faults,
-  // recurrent with lateral V faults) x lane widths {1, 2, 8} x kernel modes
-  // x full/detect-only x telemetry on/off.
+  // architectures (dense MLP, conv+pool with conv-connection and kernel-tap
+  // faults, recurrent with lateral V faults) x lane widths {1, 2, 8} x
+  // kernel modes x full/detect-only x telemetry on/off.
   struct Case {
     std::string name;
     snn::Network net;
@@ -1339,6 +1339,14 @@ TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
     util::Rng rng(173);
     auto input = snn::random_spike_train(12, net.input_size(), 0.12, rng);
     auto faults = all_kinds_universe(net, 48, 174, /*conv_connections=*/true);
+    // Stored kernel-tap faults as well: with connection granularity the
+    // conv layer's dead and saturated faults are per connection, so the
+    // sample above holds no tap, whose seeds are its channel's pixels.
+    for (const auto& f : all_kinds_universe(net, 48, 177)) {
+      if (!f.targets_neuron() && net.layer(fault_layer(f)).kind() == snn::LayerKind::kConv2d) {
+        faults.push_back(f);
+      }
+    }
     cases.push_back({"conv-pool-dense", std::move(net), std::move(input), std::move(faults)});
   }
   {
@@ -1630,8 +1638,8 @@ TEST(Frontier, ComposesWithResultCache) {
 TEST(Frontier, AdaptiveRoutingStaysIdenticalWhileDivertingHotLayers) {
   // The engine's router probes each fault layer and keeps the frontier walk
   // only where its recompute fraction says it wins; diverted batches run
-  // the lane kernels. Either route is bit-identical, so
-  // the campaign output must not change — only frontier_faults may shrink.
+  // the lane kernels. Either route is bit-identical, so the campaign output
+  // must not change — only frontier_faults may shrink.
   struct Case {
     std::string name;
     snn::Network net;
