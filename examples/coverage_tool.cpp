@@ -263,11 +263,11 @@ int cmd_build(int argc, char** argv) {
                    std::to_string(out.campaign.detected_count()),
                    std::to_string(out.coverage.pairs_reused),
                    std::to_string(out.coverage.pairs_recorded)});
-    dict.save_atomic(dict_path);  // commit: a rerun resumes after this stimulus
+    dict.save(dict_path);  // commit: a rerun resumes after this stimulus
   }
   std::printf("%s\n", table.render().c_str());
 
-  if (sources.empty()) dict.save_atomic(dict_path);
+  if (sources.empty()) dict.save(dict_path);
   std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%llu faults detectable"
               " (%zu pairs reused, %zu simulated this run)\n",
               dict_path.c_str(), dict.num_stimuli(), dict.num_records(), dict.detectable_count(),
@@ -488,7 +488,7 @@ int cmd_orchestrate(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  dict.save_atomic(dict_path);
+  dict.save(dict_path);
   std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%llu faults detectable\n",
               dict_path.c_str(), dict.num_stimuli(), dict.num_records(), dict.detectable_count(),
               static_cast<unsigned long long>(dict.num_faults));

@@ -8,7 +8,7 @@
 // With --dict it also runs a detection campaign backed by a fault
 // dictionary (coverage/incremental.hpp), demonstrating kill/resume
 // end-to-end: every finished pair is recorded, and the dictionary is
-// committed with save_atomic when the run ends.
+// committed (atomically) with save when the run ends.
 //
 //   # start a campaign and "kill" it after 150 simulated faults
 //   fault_injection_demo --dict /tmp/demo.snfd --interrupt-after 150
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   coverage::IncrementalResult run;
   try {
     run = coverage::run_incremental_campaign(net, sample.input, faults, dict, cfg);
-    dict.save_atomic(dict_path);
+    dict.save(dict_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

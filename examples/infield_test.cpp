@@ -101,7 +101,7 @@ int run_schedule_mode(const util::CliParser& cli, snn::Network& net) {
     const auto& entry = dict.stimulus(step.stimulus);
     if (!entry.has_data()) {
       std::fprintf(stderr, "error: stimulus %s has no embedded spike train; rebuild the\n"
-                           "dictionary with store_stimulus_data (coverage_tool build default)\n",
+                           "dictionary with coverage_tool build\n",
                    entry.name.c_str());
       return 1;
     }

@@ -23,6 +23,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Supervision loop cadence, and the backoff before retry r (1-based):
+// base x 2^(r-1), capped.
+constexpr double kPollIntervalSeconds = 0.02;
+constexpr double kRetryBackoffSeconds = 0.1;
+constexpr double kRetryBackoffCapSeconds = 2.0;
+
 void ensure_directory(const std::string& path) {
   std::string prefix;
   prefix.reserve(path.size());
@@ -117,7 +123,8 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
   for (size_t i = 0; i < num_shards; ++i) {
     shards[i].outcome.shard_index = i;
     const ShardPaths paths = shard_paths(config.work_dir, i);
-    if (config.reuse_completed_shards && shard_committed(paths, expected)) {
+    // Shards committed by an earlier run of the same job are not rerun.
+    if (shard_committed(paths, expected)) {
       shards[i].phase = ShardState::Phase::kDone;
       shards[i].outcome.completed = true;
       shards[i].outcome.reused_existing = true;
@@ -129,10 +136,10 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
     }
   }
 
-  const auto backoff = [&config](size_t retry_number) {
-    double s = config.retry_backoff_seconds;
+  const auto backoff = [](size_t retry_number) {
+    double s = kRetryBackoffSeconds;
     for (size_t i = 1; i < retry_number; ++i) s *= 2.0;
-    if (s > config.retry_backoff_cap_seconds) s = config.retry_backoff_cap_seconds;
+    if (s > kRetryBackoffCapSeconds) s = kRetryBackoffCapSeconds;
     return std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(s));
   };
 
@@ -226,7 +233,7 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
       }
     }
     if (incomplete > 0 && !abandoned) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(config.poll_interval_seconds));
+      std::this_thread::sleep_for(std::chrono::duration<double>(kPollIntervalSeconds));
     }
   }
 

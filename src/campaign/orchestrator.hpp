@@ -27,11 +27,12 @@
 //  * exit — success requires exit code 0 AND a loadable, compatible
 //    shard_<i>.snfd (the file only ever appears via atomic rename, so
 //    presence implies completeness). Anything else is a failed attempt.
-//  * retry — failed attempts relaunch after retry_backoff_seconds
-//    × 2^(attempt-1), capped; more than max_retries failures abandons the
-//    campaign (remaining workers are killed, completed=false).
-//  * resume — when reuse_completed_shards is set, shards whose final file
-//    already exists and matches the job are not launched at all.
+//  * retry — failed attempts relaunch after 0.1 s × 2^(attempt-1), capped
+//    at 2 s; more than max_retries failures abandons the campaign
+//    (remaining workers are killed, completed=false).
+//  * resume — shards whose final file already exists and matches the job
+//    are not launched at all, so re-running an interrupted campaign only
+//    runs the missing shards.
 #pragma once
 
 #include <cstddef>
@@ -68,15 +69,8 @@ struct OrchestratorConfig {
   /// worker must flush at least once per timeout: start-up plus
   /// flush_every × the slowest per-fault time has to fit.
   double heartbeat_timeout_seconds = 60.0;
-  double poll_interval_seconds = 0.02;
-  /// Backoff before retry r (1-based): base × 2^(r-1), capped.
-  double retry_backoff_seconds = 0.1;
-  double retry_backoff_cap_seconds = 2.0;
   /// Worker partial-snapshot cadence (ShardWorkerOptions::flush_every).
   size_t flush_every = 16;
-  /// Skip shards whose final file already exists and matches the job —
-  /// re-running an interrupted campaign only runs the missing shards.
-  bool reuse_completed_shards = true;
   /// Build the argv for one worker attempt. Required. The default CLI
   /// wiring re-execs the current binary (default_worker_command); tests
   /// inject chaos flags for attempt 0 here.

@@ -1,6 +1,5 @@
 #include "campaign/shard.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,49 +12,37 @@ namespace {
 
 constexpr uint32_t kJobMagic = 0x424A4E53;  // "SNJB"
 // job.bin is rewritten by every run_sharded_campaign, so only the current
-// version needs a reader. Version 5 dropped the grain and the two frontier
-// tuning fields that version 4 carried.
-constexpr uint32_t kJobVersion = 5;
+// version needs a reader. Version 6 moved the body into one CRC-guarded
+// frame, bit-packs the stimulus and drops store_stimulus_data.
+constexpr uint32_t kJobVersion = 6;
 
-/// Read a u32 enum field, rejecting values past `max` instead of letting a
-/// static_cast wrap them into some other valid enumerator.
-uint32_t read_enum(std::istream& is, uint32_t max, const char* field) {
-  const uint32_t v = util::read_u32(is);
-  if (v > max) {
-    throw std::runtime_error(std::string("load_job: ") + field + " " + std::to_string(v) +
-                             " out of range (max " + std::to_string(max) + ")");
-  }
-  return v;
+void write_fault(util::Writer& w, const fault::FaultDescriptor& f) {
+  w.u32(static_cast<uint32_t>(f.kind));
+  w.u64(f.neuron.layer);
+  w.u64(f.neuron.index);
+  w.u64(f.weight.layer);
+  w.u64(f.weight.param);
+  w.u64(f.weight.index);
+  w.u32(f.connection_granularity ? 1u : 0u);
+  w.u64(f.connection.layer);
+  w.u64(f.connection.out_index);
+  w.u64(f.connection.in_index);
+  w.f32(f.magnitude);
 }
 
-void write_fault(std::ostream& os, const fault::FaultDescriptor& f) {
-  util::write_u32(os, static_cast<uint32_t>(f.kind));
-  util::write_u64(os, f.neuron.layer);
-  util::write_u64(os, f.neuron.index);
-  util::write_u64(os, f.weight.layer);
-  util::write_u64(os, f.weight.param);
-  util::write_u64(os, f.weight.index);
-  util::write_u32(os, f.connection_granularity ? 1u : 0u);
-  util::write_u64(os, f.connection.layer);
-  util::write_u64(os, f.connection.out_index);
-  util::write_u64(os, f.connection.in_index);
-  util::write_f32(os, f.magnitude);
-}
-
-fault::FaultDescriptor read_fault(std::istream& is) {
+fault::FaultDescriptor read_fault(util::Reader& r) {
   fault::FaultDescriptor f;
-  f.kind = static_cast<fault::FaultKind>(
-      read_enum(is, static_cast<uint32_t>(fault::FaultKind::kSynapseBitFlip), "fault kind"));
-  f.neuron.layer = util::read_u64(is);
-  f.neuron.index = util::read_u64(is);
-  f.weight.layer = util::read_u64(is);
-  f.weight.param = util::read_u64(is);
-  f.weight.index = util::read_u64(is);
-  f.connection_granularity = util::read_u32(is) != 0;
-  f.connection.layer = util::read_u64(is);
-  f.connection.out_index = util::read_u64(is);
-  f.connection.in_index = util::read_u64(is);
-  f.magnitude = util::read_f32(is);
+  f.kind = r.enumerator(fault::FaultKind::kSynapseBitFlip, "fault kind");
+  f.neuron.layer = r.u64();
+  f.neuron.index = r.u64();
+  f.weight.layer = r.u64();
+  f.weight.param = r.u64();
+  f.weight.index = r.u64();
+  f.connection_granularity = r.u32() != 0;
+  f.connection.layer = r.u64();
+  f.connection.out_index = r.u64();
+  f.connection.in_index = r.u64();
+  f.magnitude = r.f32();
   return f;
 }
 
@@ -86,66 +73,59 @@ ShardPaths shard_paths(const std::string& work_dir, size_t shard_index) {
 }
 
 void save_job(const ShardJob& job, const std::string& path) {
-  std::ostringstream os;
-  util::write_magic(os, kJobMagic, kJobVersion);
-  snn::save_network(job.net, os);
-
   if (job.stimulus.shape().rank() != 2) {
     throw std::runtime_error("save_job: stimulus must be a [T, C] spike train");
   }
-  util::write_u64(os, job.stimulus.shape().dim(0));
-  util::write_u64(os, job.stimulus.shape().dim(1));
-  std::vector<float> data(job.stimulus.data(), job.stimulus.data() + job.stimulus.numel());
-  util::write_f32_vector(os, data);
-  util::write_string(os, job.stimulus_name);
-  util::write_u32(os, job.store_stimulus_data ? 1u : 0u);
+  util::Writer w;
+  w.bytes(snn::serialize_network(job.net));
+  w.u64(job.stimulus.shape().dim(0));
+  w.u64(job.stimulus.shape().dim(1));
+  w.bytes(util::pack_bits(job.stimulus.data(), job.stimulus.numel()));
+  w.bytes(job.stimulus_name);
 
-  util::write_u64(os, job.faults.size());
-  for (const auto& f : job.faults) write_fault(os, f);
+  w.u64(job.faults.size());
+  for (const auto& f : job.faults) write_fault(w, f);
 
-  util::write_u64(os, job.engine.num_threads);
-  util::write_u64(os, job.engine.lane_width);
-  util::write_f64(os, job.engine.detection_threshold);
-  util::write_u32(os, job.engine.prefix_reuse ? 1u : 0u);
-  util::write_u32(os, job.engine.convergence_pruning ? 1u : 0u);
-  util::write_u32(os, job.engine.detect_only ? 1u : 0u);
-  util::write_u32(os, static_cast<uint32_t>(job.engine.kernel_mode));
-  util::write_u32(os, job.engine.frontier ? 1u : 0u);
-  util::write_u64(os, job.engine.golden_cache_budget_bytes);
-  util::atomic_write_file(path, os.str());
+  w.u64(job.engine.num_threads);
+  w.u64(job.engine.lane_width);
+  w.f64(job.engine.detection_threshold);
+  w.u32(job.engine.prefix_reuse ? 1u : 0u);
+  w.u32(job.engine.convergence_pruning ? 1u : 0u);
+  w.u32(job.engine.detect_only ? 1u : 0u);
+  w.u32(static_cast<uint32_t>(job.engine.kernel_mode));
+  w.u32(job.engine.frontier ? 1u : 0u);
+  w.u64(job.engine.golden_cache_budget_bytes);
+  util::atomic_write_file(path, util::frame_file(kJobMagic, kJobVersion, w.str()));
 }
 
 ShardJob load_job(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_job: cannot open " + path);
-  util::check_magic(is, kJobMagic, kJobVersion);
+  const std::string file = util::read_file(path);
+  util::Reader r = util::open_frame_file(file, kJobMagic, kJobVersion, path);
 
   ShardJob job;
-  job.net = snn::load_network(is);
+  job.net = snn::deserialize_network(r.bytes(), path);
 
-  const uint64_t T = util::read_u64(is);
-  const uint64_t C = util::read_u64(is);
-  const std::vector<float> data = util::read_f32_vector(is);
-  if (data.size() != T * C) throw std::runtime_error("load_job: stimulus size mismatch");
-  job.stimulus.resize_zero(tensor::Shape{static_cast<size_t>(T), static_cast<size_t>(C)});
-  std::copy(data.begin(), data.end(), job.stimulus.data());
-  job.stimulus_name = util::read_string(is);
-  job.store_stimulus_data = util::read_u32(is) != 0;
+  const uint64_t T = r.u64();
+  const uint64_t C = r.u64();
+  const std::string_view packed = r.packed_bits(T, C);
+  job.stimulus.resize_zero(tensor::Shape{T, C});
+  util::unpack_bits(packed, job.stimulus.data(), job.stimulus.numel());
+  job.stimulus_name = r.string();
 
-  const uint64_t num_faults = util::read_u64(is);
-  job.faults.reserve(num_faults);
-  for (uint64_t i = 0; i < num_faults; ++i) job.faults.push_back(read_fault(is));
+  // No reserve: a count no file could hold fails at the first missing fault.
+  const uint64_t num_faults = r.u64();
+  for (uint64_t i = 0; i < num_faults; ++i) job.faults.push_back(read_fault(r));
 
-  job.engine.num_threads = util::read_u64(is);
-  job.engine.lane_width = util::read_u64(is);
-  job.engine.detection_threshold = util::read_f64(is);
-  job.engine.prefix_reuse = util::read_u32(is) != 0;
-  job.engine.convergence_pruning = util::read_u32(is) != 0;
-  job.engine.detect_only = util::read_u32(is) != 0;
-  job.engine.kernel_mode = static_cast<snn::KernelMode>(
-      read_enum(is, static_cast<uint32_t>(snn::KernelMode::kAuto), "kernel mode"));
-  job.engine.frontier = util::read_u32(is) != 0;
-  job.engine.golden_cache_budget_bytes = util::read_u64(is);
+  job.engine.num_threads = r.u64();
+  job.engine.lane_width = r.u64();
+  job.engine.detection_threshold = r.f64();
+  job.engine.prefix_reuse = r.u32() != 0;
+  job.engine.convergence_pruning = r.u32() != 0;
+  job.engine.detect_only = r.u32() != 0;
+  job.engine.kernel_mode = r.enumerator(snn::KernelMode::kAuto, "kernel mode");
+  job.engine.frontier = r.u32() != 0;
+  job.engine.golden_cache_budget_bytes = r.u64();
+  r.expect_end();
   return job;
 }
 
@@ -160,8 +140,12 @@ std::string serialize_worker_stats(const ShardWorkerStats& stats) {
 }
 
 bool load_worker_stats(const std::string& path, ShardWorkerStats* stats) {
-  std::ifstream in(path);
-  if (!in) return false;
+  std::istringstream in;
+  try {
+    in.str(util::read_file(path));
+  } catch (const std::runtime_error&) {
+    return false;
+  }
   std::string key;
   while (in >> key) {
     if (key == "shard_index") {

@@ -64,14 +64,15 @@ struct ShardJob {
   EngineConfig engine;  // function hooks are NOT serialized; every other
                         // field is
   std::string stimulus_name;
-  bool store_stimulus_data = true;
 };
 
-/// Serialize / load a job file. save_job commits via atomic rename so a
-/// worker can never observe a half-written job. load_job throws
-/// std::runtime_error on a missing or malformed file, including a job file
-/// of another format version or an out-of-range fault kind or kernel mode
-/// (the message names the version or the field).
+/// Serialize / load a job file (SNJB: magic | version | frame(body), the
+/// stimulus bit-packed). save_job commits via atomic rename so a worker can
+/// never observe a half-written job, and throws std::invalid_argument when
+/// the stimulus holds a value other than 0 or 1. load_job throws
+/// std::runtime_error naming the path and the cause on a missing,
+/// corrupted or malformed file, including a job file of another format
+/// version or an out-of-range fault kind or kernel mode.
 void save_job(const ShardJob& job, const std::string& path);
 ShardJob load_job(const std::string& path);
 

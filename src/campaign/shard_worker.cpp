@@ -60,7 +60,7 @@ int run_shard_worker(const ShardWorkerOptions& options) {
   const size_t stim = [&] {
     if (auto existing = dict.find_stimulus(entry.fingerprint)) return *existing;
     entry.name = job.stimulus_name;
-    if (job.store_stimulus_data) entry.data = job.stimulus;
+    entry.data = job.stimulus;
     return dict.add_stimulus(std::move(entry));
   }();
 
@@ -85,7 +85,7 @@ int run_shard_worker(const ShardWorkerOptions& options) {
       for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
     }
     if (++pending >= options.flush_every) {
-      dict.save_atomic(paths.partial);
+      dict.save(paths.partial);
       pending = 0;
     }
   };
@@ -98,7 +98,7 @@ int run_shard_worker(const ShardWorkerOptions& options) {
 
   // Commit: final file appears atomically; the partial snapshot is now
   // redundant (best-effort removal — a leftover is ignored by both sides).
-  dict.save_atomic(paths.final);
+  dict.save(paths.final);
   std::remove(paths.partial.c_str());
 
   ShardWorkerStats stats;

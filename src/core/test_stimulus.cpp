@@ -1,15 +1,16 @@
 #include "core/test_stimulus.hpp"
 
-#include <fstream>
 #include <stdexcept>
 
 #include "snn/spike_train.hpp"
 #include "util/serialize.hpp"
+#include "util/subprocess.hpp"
 
 namespace snntest::core {
 namespace {
 constexpr uint32_t kMagic = 0x53544D53;  // "STMS"
-constexpr uint32_t kVersion = 1;
+// Version 2 moved the version-1 body into one CRC-guarded frame.
+constexpr uint32_t kVersion = 2;
 }  // namespace
 
 void TestStimulus::add_chunk(Tensor chunk) {
@@ -76,53 +77,39 @@ double TestStimulus::spike_density() const {
   return cells == 0 ? 0.0 : static_cast<double>(ones) / static_cast<double>(cells);
 }
 
-void TestStimulus::save(std::ostream& os) const {
-  util::write_magic(os, kMagic, kVersion);
-  util::write_u64(os, num_channels_);
-  util::write_u32(os, static_cast<uint32_t>(chunks_.size()));
+std::string TestStimulus::serialize() const {
+  util::Writer w;
+  w.u64(num_channels_);
+  w.u32(static_cast<uint32_t>(chunks_.size()));
   for (const auto& c : chunks_) {
-    util::write_u64(os, c.shape().dim(0));
-    // bit-pack the binary chunk (the on-chip storage format)
-    const size_t bits = c.numel();
-    std::vector<uint8_t> packed((bits + 7) / 8, 0);
-    for (size_t i = 0; i < bits; ++i) {
-      if (c[i] > 0.5f) packed[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-    }
-    util::write_u8_vector(os, packed);
+    w.u64(c.shape().dim(0));
+    w.bytes(util::pack_bits(c.data(), c.numel()));
   }
+  return util::frame_file(kMagic, kVersion, w.str());
 }
 
 void TestStimulus::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("TestStimulus::save: cannot open " + path);
-  save(os);
+  util::atomic_write_file(path, serialize());
 }
 
-TestStimulus TestStimulus::load(std::istream& is) {
-  util::check_magic(is, kMagic, kVersion);
+TestStimulus TestStimulus::deserialize(std::string_view bytes, const std::string& source) {
+  util::Reader r = util::open_frame_file(bytes, kMagic, kVersion, source);
   TestStimulus stimulus;
-  stimulus.num_channels_ = util::read_u64(is);
-  const uint32_t count = util::read_u32(is);
+  stimulus.num_channels_ = r.u64();
+  const uint32_t count = r.u32();
   for (uint32_t j = 0; j < count; ++j) {
-    const size_t steps = util::read_u64(is);
-    const auto packed = util::read_u8_vector(is);
+    const uint64_t steps = r.u64();
+    const std::string_view packed = r.packed_bits(steps, stimulus.num_channels_);
     Tensor chunk(Shape{steps, stimulus.num_channels_});
-    const size_t bits = chunk.numel();
-    if (packed.size() != (bits + 7) / 8) {
-      throw std::runtime_error("TestStimulus::load: packed size mismatch");
-    }
-    for (size_t i = 0; i < bits; ++i) {
-      chunk[i] = (packed[i / 8] >> (i % 8)) & 1u ? 1.0f : 0.0f;
-    }
+    util::unpack_bits(packed, chunk.data(), chunk.numel());
     stimulus.chunks_.push_back(std::move(chunk));
   }
+  r.expect_end();
   return stimulus;
 }
 
 TestStimulus TestStimulus::load(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("TestStimulus::load: cannot open " + path);
-  return load(is);
+  return deserialize(util::read_file(path), path);
 }
 
 }  // namespace snntest::core

@@ -6,11 +6,11 @@
 //   I = { I^1, 0^1, I^2, 0^2, ..., 0^{d-1}, I^d }
 //   T_test = sum_{j<d} 2*T^j + T^d.
 // The stimulus is small enough to live in on-chip memory for in-field
-// testing, so it serializes to a compact run-length packed binary format.
+// testing, so it serializes to a compact bit-packed binary format (STMS).
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -56,9 +56,12 @@ class TestStimulus {
   double spike_density() const;
 
   // --- persistence (on-chip test storage / in-field reuse) ---
-  void save(std::ostream& os) const;
+  /// The STMS image, chunks bit-packed (throws std::invalid_argument on a
+  /// value other than 0 or 1); save writes it atomically.
+  std::string serialize() const;
   void save(const std::string& path) const;
-  static TestStimulus load(std::istream& is);
+  /// Throws std::runtime_error naming `source` (or the path) and the cause.
+  static TestStimulus deserialize(std::string_view bytes, const std::string& source = "STMS");
   static TestStimulus load(const std::string& path);
 
  private:

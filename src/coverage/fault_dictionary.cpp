@@ -1,13 +1,10 @@
 #include "coverage/fault_dictionary.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
 #include "util/subprocess.hpp"
@@ -15,97 +12,35 @@
 namespace snntest::coverage {
 namespace {
 
-/// Upper bounds that make a corrupted length field fail fast instead of
-/// driving a gigabyte allocation: no real stimulus table or record comes
-/// anywhere near these.
-constexpr uint64_t kMaxBlockBytes = 1ull << 30;
-constexpr uint32_t kMaxRecordBytes = 1u << 24;
-
-/// A length-prefixed, CRC-guarded byte block: the header and the stimulus
-/// table both use this framing so a corrupted byte anywhere in them is
-/// detected before any field is trusted.
-void write_block(std::ostream& os, const std::string& blob) {
-  util::write_u64(os, blob.size());
-  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  util::write_u32(os, util::crc32(blob.data(), blob.size()));
+void write_record(util::Writer& out, size_t stim, size_t fault, const fault::DetectionResult& r) {
+  util::Writer w;
+  w.u32(static_cast<uint32_t>(stim));
+  w.u64(fault);
+  w.u32(r.detected ? 1u : 0u);
+  w.u64(static_cast<uint64_t>(r.first_detection_frame));
+  w.f64(r.output_l1);
+  w.u32(static_cast<uint32_t>(r.class_count_diff.size()));
+  for (long d : r.class_count_diff) w.u64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  out.frame(w.str(), util::FrameLength::kU32);
 }
 
-/// Returns false on truncation, an insane length, or a CRC mismatch.
-bool read_block(std::istream& is, std::string* blob) {
-  uint64_t bytes = 0;
-  try {
-    bytes = util::read_u64(is);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (bytes > kMaxBlockBytes) return false;
-  blob->resize(bytes);
-  is.read(blob->data(), static_cast<std::streamsize>(bytes));
-  if (!is) return false;
-  uint32_t crc = 0;
-  try {
-    crc = util::read_u32(is);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return crc == util::crc32(blob->data(), blob->size());
-}
-
-/// Bit-pack a binary spike train (8 timestep-channel cells per byte,
-/// LSB-first). Spike values are exact 0.0f / 1.0f, so != 0.0f is the spike
-/// predicate and the round trip is lossless.
-std::vector<uint8_t> pack_train(const tensor::Tensor& data) {
-  const size_t n = data.numel();
-  std::vector<uint8_t> packed((n + 7) / 8, 0);
-  const float* p = data.data();
-  for (size_t i = 0; i < n; ++i) {
-    if (p[i] != 0.0f) packed[i >> 3] |= static_cast<uint8_t>(1u << (i & 7));
-  }
-  return packed;
-}
-
-tensor::Tensor unpack_train(const std::vector<uint8_t>& packed, size_t T, size_t C) {
-  tensor::Tensor data;
-  data.resize_zero(tensor::Shape{T, C});
-  float* p = data.data();
-  const size_t n = T * C;
-  for (size_t i = 0; i < n; ++i) {
-    if (packed[i >> 3] & (1u << (i & 7))) p[i] = 1.0f;
-  }
-  return data;
-}
-
-std::string serialize_record(size_t stim, size_t fault, const fault::DetectionResult& r) {
-  std::ostringstream os;
-  util::write_u32(os, static_cast<uint32_t>(stim));
-  util::write_u64(os, fault);
-  util::write_u32(os, r.detected ? 1u : 0u);
-  util::write_u64(os, static_cast<uint64_t>(r.first_detection_frame));
-  util::write_f64(os, r.output_l1);
-  util::write_u32(os, static_cast<uint32_t>(r.class_count_diff.size()));
-  for (long d : r.class_count_diff) {
-    util::write_u64(os, static_cast<uint64_t>(static_cast<int64_t>(d)));
-  }
-  return os.str();
-}
-
-/// Throws (via the util::read_* primitives) on a short or malformed payload.
-void parse_record(const std::string& payload, size_t* stim, size_t* fault,
-                  fault::DetectionResult* r) {
-  std::istringstream is(payload);
-  *stim = util::read_u32(is);
-  *fault = util::read_u64(is);
-  r->detected = util::read_u32(is) != 0;
-  r->first_detection_frame = static_cast<int64_t>(util::read_u64(is));
-  r->output_l1 = util::read_f64(is);
-  const uint32_t classes = util::read_u32(is);
-  if (classes > kMaxRecordBytes / sizeof(uint64_t)) {
-    throw std::runtime_error("fault_dictionary: implausible class count");
-  }
+/// Throws std::runtime_error on a short, malformed or out-of-range payload.
+void parse_record(std::string_view payload, size_t num_stimuli, size_t num_faults, size_t* stim,
+                  size_t* fault, fault::DetectionResult* r) {
+  util::Reader in(payload, "SNFD record");
+  *stim = in.u32();
+  *fault = in.u64();
+  if (*stim >= num_stimuli || *fault >= num_faults) in.fail("pair out of range");
+  r->detected = in.u32() != 0;
+  r->first_detection_frame = static_cast<int64_t>(in.u64());
+  r->output_l1 = in.f64();
+  const uint32_t classes = in.u32();
+  if (classes > in.remaining() / sizeof(uint64_t)) in.fail("class count exceeds the record");
   r->class_count_diff.resize(classes);
   for (uint32_t c = 0; c < classes; ++c) {
-    r->class_count_diff[c] = static_cast<long>(static_cast<int64_t>(util::read_u64(is)));
+    r->class_count_diff[c] = static_cast<long>(static_cast<int64_t>(in.u64()));
   }
+  in.expect_end();
 }
 
 }  // namespace
@@ -130,6 +65,10 @@ bool FaultDictionary::compatible_with(const FaultDictionary& other) const {
 
 size_t FaultDictionary::add_stimulus(StimulusEntry entry) {
   if (auto existing = find_stimulus(entry.fingerprint)) return *existing;
+  // Only spike trains can be embedded: pack_bits rejects anything else
+  // here, before the entry joins the table (replay would otherwise run a
+  // different train than the one fingerprinted).
+  if (entry.has_data()) util::pack_bits(entry.data.data(), entry.data.numel());
   stimuli_.push_back(std::move(entry));
   have_.emplace_back();
   results_.emplace_back();
@@ -203,176 +142,117 @@ size_t FaultDictionary::detectable_count() const {
 }
 
 std::string FaultDictionary::serialize() const {
-  std::ostringstream os;
-  write_to(os);
-  return os.str();
+  util::Writer header;
+  header.u64(model_fingerprint);
+  header.u64(universe_fingerprint);
+  header.u64(num_faults);
+  header.f64(detection_threshold);
+  header.u32(detect_only ? 1u : 0u);
+  header.u32(schedule_ordered ? 1u : 0u);
+
+  util::Writer table;
+  table.u64(stimuli_.size());
+  for (const StimulusEntry& e : stimuli_) {
+    table.bytes(e.name);
+    table.u64(e.fingerprint);
+    table.u64(e.duration_frames);
+    table.u64(e.has_data() ? e.data.shape().dim(0) : 0);
+    table.u64(e.has_data() ? e.data.shape().dim(1) : 0);
+    table.bytes(e.has_data() ? util::pack_bits(e.data.data(), e.data.numel()) : std::string());
+  }
+
+  util::Writer out;
+  out.header(kDictionaryMagic, kDictionaryVersion);
+  out.frame(header.str());
+  out.frame(table.str());
+  out.u64(num_records_);
+  for (size_t s = 0; s < have_.size(); ++s) {
+    for (size_t f = 0; f < have_[s].size(); ++f) {
+      if (have_[s][f]) write_record(out, s, f, results_[s][f]);
+    }
+  }
+  return out.take();
 }
 
 void FaultDictionary::save(const std::string& path) const {
   OBS_SPAN("coverage/dict_save");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("FaultDictionary::save: cannot open " + path);
-  write_to(out);
-  out.flush();
-  if (!out) throw std::runtime_error("FaultDictionary::save: write failed for " + path);
-}
-
-void FaultDictionary::save_atomic(const std::string& path) const {
-  OBS_SPAN("coverage/dict_save_atomic");
   util::atomic_write_file(path, serialize());
-}
-
-void FaultDictionary::write_to(std::ostream& out) const {
-  util::write_magic(out, kDictionaryMagic, kDictionaryVersion);
-
-  {
-    std::ostringstream hs;
-    util::write_u64(hs, model_fingerprint);
-    util::write_u64(hs, universe_fingerprint);
-    util::write_u64(hs, num_faults);
-    util::write_f64(hs, detection_threshold);
-    util::write_u32(hs, detect_only ? 1u : 0u);
-    util::write_u32(hs, schedule_ordered ? 1u : 0u);
-    write_block(out, hs.str());
-  }
-
-  {
-    std::ostringstream ss;
-    util::write_u64(ss, stimuli_.size());
-    for (const StimulusEntry& e : stimuli_) {
-      util::write_string(ss, e.name);
-      util::write_u64(ss, e.fingerprint);
-      util::write_u64(ss, e.duration_frames);
-      const size_t T = e.has_data() ? e.data.shape().dim(0) : 0;
-      const size_t C = e.has_data() ? e.data.shape().dim(1) : 0;
-      util::write_u64(ss, T);
-      util::write_u64(ss, C);
-      util::write_u8_vector(ss, e.has_data() ? pack_train(e.data) : std::vector<uint8_t>{});
-    }
-    write_block(out, ss.str());
-  }
-
-  util::write_u64(out, num_records_);
-  for (size_t s = 0; s < have_.size(); ++s) {
-    for (size_t f = 0; f < have_[s].size(); ++f) {
-      if (!have_[s][f]) continue;
-      const std::string payload = serialize_record(s, f, results_[s][f]);
-      util::write_u32(out, static_cast<uint32_t>(payload.size()));
-      out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-      util::write_u32(out, util::crc32(payload.data(), payload.size()));
-    }
-  }
 }
 
 std::optional<FaultDictionary> FaultDictionary::load(const std::string& path, LoadStats* stats) {
   OBS_SPAN("coverage/dict_load");
   LoadStats local;
   LoadStats& st = stats ? *stats : local;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
+  std::string file;
   try {
-    util::check_magic(in, kDictionaryMagic, kDictionaryVersion);
-  } catch (const std::exception&) {
+    file = util::read_file(path);
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+  util::Reader in(file, path);
+
+  // Magic, header and stimulus table: damage here has no partial answer.
+  FaultDictionary dict;
+  try {
+    in.expect_header(kDictionaryMagic, kDictionaryVersion);
+    util::Reader header(in.frame(), path);
+    dict.model_fingerprint = header.u64();
+    dict.universe_fingerprint = header.u64();
+    dict.num_faults = header.u64();
+    dict.detection_threshold = header.f64();
+    dict.detect_only = header.u32() != 0;
+    dict.schedule_ordered = header.u32() != 0;
+    header.expect_end();
+
+    util::Reader table(in.frame(), path);
+    const uint64_t num_stimuli = table.u64();
+    for (uint64_t s = 0; s < num_stimuli; ++s) {
+      StimulusEntry e;
+      e.name = table.string();
+      e.fingerprint = table.u64();
+      e.duration_frames = table.u64();
+      const uint64_t T = table.u64();
+      const uint64_t C = table.u64();
+      const std::string_view packed = table.packed_bits(T, C);
+      if (T * C > 0) {
+        e.data.resize_zero(tensor::Shape{T, C});
+        util::unpack_bits(packed, e.data.data(), e.data.numel());
+      }
+      dict.stimuli_.push_back(std::move(e));
+      dict.have_.emplace_back();
+      dict.results_.emplace_back();
+    }
+    table.expect_end();
+  } catch (const std::runtime_error& e) {
+    SNNTEST_LOG_WARN("fault dictionary unusable: %s", e.what());
     return std::nullopt;
   }
 
-  FaultDictionary dict;
-  {
-    std::string blob;
-    if (!read_block(in, &blob)) return std::nullopt;
-    try {
-      std::istringstream hs(blob);
-      dict.model_fingerprint = util::read_u64(hs);
-      dict.universe_fingerprint = util::read_u64(hs);
-      dict.num_faults = util::read_u64(hs);
-      dict.detection_threshold = util::read_f64(hs);
-      dict.detect_only = util::read_u32(hs) != 0;
-      dict.schedule_ordered = util::read_u32(hs) != 0;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
-
-  {
-    std::string blob;
-    if (!read_block(in, &blob)) return std::nullopt;
-    try {
-      std::istringstream ss(blob);
-      const uint64_t num_stimuli = util::read_u64(ss);
-      for (uint64_t s = 0; s < num_stimuli; ++s) {
-        StimulusEntry e;
-        e.name = util::read_string(ss);
-        e.fingerprint = util::read_u64(ss);
-        e.duration_frames = util::read_u64(ss);
-        const uint64_t T = util::read_u64(ss);
-        const uint64_t C = util::read_u64(ss);
-        const std::vector<uint8_t> packed = util::read_u8_vector(ss);
-        if (T * C > 0) {
-          if (packed.size() != (T * C + 7) / 8) {
-            throw std::runtime_error("fault_dictionary: stimulus bit-pack size mismatch");
-          }
-          e.data = unpack_train(packed, T, C);
-        }
-        dict.stimuli_.push_back(std::move(e));
-        dict.have_.emplace_back();
-        dict.results_.emplace_back();
-      }
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
-
-  uint64_t num_records = 0;
-  try {
-    num_records = util::read_u64(in);
-  } catch (const std::exception&) {
+  if (in.remaining() < sizeof(uint64_t)) {
     // Truncated immediately after the stimulus table: the record count is
     // gone, so nothing provably existed. The dictionary itself is usable.
     SNNTEST_LOG_WARN("fault dictionary %s: record section missing (truncated?)", path.c_str());
     return dict;
   }
+  const uint64_t num_records = in.u64();
   for (uint64_t i = 0; i < num_records; ++i) {
-    uint32_t payload_bytes = 0;
-    try {
-      payload_bytes = util::read_u32(in);
-    } catch (const std::exception&) {
-      st.records_skipped += num_records - i;  // truncated tail
-      break;
-    }
-    if (payload_bytes > kMaxRecordBytes) {
-      // A corrupted length field loses the framing; everything after it is
-      // unrecoverable.
+    std::string_view payload;
+    const auto status = in.try_frame(util::FrameLength::kU32, &payload);
+    if (status == util::Reader::FrameStatus::kTruncated) {
+      // A truncated tail or a corrupted length field: the framing is lost
+      // and every record from here on is unrecoverable.
       st.records_skipped += num_records - i;
       break;
     }
-    std::string payload(payload_bytes, '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-    uint32_t crc = 0;
-    bool tail_ok = static_cast<bool>(in);
-    if (tail_ok) {
-      try {
-        crc = util::read_u32(in);
-      } catch (const std::exception&) {
-        tail_ok = false;
-      }
-    }
-    if (!tail_ok) {
-      st.records_skipped += num_records - i;
-      break;
-    }
-    if (crc != util::crc32(payload.data(), payload.size())) {
+    if (status == util::Reader::FrameStatus::kBadCrc) {
       ++st.records_skipped;
       continue;
     }
     size_t stim = 0, fault = 0;
     fault::DetectionResult r;
     try {
-      parse_record(payload, &stim, &fault, &r);
-    } catch (const std::exception&) {
-      ++st.records_skipped;
-      continue;
-    }
-    if (stim >= dict.stimuli_.size() || fault >= dict.num_faults) {
+      parse_record(payload, dict.stimuli_.size(), dict.num_faults, &stim, &fault, &r);
+    } catch (const std::runtime_error&) {
       ++st.records_skipped;
       continue;
     }

@@ -17,12 +17,14 @@
 //    matrix with per-stimulus frame costs (coverage/minimize.hpp), the
 //    paper's minimum-time objective made executable.
 //
-// On-disk format (little-endian, DESIGN.md §13 has the byte layout):
+// On-disk format (little-endian; DESIGN.md "On-disk formats" has the frame
+// rule and §13 the byte layout). Version 1's bytes predate the shared
+// container (util/serialize.hpp) and are its frames unchanged:
 //
-//   magic 'SNFD' + format version                       (util::write_magic)
-//   header block   (u64 byte length, blob, CRC-32 of the blob)
-//   stimulus table (u64 byte length, blob, CRC-32 of the blob)
-//   u64 record count, then per record: u32 payload length, payload, CRC-32
+//   magic 'SNFD' + format version
+//   header block   = one frame (u64 byte length, blob, CRC-32 of the blob)
+//   stimulus table = one frame
+//   u64 record count, then per record one frame with a u32 length
 //
 // Every record carries its own CRC so corruption is contained: a flipped
 // byte invalidates one record (counted in LoadStats::records_skipped, the
@@ -34,12 +36,11 @@
 // via the header fields (coverage/incremental.hpp).
 //
 // The dictionary is also the one resume format: an incremental campaign
-// records each pair as it finishes, so a cancelled run saved with
-// save_atomic resumes from every pair it completed (DESIGN.md §8).
+// records each pair as it finishes, so a cancelled run saved with save()
+// (always atomic) resumes from every pair it completed (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,8 +54,8 @@ inline constexpr uint32_t kDictionaryMagic = 0x44464E53;  // "SNFD"
 inline constexpr uint32_t kDictionaryVersion = 1;
 
 /// One test stimulus the dictionary has results for. The spike train itself
-/// is embedded bit-packed (8 timestep-channel cells per byte) so a
-/// dictionary — and the minimized schedule derived from it — is
+/// is embedded bit-packed (util::pack_bits, 8 timestep-channel cells per
+/// byte) so a dictionary — and the minimized schedule derived from it — is
 /// self-contained: an in-field tester can replay the scheduled stimuli
 /// straight from the file.
 struct StimulusEntry {
@@ -86,7 +87,8 @@ class FaultDictionary {
   const StimulusEntry& stimulus(size_t s) const { return stimuli_.at(s); }
   /// Register a stimulus (or return the existing index when one with the
   /// same fingerprint is already present — the entry's name/data win only
-  /// on first insertion).
+  /// on first insertion). Throws std::invalid_argument, leaving the table
+  /// as it was, when a new entry's data holds a value other than 0 or 1.
   size_t add_stimulus(StimulusEntry entry);
   std::optional<size_t> find_stimulus(uint64_t fingerprint) const;
 
@@ -116,13 +118,13 @@ class FaultDictionary {
     size_t records_skipped = 0;
   };
 
-  /// Throws std::runtime_error when the file cannot be written.
+  /// Crash-safe save (util::atomic_write_file): serialize to a sibling temp
+  /// file, then rename(2) over `path`. A reader (or a worker restarted
+  /// after a kill) sees either the previous complete dictionary or the new
+  /// one, never a torn write. This is the commit step of the shard worker
+  /// protocol (DESIGN.md §15). Throws std::runtime_error when the file
+  /// cannot be written.
   void save(const std::string& path) const;
-  /// Crash-safe save: serialize to a sibling temp file, then rename(2) over
-  /// `path`. A reader (or a worker restarted after a kill) sees either the
-  /// previous complete dictionary or the new one, never a torn write. This
-  /// is the commit step of the shard worker protocol (DESIGN.md §15).
-  void save_atomic(const std::string& path) const;
   /// The exact bytes save() would write — lets callers byte-compare
   /// dictionaries (merge-identity tests) without touching the filesystem.
   std::string serialize() const;
@@ -150,8 +152,6 @@ class FaultDictionary {
   MergeStats merge(const FaultDictionary& other);
 
  private:
-  void write_to(std::ostream& out) const;
-
   std::vector<StimulusEntry> stimuli_;
   /// Dense per-stimulus rows, sized num_faults on first record.
   std::vector<std::vector<char>> have_;

@@ -9,8 +9,8 @@
 // A warm re-run of an identical campaign therefore performs zero fault
 // simulations and reproduces each DetectionResult bit-identically — the
 // dictionary stores the exact structs the engine emitted. A cancelled run
-// keeps every pair it finished, so saving the dictionary (save_atomic) and
-// rerunning resumes it: this is the library's one resume path.
+// keeps every pair it finished, so saving the dictionary (save, always
+// atomic) and rerunning resumes it: this is the library's one resume path.
 //
 // Identity checks: the dictionary is keyed by model (topology + trained
 // parameters), fault universe and detection settings. A mismatched
@@ -34,22 +34,10 @@ struct IncrementalConfig {
   /// the incremental wrapper owns that hook. A result_sink is chained: it
   /// still sees every freshly simulated pair, after the dictionary does.
   campaign::EngineConfig engine;
-  /// Label for a newly registered stimulus (default "stimulus<N>").
+  /// Label for a newly registered stimulus (default "stimulus<N>"). The
+  /// spike train itself is always embedded, so minimized schedules are
+  /// replayable from the file alone.
   std::string stimulus_name;
-  /// Embed the stimulus spike train in the dictionary so minimized
-  /// schedules are replayable from the file alone.
-  bool store_stimulus_data = true;
-  /// Record freshly simulated pairs into the dictionary as they finish.
-  bool record = true;
-  /// Optional per-fault drop mask (length = fault count; borrowed, must
-  /// outlive the call). Faults with a non-zero entry are skipped without
-  /// simulation — the schedule-replay shortcut for faults an earlier
-  /// stimulus already detected. A dropped pair gets a default-constructed
-  /// placeholder result, counts toward EngineStats::pairs_reused (it is
-  /// served through the same result-cache hook as a dictionary hit) and is
-  /// never recorded into the dictionary. A stored dictionary result wins
-  /// over dropping (real data beats a placeholder).
-  const std::vector<char>* drop_faults = nullptr;
 };
 
 struct IncrementalStats {
@@ -58,9 +46,6 @@ struct IncrementalStats {
   size_t stimulus_index = 0;
   size_t pairs_reused = 0;
   size_t pairs_recorded = 0;
-  /// Pairs skipped via IncrementalConfig::drop_faults (subset of
-  /// pairs_reused; their results are placeholders).
-  size_t pairs_dropped = 0;
   /// The dictionary did not match (model/universe/settings); the campaign
   /// ran cold and the dictionary was left untouched.
   bool dictionary_rejected = false;
@@ -90,7 +75,8 @@ bool dictionary_matches(const FaultDictionary& dict, const snn::Network& net,
 /// to a cold campaign::run_campaign with the same EngineConfig. Only
 /// simulated pairs are recorded: a cancelled (partial) campaign records
 /// every pair it finished and none of its default-constructed placeholders,
-/// and dictionary hits and drop_faults skips are never simulated.
+/// and dictionary hits are never simulated. Throws std::invalid_argument
+/// when a new stimulus holds a value other than 0 or 1.
 IncrementalResult run_incremental_campaign(const snn::Network& net,
                                            const tensor::Tensor& stimulus,
                                            const std::vector<fault::FaultDescriptor>& faults,
@@ -129,10 +115,10 @@ struct ScheduleReplayResult {
 
 /// Execute a minimized schedule (schedule_as_dictionary output, or any
 /// dictionary with embedded stimulus data) against a live network: replay
-/// the stimuli in file order, and at each step skip — via
-/// IncrementalConfig::drop_faults — every fault an earlier step already
-/// detected. This is the in-field test-execution loop: total simulated work
-/// shrinks monotonically as coverage accumulates. Throws
+/// the stimuli in file order, and at each step skip — through the engine's
+/// result_cache — every fault an earlier step already detected. This is the
+/// in-field test-execution loop: total simulated work shrinks monotonically
+/// as coverage accumulates. Throws
 /// std::invalid_argument when `schedule` does not match (net, faults,
 /// detection settings) or a scheduled stimulus has no embedded data.
 ScheduleReplayResult replay_schedule(const snn::Network& net, const FaultDictionary& schedule,

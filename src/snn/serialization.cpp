@@ -1,6 +1,6 @@
 #include "snn/serialization.hpp"
 
-#include <fstream>
+#include <cstring>
 #include <stdexcept>
 
 #include "snn/conv_layer.hpp"
@@ -8,165 +8,160 @@
 #include "snn/pool_layer.hpp"
 #include "snn/recurrent_layer.hpp"
 #include "util/serialize.hpp"
+#include "util/subprocess.hpp"
 
 namespace snntest::snn {
 namespace {
 
 constexpr uint32_t kMagic = 0x534E4E54;  // "SNNT"
-constexpr uint32_t kVersion = 2;
+// Version 3 moved the version-2 body into one CRC-guarded frame.
+constexpr uint32_t kVersion = 3;
 
-void write_lif_params(std::ostream& os, const LifParams& p) {
-  util::write_f32(os, p.threshold);
-  util::write_f32(os, p.leak);
-  util::write_u32(os, static_cast<uint32_t>(p.refractory));
-  util::write_f32(os, p.reset_potential);
+void write_param(util::Writer& w, Layer& layer, size_t param_index) {
+  const ParamView p = layer.params().at(param_index);
+  w.f32_array(p.value, p.size);
 }
 
-LifParams read_lif_params(std::istream& is) {
-  LifParams p;
-  p.threshold = util::read_f32(is);
-  p.leak = util::read_f32(is);
-  p.refractory = static_cast<int>(util::read_u32(is));
-  p.reset_potential = util::read_f32(is);
-  return p;
-}
-
-std::vector<float> copy_param(Layer& layer, size_t param_index) {
-  auto params = layer.params();
-  const ParamView& p = params.at(param_index);
-  return std::vector<float>(p.value, p.value + p.size);
-}
-
-void load_param(Layer& layer, size_t param_index, const std::vector<float>& data) {
-  auto params = layer.params();
-  ParamView& p = params.at(param_index);
-  if (p.size != data.size()) throw std::runtime_error("load_network: weight size mismatch");
-  std::copy(data.begin(), data.end(), p.value);
+void load_param(Layer& layer, size_t param_index, std::string_view data) {
+  const ParamView p = layer.params().at(param_index);
+  std::memcpy(p.value, data.data(), data.size());
 }
 
 }  // namespace
 
-void save_network(const Network& net, std::ostream& os) {
-  util::write_magic(os, kMagic, kVersion);
-  util::write_string(os, net.name());
-  util::write_u32(os, static_cast<uint32_t>(net.num_layers()));
+std::string serialize_network(const Network& net) {
+  util::Writer w;
+  w.bytes(net.name());
+  w.u32(static_cast<uint32_t>(net.num_layers()));
   for (size_t l = 0; l < net.num_layers(); ++l) {
     // Serialization reads weights through the non-const params() view.
     Layer& layer = const_cast<Network&>(net).layer(l);
-    util::write_u32(os, static_cast<uint32_t>(layer.kind()));
-    write_lif_params(os, layer.lif().defaults());
+    w.u32(static_cast<uint32_t>(layer.kind()));
+    const LifParams& lif = layer.lif().defaults();
+    w.f32(lif.threshold);
+    w.f32(lif.leak);
+    w.u32(static_cast<uint32_t>(lif.refractory));
+    w.f32(lif.reset_potential);
     const SurrogateConfig& sg = layer.surrogate();
-    util::write_u32(os, static_cast<uint32_t>(sg.kind));
-    util::write_f32(os, sg.alpha);
+    w.u32(static_cast<uint32_t>(sg.kind));
+    w.f32(sg.alpha);
     switch (layer.kind()) {
       case LayerKind::kDense: {
-        util::write_u64(os, layer.num_inputs());
-        util::write_u64(os, layer.num_neurons());
-        util::write_f32_vector(os, copy_param(layer, 0));
+        w.u64(layer.num_inputs());
+        w.u64(layer.num_neurons());
+        write_param(w, layer, 0);
         break;
       }
       case LayerKind::kConv2d: {
         const auto& spec = static_cast<ConvLayer&>(layer).spec();
-        util::write_u64(os, spec.in_channels);
-        util::write_u64(os, spec.in_height);
-        util::write_u64(os, spec.in_width);
-        util::write_u64(os, spec.out_channels);
-        util::write_u64(os, spec.kernel);
-        util::write_u64(os, spec.stride);
-        util::write_u64(os, spec.padding);
-        util::write_f32_vector(os, copy_param(layer, 0));
+        w.u64(spec.in_channels);
+        w.u64(spec.in_height);
+        w.u64(spec.in_width);
+        w.u64(spec.out_channels);
+        w.u64(spec.kernel);
+        w.u64(spec.stride);
+        w.u64(spec.padding);
+        write_param(w, layer, 0);
         break;
       }
       case LayerKind::kSumPool: {
         const auto& spec = static_cast<SumPoolLayer&>(layer).spec();
-        util::write_u64(os, spec.channels);
-        util::write_u64(os, spec.in_height);
-        util::write_u64(os, spec.in_width);
-        util::write_u64(os, spec.window);
+        w.u64(spec.channels);
+        w.u64(spec.in_height);
+        w.u64(spec.in_width);
+        w.u64(spec.window);
         break;
       }
       case LayerKind::kRecurrent: {
-        util::write_u64(os, layer.num_inputs());
-        util::write_u64(os, layer.num_neurons());
-        util::write_f32_vector(os, copy_param(layer, 0));
-        util::write_f32_vector(os, copy_param(layer, 1));
+        w.u64(layer.num_inputs());
+        w.u64(layer.num_neurons());
+        write_param(w, layer, 0);
+        write_param(w, layer, 1);
         break;
       }
     }
   }
+  return util::frame_file(kMagic, kVersion, w.str());
 }
 
 void save_network(const Network& net, const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("save_network: cannot open " + path);
-  save_network(net, os);
+  util::atomic_write_file(path, serialize_network(net));
 }
 
-Network load_network(std::istream& is) {
-  util::check_magic(is, kMagic, kVersion);
-  Network net(util::read_string(is));
-  const uint32_t num_layers = util::read_u32(is);
+Network deserialize_network(std::string_view bytes, const std::string& source) {
+  util::Reader r = util::open_frame_file(bytes, kMagic, kVersion, source);
+  Network net(r.string());
+  const uint32_t num_layers = r.u32();
   for (uint32_t l = 0; l < num_layers; ++l) {
-    const auto kind = static_cast<LayerKind>(util::read_u32(is));
-    const LifParams params = read_lif_params(is);
+    const auto kind = r.enumerator(LayerKind::kRecurrent, "layer kind");
+    LifParams params;
+    params.threshold = r.f32();
+    params.leak = r.f32();
+    params.refractory = static_cast<int>(r.u32());
+    params.reset_potential = r.f32();
     SurrogateConfig sg;
-    sg.kind = static_cast<SurrogateKind>(util::read_u32(is));
-    sg.alpha = util::read_f32(is);
+    sg.kind = r.enumerator(SurrogateKind::kRectangular, "surrogate kind");
+    sg.alpha = r.f32();
+    // Weights are checked against the dimensions before a layer allocates;
+    // dimensions no layer accepts fail like any other malformed field.
     std::unique_ptr<Layer> layer;
-    switch (kind) {
-      case LayerKind::kDense: {
-        const size_t in = util::read_u64(is);
-        const size_t out = util::read_u64(is);
-        auto dense = std::make_unique<DenseLayer>(in, out, params);
-        load_param(*dense, 0, util::read_f32_vector(is));
-        layer = std::move(dense);
-        break;
+    try {
+      switch (kind) {
+        case LayerKind::kDense: {
+          const size_t in = r.u64();
+          const size_t out = r.u64();
+          const auto weights = r.f32_array({in, out}, "dense weights");
+          layer = std::make_unique<DenseLayer>(in, out, params);
+          load_param(*layer, 0, weights);
+          break;
+        }
+        case LayerKind::kConv2d: {
+          Conv2dSpec spec;
+          spec.in_channels = r.u64();
+          spec.in_height = r.u64();
+          spec.in_width = r.u64();
+          spec.out_channels = r.u64();
+          spec.kernel = r.u64();
+          spec.stride = r.u64();
+          spec.padding = r.u64();
+          const auto weights = r.f32_array(
+              {spec.out_channels, spec.in_channels, spec.kernel, spec.kernel}, "conv kernel");
+          layer = std::make_unique<ConvLayer>(spec, params);
+          load_param(*layer, 0, weights);
+          break;
+        }
+        case LayerKind::kSumPool: {
+          SumPoolSpec spec;
+          spec.channels = r.u64();
+          spec.in_height = r.u64();
+          spec.in_width = r.u64();
+          spec.window = r.u64();
+          layer = std::make_unique<SumPoolLayer>(spec, params);
+          break;
+        }
+        case LayerKind::kRecurrent: {
+          const size_t in = r.u64();
+          const size_t out = r.u64();
+          const auto weights = r.f32_array({in, out}, "recurrent input weights");
+          const auto lateral = r.f32_array({out, out}, "recurrent weights");
+          layer = std::make_unique<RecurrentLayer>(in, out, params);
+          load_param(*layer, 0, weights);
+          load_param(*layer, 1, lateral);
+          break;
+        }
       }
-      case LayerKind::kConv2d: {
-        Conv2dSpec spec;
-        spec.in_channels = util::read_u64(is);
-        spec.in_height = util::read_u64(is);
-        spec.in_width = util::read_u64(is);
-        spec.out_channels = util::read_u64(is);
-        spec.kernel = util::read_u64(is);
-        spec.stride = util::read_u64(is);
-        spec.padding = util::read_u64(is);
-        auto conv = std::make_unique<ConvLayer>(spec, params);
-        load_param(*conv, 0, util::read_f32_vector(is));
-        layer = std::move(conv);
-        break;
-      }
-      case LayerKind::kSumPool: {
-        SumPoolSpec spec;
-        spec.channels = util::read_u64(is);
-        spec.in_height = util::read_u64(is);
-        spec.in_width = util::read_u64(is);
-        spec.window = util::read_u64(is);
-        layer = std::make_unique<SumPoolLayer>(spec, params);
-        break;
-      }
-      case LayerKind::kRecurrent: {
-        const size_t in = util::read_u64(is);
-        const size_t out = util::read_u64(is);
-        auto rec = std::make_unique<RecurrentLayer>(in, out, params);
-        load_param(*rec, 0, util::read_f32_vector(is));
-        load_param(*rec, 1, util::read_f32_vector(is));
-        layer = std::move(rec);
-        break;
-      }
-      default:
-        throw std::runtime_error("load_network: unknown layer kind");
+      layer->surrogate() = sg;
+      net.add_layer(std::move(layer));
+    } catch (const std::invalid_argument& e) {
+      r.fail("layer " + std::to_string(l) + ": " + e.what());
     }
-    layer->surrogate() = sg;
-    net.add_layer(std::move(layer));
   }
+  r.expect_end();
   return net;
 }
 
 Network load_network(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_network: cannot open " + path);
-  return load_network(is);
+  return deserialize_network(util::read_file(path), path);
 }
 
 }  // namespace snntest::snn

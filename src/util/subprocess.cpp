@@ -107,14 +107,10 @@ void atomic_write_file(const std::string& path, const std::string& bytes) {
       throw std::runtime_error("atomic_write_file: write failed for " + tmp);
     }
   }
-  atomic_replace_file(tmp, path);
-}
-
-void atomic_replace_file(const std::string& from, const std::string& to) {
-  if (std::rename(from.c_str(), to.c_str()) != 0) {
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     const std::string err = std::strerror(errno);
-    std::remove(from.c_str());
-    throw std::runtime_error("atomic_replace_file: rename " + from + " -> " + to +
+    std::remove(tmp.c_str());
+    throw std::runtime_error("atomic_write_file: rename " + tmp + " -> " + path +
                              " failed: " + err);
   }
 }

@@ -8,9 +8,10 @@
 //  * spawn / poll / wait / kill — fork+execvp with stdout/stderr optionally
 //    redirected to a log file. Non-blocking poll (waitpid WNOHANG) lets a
 //    single-threaded supervisor watch many children.
-//  * atomic_write_file / atomic_replace_file — the commit protocol for
-//    worker outputs: bytes go to `<path>.tmp.<pid>` first and reach `path`
-//    only via rename(2), which POSIX guarantees atomic within a filesystem.
+//  * atomic_write_file — the commit protocol for the on-disk formats
+//    (util/serialize.hpp) and worker outputs: bytes go to
+//    `<path>.tmp.<pid>` first and reach `path` only via rename(2), which
+//    POSIX guarantees atomic within a filesystem.
 //    A reader therefore sees either the old complete file or the new
 //    complete file, never a torn half-write — the property the orchestrator
 //    relies on when it treats the presence of a shard file as "this shard
@@ -61,10 +62,6 @@ bool kill_process(pid_t pid, int sig = 9);
 /// written, flushed, and renamed over `path`. Throws std::runtime_error on
 /// any failure (the temp file is removed).
 void atomic_write_file(const std::string& path, const std::string& bytes);
-
-/// rename(2) wrapper: atomically replace `to` with `from` (same
-/// filesystem). Throws std::runtime_error on failure.
-void atomic_replace_file(const std::string& from, const std::string& to);
 
 /// Absolute path of the running executable (/proc/self/exe), or `fallback`
 /// when the platform cannot resolve it. Used by tools that re-exec

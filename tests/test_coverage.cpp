@@ -258,6 +258,32 @@ TEST(Dictionary, CorruptHeaderOrMagicFailsLoad) {
   std::remove(path.c_str());
 }
 
+TEST(Dictionary, NonSpikeStimulusIsRejectedBeforeAnythingIsWritten) {
+  // The embedded train is bit-packed, so only 0/1 cells survive a save. A
+  // 0.5 would come back as 1.0 under the fingerprint of the 0.5 train, and
+  // replay would run a different stimulus; the entry is refused instead.
+  auto net = make_net();
+  const auto faults = sampled_universe(net, 10);
+  tensor::Tensor input = busy_input();
+  input[7] = 0.5f;
+  FaultDictionary dict = make_dictionary(net, faults);
+  IncrementalConfig config;
+  config.engine.num_threads = 1;
+  try {
+    run_incremental_campaign(net, input, faults, dict, config);
+    FAIL() << "a 0.5 cell was embedded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("index 7"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(dict.num_stimuli(), 0u);
+  EXPECT_EQ(dict.num_records(), 0u);
+
+  StimulusEntry entry = make_entry("half", 42, 20);
+  entry.data = input;
+  EXPECT_THROW(dict.add_stimulus(entry), std::invalid_argument);
+  EXPECT_EQ(dict.num_stimuli(), 0u);
+}
+
 // --- merge -----------------------------------------------------------------
 
 TEST(Dictionary, MergeOverlappingDictionaries) {
@@ -397,7 +423,7 @@ TEST(Incremental, DetectionSettingsChangeRejectsDictionary) {
 
 TEST(Incremental, CancelledRunResumesFromDictionary) {
   // The one resume path: a cancelled incremental campaign has recorded every
-  // pair it finished; committing the dictionary with save_atomic, reloading
+  // pair it finished; committing the dictionary with save, reloading
   // it and rerunning simulates only the rest and joins to the oracle, to a
   // cold run and to a cold build's exact file bytes. The rerun regroups the
   // pending faults into fresh lane batches that need not align with the
@@ -436,7 +462,7 @@ TEST(Incremental, CancelledRunResumesFromDictionary) {
       EXPECT_EQ(first.coverage.pairs_recorded, finished);
 
       const std::string path = temp_path("dict_cancelled.snfd");
-      dict.save_atomic(path);
+      dict.save(path);
       FaultDictionary::LoadStats stats;
       auto reloaded = FaultDictionary::load(path, &stats);
       ASSERT_TRUE(reloaded.has_value());
@@ -708,13 +734,13 @@ TEST(ShardMergeFuzz, ConflictingShardIsSurfacedPerOverlappingPair) {
 }
 
 TEST(ShardMergeFuzz, SaveAtomicNeverExposesATornFile) {
-  // save_atomic commits by rename: after any number of overwrites the file
+  // save commits by rename: after any number of overwrites the file
   // on disk is always one complete, loadable dictionary with the newest
   // contents (the shard worker's partial-snapshot protocol relies on this).
   const std::string path = temp_path("atomic_roundtrip.snfd");
   for (size_t n = 1; n <= 5; ++n) {
     const FaultDictionary shard = synthetic_shard(20, 0, 4 * n, false);
-    shard.save_atomic(path);
+    shard.save(path);
     FaultDictionary::LoadStats stats;
     const auto loaded = FaultDictionary::load(path, &stats);
     ASSERT_TRUE(loaded.has_value());
@@ -730,61 +756,10 @@ TEST(ShardMergeFuzz, SerializeMatchesSavedFileBytes) {
   const std::string path = temp_path("serialize_bytes.snfd");
   shard.save(path);
   EXPECT_EQ(shard.serialize(), slurp(path));
-  shard.save_atomic(path);
-  EXPECT_EQ(shard.serialize(), slurp(path));
   std::remove(path.c_str());
 }
 
-// --- fault dropping and minimized-schedule replay ---------------------------
-
-TEST(Incremental, DropMaskServesPlaceholdersCountsThemAndNeverRecords) {
-  auto net = make_net();
-  const auto faults = sampled_universe(net);
-  const auto input = busy_input();
-  campaign::EngineConfig engine;
-  engine.num_threads = 2;
-  const auto cold = campaign::run_campaign(net, input, faults, engine);
-
-  std::vector<char> drop(faults.size(), 0);
-  for (size_t j = 0; j < faults.size(); j += 3) drop[j] = 1;
-  size_t drop_count = 0;
-  for (char d : drop) drop_count += d != 0;
-
-  FaultDictionary dict = make_dictionary(net, faults);
-  IncrementalConfig config;
-  config.engine = engine;
-  config.drop_faults = &drop;
-  const auto out = run_incremental_campaign(net, input, faults, dict, config);
-  EXPECT_EQ(out.coverage.pairs_dropped, drop_count);
-  // Drops are served through the result-cache hook, so the engine counts
-  // them as reused pairs.
-  EXPECT_EQ(out.campaign.stats.pairs_reused, drop_count);
-  EXPECT_EQ(out.campaign.stats.faults_simulated, faults.size() - drop_count);
-  EXPECT_EQ(out.coverage.pairs_recorded, faults.size() - drop_count);
-  for (size_t j = 0; j < faults.size(); ++j) {
-    if (drop[j]) {
-      // Placeholder result, never recorded into the dictionary.
-      EXPECT_TRUE(results_identical(out.campaign.results[j], fault::DetectionResult{})) << j;
-      EXPECT_FALSE(dict.has(0, j)) << j;
-    } else {
-      EXPECT_TRUE(results_identical(cold.results[j], out.campaign.results[j])) << j;
-      EXPECT_TRUE(dict.has(0, j)) << j;
-    }
-  }
-
-  // A stored dictionary result wins over dropping: re-running warm with an
-  // all-ones drop mask still serves the real recorded results.
-  std::vector<char> drop_all(faults.size(), 1);
-  config.drop_faults = &drop_all;
-  const auto warm = run_incremental_campaign(net, input, faults, dict, config);
-  EXPECT_EQ(warm.coverage.pairs_dropped, drop_count);  // only the unrecorded pairs drop
-  EXPECT_EQ(warm.coverage.pairs_reused, faults.size());
-  for (size_t j = 0; j < faults.size(); ++j) {
-    if (!drop[j]) {
-      EXPECT_TRUE(results_identical(cold.results[j], warm.campaign.results[j])) << j;
-    }
-  }
-}
+// --- minimized-schedule replay ----------------------------------------------
 
 TEST(Replay, ScheduleReplayAccumulatesCoverageWithMonotoneShrinkingWork) {
   auto net = make_net();

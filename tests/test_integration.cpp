@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 
 #include "campaign/engine.hpp"
 #include "core/test_generator.hpp"
@@ -71,9 +70,7 @@ TEST(Integration, FullFactoryFlow) {
   auto& p = pipeline();
 
   // 1. persist + reload the trained model
-  std::stringstream model_stream;
-  snn::save_network(p.net, model_stream);
-  snn::Network device = snn::load_network(model_stream);
+  snn::Network device = snn::deserialize_network(snn::serialize_network(p.net));
 
   // 2. generate the test on the golden model
   core::TestGenerator generator(device, small_config());
@@ -81,9 +78,7 @@ TEST(Integration, FullFactoryFlow) {
   ASSERT_GT(report.stimulus.num_chunks(), 0u);
 
   // 3. persist + reload the stimulus (on-chip storage round trip)
-  std::stringstream stim_stream;
-  report.stimulus.save(stim_stream);
-  const auto stored = core::TestStimulus::load(stim_stream);
+  const auto stored = core::TestStimulus::deserialize(report.stimulus.serialize());
   const auto test_input = stored.assemble();
 
   // 4. verification campaign + classification + coverage report

@@ -3,7 +3,6 @@
 // and serialization round trips.
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "snn/conv_layer.hpp"
 #include "snn/dense_layer.hpp"
@@ -207,9 +206,7 @@ TEST(Network, RestoreNeuronDefaultsClearsAllBanks) {
 
 TEST(Serialization, DenseRoundTrip) {
   auto net = make_test_net(77);
-  std::stringstream ss;
-  save_network(net, ss);
-  Network loaded = load_network(ss);
+  Network loaded = deserialize_network(serialize_network(net));
   EXPECT_EQ(loaded.name(), net.name());
   const auto input = dense_input(6, 6, 0.5, 10);
   const auto a = net.forward(input).output();
@@ -236,9 +233,7 @@ TEST(Serialization, ConvRecurrentRoundTrip) {
   rec->init_weights(rng);
   net.add_layer(std::move(rec));
 
-  std::stringstream ss;
-  save_network(net, ss);
-  Network loaded = load_network(ss);
+  Network loaded = deserialize_network(serialize_network(net));
   const auto input = dense_input(5, spec.input_size(), 0.4, 11);
   const auto a = net.forward(input).output();
   const auto b = loaded.forward(input).output();
@@ -274,9 +269,7 @@ TEST(Decoding, TtfsBreaksTiesByCount) {
 }
 
 TEST(Serialization, CorruptStreamRejected) {
-  std::stringstream ss;
-  ss << "definitely not a network file";
-  EXPECT_THROW(load_network(ss), std::runtime_error);
+  EXPECT_THROW(deserialize_network("definitely not a network file"), std::runtime_error);
 }
 
 /// Randomized conv+dense stack for the KernelMode identity contract.

@@ -81,7 +81,6 @@ std::string unsharded_bytes(const ShardJob& job) {
   coverage::IncrementalConfig config;
   config.engine = job.engine;
   config.stimulus_name = job.stimulus_name;
-  config.store_stimulus_data = job.store_stimulus_data;
   snn::Network net(job.net);
   const auto out = coverage::run_incremental_campaign(net, job.stimulus, job.faults, dict, config);
   EXPECT_TRUE(out.campaign.completed);
@@ -163,14 +162,12 @@ TEST(ShardJobFile, RoundTripIsExact) {
   job.engine.detection_threshold = 0.5;
   job.engine.detect_only = true;
   job.engine.kernel_mode = snn::KernelMode::kDense;
-  job.store_stimulus_data = false;
 
   const std::string path = testing::TempDir() + "orchestrator_job.bin";
   save_job(job, path);
   const ShardJob loaded = load_job(path);
 
   EXPECT_EQ(loaded.stimulus_name, job.stimulus_name);
-  EXPECT_EQ(loaded.store_stimulus_data, job.store_stimulus_data);
   ASSERT_EQ(loaded.stimulus.numel(), job.stimulus.numel());
   for (size_t i = 0; i < job.stimulus.numel(); ++i) {
     EXPECT_EQ(loaded.stimulus[i], job.stimulus[i]);
@@ -204,28 +201,42 @@ TEST(ShardJobFile, RoundTripKeepsFrontierSettings) {
   std::remove(path.c_str());
 }
 
-TEST(ShardJobFile, Version4FileIsRejectedNamingTheVersion) {
-  // Version 4 job files carry the grain and two frontier tuning fields that
-  // version 5 dropped; reading one as version 5 would misparse, so the
-  // magic check must refuse it, naming both versions.
+TEST(ShardJobFile, Version5FileIsRejectedNamingTheVersion) {
+  // Version 5 job files carry an unframed body with an f32 stimulus and the
+  // store_stimulus_data flag that version 6 dropped; reading one as
+  // version 6 would misparse, so the header check must refuse it, naming
+  // the path and both versions.
   auto net = make_net();
-  const std::string path = testing::TempDir() + "orchestrator_v4_job.bin";
+  const std::string path = testing::TempDir() + "orchestrator_v5_job.bin";
   save_job(make_job(net, 4), path);
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    const uint32_t v4 = 4;
+    const uint32_t v5 = 5;
     f.seekp(4);  // u32 magic, then u32 version
-    f.write(reinterpret_cast<const char*>(&v4), sizeof(v4));
+    f.write(reinterpret_cast<const char*>(&v5), sizeof(v5));
   }
   try {
     load_job(path);
-    FAIL() << "load_job accepted a version 4 job file";
+    FAIL() << "load_job accepted a version 5 job file";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("expects 5"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("version 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("expects 6"), std::string::npos) << what;
   }
   std::remove(path.c_str());
+}
+
+TEST(ShardJobFile, NonSpikeStimulusIsRejectedBeforeTheFileIsWritten) {
+  // The job stores its stimulus bit-packed; a 0.5 cell would reach every
+  // worker as 1.0, so save_job refuses it and leaves no file behind.
+  auto net = make_net();
+  ShardJob job = make_job(net, 4);
+  job.stimulus[3] = 0.5f;
+  const std::string path = testing::TempDir() + "orchestrator_half_job.bin";
+  std::remove(path.c_str());
+  EXPECT_THROW(save_job(job, path), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(ShardJobFile, MissingFileThrows) {

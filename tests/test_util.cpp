@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -368,46 +369,79 @@ TEST(Fnv1a, KnownVectorsAndSeedChaining) {
 }
 
 TEST(Serialize, RoundTripScalars) {
-  std::stringstream ss;
-  write_u32(ss, 0xDEADBEEF);
-  write_u64(ss, 0x123456789ABCDEFull);
-  write_f32(ss, 3.25f);
-  write_f64(ss, -1.5e300);
-  write_string(ss, "hello world");
-  EXPECT_EQ(read_u32(ss), 0xDEADBEEF);
-  EXPECT_EQ(read_u64(ss), 0x123456789ABCDEFull);
-  EXPECT_FLOAT_EQ(read_f32(ss), 3.25f);
-  EXPECT_DOUBLE_EQ(read_f64(ss), -1.5e300);
-  EXPECT_EQ(read_string(ss), "hello world");
+  Writer w;
+  w.u32(0xDEADBEEF);
+  w.u64(0x123456789ABCDEFull);
+  w.f32(3.25f);
+  w.f64(-1.5e300);
+  w.bytes("hello world");
+  Reader r(w.str(), "test");
+  EXPECT_EQ(r.u32(), 0xDEADBEEF);
+  EXPECT_EQ(r.u64(), 0x123456789ABCDEFull);
+  EXPECT_FLOAT_EQ(r.f32(), 3.25f);
+  EXPECT_DOUBLE_EQ(r.f64(), -1.5e300);
+  EXPECT_EQ(r.string(), "hello world");
+  r.expect_end();
 }
 
 TEST(Serialize, RoundTripVectors) {
-  std::stringstream ss;
   const std::vector<float> v = {1.0f, -2.5f, 0.0f};
-  const std::vector<uint8_t> b = {0, 255, 7};
-  write_f32_vector(ss, v);
-  write_u8_vector(ss, b);
-  EXPECT_EQ(read_f32_vector(ss), v);
-  EXPECT_EQ(read_u8_vector(ss), b);
+  const std::vector<float> spikes = {1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1};
+  Writer w;
+  w.f32_array(v.data(), v.size());
+  w.bytes(pack_bits(spikes.data(), spikes.size()));
+  Reader r(w.str(), "test");
+  const std::string_view raw = r.f32_array({v.size()}, "values");
+  std::vector<float> back(v.size());
+  std::memcpy(back.data(), raw.data(), raw.size());
+  EXPECT_EQ(back, v);
+  const std::string_view packed = r.packed_bits(1, spikes.size());
+  EXPECT_EQ(packed.size(), 2u);  // LSB-first, 8 cells per byte
+  EXPECT_EQ(static_cast<uint8_t>(packed[0]), 0x59u);
+  std::vector<float> unpacked(spikes.size());
+  unpack_bits(packed, unpacked.data(), unpacked.size());
+  EXPECT_EQ(unpacked, spikes);
 }
 
 TEST(Serialize, MagicMismatchThrows) {
-  std::stringstream ss;
-  write_magic(ss, 0x1111, 1);
-  EXPECT_THROW(check_magic(ss, 0x2222, 1), std::runtime_error);
+  const std::string file = frame_file(0x1111, 1, "body");
+  EXPECT_THROW(open_frame_file(file, 0x2222, 1, "test"), std::runtime_error);
+  EXPECT_EQ(open_frame_file(file, 0x1111, 1, "test").remaining(), 4u);
 }
 
 TEST(Serialize, VersionMismatchThrows) {
-  std::stringstream ss;
-  write_magic(ss, 0x1111, 1);
-  EXPECT_THROW(check_magic(ss, 0x1111, 2), std::runtime_error);
+  const std::string file = frame_file(0x1111, 1, "body");
+  try {
+    open_frame_file(file, 0x1111, 2, "some/path");
+    FAIL() << "version 1 accepted as version 2";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("some/path"), std::string::npos) << what;
+    EXPECT_NE(what.find("file has version 1, reader expects 2"), std::string::npos) << what;
+  }
 }
 
 TEST(Serialize, TruncatedStreamThrows) {
-  std::stringstream ss;
-  write_u32(ss, 5);
-  read_u32(ss);
-  EXPECT_THROW(read_u32(ss), std::runtime_error);
+  Writer w;
+  w.u32(5);
+  Reader r(w.str(), "test");
+  r.u32();
+  EXPECT_THROW(r.u32(), std::runtime_error);
+  // A length field past the bytes left fails before anything is allocated.
+  Writer big;
+  big.u64(uint64_t{1} << 40);
+  Reader lengths(big.str(), "test");
+  EXPECT_THROW(lengths.bytes(), std::runtime_error);
+}
+
+TEST(Serialize, PackRejectsValuesOtherThanZeroAndOne) {
+  const std::vector<float> data = {0.0f, 1.0f, 0.5f, 1.0f};
+  try {
+    pack_bits(data.data(), data.size());
+    FAIL() << "0.5 packed as a spike";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("index 2"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ThreadPool, RunsAllTasks) {
