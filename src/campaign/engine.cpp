@@ -412,15 +412,16 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
       }
       obs::set_report_field("campaign_golden_cache_layer_bytes", per_layer);
     }
-    const uint64_t fingerprint = detection_settings_fingerprint(
-        hash_fault_list(faults, cache.fingerprint), config.detection_threshold,
-        config.detect_only);
-    char fp[24];
-    std::snprintf(fp, sizeof(fp), "%016llx", static_cast<unsigned long long>(fingerprint));
-    obs::set_report_field("campaign_fingerprint", std::string(fp));
     obs::set_report_field("campaign_lane_width_effective",
                           static_cast<uint64_t>(lane_width));
     if (obs_on) {
+      // Hashes the whole fault list, so only when a report can be written.
+      const uint64_t fingerprint = detection_settings_fingerprint(
+          hash_fault_list(faults, cache.fingerprint), config.detection_threshold,
+          config.detect_only);
+      char fp[24];
+      std::snprintf(fp, sizeof(fp), "%016llx", static_cast<unsigned long long>(fingerprint));
+      obs::set_report_field("campaign_fingerprint", std::string(fp));
       obs::set_report_field("campaign_synaptic_frames_cached",
                             static_cast<uint64_t>(s.synaptic_frames_cached));
       obs::set_report_field("campaign_synaptic_frames_computed",

@@ -79,9 +79,8 @@ bool is_dense_or_recurrent(const snn::Layer& layer) {
 /// fail the exactness certificate.
 void certify(const float* w, size_t rows, size_t cols, std::vector<float>& wt,
              std::vector<uint32_t>& uncertified) {
-  wt.resize(rows * cols);
+  tensor::transpose(w, rows, cols, wt);
   for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) wt[c * rows + r] = w[r * cols + c];
     if (!snn::row_sum_exact(snn::row_bound(w + r * cols, cols))) {
       uncertified.push_back(static_cast<uint32_t>(r));
     }

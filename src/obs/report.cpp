@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,6 +29,13 @@ ReportState& state() {
   // Leaked: the atexit handler below reads it during shutdown.
   static ReportState* s = new ReportState;
   return *s;
+}
+
+/// Appends `"<escaped key>":` to `out`. Built with append rather than a
+/// chained operator+ on a string literal, which GCC 12 flags with a false
+/// -Wrestrict.
+void append_key(std::string& out, const std::string& key) {
+  out.append(1, '"').append(util::json_escape(key)).append("\":");
 }
 
 /// JSON number rendering; non-finite values are not valid JSON -> null.
@@ -53,9 +61,13 @@ void exit_writer() {
 }  // namespace
 
 void set_report_field(const std::string& key, const std::string& value) {
+  const std::string escaped = util::json_escape(value);
+  std::string quoted;
+  quoted.reserve(escaped.size() + 2);
+  quoted.append(1, '"').append(escaped).append(1, '"');  // no operator+: see append_key
   ReportState& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
-  s.fields[key] = "\"" + util::json_escape(value) + "\"";
+  s.fields[key] = std::move(quoted);
 }
 
 void set_report_field(const std::string& key, double value) {
@@ -91,7 +103,8 @@ std::string metrics_report_json() {
     for (const auto& [key, rendered] : fields) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + util::json_escape(key) + "\":" + rendered;
+      append_key(out, key);
+      out += rendered;
     }
   }
   out += "},\"counters\":{";
@@ -99,22 +112,25 @@ std::string metrics_report_json() {
   for (const auto& [name, value] : snap.counters) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + util::json_escape(name) + "\":" + std::to_string(value);
+    append_key(out, name);
+    out += std::to_string(value);
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + util::json_escape(name) + "\":" + json_number(value);
+    append_key(out, name);
+    out += json_number(value);
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : snap.histograms) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + util::json_escape(name) + "\":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + json_number(h.sum) + ",\"bounds\":[";
+    append_key(out, name);
+    out += "{\"count\":" + std::to_string(h.count) + ",\"sum\":" + json_number(h.sum) +
+           ",\"bounds\":[";
     for (size_t i = 0; i < h.bounds.size(); ++i) {
       if (i) out += ",";
       out += json_number(h.bounds[i]);

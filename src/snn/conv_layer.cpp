@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace snntest::snn {
 
@@ -58,108 +59,6 @@ void ConvLayer::init_weights(util::Rng& rng, float gain) {
   for (auto& w : weights_) w = static_cast<float>(rng.uniform(-bound, bound));
 }
 
-namespace {
-
-/// Live kernel-tap range [lo, hi) of one output row (or column) whose first
-/// tap lands on input coordinate `origin` (may be negative: padding).
-struct TapRange {
-  size_t lo;
-  size_t hi;
-};
-
-TapRange live_taps(long origin, size_t kernel, size_t extent) {
-  const long lo = std::max(0L, -origin);
-  const long hi = std::min(static_cast<long>(kernel), static_cast<long>(extent) - origin);
-  return {static_cast<size_t>(lo), static_cast<size_t>(std::max(lo, hi))};
-}
-
-/// Dense forward over weights packed [ic][ky][kx][oc] as double. Output
-/// pixel by output pixel, the inner loop runs over the out_channels
-/// independent accumulators in `acc`; each one receives its terms in
-/// (ic, ky, kx) order.
-void conv_forward_dense(const Conv2dSpec& spec, const double* packed, const float* in,
-                        double* acc, float* syn) {
-  const size_t oh = spec.out_height();
-  const size_t ow = spec.out_width();
-  const size_t k = spec.kernel;
-  const size_t noc = spec.out_channels;
-  const size_t plane = spec.in_height * spec.in_width;
-  const long width = static_cast<long>(spec.in_width);
-  for (size_t oy = 0; oy < oh; ++oy) {
-    const long y0 = static_cast<long>(oy * spec.stride) - static_cast<long>(spec.padding);
-    const TapRange ys = live_taps(y0, k, spec.in_height);
-    for (size_t ox = 0; ox < ow; ++ox) {
-      const long x0 = static_cast<long>(ox * spec.stride) - static_cast<long>(spec.padding);
-      const TapRange xs = live_taps(x0, k, spec.in_width);
-      std::fill(acc, acc + noc, 0.0);
-      for (size_t ic = 0; ic < spec.in_channels; ++ic) {
-        const float* in_base = in + ic * plane;
-        for (size_t ky = ys.lo; ky < ys.hi; ++ky) {
-          const long row = (y0 + static_cast<long>(ky)) * width + x0;
-          const double* w_row = packed + ((ic * k + ky) * k) * noc;
-          for (size_t kx = xs.lo; kx < xs.hi; ++kx) {
-            const double v = in_base[row + static_cast<long>(kx)];
-            const double* w = w_row + kx * noc;
-            for (size_t oc = 0; oc < noc; ++oc) acc[oc] += w[oc] * v;
-          }
-        }
-      }
-      for (size_t oc = 0; oc < noc; ++oc) {
-        syn[(oc * oh + oy) * ow + ox] = static_cast<float>(acc[oc]);
-      }
-    }
-  }
-}
-
-/// Event-driven forward over the same packed weights: each active pixel
-/// scatters its live taps into the channel-last accumulators `acc`
-/// [oh*ow][out_channels], then one transpose writes the channel-major syn
-/// frame. Pixels ascend in flat (ic, iy, ix) order, so every output still
-/// sees its terms in (ic, ky, kx) order.
-void conv_forward_sparse(const Conv2dSpec& spec, const double* packed, const float* in,
-                         const uint32_t* active, size_t num_active, double* acc, float* syn) {
-  const size_t oh = spec.out_height();
-  const size_t ow = spec.out_width();
-  const size_t k = spec.kernel;
-  const size_t noc = spec.out_channels;
-  const size_t positions = oh * ow;
-  const size_t plane = spec.in_height * spec.in_width;
-  const long stride = static_cast<long>(spec.stride);
-  std::fill(acc, acc + positions * noc, 0.0);
-  for (size_t i = 0; i < num_active; ++i) {
-    const size_t flat = active[i];
-    const size_t ic = flat / plane;
-    const size_t rem = flat % plane;
-    const size_t iy = rem / spec.in_width;
-    const size_t ix = rem % spec.in_width;
-    const double val = in[flat];
-    for (size_t ky = 0; ky < k; ++ky) {
-      // oy * stride + ky - padding == iy, so the tap is live only when the
-      // division below is exact and the output row is in range.
-      const long num_y = static_cast<long>(iy + spec.padding) - static_cast<long>(ky);
-      if (num_y < 0 || num_y % stride != 0) continue;
-      const long oy = num_y / stride;
-      if (oy >= static_cast<long>(oh)) continue;
-      for (size_t kx = 0; kx < k; ++kx) {
-        const long num_x = static_cast<long>(ix + spec.padding) - static_cast<long>(kx);
-        if (num_x < 0 || num_x % stride != 0) continue;
-        const long ox = num_x / stride;
-        if (ox >= static_cast<long>(ow)) continue;
-        double* a = acc + static_cast<size_t>(oy * static_cast<long>(ow) + ox) * noc;
-        const double* w = packed + ((ic * k + ky) * k + kx) * noc;
-        for (size_t oc = 0; oc < noc; ++oc) a[oc] += w[oc] * val;
-      }
-    }
-  }
-  for (size_t p = 0; p < positions; ++p) {
-    for (size_t oc = 0; oc < noc; ++oc) {
-      syn[oc * positions + p] = static_cast<float>(acc[p * noc + oc]);
-    }
-  }
-}
-
-}  // namespace
-
 void ConvLayer::pack_forward_weights(std::vector<double>& packed) const {
   const size_t taps = spec_.in_channels * spec_.kernel * spec_.kernel;
   const size_t noc = spec_.out_channels;
@@ -177,7 +76,7 @@ void ConvLayer::conv_forward_frame(const float* in, float* syn) const {
   thread_local std::vector<double> acc;
   pack_forward_weights(packed);
   acc.resize(spec_.out_channels);
-  conv_forward_dense(spec_, packed.data(), in, acc.data(), syn);
+  tensor::simd::lane_ops().conv_frame_dense(spec_.geom(), packed.data(), in, acc.data(), syn);
 }
 
 void ConvLayer::conv_backward_frame(const float* in, const float* grad_syn, float* grad_in) {
@@ -227,39 +126,15 @@ void ConvLayer::pack_backward_weights(std::vector<float>& packed) const {
 }
 
 void ConvLayer::conv_backward_input_frame(const float* grad_syn, float* grad_in) {
-  const size_t oh = spec_.out_height();
-  const size_t ow = spec_.out_width();
-  const size_t k = spec_.kernel;
   const size_t nic = spec_.in_channels;
   const size_t plane = spec_.in_height * spec_.in_width;
-  const long width = static_cast<long>(spec_.in_width);
   std::vector<float>& gin = grad_in_scratch_;  // channel-last [plane][in_channels]
   gin.resize(plane * nic);
   for (size_t ic = 0; ic < nic; ++ic) {
     for (size_t p = 0; p < plane; ++p) gin[p * nic + ic] = grad_in[ic * plane + p];
   }
-  for (size_t oc = 0; oc < spec_.out_channels; ++oc) {
-    for (size_t oy = 0; oy < oh; ++oy) {
-      const long y0 = static_cast<long>(oy * spec_.stride) - static_cast<long>(spec_.padding);
-      const TapRange ys = live_taps(y0, k, spec_.in_height);
-      for (size_t ox = 0; ox < ow; ++ox) {
-        const float g = grad_syn[(oc * oh + oy) * ow + ox];
-        if (g == 0.0f) continue;
-        const long x0 = static_cast<long>(ox * spec_.stride) - static_cast<long>(spec_.padding);
-        const TapRange xs = live_taps(x0, k, spec_.in_width);
-        // The live taps of one kernel row touch adjacent pixels, so in the
-        // channel-last layout their (kx, ic) elements form one contiguous
-        // run, as do the packed weights that feed them.
-        const size_t run = (xs.hi - xs.lo) * nic;
-        for (size_t ky = ys.lo; ky < ys.hi; ++ky) {
-          const long first = (y0 + static_cast<long>(ky)) * width + x0 + static_cast<long>(xs.lo);
-          float* dst = gin.data() + static_cast<size_t>(first) * nic;
-          const float* w = packed_backward_.data() + ((oc * k + ky) * k + xs.lo) * nic;
-          for (size_t j = 0; j < run; ++j) dst[j] += g * w[j];
-        }
-      }
-    }
-  }
+  tensor::simd::lane_ops().conv_backward_input(spec_.geom(), packed_backward_.data(), grad_syn,
+                                               gin.data());
   for (size_t ic = 0; ic < nic; ++ic) {
     for (size_t p = 0; p < plane; ++p) grad_in[ic * plane + p] = gin[p * nic + ic];
   }
@@ -389,12 +264,14 @@ void ConvLayer::forward_into(const Tensor& in, bool record_traces, Tensor& out) 
   pack_forward_weights(packed_weights_);
   const double* packed = packed_weights_.data();
   syn_acc_.resize(lif_.size());
+  const tensor::simd::ConvLaneGeom geom = spec_.geom();
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
   const KernelMode mode = kernel_mode_;
   const bool obs_on = obs::telemetry_enabled();
   if (obs_on) kernel_obs_.ensure_bound(name());
   for (size_t t = 0; t < T; ++t) {
     if (mode == KernelMode::kDense) {
-      conv_forward_dense(spec_, packed, in.row(t), syn_acc_.data(), syn.data());
+      ops.conv_frame_dense(geom, packed, in.row(t), syn_acc_.data(), syn.data());
       if (obs_on) kernel_obs_.record_dense_frame();
     } else {
       const auto view = tensor::make_frame_view(in.row(t), spec_.input_size(), active_scratch_);
@@ -402,10 +279,10 @@ void ConvLayer::forward_into(const Tensor& in, bool record_traces, Tensor& out) 
           mode == KernelMode::kSparse || sparse_frame_wins(view.num_active, view.size);
       if (obs_on) kernel_obs_.record_frame(view.num_active, view.size, use_sparse);
       if (use_sparse) {
-        conv_forward_sparse(spec_, packed, view.frame, view.active, view.num_active,
-                            syn_acc_.data(), syn.data());
+        ops.conv_frame_scatter(geom, packed, view.frame, view.active, view.num_active,
+                               syn_acc_.data(), syn.data());
       } else {
-        conv_forward_dense(spec_, packed, in.row(t), syn_acc_.data(), syn.data());
+        ops.conv_frame_dense(geom, packed, in.row(t), syn_acc_.data(), syn.data());
       }
     }
     if (override_.active) {
@@ -462,7 +339,7 @@ void ConvLayer::frontier_synapse_frame(const float* in_frame, const float* /*pre
 bool ConvLayer::frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const {
   // Receptive-field inverse: every (oc, oy, ox) with a live kernel tap on
   // input pixel (ic, iy, ix) — same tap-liveness arithmetic as the sparse
-  // scatter kernel (conv_forward_sparse).
+  // scatter kernel (conv_frame_scatter).
   const size_t oh = spec_.out_height();
   const size_t ow = spec_.out_width();
   const size_t k = spec_.kernel;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include "snn/layer.hpp"
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
 
 namespace snntest::snn {
@@ -26,6 +27,20 @@ struct Conv2dSpec {
   size_t input_size() const { return in_channels * in_height * in_width; }
   size_t output_size() const { return out_channels * out_height() * out_width(); }
   size_t weight_count() const { return out_channels * in_channels * kernel * kernel; }
+  /// The geometry as the SIMD table's conv kernels take it.
+  tensor::simd::ConvLaneGeom geom() const {
+    tensor::simd::ConvLaneGeom g;
+    g.in_channels = in_channels;
+    g.in_height = in_height;
+    g.in_width = in_width;
+    g.out_channels = out_channels;
+    g.out_height = out_height();
+    g.out_width = out_width();
+    g.kernel = kernel;
+    g.stride = stride;
+    g.padding = padding;
+    return g;
+  }
 };
 
 class ConvLayer final : public Layer {
@@ -87,7 +102,8 @@ class ConvLayer final : public Layer {
 
  private:
   /// Weights repacked [ic][ky][kx][oc] as double for the forward kernels
-  /// (conv_layer.cpp): one tap's weights for every output channel are
+  /// (the SIMD table's conv_frame_dense / conv_frame_scatter, vectorized
+  /// across output channels): one tap's weights for every output channel are
   /// contiguous, so their inner loop runs over independent outputs. The
   /// dense kernel gathers each output pixel's taps; the event-driven one
   /// scatters the taps of each active input pixel. Both feed every output
@@ -102,8 +118,9 @@ class ConvLayer final : public Layer {
   /// (fused dense path: one (oc, oy, ox) -> (ic, ky, kx) sweep feeds both).
   void conv_backward_frame(const float* in, const float* grad_syn, float* grad_in);
   /// Input-gradient half of conv_backward_frame: grad_in += conv^T(grad_syn),
-  /// over packed_backward_ (pack_backward_weights). It accumulates channel-last,
-  /// so its inner loop runs over the (kx, ic) elements of one kernel row,
+  /// over packed_backward_ (pack_backward_weights), by the SIMD table's
+  /// conv_backward_input. It accumulates channel-last, so its inner loop
+  /// runs over the (kx, ic) elements of one kernel row,
   /// while every grad_in element still receives its float terms in
   /// (oc, oy, ox) order, as in the fused sweep (bit-identical). Input
   /// gradient flows into *every* input pixel — also the silent ones — so

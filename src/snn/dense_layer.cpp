@@ -39,27 +39,14 @@ void DenseLayer::forward_into(const Tensor& in, bool record_traces, Tensor& out)
   lif_.begin_run(T, record_traces);
   syn_scratch_.resize(lif_.size());
   std::vector<float>& syn = syn_scratch_;
-  const KernelMode mode = kernel_mode_;
   const bool obs_on = obs::telemetry_enabled();
   if (obs_on) kernel_obs_.ensure_bound(name());
+  obs::KernelDispatchObs* kobs = obs_on ? &kernel_obs_ : nullptr;
+  matvec_.begin_window();
   for (size_t t = 0; t < T; ++t) {
     std::fill(syn.begin(), syn.end(), 0.0f);
-    if (mode == KernelMode::kDense) {
-      tensor::matvec_accumulate(weights_.data(), lif_.size(), num_inputs_, in.row(t), syn.data());
-      if (obs_on) kernel_obs_.record_dense_frame();
-    } else {
-      const auto view = tensor::make_frame_view(in.row(t), num_inputs_, active_scratch_);
-      const bool use_sparse =
-          mode == KernelMode::kSparse || sparse_frame_wins(view.num_active, view.size);
-      if (obs_on) kernel_obs_.record_frame(view.num_active, view.size, use_sparse);
-      if (use_sparse) {
-        tensor::matvec_accumulate_gather(weights_.data(), lif_.size(), num_inputs_, view.frame,
-                                         view.active, view.num_active, syn.data());
-      } else {
-        tensor::matvec_accumulate(weights_.data(), lif_.size(), num_inputs_, in.row(t),
-                                  syn.data());
-      }
-    }
+    matvec_.accumulate(kernel_mode_, weights_.data(), lif_.size(), num_inputs_, in.row(t),
+                       syn.data(), kobs);
     lif_.step(syn.data(), out.row(t));
   }
   if (record_traces) saved_input_ = in;

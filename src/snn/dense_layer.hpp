@@ -46,7 +46,8 @@ class DenseLayer final : public Layer {
   std::vector<float> weights_;
   std::vector<float> weight_grads_;
   Tensor saved_input_;  // [T, num_inputs], kept when recording traces
-  std::vector<uint32_t> active_scratch_;  // per-frame active indices (sparse path)
+  FrameMatvec matvec_;                    // forward kernels of W
+  std::vector<uint32_t> active_scratch_;  // per-frame active indices (sparse backward)
   std::vector<float> syn_scratch_;        // per-frame synaptic currents (no realloc per window)
 };
 

@@ -79,32 +79,16 @@ void compact_lanes(std::vector<T>& v, size_t rows, size_t lanes, const uint8_t* 
   v.resize(rows * kept);
 }
 
-/// Conv geometry handed to the dispatched lane kernels (tensor/simd.hpp
-/// cannot see snn::Conv2dSpec, so the shape crosses as a POD).
-tensor::simd::ConvLaneGeom conv_lane_geom(const Conv2dSpec& s) {
-  tensor::simd::ConvLaneGeom g;
-  g.in_channels = s.in_channels;
-  g.in_height = s.in_height;
-  g.in_width = s.in_width;
-  g.out_channels = s.out_channels;
-  g.out_height = s.out_height();
-  g.out_width = s.out_width();
-  g.kernel = s.kernel;
-  g.stride = s.stride;
-  g.padding = s.padding;
-  return g;
-}
-
 /// Lane-strided conv gather: conv_forward_frame with per-lane double
 /// accumulators fed in the identical term order (dispatched backend).
 void conv_frame_lanes_dense(const ConvLayer& conv, const float* in_lanes, size_t lanes,
                             float* syn_lanes) {
-  tensor::simd::lane_ops().conv_lanes_dense(conv_lane_geom(conv.spec()), conv.weights().data(),
+  tensor::simd::lane_ops().conv_lanes_dense(conv.spec().geom(), conv.weights().data(),
                                             in_lanes, lanes, syn_lanes);
 }
 
 /// Lane-strided conv scatter over the union-active input pixels. Per lane
-/// this is the conv scatter (conv_forward_sparse) on a superset active list:
+/// this is the conv scatter (conv_frame_scatter) on a superset active list:
 /// pixels where the lane is silent contribute exact +/-0.0 terms, so each
 /// lane matches the scalar sparse (hence dense) kernel bit for bit. The
 /// dispatched kernels expect the caller to zero the double accumulator.
@@ -113,7 +97,7 @@ void conv_frame_lanes_scatter(const ConvLayer& conv, const float* in_lanes, size
                               float* syn_lanes) {
   const size_t out_size = conv.spec().output_size();
   acc.assign(out_size * lanes, 0.0);
-  tensor::simd::lane_ops().conv_lanes_scatter(conv_lane_geom(conv.spec()), conv.weights().data(),
+  tensor::simd::lane_ops().conv_lanes_scatter(conv.spec().geom(), conv.weights().data(),
                                               in_lanes, lanes, active, num_active, acc.data(),
                                               syn_lanes);
 }
@@ -379,11 +363,6 @@ float fault_row(const Layer& layer, const LaneSynapseFault& sf, size_t out,
 }
 
 // --- LaneLif -------------------------------------------------------------
-
-static_assert(static_cast<uint8_t>(NeuronMode::kNormal) == 0 &&
-                  static_cast<uint8_t>(NeuronMode::kDead) == 1 &&
-                  static_cast<uint8_t>(NeuronMode::kSaturated) == 2,
-              "tensor::simd::LifFrameParams::mode encodes NeuronMode by value");
 
 void LaneLif::reset(const LifBank& bank, size_t lanes, const LaneFault* faults) {
   if (lanes == 0 || lanes > kMaxLaneWidth) {

@@ -51,6 +51,33 @@ inline bool sparse_frame_wins(size_t num_active, size_t frame_size) {
   return num_active * 4 <= frame_size;
 }
 
+/// The forward kernels of one fully connected synaptic matrix (DenseLayer's
+/// W, RecurrentLayer's W and V): syn += W x for one input frame, dispatched
+/// on the KernelMode. kDense always runs the dense matvec and kSparse the
+/// gather. kAuto runs a binary frame (every active value exactly 1.0f, as
+/// spike frames are) as column adds over its active columns, vectorized
+/// across rows through the SIMD table, and any other frame by
+/// sparse_frame_wins. All three are bit-identical (DESIGN.md §9).
+class FrameMatvec {
+ public:
+  /// Forget the column-major weight copy. Call once per forward_into: the
+  /// weights cannot change within a window, but a ScopedFault may have
+  /// changed them since the previous call.
+  void begin_window() { packed_ = false; }
+
+  /// syn[r] += sum_c w[r*cols + c] * x[c] for the [rows, cols] row-major
+  /// `w`. Records the frame in `kobs` when it is non-null; the column-add
+  /// path counts as a sparse frame (it touches the active columns only).
+  void accumulate(KernelMode mode, const float* w, size_t rows, size_t cols, const float* x,
+                  float* syn, obs::KernelDispatchObs* kobs);
+
+ private:
+  std::vector<float> wt_;  // column-major copy of w, valid while packed_
+  std::vector<double> acc_;
+  std::vector<uint32_t> active_;
+  bool packed_ = false;
+};
+
 /// Display names for KernelMode (test failure messages).
 inline const char* kernel_mode_name(KernelMode mode) {
   switch (mode) {

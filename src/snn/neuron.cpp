@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "tensor/simd.hpp"
+
 namespace snntest::snn {
 
 LifBank::LifBank(size_t n, LifParams defaults)
@@ -47,19 +49,30 @@ void LifBank::begin_run(size_t num_steps, bool record_traces) {
   }
 }
 
+static_assert(sizeof(NeuronMode) == 1 && static_cast<uint8_t>(NeuronMode::kNormal) == 0 &&
+                  static_cast<uint8_t>(NeuronMode::kDead) == 1 &&
+                  static_cast<uint8_t>(NeuronMode::kSaturated) == 2,
+              "tensor::simd::LifFrameParams::mode encodes NeuronMode by value");
+
 void LifBank::step(const float* syn, float* spikes_out) {
   assert(t_ < planned_steps_ && "LifBank::step beyond planned run length");
-  const size_t base = t_ * n_;
-  for (size_t i = 0; i < n_; ++i) {
-    const LifStepResult r = lif_step_neuron(u_[i], refrac_left_[i], syn[i], mode_[i],
-                                            threshold_[i], leak_[i], refractory_[i],
-                                            defaults_.reset_potential);
-    spikes_out[i] = r.spike;
-    if (recording_) {
-      trace_u_pre_[base + i] = r.u_pre;
-      trace_spike_[base + i] = r.spike > 0.5f ? 1 : 0;
-      trace_integrated_[base + i] = r.integrated ? 1 : 0;
-    }
+  // The frame kernel is lif_step_neuron per neuron (its scalar table entry
+  // is the reference; tests/test_simd.cpp checks every backend against it).
+  tensor::simd::LifFrameParams p;
+  p.leak = leak_.data();
+  p.threshold = threshold_.data();
+  p.refractory = refractory_.data();
+  p.mode = reinterpret_cast<const uint8_t*>(mode_.data());
+  p.reset_v = defaults_.reset_potential;
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
+  if (recording_) {
+    const size_t base = t_ * n_;
+    const tensor::simd::LifFrameTrace trace{trace_u_pre_.data() + base,
+                                            trace_spike_.data() + base,
+                                            trace_integrated_.data() + base};
+    ops.lif_frame_traced(p, n_, syn, u_.data(), refrac_left_.data(), spikes_out, trace);
+  } else {
+    ops.lif_frame(p, n_, syn, u_.data(), refrac_left_.data(), spikes_out);
   }
   ++t_;
 }

@@ -45,35 +45,21 @@ void RecurrentLayer::forward_into(const Tensor& in, bool record_traces, Tensor& 
   lif_.begin_run(T, record_traces);
   syn_scratch_.resize(n);
   std::vector<float>& syn = syn_scratch_;
-  const KernelMode mode = kernel_mode_;
   // Both the feed-forward input and the lateral feedback are spike trains,
-  // so each matvec independently picks the sparse gather when its frame is
-  // sparse enough (bit-identical either way; see tensor/ops.hpp).
-  std::vector<uint32_t> active;
+  // so each matrix dispatches its own frame (bit-identical either way; see
+  // FrameMatvec).
   const bool obs_on = obs::telemetry_enabled();
   if (obs_on) kernel_obs_.ensure_bound(name());
-  auto accumulate = [&](const float* w, size_t cols, const float* x) {
-    if (mode == KernelMode::kDense) {
-      tensor::matvec_accumulate(w, n, cols, x, syn.data());
-      if (obs_on) kernel_obs_.record_dense_frame();
-      return;
-    }
-    const auto view = tensor::make_frame_view(x, cols, active);
-    const bool use_sparse =
-        mode == KernelMode::kSparse || sparse_frame_wins(view.num_active, view.size);
-    if (obs_on) kernel_obs_.record_frame(view.num_active, view.size, use_sparse);
-    if (use_sparse) {
-      tensor::matvec_accumulate_gather(w, n, cols, view.frame, view.active, view.num_active,
-                                       syn.data());
-    } else {
-      tensor::matvec_accumulate(w, n, cols, x, syn.data());
-    }
-  };
+  obs::KernelDispatchObs* kobs = obs_on ? &kernel_obs_ : nullptr;
+  w_matvec_.begin_window();
+  v_matvec_.begin_window();
   for (size_t t = 0; t < T; ++t) {
     std::fill(syn.begin(), syn.end(), 0.0f);
-    accumulate(weights_.data(), num_inputs_, in.row(t));
+    w_matvec_.accumulate(kernel_mode_, weights_.data(), n, num_inputs_, in.row(t), syn.data(),
+                         kobs);
     if (t > 0) {
-      accumulate(recurrent_.data(), n, out.row(t - 1));
+      v_matvec_.accumulate(kernel_mode_, recurrent_.data(), n, n, out.row(t - 1), syn.data(),
+                           kobs);
     }
     lif_.step(syn.data(), out.row(t));
   }

@@ -56,6 +56,8 @@ class RecurrentLayer final : public Layer {
   std::vector<float> recurrent_grads_;
   Tensor saved_input_;
   Tensor saved_output_;  // needed: syn[t] depends on s_out[t-1]
+  FrameMatvec w_matvec_;                  // forward kernels of W
+  FrameMatvec v_matvec_;                  // forward kernels of V
   std::vector<uint32_t> active_scratch_;  // per-frame active indices (sparse backward)
   std::vector<float> syn_scratch_;        // per-frame synaptic currents (no realloc per window)
 };

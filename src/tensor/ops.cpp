@@ -101,6 +101,40 @@ SpikeFrameView make_frame_view(const float* frame, size_t n, std::vector<uint32_
   return view;
 }
 
+bool is_binary_frame(const SpikeFrameView& view) {
+  for (size_t i = 0; i < view.num_active; ++i) {
+    if (view.frame[view.active[i]] != 1.0f) return false;
+  }
+  return true;
+}
+
+void matvec_binary_accumulate(const float* a_t, size_t rows, const SpikeFrameView& view,
+                              double* acc, float* y) {
+  std::fill(acc, acc + rows, 0.0);
+  simd::lane_ops().column_adds(a_t, rows, view.active, view.num_active, nullptr, 0, acc);
+  for (size_t r = 0; r < rows; ++r) y[r] += static_cast<float>(acc[r]);
+}
+
+void transpose(const float* a, size_t rows, size_t cols, std::vector<float>& a_t) {
+  a_t.resize(rows * cols);
+  float* out = a_t.data();
+  // Blocks of 8 rows: the block's source rows stream sequentially and each
+  // column's 8 entries land as one contiguous run, instead of one strided
+  // store per element.
+  constexpr size_t kBlock = 8;
+  size_t r = 0;
+  for (; r + kBlock <= rows; r += kBlock) {
+    const float* src = a + r * cols;
+    for (size_t c = 0; c < cols; ++c) {
+      float* dst = out + c * rows + r;
+      for (size_t j = 0; j < kBlock; ++j) dst[j] = src[j * cols + c];
+    }
+  }
+  for (; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) out[c * rows + r] = a[r * cols + c];
+  }
+}
+
 void matvec_accumulate_gather(const float* a, size_t rows, size_t cols, const float* x,
                               const uint32_t* active, size_t num_active, float* y) {
   matvec_rows(a, rows, cols, [active](size_t i) { return static_cast<size_t>(active[i]); },
@@ -157,12 +191,7 @@ size_t extract_active_union(const float* x_lanes, size_t n, size_t lanes,
 
 void matvec_transpose_accumulate(const float* a, size_t rows, size_t cols, const float* x,
                                  float* y) {
-  for (size_t r = 0; r < rows; ++r) {
-    const float xr = x[r];
-    if (xr == 0.0f) continue;  // spike frames are sparse; skip silent rows
-    const float* row = a + r * cols;
-    for (size_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
-  }
+  simd::lane_ops().matvec_transpose(a, rows, cols, x, y);
 }
 
 void outer_accumulate(float* a, size_t rows, size_t cols, const float* u, const float* v,

@@ -48,6 +48,23 @@ size_t extract_active(const float* frame, size_t n, std::vector<uint32_t>& scrat
 /// extract_active + view assembly in one call; `scratch` owns the indices.
 SpikeFrameView make_frame_view(const float* frame, size_t n, std::vector<uint32_t>& scratch);
 
+/// True when every active entry of the view is exactly 1.0f: a binary
+/// spike frame, whose products w * x are exactly double(w).
+bool is_binary_frame(const SpikeFrameView& view);
+
+/// y += A x for a binary frame x, from the column-major copy `a_t`
+/// [cols, rows] of A (see transpose): per row the double sum of the active
+/// columns' weights in ascending column order from +0.0, cast to float
+/// once and added to y[r]. `acc` is [rows] scratch. Runs the SIMD table's
+/// column_adds across rows. Bit-identical to matvec_accumulate_gather on
+/// the same frame (hence to matvec_accumulate): double(w) * 1.0 ==
+/// double(w), and each row takes the same terms in the same order.
+void matvec_binary_accumulate(const float* a_t, size_t rows, const SpikeFrameView& view,
+                              double* acc, float* y);
+
+/// Column-major copy a_t [cols, rows] of the row-major [rows, cols] A.
+void transpose(const float* a, size_t rows, size_t cols, std::vector<float>& a_t);
+
 /// Sparse y += A x over the active entries of x only:
 /// y[r] += sum_{c in active} A[r,c]*x[c].
 ///
@@ -115,7 +132,10 @@ void matvec_accumulate_gather_lanes(const float* a, size_t rows, size_t cols,
 size_t extract_active_union(const float* x_lanes, size_t n, size_t lanes,
                             std::vector<uint32_t>& scratch);
 
-/// y += A^T x: y[c] += sum_r A[r,c]*x[r].
+/// y += A^T x: y[c] += A[r,c]*x[r] for r ascending, each term a float
+/// product added in float; rows with x[r] == 0 are skipped. Runs the SIMD
+/// table's matvec_transpose (vectorized across columns, so no y[c] sees
+/// its terms in another order).
 void matvec_transpose_accumulate(const float* a, size_t rows, size_t cols, const float* x,
                                  float* y);
 

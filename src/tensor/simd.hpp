@@ -1,4 +1,5 @@
-// Runtime-dispatched SIMD backends for the lane-strided kernels.
+// Runtime-dispatched SIMD backends for the lane-strided kernels and the
+// single-sample kernels of test generation.
 //
 // The lane layout (DESIGN.md §12) is lane-minor — element (c, lane) of a
 // lane frame lives at x[c*lanes + lane] — so the W independent per-lane
@@ -18,6 +19,14 @@
 //    side and not the other);
 //  * identical branch semantics — the LIF update uses ordered-quiet
 //    compares and blends that replicate the scalar if/else per lane.
+//
+// The same table serves single-sample kernels (one network, no lanes:
+// snn::LifBank::step, the dense/recurrent forward on binary frames, the
+// conv frames and conv input gradient, the BPTT transpose matvec). They
+// vectorize across the independent outputs of one frame (neurons, rows,
+// output channels, gradient elements) instead of across lanes, which is
+// the same argument: every output's own sequence of operations is
+// untouched (DESIGN.md §14).
 //
 // A backend may also block the work differently — the AVX2 matvecs sweep
 // the columns once per block of rows and widen each input column to double
@@ -70,8 +79,9 @@ Backend active_backend();
 /// Not thread-safe against in-flight kernels; switch between runs only.
 bool force_backend(Backend backend);
 
-/// Conv geometry for the lane conv kernels, mirrored from snn::Conv2dSpec
-/// as a plain tensor-level POD (the dispatch layer cannot depend on snn).
+/// Conv geometry for the conv kernels (lane and single-sample), mirrored
+/// from snn::Conv2dSpec as a plain tensor-level POD (the dispatch layer
+/// cannot depend on snn).
 struct ConvLaneGeom {
   size_t in_channels = 0;
   size_t in_height = 0;
@@ -99,7 +109,17 @@ struct LifFrameParams {
   float reset_v = 0.0f;
 };
 
-/// One backend's lane-kernel table. All pointers are non-null in every
+/// Per-element trace outputs of lif_frame_traced, the BPTT record of
+/// snn::LifBank: `u_pre` as snn::LifStepResult::u_pre (the post-integration
+/// membrane, or the entering one when nothing was integrated), `spiked` and
+/// `integrated` as 0/1 bytes.
+struct LifFrameTrace {
+  float* u_pre = nullptr;
+  uint8_t* spiked = nullptr;
+  uint8_t* integrated = nullptr;
+};
+
+/// One backend's kernel table. All pointers are non-null in every
 /// registered table; `lanes` is always in [1, kMaxLanes] (callers validate).
 struct LaneKernels {
   /// Lane-strided y += A x (see tensor::matvec_accumulate_lanes).
@@ -138,6 +158,34 @@ struct LaneKernels {
   /// refrac untouched.
   void (*lif_frame)(const LifFrameParams& params, size_t count, const float* syn, float* u,
                     int* refrac, float* out);
+  /// lif_frame that also writes each element's trace (LifFrameTrace).
+  void (*lif_frame_traced)(const LifFrameParams& params, size_t count, const float* syn,
+                           float* u, int* refrac, float* out, const LifFrameTrace& trace);
+  /// Single-sample dense conv frame (snn::ConvLayer) over weights packed
+  /// [ic][ky][kx][oc] as double: per output an ordered double sum over
+  /// (ic, ky, kx), cast once into the channel-major syn frame. `acc` is
+  /// [out_channels] scratch. Vectorized across output channels.
+  void (*conv_frame_dense)(const ConvLaneGeom& geom, const double* packed, const float* in,
+                           double* acc, float* syn);
+  /// Event-driven single-sample conv frame over the same packed weights:
+  /// the `active` pixels (ascending flat order) scatter their live taps
+  /// into channel-last accumulators `acc` [positions * out_channels], which
+  /// one transposing narrow writes into syn. Bit-identical to
+  /// conv_frame_dense when `active` lists the nonzero pixels (DESIGN.md §9).
+  void (*conv_frame_scatter)(const ConvLaneGeom& geom, const double* packed, const float* in,
+                             const uint32_t* active, size_t num_active, double* acc,
+                             float* syn);
+  /// Conv input gradient into the channel-last frame `gin`
+  /// [in_height*in_width, in_channels]: for every output (oc, oy, ox) in
+  /// that order with g = grad_syn != 0, gin += g * w over each live kernel
+  /// row's contiguous (kx, ic) run of `packed_backward` [oc][ky][kx][ic],
+  /// float mul then add. Vectorized along the runs.
+  void (*conv_backward_input)(const ConvLaneGeom& geom, const float* packed_backward,
+                              const float* grad_syn, float* gin);
+  /// y += A^T x for a row-major [rows, cols] A: y[c] += A[r,c] * x[r] as a
+  /// float mul then add, rows ascending, rows with x[r] == 0 skipped (see
+  /// tensor::matvec_transpose_accumulate). Vectorized across columns.
+  void (*matvec_transpose)(const float* a, size_t rows, size_t cols, const float* x, float* y);
 };
 
 /// The active backend's kernel table. Cheap (one relaxed atomic load), but

@@ -1,15 +1,23 @@
-// AVX2 lane kernels: 4-wide double accumulation and 8-wide float state
-// update ACROSS lanes. Compiled with -mavx2 (no -mfma) isolated to this
-// translation unit plus -ffp-contract=off, so every vector op below is the
-// exact IEEE operation the scalar kernel performs:
+// AVX2 kernels: 4-wide double accumulation and 8-wide float state update
+// ACROSS lanes, or across the independent outputs of one frame for the
+// single-sample kernels (LIF neurons, column-add rows, conv output channels
+// and kernel-row runs, transpose-matvec columns). Compiled with
+// -mavx2 (no -mfma) isolated to this translation unit plus
+// -ffp-contract=off, so every vector op below is the exact IEEE operation
+// the scalar kernel performs:
 //
 //  * _mm256_cvtps_pd        == static_cast<double>(float)   (exact)
 //  * _mm256_mul_pd / add_pd == the unfused double mul / add  (same rounding)
+//  * _mm256_mul_ps / add_ps == the unfused float mul / add   (same rounding)
 //  * _mm256_cvtpd_ps        == static_cast<float>(double)   (nearest-even)
 //  * _CMP_GE_OQ             == scalar `>=` (quiet, NaN -> false)
 //
-// Vector width divides the lane dimension only — each lane's accumulation
-// order is untouched — so results are bit-identical to simd_scalar.cpp for
+// The file instantiates no standard-library templates: their out-of-line
+// copies are weak symbols, and the linker could hand an AVX2-built one to a
+// baseline-ISA caller.
+//
+// Vector width divides the lane (or output) dimension only — each lane's
+// accumulation order is untouched — so results are bit-identical to simd_scalar.cpp for
 // every lane count, including the tail when lanes % 4 (or % 8 for the float
 // kernels) is nonzero. The matvecs additionally sweep each column once for
 // a block of rows; every (row, lane) accumulator still sums its columns in
@@ -371,65 +379,303 @@ void column_adds(const float* wt, size_t rows, const uint32_t* plus, size_t num_
   }
 }
 
+/// 0/1 bytes of an 8-wide compare mask into dst[0..8).
+inline void store_mask_bytes(uint8_t* dst, __m256 mask) {
+  const __m256i bits = _mm256_srli_epi32(_mm256_castps_si256(mask), 31);
+  const __m128i words =
+      _mm_packs_epi32(_mm256_castsi256_si128(bits), _mm256_extracti128_si256(bits, 1));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(dst), _mm_packus_epi16(words, words));
+}
+
+/// Eight LIF elements starting at element i (see the scalar lif_frame_impl).
+template <bool kTraced>
+inline void lif_block(const LifFrameParams& p, size_t i, const float* syn, float* u, int* refrac,
+                      float* out, const LifFrameTrace& trace) {
+  const __m256i zero_i = _mm256_setzero_si256();
+  const __m256i md =
+      _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p.mode + i)));
+  const __m256i normal_i = _mm256_cmpeq_epi32(md, zero_i);
+  const __m256 saturated = _mm256_castsi256_ps(_mm256_cmpeq_epi32(md, _mm256_set1_epi32(2)));
+  const __m256 u_v = _mm256_loadu_ps(u + i);
+  const __m256i rf_v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(refrac + i));
+  // Refractory normal elements: spike 0, u = reset, refrac decremented.
+  // The compare mask is all-ones (== -1) per true element, so adding it
+  // decrements.
+  const __m256i in_refrac_i = _mm256_and_si256(_mm256_cmpgt_epi32(rf_v, zero_i), normal_i);
+  const __m256 in_refrac = _mm256_castsi256_ps(in_refrac_i);
+  const __m256 integrating = _mm256_andnot_ps(in_refrac, _mm256_castsi256_ps(normal_i));
+  // Integration (computed for every element; the others discard it):
+  // unfused mul + add, exactly the scalar `leak * u + syn`.
+  const __m256 u_pre =
+      _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(p.leak + i), u_v), _mm256_loadu_ps(syn + i));
+  // Quiet ordered >= : NaN u_pre compares false, like the scalar branch.
+  const __m256 ge = _mm256_cmp_ps(u_pre, _mm256_loadu_ps(p.threshold + i), _CMP_GE_OQ);
+  const __m256 spike = _mm256_and_ps(ge, integrating);
+  // Dead and saturated elements keep u and refrac as they are; u_int is
+  // also the trace's u_pre (the entering u where nothing was integrated).
+  const __m256 u_int = _mm256_blendv_ps(u_v, u_pre, integrating);
+  const __m256 u_new =
+      _mm256_blendv_ps(u_int, _mm256_set1_ps(p.reset_v), _mm256_or_ps(in_refrac, spike));
+  const __m256i rf_dec = _mm256_add_epi32(rf_v, in_refrac_i);
+  const __m256i rf_new =
+      _mm256_blendv_epi8(rf_dec,
+                         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p.refractory + i)),
+                         _mm256_castps_si256(spike));
+  const __m256 fired = _mm256_or_ps(spike, saturated);
+  _mm256_storeu_ps(u + i, u_new);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(refrac + i), rf_new);
+  _mm256_storeu_ps(out + i, _mm256_and_ps(fired, _mm256_set1_ps(1.0f)));
+  if constexpr (kTraced) {
+    _mm256_storeu_ps(trace.u_pre + i, u_int);
+    store_mask_bytes(trace.spiked + i, fired);
+    store_mask_bytes(trace.integrated + i, integrating);
+  }
+}
+
+/// Whole blocks of eight, then the count % 8 tail through the same block
+/// body on a padded copy whose padding elements are dead (no state, no
+/// spike), so no element takes a different code path than in a full block.
+template <bool kTraced>
+void lif_frame_impl(const LifFrameParams& p, size_t count, const float* syn, float* u,
+                    int* refrac, float* out, const LifFrameTrace& trace) {
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) lif_block<kTraced>(p, i, syn, u, refrac, out, trace);
+  const size_t n = count - i;
+  if (n == 0) return;
+  float leak[8] = {}, thr[8] = {}, s[8] = {}, uu[8] = {}, o[8], up[8];
+  int refractory[8] = {}, rf[8] = {};
+  uint8_t mode[8] = {1, 1, 1, 1, 1, 1, 1, 1}, spiked[8], integrated[8];
+  for (size_t j = 0; j < n; ++j) {
+    leak[j] = p.leak[i + j];
+    thr[j] = p.threshold[i + j];
+    refractory[j] = p.refractory[i + j];
+    mode[j] = p.mode[i + j];
+    s[j] = syn[i + j];
+    uu[j] = u[i + j];
+    rf[j] = refrac[i + j];
+  }
+  const LifFrameParams tail{leak, thr, refractory, mode, p.reset_v};
+  lif_block<kTraced>(tail, 0, s, uu, rf, o, LifFrameTrace{up, spiked, integrated});
+  for (size_t j = 0; j < n; ++j) {
+    u[i + j] = uu[j];
+    refrac[i + j] = rf[j];
+    out[i + j] = o[j];
+    if constexpr (kTraced) {
+      trace.u_pre[i + j] = up[j];
+      trace.spiked[i + j] = spiked[j];
+      trace.integrated[i + j] = integrated[j];
+    }
+  }
+}
+
 void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u, int* refrac,
                float* out) {
-  const __m256 reset_ps = _mm256_set1_ps(p.reset_v);
-  const __m256 one_ps = _mm256_set1_ps(1.0f);
-  const __m256i zero_i = _mm256_setzero_si256();
-  const __m256i two_i = _mm256_set1_epi32(2);
-  size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256i md =
-        _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p.mode + i)));
-    const __m256i normal_i = _mm256_cmpeq_epi32(md, zero_i);
-    const __m256 saturated = _mm256_castsi256_ps(_mm256_cmpeq_epi32(md, two_i));
-    const __m256 u_v = _mm256_loadu_ps(u + i);
-    const __m256i rf_v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(refrac + i));
-    // Refractory normal elements: spike 0, u = reset, refrac decremented.
-    // The compare mask is all-ones (== -1) per true element, so adding it
-    // decrements.
-    const __m256i in_refrac_i = _mm256_and_si256(_mm256_cmpgt_epi32(rf_v, zero_i), normal_i);
-    const __m256 in_refrac = _mm256_castsi256_ps(in_refrac_i);
-    const __m256 integrating = _mm256_andnot_ps(in_refrac, _mm256_castsi256_ps(normal_i));
-    // Integration (computed for every element; the others discard it):
-    // unfused mul + add, exactly the scalar `leak * u + syn`.
-    const __m256 u_pre =
-        _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(p.leak + i), u_v), _mm256_loadu_ps(syn + i));
-    // Quiet ordered >= : NaN u_pre compares false, like the scalar branch.
-    const __m256 ge = _mm256_cmp_ps(u_pre, _mm256_loadu_ps(p.threshold + i), _CMP_GE_OQ);
-    const __m256 spike = _mm256_and_ps(ge, integrating);
-    // Dead and saturated elements keep u and refrac as they are.
-    const __m256 u_int = _mm256_blendv_ps(u_v, u_pre, integrating);
-    const __m256 u_new = _mm256_blendv_ps(u_int, reset_ps, _mm256_or_ps(in_refrac, spike));
-    const __m256i rf_dec = _mm256_add_epi32(rf_v, in_refrac_i);
-    const __m256i rf_new =
-        _mm256_blendv_epi8(rf_dec,
-                           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p.refractory + i)),
-                           _mm256_castps_si256(spike));
-    _mm256_storeu_ps(u + i, u_new);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(refrac + i), rf_new);
-    _mm256_storeu_ps(out + i, _mm256_and_ps(_mm256_or_ps(spike, saturated), one_ps));
+  lif_frame_impl<false>(p, count, syn, u, refrac, out, LifFrameTrace{});
+}
+
+void lif_frame_traced(const LifFrameParams& p, size_t count, const float* syn, float* u,
+                      int* refrac, float* out, const LifFrameTrace& trace) {
+  lif_frame_impl<true>(p, count, syn, u, refrac, out, trace);
+}
+
+/// Masks selecting the first `n` doubles (n in 1..4) or floats (n in 0..8)
+/// of a vector, for the masked load/store of a partial last block.
+inline __m256i mask_pd(size_t n) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+inline __m256i mask_ps(size_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Output channels [oc0, oc0 + count) of one output pixel, count in
+/// (4*(NB-1), 4*NB]: their accumulators stay in NB registers while the
+/// live taps stream past in (ic, ky, kx) order. The last block loads its
+/// weights masked; its absent channels are never stored.
+template <size_t NB>
+inline void conv_pixel_block(const ConvLaneGeom& g, const double* packed, const float* in,
+                             long y0, TapRange ys, long x0, TapRange xs, size_t oc0,
+                             size_t count, double* out) {
+  const size_t k = g.kernel;
+  const size_t noc = g.out_channels;
+  const size_t plane = g.in_height * g.in_width;
+  const long width = static_cast<long>(g.in_width);
+  const __m256i last = mask_pd(count - 4 * (NB - 1));
+  __m256d acc[NB];
+  for (size_t b = 0; b < NB; ++b) acc[b] = _mm256_setzero_pd();
+  for (size_t ic = 0; ic < g.in_channels; ++ic) {
+    const float* in_base = in + ic * plane;
+    for (size_t ky = ys.lo; ky < ys.hi; ++ky) {
+      const long row = (y0 + static_cast<long>(ky)) * width + x0;
+      const double* w_row = packed + ((ic * k + ky) * k) * noc + oc0;
+      for (size_t kx = xs.lo; kx < xs.hi; ++kx) {
+        const __m256d v = _mm256_set1_pd(static_cast<double>(in_base[row + static_cast<long>(kx)]));
+        const double* w = w_row + kx * noc;
+        for (size_t b = 0; b + 1 < NB; ++b) {
+          acc[b] = _mm256_add_pd(acc[b], _mm256_mul_pd(_mm256_loadu_pd(w + 4 * b), v));
+        }
+        const __m256d wl = _mm256_maskload_pd(w + 4 * (NB - 1), last);
+        acc[NB - 1] = _mm256_add_pd(acc[NB - 1], _mm256_mul_pd(wl, v));
+      }
+    }
   }
-  for (; i < count; ++i) {
-    float spike = 0.0f;
-    if (p.mode[i] == 0) {
-      if (refrac[i] > 0) {
-        --refrac[i];
-        u[i] = p.reset_v;
-      } else {
-        const float u_pre = p.leak[i] * u[i] + syn[i];
-        if (u_pre >= p.threshold[i]) {
-          spike = 1.0f;
-          u[i] = p.reset_v;
-          refrac[i] = p.refractory[i];
-        } else {
-          u[i] = u_pre;
+  for (size_t b = 0; b + 1 < NB; ++b) _mm256_storeu_pd(out + 4 * b, acc[b]);
+  _mm256_maskstore_pd(out + 4 * (NB - 1), last, acc[NB - 1]);
+}
+
+void conv_frame_dense(const ConvLaneGeom& g, const double* packed, const float* in, double* acc,
+                      float* syn) {
+  const size_t oh = g.out_height;
+  const size_t ow = g.out_width;
+  const size_t noc = g.out_channels;
+  for (size_t oy = 0; oy < oh; ++oy) {
+    const long y0 = static_cast<long>(oy * g.stride) - static_cast<long>(g.padding);
+    const TapRange ys = live_taps(y0, g.kernel, g.in_height);
+    for (size_t ox = 0; ox < ow; ++ox) {
+      const long x0 = static_cast<long>(ox * g.stride) - static_cast<long>(g.padding);
+      const TapRange xs = live_taps(x0, g.kernel, g.in_width);
+      for (size_t oc0 = 0; oc0 < noc; oc0 += 16) {
+        const size_t count = noc - oc0 < 16 ? noc - oc0 : 16;
+        switch ((count + 3) / 4) {
+          case 4: conv_pixel_block<4>(g, packed, in, y0, ys, x0, xs, oc0, count, acc + oc0); break;
+          case 3: conv_pixel_block<3>(g, packed, in, y0, ys, x0, xs, oc0, count, acc + oc0); break;
+          case 2: conv_pixel_block<2>(g, packed, in, y0, ys, x0, xs, oc0, count, acc + oc0); break;
+          default: conv_pixel_block<1>(g, packed, in, y0, ys, x0, xs, oc0, count, acc + oc0); break;
         }
       }
-    } else if (p.mode[i] == 2) {
-      spike = 1.0f;
+      for (size_t oc = 0; oc < noc; ++oc) {
+        syn[(oc * oh + oy) * ow + ox] = static_cast<float>(acc[oc]);
+      }
     }
-    out[i] = spike;
+  }
+}
+
+void conv_frame_scatter(const ConvLaneGeom& g, const double* packed, const float* in,
+                        const uint32_t* active, size_t num_active, double* acc, float* syn) {
+  const size_t oh = g.out_height;
+  const size_t ow = g.out_width;
+  const size_t k = g.kernel;
+  const size_t noc = g.out_channels;
+  const size_t positions = oh * ow;
+  const size_t plane = g.in_height * g.in_width;
+  const size_t full = noc & ~size_t{3};
+  const __m256i tail = mask_pd(noc - full);
+  for (size_t f = 0; f < positions * noc; ++f) acc[f] = 0.0;
+  for (size_t i = 0; i < num_active; ++i) {
+    const size_t flat = active[i];
+    const size_t ic = flat / plane;
+    const size_t rem = flat % plane;
+    const __m256d val = _mm256_set1_pd(static_cast<double>(in[flat]));
+    const ScatterTaps taps(g, rem / g.in_width, rem % g.in_width);
+    for (size_t ky = taps.ky0, oy = taps.oy0; ky <= taps.ky_end; ky += g.stride, --oy) {
+      if (oy >= oh) continue;
+      for (size_t kx = taps.kx0, ox = taps.ox0; kx <= taps.kx_end; kx += g.stride, --ox) {
+        if (ox >= ow) continue;
+        double* a = acc + (oy * ow + ox) * noc;
+        const double* w = packed + ((ic * k + ky) * k + kx) * noc;
+        for (size_t oc = 0; oc < full; oc += 4) {
+          _mm256_storeu_pd(a + oc, _mm256_add_pd(_mm256_loadu_pd(a + oc),
+                                                 _mm256_mul_pd(_mm256_loadu_pd(w + oc), val)));
+        }
+        if (full < noc) {
+          const __m256d sum = _mm256_add_pd(_mm256_maskload_pd(a + full, tail),
+                                            _mm256_mul_pd(_mm256_maskload_pd(w + full, tail), val));
+          _mm256_maskstore_pd(a + full, tail, sum);
+        }
+      }
+    }
+  }
+  for (size_t p = 0; p < positions; ++p) {
+    for (size_t oc = 0; oc < noc; ++oc) {
+      syn[oc * positions + p] = static_cast<float>(acc[p * noc + oc]);
+    }
+  }
+}
+
+void conv_backward_input(const ConvLaneGeom& g, const float* packed_backward,
+                         const float* grad_syn, float* gin) {
+  const size_t oh = g.out_height;
+  const size_t ow = g.out_width;
+  const size_t k = g.kernel;
+  const size_t nic = g.in_channels;
+  const long width = static_cast<long>(g.in_width);
+  for (size_t oc = 0; oc < g.out_channels; ++oc) {
+    for (size_t oy = 0; oy < oh; ++oy) {
+      const long y0 = static_cast<long>(oy * g.stride) - static_cast<long>(g.padding);
+      const TapRange ys = live_taps(y0, k, g.in_height);
+      for (size_t ox = 0; ox < ow; ++ox) {
+        const float gv = grad_syn[(oc * oh + oy) * ow + ox];
+        if (gv == 0.0f) continue;
+        const long x0 = static_cast<long>(ox * g.stride) - static_cast<long>(g.padding);
+        const TapRange xs = live_taps(x0, k, g.in_width);
+        const size_t run = (xs.hi - xs.lo) * nic;
+        const size_t full = run & ~size_t{7};
+        const __m256i tail = mask_ps(run - full);
+        const __m256 gvv = _mm256_set1_ps(gv);
+        for (size_t ky = ys.lo; ky < ys.hi; ++ky) {
+          const long first = (y0 + static_cast<long>(ky)) * width + x0 + static_cast<long>(xs.lo);
+          float* dst = gin + static_cast<size_t>(first) * nic;
+          const float* w = packed_backward + ((oc * k + ky) * k + xs.lo) * nic;
+          for (size_t j = 0; j < full; j += 8) {
+            _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j),
+                                                    _mm256_mul_ps(gvv, _mm256_loadu_ps(w + j))));
+          }
+          if (full < run) {
+            const __m256 sum = _mm256_add_ps(_mm256_maskload_ps(dst + full, tail),
+                                             _mm256_mul_ps(gvv, _mm256_maskload_ps(w + full, tail)));
+            _mm256_maskstore_ps(dst + full, tail, sum);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// RB live rows (x[r] != 0, ascending) of a transpose matvec in one column
+/// sweep: each 8-column block of y is loaded once and takes the rows'
+/// products in row order, so every y[c] sees the scalar kernel's term
+/// sequence.
+template <size_t RB>
+inline void transpose_rows(const float* a, size_t cols, const size_t* live, const float* x,
+                           float* y) {
+  const float* row[RB];
+  __m256 xv[RB];
+  for (size_t j = 0; j < RB; ++j) {
+    row[j] = a + live[j] * cols;
+    xv[j] = _mm256_set1_ps(x[live[j]]);
+  }
+  size_t c = 0;
+  for (; c + 8 <= cols; c += 8) {
+    __m256 acc = _mm256_loadu_ps(y + c);
+    for (size_t j = 0; j < RB; ++j) {
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_loadu_ps(row[j] + c), xv[j]));
+    }
+    _mm256_storeu_ps(y + c, acc);
+  }
+  for (; c < cols; ++c) {
+    float v = y[c];
+    for (size_t j = 0; j < RB; ++j) v += row[j][c] * x[live[j]];
+    y[c] = v;
+  }
+}
+
+void matvec_transpose(const float* a, size_t rows, size_t cols, const float* x, float* y) {
+  size_t live[4];
+  size_t num_live = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    if (x[r] == 0.0f) continue;  // the scalar kernel's silent-row skip
+    live[num_live++] = r;
+    if (num_live == 4) {
+      transpose_rows<4>(a, cols, live, x, y);
+      num_live = 0;
+    }
+  }
+  switch (num_live) {
+    case 3: return transpose_rows<3>(a, cols, live, x, y);
+    case 2: return transpose_rows<2>(a, cols, live, x, y);
+    case 1: return transpose_rows<1>(a, cols, live, x, y);
+    default: return;
   }
 }
 
@@ -437,7 +683,8 @@ void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u
 
 const LaneKernels kAvx2LaneKernels = {
     matvec_lanes, matvec_gather_lanes, conv_lanes_dense, conv_lanes_scatter,
-    pool_lanes, column_adds, lif_frame,
+    pool_lanes,   column_adds,        lif_frame,           lif_frame_traced,
+    conv_frame_dense, conv_frame_scatter, conv_backward_input, matvec_transpose,
 };
 
 }  // namespace snntest::tensor::simd

@@ -8,6 +8,8 @@
 // This translation unit (like all simd_*.cpp) is compiled with
 // -ffp-contract=off so no host contracts `w * x + acc` into an FMA that the
 // explicit mul-then-add SIMD backends cannot reproduce.
+#include <algorithm>
+
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/simd_tables.hpp"
@@ -149,7 +151,7 @@ void conv_lanes_dense(const ConvLaneGeom& g, const float* weights, const float* 
 }
 
 /// Lane-strided conv scatter over the union-active input pixels. Per lane
-/// this is the conv scatter (conv_forward_sparse) on a superset active list:
+/// this is the conv scatter (conv_frame_scatter) on a superset active list:
 /// pixels where the lane is silent contribute exact +/-0.0 terms, so each
 /// lane matches the scalar sparse (hence dense) kernel bit for bit.
 void conv_lanes_scatter(const ConvLaneGeom& g, const float* weights, const float* in_lanes,
@@ -233,20 +235,24 @@ void column_adds(const float* wt, size_t rows, const uint32_t* plus, size_t num_
   }
 }
 
-/// One LIF update of a whole lane-strided frame: per element the float
-/// expressions of snn::lif_step_neuron, verbatim (mode 1 dead, 2 saturated,
-/// both without touching the state).
-void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u, int* refrac,
-               float* out) {
+/// One LIF update of a whole frame: per element the float expressions of
+/// snn::lif_step_neuron, verbatim (mode 1 dead, 2 saturated, both without
+/// touching the state). kTraced also writes the element's LifFrameTrace.
+template <bool kTraced>
+void lif_frame_impl(const LifFrameParams& p, size_t count, const float* syn, float* u,
+                    int* refrac, float* out, const LifFrameTrace& trace) {
   for (size_t i = 0; i < count; ++i) {
     float spike = 0.0f;
+    float u_pre = u[i];
+    bool integrated = false;
     switch (p.mode[i]) {
       case 0:
         if (refrac[i] > 0) {
           --refrac[i];
           u[i] = p.reset_v;
         } else {
-          const float u_pre = p.leak[i] * u[i] + syn[i];
+          integrated = true;
+          u_pre = p.leak[i] * u[i] + syn[i];
           if (u_pre >= p.threshold[i]) {
             spike = 1.0f;
             u[i] = p.reset_v;
@@ -263,6 +269,135 @@ void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u
         break;
     }
     out[i] = spike;
+    if constexpr (kTraced) {
+      trace.u_pre[i] = u_pre;
+      trace.spiked[i] = spike != 0.0f ? 1 : 0;
+      trace.integrated[i] = integrated ? 1 : 0;
+    }
+  }
+}
+
+void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u, int* refrac,
+               float* out) {
+  lif_frame_impl<false>(p, count, syn, u, refrac, out, LifFrameTrace{});
+}
+
+void lif_frame_traced(const LifFrameParams& p, size_t count, const float* syn, float* u,
+                      int* refrac, float* out, const LifFrameTrace& trace) {
+  lif_frame_impl<true>(p, count, syn, u, refrac, out, trace);
+}
+
+/// Dense conv frame output pixel by output pixel: the inner loop runs over
+/// the out_channels independent accumulators in `acc`; each one receives
+/// its terms in (ic, ky, kx) order.
+void conv_frame_dense(const ConvLaneGeom& g, const double* packed, const float* in, double* acc,
+                      float* syn) {
+  const size_t oh = g.out_height;
+  const size_t ow = g.out_width;
+  const size_t k = g.kernel;
+  const size_t noc = g.out_channels;
+  const size_t plane = g.in_height * g.in_width;
+  const long width = static_cast<long>(g.in_width);
+  for (size_t oy = 0; oy < oh; ++oy) {
+    const long y0 = static_cast<long>(oy * g.stride) - static_cast<long>(g.padding);
+    const TapRange ys = live_taps(y0, k, g.in_height);
+    for (size_t ox = 0; ox < ow; ++ox) {
+      const long x0 = static_cast<long>(ox * g.stride) - static_cast<long>(g.padding);
+      const TapRange xs = live_taps(x0, k, g.in_width);
+      std::fill(acc, acc + noc, 0.0);
+      for (size_t ic = 0; ic < g.in_channels; ++ic) {
+        const float* in_base = in + ic * plane;
+        for (size_t ky = ys.lo; ky < ys.hi; ++ky) {
+          const long row = (y0 + static_cast<long>(ky)) * width + x0;
+          const double* w_row = packed + ((ic * k + ky) * k) * noc;
+          for (size_t kx = xs.lo; kx < xs.hi; ++kx) {
+            const double v = in_base[row + static_cast<long>(kx)];
+            const double* w = w_row + kx * noc;
+            for (size_t oc = 0; oc < noc; ++oc) acc[oc] += w[oc] * v;
+          }
+        }
+      }
+      for (size_t oc = 0; oc < noc; ++oc) {
+        syn[(oc * oh + oy) * ow + ox] = static_cast<float>(acc[oc]);
+      }
+    }
+  }
+}
+
+/// Event-driven conv frame: pixels ascend in flat (ic, iy, ix) order, so
+/// every output still sees its terms in (ic, ky, kx) order.
+void conv_frame_scatter(const ConvLaneGeom& g, const double* packed, const float* in,
+                        const uint32_t* active, size_t num_active, double* acc, float* syn) {
+  const size_t oh = g.out_height;
+  const size_t ow = g.out_width;
+  const size_t k = g.kernel;
+  const size_t noc = g.out_channels;
+  const size_t positions = oh * ow;
+  const size_t plane = g.in_height * g.in_width;
+  std::fill(acc, acc + positions * noc, 0.0);
+  for (size_t i = 0; i < num_active; ++i) {
+    const size_t flat = active[i];
+    const size_t ic = flat / plane;
+    const size_t rem = flat % plane;
+    const double val = in[flat];
+    const ScatterTaps taps(g, rem / g.in_width, rem % g.in_width);
+    for (size_t ky = taps.ky0, oy = taps.oy0; ky <= taps.ky_end; ky += g.stride, --oy) {
+      if (oy >= oh) continue;
+      for (size_t kx = taps.kx0, ox = taps.ox0; kx <= taps.kx_end; kx += g.stride, --ox) {
+        if (ox >= ow) continue;
+        double* a = acc + (oy * ow + ox) * noc;
+        const double* w = packed + ((ic * k + ky) * k + kx) * noc;
+        for (size_t oc = 0; oc < noc; ++oc) a[oc] += w[oc] * val;
+      }
+    }
+  }
+  for (size_t p = 0; p < positions; ++p) {
+    for (size_t oc = 0; oc < noc; ++oc) {
+      syn[oc * positions + p] = static_cast<float>(acc[p * noc + oc]);
+    }
+  }
+}
+
+/// Conv input gradient one output at a time: the live taps of one kernel
+/// row touch adjacent pixels, so in the channel-last layout their (kx, ic)
+/// elements form one contiguous run, as do the packed weights that feed
+/// them.
+void conv_backward_input(const ConvLaneGeom& g, const float* packed_backward,
+                         const float* grad_syn, float* gin) {
+  const size_t oh = g.out_height;
+  const size_t ow = g.out_width;
+  const size_t k = g.kernel;
+  const size_t nic = g.in_channels;
+  const long width = static_cast<long>(g.in_width);
+  for (size_t oc = 0; oc < g.out_channels; ++oc) {
+    for (size_t oy = 0; oy < oh; ++oy) {
+      const long y0 = static_cast<long>(oy * g.stride) - static_cast<long>(g.padding);
+      const TapRange ys = live_taps(y0, k, g.in_height);
+      for (size_t ox = 0; ox < ow; ++ox) {
+        const float gv = grad_syn[(oc * oh + oy) * ow + ox];
+        if (gv == 0.0f) continue;
+        const long x0 = static_cast<long>(ox * g.stride) - static_cast<long>(g.padding);
+        const TapRange xs = live_taps(x0, k, g.in_width);
+        const size_t run = (xs.hi - xs.lo) * nic;
+        for (size_t ky = ys.lo; ky < ys.hi; ++ky) {
+          const long first = (y0 + static_cast<long>(ky)) * width + x0 + static_cast<long>(xs.lo);
+          float* dst = gin + static_cast<size_t>(first) * nic;
+          const float* w = packed_backward + ((oc * k + ky) * k + xs.lo) * nic;
+          for (size_t j = 0; j < run; ++j) dst[j] += gv * w[j];
+        }
+      }
+    }
+  }
+}
+
+/// Transpose matvec one row at a time: each y[c] takes the live rows'
+/// float products in ascending row order.
+void matvec_transpose(const float* a, size_t rows, size_t cols, const float* x, float* y) {
+  for (size_t r = 0; r < rows; ++r) {
+    const float xr = x[r];
+    if (xr == 0.0f) continue;  // spike frames are sparse; skip silent rows
+    const float* row = a + r * cols;
+    for (size_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
   }
 }
 
@@ -270,7 +405,8 @@ void lif_frame(const LifFrameParams& p, size_t count, const float* syn, float* u
 
 const LaneKernels kScalarLaneKernels = {
     matvec_lanes, matvec_gather_lanes, conv_lanes_dense, conv_lanes_scatter,
-    pool_lanes, column_adds, lif_frame,
+    pool_lanes,   column_adds,        lif_frame,           lif_frame_traced,
+    conv_frame_dense, conv_frame_scatter, conv_backward_input, matvec_transpose,
 };
 
 }  // namespace snntest::tensor::simd

@@ -42,6 +42,17 @@ inline void naive_matvec_accumulate_gather(const float* a, size_t rows, size_t c
   }
 }
 
+/// y += A^T x: float products added into each y[c] in ascending row
+/// order, rows with x[r] == 0 skipped.
+inline void naive_matvec_transpose_accumulate(const float* a, size_t rows, size_t cols,
+                                              const float* x, float* y) {
+  for (size_t c = 0; c < cols; ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      if (x[r] != 0.0f) y[c] += a[r * cols + c] * x[r];
+    }
+  }
+}
+
 /// Dense conv gather: per output (oc, oy, ox), an ordered double sum over
 /// (ic, ky, kx) of weights [oc][ic][ky][kx] times the input frame.
 inline void naive_conv_forward_frame(const snn::Conv2dSpec& spec, const float* weights,

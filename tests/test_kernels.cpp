@@ -13,9 +13,12 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "snn/conv_layer.hpp"
+#include "snn/dense_layer.hpp"
+#include "snn/recurrent_layer.hpp"
 #include "support/naive_kernels.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -329,6 +332,106 @@ TEST(KernelOracle, ConvLayerSeesWeightsChangedBetweenCalls) {
       expect_backward_matches_oracle(layer, none, grad_out, describe(spec) + " second call");
     }
   }
+}
+
+/// A dense or recurrent layer with fuzz weights (both matrices).
+template <typename LayerT>
+LayerT make_fuzz_fc(size_t in, size_t n, util::Rng& rng) {
+  LayerT layer(in, n, fuzz_lif());
+  for (const snn::ParamView& p : layer.params()) {
+    for (size_t i = 0; i < p.size; ++i) p.value[i] = fuzz_value(rng);
+  }
+  return layer;
+}
+
+/// forward_into and backward of a dense or recurrent layer against the
+/// naive matvecs: syn[t] = W x[t] (+ V out[t-1] for t > 0, cast and added
+/// separately), driven through an independent LifBank; the input gradient
+/// is W^T grad_syn[t], with the recurrent credit V^T grad_syn[t+1] folded
+/// into the spike gradient as RecurrentLayer::backward does.
+template <typename LayerT>
+void expect_fc_matches_oracle(LayerT& layer, KernelMode mode, const Tensor& in,
+                              const Tensor& grad_out, const std::string& what) {
+  constexpr bool kRecurrent = std::is_same_v<LayerT, snn::RecurrentLayer>;
+  const size_t T = in.shape().dim(0);
+  const size_t n = layer.num_neurons();
+  const size_t cols = layer.num_inputs();
+  const float* w = layer.weights().data();
+  layer.set_kernel_mode(mode);
+  Tensor out;
+  layer.forward_into(in, true, out);
+
+  snn::LifBank bank(n, layer.lif().defaults());
+  bank.begin_run(T, true);
+  Tensor want(Shape{T, n});
+  std::vector<float> syn(n);
+  for (size_t t = 0; t < T; ++t) {
+    std::fill(syn.begin(), syn.end(), 0.0f);
+    test_support::naive_matvec_accumulate(w, n, cols, in.row(t), syn.data());
+    if constexpr (kRecurrent) {
+      if (t > 0) {
+        test_support::naive_matvec_accumulate(layer.recurrent_weights().data(), n, n,
+                                              want.row(t - 1), syn.data());
+      }
+    }
+    bank.step(syn.data(), want.row(t));
+  }
+  ASSERT_TRUE(same_bytes(out.data(), want.data(), T * n)) << what << ": spikes";
+  ASSERT_TRUE(same_bytes(layer.lif().trace_u_pre().data(), bank.trace_u_pre().data(), T * n))
+      << what << ": membrane trace";
+
+  Tensor want_grad(Shape{T, cols});
+  std::vector<float> grad_spike(n, 0.0f), grad_syn(n);
+  snn::LifBank::Backward bw(bank, layer.surrogate(), T);
+  for (size_t t = T; t-- > 0;) {
+    for (size_t i = 0; i < n; ++i) grad_spike[i] += grad_out.row(t)[i];
+    bw.step(t, grad_spike.data(), grad_syn.data());
+    test_support::naive_matvec_transpose_accumulate(w, n, cols, grad_syn.data(),
+                                                    want_grad.row(t));
+    std::fill(grad_spike.begin(), grad_spike.end(), 0.0f);
+    if constexpr (kRecurrent) {
+      test_support::naive_matvec_transpose_accumulate(layer.recurrent_weights().data(), n, n,
+                                                      grad_syn.data(), grad_spike.data());
+    }
+  }
+  layer.set_param_grads_enabled(false);
+  const Tensor got_grad = layer.backward(grad_out);
+  ASSERT_TRUE(same_bytes(got_grad.data(), want_grad.data(), T * cols)) << what << ": grad_in";
+}
+
+template <typename LayerT>
+void check_fc_sees_weight_changes(util::Rng& rng, const char* kind) {
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t in = static_cast<size_t>(rng.uniform_int(1, 40));
+    const size_t n = static_cast<size_t>(rng.uniform_int(1, 40));
+    LayerT layer = make_fuzz_fc<LayerT>(in, n, rng);
+    const std::string shape =
+        std::string(kind) + " " + std::to_string(in) + "->" + std::to_string(n);
+    for (const KernelMode mode : {KernelMode::kDense, KernelMode::kSparse, KernelMode::kAuto}) {
+      const std::string what = shape + " mode " + snn::kernel_mode_name(mode);
+      const Tensor window = fuzz_window(rng, 6, in, true);
+      Tensor grad_out(Shape{6, n});
+      for (size_t i = 0; i < grad_out.numel(); ++i) {
+        grad_out[i] = rng.bernoulli(0.3) ? 0.0f : fuzz_value(rng);
+      }
+      expect_fc_matches_oracle(layer, mode, window, grad_out, what + " first call");
+      for (const snn::ParamView& p : layer.params()) {
+        const size_t idx = rng.uniform_index(p.size);
+        p.value[idx] = p.value[idx] == 1e5f ? -1e5f : 1e5f;  // one stored-weight fault
+      }
+      expect_fc_matches_oracle(layer, mode, window, grad_out, what + " second call");
+    }
+  }
+}
+
+TEST(KernelOracle, DenseAndRecurrentLayersSeeWeightsChangedBetweenCalls) {
+  // kAuto runs binary frames as column adds over a column-major copy of W
+  // (and V). A copy kept from the first call would serve the old weights to
+  // the second after a ScopedFault rewrote one in place. The binary fuzz
+  // windows hold +/-0.0 and 1.0 only, with fuzz weights up to +/-2^40.
+  util::Rng rng(2806);
+  check_fc_sees_weight_changes<snn::DenseLayer>(rng, "dense");
+  check_fc_sees_weight_changes<snn::RecurrentLayer>(rng, "recurrent");
 }
 
 TEST(KernelOracle, SharedConvLayerFrameKernelFromManyThreads) {

@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "snn/conv_layer.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/pool_layer.hpp"
 #include "snn/recurrent_layer.hpp"
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
 
 namespace snntest::snn {
@@ -306,6 +310,109 @@ TEST(SparseKernels, RecurrentLayerBitIdentical) {
   for (const double density : {0.05, 0.4}) {
     expect_kernel_modes_identical(layer, random_spikes(14, 24, density, 78));
   }
+}
+
+/// Everything one recorded forward + backward of a layer produces.
+struct LayerRun {
+  Tensor out;
+  std::vector<float> u_pre;
+  std::vector<uint8_t> spikes;
+  std::vector<uint8_t> integrated;
+  Tensor grad_in;
+  std::vector<std::vector<float>> param_grads;
+};
+
+template <typename LayerT>
+LayerRun run_layer(const LayerT& reference, KernelMode mode, const Tensor& in,
+                   const Tensor& grad_out) {
+  LayerT layer(reference);
+  layer.set_kernel_mode(mode);
+  LayerRun run;
+  run.out = layer.forward(in, true);
+  run.u_pre = layer.lif().trace_u_pre();
+  run.spikes = layer.lif().trace_spikes();
+  run.integrated = layer.lif().trace_integrated();
+  run.grad_in = layer.backward(grad_out);
+  for (const ParamView& p : layer.params()) run.param_grads.emplace_back(p.grad, p.grad + p.size);
+  return run;
+}
+
+bool same_floats(const float* a, const float* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// Every KernelMode under every SIMD backend must reproduce the kDense run
+/// on the portable scalar kernels: spikes, LIF traces, input gradient and
+/// weight gradients, bit for bit.
+template <typename LayerT>
+void expect_modes_and_backends_identical(const LayerT& reference, const Tensor& in,
+                                         const Tensor& grad_out) {
+  struct BackendGuard {
+    tensor::simd::Backend prior = tensor::simd::active_backend();
+    ~BackendGuard() { tensor::simd::force_backend(prior); }
+  } guard;
+  ASSERT_TRUE(tensor::simd::force_backend(tensor::simd::Backend::kScalar));
+  const LayerRun want = run_layer(reference, KernelMode::kDense, in, grad_out);
+  const size_t spikes = want.out.count_nonzero();
+  ASSERT_GT(spikes, 0u) << "the window must make the layer fire";
+  ASSERT_LT(spikes, want.out.numel()) << "and leave it silent somewhere";
+  for (const tensor::simd::Backend b : tensor::simd::available_backends()) {
+    ASSERT_TRUE(tensor::simd::force_backend(b));
+    for (const KernelMode mode : {KernelMode::kDense, KernelMode::kSparse, KernelMode::kAuto}) {
+      SCOPED_TRACE(std::string("backend=") + tensor::simd::backend_name(b) + " mode=" +
+                   kernel_mode_name(mode));
+      const LayerRun got = run_layer(reference, mode, in, grad_out);
+      ASSERT_EQ(got.out.shape(), want.out.shape());
+      EXPECT_TRUE(same_floats(got.out.data(), want.out.data(), want.out.numel())) << "spikes";
+      EXPECT_TRUE(same_floats(got.u_pre.data(), want.u_pre.data(), want.u_pre.size()))
+          << "u_pre trace";
+      EXPECT_EQ(got.spikes, want.spikes) << "spike trace";
+      EXPECT_EQ(got.integrated, want.integrated) << "integrated trace";
+      EXPECT_TRUE(same_floats(got.grad_in.data(), want.grad_in.data(), want.grad_in.numel()))
+          << "input gradient";
+      ASSERT_EQ(got.param_grads.size(), want.param_grads.size());
+      for (size_t k = 0; k < want.param_grads.size(); ++k) {
+        EXPECT_TRUE(same_floats(got.param_grads[k].data(), want.param_grads[k].data(),
+                                want.param_grads[k].size()))
+            << "weight gradient " << k;
+      }
+    }
+  }
+}
+
+/// A window for kAuto's binary-frame path: binary frames from sparse to
+/// all-ones, all-zero frames, and one frame holding a 0.5 (not binary, so
+/// kAuto falls back to the matvecs for that frame only).
+Tensor binary_half_and_silent_window(size_t T, size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  const double densities[] = {0.05, 0.3, 0.7, 1.0};
+  Tensor t(Shape{T, n});
+  for (size_t r = 0; r < T; ++r) {
+    if (r % 4 == 3) continue;  // all-zero frame
+    const double density = densities[r % 4 == 0 ? (r / 4) % 4 : r % 4];
+    for (size_t i = 0; i < n; ++i) t.row(r)[i] = rng.bernoulli(density) ? 1.0f : 0.0f;
+  }
+  t.row(5)[n / 2] = 0.5f;
+  return t;
+}
+
+TEST(KernelModes, DenseLayerIdenticalOnBinaryHalfAndSilentFrames) {
+  // 21 neurons walk the column adds' 16-row and 4-row blocks and a row tail.
+  DenseLayer layer(37, 21, test_lif());
+  util::Rng rng(81);
+  layer.init_weights(rng, 1.4f);
+  expect_modes_and_backends_identical(layer, binary_half_and_silent_window(16, 37, 82),
+                                      random_grad(16, 21, 83));
+}
+
+TEST(KernelModes, RecurrentLayerIdenticalOnBinaryHalfAndSilentFrames) {
+  // The lateral input is the layer's own (binary) output, so V takes the
+  // column adds on every frame while W falls back on the 0.5 frame.
+  RecurrentLayer layer(29, 23, test_lif());
+  util::Rng rng(84);
+  layer.init_weights(rng, 1.4f, 0.8f);
+  expect_modes_and_backends_identical(layer, binary_half_and_silent_window(16, 29, 85),
+                                      random_grad(16, 23, 86));
 }
 
 /// Regression for the faulted-backward inconsistency: forward applies an

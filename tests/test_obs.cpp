@@ -472,6 +472,11 @@ TEST(ObsIdentity, CampaignResultsBitIdenticalWithTelemetryOnAndOff) {
   const auto off = campaign::run_campaign(net, stimulus, faults, cfg);
   obs::set_telemetry_enabled(true);
   const auto on = campaign::run_campaign(net, stimulus, faults, cfg);
+  // With telemetry on the run report names the campaign's fingerprint.
+  const JsonValue root = parse_json(obs::metrics_report_json());
+  const std::string& fingerprint = root.at("fields").at("campaign_fingerprint").str;
+  EXPECT_EQ(fingerprint.size(), 16u);
+  EXPECT_EQ(fingerprint.find_first_not_of("0123456789abcdef"), std::string::npos) << fingerprint;
 
   ASSERT_EQ(off.results.size(), on.results.size());
   for (size_t i = 0; i < off.results.size(); ++i) {

@@ -11,6 +11,11 @@
 // Shapes are deliberately odd (7x13 matvec, strided padded conv) so row
 // boundaries never align with the vector width.
 //
+// The single-sample kernels (the traced frame LIF of snn::LifBank and the
+// BPTT transpose matvec) get their own per-backend checks: the LIF against
+// snn::lif_step_neuron element by element, the transpose against the
+// scalar table over shapes that leave every vector tail.
+//
 // On hosts with no SIMD backend the differential loops are vacuous but the
 // dispatch-surface tests (parse/name/availability/force) still run.
 #include <gtest/gtest.h>
@@ -342,6 +347,177 @@ TEST(SimdKernels, PublicEntryPointsRejectBadLaneCounts) {
   EXPECT_THROW(
       matvec_accumulate_gather_lanes(a.data(), 2, 2, x.data(), 0, active, 1, y.data()),
       std::invalid_argument);
+}
+
+TEST(SimdKernels, TracedFrameLifMatchesLifStepNeuron) {
+  // LifBank::step is one frame-kernel call: lif_frame_traced while it
+  // records, lif_frame otherwise. On every backend, each element must match
+  // snn::lif_step_neuron exactly: spike, u, refractory count and the BPTT
+  // trace (u_pre, spiked, integrated). Counts 1..35 leave every remainder of
+  // the 8-wide blocks; the mode mix and a refractory period up to 3 make
+  // dead, saturated, refractory, firing and integrating elements occur.
+  BackendGuard guard;
+  const float reset_v = 0.125f;
+  for (const Backend b : available_backends()) {
+    ASSERT_TRUE(force_backend(b));
+    const LaneKernels& ops = lane_ops();
+    for (size_t count = 1; count <= 35; ++count) {
+      SCOPED_TRACE(std::string("backend=") + backend_name(b) + " count=" +
+                   std::to_string(count));
+      util::Rng rng(4100 + count);
+      const auto leak = random_vec(rng, count, 0.5f, 1.0f);
+      const auto thr = random_vec(rng, count, 0.5f, 1.5f);
+      std::vector<int> refractory(count);
+      std::vector<uint8_t> mode(count, 0);
+      for (size_t i = 0; i < count; ++i) {
+        refractory[i] = static_cast<int>(i % 4);
+        if (i % 7 == 3) mode[i] = 1;
+        if (i % 5 == 2) mode[i] = 2;
+      }
+      LifFrameParams params;
+      params.leak = leak.data();
+      params.threshold = thr.data();
+      params.refractory = refractory.data();
+      params.mode = mode.data();
+      params.reset_v = reset_v;
+
+      std::vector<float> u = random_vec(rng, count, 0.0f, 0.9f);
+      std::vector<int> refrac(count, 0);
+      for (size_t i = 0; i < count; i += 3) refrac[i] = 1 + static_cast<int>(i % 3);
+      std::vector<float> u_ref = u;
+      std::vector<int> refrac_ref = refrac;
+      std::vector<float> u_plain = u;
+      std::vector<int> refrac_plain = refrac;
+      for (int step = 0; step < 8; ++step) {
+        std::vector<float> syn = random_vec(rng, count, -0.5f, 1.5f);
+        if (step == 5) syn[count / 2] = std::numeric_limits<float>::quiet_NaN();
+        std::vector<float> out(count, -1.0f), out_plain(count, -1.0f), u_pre(count, -1.0f);
+        std::vector<uint8_t> spiked(count, 7), integrated(count, 7);
+        ops.lif_frame_traced(params, count, syn.data(), u.data(), refrac.data(), out.data(),
+                             LifFrameTrace{u_pre.data(), spiked.data(), integrated.data()});
+        ops.lif_frame(params, count, syn.data(), u_plain.data(), refrac_plain.data(),
+                      out_plain.data());
+        for (size_t i = 0; i < count; ++i) {
+          const snn::LifStepResult r = snn::lif_step_neuron(
+              u_ref[i], refrac_ref[i], syn[i], static_cast<snn::NeuronMode>(mode[i]), thr[i],
+              leak[i], refractory[i], reset_v);
+          const std::string at = "step " + std::to_string(step) + " element " + std::to_string(i);
+          ASSERT_EQ(std::memcmp(&out[i], &r.spike, sizeof(float)), 0) << at << " spike";
+          ASSERT_EQ(std::memcmp(&u[i], &u_ref[i], sizeof(float)), 0) << at << " u";
+          ASSERT_EQ(refrac[i], refrac_ref[i]) << at << " refrac";
+          ASSERT_EQ(std::memcmp(&u_pre[i], &r.u_pre, sizeof(float)), 0) << at << " u_pre";
+          ASSERT_EQ(spiked[i], r.spike > 0.5f ? 1 : 0) << at << " spiked";
+          ASSERT_EQ(integrated[i], r.integrated ? 1 : 0) << at << " integrated";
+        }
+        expect_bits_equal(out_plain, out, "lif_frame out");
+        expect_bits_equal(u_plain, u, "lif_frame u");
+        ASSERT_EQ(refrac_plain, refrac) << "lif_frame refrac";
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, TransposeMatvecBitIdenticalToScalar) {
+  // y += A^T x adds float products into each y[c] in ascending row order.
+  // The AVX2 kernel sweeps 8 columns per vector and up to 4 live rows per
+  // sweep; every (rows, cols) pair below leaves a different column tail and
+  // live-row remainder. Exact +/-2^40 weights cancel against each other
+  // while swallowing small terms, so a reordered sum would change bits.
+  BackendGuard guard;
+  for (const size_t rows : {1, 2, 3, 4, 5, 7, 9, 17}) {
+    for (const size_t cols : {1, 3, 7, 8, 9, 15, 16, 17, 33, 64}) {
+      const uint64_t seed = 5000 + rows * 100 + cols;
+      auto run = [&](Backend b) {
+        EXPECT_TRUE(force_backend(b));
+        util::Rng rng(seed);
+        std::vector<float> a = random_vec(rng, rows * cols, -2.0f, 2.0f);
+        for (size_t i = 0; i < a.size(); i += 5) a[i] = (i / 5) % 2 == 0 ? 0x1p40f : -0x1p40f;
+        std::vector<float> x = random_vec(rng, rows);
+        for (size_t r = 0; r < rows; r += 3) x[r] = r % 2 == 0 ? 0.0f : -0.0f;  // skipped rows
+        if (rows == 9 && cols == 17) x[4] = std::numeric_limits<float>::quiet_NaN();
+        std::vector<float> y = random_vec(rng, cols);
+        matvec_transpose_accumulate(a.data(), rows, cols, x.data(), y.data());
+        return y;
+      };
+      const std::vector<float> ref = run(Backend::kScalar);
+      for (const Backend b : available_backends()) {
+        if (b == Backend::kScalar) continue;
+        SCOPED_TRACE(std::string("backend=") + backend_name(b) + " rows=" +
+                     std::to_string(rows) + " cols=" + std::to_string(cols));
+        expect_bits_equal(run(b), ref, "matvec_transpose");
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, ConvFrameKernelsBitIdenticalToScalar) {
+  // The single-sample conv kernels of snn::ConvLayer vectorize across
+  // output channels (forward) and along a kernel row's (kx, ic) run (input
+  // gradient). Out-channel counts 1..9 and 17 leave every 4-wide double
+  // tail and the 16-channel register blocks; odd input-channel counts leave
+  // every 8-wide float run tail; strides 1-3 with padding walk every
+  // scatter tap pattern. Exact +/-2^40 weights make a reordered sum show.
+  BackendGuard guard;
+  util::Rng shapes(6100);
+  for (int trial = 0; trial < 40; ++trial) {
+    ConvLaneGeom g;
+    g.in_channels = 1 + shapes.uniform_index(5);
+    g.kernel = 1 + shapes.uniform_index(4);
+    g.stride = 1 + shapes.uniform_index(3);
+    g.padding = shapes.uniform_index(g.kernel);
+    g.in_height = g.kernel + shapes.uniform_index(7);
+    g.in_width = g.kernel + shapes.uniform_index(7);
+    g.out_channels = trial % 10 == 9 ? 17 : 1 + static_cast<size_t>(trial % 10);
+    g.out_height = (g.in_height + 2 * g.padding - g.kernel) / g.stride + 1;
+    g.out_width = (g.in_width + 2 * g.padding - g.kernel) / g.stride + 1;
+    const size_t taps = g.in_channels * g.kernel * g.kernel;
+    struct ConvFrameOutputs {
+      std::vector<float> dense, scatter, grad_in;
+    };
+    auto run = [&](Backend b) {
+      EXPECT_TRUE(force_backend(b));
+      const LaneKernels& ops = lane_ops();
+      util::Rng rng(6200 + trial);
+      std::vector<double> packed(taps * g.out_channels);
+      for (size_t i = 0; i < packed.size(); ++i) {
+        packed[i] = i % 7 == 0 ? (i % 2 == 0 ? 0x1p40 : -0x1p40) : rng.uniform(-2.0, 2.0);
+      }
+      std::vector<float> in(g.input_size(), 0.0f);
+      std::vector<uint32_t> active;
+      for (uint32_t p = 0; p < in.size(); ++p) {
+        if (rng.bernoulli(0.4)) {
+          in[p] = rng.bernoulli(0.5) ? 1.0f : static_cast<float>(rng.uniform(-3.0, 3.0));
+          active.push_back(p);
+        }
+      }
+      std::vector<double> acc(g.output_size());
+      ConvFrameOutputs out;
+      out.dense.assign(g.output_size(), -1.0f);
+      ops.conv_frame_dense(g, packed.data(), in.data(), acc.data(), out.dense.data());
+      out.scatter.assign(g.output_size(), -1.0f);
+      ops.conv_frame_scatter(g, packed.data(), in.data(), active.data(), active.size(),
+                             acc.data(), out.scatter.data());
+      std::vector<float> packed_backward = random_vec(rng, taps * g.out_channels, -2.0f, 2.0f);
+      for (size_t i = 0; i < packed_backward.size(); i += 5) {
+        packed_backward[i] = i % 2 == 0 ? 0x1p40f : -0x1p40f;
+      }
+      std::vector<float> grad_syn = random_vec(rng, g.output_size());
+      for (size_t i = 0; i < grad_syn.size(); i += 3) grad_syn[i] = 0.0f;
+      out.grad_in = random_vec(rng, g.input_size());  // channel-last
+      ops.conv_backward_input(g, packed_backward.data(), grad_syn.data(), out.grad_in.data());
+      return out;
+    };
+    const ConvFrameOutputs ref = run(Backend::kScalar);
+    expect_bits_equal(ref.scatter, ref.dense, "scalar scatter vs dense");
+    for (const Backend b : available_backends()) {
+      if (b == Backend::kScalar) continue;
+      SCOPED_TRACE(std::string("backend=") + backend_name(b) + " trial=" + std::to_string(trial));
+      const ConvFrameOutputs got = run(b);
+      expect_bits_equal(got.dense, ref.dense, "conv_frame_dense");
+      expect_bits_equal(got.scatter, ref.scatter, "conv_frame_scatter");
+      expect_bits_equal(got.grad_in, ref.grad_in, "conv_backward_input");
+    }
+  }
 }
 
 TEST(SimdKernels, ScatterWithAllPixelsActiveMatchesDense) {

@@ -13,7 +13,9 @@
 #include "core/test_generator.hpp"
 #include "fault/coverage.hpp"
 #include "snn/dense_layer.hpp"
+#include "snn/recurrent_layer.hpp"
 #include "snn/spike_train.hpp"
+#include "tensor/simd.hpp"
 
 namespace snntest::core {
 namespace {
@@ -185,6 +187,45 @@ TEST(TestGenerator, BitIdenticalAcrossThreadCounts) {
               0)
         << "threads=" << threads;
   }
+}
+
+TEST(TestGenerator, BitIdenticalAcrossSimdBackends) {
+  // The generator's forward (LIF frames, binary-frame column adds) and BPTT
+  // (transpose matvec) dispatch through the SIMD table, so the stimulus
+  // must be byte-identical under the portable scalar kernels and under the
+  // best backend. The recurrent layer puts V's column adds and transpose
+  // on the path too.
+  util::Rng rng(77);
+  snn::LifParams lif;
+  snn::Network net("testgen-simd-net");
+  auto l1 = std::make_unique<snn::RecurrentLayer>(8, 12, lif);
+  l1->init_weights(rng, 1.2f, 0.6f);
+  net.add_layer(std::move(l1));
+  auto l2 = std::make_unique<snn::DenseLayer>(12, 4, lif);
+  l2->init_weights(rng, 1.2f);
+  net.add_layer(std::move(l2));
+  auto cfg = fast_config();
+  cfg.seed = 8765;
+  cfg.restarts = 2;
+  cfg.steps_stage1 = 20;
+  cfg.t_in_min = 6;
+  cfg.max_iterations = 3;
+
+  struct BackendGuard {
+    tensor::simd::Backend prior = tensor::simd::active_backend();
+    ~BackendGuard() { tensor::simd::force_backend(prior); }
+  } guard;
+  auto generate = [&](tensor::simd::Backend backend) {
+    EXPECT_TRUE(tensor::simd::force_backend(backend));
+    TestGenerator generator(net, cfg);
+    return generator.generate().stimulus.assemble();
+  };
+  const auto reference = generate(tensor::simd::Backend::kScalar);
+  ASSERT_GT(reference.numel(), 0u);
+  const auto best = generate(tensor::simd::best_available_backend());
+  ASSERT_EQ(best.shape(), reference.shape());
+  ASSERT_EQ(std::memcmp(best.data(), reference.data(), reference.numel() * sizeof(float)), 0)
+      << "backend " << tensor::simd::backend_name(tensor::simd::best_available_backend());
 }
 
 TEST(TestGenerator, WinningRestartIsRecorded) {
