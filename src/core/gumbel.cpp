@@ -1,7 +1,11 @@
 #include "core/gumbel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "tensor/simd.hpp"
 
 namespace snntest::core {
 
@@ -18,14 +22,31 @@ GumbelSoftmaxInput::GumbelSoftmaxInput(size_t num_steps, size_t num_channels, ut
 }
 
 const Tensor& GumbelSoftmaxInput::forward(double tau, bool stochastic) {
-  if (tau <= 0.0) throw std::invalid_argument("GumbelSoftmaxInput: tau must be > 0");
+  // !(tau > 0) also rejects NaN; an infinite tau would make every logit 0.
+  if (!(tau > 0.0) || !std::isfinite(tau)) {
+    throw std::invalid_argument("GumbelSoftmaxInput: tau must be finite and > 0, got " +
+                                std::to_string(tau));
+  }
   last_tau_ = tau;
-  for (size_t i = 0; i < real_.numel(); ++i) {
-    double logit = real_[i];
-    if (stochastic) logit += rng_->gumbel() - rng_->gumbel();
-    const double soft = 1.0 / (1.0 + std::exp(-logit / tau));
-    soft_[i] = static_cast<float>(soft);
-    binary_[i] = soft > 0.5 ? 1.0f : 0.0f;
+  // Chunked so the scratch stays a few KB whatever the window: per element
+  // the noise pair is drawn first (g1 then g2, one stream), then the table
+  // forms the logit -(real + (g1 - g2)) / tau, glibc exp runs element by
+  // element, and the table finishes the sigmoid and the STE threshold.
+  constexpr size_t kChunk = 256;
+  double g1[kChunk], g2[kChunk], x[kChunk];
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
+  const size_t total = real_.numel();
+  for (size_t base = 0; base < total; base += kChunk) {
+    const size_t n = std::min(kChunk, total - base);
+    if (stochastic) {
+      for (size_t i = 0; i < n; ++i) {
+        g1[i] = rng_->gumbel();
+        g2[i] = rng_->gumbel();
+      }
+    }
+    ops.gumbel_logits(real_.data() + base, stochastic ? g1 : nullptr, g2, n, tau, x);
+    for (size_t i = 0; i < n; ++i) x[i] = std::exp(x[i]);
+    ops.gumbel_binarize(x, n, soft_.data() + base, binary_.data() + base);
   }
   return binary_;
 }

@@ -35,7 +35,8 @@ class GumbelSoftmaxInput {
 
   /// Sample noise and produce the binary input I_in for this step.
   /// With `stochastic` false, uses zero noise (deterministic rounding) —
-  /// used for the final evaluation of a candidate.
+  /// used for the final evaluation of a candidate. Throws
+  /// std::invalid_argument unless tau is finite and > 0.
   const Tensor& forward(double tau, bool stochastic = true);
 
   /// Translate dL/dI_in into dL/dI_real (overwrites the stored gradient).

@@ -17,16 +17,11 @@ StageOutcome InputOptimizer::run(
   outcome.best_loss = std::numeric_limits<double>::infinity();
 
   // "During the input optimization the SNN model stays fixed": dL/dW is
-  // never consumed here (the seed zeroed it every step and discarded it),
-  // so turn parameter-gradient accumulation off for the whole stage.
-  // dL/d(input) — the only gradient this loop uses — is bit-identical with
-  // the flag off, so the optimization trajectory is unchanged.
-  struct ParamGradGuard {
-    snn::Network* net;
-    bool previous;
-    ~ParamGradGuard() { net->set_param_grads_enabled(previous); }
-  } param_grad_guard{net_, net_->param_grads_enabled()};
-  net_->set_param_grads_enabled(false);
+  // never consumed here, so the frozen scope turns parameter-gradient
+  // accumulation off (dL/d(input), the only gradient this loop uses, is
+  // bit-identical without it) and lets every layer keep its weight packs
+  // for the whole stage.
+  const snn::FrozenWeights frozen(*net_);
   net_->zero_grad();  // leave no stale weight grads behind for later readers
 
   train::AdamConfig adam_config;
@@ -37,6 +32,10 @@ StageOutcome InputOptimizer::run(
   const train::CosineSchedule lr_schedule(config_.lr_initial, config_.lr_final);
   const train::CosineSchedule tau_schedule(config_.tau_max, config_.tau_min);
 
+  // Gradient accumulators reused by every step: the stochastic step's, the
+  // deterministic evaluation's (discarded), and the per-term scratch of
+  // CompositeLoss::compute.
+  std::vector<Tensor> grads, det_grads, term_scratch;
   for (size_t step = 0; step < config_.num_steps; ++step) {
     const double tau = tau_schedule.at(step, config_.num_steps);
     adam.set_lr(lr_schedule.at(step, config_.num_steps));
@@ -44,8 +43,8 @@ StageOutcome InputOptimizer::run(
     // --- stochastic step: sample, forward with traces, backward ---
     const Tensor& candidate = input_->forward(tau, /*stochastic=*/true);
     auto fwd = net_->forward(candidate, /*record_traces=*/true);
-    std::vector<Tensor> grads = make_grad_accumulators(fwd);
-    const double stochastic_loss = loss.compute(fwd, grads);
+    zero_grad_accumulators(fwd, grads);
+    const double stochastic_loss = loss.compute(fwd, grads, term_scratch);
     const Tensor grad_input = net_->backward(grads);
     input_->backward(grad_input);
     adam.step();
@@ -59,8 +58,8 @@ StageOutcome InputOptimizer::run(
         step + 1 == config_.num_steps) {
       const Tensor& det = input_->forward(tau, /*stochastic=*/false);
       auto det_fwd = net_->forward(det, /*record_traces=*/false);
-      std::vector<Tensor> scratch = make_grad_accumulators(det_fwd);
-      const double det_loss = loss.compute(det_fwd, scratch);
+      zero_grad_accumulators(det_fwd, det_grads);
+      const double det_loss = loss.compute(det_fwd, det_grads, term_scratch);
       outcome.loss_trace.push_back(det_loss);
       const bool acceptable = !accept || accept(det_fwd);
       if (acceptable && det_loss < outcome.best_loss) {

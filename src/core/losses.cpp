@@ -1,5 +1,6 @@
 #include "core/losses.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,6 +9,7 @@
 #include "snn/recurrent_layer.hpp"
 #include "snn/spike_train.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/simd.hpp"
 
 namespace snntest::core {
 namespace {
@@ -33,38 +35,112 @@ int sign_of(float a, float b) {
 
 /// L4 kernel shared by dense-style weight matrices: weights [rows, cols],
 /// contribution c_j = w[i,j] * count_prev[j] over the non-zero weights of
-/// each row i. Returns the summed variance; accumulates d/dcount_prev.
+/// each row i. Returns the summed variance; accumulates d/dcount_prev. The
+/// row statistics (vectorized across rows) and the gradient (across
+/// columns, rows ascending) run on the SIMD table; the total stays a
+/// sequential sum over the rows.
 double variance_over_rows(const float* weights, size_t rows, size_t cols,
                           const std::vector<double>& counts_prev,
                           std::vector<double>& grad_counts_prev) {
+  std::vector<double> mean(rows), var(rows), taps(rows);
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
+  ops.l4_row_stats(weights, rows, cols, counts_prev.data(), mean.data(), var.data(),
+                   taps.data());
   double total = 0.0;
   for (size_t i = 0; i < rows; ++i) {
-    const float* w = weights + i * cols;
-    double sum = 0.0, sum_sq = 0.0;
-    size_t k = 0;
-    for (size_t j = 0; j < cols; ++j) {
-      if (w[j] == 0.0f) continue;
-      const double c = static_cast<double>(w[j]) * counts_prev[j];
-      sum += c;
-      sum_sq += c * c;
-      ++k;
-    }
-    if (k < 2) continue;
-    const double mean = sum / static_cast<double>(k);
-    const double var = sum_sq / static_cast<double>(k) - mean * mean;
-    total += std::max(0.0, var);
-    const double inv_k = 1.0 / static_cast<double>(k);
-    for (size_t j = 0; j < cols; ++j) {
-      if (w[j] == 0.0f) continue;
-      const double c = static_cast<double>(w[j]) * counts_prev[j];
-      // dVar/dc_j = 2*(c_j - mean)/k ; dc_j/dcount_j = w_ij
-      grad_counts_prev[j] += 2.0 * (c - mean) * inv_k * static_cast<double>(w[j]);
-    }
+    if (taps[i] >= 2.0) total += std::max(0.0, var[i]);
   }
+  // dVar/dc_j = 2*(c_j - mean)/k ; dc_j/dcount_j = w_ij
+  ops.l4_row_grad(weights, rows, cols, counts_prev.data(), mean.data(), taps.data(),
+                  grad_counts_prev.data());
   return total;
 }
 
+/// Output rows (or columns) [lo, hi) whose kernel tap `tap` lands inside
+/// the input: padding <= o * stride + tap < extent + padding.
+struct OutputSpan {
+  size_t lo;
+  size_t hi;
+};
+
+OutputSpan outputs_reached(size_t tap, const snn::Conv2dSpec& spec, size_t extent,
+                           size_t outputs) {
+  const size_t s = spec.stride;
+  const size_t lo = tap >= spec.padding ? 0 : (spec.padding - tap + s - 1) / s;
+  const size_t end = extent + spec.padding;
+  const size_t hi = std::min(outputs, tap >= end ? 0 : (end - tap + s - 1) / s);
+  return {std::min(lo, hi), hi};
+}
+
 }  // namespace
+
+// L4 of a conv layer: the variance over the live receptive-field taps of
+// each output neuron. Tap-major: for each output channel, every stored tap
+// (ic, ky, kx) with a nonzero weight sweeps the output pixels it reaches,
+// so no receptive field is walked per pixel.
+//  * Ascending taps give every pixel's sum and squared-deviation sum their
+//    terms in the (ic, ky, kx) order of a receptive-field walk.
+//  * Descending taps give each grad_counts[input] its terms in ascending
+//    (oy, ox) order: for one input pixel, a larger ky (kx) reaches a
+//    smaller oy (ox). Output channels ascend outside, so the whole order is
+//    (oc, oy, ox), as in a pixel-major walk.
+// Each pixel's variance is added straight into `value`, pixel by pixel in
+// (oc, oy, ox) order, as the loss has always summed them.
+void add_conv_synapse_variance(const snn::ConvLayer& conv, const std::vector<double>& counts,
+                               std::vector<double>& grad_counts, double& value) {
+  const snn::Conv2dSpec& spec = conv.spec();
+  const size_t oh = spec.out_height();
+  const size_t ow = spec.out_width();
+  const size_t k = spec.kernel;
+  const size_t positions = oh * ow;
+  const float* weights = conv.weights().data();
+  std::vector<double> sum(positions), sq(positions), taps(positions);
+  // f(w, output pixel, input index) for every connection of channel oc,
+  // taps ascending or descending.
+  auto for_each_connection = [&](size_t oc, bool descending, auto&& f) {
+    const size_t fan_in = spec.in_channels * k * k;
+    for (size_t n = 0; n < fan_in; ++n) {
+      const size_t tap = descending ? fan_in - 1 - n : n;
+      const float w = weights[oc * fan_in + tap];
+      if (w == 0.0f) continue;
+      const size_t ic = tap / (k * k);
+      const size_t ky = (tap / k) % k;
+      const size_t kx = tap % k;
+      const OutputSpan ys = outputs_reached(ky, spec, spec.in_height, oh);
+      const OutputSpan xs = outputs_reached(kx, spec, spec.in_width, ow);
+      for (size_t oy = ys.lo; oy < ys.hi; ++oy) {
+        const size_t row = (ic * spec.in_height + oy * spec.stride + ky - spec.padding) *
+                               spec.in_width + kx - spec.padding;
+        for (size_t ox = xs.lo; ox < xs.hi; ++ox) {
+          f(w, oy * ow + ox, row + ox * spec.stride);
+        }
+      }
+    }
+  };
+  for (size_t oc = 0; oc < spec.out_channels; ++oc) {
+    std::fill(sum.begin(), sum.end(), 0.0);
+    std::fill(sq.begin(), sq.end(), 0.0);
+    std::fill(taps.begin(), taps.end(), 0.0);
+    for_each_connection(oc, false, [&](float w, size_t p, size_t in) {
+      sum[p] += static_cast<double>(w) * counts[in];
+      taps[p] += 1.0;
+    });
+    for (size_t p = 0; p < positions; ++p) sum[p] /= taps[p];  // now the mean
+    const std::vector<double>& mean = sum;
+    for_each_connection(oc, false, [&](float w, size_t p, size_t in) {
+      const double c = static_cast<double>(w) * counts[in];
+      sq[p] += (c - mean[p]) * (c - mean[p]);
+    });
+    for (size_t p = 0; p < positions; ++p) {
+      if (taps[p] >= 2.0) value += sq[p] / taps[p];
+    }
+    for_each_connection(oc, true, [&](float w, size_t p, size_t in) {
+      if (taps[p] < 2.0) return;
+      const double c = static_cast<double>(w) * counts[in];
+      grad_counts[in] += 2.0 * (c - mean[p]) / taps[p] * static_cast<double>(w);
+    });
+  }
+}
 
 NeuronMask full_mask(const Network& net) {
   NeuronMask mask(net.num_layers());
@@ -76,9 +152,13 @@ NeuronMask full_mask(const Network& net) {
 
 std::vector<Tensor> make_grad_accumulators(const ForwardResult& o) {
   std::vector<Tensor> grads;
-  grads.reserve(o.layer_outputs.size());
-  for (const auto& out : o.layer_outputs) grads.emplace_back(out.shape());
+  zero_grad_accumulators(o, grads);
   return grads;
+}
+
+void zero_grad_accumulators(const ForwardResult& o, std::vector<Tensor>& grads) {
+  grads.resize(o.layer_outputs.size());
+  for (size_t l = 0; l < grads.size(); ++l) grads[l].resize_zero(o.layer_outputs[l].shape());
 }
 
 double OutputActivationLoss::compute(const ForwardResult& o,
@@ -158,88 +238,26 @@ double SynapseUniformityLoss::compute(const ForwardResult& o,
                                     grad_counts);
         break;
       }
-      case snn::LayerKind::kConv2d: {
-        auto& conv = static_cast<snn::ConvLayer&>(layer);
-        const auto& spec = conv.spec();
-        const size_t oh = spec.out_height();
-        const size_t ow = spec.out_width();
-        const size_t k = spec.kernel;
-        const float* weights = conv.weights().data();
-        // Variance over the receptive-field taps of each output neuron.
-        std::vector<double> contribs;
-        std::vector<size_t> tap_inputs;
-        for (size_t oc = 0; oc < spec.out_channels; ++oc) {
-          for (size_t oy = 0; oy < oh; ++oy) {
-            for (size_t ox = 0; ox < ow; ++ox) {
-              contribs.clear();
-              tap_inputs.clear();
-              double sum = 0.0;
-              for (size_t ic = 0; ic < spec.in_channels; ++ic) {
-                const float* w_base = weights + ((oc * spec.in_channels + ic) * k) * k;
-                for (size_t ky = 0; ky < k; ++ky) {
-                  const long iy = static_cast<long>(oy * spec.stride + ky) -
-                                  static_cast<long>(spec.padding);
-                  if (iy < 0 || iy >= static_cast<long>(spec.in_height)) continue;
-                  for (size_t kx = 0; kx < k; ++kx) {
-                    const long ix = static_cast<long>(ox * spec.stride + kx) -
-                                    static_cast<long>(spec.padding);
-                    if (ix < 0 || ix >= static_cast<long>(spec.in_width)) continue;
-                    const float w = w_base[ky * k + kx];
-                    if (w == 0.0f) continue;
-                    const size_t in_idx = (ic * spec.in_height + static_cast<size_t>(iy)) *
-                                              spec.in_width +
-                                          static_cast<size_t>(ix);
-                    const double c = static_cast<double>(w) * counts[in_idx];
-                    contribs.push_back(c);
-                    tap_inputs.push_back(in_idx);
-                    sum += c;
-                  }
-                }
-              }
-              const size_t kk = contribs.size();
-              if (kk < 2) continue;
-              const double mean = sum / static_cast<double>(kk);
-              double var = 0.0;
-              for (double c : contribs) var += (c - mean) * (c - mean);
-              var /= static_cast<double>(kk);
-              value += var;
-              // regather weights to chain into counts
-              size_t tap = 0;
-              for (size_t ic = 0; ic < spec.in_channels; ++ic) {
-                const float* w_base = weights + ((oc * spec.in_channels + ic) * k) * k;
-                for (size_t ky = 0; ky < k; ++ky) {
-                  const long iy = static_cast<long>(oy * spec.stride + ky) -
-                                  static_cast<long>(spec.padding);
-                  if (iy < 0 || iy >= static_cast<long>(spec.in_height)) continue;
-                  for (size_t kx = 0; kx < k; ++kx) {
-                    const long ix = static_cast<long>(ox * spec.stride + kx) -
-                                    static_cast<long>(spec.padding);
-                    if (ix < 0 || ix >= static_cast<long>(spec.in_width)) continue;
-                    const float w = w_base[ky * k + kx];
-                    if (w == 0.0f) continue;
-                    grad_counts[tap_inputs[tap]] +=
-                        2.0 * (contribs[tap] - mean) / static_cast<double>(kk) *
-                        static_cast<double>(w);
-                    ++tap;
-                  }
-                }
-              }
-            }
-          }
-        }
+      case snn::LayerKind::kConv2d:
+        add_conv_synapse_variance(static_cast<snn::ConvLayer&>(layer), counts, grad_counts, value);
         break;
-      }
       case snn::LayerKind::kSumPool:
         // Fixed wiring — no synapse-fault sites, no L4 term.
         break;
     }
 
-    // d count_j / d s[t, j] = 1 at every timestep.
+    // d count_j / d s[t, j] = 1 at every timestep; zero entries add nothing.
+    std::vector<uint32_t> live;
+    std::vector<float> live_grad;
+    for (size_t j = 0; j < m; ++j) {
+      if (grad_counts[j] == 0.0) continue;
+      live.push_back(static_cast<uint32_t>(j));
+      live_grad.push_back(static_cast<float>(grad_counts[j]));
+    }
     float* g = grad_accum[l - 1].data();
     for (size_t t = 0; t < T; ++t) {
-      for (size_t j = 0; j < m; ++j) {
-        if (grad_counts[j] != 0.0) g[t * m + j] += static_cast<float>(grad_counts[j]);
-      }
+      float* row = g + t * m;
+      for (size_t i = 0; i < live.size(); ++i) row[live[i]] += live_grad[i];
     }
   }
   return value;
@@ -285,15 +303,25 @@ void CompositeLoss::add(std::shared_ptr<const SpikeLoss> loss, double weight) {
 
 double CompositeLoss::compute(const ForwardResult& o, std::vector<Tensor>& grad_accum,
                               std::vector<double>* per_term) const {
+  std::vector<Tensor> scratch;
+  return compute(o, grad_accum, scratch, per_term);
+}
+
+double CompositeLoss::compute(const ForwardResult& o, std::vector<Tensor>& grad_accum,
+                              std::vector<Tensor>& scratch,
+                              std::vector<double>* per_term) const {
   if (per_term) per_term->assign(losses_.size(), 0.0);
+  scratch.resize(o.layer_outputs.size());
   double total = 0.0;
   for (size_t i = 0; i < losses_.size(); ++i) {
-    std::vector<Tensor> local = make_grad_accumulators(o);
-    const double v = losses_[i]->compute(o, local);
+    for (size_t l = 0; l < scratch.size(); ++l) {
+      scratch[l].resize_zero(o.layer_outputs[l].shape());
+    }
+    const double v = losses_[i]->compute(o, scratch);
     if (per_term) (*per_term)[i] = v;
     total += weights_[i] * v;
     for (size_t l = 0; l < grad_accum.size(); ++l) {
-      tensor::axpy(grad_accum[l].data(), local[l].data(), static_cast<float>(weights_[i]),
+      tensor::axpy(grad_accum[l].data(), scratch[l].data(), static_cast<float>(weights_[i]),
                    grad_accum[l].numel());
     }
   }

@@ -27,6 +27,10 @@
 
 #include "snn/network.hpp"
 
+namespace snntest::snn {
+class ConvLayer;
+}
+
 namespace snntest::core {
 
 using snn::ForwardResult;
@@ -131,6 +135,13 @@ class CompositeLoss {
   /// Evaluate; `per_term` (optional) receives each unweighted L_i value.
   double compute(const ForwardResult& o, std::vector<Tensor>& grad_accum,
                  std::vector<double>* per_term = nullptr) const;
+  /// The same, with each term's gradients collected in the caller-owned
+  /// `scratch` (one tensor per layer, re-zeroed per term, storage reused)
+  /// before they are scaled into grad_accum. A hot loop passes the same
+  /// scratch every call instead of allocating one accumulator per layer per
+  /// term.
+  double compute(const ForwardResult& o, std::vector<Tensor>& grad_accum,
+                 std::vector<Tensor>& scratch, std::vector<double>* per_term = nullptr) const;
 
   /// Set alpha_i = 1 / max(|L_i(O)|, floor) as per Sec. V-C ("inverse of the
   /// expected magnitude ... to ensure balanced contribution").
@@ -143,7 +154,17 @@ class CompositeLoss {
   std::vector<double> weights_;
 };
 
+/// The conv layer's part of L4 (SynapseUniformityLoss): adds each output
+/// pixel's receptive-field variance into `value`, in (oc, oy, ox) order,
+/// and its gradient with respect to the input spike counts into
+/// `grad_counts` (doubles, before the loss casts them into the spike
+/// gradient). Exposed so tests can check the double sums bit for bit.
+void add_conv_synapse_variance(const snn::ConvLayer& conv, const std::vector<double>& counts,
+                               std::vector<double>& grad_counts, double& value);
+
 /// Allocate one zeroed [T, N_l] gradient tensor per layer.
 std::vector<Tensor> make_grad_accumulators(const ForwardResult& o);
+/// Resize `grads` to one zeroed [T, N_l] tensor per layer, reusing storage.
+void zero_grad_accumulators(const ForwardResult& o, std::vector<Tensor>& grads);
 
 }  // namespace snntest::core

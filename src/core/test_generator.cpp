@@ -1,7 +1,11 @@
 #include "core/test_generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -104,6 +108,20 @@ struct RestartOutcome {
 
 TestGenerator::TestGenerator(snn::Network& net, TestGenConfig config)
     : net_(&net), config_(config) {
+  // The schedules feed every optimizer step: a bad value must fail here, on
+  // the caller's thread, not deep inside a stage on a restart worker.
+  const std::pair<const char*, double> schedule_fields[] = {
+      {"tau_max", config_.tau_max},
+      {"tau_min", config_.tau_min},
+      {"lr_initial", config_.lr_initial},
+      {"lr_final", config_.lr_final},
+  };
+  for (const auto& [field, value] : schedule_fields) {
+    if (!std::isfinite(value) || !(value > 0.0)) {
+      throw std::invalid_argument(std::string("TestGenConfig::") + field +
+                                  " must be finite and > 0, got " + std::to_string(value));
+    }
+  }
   if (config_.steps_stage2 == 0) config_.steps_stage2 = std::max<size_t>(1, config_.steps_stage1 / 2);
 }
 

@@ -133,8 +133,8 @@ void ConvLayer::conv_backward_input_frame(const float* grad_syn, float* grad_in)
   for (size_t ic = 0; ic < nic; ++ic) {
     for (size_t p = 0; p < plane; ++p) gin[p * nic + ic] = grad_in[ic * plane + p];
   }
-  tensor::simd::lane_ops().conv_backward_input(spec_.geom(), packed_backward_.data(), grad_syn,
-                                               gin.data());
+  tensor::simd::lane_ops().conv_backward_input(spec_.geom(), backward_pack_.data.data(),
+                                               grad_syn, gin.data());
   for (size_t ic = 0; ic < nic; ++ic) {
     for (size_t p = 0; p < plane; ++p) grad_in[ic * plane + p] = gin[p * nic + ic];
   }
@@ -260,9 +260,13 @@ void ConvLayer::forward_into(const Tensor& in, bool record_traces, Tensor& out) 
   syn_scratch_.resize(lif_.size());
   std::vector<float>& syn = syn_scratch_;
   // Packed once per call: the weights cannot change within a window, but a
-  // ScopedFault may have changed them since the previous call.
-  pack_forward_weights(packed_weights_);
-  const double* packed = packed_weights_.data();
+  // ScopedFault may have changed them since the previous call. A frozen
+  // scope keeps the pack until it ends.
+  if (!weights_frozen_ || !forward_pack_.built) {
+    pack_forward_weights(forward_pack_.data);
+    forward_pack_.built = true;
+  }
+  const double* packed = forward_pack_.data.data();
   syn_acc_.resize(lif_.size());
   const tensor::simd::ConvLaneGeom geom = spec_.geom();
   const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
@@ -383,7 +387,10 @@ Tensor ConvLayer::backward(const Tensor& grad_out) {
   Tensor grad_syn(Shape{T, lif_.size()});
   lif_.backward(grad_out.data(), T, surrogate_, grad_syn.data());
   Tensor grad_in(Shape{T, spec_.input_size()});
-  pack_backward_weights(packed_backward_);
+  if (!weights_frozen_ || !backward_pack_.built) {
+    pack_backward_weights(backward_pack_.data);
+    backward_pack_.built = true;
+  }
   const KernelMode mode = kernel_mode_;
   for (size_t t = 0; t < T; ++t) {
     const float* in = saved_input_.row(t);

@@ -100,6 +100,12 @@ class ConvLayer final : public Layer {
   /// without mutating the layer; safe to call from several threads at once.
   void conv_forward_frame(const float* in, float* syn) const;
 
+ protected:
+  void drop_weight_packs() override {
+    forward_pack_.built = false;
+    backward_pack_.built = false;
+  }
+
  private:
   /// Weights repacked [ic][ky][kx][oc] as double for the forward kernels
   /// (the SIMD table's conv_frame_dense / conv_frame_scatter, vectorized
@@ -118,7 +124,7 @@ class ConvLayer final : public Layer {
   /// (fused dense path: one (oc, oy, ox) -> (ic, ky, kx) sweep feeds both).
   void conv_backward_frame(const float* in, const float* grad_syn, float* grad_in);
   /// Input-gradient half of conv_backward_frame: grad_in += conv^T(grad_syn),
-  /// over packed_backward_ (pack_backward_weights), by the SIMD table's
+  /// over backward_pack_ (pack_backward_weights), by the SIMD table's
   /// conv_backward_input. It accumulates channel-last, so its inner loop
   /// runs over the (kx, ic) elements of one kernel row,
   /// while every grad_in element still receives its float terms in
@@ -156,10 +162,11 @@ class ConvLayer final : public Layer {
   Tensor saved_input_;
   ConnectionOverride override_;
   std::vector<uint32_t> active_scratch_;  // per-frame active indices (sparse path)
-  std::vector<double> packed_weights_;    // pack_forward_weights, rebuilt per forward_into
+  WeightPack<double> forward_pack_;      // pack_forward_weights, rebuilt per forward_into
+                                         // unless the weights are frozen
   std::vector<double> syn_acc_;           // channel-last double accumulators (forward)
   std::vector<float> syn_scratch_;        // per-frame synaptic currents (no realloc per window)
-  std::vector<float> packed_backward_;    // pack_backward_weights, rebuilt per backward
+  WeightPack<float> backward_pack_;      // pack_backward_weights, likewise per backward
   std::vector<float> grad_in_scratch_;    // channel-last grad_in frame
 };
 

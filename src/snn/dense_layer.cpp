@@ -42,7 +42,7 @@ void DenseLayer::forward_into(const Tensor& in, bool record_traces, Tensor& out)
   const bool obs_on = obs::telemetry_enabled();
   if (obs_on) kernel_obs_.ensure_bound(name());
   obs::KernelDispatchObs* kobs = obs_on ? &kernel_obs_ : nullptr;
-  matvec_.begin_window();
+  if (!weights_frozen_) matvec_.drop_pack();
   for (size_t t = 0; t < T; ++t) {
     std::fill(syn.begin(), syn.end(), 0.0f);
     matvec_.accumulate(kernel_mode_, weights_.data(), lif_.size(), num_inputs_, in.row(t),

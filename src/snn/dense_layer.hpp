@@ -40,6 +40,9 @@ class DenseLayer final : public Layer {
   std::vector<float>& weights() { return weights_; }
   const std::vector<float>& weights() const { return weights_; }
 
+ protected:
+  void drop_weight_packs() override { matvec_.drop_pack(); }
+
  private:
   size_t num_inputs_;
   LifBank lif_;

@@ -13,12 +13,12 @@ void FrameMatvec::accumulate(KernelMode mode, const float* w, size_t rows, size_
   }
   const auto view = tensor::make_frame_view(x, cols, active_);
   if (mode == KernelMode::kAuto && tensor::is_binary_frame(view)) {
-    if (!packed_) {
-      tensor::transpose(w, rows, cols, wt_);
+    if (!wt_.built) {
+      tensor::transpose(w, rows, cols, wt_.data);
       acc_.resize(rows);
-      packed_ = true;
+      wt_.built = true;
     }
-    tensor::matvec_binary_accumulate(wt_.data(), rows, view, acc_.data(), syn);
+    tensor::matvec_binary_accumulate(wt_.data.data(), rows, view, acc_.data(), syn);
     if (kobs) kobs->record_frame(view.num_active, view.size, true);
     return;
   }

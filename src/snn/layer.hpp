@@ -51,6 +51,24 @@ inline bool sparse_frame_wins(size_t num_active, size_t frame_size) {
   return num_active * 4 <= frame_size;
 }
 
+/// A reordered copy of a layer's weights for one kernel (column-major for
+/// the binary-frame column adds, tap-major for the conv kernels) and
+/// whether it is built. Copies start empty, so a cloned layer never
+/// inherits its original's pack.
+template <typename T>
+struct WeightPack {
+  std::vector<T> data;
+  bool built = false;
+
+  WeightPack() = default;
+  WeightPack(const WeightPack&) {}
+  WeightPack& operator=(const WeightPack&) {
+    data.clear();
+    built = false;
+    return *this;
+  }
+};
+
 /// The forward kernels of one fully connected synaptic matrix (DenseLayer's
 /// W, RecurrentLayer's W and V): syn += W x for one input frame, dispatched
 /// on the KernelMode. kDense always runs the dense matvec and kSparse the
@@ -60,10 +78,12 @@ inline bool sparse_frame_wins(size_t num_active, size_t frame_size) {
 /// sparse_frame_wins. All three are bit-identical (DESIGN.md §9).
 class FrameMatvec {
  public:
-  /// Forget the column-major weight copy. Call once per forward_into: the
-  /// weights cannot change within a window, but a ScopedFault may have
-  /// changed them since the previous call.
-  void begin_window() { packed_ = false; }
+  /// Forget the column-major weight copy; the next binary frame rebuilds
+  /// it. Layers call this once per forward_into outside a frozen-weights
+  /// scope (the weights cannot change within a window, but a ScopedFault may
+  /// have changed them since the previous call), and when the scope's flag
+  /// changes (Layer::set_weights_frozen).
+  void drop_pack() { wt_.built = false; }
 
   /// syn[r] += sum_c w[r*cols + c] * x[c] for the [rows, cols] row-major
   /// `w`. Records the frame in `kobs` when it is non-null; the column-add
@@ -72,10 +92,9 @@ class FrameMatvec {
                   float* syn, obs::KernelDispatchObs* kobs);
 
  private:
-  std::vector<float> wt_;  // column-major copy of w, valid while packed_
+  WeightPack<float> wt_;  // column-major copy of w
   std::vector<double> acc_;
   std::vector<uint32_t> active_;
-  bool packed_ = false;
 };
 
 /// Display names for KernelMode (test failure messages).
@@ -98,6 +117,15 @@ struct ParamView {
 
 class Layer {
  public:
+  Layer() = default;
+  /// A copy (worker clone) starts outside any frozen-weights scope, so it
+  /// rebuilds every weight pack for its own weights.
+  Layer(const Layer& other)
+      : surrogate_(other.surrogate_),
+        kernel_mode_(other.kernel_mode_),
+        param_grads_enabled_(other.param_grads_enabled_),
+        kernel_obs_(other.kernel_obs_) {}
+  Layer& operator=(const Layer&) = delete;
   virtual ~Layer() = default;
 
   virtual LayerKind kind() const = 0;
@@ -196,10 +224,25 @@ class Layer {
   void set_param_grads_enabled(bool enabled) { param_grads_enabled_ = enabled; }
   bool param_grads_enabled() const { return param_grads_enabled_; }
 
+  /// While frozen, the weight packs the forward and backward kernels build
+  /// on first use are kept across calls instead of being rebuilt per call;
+  /// the weights must not change meanwhile. Every change of the flag drops
+  /// the packs, so weights written between two frozen spans are seen. Set
+  /// through snn::FrozenWeights (network.hpp), not directly.
+  void set_weights_frozen(bool frozen) {
+    weights_frozen_ = frozen;
+    drop_weight_packs();
+  }
+  bool weights_frozen() const { return weights_frozen_; }
+
  protected:
+  /// Forget every weight pack (layers without packs have nothing to drop).
+  virtual void drop_weight_packs() {}
+
   SurrogateConfig surrogate_{};
   KernelMode kernel_mode_ = KernelMode::kDense;
   bool param_grads_enabled_ = true;
+  bool weights_frozen_ = false;
   /// Per-layer kernel-dispatch telemetry ("kernel/<name>/..."): forward
   /// kernels record one dense/sparse dispatch count and the input
   /// active-fraction per frame, gated on obs::telemetry_enabled(). Copied

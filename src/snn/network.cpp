@@ -236,4 +236,17 @@ bool Network::param_grads_enabled() const {
   return layers_.empty() ? true : layers_.front()->param_grads_enabled();
 }
 
+FrozenWeights::FrozenWeights(Network& net)
+    : net_(net),
+      param_grads_(net.param_grads_enabled()),
+      frozen_(!net.layers_.empty() && net.layers_.front()->weights_frozen()) {
+  net_.set_param_grads_enabled(false);
+  for (auto& l : net_.layers_) l->set_weights_frozen(true);
+}
+
+FrozenWeights::~FrozenWeights() {
+  net_.set_param_grads_enabled(param_grads_);
+  for (auto& l : net_.layers_) l->set_weights_frozen(frozen_);
+}
+
 }  // namespace snntest::snn

@@ -149,8 +149,35 @@ class Network {
   bool param_grads_enabled() const;
 
  private:
+  friend class FrozenWeights;
+
   std::string name_;
   std::vector<std::unique_ptr<Layer>> layers_;
+};
+
+/// Holds a network's weights fixed for a scope — the input optimization's
+/// "the SNN model stays fixed". For its lifetime:
+///  * parameter-gradient accumulation is off (dL/d(input) is bit-identical
+///    without it, and nobody reads dL/dW), and
+///  * each layer keeps the weight packs its forward and backward kernels
+///    build on first use (Layer::set_weights_frozen) instead of rebuilding
+///    them on every call.
+/// Nothing may write the weights while the scope lives (a ScopedFault on
+/// the same network would not be seen). On exit it restores both flags and
+/// drops the packs, so weights written between two scopes are seen. A copy
+/// of the network (Network's copy constructor clones every layer) starts
+/// unfrozen.
+class FrozenWeights {
+ public:
+  explicit FrozenWeights(Network& net);
+  ~FrozenWeights();
+  FrozenWeights(const FrozenWeights&) = delete;
+  FrozenWeights& operator=(const FrozenWeights&) = delete;
+
+ private:
+  Network& net_;
+  bool param_grads_;
+  bool frozen_;
 };
 
 }  // namespace snntest::snn

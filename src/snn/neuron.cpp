@@ -85,27 +85,30 @@ LifBank::Backward::Backward(const LifBank& bank, const SurrogateConfig& surrogat
   }
 }
 
+static_assert(static_cast<uint8_t>(SurrogateKind::kFastSigmoid) == 0 &&
+                  static_cast<uint8_t>(SurrogateKind::kAtan) == 1 &&
+                  static_cast<uint8_t>(SurrogateKind::kRectangular) == 2,
+              "tensor::simd::LifBackwardParams::surrogate encodes SurrogateKind by value");
+
 void LifBank::Backward::step(size_t t, const float* grad_spike_t, float* grad_syn_t) {
-  const size_t n = bank_.n_;
-  const size_t base = t * n;
-  for (size_t i = 0; i < n; ++i) {
-    if (!bank_.trace_integrated_[base + i]) {
-      // Refractory / faulted step: no synaptic integration happened and the
-      // membrane was held at reset, so the chain through time is cut.
-      grad_syn_t[i] = 0.0f;
-      carry_[i] = 0.0f;
-      continue;
-    }
-    const float u_pre = bank_.trace_u_pre_[base + i];
-    const float surr = surrogate_derivative(surrogate_, u_pre - bank_.threshold_[i]);
-    const float spiked = bank_.trace_spike_[base + i] ? 1.0f : 0.0f;
-    // dL/du_pre[t] = dL/ds[t] * surrogate + dL/du_post[t] * (1 - s[t])
-    // (reset is detached: the u_post -> reset branch carries no gradient).
-    const float g_u_pre = grad_spike_t[i] * surr + carry_[i] * (1.0f - spiked);
-    grad_syn_t[i] = g_u_pre;  // du_pre/dsyn = 1
-    // into u_post[t-1]: du_pre[t]/du_post[t-1] = leak
-    carry_[i] = bank_.leak_[i] * g_u_pre;
-  }
+  // One frame-kernel call per step. Per neuron (the scalar table entry is
+  // the reference): a refractory or faulted step integrated nothing and
+  // held the membrane at reset, so grad_syn and the chain through time are
+  // zero; otherwise
+  //   dL/du_pre[t] = dL/ds[t] * surrogate + dL/du_post[t] * (1 - s[t])
+  // (reset is detached: the u_post -> reset branch carries no gradient),
+  // du_pre/dsyn = 1, and du_pre[t]/du_post[t-1] = leak carries it back.
+  const size_t base = t * bank_.n_;
+  tensor::simd::LifBackwardParams p;
+  p.threshold = bank_.threshold_.data();
+  p.leak = bank_.leak_.data();
+  p.u_pre = bank_.trace_u_pre_.data() + base;
+  p.spiked = bank_.trace_spike_.data() + base;
+  p.integrated = bank_.trace_integrated_.data() + base;
+  p.surrogate = static_cast<uint8_t>(surrogate_.kind);
+  p.alpha = surrogate_.alpha;
+  tensor::simd::lane_ops().lif_backward_frame(p, bank_.n_, grad_spike_t, carry_.data(),
+                                              grad_syn_t);
 }
 
 void LifBank::backward(const float* grad_spikes, size_t num_steps,

@@ -51,8 +51,10 @@ void RecurrentLayer::forward_into(const Tensor& in, bool record_traces, Tensor& 
   const bool obs_on = obs::telemetry_enabled();
   if (obs_on) kernel_obs_.ensure_bound(name());
   obs::KernelDispatchObs* kobs = obs_on ? &kernel_obs_ : nullptr;
-  w_matvec_.begin_window();
-  v_matvec_.begin_window();
+  if (!weights_frozen_) {
+    w_matvec_.drop_pack();
+    v_matvec_.drop_pack();
+  }
   for (size_t t = 0; t < T; ++t) {
     std::fill(syn.begin(), syn.end(), 0.0f);
     w_matvec_.accumulate(kernel_mode_, weights_.data(), n, num_inputs_, in.row(t), syn.data(),

@@ -47,6 +47,12 @@ class RecurrentLayer final : public Layer {
   const std::vector<float>& weights() const { return weights_; }
   const std::vector<float>& recurrent_weights() const { return recurrent_; }
 
+ protected:
+  void drop_weight_packs() override {
+    w_matvec_.drop_pack();
+    v_matvec_.drop_pack();
+  }
+
  private:
   size_t num_inputs_;
   LifBank lif_;

@@ -119,6 +119,34 @@ struct LifFrameTrace {
   uint8_t* integrated = nullptr;
 };
 
+/// One frame of a LIF bank's BPTT (snn::LifBank::Backward::step): the
+/// per-neuron parameters, the frame's forward trace (LifFrameTrace), and the
+/// surrogate as snn::SurrogateConfig holds it (`surrogate` is the
+/// snn::SurrogateKind value: 0 fast sigmoid, 1 atan, 2 rectangular).
+struct LifBackwardParams {
+  const float* threshold = nullptr;
+  const float* leak = nullptr;
+  const float* u_pre = nullptr;
+  const uint8_t* spiked = nullptr;
+  const uint8_t* integrated = nullptr;
+  uint8_t surrogate = 0;
+  float alpha = 0.0f;
+};
+
+/// The hyper-parameters of one train::AdamOptimizer step over one slot:
+/// `bc1`/`bc2` are the bias corrections 1 - beta^t, `clip_scale` the slot's
+/// gradient clip factor (1.0 when unclipped).
+struct AdamStepParams {
+  double lr = 0.0;
+  double beta1 = 0.0;
+  double beta2 = 0.0;
+  double eps = 0.0;
+  double weight_decay = 0.0;
+  double bc1 = 1.0;
+  double bc2 = 1.0;
+  double clip_scale = 1.0;
+};
+
 /// One backend's kernel table. All pointers are non-null in every
 /// registered table; `lanes` is always in [1, kMaxLanes] (callers validate).
 struct LaneKernels {
@@ -186,6 +214,46 @@ struct LaneKernels {
   /// float mul then add, rows ascending, rows with x[r] == 0 skipped (see
   /// tensor::matvec_transpose_accumulate). Vectorized across columns.
   void (*matvec_transpose)(const float* a, size_t rows, size_t cols, const float* x, float* y);
+
+  // --- the optimizer step of test generation (DESIGN.md §10) ---
+  // Element-wise kernels: vectorized across independent elements, each one
+  // running the scalar entry's double/float operation sequence (separate
+  // IEEE mul, add, div and sqrt, no FMA).
+
+  /// Gumbel-sigmoid logits of core::GumbelSoftmaxInput::forward:
+  /// x[i] = -(double(real[i]) + (g1[i] - g2[i])) / tau, or
+  /// x[i] = -double(real[i]) / tau when `g1` is null (no noise).
+  void (*gumbel_logits)(const float* real, const double* g1, const double* g2, size_t count,
+                        double tau, double* x);
+  /// Sigmoid and straight-through binarization from e[i] = exp(x[i]):
+  /// s = 1 / (1 + e[i]); soft[i] = float(s); binary[i] = s > 0.5 ? 1 : 0.
+  void (*gumbel_binarize)(const double* e, size_t count, float* soft, float* binary);
+  /// One LifBank BPTT frame per neuron: a non-integrated neuron zeroes
+  /// grad_syn and carry; otherwise, with surr the surrogate derivative at
+  /// u_pre - threshold (snn::surrogate_derivative's float expressions),
+  ///   g = grad_spike * surr + carry * (1 - spiked);
+  ///   grad_syn = g; carry = leak * g.
+  void (*lif_backward_frame)(const LifBackwardParams& params, size_t count,
+                             const float* grad_spike, float* carry, float* grad_syn);
+  /// L4 row statistics (core::SynapseUniformityLoss, Eq. 13) of a row-major
+  /// [rows, cols] `w`: per row, over its columns with w != 0 in ascending
+  /// order, c = double(w) * counts[col] feeds sum and sum_sq and taps counts
+  /// them; mean[r] = sum / taps, var[r] = sum_sq / taps - mean * mean.
+  /// Vectorized across rows.
+  void (*l4_row_stats)(const float* w, size_t rows, size_t cols, const double* counts,
+                       double* mean, double* var, double* taps);
+  /// L4 gradient into the counts: for each row r with taps[r] >= 2,
+  /// ascending, and each column with w != 0,
+  ///   grad[col] += 2.0 * (c - mean[r]) * (1.0 / taps[r]) * double(w).
+  /// Vectorized across columns.
+  void (*l4_row_grad)(const float* w, size_t rows, size_t cols, const double* counts,
+                      const double* mean, const double* taps, double* grad);
+  /// One Adam update of `count` parameters (train::AdamOptimizer::step's
+  /// per-element body): g = double(grad) * clip_scale; m and v take their
+  /// float-rounded moment updates; value -= lr * m_hat / (sqrt(v_hat) + eps)
+  /// plus the decoupled weight decay when weight_decay > 0.
+  void (*adam_step)(const AdamStepParams& params, size_t count, const float* grad, float* m,
+                    float* v, float* value);
 };
 
 /// The active backend's kernel table. Cheap (one relaxed atomic load), but

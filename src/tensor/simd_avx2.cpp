@@ -679,12 +679,340 @@ void matvec_transpose(const float* a, size_t rows, size_t cols, const float* x, 
   }
 }
 
+// ---- the optimizer step of test generation ----
+
+void gumbel_logits(const float* real, const double* g1, const double* g2, size_t count,
+                   double tau, double* x) {
+  const __m256d tau_v = _mm256_set1_pd(tau);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    __m256d logit = _mm256_cvtps_pd(_mm_loadu_ps(real + i));
+    if (g1 != nullptr) {
+      logit = _mm256_add_pd(logit,
+                            _mm256_sub_pd(_mm256_loadu_pd(g1 + i), _mm256_loadu_pd(g2 + i)));
+    }
+    // -logit flips the sign bit, exactly as the scalar negation does.
+    _mm256_storeu_pd(x + i, _mm256_div_pd(_mm256_xor_pd(logit, sign), tau_v));
+  }
+  for (; i < count; ++i) {
+    double logit = real[i];
+    if (g1 != nullptr) logit += g1[i] - g2[i];
+    x[i] = -logit / tau;
+  }
+}
+
+void gumbel_binarize(const double* e, size_t count, float* soft, float* binary) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m256d s = _mm256_div_pd(one, _mm256_add_pd(one, _mm256_loadu_pd(e + i)));
+    _mm_storeu_ps(soft + i, _mm256_cvtpd_ps(s));
+    // Ordered quiet >: a NaN s binarizes to 0, like the scalar compare.
+    const __m256d on = _mm256_and_pd(_mm256_cmp_pd(s, half, _CMP_GT_OQ), one);
+    _mm_storeu_ps(binary + i, _mm256_cvtpd_ps(on));
+  }
+  for (; i < count; ++i) {
+    const double s = 1.0 / (1.0 + e[i]);
+    soft[i] = static_cast<float>(s);
+    binary[i] = s > 0.5 ? 1.0f : 0.0f;
+  }
+}
+
+/// Eight 0/1 (or any nonzero) bytes as an all-ones/all-zeros float mask.
+inline __m256 load_mask_bytes(const uint8_t* src) {
+  const __m256i b =
+      _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(src)));
+  return _mm256_castsi256_ps(_mm256_cmpgt_epi32(b, _mm256_setzero_si256()));
+}
+
+inline __m256 abs_ps(__m256 x) { return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x); }
+
+/// The three surrogate pseudo-derivatives, 8-wide: the float expressions of
+/// the scalar table's functors, op for op.
+struct FastSigmoid {
+  __m256 alpha;
+  __m256 operator()(__m256 x) const {
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 d = _mm256_add_ps(_mm256_mul_ps(alpha, abs_ps(x)), one);
+    return _mm256_div_ps(one, _mm256_mul_ps(d, d));
+  }
+};
+struct Atan {
+  __m256 slope;
+  __m256 scale;
+  __m256 operator()(__m256 x) const {
+    const __m256 z = _mm256_mul_ps(slope, x);
+    return _mm256_div_ps(scale, _mm256_add_ps(_mm256_set1_ps(1.0f), _mm256_mul_ps(z, z)));
+  }
+};
+struct Rectangular {
+  __m256 half_width;
+  __m256 height;
+  __m256 operator()(__m256 x) const {
+    return _mm256_and_ps(_mm256_cmp_ps(abs_ps(x), half_width, _CMP_LT_OQ), height);
+  }
+};
+
+/// Eight neurons of one BPTT frame. A non-integrated neuron's grad_syn and
+/// carry are masked to +0.0f, the scalar branch's stores.
+template <typename Surrogate>
+inline void lif_backward_block(const float* thr, const float* leak, const float* u_pre,
+                               const uint8_t* spiked, const uint8_t* integrated,
+                               const Surrogate& surrogate, const float* grad_spike,
+                               float* carry, float* grad_syn) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 integ = load_mask_bytes(integrated);
+  const __m256 s = _mm256_and_ps(load_mask_bytes(spiked), one);
+  const __m256 surr = surrogate(_mm256_sub_ps(_mm256_loadu_ps(u_pre), _mm256_loadu_ps(thr)));
+  const __m256 g = _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(grad_spike), surr),
+                                 _mm256_mul_ps(_mm256_loadu_ps(carry), _mm256_sub_ps(one, s)));
+  _mm256_storeu_ps(grad_syn, _mm256_and_ps(g, integ));
+  _mm256_storeu_ps(carry, _mm256_and_ps(_mm256_mul_ps(_mm256_loadu_ps(leak), g), integ));
+}
+
+/// Whole blocks of eight, then the count % 8 tail through the same block
+/// on a padded copy whose padding neurons are not integrated.
+template <typename Surrogate>
+void lif_backward_impl(const LifBackwardParams& p, const Surrogate& surrogate, size_t count,
+                       const float* grad_spike, float* carry, float* grad_syn) {
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    lif_backward_block(p.threshold + i, p.leak + i, p.u_pre + i, p.spiked + i,
+                       p.integrated + i, surrogate, grad_spike + i, carry + i, grad_syn + i);
+  }
+  const size_t n = count - i;
+  if (n == 0) return;
+  float thr[8] = {}, leak[8] = {}, up[8] = {}, gs[8] = {}, cr[8] = {}, out[8];
+  uint8_t sp[8] = {}, in[8] = {};
+  for (size_t j = 0; j < n; ++j) {
+    thr[j] = p.threshold[i + j];
+    leak[j] = p.leak[i + j];
+    up[j] = p.u_pre[i + j];
+    sp[j] = p.spiked[i + j];
+    in[j] = p.integrated[i + j];
+    gs[j] = grad_spike[i + j];
+    cr[j] = carry[i + j];
+  }
+  lif_backward_block(thr, leak, up, sp, in, surrogate, gs, cr, out);
+  for (size_t j = 0; j < n; ++j) {
+    carry[i + j] = cr[j];
+    grad_syn[i + j] = out[j];
+  }
+}
+
+void lif_backward_frame(const LifBackwardParams& p, size_t count, const float* grad_spike,
+                        float* carry, float* grad_syn) {
+  switch (p.surrogate) {
+    case 1:
+      return lif_backward_impl(
+          p, Atan{_mm256_set1_ps(kHalfPi * p.alpha), _mm256_set1_ps(0.5f * p.alpha)}, count,
+          grad_spike, carry, grad_syn);
+    case 2:
+      return lif_backward_impl(
+          p, Rectangular{_mm256_set1_ps(1.0f / p.alpha), _mm256_set1_ps(0.5f * p.alpha)},
+          count, grad_spike, carry, grad_syn);
+    default:
+      return lif_backward_impl(p, FastSigmoid{_mm256_set1_ps(p.alpha)}, count, grad_spike,
+                               carry, grad_syn);
+  }
+}
+
+/// One L4 term for four rows at one column: the rows' weights `wf` (one
+/// lane per row) against that column's count. A zero weight leaves its
+/// row's sums untouched (blend), the scalar `continue`.
+struct RowStats4 {
+  __m256d sum = _mm256_setzero_pd();
+  __m256d sum_sq = _mm256_setzero_pd();
+  __m256d taps = _mm256_setzero_pd();
+
+  void add(__m128 wf, double count) {
+    const __m256d w = _mm256_cvtps_pd(wf);
+    // NaN weights are kept, like the scalar `w == 0.0f` skip test.
+    const __m256d live = _mm256_cmp_pd(w, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+    const __m256d c = _mm256_mul_pd(w, _mm256_set1_pd(count));
+    sum = _mm256_blendv_pd(sum, _mm256_add_pd(sum, c), live);
+    sum_sq = _mm256_blendv_pd(sum_sq, _mm256_add_pd(sum_sq, _mm256_mul_pd(c, c)), live);
+    taps = _mm256_blendv_pd(taps, _mm256_add_pd(taps, _mm256_set1_pd(1.0)), live);
+  }
+
+  void store(double* mean, double* var, double* k) const {
+    const __m256d m = _mm256_div_pd(sum, taps);
+    _mm256_storeu_pd(mean, m);
+    _mm256_storeu_pd(var, _mm256_sub_pd(_mm256_div_pd(sum_sq, taps), _mm256_mul_pd(m, m)));
+    _mm256_storeu_pd(k, taps);
+  }
+};
+
+/// Rows [r, r + 4 * G) in one column sweep: G groups of four rows, each
+/// group's four rows one lane apiece. Four columns at a time are loaded
+/// row-contiguous and transposed in registers, so every lane still takes
+/// its row's columns in ascending order.
+template <size_t G>
+inline void l4_stats_rows(const float* w, size_t r, size_t cols, const double* counts,
+                          double* mean, double* var, double* taps) {
+  RowStats4 acc[G];
+  const float* row[4 * G];
+  for (size_t j = 0; j < 4 * G; ++j) row[j] = w + (r + j) * cols;
+  size_t c = 0;
+  for (; c + 4 <= cols; c += 4) {
+    for (size_t g = 0; g < G; ++g) {
+      __m128 a = _mm_loadu_ps(row[4 * g] + c);
+      __m128 b = _mm_loadu_ps(row[4 * g + 1] + c);
+      __m128 d = _mm_loadu_ps(row[4 * g + 2] + c);
+      __m128 e = _mm_loadu_ps(row[4 * g + 3] + c);
+      _MM_TRANSPOSE4_PS(a, b, d, e);
+      acc[g].add(a, counts[c]);
+      acc[g].add(b, counts[c + 1]);
+      acc[g].add(d, counts[c + 2]);
+      acc[g].add(e, counts[c + 3]);
+    }
+  }
+  for (; c < cols; ++c) {
+    for (size_t g = 0; g < G; ++g) {
+      const float* const* q = row + 4 * g;
+      acc[g].add(_mm_setr_ps(q[0][c], q[1][c], q[2][c], q[3][c]), counts[c]);
+    }
+  }
+  for (size_t g = 0; g < G; ++g) {
+    const size_t at = r + 4 * g;
+    acc[g].store(mean + at, var + at, taps + at);
+  }
+}
+
+void l4_row_stats(const float* w, size_t rows, size_t cols, const double* counts, double* mean,
+                  double* var, double* taps) {
+  size_t r = 0;
+  for (; r + 8 <= rows; r += 8) l4_stats_rows<2>(w, r, cols, counts, mean, var, taps);
+  for (; r + 4 <= rows; r += 4) l4_stats_rows<1>(w, r, cols, counts, mean, var, taps);
+  for (; r < rows; ++r) {
+    const float* row = w + r * cols;
+    double sum = 0.0, sum_sq = 0.0, k = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      if (row[j] == 0.0f) continue;
+      const double c = static_cast<double>(row[j]) * counts[j];
+      sum += c;
+      sum_sq += c * c;
+      k += 1.0;
+    }
+    mean[r] = sum / k;
+    var[r] = sum_sq / k - mean[r] * mean[r];
+    taps[r] = k;
+  }
+}
+
+/// RB live rows (taps >= 2, ascending) of the L4 gradient in one column
+/// sweep: each 4-column block of grad is loaded once and takes the rows'
+/// terms in row order, so every grad[col] sees the scalar term sequence.
+template <size_t RB>
+inline void l4_grad_rows(const float* w, size_t cols, const size_t* live, const double* counts,
+                         const double* mean, const double* taps, double* grad) {
+  const float* row[RB];
+  __m256d mean_v[RB];
+  __m256d inv_k[RB];
+  double inv_k_s[RB];
+  for (size_t j = 0; j < RB; ++j) {
+    row[j] = w + live[j] * cols;
+    mean_v[j] = _mm256_set1_pd(mean[live[j]]);
+    inv_k_s[j] = 1.0 / taps[live[j]];
+    inv_k[j] = _mm256_set1_pd(inv_k_s[j]);
+  }
+  const __m256d two = _mm256_set1_pd(2.0);
+  size_t c = 0;
+  for (; c + 4 <= cols; c += 4) {
+    const __m256d cnt = _mm256_loadu_pd(counts + c);
+    __m256d acc = _mm256_loadu_pd(grad + c);
+    for (size_t j = 0; j < RB; ++j) {
+      const __m256d wv = _mm256_cvtps_pd(_mm_loadu_ps(row[j] + c));
+      const __m256d live_w = _mm256_cmp_pd(wv, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+      const __m256d cv = _mm256_mul_pd(wv, cnt);
+      const __m256d term = _mm256_mul_pd(
+          _mm256_mul_pd(_mm256_mul_pd(two, _mm256_sub_pd(cv, mean_v[j])), inv_k[j]), wv);
+      acc = _mm256_blendv_pd(acc, _mm256_add_pd(acc, term), live_w);
+    }
+    _mm256_storeu_pd(grad + c, acc);
+  }
+  for (; c < cols; ++c) {
+    for (size_t j = 0; j < RB; ++j) {
+      if (row[j][c] == 0.0f) continue;
+      const double cv = static_cast<double>(row[j][c]) * counts[c];
+      grad[c] += 2.0 * (cv - mean[live[j]]) * inv_k_s[j] * static_cast<double>(row[j][c]);
+    }
+  }
+}
+
+void l4_row_grad(const float* w, size_t rows, size_t cols, const double* counts,
+                 const double* mean, const double* taps, double* grad) {
+  size_t live[4];
+  size_t num_live = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    if (taps[r] < 2.0) continue;  // the scalar kernel's short-row skip
+    live[num_live++] = r;
+    if (num_live == 4) {
+      l4_grad_rows<4>(w, cols, live, counts, mean, taps, grad);
+      num_live = 0;
+    }
+  }
+  switch (num_live) {
+    case 3: return l4_grad_rows<3>(w, cols, live, counts, mean, taps, grad);
+    case 2: return l4_grad_rows<2>(w, cols, live, counts, mean, taps, grad);
+    case 1: return l4_grad_rows<1>(w, cols, live, counts, mean, taps, grad);
+    default: return;
+  }
+}
+
+void adam_step(const AdamStepParams& p, size_t count, const float* grad, float* m, float* v,
+               float* value) {
+  const __m256d clip = _mm256_set1_pd(p.clip_scale);
+  const __m256d b1 = _mm256_set1_pd(p.beta1);
+  const __m256d b2 = _mm256_set1_pd(p.beta2);
+  const __m256d one_b1 = _mm256_set1_pd(1.0 - p.beta1);
+  const __m256d one_b2 = _mm256_set1_pd(1.0 - p.beta2);
+  const __m256d bc1 = _mm256_set1_pd(p.bc1);
+  const __m256d bc2 = _mm256_set1_pd(p.bc2);
+  const __m256d lr = _mm256_set1_pd(p.lr);
+  const __m256d eps = _mm256_set1_pd(p.eps);
+  const __m256d lr_wd = _mm256_set1_pd(p.lr * p.weight_decay);
+  const bool decay = p.weight_decay > 0.0;
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m256d g = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(grad + i)), clip);
+    const __m128 m_new = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))), _mm256_mul_pd(one_b1, g)));
+    const __m128 v_new = _mm256_cvtpd_ps(
+        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+                      _mm256_mul_pd(_mm256_mul_pd(one_b2, g), g)));
+    _mm_storeu_ps(m + i, m_new);
+    _mm_storeu_ps(v + i, v_new);
+    const __m256d m_hat = _mm256_div_pd(_mm256_cvtps_pd(m_new), bc1);
+    const __m256d v_hat = _mm256_div_pd(_mm256_cvtps_pd(v_new), bc2);
+    __m256d update =
+        _mm256_div_pd(_mm256_mul_pd(lr, m_hat), _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps));
+    const __m256d val = _mm256_cvtps_pd(_mm_loadu_ps(value + i));
+    if (decay) update = _mm256_add_pd(update, _mm256_mul_pd(lr_wd, val));
+    _mm_storeu_ps(value + i, _mm256_cvtpd_ps(_mm256_sub_pd(val, update)));
+  }
+  for (; i < count; ++i) {
+    const double g = grad[i] * p.clip_scale;
+    m[i] = static_cast<float>(p.beta1 * m[i] + (1.0 - p.beta1) * g);
+    v[i] = static_cast<float>(p.beta2 * v[i] + (1.0 - p.beta2) * g * g);
+    const double m_hat = m[i] / p.bc1;
+    const double v_hat = v[i] / p.bc2;
+    double update = p.lr * m_hat / (__builtin_sqrt(v_hat) + p.eps);
+    if (decay) update += p.lr * p.weight_decay * value[i];
+    value[i] = static_cast<float>(value[i] - update);
+  }
+}
+
 }  // namespace
 
 const LaneKernels kAvx2LaneKernels = {
     matvec_lanes, matvec_gather_lanes, conv_lanes_dense, conv_lanes_scatter,
     pool_lanes,   column_adds,        lif_frame,           lif_frame_traced,
     conv_frame_dense, conv_frame_scatter, conv_backward_input, matvec_transpose,
+    gumbel_logits, gumbel_binarize, lif_backward_frame, l4_row_stats,
+    l4_row_grad,   adam_step,
 };
 
 }  // namespace snntest::tensor::simd

@@ -9,6 +9,7 @@
 // -ffp-contract=off so no host contracts `w * x + acc` into an FMA that the
 // explicit mul-then-add SIMD backends cannot reproduce.
 #include <algorithm>
+#include <cmath>
 
 #include "tensor/ops.hpp"
 #include "tensor/simd.hpp"
@@ -401,12 +402,137 @@ void matvec_transpose(const float* a, size_t rows, size_t cols, const float* x, 
   }
 }
 
+/// Gumbel-sigmoid logits element by element: the logit and temperature
+/// expressions of GumbelSoftmaxInput::forward.
+void gumbel_logits(const float* real, const double* g1, const double* g2, size_t count,
+                   double tau, double* x) {
+  for (size_t i = 0; i < count; ++i) {
+    double logit = real[i];
+    if (g1 != nullptr) logit += g1[i] - g2[i];
+    x[i] = -logit / tau;
+  }
+}
+
+void gumbel_binarize(const double* e, size_t count, float* soft, float* binary) {
+  for (size_t i = 0; i < count; ++i) {
+    const double s = 1.0 / (1.0 + e[i]);
+    soft[i] = static_cast<float>(s);
+    binary[i] = s > 0.5 ? 1.0f : 0.0f;
+  }
+}
+
+/// The surrogate pseudo-derivatives of snn::surrogate_derivative, one
+/// function per kind so the frame loop below carries no switch.
+struct FastSigmoid {
+  float alpha;
+  float operator()(float x) const {
+    const float d = alpha * std::fabs(x) + 1.0f;
+    return 1.0f / (d * d);
+  }
+};
+struct Atan {
+  float slope;  // 0.5f * pi * alpha
+  float scale;  // 0.5f * alpha
+  float operator()(float x) const {
+    const float z = slope * x;
+    return scale / (1.0f + z * z);
+  }
+};
+struct Rectangular {
+  float half_width;  // 1.0f / alpha
+  float height;      // 0.5f * alpha
+  float operator()(float x) const { return std::fabs(x) < half_width ? height : 0.0f; }
+};
+
+/// One BPTT frame of LifBank::Backward::step, neuron by neuron.
+template <typename Surrogate>
+void lif_backward_impl(const LifBackwardParams& p, Surrogate surrogate, size_t count,
+                       const float* grad_spike, float* carry, float* grad_syn) {
+  for (size_t i = 0; i < count; ++i) {
+    if (!p.integrated[i]) {
+      // Refractory / faulted step: no integration, the chain is cut.
+      grad_syn[i] = 0.0f;
+      carry[i] = 0.0f;
+      continue;
+    }
+    const float surr = surrogate(p.u_pre[i] - p.threshold[i]);
+    const float spiked = p.spiked[i] ? 1.0f : 0.0f;
+    const float g_u_pre = grad_spike[i] * surr + carry[i] * (1.0f - spiked);
+    grad_syn[i] = g_u_pre;
+    carry[i] = p.leak[i] * g_u_pre;
+  }
+}
+
+void lif_backward_frame(const LifBackwardParams& p, size_t count, const float* grad_spike,
+                        float* carry, float* grad_syn) {
+  switch (p.surrogate) {
+    case 1:
+      return lif_backward_impl(p, Atan{kHalfPi * p.alpha, 0.5f * p.alpha}, count, grad_spike,
+                               carry, grad_syn);
+    case 2:
+      return lif_backward_impl(p, Rectangular{1.0f / p.alpha, 0.5f * p.alpha}, count,
+                               grad_spike, carry, grad_syn);
+    default:
+      return lif_backward_impl(p, FastSigmoid{p.alpha}, count, grad_spike, carry, grad_syn);
+  }
+}
+
+/// L4 statistics one row at a time, columns ascending.
+void l4_row_stats(const float* w, size_t rows, size_t cols, const double* counts, double* mean,
+                  double* var, double* taps) {
+  for (size_t i = 0; i < rows; ++i) {
+    const float* row = w + i * cols;
+    double sum = 0.0, sum_sq = 0.0, k = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      if (row[j] == 0.0f) continue;
+      const double c = static_cast<double>(row[j]) * counts[j];
+      sum += c;
+      sum_sq += c * c;
+      k += 1.0;
+    }
+    mean[i] = sum / k;
+    var[i] = sum_sq / k - mean[i] * mean[i];
+    taps[i] = k;
+  }
+}
+
+/// L4 gradient one row at a time, rows ascending.
+void l4_row_grad(const float* w, size_t rows, size_t cols, const double* counts,
+                 const double* mean, const double* taps, double* grad) {
+  for (size_t i = 0; i < rows; ++i) {
+    if (taps[i] < 2.0) continue;
+    const float* row = w + i * cols;
+    const double inv_k = 1.0 / taps[i];
+    for (size_t j = 0; j < cols; ++j) {
+      if (row[j] == 0.0f) continue;
+      const double c = static_cast<double>(row[j]) * counts[j];
+      grad[j] += 2.0 * (c - mean[i]) * inv_k * static_cast<double>(row[j]);
+    }
+  }
+}
+
+void adam_step(const AdamStepParams& p, size_t count, const float* grad, float* m, float* v,
+               float* value) {
+  for (size_t i = 0; i < count; ++i) {
+    const double g = grad[i] * p.clip_scale;
+    m[i] = static_cast<float>(p.beta1 * m[i] + (1.0 - p.beta1) * g);
+    v[i] = static_cast<float>(p.beta2 * v[i] + (1.0 - p.beta2) * g * g);
+    const double m_hat = m[i] / p.bc1;
+    const double v_hat = v[i] / p.bc2;
+    double update = p.lr * m_hat / (std::sqrt(v_hat) + p.eps);
+    if (p.weight_decay > 0.0) update += p.lr * p.weight_decay * value[i];
+    value[i] = static_cast<float>(value[i] - update);
+  }
+}
+
 }  // namespace
 
 const LaneKernels kScalarLaneKernels = {
     matvec_lanes, matvec_gather_lanes, conv_lanes_dense, conv_lanes_scatter,
     pool_lanes,   column_adds,        lif_frame,           lif_frame_traced,
     conv_frame_dense, conv_frame_scatter, conv_backward_input, matvec_transpose,
+    gumbel_logits, gumbel_binarize, lif_backward_frame, l4_row_stats,
+    l4_row_grad,   adam_step,
 };
 
 }  // namespace snntest::tensor::simd

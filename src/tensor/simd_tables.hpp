@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <numbers>
 
 #include "tensor/simd.hpp"
 
@@ -14,6 +15,10 @@ extern const LaneKernels kScalarLaneKernels;
 #if defined(SNNTEST_SIMD_AVX2)
 extern const LaneKernels kAvx2LaneKernels;
 #endif
+
+/// 0.5f * pi as snn::surrogate_derivative's atan kind writes it (the float
+/// product is exact), shared so both backends derive the same slope.
+inline constexpr float kHalfPi = 0.5f * std::numbers::pi_v<float>;
 
 // Internal linkage and no standard-library templates: each backend TU
 // compiles its own copy with its own ISA flags, so no AVX2-built definition

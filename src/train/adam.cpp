@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "snn/network.hpp"
+#include "tensor/simd.hpp"
 
 namespace snntest::train {
 
@@ -25,28 +26,29 @@ void AdamOptimizer::attach(snn::Network& net) {
 
 void AdamOptimizer::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  tensor::simd::AdamStepParams p;
+  p.lr = config_.lr;
+  p.beta1 = config_.beta1;
+  p.beta2 = config_.beta2;
+  p.eps = config_.eps;
+  p.weight_decay = config_.weight_decay;
+  p.bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
+  p.bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
   for (Slot& slot : slots_) {
-    double clip_scale = 1.0;
+    p.clip_scale = 1.0;
     if (config_.grad_clip_norm > 0.0) {
+      // A sequential reduction: the clip scale depends on its exact sum.
       double norm_sq = 0.0;
       for (size_t i = 0; i < slot.size; ++i) {
         norm_sq += static_cast<double>(slot.grad[i]) * slot.grad[i];
       }
       const double norm = std::sqrt(norm_sq);
-      if (norm > config_.grad_clip_norm) clip_scale = config_.grad_clip_norm / norm;
+      if (norm > config_.grad_clip_norm) p.clip_scale = config_.grad_clip_norm / norm;
     }
-    for (size_t i = 0; i < slot.size; ++i) {
-      const double g = slot.grad[i] * clip_scale;
-      slot.m[i] = static_cast<float>(config_.beta1 * slot.m[i] + (1.0 - config_.beta1) * g);
-      slot.v[i] = static_cast<float>(config_.beta2 * slot.v[i] + (1.0 - config_.beta2) * g * g);
-      const double m_hat = slot.m[i] / bc1;
-      const double v_hat = slot.v[i] / bc2;
-      double update = config_.lr * m_hat / (std::sqrt(v_hat) + config_.eps);
-      if (config_.weight_decay > 0.0) update += config_.lr * config_.weight_decay * slot.value[i];
-      slot.value[i] = static_cast<float>(slot.value[i] - update);
-    }
+    // Element-wise update on the SIMD table (its scalar entry is the
+    // reference loop; every backend matches it bit for bit).
+    ops.adam_step(p, slot.size, slot.grad, slot.m.data(), slot.v.data(), slot.value);
   }
 }
 

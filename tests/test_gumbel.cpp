@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "core/gumbel.hpp"
+#include "support/naive_optimizer.hpp"
+#include "tensor/simd.hpp"
 
 namespace snntest::core {
 namespace {
@@ -91,6 +96,55 @@ TEST(Gumbel, InvalidTauRejected) {
   GumbelSoftmaxInput input(2, 2, rng);
   EXPECT_THROW(input.forward(0.0, true), std::invalid_argument);
   EXPECT_THROW(input.forward(-1.0, true), std::invalid_argument);
+  // A NaN tau compares false against 0 and an infinite one sends every
+  // logit to 0: both would silently give an all-zero input or gradient.
+  for (const double tau : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(input.forward(tau, true), std::invalid_argument) << tau;
+    EXPECT_THROW(input.forward(tau, false), std::invalid_argument) << tau;
+  }
+}
+
+TEST(Gumbel, ForwardMatchesScalarOracleOnEveryBackend) {
+  // The forward runs in fixed-size chunks through the SIMD table; on every
+  // backend, window sizes below, at and across the chunk size must give the
+  // oracle's soft and binary values bit for bit and leave the noise stream
+  // where the oracle leaves it (g1 then g2 per element).
+  struct BackendGuard {
+    tensor::simd::Backend prior = tensor::simd::active_backend();
+    ~BackendGuard() { tensor::simd::force_backend(prior); }
+  } guard;
+  for (const tensor::simd::Backend b : tensor::simd::available_backends()) {
+    ASSERT_TRUE(tensor::simd::force_backend(b));
+    for (const size_t steps : {1, 7, 32, 33, 70}) {
+      SCOPED_TRACE(std::string(tensor::simd::backend_name(b)) + " steps=" +
+                   std::to_string(steps));
+      util::Rng init(11 + steps);
+      GumbelSoftmaxInput input(steps, 8, init);
+      input.mutable_real()[0] = -0.0f;
+      util::Rng oracle_noise = init;  // the stream forward() draws from next
+      Tensor soft(input.real().shape()), binary(input.real().shape());
+      for (const bool stochastic : {true, false, true}) {
+        for (const double tau : {0.9, 0.25}) {
+          input.forward(tau, stochastic);
+          test_support::naive_gumbel_forward(input.real(), tau, stochastic, oracle_noise, soft,
+                                             binary);
+          ASSERT_EQ(std::memcmp(input.binary().data(), binary.data(),
+                                binary.numel() * sizeof(float)),
+                    0);
+          // The soft values feed the backward: compare through it.
+          Tensor ones(input.real().shape(), 1.0f);
+          input.backward(ones);
+          for (size_t i = 0; i < soft.numel(); ++i) {
+            const float want = static_cast<float>(1.0 * soft[i] * (1.0 - soft[i]) / tau);
+            ASSERT_EQ(std::memcmp(&input.grad_data()[i], &want, sizeof(float)), 0) << i;
+          }
+        }
+      }
+      EXPECT_EQ(init.next(), oracle_noise.next()) << "noise stream out of step";
+    }
+  }
 }
 
 TEST(Gumbel, GrowPreservesOptimizedPrefix) {

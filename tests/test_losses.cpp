@@ -3,10 +3,17 @@
 // composite weighting and the Sec. V-C alpha calibration.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "core/losses.hpp"
+#include "snn/conv_layer.hpp"
 #include "snn/dense_layer.hpp"
+#include "snn/pool_layer.hpp"
+#include "snn/recurrent_layer.hpp"
+#include "support/naive_optimizer.hpp"
+#include "tensor/simd.hpp"
 #include "snn/spike_train.hpp"
 #include "util/rng.hpp"
 
@@ -175,6 +182,189 @@ TEST(SynapseUniformity, IgnoresZeroWeights) {
   auto grads = make_grad_accumulators(r);
   SynapseUniformityLoss l4(net);
   EXPECT_NEAR(l4.compute(r, grads), 0.0, 1e-9);
+}
+
+/// Random spike trains shaped like `net`'s layer outputs, T frames.
+ForwardResult random_result(const Network& net, size_t T, util::Rng& rng) {
+  ForwardResult r;
+  for (size_t l = 0; l < net.num_layers(); ++l) {
+    Tensor t(tensor::Shape{T, net.layer(l).num_neurons()});
+    for (size_t i = 0; i < t.numel(); ++i) t[i] = rng.bernoulli(0.35) ? 1.0f : 0.0f;
+    r.layer_outputs.push_back(std::move(t));
+  }
+  return r;
+}
+
+/// L4 against the scalar oracle (tests/support/naive_optimizer.hpp) on
+/// every SIMD backend: the value's bits and every gradient element's bits,
+/// accumulated onto nonzero starting gradients. Returns the oracle's value.
+double expect_l4_matches_oracle(Network& net, uint64_t seed) {
+  struct BackendGuard {
+    tensor::simd::Backend prior = tensor::simd::active_backend();
+    ~BackendGuard() { tensor::simd::force_backend(prior); }
+  } guard;
+  util::Rng rng(seed);
+  const ForwardResult r = random_result(net, 9, rng);
+  std::vector<Tensor> start = make_grad_accumulators(r);
+  for (auto& g : start) {
+    for (size_t i = 0; i < g.numel(); ++i) g[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  std::vector<Tensor> want = start;
+  const double want_value = test_support::naive_synapse_uniformity(net, r, want);
+  const SynapseUniformityLoss l4(net);
+  for (const tensor::simd::Backend b : tensor::simd::available_backends()) {
+    EXPECT_TRUE(tensor::simd::force_backend(b));
+    SCOPED_TRACE(tensor::simd::backend_name(b));
+    std::vector<Tensor> got = start;
+    const double value = l4.compute(r, got);
+    EXPECT_EQ(std::memcmp(&value, &want_value, sizeof(double)), 0) << value << " vs " << want_value;
+    for (size_t l = 0; l < got.size(); ++l) {
+      EXPECT_EQ(std::memcmp(got[l].data(), want[l].data(), got[l].numel() * sizeof(float)), 0)
+          << "layer " << l;
+    }
+  }
+  return want_value;
+}
+
+/// Zero a random ~20% of `w` (dead synapses drop out of L4) and set ~15%
+/// to +/-2^20: terms that large cancel against each other while swallowing
+/// small ones, so a sum taken in another order changes bits even after the
+/// gradient's cast to float.
+void zero_some(std::vector<float>& w, util::Rng& rng) {
+  for (auto& x : w) {
+    if (rng.bernoulli(0.2)) {
+      x = 0.0f;
+    } else if (rng.bernoulli(0.15)) {
+      x = rng.bernoulli(0.5) ? 0x1p20f : -0x1p20f;
+    }
+  }
+}
+
+TEST(SynapseUniformity, DenseAndRecurrentMatchScalarOracle) {
+  // Dense and recurrent rows: 8-row and 4-row blocks plus single rows, and
+  // column counts that leave every 4-wide tail.
+  util::Rng rng(41);
+  snn::LifParams lif;
+  Network net("l4-dense");
+  auto l1 = std::make_unique<snn::DenseLayer>(10, 23, lif);
+  l1->init_weights(rng);
+  net.add_layer(std::move(l1));
+  auto l2 = std::make_unique<snn::DenseLayer>(23, 13, lif);
+  l2->init_weights(rng);
+  zero_some(l2->weights(), rng);
+  net.add_layer(std::move(l2));
+  auto l3 = std::make_unique<snn::RecurrentLayer>(13, 9, lif);
+  l3->init_weights(rng);
+  zero_some(l3->weights(), rng);
+  net.add_layer(std::move(l3));
+  auto l4 = std::make_unique<snn::DenseLayer>(9, 3, lif);
+  l4->init_weights(rng);
+  net.add_layer(std::move(l4));
+  EXPECT_GT(expect_l4_matches_oracle(net, 42), 0.0);
+}
+
+TEST(SynapseUniformity, ConvMatchesScalarOracle) {
+  // The tap-major conv walk through the whole loss: stride 1 and 2,
+  // padding 0 to 2, zero taps, and a pool (no L4 term) ahead of the dense
+  // head. ConvDoubleSumsMatchScalarOracle fuzzes the geometry.
+  util::Rng rng(43);
+  snn::LifParams lif;
+  Network net("l4-conv");
+  auto conv = [&](size_t ic, size_t h, size_t w, size_t oc, size_t k, size_t stride,
+                  size_t pad) {
+    snn::Conv2dSpec s;
+    s.in_channels = ic;
+    s.in_height = h;
+    s.in_width = w;
+    s.out_channels = oc;
+    s.kernel = k;
+    s.stride = stride;
+    s.padding = pad;
+    auto layer = std::make_unique<snn::ConvLayer>(s, lif);
+    layer->init_weights(rng);
+    zero_some(layer->weights(), rng);
+    return layer;
+  };
+  net.add_layer(conv(2, 9, 8, 3, 3, 1, 1));   // -> 3 x 9 x 8
+  net.add_layer(conv(3, 9, 8, 4, 3, 2, 1));   // -> 4 x 5 x 4
+  net.add_layer(conv(4, 5, 4, 5, 3, 1, 0));   // -> 5 x 3 x 2
+  net.add_layer(conv(5, 3, 2, 2, 3, 2, 2));   // -> 2 x 3 x 2
+  net.add_layer(std::make_unique<snn::SumPoolLayer>(snn::SumPoolSpec{2, 3, 2, 1}, lif));
+  auto head = std::make_unique<snn::DenseLayer>(12, 4, lif);
+  head->init_weights(rng);
+  net.add_layer(std::move(head));
+  EXPECT_GT(expect_l4_matches_oracle(net, 44), 0.0);
+}
+
+TEST(SynapseUniformity, ConvDoubleSumsMatchScalarOracle) {
+  // Before the cast into the float spike gradient, each grad_counts[input]
+  // is a double sum of up to (kernel / stride)^2 terms per output channel,
+  // and `value` a running double sum over every pixel: both must match the
+  // pixel-major oracle bit for bit, so a reordered sum shows here even
+  // where the float cast would hide it.
+  util::Rng rng(47);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    snn::Conv2dSpec spec;
+    spec.in_channels = 1 + rng.uniform_index(3);
+    spec.kernel = 1 + rng.uniform_index(4);
+    spec.stride = 1 + rng.uniform_index(3);
+    spec.padding = rng.uniform_index(spec.kernel);
+    spec.in_height = spec.kernel + rng.uniform_index(6);
+    spec.in_width = spec.kernel + rng.uniform_index(6);
+    spec.out_channels = 1 + rng.uniform_index(4);
+    snn::ConvLayer conv(spec, snn::LifParams{});
+    conv.init_weights(rng);
+    zero_some(conv.weights(), rng);
+    std::vector<double> counts(spec.input_size());
+    for (auto& c : counts) c = static_cast<double>(rng.uniform_index(10));
+    std::vector<double> want(spec.input_size());
+    for (auto& g : want) g = rng.uniform(-1.0, 1.0);
+    std::vector<double> got = want;
+    double want_value = 0.25, value = 0.25;
+    test_support::naive_conv_variance(conv, counts, want, want_value);
+    add_conv_synapse_variance(conv, counts, got, value);
+    EXPECT_EQ(std::memcmp(&value, &want_value, sizeof(double)), 0) << value << " vs " << want_value;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+          << "grad_counts[" << i << "]: " << got[i] << " vs " << want[i];
+    }
+  }
+}
+
+TEST(Composite, CallerScratchMatchesFreshAccumulators) {
+  // The hot loop hands compute() the same term scratch every call; across
+  // calls on different window lengths it must give what fresh per-call
+  // accumulators give, bit for bit.
+  util::Rng rng(45);
+  snn::LifParams lif;
+  Network net("composite-scratch");
+  auto l1 = std::make_unique<snn::DenseLayer>(6, 8, lif);
+  l1->init_weights(rng);
+  net.add_layer(std::move(l1));
+  auto l2 = std::make_unique<snn::DenseLayer>(8, 3, lif);
+  l2->init_weights(rng);
+  net.add_layer(std::move(l2));
+  CompositeLoss composite;
+  composite.add(std::make_shared<OutputActivationLoss>(), 0.7);
+  composite.add(std::make_shared<TemporalDiversityLoss>(2), 0.3);
+  composite.add(std::make_shared<SynapseUniformityLoss>(net), 1.9);
+  std::vector<Tensor> scratch, reused;
+  for (const size_t T : {7, 3, 11}) {
+    const ForwardResult r = random_result(net, T, rng);
+    auto fresh = make_grad_accumulators(r);
+    std::vector<double> fresh_terms, reused_terms;
+    const double want = composite.compute(r, fresh, &fresh_terms);
+    zero_grad_accumulators(r, reused);
+    const double got = composite.compute(r, reused, scratch, &reused_terms);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0);
+    EXPECT_EQ(reused_terms, fresh_terms);
+    for (size_t l = 0; l < fresh.size(); ++l) {
+      ASSERT_EQ(reused[l].shape(), fresh[l].shape());
+      EXPECT_EQ(std::memcmp(reused[l].data(), fresh[l].data(), fresh[l].numel() * sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST(Sparsity, CountsHiddenLayersOnly) {

@@ -331,5 +331,71 @@ TEST(KernelMode, SparseForwardBitIdenticalOnConvDenseNetwork) {
   }
 }
 
+/// conv -> dense -> recurrent, kAuto: every layer kind that holds weight
+/// packs (conv forward and backward, column-major W and V).
+Network make_packed_net(uint64_t seed) {
+  Network net = make_conv_dense_net(seed);
+  util::Rng rng(seed + 1);
+  auto rec = std::make_unique<RecurrentLayer>(12, 6, LifParams{});
+  rec->init_weights(rng, 1.3f, 0.6f);
+  net.add_layer(std::move(rec));
+  net.set_kernel_mode(KernelMode::kAuto);
+  return net;
+}
+
+/// Output spikes of every layer and dL/d(input) of one forward/backward.
+std::vector<float> forward_backward(Network& net, const Tensor& in) {
+  const ForwardResult fwd = net.forward(in, /*record_traces=*/true);
+  std::vector<Tensor> grads;
+  for (const Tensor& o : fwd.layer_outputs) grads.emplace_back(o.shape(), 0.25f);
+  const Tensor grad_in = net.backward(grads);
+  std::vector<float> out(grad_in.data(), grad_in.data() + grad_in.numel());
+  for (const Tensor& o : fwd.layer_outputs) out.insert(out.end(), o.data(), o.data() + o.numel());
+  return out;
+}
+
+TEST(FrozenWeights, ScopeFlagsRestoreAndClonesStartUnfrozen) {
+  Network net = make_packed_net(51);
+  ASSERT_TRUE(net.param_grads_enabled());
+  {
+    const FrozenWeights frozen(net);
+    EXPECT_FALSE(net.param_grads_enabled());
+    for (size_t l = 0; l < net.num_layers(); ++l) EXPECT_TRUE(net.layer(l).weights_frozen());
+    const Network copy(net);
+    for (size_t l = 0; l < copy.num_layers(); ++l) {
+      EXPECT_FALSE(copy.layer(l).weights_frozen()) << "a clone inherited the frozen scope";
+    }
+    {
+      const FrozenWeights nested(net);
+      EXPECT_TRUE(net.layer(0).weights_frozen());
+    }
+    EXPECT_TRUE(net.layer(0).weights_frozen()) << "an inner scope ended the outer one";
+  }
+  EXPECT_TRUE(net.param_grads_enabled());
+  for (size_t l = 0; l < net.num_layers(); ++l) EXPECT_FALSE(net.layer(l).weights_frozen());
+}
+
+TEST(FrozenWeights, WeightsWrittenBetweenScopesAreSeen) {
+  // Inside a scope each layer keeps the weight packs built by its first
+  // call. Weights written after the scope ends must reach the next scope:
+  // every result there equals a fresh copy's, run with no scope at all.
+  Network net = make_packed_net(52);
+  const Tensor in = dense_input(7, net.input_size(), 0.3, 53);
+  {
+    const FrozenWeights frozen(net);
+    Network reference(net);
+    const auto want = forward_backward(reference, in);
+    EXPECT_EQ(forward_backward(net, in), want);
+    EXPECT_EQ(forward_backward(net, in), want) << "a kept pack changed a result";
+  }
+  for (ParamView p : net.params()) {
+    for (size_t i = 0; i < p.size; i += 3) p.value[i] = -1.5f * p.value[i];
+  }
+  Network reference(net);
+  const auto want = forward_backward(reference, in);
+  const FrozenWeights frozen(net);
+  EXPECT_EQ(forward_backward(net, in), want) << "a pack from the earlier scope was reused";
+}
+
 }  // namespace
 }  // namespace snntest::snn

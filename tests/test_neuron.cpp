@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "snn/neuron.hpp"
+#include "support/naive_optimizer.hpp"
+#include "tensor/simd.hpp"
+#include "util/rng.hpp"
 
 namespace snntest::snn {
 namespace {
@@ -213,6 +217,53 @@ TEST(LifBankBackward, RefractoryStepCarriesNoGradient) {
   EXPECT_EQ(grad_syn[1], 0.0f);
   EXPECT_EQ(grad_syn[2], 0.0f);
   EXPECT_GT(grad_syn[0], 0.0f);
+}
+
+TEST(LifBankBackward, FrameKernelMatchesSurrogateOracleOnEveryBackend) {
+  // Backward::step is one SIMD-table call per frame. On every backend and
+  // for every surrogate kind it must reproduce the per-neuron loop through
+  // surrogate_derivative bit for bit: 21 neurons (an 8-wide tail) with
+  // dead, saturated, refractory, firing and quiet steps, and per-neuron
+  // thresholds and leaks.
+  struct BackendGuard {
+    tensor::simd::Backend prior = tensor::simd::active_backend();
+    ~BackendGuard() { tensor::simd::force_backend(prior); }
+  } guard;
+  const size_t n = 21;
+  const size_t T = 12;
+  LifParams params;
+  params.refractory = 2;
+  LifBank bank(n, params);
+  util::Rng rng(31);
+  for (size_t i = 0; i < n; ++i) {
+    bank.thresholds()[i] = static_cast<float>(rng.uniform(0.6, 1.4));
+    bank.leaks()[i] = static_cast<float>(rng.uniform(0.7, 1.0));
+  }
+  bank.modes()[3] = NeuronMode::kDead;
+  bank.modes()[10] = NeuronMode::kSaturated;
+  std::vector<float> syn(T * n), spikes(n), grad_spikes(T * n);
+  for (auto& v : syn) v = static_cast<float>(rng.uniform(-0.3, 1.2));
+  for (auto& v : grad_spikes) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+  bank.begin_run(T, /*record_traces=*/true);
+  for (size_t t = 0; t < T; ++t) bank.step(syn.data() + t * n, spikes.data());
+  for (const SurrogateKind kind :
+       {SurrogateKind::kFastSigmoid, SurrogateKind::kAtan, SurrogateKind::kRectangular}) {
+    SurrogateConfig sg;
+    sg.kind = kind;
+    sg.alpha = 2.5f;
+    std::vector<float> want(T * n), carry(n, 0.0f);
+    for (size_t t = T; t-- > 0;) {
+      test_support::naive_lif_backward_step(bank, sg, t, grad_spikes.data() + t * n,
+                                            carry.data(), want.data() + t * n);
+    }
+    for (const tensor::simd::Backend b : tensor::simd::available_backends()) {
+      ASSERT_TRUE(tensor::simd::force_backend(b));
+      std::vector<float> got(T * n, -1.0f);
+      bank.backward(grad_spikes.data(), T, sg, got.data());
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << tensor::simd::backend_name(b) << " surrogate " << static_cast<int>(kind);
+    }
+  }
 }
 
 TEST(Surrogate, FastSigmoidPeaksAtThreshold) {

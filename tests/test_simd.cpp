@@ -14,7 +14,10 @@
 // The single-sample kernels (the traced frame LIF of snn::LifBank and the
 // BPTT transpose matvec) get their own per-backend checks: the LIF against
 // snn::lif_step_neuron element by element, the transpose against the
-// scalar table over shapes that leave every vector tail.
+// scalar table over shapes that leave every vector tail. So do the
+// optimizer-step kernels of test generation (Gumbel sampling, the LIF
+// backward frame, L4's row statistics and gradient, Adam): each against
+// its scalar entry at every tail length.
 //
 // On hosts with no SIMD backend the differential loops are vacuous but the
 // dispatch-surface tests (parse/name/availability/force) still run.
@@ -554,6 +557,223 @@ TEST(SimdKernels, ScatterWithAllPixelsActiveMatchesDense) {
                            scatter.data());
     for (size_t i = 0; i < dense.size(); ++i) {
       EXPECT_NEAR(dense[i], scatter[i], 1e-5f) << "element " << i;
+    }
+  }
+}
+
+/// Double-bit equality, the double counterpart of expect_bits_equal.
+void expect_bits_equal(const std::vector<double>& got, const std::vector<double>& want,
+                       const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << what << " diverges at element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// Runs `run(backend)` under the scalar table and under every other
+/// available backend, and hands each non-scalar result with the scalar one
+/// to `check`.
+template <typename Run, typename Check>
+void against_scalar(Run run, Check check) {
+  BackendGuard guard;
+  const auto ref = run(Backend::kScalar);
+  for (const Backend b : available_backends()) {
+    if (b == Backend::kScalar) continue;
+    SCOPED_TRACE(std::string("backend=") + backend_name(b));
+    check(run(b), ref);
+  }
+}
+
+TEST(SimdKernels, GumbelKernelsBitIdenticalToScalar) {
+  // The Gumbel-sigmoid passes of GumbelSoftmaxInput::forward, 4-wide
+  // double. Counts 1..19 leave every tail; the noise-free form, a huge
+  // logit (exp overflows to inf, s = 0), a NaN noise term, signed zeros and
+  // an s of exactly 0.5 (e = 1) are all on the path.
+  for (size_t count = 1; count <= 19; ++count) {
+    struct Out {
+      std::vector<double> x, x_plain;
+      std::vector<float> soft, binary;
+    };
+    auto run = [&](Backend b) {
+      EXPECT_TRUE(force_backend(b));
+      const LaneKernels& ops = lane_ops();
+      util::Rng rng(7000 + count);
+      std::vector<float> real = random_vec(rng, count, -4.0f, 4.0f);
+      std::vector<double> g1(count), g2(count);
+      for (size_t i = 0; i < count; ++i) {
+        g1[i] = rng.gumbel();
+        g2[i] = rng.gumbel();
+      }
+      real[0] = -0.0f;
+      if (count > 3) real[3] = 3.0e4f;
+      if (count > 5) g1[5] = std::numeric_limits<double>::quiet_NaN();
+      Out out;
+      out.x.assign(count, -1.0);
+      out.x_plain.assign(count, -1.0);
+      ops.gumbel_logits(real.data(), g1.data(), g2.data(), count, 0.37, out.x.data());
+      ops.gumbel_logits(real.data(), nullptr, nullptr, count, 0.37, out.x_plain.data());
+      std::vector<double> e(count);
+      for (size_t i = 0; i < count; ++i) e[i] = std::exp(out.x[i]);
+      if (count > 7) e[7] = 1.0;
+      out.soft.assign(count, -1.0f);
+      out.binary.assign(count, -1.0f);
+      ops.gumbel_binarize(e.data(), count, out.soft.data(), out.binary.data());
+      return out;
+    };
+    SCOPED_TRACE("count=" + std::to_string(count));
+    against_scalar(run, [](const Out& got, const Out& ref) {
+      expect_bits_equal(got.x, ref.x, "gumbel_logits");
+      expect_bits_equal(got.x_plain, ref.x_plain, "gumbel_logits without noise");
+      expect_bits_equal(got.soft, ref.soft, "gumbel_binarize soft");
+      expect_bits_equal(got.binary, ref.binary, "gumbel_binarize binary");
+    });
+  }
+}
+
+TEST(SimdKernels, LifBackwardFrameBitIdenticalToScalar) {
+  // One BPTT frame per surrogate kind, carried over six frames so the
+  // carry chain runs through the kernel. Counts 1..35 leave every 8-wide
+  // tail; non-integrated and spiking neurons, a NaN membrane and values at
+  // the rectangular window's edge are on the path.
+  for (const uint8_t kind : {0, 1, 2}) {
+    for (size_t count = 1; count <= 35; ++count) {
+      struct Out {
+        std::vector<float> carry, grad_syn;
+      };
+      auto run = [&](Backend b) {
+        EXPECT_TRUE(force_backend(b));
+        const LaneKernels& ops = lane_ops();
+        util::Rng rng(7100 + count * 3 + kind);
+        const auto thr = random_vec(rng, count, 0.5f, 1.5f);
+        const auto leak = random_vec(rng, count, 0.5f, 1.0f);
+        Out out;
+        out.carry = random_vec(rng, count);
+        for (int frame = 0; frame < 6; ++frame) {
+          std::vector<float> u_pre = random_vec(rng, count, -1.0f, 2.5f);
+          std::vector<uint8_t> spiked(count), integrated(count);
+          for (size_t i = 0; i < count; ++i) {
+            integrated[i] = rng.bernoulli(0.8) ? 1 : 0;
+            spiked[i] = u_pre[i] >= thr[i] ? 1 : 0;
+          }
+          if (frame == 2) u_pre[count / 2] = std::numeric_limits<float>::quiet_NaN();
+          if (frame == 3) u_pre[count - 1] = thr[count - 1] + 0.5f;  // |x| == 1 / alpha
+          const auto grad_spike = random_vec(rng, count, -2.0f, 2.0f);
+          LifBackwardParams p;
+          p.threshold = thr.data();
+          p.leak = leak.data();
+          p.u_pre = u_pre.data();
+          p.spiked = spiked.data();
+          p.integrated = integrated.data();
+          p.surrogate = kind;
+          p.alpha = 2.0f;
+          std::vector<float> grad_syn(count, -7.0f);
+          ops.lif_backward_frame(p, count, grad_spike.data(), out.carry.data(), grad_syn.data());
+          out.grad_syn.insert(out.grad_syn.end(), grad_syn.begin(), grad_syn.end());
+        }
+        return out;
+      };
+      SCOPED_TRACE("surrogate=" + std::to_string(kind) + " count=" + std::to_string(count));
+      against_scalar(run, [](const Out& got, const Out& ref) {
+        expect_bits_equal(got.carry, ref.carry, "lif_backward_frame carry");
+        expect_bits_equal(got.grad_syn, ref.grad_syn, "lif_backward_frame grad_syn");
+      });
+    }
+  }
+}
+
+TEST(SimdKernels, L4RowKernelsBitIdenticalToScalar) {
+  // L4 statistics run across rows (8- and 4-row blocks, then single rows)
+  // and the gradient across columns (4-wide, up to four live rows per
+  // sweep). Row counts 1..13 and column counts 1..11 leave every tail;
+  // zero and negative-zero weights drop out of a row, rows with fewer than
+  // two live weights drop out of the gradient, and +/-2^40 weights make a
+  // reordered sum show.
+  for (size_t rows = 1; rows <= 13; ++rows) {
+    for (size_t cols = 1; cols <= 11; ++cols) {
+      struct Out {
+        std::vector<double> mean, var, taps, grad;
+      };
+      auto run = [&](Backend b) {
+        EXPECT_TRUE(force_backend(b));
+        const LaneKernels& ops = lane_ops();
+        util::Rng rng(7200 + rows * 16 + cols);
+        std::vector<float> w = random_vec(rng, rows * cols, -2.0f, 2.0f);
+        for (size_t i = 0; i < w.size(); ++i) {
+          if (rng.bernoulli(0.25)) w[i] = i % 2 == 0 ? 0.0f : -0.0f;
+          if (i % 9 == 4) w[i] = i % 2 == 0 ? 0x1p40f : -0x1p40f;
+        }
+        if (rows > 2) {
+          for (size_t c = 1; c < cols; ++c) w[2 * cols + c] = 0.0f;  // one live tap
+        }
+        std::vector<double> counts(cols);
+        for (auto& c : counts) c = static_cast<double>(rng.uniform_index(9));
+        Out out;
+        out.mean.assign(rows, -1.0);
+        out.var.assign(rows, -1.0);
+        out.taps.assign(rows, -1.0);
+        ops.l4_row_stats(w.data(), rows, cols, counts.data(), out.mean.data(), out.var.data(),
+                         out.taps.data());
+        out.grad.resize(cols);
+        for (auto& g : out.grad) g = rng.uniform(-1.0, 1.0);
+        ops.l4_row_grad(w.data(), rows, cols, counts.data(), out.mean.data(), out.taps.data(),
+                        out.grad.data());
+        return out;
+      };
+      SCOPED_TRACE("rows=" + std::to_string(rows) + " cols=" + std::to_string(cols));
+      against_scalar(run, [](const Out& got, const Out& ref) {
+        expect_bits_equal(got.mean, ref.mean, "l4_row_stats mean");
+        expect_bits_equal(got.var, ref.var, "l4_row_stats var");
+        expect_bits_equal(got.taps, ref.taps, "l4_row_stats taps");
+        expect_bits_equal(got.grad, ref.grad, "l4_row_grad");
+      });
+    }
+  }
+}
+
+TEST(SimdKernels, AdamStepBitIdenticalToScalar) {
+  // Twelve Adam steps per configuration, 4-wide double; counts 1..13 leave
+  // every tail. Clip scale and decoupled weight decay on and off; a zero
+  // and a huge gradient are on the path.
+  for (const bool decay : {false, true}) {
+    for (const double clip : {1.0, 0.3}) {
+      for (size_t count = 1; count <= 13; ++count) {
+        struct Out {
+          std::vector<float> m, v, value;
+        };
+        auto run = [&](Backend b) {
+          EXPECT_TRUE(force_backend(b));
+          const LaneKernels& ops = lane_ops();
+          util::Rng rng(7300 + count);
+          Out out;
+          out.m.assign(count, 0.0f);
+          out.v.assign(count, 0.0f);
+          out.value = random_vec(rng, count, -3.0f, 3.0f);
+          for (int t = 1; t <= 12; ++t) {
+            std::vector<float> grad = random_vec(rng, count, -5.0f, 5.0f);
+            grad[0] = 0.0f;
+            if (count > 2) grad[2] = 3.0e30f;
+            AdamStepParams p;
+            p.lr = 0.05;
+            p.beta1 = 0.9;
+            p.beta2 = 0.999;
+            p.eps = 1e-8;
+            p.weight_decay = decay ? 0.01 : 0.0;
+            p.bc1 = 1.0 - std::pow(p.beta1, t);
+            p.bc2 = 1.0 - std::pow(p.beta2, t);
+            p.clip_scale = clip;
+            ops.adam_step(p, count, grad.data(), out.m.data(), out.v.data(), out.value.data());
+          }
+          return out;
+        };
+        SCOPED_TRACE("decay=" + std::to_string(decay) + " clip=" + std::to_string(clip) +
+                     " count=" + std::to_string(count));
+        against_scalar(run, [](const Out& got, const Out& ref) {
+          expect_bits_equal(got.m, ref.m, "adam_step m");
+          expect_bits_equal(got.v, ref.v, "adam_step v");
+          expect_bits_equal(got.value, ref.value, "adam_step value");
+        });
+      }
     }
   }
 }

@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "campaign/engine.hpp"
 #include "core/input_optimizer.hpp"
 #include "core/naive_fc_optimizer.hpp"
 #include "core/test_generator.hpp"
 #include "fault/coverage.hpp"
+#include "snn/conv_layer.hpp"
 #include "snn/dense_layer.hpp"
+#include "snn/pool_layer.hpp"
 #include "snn/recurrent_layer.hpp"
 #include "snn/spike_train.hpp"
 #include "tensor/simd.hpp"
@@ -190,20 +195,52 @@ TEST(TestGenerator, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(TestGenerator, BitIdenticalAcrossSimdBackends) {
-  // The generator's forward (LIF frames, binary-frame column adds) and BPTT
-  // (transpose matvec) dispatch through the SIMD table, so the stimulus
-  // must be byte-identical under the portable scalar kernels and under the
-  // best backend. The recurrent layer puts V's column adds and transpose
-  // on the path too.
-  util::Rng rng(77);
+  // The generator's whole optimizer step dispatches through the SIMD table:
+  // Gumbel sampling, the forward (LIF frames, binary-frame column adds,
+  // conv frames), BPTT (LIF backward frames, transpose matvec, conv input
+  // gradient), L4 and Adam. So the stimulus must be byte-identical under
+  // the portable scalar kernels and under the best backend, on two nets:
+  //  * recurrent -> dense, which puts V's column adds and transpose and the
+  //    dense/recurrent L4 rows on the path;
+  //  * conv -> pool -> dense with the atan and rectangular surrogates, which
+  //    runs the conv L4 walk and every LIF-backward surrogate end to end.
   snn::LifParams lif;
-  snn::Network net("testgen-simd-net");
-  auto l1 = std::make_unique<snn::RecurrentLayer>(8, 12, lif);
-  l1->init_weights(rng, 1.2f, 0.6f);
-  net.add_layer(std::move(l1));
-  auto l2 = std::make_unique<snn::DenseLayer>(12, 4, lif);
-  l2->init_weights(rng, 1.2f);
-  net.add_layer(std::move(l2));
+  std::vector<snn::Network> nets;
+  {
+    util::Rng rng(77);
+    snn::Network net("testgen-simd-net");
+    auto l1 = std::make_unique<snn::RecurrentLayer>(8, 12, lif);
+    l1->init_weights(rng, 1.2f, 0.6f);
+    net.add_layer(std::move(l1));
+    auto l2 = std::make_unique<snn::DenseLayer>(12, 4, lif);
+    l2->init_weights(rng, 1.2f);
+    net.add_layer(std::move(l2));
+    nets.push_back(std::move(net));
+  }
+  {
+    util::Rng rng(78);
+    snn::Network net("testgen-simd-conv-net");
+    snn::Conv2dSpec spec;
+    spec.in_channels = 2;
+    spec.in_height = 6;
+    spec.in_width = 6;
+    spec.out_channels = 3;
+    spec.kernel = 3;
+    spec.stride = 1;
+    spec.padding = 1;
+    auto conv = std::make_unique<snn::ConvLayer>(spec, lif);
+    conv->init_weights(rng, 1.5f);
+    conv->surrogate().kind = snn::SurrogateKind::kAtan;
+    net.add_layer(std::move(conv));
+    auto pool = std::make_unique<snn::SumPoolLayer>(snn::SumPoolSpec{3, 6, 6, 2}, lif);
+    pool->surrogate().kind = snn::SurrogateKind::kRectangular;
+    net.add_layer(std::move(pool));
+    auto head = std::make_unique<snn::DenseLayer>(27, 4, lif);
+    head->init_weights(rng, 1.5f);
+    head->surrogate().kind = snn::SurrogateKind::kRectangular;
+    net.add_layer(std::move(head));
+    nets.push_back(std::move(net));
+  }
   auto cfg = fast_config();
   cfg.seed = 8765;
   cfg.restarts = 2;
@@ -215,17 +252,48 @@ TEST(TestGenerator, BitIdenticalAcrossSimdBackends) {
     tensor::simd::Backend prior = tensor::simd::active_backend();
     ~BackendGuard() { tensor::simd::force_backend(prior); }
   } guard;
-  auto generate = [&](tensor::simd::Backend backend) {
-    EXPECT_TRUE(tensor::simd::force_backend(backend));
-    TestGenerator generator(net, cfg);
-    return generator.generate().stimulus.assemble();
+  for (snn::Network& net : nets) {
+    SCOPED_TRACE(net.name());
+    auto generate = [&](tensor::simd::Backend backend) {
+      EXPECT_TRUE(tensor::simd::force_backend(backend));
+      TestGenerator generator(net, cfg);
+      return generator.generate().stimulus.assemble();
+    };
+    const auto reference = generate(tensor::simd::Backend::kScalar);
+    ASSERT_GT(reference.numel(), 0u);
+    const auto best = generate(tensor::simd::best_available_backend());
+    ASSERT_EQ(best.shape(), reference.shape());
+    ASSERT_EQ(std::memcmp(best.data(), reference.data(), reference.numel() * sizeof(float)), 0)
+        << "backend " << tensor::simd::backend_name(tensor::simd::best_available_backend());
+  }
+}
+
+TEST(TestGenerator, RejectsBadScheduleFieldsByName) {
+  // The annealing schedules feed every optimizer step; a bad value must
+  // fail in the constructor and name its field, not throw from the last
+  // step of a stage on a restart worker.
+  auto net = make_net();
+  const double bad_values[] = {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  const std::pair<const char*, double TestGenConfig::*> fields[] = {
+      {"tau_max", &TestGenConfig::tau_max},
+      {"tau_min", &TestGenConfig::tau_min},
+      {"lr_initial", &TestGenConfig::lr_initial},
+      {"lr_final", &TestGenConfig::lr_final},
   };
-  const auto reference = generate(tensor::simd::Backend::kScalar);
-  ASSERT_GT(reference.numel(), 0u);
-  const auto best = generate(tensor::simd::best_available_backend());
-  ASSERT_EQ(best.shape(), reference.shape());
-  ASSERT_EQ(std::memcmp(best.data(), reference.data(), reference.numel() * sizeof(float)), 0)
-      << "backend " << tensor::simd::backend_name(tensor::simd::best_available_backend());
+  for (const auto& [name, field] : fields) {
+    for (const double bad : bad_values) {
+      auto cfg = fast_config();
+      cfg.*field = bad;
+      try {
+        TestGenerator generator(net, cfg);
+        ADD_FAILURE() << name << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+    }
+  }
+  EXPECT_NO_THROW(TestGenerator(net, fast_config()));
 }
 
 TEST(TestGenerator, WinningRestartIsRecorded) {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "data/dataset.hpp"
 #include "snn/dense_layer.hpp"
+#include "support/naive_optimizer.hpp"
+#include "tensor/simd.hpp"
 #include "train/adam.hpp"
 #include "train/loss.hpp"
 #include "train/metrics.hpp"
@@ -67,6 +70,51 @@ TEST(Adam, RejectsBadConfig) {
   bad = AdamConfig{};
   bad.beta1 = 1.0;
   EXPECT_THROW(AdamOptimizer{bad}, std::invalid_argument);
+}
+
+TEST(Adam, StepMatchesScalarOracleOnEveryBackend) {
+  // The element-wise update runs on the SIMD table; on every backend it
+  // must reproduce the per-element loop bit for bit, with and without grad
+  // clipping (a sequential norm) and decoupled weight decay. 11 parameters
+  // leave a 4-wide tail.
+  struct BackendGuard {
+    tensor::simd::Backend prior = tensor::simd::active_backend();
+    ~BackendGuard() { tensor::simd::force_backend(prior); }
+  } guard;
+  for (const double clip : {0.0, 1.5}) {
+    for (const double decay : {0.0, 0.02}) {
+      AdamConfig cfg;
+      cfg.lr = 0.05;
+      cfg.grad_clip_norm = clip;
+      cfg.weight_decay = decay;
+      const size_t n = 11;
+      std::vector<float> want_value(n), want_m(n, 0.0f), want_v(n, 0.0f);
+      util::Rng init(5);
+      for (auto& x : want_value) x = static_cast<float>(init.uniform(-2.0, 2.0));
+      const std::vector<float> start = want_value;
+      std::vector<std::vector<float>> grads(9, std::vector<float>(n));
+      util::Rng g_rng(6);
+      for (auto& g : grads) {
+        for (auto& x : g) x = static_cast<float>(g_rng.uniform(-3.0, 3.0));
+      }
+      for (size_t t = 0; t < grads.size(); ++t) {
+        test_support::naive_adam_step(cfg, t + 1, grads[t].data(), n, want_m.data(),
+                                      want_v.data(), want_value.data());
+      }
+      for (const tensor::simd::Backend b : tensor::simd::available_backends()) {
+        ASSERT_TRUE(tensor::simd::force_backend(b));
+        std::vector<float> value = start, grad(n);
+        AdamOptimizer adam(cfg);
+        adam.attach(value.data(), grad.data(), n);
+        for (const auto& g : grads) {
+          grad = g;
+          adam.step();
+        }
+        ASSERT_EQ(std::memcmp(value.data(), want_value.data(), n * sizeof(float)), 0)
+            << tensor::simd::backend_name(b) << " clip " << clip << " decay " << decay;
+      }
+    }
+  }
 }
 
 TEST(Adam, ResetMomentsRestartsState) {
