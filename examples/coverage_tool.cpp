@@ -5,7 +5,7 @@
 //                             [--stimulus-file stim.bin] [--fault-sample 2000]
 //   coverage_tool orchestrate --dict d.snfd --shards 4 [--work-dir DIR]
 //                             [build flags] [--chaos-crash-after N]
-//   coverage_tool run-shard   --job j.bin --work-dir DIR --shard I --num-shards N
+//   coverage_tool run-shard   --work-dir DIR --shard I --num-shards N [--threads T]
 //   coverage_tool status      --work-dir DIR [--json 1]
 //   coverage_tool merge       --out merged.snfd --inputs a.snfd,b.snfd
 //   coverage_tool query       --dict d.snfd [--fault 17] [--stimulus 2]
@@ -25,7 +25,8 @@
 // examples/infield_test --dict (or `replay` below) replays. `replay`
 // executes such a schedule in file order against the live model, dropping
 // every fault an earlier stimulus already detected — the minimum-time
-// in-field loop; --frontier runs each step through the divergence-frontier
+// in-field loop, with the faults and detection settings the schedule file
+// carries; --frontier runs each step through the divergence-frontier
 // engine (DESIGN.md §17). `status` reads a live or finished sharded
 // campaign's work directory from ANOTHER process and prints each shard's
 // progress: committed, partial (records in its snapshot) or not started
@@ -91,8 +92,9 @@ coverage::FaultDictionary load_or_die(const std::string& path) {
 }
 
 /// The fault list of a campaign: the whole universe of `net`, or a seeded
-/// sample of `sample_size` faults from it. The dictionary fingerprints this
-/// list, so `build`, `orchestrate` and `replay` must all draw it here.
+/// sample of `sample_size` faults from it. `build` and `orchestrate` draw it
+/// here (so they extend each other's dictionaries); the dictionary stores
+/// it, and every other subcommand reads it from the file.
 std::vector<fault::FaultDescriptor> campaign_faults(snn::Network& net, size_t sample_size,
                                                     size_t* universe_size = nullptr) {
   auto universe = fault::enumerate_faults(net);
@@ -268,27 +270,28 @@ int cmd_build(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   if (sources.empty()) dict.save(dict_path);
-  std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%llu faults detectable"
+  std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%zu faults detectable"
               " (%zu pairs reused, %zu simulated this run)\n",
               dict_path.c_str(), dict.num_stimuli(), dict.num_records(), dict.detectable_count(),
-              static_cast<unsigned long long>(dict.num_faults), total_reused, total_recorded);
+              dict.num_faults(), total_reused, total_recorded);
   return 0;
 }
 
 int cmd_run_shard(int argc, char** argv) {
-  util::CliParser cli({{"job", ""},
-                       {"work-dir", "."},
+  util::CliParser cli({{"work-dir", "."},
                        {"shard", "0"},
                        {"num-shards", "1"},
+                       {"threads", "0"},
                        {"flush-every", "16"},
                        {"chaos-crash-after", "0"},
                        {"chaos-hang-after", "0"}},
                       "Shard worker (internal: launched by `orchestrate`). Runs one fault-\n"
-                      "universe shard of the job file and commits shard_<i>.snfd atomically.");
+                      "universe shard of the work dir's job (model.snnt + job.snfd) and\n"
+                      "commits shard_<i>.snfd atomically.");
   if (!cli.parse(argc, argv)) return 0;
   campaign::ShardWorkerOptions opts;
-  opts.job_path = cli.get("job");
   opts.work_dir = cli.get("work-dir");
+  opts.num_threads = cli.get_size("threads");
   opts.shard_index = cli.get_size("shard");
   opts.num_shards = cli.get_size("num-shards");
   opts.flush_every = cli.get_size("flush-every");
@@ -298,11 +301,11 @@ int cmd_run_shard(int argc, char** argv) {
 }
 
 /// Campaign directories under `root`: the root itself when it holds a
-/// job.bin, else its immediate subdirectories that do (orchestrate runs one
-/// campaign per stimulus under --work-dir/<stimulus>).
+/// job dictionary, else its immediate subdirectories that do (orchestrate
+/// runs one campaign per stimulus under --work-dir/<stimulus>).
 std::vector<std::string> find_campaign_dirs(const std::string& root) {
   const auto is_campaign = [](const std::string& dir) {
-    return std::filesystem::exists(dir + "/job.bin");
+    return std::filesystem::exists(campaign::job_paths(dir).dictionary);
   };
   if (is_campaign(root)) return {root};
   std::vector<std::string> dirs;
@@ -331,7 +334,7 @@ const char* state_name(campaign::ShardProgress::State state) {
 int cmd_status(int argc, char** argv) {
   util::CliParser cli({{"work-dir", "orchestrate.work"}, {"json", "0"}},
                       "Progress of a live or finished sharded campaign, read from its work\n"
-                      "directory: each shard is committed (final .snfd present), partial\n"
+                      "directory: each shard is committed (final .snfd of this job), partial\n"
                       "(records in its partial snapshot out of its range) or not started.\n"
                       "--json 1 prints the same as one JSON document.");
   if (!cli.parse(argc, argv)) return 0;
@@ -339,7 +342,7 @@ int cmd_status(int argc, char** argv) {
   const bool as_json = cli.get_bool("json");
   const std::vector<std::string> dirs = find_campaign_dirs(root);
   if (dirs.empty()) {
-    std::fprintf(stderr, "error: no campaign (job.bin) under %s\n", root.c_str());
+    std::fprintf(stderr, "error: no campaign (job.snfd) under %s\n", root.c_str());
     return 1;
   }
 
@@ -387,7 +390,6 @@ int cmd_orchestrate(int argc, char** argv) {
                        {"stimulus-file", ""},
                        {"fault-sample", "2000"},
                        {"threads", "0"},
-                       {"lane-width", "8"},
                        {"threshold", "0"},
                        {"detect-only", "0"},
                        {"shards", "2"},
@@ -426,16 +428,10 @@ int cmd_orchestrate(int argc, char** argv) {
   std::printf("monitor: coverage_tool status --work-dir %s\n",
               cli.get("work-dir").c_str());
 
-  campaign::EngineConfig engine;
-  engine.num_threads = cli.get_size("threads");
-  engine.lane_width = cli.get_size("lane-width");
-  engine.detection_threshold = cli.get_double("threshold");
-  engine.detect_only = cli.get_bool("detect-only");
-
+  const coverage::FaultDictionary fresh = coverage::make_dictionary(
+      net, faults, cli.get_double("threshold"), cli.get_bool("detect-only"));
   const std::string dict_path = cli.get("dict");
-  coverage::FaultDictionary dict = open_for_extension(
-      dict_path,
-      coverage::make_dictionary(net, faults, engine.detection_threshold, engine.detect_only));
+  coverage::FaultDictionary dict = open_for_extension(dict_path, fresh);
   const auto sources =
       stimulus_sources(*bundle.test, cli.get_size("stimuli"), cli.get("stimulus-file"));
 
@@ -444,32 +440,30 @@ int cmd_orchestrate(int argc, char** argv) {
   ocfg.max_retries = cli.get_size("max-retries");
   ocfg.heartbeat_timeout_seconds = cli.get_double("heartbeat-timeout");
   ocfg.flush_every = cli.get_size("flush-every");
+  const size_t threads = cli.get_size("threads");
   const size_t crash_after = cli.get_size("chaos-crash-after");
   const size_t hang_after = cli.get_size("chaos-hang-after");
   ocfg.worker_command = [&](const campaign::ShardLaunch& launch) {
     auto cmd = campaign::default_worker_command(launch, exe);
-    if (launch.attempt == 0 && crash_after > 0) {
-      cmd.push_back("--chaos-crash-after");
-      cmd.push_back(std::to_string(crash_after));
-    }
-    if (launch.attempt == 0 && hang_after > 0) {
-      cmd.push_back("--chaos-hang-after");
-      cmd.push_back(std::to_string(hang_after));
+    const auto append = [&cmd](const char* flag, size_t value) {
+      if (value > 0) cmd.insert(cmd.end(), {flag, std::to_string(value)});
+    };
+    append("--threads", threads);
+    if (launch.attempt == 0) {
+      append("--chaos-crash-after", crash_after);
+      append("--chaos-hang-after", hang_after);
     }
     return cmd;
   };
 
   util::TextTable table({"stimulus", "frames", "attempts", "reused", "simulated"});
   for (const StimulusSource& src : sources) {
-    campaign::ShardJob job;
-    job.net = net;
-    job.stimulus = src.input;
-    job.faults = faults;
-    job.engine = engine;
-    job.stimulus_name = src.name;
+    coverage::FaultDictionary job = fresh;
+    job.add_stimulus({src.name, coverage::stimulus_fingerprint(src.input),
+                      src.input.shape().dim(0), src.input});
     ocfg.work_dir = cli.get("work-dir") + "/" + src.name;
 
-    const auto run = campaign::run_sharded_campaign(job, ocfg);
+    const auto run = campaign::run_sharded_campaign(net, job, ocfg);
     if (!run.completed) {
       std::fprintf(stderr, "error: stimulus %s: shard abandoned after retry exhaustion"
                            " (see %s/shard_*.log)\n",
@@ -489,9 +483,9 @@ int cmd_orchestrate(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   dict.save(dict_path);
-  std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%llu faults detectable\n",
+  std::printf("dictionary %s: %zu stimuli, %zu records, %zu/%zu faults detectable\n",
               dict_path.c_str(), dict.num_stimuli(), dict.num_records(), dict.detectable_count(),
-              static_cast<unsigned long long>(dict.num_faults));
+              dict.num_faults());
   return 0;
 }
 
@@ -531,11 +525,13 @@ int cmd_query(int argc, char** argv) {
 
   const int fault_idx = cli.get_int("fault");
   if (fault_idx >= 0) {
-    if (static_cast<uint64_t>(fault_idx) >= dict.num_faults) {
-      std::fprintf(stderr, "error: fault %d out of range (universe %llu)\n", fault_idx,
-                   static_cast<unsigned long long>(dict.num_faults));
+    if (static_cast<size_t>(fault_idx) >= dict.num_faults()) {
+      std::fprintf(stderr, "error: fault %d out of range (universe %zu)\n", fault_idx,
+                   dict.num_faults());
       return 1;
     }
+    std::printf("fault %d: %s\n", fault_idx,
+                dict.faults()[static_cast<size_t>(fault_idx)].to_string().c_str());
     std::printf("stimuli detecting fault %d:\n", fault_idx);
     size_t hits = 0;
     for (size_t s = 0; s < dict.num_stimuli(); ++s) {
@@ -571,8 +567,8 @@ int cmd_query(int argc, char** argv) {
                    std::to_string(dict.detected_faults(s).size()), entry.has_data() ? "yes" : "no"});
   }
   std::printf("%s\n", table.render().c_str());
-  std::printf("%zu/%llu faults detectable by at least one stimulus\n", dict.detectable_count(),
-              static_cast<unsigned long long>(dict.num_faults));
+  std::printf("%zu/%zu faults detectable by at least one stimulus\n", dict.detectable_count(),
+              dict.num_faults());
   return 0;
 }
 
@@ -597,11 +593,8 @@ int cmd_replay(int argc, char** argv) {
   util::CliParser cli({{"dict", "schedule.snfd"},
                        {"benchmark", "nmnist"},
                        {"train-budget", "1.0"},
-                       {"fault-sample", "2000"},
                        {"threads", "0"},
                        {"lane-width", "8"},
-                       {"threshold", "0"},
-                       {"detect-only", "0"},
                        {"frontier", "0"},
                        {"golden-cache-budget", "0"},
                        {"json", ""},
@@ -609,7 +602,8 @@ int cmd_replay(int argc, char** argv) {
                        {"metrics-out", ""}},
                       "Execute a minimized schedule (minimize --out) in file order against\n"
                       "the live model, dropping every fault an earlier stimulus already\n"
-                      "detected — the minimum-time in-field test loop. --frontier 1 runs\n"
+                      "detected — the minimum-time in-field test loop. The faults and the\n"
+                      "detection settings are the schedule file's own. --frontier 1 runs\n"
                       "each step through the divergence-frontier engine; results and\n"
                       "coverage decisions are bit-identical either way.");
   if (!cli.parse(argc, argv)) return 0;
@@ -621,16 +615,15 @@ int cmd_replay(int argc, char** argv) {
   auto bundle = zoo::load_or_train(id, zoo_opts);
   auto& net = bundle.network;
 
-  // replay_schedule verifies the fault-list fingerprint and refuses a
-  // schedule built from a different --fault-sample.
-  const auto faults = campaign_faults(net, cli.get_size("fault-sample"));
-
+  // The schedule carries its fault universe and detection settings;
+  // replay_schedule still refuses it for a different model.
   const coverage::FaultDictionary schedule = load_or_die(cli.get("dict"));
+  const std::vector<fault::FaultDescriptor>& faults = schedule.faults();
   coverage::ScheduleReplayConfig config;
   config.engine.num_threads = cli.get_size("threads");
   config.engine.lane_width = cli.get_size("lane-width");
-  config.engine.detection_threshold = cli.get_double("threshold");
-  config.engine.detect_only = cli.get_bool("detect-only");
+  config.engine.detection_threshold = schedule.detection_threshold;
+  config.engine.detect_only = schedule.detect_only;
   config.engine.frontier = cli.get_bool("frontier");
   config.engine.golden_cache_budget_bytes = cli.get_size("golden-cache-budget");
 
@@ -692,25 +685,22 @@ int cmd_report(int argc, char** argv) {
   std::printf("dictionary %s\n", cli.get("dict").c_str());
   std::printf("  model fingerprint     %016llx\n",
               static_cast<unsigned long long>(dict.model_fingerprint));
-  std::printf("  universe fingerprint  %016llx (%llu faults)\n",
-              static_cast<unsigned long long>(dict.universe_fingerprint),
-              static_cast<unsigned long long>(dict.num_faults));
+  std::printf("  universe fingerprint  %016llx (%zu faults)\n",
+              static_cast<unsigned long long>(dict.universe_fingerprint()), dict.num_faults());
   std::printf("  detection threshold   %.17g%s\n", dict.detection_threshold,
               dict.detect_only ? " (detect-only)" : "");
   std::printf("  schedule ordered      %s\n", dict.schedule_ordered ? "yes" : "no");
-  const size_t total_pairs = dict.num_stimuli() * static_cast<size_t>(dict.num_faults);
-  std::printf("  matrix                %zu stimuli x %llu faults, %zu/%zu pairs recorded\n",
-              dict.num_stimuli(), static_cast<unsigned long long>(dict.num_faults),
-              dict.num_records(), total_pairs);
-  std::printf("  detectable            %zu/%llu\n", dict.detectable_count(),
-              static_cast<unsigned long long>(dict.num_faults));
+  const size_t total_pairs = dict.num_stimuli() * dict.num_faults();
+  std::printf("  matrix                %zu stimuli x %zu faults, %zu/%zu pairs recorded\n",
+              dict.num_stimuli(), dict.num_faults(), dict.num_records(), total_pairs);
+  std::printf("  detectable            %zu/%zu\n", dict.detectable_count(), dict.num_faults());
 
   if (!cli.get("json").empty()) {
     std::ofstream out(cli.get("json"));
     if (!out) {
       std::fprintf(stderr, "warning: cannot write JSON to %s\n", cli.get("json").c_str());
     } else {
-      out << "{\"num_faults\":" << dict.num_faults << ",\"num_stimuli\":" << dict.num_stimuli()
+      out << "{\"num_faults\":" << dict.num_faults() << ",\"num_stimuli\":" << dict.num_stimuli()
           << ",\"num_records\":" << dict.num_records()
           << ",\"detectable\":" << dict.detectable_count() << ",\"schedule_ordered\":"
           << (dict.schedule_ordered ? "true" : "false") << "}\n";

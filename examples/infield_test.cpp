@@ -62,9 +62,9 @@ int run_schedule_mode(const util::CliParser& cli, snn::Network& net) {
   // the device derives the same schedule the factory tool would.
   coverage::TestSchedule schedule;
   if (dict.schedule_ordered) {
-    schedule.num_faults = dict.num_faults;
+    schedule.num_faults = dict.num_faults();
     schedule.detectable_faults = dict.detectable_count();
-    std::vector<char> covered(dict.num_faults, 0);
+    std::vector<char> covered(dict.num_faults(), 0);
     for (size_t s = 0; s < dict.num_stimuli(); ++s) {
       coverage::ScheduleStep step;
       step.stimulus = s;

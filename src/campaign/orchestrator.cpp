@@ -4,16 +4,17 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 
-#include "coverage/incremental.hpp"
+#include "campaign/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "snn/serialization.hpp"
 #include "util/logging.hpp"
 #include "util/subprocess.hpp"
 #include "util/timer.hpp"
@@ -29,22 +30,6 @@ constexpr double kPollIntervalSeconds = 0.02;
 constexpr double kRetryBackoffSeconds = 0.1;
 constexpr double kRetryBackoffCapSeconds = 2.0;
 
-void ensure_directory(const std::string& path) {
-  std::string prefix;
-  prefix.reserve(path.size());
-  for (size_t i = 0; i <= path.size(); ++i) {
-    if (i < path.size() && path[i] != '/') {
-      prefix.push_back(path[i]);
-      continue;
-    }
-    if (!prefix.empty() && ::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-      throw std::runtime_error("orchestrator: cannot create directory " + prefix + ": " +
-                               std::strerror(errno));
-    }
-    if (i < path.size()) prefix.push_back('/');
-  }
-}
-
 /// Size of a worker's partial snapshot, 0 while absent. Records are only
 /// ever added to it, so every flush changes the size — liveness is judged
 /// on *changes*.
@@ -53,13 +38,41 @@ uint64_t file_size(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
 }
 
-/// A shard is committed iff its final file loads and matches the job's
-/// campaign identity. Presence alone is almost enough (the file only
-/// appears via atomic rename) — the compatibility check additionally
-/// rejects stale files from an older campaign in a reused work dir.
-bool shard_committed(const ShardPaths& paths, const coverage::FaultDictionary& expected) {
-  auto dict = coverage::FaultDictionary::load(paths.final);
-  return dict && dict->compatible_with(expected);
+/// A shard is committed iff its final file loads, matches the job and
+/// holds every fault of `range`: a reused work dir may hold the files of
+/// another stimulus or another shard count's ranges.
+bool shard_committed(const ShardPaths& paths, const coverage::FaultDictionary& job,
+                     const ShardRange& range) {
+  const auto dict = coverage::FaultDictionary::load(paths.final);
+  if (!dict || !shard_matches_job(*dict, job)) return false;
+  for (size_t f = range.begin; f < range.end; ++f) {
+    if (!dict->has(0, f)) return false;
+  }
+  return true;
+}
+
+/// Remove the shard_<i>.* files an earlier run with more shards left
+/// behind, so status sees only the current plan.
+void remove_stale_shards(const std::string& work_dir, size_t num_shards) {
+  for (size_t i = num_shards;; ++i) {
+    const ShardPaths paths = shard_paths(work_dir, i);
+    bool removed = false;
+    for (const std::string* file : {&paths.final, &paths.partial, &paths.stats, &paths.log}) {
+      removed = std::remove(file->c_str()) == 0 || removed;
+    }
+    if (!removed) return;
+  }
+}
+
+/// The job must be the inputs of one shardable campaign for `net`.
+void check_job(const snn::Network& net, const coverage::FaultDictionary& job) {
+  const auto require = [](bool ok, const char* problem) {
+    if (!ok) throw std::invalid_argument(std::string("orchestrator: job ") + problem);
+  };
+  require(job.num_stimuli() == 1, "must hold exactly one stimulus");
+  require(job.stimulus(0).has_data(), "stimulus has no spike data");
+  require(job.num_records() == 0, "must hold no records");
+  require(job.model_fingerprint == model_fingerprint(net), "is for another model");
 }
 
 struct ShardState {
@@ -85,8 +98,6 @@ std::vector<std::string> default_worker_command(const ShardLaunch& launch,
                                                 const std::string& executable) {
   return {executable,
           "run-shard",
-          "--job",
-          launch.job_path,
           "--work-dir",
           launch.work_dir,
           "--shard",
@@ -97,7 +108,9 @@ std::vector<std::string> default_worker_command(const ShardLaunch& launch,
           std::to_string(launch.flush_every)};
 }
 
-OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorConfig& config) {
+OrchestratorResult run_sharded_campaign(const snn::Network& net,
+                                        const coverage::FaultDictionary& job,
+                                        const OrchestratorConfig& config) {
   OBS_SPAN("campaign/orchestrate");
   if (config.work_dir.empty()) {
     throw std::invalid_argument("orchestrator: work_dir is required");
@@ -105,17 +118,18 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
   if (!config.worker_command) {
     throw std::invalid_argument("orchestrator: worker_command is required");
   }
+  check_job(net, job);
   // More shards than faults would only launch workers for empty ranges.
   const size_t num_shards =
-      std::min(std::max<size_t>(config.num_shards, 1), std::max<size_t>(job.faults.size(), 1));
+      std::min(std::max<size_t>(config.num_shards, 1), std::max<size_t>(job.num_faults(), 1));
+  const std::vector<ShardRange> plan = plan_shards(job.num_faults(), num_shards);
 
   util::Timer timer;
-  ensure_directory(config.work_dir);
-  const std::string job_path = config.work_dir + "/job.bin";
-  save_job(job, job_path);
-
-  const coverage::FaultDictionary expected = coverage::make_dictionary(
-      job.net, job.faults, job.engine.detection_threshold, job.engine.detect_only);
+  std::filesystem::create_directories(config.work_dir);
+  const JobPaths job_files = job_paths(config.work_dir);
+  snn::save_network(net, job_files.model);
+  job.save(job_files.dictionary);
+  remove_stale_shards(config.work_dir, num_shards);
 
   obs::Registry& reg = obs::Registry::instance();
   std::vector<ShardState> shards(num_shards);
@@ -124,7 +138,7 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
     shards[i].outcome.shard_index = i;
     const ShardPaths paths = shard_paths(config.work_dir, i);
     // Shards committed by an earlier run of the same job are not rerun.
-    if (shard_committed(paths, expected)) {
+    if (shard_committed(paths, job, plan[i])) {
       shards[i].phase = ShardState::Phase::kDone;
       shards[i].outcome.completed = true;
       shards[i].outcome.reused_existing = true;
@@ -149,7 +163,6 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
     info.shard_index = i;
     info.num_shards = num_shards;
     info.attempt = st.attempts;
-    info.job_path = job_path;
     info.work_dir = config.work_dir;
     info.flush_every = config.flush_every;
     const std::vector<std::string> argv = config.worker_command(info);
@@ -169,7 +182,7 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
   const auto attempt_ended = [&](size_t i, bool was_hung) -> bool {
     ShardState& st = shards[i];
     const ShardPaths paths = shard_paths(config.work_dir, i);
-    if (!was_hung && shard_committed(paths, expected)) {
+    if (!was_hung && shard_committed(paths, job, plan[i])) {
       st.phase = ShardState::Phase::kDone;
       st.outcome.completed = true;
       load_worker_stats(paths.stats, &st.outcome.stats);
@@ -256,10 +269,10 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
 
   if (result.completed) {
     OBS_SPAN("campaign/orchestrate_merge");
-    result.merged = expected;
+    result.merged = job;
     for (size_t i = 0; i < num_shards; ++i) {
       const auto dict = coverage::FaultDictionary::load(shard_paths(config.work_dir, i).final);
-      if (!dict || !dict->compatible_with(expected)) {
+      if (!dict || !shard_matches_job(*dict, job)) {
         // Should be unreachable: kDone required a committed file moments ago.
         SNNTEST_LOG_WARN("orchestrator: shard %zu file vanished before merge", i);
         result.completed = false;
@@ -284,19 +297,22 @@ OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorC
 }
 
 std::vector<ShardProgress> read_shard_progress(const std::string& work_dir) {
-  const ShardJob job = load_job(work_dir + "/job.bin");
+  const std::string job_path = job_paths(work_dir).dictionary;
+  const auto job = coverage::FaultDictionary::load(job_path);
+  if (!job) throw std::runtime_error(job_path + ": cannot load the job dictionary");
   size_t num_shards = 0;
   while (::access(shard_paths(work_dir, num_shards).log.c_str(), F_OK) == 0) ++num_shards;
   std::vector<ShardProgress> out;
   if (num_shards == 0) return out;  // no worker launched yet
-  for (const ShardRange& range : plan_shards(job.faults.size(), num_shards)) {
+  for (const ShardRange& range : plan_shards(job->num_faults(), num_shards)) {
     const ShardPaths paths = shard_paths(work_dir, out.size());
     ShardProgress p;
     p.faults = range.size();
-    if (::access(paths.final.c_str(), F_OK) == 0) {
+    if (shard_committed(paths, *job, range)) {
       p.state = ShardProgress::State::kCommitted;
       p.done = p.faults;
-    } else if (auto partial = coverage::FaultDictionary::load(paths.partial)) {
+    } else if (const auto partial = coverage::FaultDictionary::load(paths.partial);
+               partial && shard_matches_job(*partial, *job)) {
       p.state = ShardProgress::State::kPartial;
       p.done = partial->num_records();
     }

@@ -24,15 +24,16 @@
 //    clock, so clock skew or mtime games cannot fake progress. No change
 //    for heartbeat_timeout_seconds while the process is alive = hung:
 //    SIGKILL, then retry.
-//  * exit — success requires exit code 0 AND a loadable, compatible
-//    shard_<i>.snfd (the file only ever appears via atomic rename, so
-//    presence implies completeness). Anything else is a failed attempt.
+//  * exit — success requires exit code 0 AND a shard_<i>.snfd that matches
+//    the job (shard_matches_job) and holds every fault of the shard's
+//    range. Anything else is a failed attempt.
 //  * retry — failed attempts relaunch after 0.1 s × 2^(attempt-1), capped
 //    at 2 s; more than max_retries failures abandons the campaign
 //    (remaining workers are killed, completed=false).
-//  * resume — shards whose final file already exists and matches the job
-//    are not launched at all, so re-running an interrupted campaign only
-//    runs the missing shards.
+//  * resume — shards whose final file is already committed for this job
+//    and range are not launched at all, so re-running an interrupted
+//    campaign only runs the missing shards. Files of shards past the
+//    current shard count are removed before any launch.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +43,7 @@
 
 #include "campaign/shard.hpp"
 #include "coverage/fault_dictionary.hpp"
+#include "snn/network.hpp"
 
 namespace snntest::campaign {
 
@@ -50,14 +52,13 @@ struct ShardLaunch {
   size_t shard_index = 0;
   size_t num_shards = 1;
   size_t attempt = 0;  ///< 0 on the first launch, +1 per retry
-  std::string job_path;
   std::string work_dir;
   size_t flush_every = 16;
 };
 
 struct OrchestratorConfig {
-  /// Directory for job.bin and all shard_<i>.* files; created (with
-  /// parents) if missing. Required.
+  /// Directory for the job files (job_paths) and all shard_<i>.* files;
+  /// created (with parents) if missing. Required.
   std::string work_dir;
   /// Clamped to the fault count, so no worker is launched for an empty
   /// range.
@@ -100,8 +101,8 @@ struct OrchestratorResult {
   size_t total_attempts() const;
 };
 
-/// The standard worker argv: `exe run-shard --job <job> --work-dir <dir>
-/// --shard <i> --num-shards <n> --flush-every <k>`. Tools whose `run-shard`
+/// The standard worker argv: `exe run-shard --work-dir <dir> --shard <i>
+/// --num-shards <n> --flush-every <k>`. Tools whose `run-shard`
 /// subcommand follows this contract (coverage_tool, the test binaries'
 /// self-exec mode) can use it directly:
 ///   config.worker_command = [exe](const ShardLaunch& l) {
@@ -110,12 +111,17 @@ struct OrchestratorResult {
 std::vector<std::string> default_worker_command(const ShardLaunch& launch,
                                                 const std::string& executable);
 
-/// Run `job` sharded across config.num_shards worker processes. Throws
-/// std::invalid_argument on an unusable config (empty work_dir or missing
-/// worker_command) and std::runtime_error when the work directory cannot be
+/// Run `job` — a record-less dictionary for `net` holding exactly one
+/// embedded stimulus — sharded across config.num_shards worker processes,
+/// which read it from job_paths(work_dir). Throws std::invalid_argument,
+/// naming the problem, on an unusable config (empty work_dir or missing
+/// worker_command) or job (another stimulus count, no spike data, records,
+/// another model), and std::runtime_error when the work directory cannot be
 /// created or the job cannot be written; supervision failures (crashes,
 /// hangs, retry exhaustion) are reported via OrchestratorResult instead.
-OrchestratorResult run_sharded_campaign(const ShardJob& job, const OrchestratorConfig& config);
+OrchestratorResult run_sharded_campaign(const snn::Network& net,
+                                        const coverage::FaultDictionary& job,
+                                        const OrchestratorConfig& config);
 
 /// One shard of a campaign as its work directory shows it.
 struct ShardProgress {
@@ -129,8 +135,9 @@ struct ShardProgress {
 
 /// Read a campaign's progress from disk alone, live or finished. The shard
 /// count is the number of consecutive shard_<i>.log files (each launched
-/// worker has one); ranges come from plan_shards over job.bin's faults.
-/// Throws std::runtime_error when job.bin cannot be loaded.
+/// worker has one); ranges come from plan_shards over job.snfd's fault
+/// count, and shard files count by the supervisor's rule for that job.
+/// Throws std::runtime_error when job.snfd cannot be loaded.
 std::vector<ShardProgress> read_shard_progress(const std::string& work_dir);
 
 }  // namespace snntest::campaign

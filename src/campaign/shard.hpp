@@ -15,21 +15,20 @@
 //    shard_<i>.partial.snfd (crash-recovery snapshot, also atomic; its
 //    growth is the worker's liveness signal), shard_<i>.stats (worker
 //    stats) and shard_<i>.log (worker stdout/stderr).
-//  * ShardJob — the campaign inputs serialized once by the orchestrator
-//    (job.bin) and read by every worker attempt: network, stimulus, fault
-//    universe, engine settings. Workers derive their own shard range from
-//    (shard_index, num_shards) via plan_shards, so the job file is shared
-//    by all shards and retries.
+//  * job_paths — the job the orchestrator writes once and every worker
+//    attempt reads: model.snnt (the network, snn::save_network) and
+//    job.snfd (a record-less fault dictionary holding the fault universe,
+//    the detection settings and the one stimulus). Workers derive their own
+//    shard range from (shard_index, num_shards) via plan_shards, so the job
+//    is shared by all shards and retries.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "campaign/engine.hpp"
-#include "fault/fault.hpp"
-#include "snn/network.hpp"
-#include "tensor/tensor.hpp"
+#include "coverage/fault_dictionary.hpp"
+
 
 namespace snntest::campaign {
 
@@ -55,26 +54,19 @@ struct ShardPaths {
 
 ShardPaths shard_paths(const std::string& work_dir, size_t shard_index);
 
-/// The shared inputs of a sharded campaign — everything a worker needs to
-/// reproduce its slice of the unsharded run bit-exactly.
-struct ShardJob {
-  snn::Network net{"uninitialized"};
-  tensor::Tensor stimulus;  // [T, C] binary spike train
-  std::vector<fault::FaultDescriptor> faults;
-  EngineConfig engine;  // function hooks are NOT serialized; every other
-                        // field is
-  std::string stimulus_name;
+/// The job files of a sharded campaign inside its work directory.
+struct JobPaths {
+  std::string model;       ///< model.snnt: the network
+  std::string dictionary;  ///< job.snfd: universe, detection settings, stimulus
 };
 
-/// Serialize / load a job file (SNJB: magic | version | frame(body), the
-/// stimulus bit-packed). save_job commits via atomic rename so a worker can
-/// never observe a half-written job, and throws std::invalid_argument when
-/// the stimulus holds a value other than 0 or 1. load_job throws
-/// std::runtime_error naming the path and the cause on a missing,
-/// corrupted or malformed file, including a job file of another format
-/// version or an out-of-range fault kind or kernel mode.
-void save_job(const ShardJob& job, const std::string& path);
-ShardJob load_job(const std::string& path);
+JobPaths job_paths(const std::string& work_dir);
+
+/// Is `shard` (a shard's final or partial file) a result of `job`: the same
+/// model, universe and detection settings, and exactly the job's one
+/// stimulus? Files an earlier campaign left in a reused work dir are not.
+bool shard_matches_job(const coverage::FaultDictionary& shard,
+                       const coverage::FaultDictionary& job);
 
 /// Worker stats committed next to the final shard file (plain "key value"
 /// lines — see shard_worker.cpp). Unknown keys are ignored so the format

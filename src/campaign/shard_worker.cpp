@@ -5,11 +5,14 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <thread>
 
+#include "campaign/engine.hpp"
+#include "campaign/fingerprint.hpp"
 #include "campaign/shard.hpp"
-#include "coverage/incremental.hpp"
 #include "obs/trace.hpp"
+#include "snn/serialization.hpp"
 #include "util/logging.hpp"
 #include "util/subprocess.hpp"
 #include "util/timer.hpp"
@@ -25,26 +28,36 @@ int run_shard_worker(const ShardWorkerOptions& options) {
     return 2;
   }
 
-  ShardJob job;
+  const JobPaths job_files = job_paths(options.work_dir);
+  snn::Network net;
   try {
-    job = load_job(options.job_path);
+    net = snn::load_network(job_files.model);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "shard worker: cannot load job %s: %s\n", options.job_path.c_str(),
-                 e.what());
+    std::fprintf(stderr, "shard worker: cannot load model: %s\n", e.what());
+    return 3;
+  }
+  const std::optional<coverage::FaultDictionary> job =
+      coverage::FaultDictionary::load(job_files.dictionary);
+  if (!job || job->num_stimuli() != 1 || !job->stimulus(0).has_data() ||
+      job->model_fingerprint != model_fingerprint(net)) {
+    std::fprintf(stderr,
+                 "shard worker: %s is not a job for %s (one embedded stimulus, same model)\n",
+                 job_files.dictionary.c_str(), job_files.model.c_str());
     return 3;
   }
 
   const ShardPaths paths = shard_paths(options.work_dir, options.shard_index);
-  const ShardRange range = plan_shards(job.faults.size(), options.num_shards)[options.shard_index];
+  const ShardRange range = plan_shards(job->num_faults(), options.num_shards)[options.shard_index];
 
-  // The shard dictionary is keyed by the FULL universe (model, fault list,
-  // settings) so shard files merge with each other and with an unsharded
-  // run; only the pairs in [range.begin, range.end) are ever recorded here.
-  coverage::FaultDictionary dict = coverage::make_dictionary(
-      job.net, job.faults, job.engine.detection_threshold, job.engine.detect_only);
+  // The shard dictionary starts as the job: keyed by the FULL universe
+  // (model, fault list, settings) with the job's stimulus at index 0, so
+  // shard files merge with each other and with an unsharded run; only the
+  // pairs in [range.begin, range.end) are ever recorded here.
+  coverage::FaultDictionary dict = *job;
+  const size_t stim = 0;
   coverage::FaultDictionary::LoadStats load_stats;
   if (auto partial = coverage::FaultDictionary::load(paths.partial, &load_stats)) {
-    if (partial->compatible_with(dict)) {
+    if (shard_matches_job(*partial, *job)) {
       dict = std::move(*partial);
       SNNTEST_LOG_INFO("shard %zu: resuming from partial snapshot (%zu records, %zu skipped)",
                        options.shard_index, dict.num_records(), load_stats.records_skipped);
@@ -54,19 +67,12 @@ int run_shard_worker(const ShardWorkerOptions& options) {
     }
   }
 
-  coverage::StimulusEntry entry;
-  entry.fingerprint = coverage::stimulus_fingerprint(job.stimulus);
-  entry.duration_frames = job.stimulus.shape().dim(0);
-  const size_t stim = [&] {
-    if (auto existing = dict.find_stimulus(entry.fingerprint)) return *existing;
-    entry.name = job.stimulus_name;
-    entry.data = job.stimulus;
-    return dict.add_stimulus(std::move(entry));
-  }();
-
-  const std::vector<fault::FaultDescriptor> shard_faults(job.faults.begin() + range.begin,
-                                                         job.faults.begin() + range.end);
-  EngineConfig engine = job.engine;
+  const std::vector<fault::FaultDescriptor> shard_faults(job->faults().begin() + range.begin,
+                                                         job->faults().begin() + range.end);
+  EngineConfig engine;
+  engine.num_threads = options.num_threads;
+  engine.detection_threshold = job->detection_threshold;
+  engine.detect_only = job->detect_only;
   engine.result_cache = [&dict, stim, &range](size_t local, fault::DetectionResult& out) {
     const fault::DetectionResult* known = dict.lookup(stim, range.begin + local);
     if (known == nullptr) return false;
@@ -90,7 +96,8 @@ int run_shard_worker(const ShardWorkerOptions& options) {
     }
   };
 
-  const CampaignResult outcome = run_campaign(job.net, job.stimulus, shard_faults, engine);
+  const CampaignResult outcome =
+      run_campaign(net, job->stimulus(stim).data, shard_faults, engine);
   if (!outcome.completed) {
     std::fprintf(stderr, "shard worker: campaign incomplete (shard %zu)\n", options.shard_index);
     return 4;

@@ -1,14 +1,16 @@
 // Shard worker: one process, one slice of the fault universe.
 //
 // run_shard_worker is the entry point behind `coverage_tool run-shard` (and
-// the test binaries' self-exec worker mode). It loads the shared job file
-// (campaign/shard.hpp), derives its fault range from (shard_index,
-// num_shards) via plan_shards, and runs the differential engine over that
-// slice with two hooks wired:
+// the test binaries' self-exec worker mode). It loads the shared job from
+// its work directory (model.snnt and job.snfd, campaign/shard.hpp), derives
+// its fault range from (shard_index, num_shards) via plan_shards, and runs
+// the differential engine over that slice, with the detection settings the
+// job dictionary carries, with two hooks wired:
 //
 //  * result_cache <- the partial shard snapshot from a previous (killed)
-//    attempt, so every pair that attempt committed is served as a lookup
-//    (EngineStats::pairs_reused) instead of re-simulated;
+//    attempt, when it holds exactly the job's stimulus, so every pair that
+//    attempt committed is served as a lookup (EngineStats::pairs_reused)
+//    instead of re-simulated;
 //  * result_sink  -> records each freshly simulated pair into the shard
 //    dictionary and, every `flush_every` results, commits a snapshot to
 //    shard_<i>.partial.snfd by atomic rename. Records are only ever added,
@@ -32,8 +34,8 @@
 namespace snntest::campaign {
 
 struct ShardWorkerOptions {
-  std::string job_path;
-  std::string work_dir;  ///< directory holding the shard_<i>.* files
+  std::string work_dir;  ///< directory holding the job and the shard_<i>.* files
+  size_t num_threads = 0;  ///< engine threads (0 = hardware concurrency)
   size_t shard_index = 0;
   size_t num_shards = 1;
   /// Freshly recorded results per partial-snapshot commit. Smaller = less

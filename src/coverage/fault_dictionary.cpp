@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "campaign/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -11,6 +12,36 @@
 
 namespace snntest::coverage {
 namespace {
+
+void write_fault(util::Writer& w, const fault::FaultDescriptor& f) {
+  w.u32(static_cast<uint32_t>(f.kind));
+  w.u64(f.neuron.layer);
+  w.u64(f.neuron.index);
+  w.u64(f.weight.layer);
+  w.u64(f.weight.param);
+  w.u64(f.weight.index);
+  w.u32(f.connection_granularity ? 1u : 0u);
+  w.u64(f.connection.layer);
+  w.u64(f.connection.out_index);
+  w.u64(f.connection.in_index);
+  w.f32(f.magnitude);
+}
+
+fault::FaultDescriptor read_fault(util::Reader& r) {
+  fault::FaultDescriptor f;
+  f.kind = r.enumerator(fault::FaultKind::kSynapseBitFlip, "fault kind");
+  f.neuron.layer = r.u64();
+  f.neuron.index = r.u64();
+  f.weight.layer = r.u64();
+  f.weight.param = r.u64();
+  f.weight.index = r.u64();
+  f.connection_granularity = r.u32() != 0;
+  f.connection.layer = r.u64();
+  f.connection.out_index = r.u64();
+  f.connection.in_index = r.u64();
+  f.magnitude = r.f32();
+  return f;
+}
 
 void write_record(util::Writer& out, size_t stim, size_t fault, const fault::DetectionResult& r) {
   util::Writer w;
@@ -54,13 +85,17 @@ bool results_identical(const fault::DetectionResult& a, const fault::DetectionRe
          a.class_count_diff == b.class_count_diff;
 }
 
+FaultDictionary::FaultDictionary(std::vector<fault::FaultDescriptor> faults)
+    : faults_(std::move(faults)),
+      universe_fingerprint_(campaign::hash_fault_list(faults_, util::kFnvOffsetBasis)) {}
+
 bool FaultDictionary::compatible_with(const FaultDictionary& other) const {
   uint64_t ta = 0, tb = 0;
   std::memcpy(&ta, &detection_threshold, sizeof(ta));
   std::memcpy(&tb, &other.detection_threshold, sizeof(tb));
   return model_fingerprint == other.model_fingerprint &&
-         universe_fingerprint == other.universe_fingerprint && num_faults == other.num_faults &&
-         ta == tb && detect_only == other.detect_only;
+         universe_fingerprint_ == other.universe_fingerprint_ &&
+         num_faults() == other.num_faults() && ta == tb && detect_only == other.detect_only;
 }
 
 size_t FaultDictionary::add_stimulus(StimulusEntry entry) {
@@ -94,12 +129,12 @@ void FaultDictionary::record(size_t stim, size_t fault, fault::DetectionResult r
   if (stim >= stimuli_.size()) {
     throw std::out_of_range("FaultDictionary::record: stimulus index out of range");
   }
-  if (fault >= num_faults) {
+  if (fault >= num_faults()) {
     throw std::out_of_range("FaultDictionary::record: fault index out of range");
   }
   if (have_[stim].empty()) {
-    have_[stim].assign(num_faults, 0);
-    results_[stim].resize(num_faults);
+    have_[stim].assign(num_faults(), 0);
+    results_[stim].resize(num_faults());
   }
   if (!have_[stim][fault]) ++num_records_;
   have_[stim][fault] = 1;
@@ -126,7 +161,7 @@ std::vector<size_t> FaultDictionary::detected_faults(size_t stim) const {
 }
 
 std::vector<char> FaultDictionary::detectable_mask() const {
-  std::vector<char> mask(num_faults, 0);
+  std::vector<char> mask(num_faults(), 0);
   for (size_t s = 0; s < have_.size(); ++s) {
     for (size_t f = 0; f < have_[s].size(); ++f) {
       if (have_[s][f] && results_[s][f].detected) mask[f] = 1;
@@ -144,8 +179,8 @@ size_t FaultDictionary::detectable_count() const {
 std::string FaultDictionary::serialize() const {
   util::Writer header;
   header.u64(model_fingerprint);
-  header.u64(universe_fingerprint);
-  header.u64(num_faults);
+  header.u64(universe_fingerprint_);
+  header.u64(faults_.size());
   header.f64(detection_threshold);
   header.u32(detect_only ? 1u : 0u);
   header.u32(schedule_ordered ? 1u : 0u);
@@ -161,10 +196,15 @@ std::string FaultDictionary::serialize() const {
     table.bytes(e.has_data() ? util::pack_bits(e.data.data(), e.data.numel()) : std::string());
   }
 
+  util::Writer universe;
+  universe.u64(faults_.size());
+  for (const fault::FaultDescriptor& f : faults_) write_fault(universe, f);
+
   util::Writer out;
   out.header(kDictionaryMagic, kDictionaryVersion);
   out.frame(header.str());
   out.frame(table.str());
+  out.frame(universe.str());
   out.u64(num_records_);
   for (size_t s = 0; s < have_.size(); ++s) {
     for (size_t f = 0; f < have_[s].size(); ++f) {
@@ -191,14 +231,15 @@ std::optional<FaultDictionary> FaultDictionary::load(const std::string& path, Lo
   }
   util::Reader in(file, path);
 
-  // Magic, header and stimulus table: damage here has no partial answer.
+  // Magic, header, stimulus table and fault universe: damage here has no
+  // partial answer.
   FaultDictionary dict;
   try {
     in.expect_header(kDictionaryMagic, kDictionaryVersion);
     util::Reader header(in.frame(), path);
     dict.model_fingerprint = header.u64();
-    dict.universe_fingerprint = header.u64();
-    dict.num_faults = header.u64();
+    const uint64_t universe_fingerprint = header.u64();
+    const uint64_t num_faults = header.u64();
     dict.detection_threshold = header.f64();
     dict.detect_only = header.u32() != 0;
     dict.schedule_ordered = header.u32() != 0;
@@ -223,13 +264,23 @@ std::optional<FaultDictionary> FaultDictionary::load(const std::string& path, Lo
       dict.results_.emplace_back();
     }
     table.expect_end();
+
+    util::Reader universe(in.frame(), path);
+    if (universe.u64() != num_faults) universe.fail("fault count differs from the header's");
+    // No reserve: a count no file could hold fails at the first missing fault.
+    for (uint64_t f = 0; f < num_faults; ++f) dict.faults_.push_back(read_fault(universe));
+    universe.expect_end();
+    dict.universe_fingerprint_ = campaign::hash_fault_list(dict.faults_, util::kFnvOffsetBasis);
+    if (dict.universe_fingerprint_ != universe_fingerprint) {
+      universe.fail("fault universe does not hash to the header's fingerprint");
+    }
   } catch (const std::runtime_error& e) {
     SNNTEST_LOG_WARN("fault dictionary unusable: %s", e.what());
     return std::nullopt;
   }
 
   if (in.remaining() < sizeof(uint64_t)) {
-    // Truncated immediately after the stimulus table: the record count is
+    // Truncated immediately after the fault universe: the record count is
     // gone, so nothing provably existed. The dictionary itself is usable.
     SNNTEST_LOG_WARN("fault dictionary %s: record section missing (truncated?)", path.c_str());
     return dict;
@@ -251,7 +302,7 @@ std::optional<FaultDictionary> FaultDictionary::load(const std::string& path, Lo
     size_t stim = 0, fault = 0;
     fault::DetectionResult r;
     try {
-      parse_record(payload, dict.stimuli_.size(), dict.num_faults, &stim, &fault, &r);
+      parse_record(payload, dict.stimuli_.size(), dict.num_faults(), &stim, &fault, &r);
     } catch (const std::runtime_error&) {
       ++st.records_skipped;
       continue;

@@ -18,20 +18,24 @@
 //    paper's minimum-time objective made executable.
 //
 // On-disk format (little-endian; DESIGN.md "On-disk formats" has the frame
-// rule and §13 the byte layout). Version 1's bytes predate the shared
-// container (util/serialize.hpp) and are its frames unchanged:
+// rule and §13 the byte layout), frames of the shared container
+// (util/serialize.hpp):
 //
 //   magic 'SNFD' + format version
 //   header block   = one frame (u64 byte length, blob, CRC-32 of the blob)
 //   stimulus table = one frame
+//   fault universe = one frame: the ordered fault list the records index
 //   u64 record count, then per record one frame with a u32 length
+//
+// Storing the universe makes the file self-contained: a reader names and
+// replays faults without redrawing them.
 //
 // Every record carries its own CRC so corruption is contained: a flipped
 // byte invalidates one record (counted in LoadStats::records_skipped, the
 // pair re-simulates), not the file. A truncated tail — the artifact of a
 // kill mid-write — likewise drops only the unwritten records. A mangled
-// header or stimulus table makes the file unusable and load() returns
-// nullopt; callers fall back to a cold campaign. Fingerprint mismatches
+// header, stimulus table or fault universe makes the file unusable and
+// load() returns nullopt; callers fall back to a cold campaign. Fingerprint mismatches
 // (model retrained, fault universe changed) are detected by the consumers
 // via the header fields (coverage/incremental.hpp).
 //
@@ -46,12 +50,14 @@
 #include <vector>
 
 #include "fault/detection_result.hpp"
+#include "fault/fault.hpp"
 #include "tensor/tensor.hpp"
 
 namespace snntest::coverage {
 
 inline constexpr uint32_t kDictionaryMagic = 0x44464E53;  // "SNFD"
-inline constexpr uint32_t kDictionaryVersion = 1;
+// Version 2 added the fault-universe frame; version 1 files are refused.
+inline constexpr uint32_t kDictionaryVersion = 2;
 
 /// One test stimulus the dictionary has results for. The spike train itself
 /// is embedded bit-packed (util::pack_bits, 8 timestep-channel cells per
@@ -68,15 +74,22 @@ struct StimulusEntry {
 
 class FaultDictionary {
  public:
+  /// An empty dictionary over the fault universe `faults`, fixed for its
+  /// lifetime: num_faults() and universe_fingerprint() derive from it.
+  explicit FaultDictionary(std::vector<fault::FaultDescriptor> faults = {});
+
   // --- identity (the header fields; see campaign/fingerprint.hpp) ---------
-  uint64_t model_fingerprint = 0;     ///< topology + trained parameters
-  uint64_t universe_fingerprint = 0;  ///< ordered fault-descriptor list
-  uint64_t num_faults = 0;            ///< length of that list
+  uint64_t model_fingerprint = 0;  ///< topology + trained parameters
   double detection_threshold = 0.0;
   bool detect_only = false;  ///< results carry lower-bound L1s (engine detect_only)
   /// Set by the minimizer's schedule export: stimuli are stored in
   /// minimized-schedule order and should be executed in file order.
   bool schedule_ordered = false;
+
+  /// The fault universe, in record-index order.
+  const std::vector<fault::FaultDescriptor>& faults() const { return faults_; }
+  size_t num_faults() const { return faults_.size(); }
+  uint64_t universe_fingerprint() const { return universe_fingerprint_; }
 
   /// Same model, universe, fault count and detection settings — results are
   /// interchangeable between the two dictionaries.
@@ -97,7 +110,7 @@ class FaultDictionary {
   /// The stored result, or nullptr when the pair was never simulated.
   const fault::DetectionResult* lookup(size_t stim, size_t fault) const;
   /// Insert or overwrite one pair. `stim` must be a valid stimulus index
-  /// and `fault` < num_faults (throws std::out_of_range otherwise). The
+  /// and `fault` < num_faults() (throws std::out_of_range otherwise). The
   /// in-memory-only class_first_spike is dropped, as save() would drop it.
   void record(size_t stim, size_t fault, fault::DetectionResult result);
 
@@ -128,9 +141,10 @@ class FaultDictionary {
   /// The exact bytes save() would write — lets callers byte-compare
   /// dictionaries (merge-identity tests) without touching the filesystem.
   std::string serialize() const;
-  /// nullopt when the file is missing or its magic/header/stimulus table is
-  /// unusable (the error cases that have no partial answer). Damaged
-  /// records fail soft via `stats`.
+  /// nullopt when the file is missing or its magic, header, stimulus table
+  /// or fault universe is unusable — including a universe that does not
+  /// hash to the header's fingerprint (the error cases that have no partial
+  /// answer). Damaged records fail soft via `stats`.
   static std::optional<FaultDictionary> load(const std::string& path,
                                              LoadStats* stats = nullptr);
 
@@ -152,8 +166,10 @@ class FaultDictionary {
   MergeStats merge(const FaultDictionary& other);
 
  private:
+  std::vector<fault::FaultDescriptor> faults_;
+  uint64_t universe_fingerprint_ = 0;
   std::vector<StimulusEntry> stimuli_;
-  /// Dense per-stimulus rows, sized num_faults on first record.
+  /// Dense per-stimulus rows, sized num_faults() on first record.
   std::vector<std::vector<char>> have_;
   std::vector<std::vector<fault::DetectionResult>> results_;
   size_t num_records_ = 0;

@@ -1,5 +1,6 @@
 #include "coverage/incremental.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "campaign/fingerprint.hpp"
@@ -16,10 +17,8 @@ uint64_t stimulus_fingerprint(const tensor::Tensor& stimulus) {
 FaultDictionary make_dictionary(const snn::Network& net,
                                 const std::vector<fault::FaultDescriptor>& faults,
                                 double detection_threshold, bool detect_only) {
-  FaultDictionary dict;
+  FaultDictionary dict(faults);
   dict.model_fingerprint = campaign::model_fingerprint(net);
-  dict.universe_fingerprint = campaign::hash_fault_list(faults, util::kFnvOffsetBasis);
-  dict.num_faults = faults.size();
   dict.detection_threshold = detection_threshold;
   dict.detect_only = detect_only;
   return dict;
@@ -28,9 +27,13 @@ FaultDictionary make_dictionary(const snn::Network& net,
 bool dictionary_matches(const FaultDictionary& dict, const snn::Network& net,
                         const std::vector<fault::FaultDescriptor>& faults,
                         double detection_threshold, bool detect_only) {
-  const FaultDictionary expected =
-      make_dictionary(net, faults, detection_threshold, detect_only);
-  return dict.compatible_with(expected);
+  uint64_t want = 0, have = 0;
+  std::memcpy(&want, &detection_threshold, sizeof(want));
+  std::memcpy(&have, &dict.detection_threshold, sizeof(have));
+  return want == have && dict.detect_only == detect_only && dict.num_faults() == faults.size() &&
+         dict.universe_fingerprint() ==
+             campaign::hash_fault_list(faults, util::kFnvOffsetBasis) &&
+         dict.model_fingerprint == campaign::model_fingerprint(net);
 }
 
 IncrementalResult run_incremental_campaign(const snn::Network& net,

@@ -60,12 +60,14 @@ struct IncrementalResult {
 /// the canonical FNV offset basis).
 uint64_t stimulus_fingerprint(const tensor::Tensor& stimulus);
 
-/// An empty dictionary bound to (net, faults, detection settings).
+/// An empty dictionary bound to (net, faults, detection settings); it
+/// stores `faults` as its fault universe.
 FaultDictionary make_dictionary(const snn::Network& net,
                                 const std::vector<fault::FaultDescriptor>& faults,
                                 double detection_threshold = 0.0, bool detect_only = false);
 
-/// Does `dict` describe exactly this (model, fault list, settings)?
+/// Does `dict` describe exactly this (model, fault list, settings)? Hashes
+/// `faults` and the model; copies neither.
 bool dictionary_matches(const FaultDictionary& dict, const snn::Network& net,
                         const std::vector<fault::FaultDescriptor>& faults,
                         double detection_threshold, bool detect_only);

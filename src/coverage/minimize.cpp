@@ -43,7 +43,7 @@ struct WorseRatio {
 TestSchedule minimize_schedule(const FaultDictionary& dict) {
   OBS_SPAN("coverage/minimize");
   TestSchedule schedule;
-  schedule.num_faults = dict.num_faults;
+  schedule.num_faults = dict.num_faults();
   const size_t S = dict.num_stimuli();
 
   std::vector<std::vector<size_t>> detected(S);
@@ -57,7 +57,7 @@ TestSchedule minimize_schedule(const FaultDictionary& dict) {
   }
   schedule.detectable_faults = dict.detectable_count();
 
-  std::vector<char> covered(dict.num_faults, 0);
+  std::vector<char> covered(dict.num_faults(), 0);
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, WorseRatio> heap;
   for (size_t s = 0; s < S; ++s) {
     if (!detected[s].empty()) heap.push({detected[s].size(), cost[s], s});
@@ -97,16 +97,14 @@ TestSchedule minimize_schedule(const FaultDictionary& dict) {
 
 FaultDictionary schedule_as_dictionary(const FaultDictionary& dict,
                                        const TestSchedule& schedule) {
-  FaultDictionary out;
+  FaultDictionary out(dict.faults());
   out.model_fingerprint = dict.model_fingerprint;
-  out.universe_fingerprint = dict.universe_fingerprint;
-  out.num_faults = dict.num_faults;
   out.detection_threshold = dict.detection_threshold;
   out.detect_only = dict.detect_only;
   out.schedule_ordered = true;
   for (const ScheduleStep& step : schedule.steps) {
     const size_t s = out.add_stimulus(dict.stimulus(step.stimulus));
-    for (size_t f = 0; f < dict.num_faults; ++f) {
+    for (size_t f = 0; f < dict.num_faults(); ++f) {
       if (const fault::DetectionResult* r = dict.lookup(step.stimulus, f)) {
         out.record(s, f, *r);
       }

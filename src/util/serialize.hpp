@@ -1,13 +1,14 @@
 // The one framed container behind every on-disk format (DESIGN.md
-// "On-disk formats"): SNNT models, STMS stimuli, SNJB shard jobs and SNFD
-// fault dictionaries are all built from the pieces here.
+// "On-disk formats"): SNNT models, STMS stimuli and SNFD fault
+// dictionaries (which also carry a sharded campaign's job) are all built
+// from the pieces here.
 //
 //  * Writer / Reader — little-endian fields in one byte buffer. The Reader
 //    checks every read, and every length or count field, against the bytes
 //    left before anything is allocated; its errors name the source (a
 //    path) and the problem.
 //  * One frame: `u64 len | bytes | u32 crc32(bytes)` (SNFD records use a
-//    u32 length). SNNT, STMS and SNJB files are `magic | version | frame`.
+//    u32 length). SNNT and STMS files are `magic | version | frame`.
 //  * One bit-pack pair for spike trains (LSB-first, 8 cells per byte).
 //  * One path reader, read_file; the path writer is util::atomic_write_file.
 #pragma once
@@ -96,7 +97,7 @@ class Reader {
   std::string source_;
 };
 
-/// `magic | version | frame(body)`: the SNNT, STMS and SNJB file image.
+/// `magic | version | frame(body)`: the SNNT and STMS file image.
 std::string frame_file(uint32_t magic, uint32_t version, std::string_view body);
 /// A Reader over the body of a frame_file image, after checking its magic,
 /// version, frame length and CRC, and that nothing follows the frame.

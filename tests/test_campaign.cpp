@@ -514,8 +514,9 @@ TEST(Engine, OutOfRangeLaneWidthClampedAndSurfacedInStats) {
 
 TEST(Engine, FaultLayerOutOfRangeIsRejected) {
   // A fault whose layer lies outside the network (an API caller's typo, or
-  // an SNJB job file, whose layers are unchecked u64s) is rejected before
-  // any simulation, on every route, and FaultInjector fails the same way.
+  // an SNFD fault universe, whose layers are unchecked u64s) is rejected
+  // before any simulation, on every route, and FaultInjector fails the same
+  // way.
   auto net = make_net();
   const size_t L = net.num_layers();
   const auto input = busy_input();

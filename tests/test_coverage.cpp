@@ -21,6 +21,7 @@
 #include "snn/dense_layer.hpp"
 #include "snn/spike_train.hpp"
 #include "support/naive_reference.hpp"
+#include "support/synthetic_faults.hpp"
 
 namespace snntest::coverage {
 namespace {
@@ -75,10 +76,8 @@ StimulusEntry make_entry(const std::string& name, uint64_t fingerprint, uint64_t
 /// detects (other pairs are recorded undetected), `costs[s]` its frames.
 FaultDictionary synthetic_dict(size_t num_faults, const std::vector<std::vector<size_t>>& detects,
                                const std::vector<uint64_t>& costs) {
-  FaultDictionary dict;
+  FaultDictionary dict(test_support::synthetic_faults(num_faults));
   dict.model_fingerprint = 0xABCD;
-  dict.universe_fingerprint = 0x1234;
-  dict.num_faults = num_faults;
   for (size_t s = 0; s < detects.size(); ++s) {
     dict.add_stimulus(make_entry("stim" + std::to_string(s), 1000 + s, costs[s]));
     std::vector<char> hit(num_faults, 0);
@@ -107,6 +106,11 @@ void spit(const std::string& path, const std::string& bytes) {
 void expect_dicts_equal(const FaultDictionary& a, const FaultDictionary& b) {
   EXPECT_TRUE(a.compatible_with(b));
   EXPECT_EQ(a.schedule_ordered, b.schedule_ordered);
+  ASSERT_EQ(a.num_faults(), b.num_faults());
+  for (size_t f = 0; f < a.num_faults(); ++f) {
+    EXPECT_EQ(a.faults()[f].to_string(), b.faults()[f].to_string()) << "fault " << f;
+    EXPECT_EQ(a.faults()[f].magnitude, b.faults()[f].magnitude) << "fault " << f;
+  }
   ASSERT_EQ(a.num_stimuli(), b.num_stimuli());
   ASSERT_EQ(a.num_records(), b.num_records());
   for (size_t s = 0; s < a.num_stimuli(); ++s) {
@@ -117,7 +121,7 @@ void expect_dicts_equal(const FaultDictionary& a, const FaultDictionary& b) {
     EXPECT_EQ(ea.duration_frames, eb.duration_frames);
     ASSERT_EQ(ea.data.numel(), eb.data.numel());
     for (size_t i = 0; i < ea.data.numel(); ++i) EXPECT_EQ(ea.data[i], eb.data[i]);
-    for (size_t f = 0; f < a.num_faults; ++f) {
+    for (size_t f = 0; f < a.num_faults(); ++f) {
       ASSERT_EQ(a.has(s, f), b.has(s, f)) << s << "," << f;
       if (a.has(s, f)) {
         EXPECT_TRUE(results_identical(*a.lookup(s, f), *b.lookup(s, f))) << s << "," << f;
@@ -294,10 +298,8 @@ TEST(Dictionary, MergeOverlappingDictionaries) {
   a.add_stimulus(make_entry("stim1", 1001, 6));
   a.record(1, 0, make_result(false, 0.0, -1));
   a.record(1, 1, make_result(true, 3.0, 2));
-  FaultDictionary b;
+  FaultDictionary b(a.faults());
   b.model_fingerprint = a.model_fingerprint;
-  b.universe_fingerprint = a.universe_fingerprint;
-  b.num_faults = a.num_faults;
   b.add_stimulus(make_entry("stim1", 1001, 6));  // fingerprint matches a's stim1
   b.record(0, 0, make_result(false, 0.0, -1));   // agrees with a
   b.record(0, 1, make_result(true, 9.0, 7));     // conflicts with a's (true, 3.0, 2)
@@ -619,10 +621,8 @@ TEST(FirstDetectionFrame, FrameIffDetectedAndWithinStimulus) {
 /// synthetic universe. The result of pair (0, f) is a fixed function of f,
 /// so any two honest shards agree on every overlapping pair.
 FaultDictionary synthetic_shard(size_t num_faults, size_t begin, size_t end, bool conflicting) {
-  FaultDictionary shard;
+  FaultDictionary shard(test_support::synthetic_faults(num_faults));
   shard.model_fingerprint = 0xABCD;
-  shard.universe_fingerprint = 0x1234;
-  shard.num_faults = num_faults;
   shard.add_stimulus(make_entry("stim0", 777, 20));
   for (size_t f = begin; f < end; ++f) {
     const bool hit = f % 3 == 0;
@@ -637,10 +637,8 @@ TEST(ShardMergeFuzz, DamagedShardFilesFailSoftAndAccountExactly) {
   const size_t num_faults = 24;
   size_t loads_failed = 0, records_skipped_total = 0;
   for (size_t trial = 0; trial < 60; ++trial) {
-    FaultDictionary merged;
+    FaultDictionary merged(test_support::synthetic_faults(num_faults));
     merged.model_fingerprint = 0xABCD;
-    merged.universe_fingerprint = 0x1234;
-    merged.num_faults = num_faults;
 
     for (size_t k = 0; k < 3; ++k) {
       // Random, deliberately overlapping range of the shared universe.
@@ -654,7 +652,7 @@ TEST(ShardMergeFuzz, DamagedShardFilesFailSoftAndAccountExactly) {
 
       // Byte offset where the per-record region begins (just past the u64
       // record count). Everything before it — magic, header, stimulus
-      // table, count — is the file's identity; damage there may lose the
+      // table, fault universe, count — is the file's identity; damage there may lose the
       // whole file or the count, so the exact per-record accounting
       // contract only binds for damage at or past this offset.
       const size_t records_at = synthetic_shard(num_faults, begin, begin, false).serialize().size();
@@ -678,7 +676,7 @@ TEST(ShardMergeFuzz, DamagedShardFilesFailSoftAndAccountExactly) {
       const auto loaded = FaultDictionary::load(path, &stats);
       std::remove(path.c_str());
       if (!loaded) {
-        ++loads_failed;  // mangled magic/header/stimulus table: clean refusal
+        ++loads_failed;  // mangled magic/header/table/universe: clean refusal
         continue;
       }
       if (damage_at >= records_at) {
@@ -779,6 +777,11 @@ TEST(Replay, ScheduleReplayAccumulatesCoverageWithMonotoneShrinkingWork) {
   const TestSchedule schedule = minimize_schedule(dict);
   ASSERT_GE(schedule.steps.size(), 2u) << "test needs a multi-step schedule to be meaningful";
   const FaultDictionary sub = schedule_as_dictionary(dict, schedule);
+  // The schedule carries the universe it was built over.
+  ASSERT_EQ(sub.num_faults(), faults.size());
+  for (size_t j = 0; j < faults.size(); ++j) {
+    EXPECT_EQ(sub.faults()[j].to_string(), faults[j].to_string()) << j;
+  }
 
   ScheduleReplayConfig replay_config;
   replay_config.engine = engine;

@@ -1,14 +1,14 @@
-// One corruption fuzz for the four on-disk formats (util/serialize.hpp,
+// One corruption fuzz for the three on-disk formats (util/serialize.hpp,
 // DESIGN.md "On-disk formats").
 //
-// SNNT models, STMS stimuli and SNJB shard jobs are `magic | version |
-// frame(body)`: every short prefix, a flipped byte in each region (magic,
-// version, frame length, body, CRC) and a length field no file could hold
-// must throw std::runtime_error naming the file and the cause — never
-// crash, allocate the impossible, or load as a different model, stimulus
-// or job. SNFD dictionaries fail soft instead: damage to the magic, the
-// header or the stimulus table returns nullopt, and a flipped record byte
-// skips exactly that record.
+// SNNT models and STMS stimuli are `magic | version | frame(body)`: every
+// short prefix, a flipped byte in each region (magic, version, frame
+// length, body, CRC) and a length field no file could hold must throw
+// std::runtime_error naming the file and the cause — never crash, allocate
+// the impossible, or load as a different model or stimulus. SNFD
+// dictionaries fail soft instead: damage to the magic, the header, the
+// stimulus table or the fault universe returns nullopt, and a flipped
+// record byte skips exactly that record.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,13 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "campaign/shard.hpp"
 #include "core/test_stimulus.hpp"
 #include "coverage/fault_dictionary.hpp"
-#include "fault/registry.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/serialization.hpp"
 #include "snn/spike_train.hpp"
+#include "support/synthetic_faults.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -204,40 +203,12 @@ TEST(FormatFuzz, StmsCorruptionThrowsANamedCause) {
   fuzz_framed(format);
 }
 
-TEST(FormatFuzz, SnjbCorruptionThrowsANamedCause) {
-  campaign::ShardJob job;
-  job.net = small_net();
-  job.stimulus = spikes(16, 8, 3);
-  auto universe = fault::enumerate_faults(job.net);
-  util::Rng rng(17);
-  job.faults = fault::sample_faults(universe, 12, rng);
-  job.stimulus_name = "stim0";
-  const std::string path = temp_path("snjb_source.bin");
-  campaign::save_job(job, path);
-
-  FramedFormat format;
-  format.name = "snjb";
-  format.image = util::read_file(path);
-  format.load = [](const std::string& p) { campaign::load_job(p); };
-  const std::string body = format.body();
-  util::Reader walk(body, "walk");
-  walk.bytes();  // the embedded SNNT image
-  const size_t steps_at = offset(body, walk);
-  walk.u64();  // steps
-  walk.u64();  // channels
-  walk.bytes();  // packed stimulus
-  walk.bytes();  // stimulus name
-  // network image length, stimulus steps, fault count
-  format.length_fields = {0, steps_at, offset(body, walk)};
-  fuzz_framed(format);
-}
-
-/// A dictionary with two stimuli (one embedded) and records for both.
-coverage::FaultDictionary small_dictionary() {
-  coverage::FaultDictionary dict;
+/// A dictionary over `faults` with two stimuli (one embedded) and records
+/// for both.
+coverage::FaultDictionary small_dictionary(
+    std::vector<fault::FaultDescriptor> faults = test_support::synthetic_faults(6)) {
+  coverage::FaultDictionary dict(std::move(faults));
   dict.model_fingerprint = 0xABCD;
-  dict.universe_fingerprint = 0x1234;
-  dict.num_faults = 6;
   for (size_t s = 0; s < 2; ++s) {
     coverage::StimulusEntry entry;
     entry.name = "stim" + std::to_string(s);
@@ -245,7 +216,7 @@ coverage::FaultDictionary small_dictionary() {
     entry.duration_frames = 10;
     if (s == 0) entry.data = spikes(10, 5, 4);
     dict.add_stimulus(std::move(entry));
-    for (size_t f = 0; f < dict.num_faults; ++f) {
+    for (size_t f = 0; f < dict.num_faults(); ++f) {
       fault::DetectionResult r;
       r.detected = (f + s) % 2 == 0;
       r.output_l1 = r.detected ? 1.5 + static_cast<double>(f) : 0.0;
@@ -276,13 +247,17 @@ TEST(FormatFuzz, SnfdDamageFailsSoft) {
   const size_t written = dict.num_records();
 
   // Region boundaries: magic + version, header frame, stimulus table frame,
-  // u64 record count, then one u32-length frame per record.
+  // fault universe frame, u64 record count, then one u32-length frame per
+  // record.
   util::Reader walk(image, "walk");
   walk.expect_header(coverage::kDictionaryMagic, coverage::kDictionaryVersion);
   walk.frame();
   const size_t table_at = offset(image, walk);
   const std::string table(walk.frame());
   const size_t table_end = offset(image, walk);
+  const std::string universe(walk.frame());
+  const size_t universe_end = offset(image, walk);
+  ASSERT_EQ(universe.size(), 8 + 76 * dict.num_faults());  // u64 count, 76 B per fault
   walk.u64();
   struct Span { size_t begin, end; };
   std::vector<Span> records;
@@ -298,15 +273,16 @@ TEST(FormatFuzz, SnfdDamageFailsSoft) {
   ASSERT_TRUE(pristine.dict.has_value());
   EXPECT_EQ(pristine.stats.records_loaded, written);
 
-  // Prefixes: cut inside the header or table -> nullopt; cut later -> the
-  // dictionary loads with every whole record, the rest counted skipped.
+  // Prefixes: cut inside the header, table or universe -> nullopt; cut
+  // later -> the dictionary loads with every whole record, the rest counted
+  // skipped.
   util::Rng rng(20261019);
   std::vector<size_t> lengths;
   for (size_t len = 0; len < 96; ++len) lengths.push_back(len);
   for (size_t k = 0; k < 100; ++k) lengths.push_back(rng.uniform_index(image.size()));
   for (const size_t len : lengths) {
     const SnfdLoad cut = load_snfd(image.substr(0, len));
-    if (len < table_end) {
+    if (len < universe_end) {
       EXPECT_FALSE(cut.dict.has_value()) << "prefix " << len;
       continue;
     }
@@ -314,20 +290,48 @@ TEST(FormatFuzz, SnfdDamageFailsSoft) {
     size_t whole = 0;
     for (const Span& r : records) whole += r.end <= len;
     EXPECT_EQ(cut.stats.records_loaded, whole) << "prefix " << len;
-    if (len >= table_end + 8) {
+    if (len >= universe_end + 8) {
       EXPECT_EQ(cut.stats.records_loaded + cut.stats.records_skipped, written) << len;
     }
   }
 
-  // A flipped byte anywhere in the magic, version, header or stimulus
-  // table refuses the file.
+  // A flipped byte anywhere in the magic, version, header, stimulus table
+  // or fault universe refuses the file.
   const auto flipped = [&](std::string bytes, size_t at) {
     bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.uniform_index(255)));
     return bytes;
   };
-  for (size_t at = 0; at < table_end; ++at) {
+  for (size_t at = 0; at < universe_end; ++at) {
     EXPECT_FALSE(load_snfd(flipped(image, at)).dict.has_value()) << "flip at " << at;
   }
+
+  // A universe frame with a valid CRC is still refused when it does not
+  // hash to the header's fingerprint (fault 2's magnitude changed) or its
+  // count differs from the header's.
+  const auto with_universe = [&](const std::string& body) {
+    util::Writer reframed;
+    reframed.frame(body);
+    return image.substr(0, table_end) + reframed.str() + image.substr(universe_end);
+  };
+  std::string other_magnitude = universe;
+  other_magnitude[8 + 76 * 2 + 72] ^= 0x01;
+  EXPECT_FALSE(load_snfd(with_universe(other_magnitude)).dict.has_value());
+  std::string other_count = universe;
+  put_u64(other_count, 0, dict.num_faults() - 1);
+  EXPECT_FALSE(load_snfd(with_universe(other_count)).dict.has_value());
+  put_u64(other_count, 0, kHuge);
+  EXPECT_FALSE(load_snfd(with_universe(other_count)).dict.has_value());
+  // A fault kind past the enum is refused even when the header's
+  // fingerprint is that of the stored list.
+  std::vector<fault::FaultDescriptor> bad_kind = test_support::synthetic_faults(6);
+  bad_kind[2].kind = static_cast<fault::FaultKind>(200);
+  EXPECT_FALSE(load_snfd(small_dictionary(bad_kind).serialize()).dict.has_value());
+
+  // A version 1 image (no universe frame) is refused by its version.
+  std::string v1 = image.substr(0, table_end) + image.substr(universe_end);
+  const uint32_t version1 = 1;
+  std::memcpy(v1.data() + 4, &version1, sizeof(version1));
+  EXPECT_FALSE(load_snfd(v1).dict.has_value());
 
   // A flipped payload or CRC byte of one record skips exactly that record.
   for (const Span& r : records) {
@@ -359,7 +363,7 @@ TEST(FormatFuzz, SnfdDamageFailsSoft) {
                    .dict.has_value());
   // The record count: every real record loads, the rest are counted lost.
   std::string huge_count = image;
-  put_u64(huge_count, table_end, kHuge);
+  put_u64(huge_count, universe_end, kHuge);
   const SnfdLoad counted = load_snfd(huge_count);
   ASSERT_TRUE(counted.dict.has_value());
   EXPECT_EQ(counted.stats.records_loaded, written);

@@ -1,9 +1,11 @@
 // Sharded multi-process orchestration tests: deterministic shard planning,
-// job-file round trip, merged-vs-unsharded byte identity across shard
-// counts, crash-injection recovery (a SIGKILLed worker's retry resumes from
-// its partial snapshot and the merged result is unchanged), watchdog kills
-// of hung workers, retry exhaustion, resume-from-committed-shards, and the
-// on-disk progress read behind `coverage_tool status`.
+// the job files (model.snnt + job.snfd) round trip, merged-vs-unsharded
+// byte identity across shard counts, crash-injection recovery (a SIGKILLed
+// worker's retry resumes from its partial snapshot and the merged result is
+// unchanged), watchdog kills of hung workers, retry exhaustion,
+// resume-from-committed-shards, reruns in a reused work dir with another
+// shard count or stimulus, and the on-disk progress read behind
+// `coverage_tool status`.
 //
 // The suite provides its own main(): when re-exec'd with
 // `run-shard-worker` as argv[1] the binary becomes a shard worker process,
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/fingerprint.hpp"
 #include "campaign/orchestrator.hpp"
 #include "campaign/shard.hpp"
 #include "campaign/shard_worker.hpp"
@@ -25,6 +28,7 @@
 #include "fault/registry.hpp"
 #include "obs/metrics.hpp"
 #include "snn/dense_layer.hpp"
+#include "snn/serialization.hpp"
 #include "snn/spike_train.hpp"
 #include "util/rng.hpp"
 #include "util/subprocess.hpp"
@@ -63,28 +67,49 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-ShardJob make_job(snn::Network& net, size_t num_faults = 40) {
-  ShardJob job;
-  job.net = net;
-  job.stimulus = busy_input();
-  job.faults = sampled_universe(net, num_faults);
-  job.engine.num_threads = 1;
-  job.stimulus_name = "stim0";
+/// A dictionary entry for `stimulus`, spike train embedded.
+coverage::StimulusEntry entry_for(const tensor::Tensor& stimulus, const std::string& name) {
+  return {name, coverage::stimulus_fingerprint(stimulus), stimulus.shape().dim(0), stimulus};
+}
+
+/// The job of a sharded campaign: a record-less dictionary for `net` over
+/// `num_faults` sampled faults, holding one embedded stimulus.
+coverage::FaultDictionary make_job(snn::Network& net, size_t num_faults = 40,
+                                   const tensor::Tensor& stimulus = busy_input()) {
+  coverage::FaultDictionary job =
+      coverage::make_dictionary(net, sampled_universe(net, num_faults));
+  job.add_stimulus(entry_for(stimulus, "stim0"));
   return job;
 }
 
 /// The single-process ground truth: one incremental campaign into a fresh
 /// dictionary, serialized.
-std::string unsharded_bytes(const ShardJob& job) {
-  coverage::FaultDictionary dict = coverage::make_dictionary(
-      job.net, job.faults, job.engine.detection_threshold, job.engine.detect_only);
+std::string unsharded_bytes(const snn::Network& net, const coverage::FaultDictionary& job) {
+  coverage::FaultDictionary dict =
+      coverage::make_dictionary(net, job.faults(), job.detection_threshold, job.detect_only);
   coverage::IncrementalConfig config;
-  config.engine = job.engine;
-  config.stimulus_name = job.stimulus_name;
-  snn::Network net(job.net);
-  const auto out = coverage::run_incremental_campaign(net, job.stimulus, job.faults, dict, config);
+  config.engine.num_threads = 1;
+  config.stimulus_name = job.stimulus(0).name;
+  const auto out =
+      coverage::run_incremental_campaign(net, job.stimulus(0).data, job.faults(), dict, config);
   EXPECT_TRUE(out.campaign.completed);
   return dict.serialize();
+}
+
+/// This test binary's worker argv for one launch, on one engine thread.
+std::vector<std::string> worker_argv(const ShardLaunch& launch) {
+  return {util::current_executable_path(),
+          "run-shard-worker",
+          "--work-dir",
+          launch.work_dir,
+          "--shard",
+          std::to_string(launch.shard_index),
+          "--num-shards",
+          std::to_string(launch.num_shards),
+          "--flush-every",
+          std::to_string(launch.flush_every),
+          "--threads",
+          "1"};
 }
 
 /// Worker argv builder re-execing this test binary. crash_first/hang_first
@@ -97,18 +122,7 @@ OrchestratorConfig test_config(const std::string& work_dir, size_t num_shards,
   config.flush_every = 1;  // commit every record: a kill loses nothing committed
   config.heartbeat_timeout_seconds = 2.0;
   config.worker_command = [crash_first, hang_first](const ShardLaunch& launch) {
-    std::vector<std::string> cmd = {util::current_executable_path(),
-                                    "run-shard-worker",
-                                    "--job",
-                                    launch.job_path,
-                                    "--work-dir",
-                                    launch.work_dir,
-                                    "--shard",
-                                    std::to_string(launch.shard_index),
-                                    "--num-shards",
-                                    std::to_string(launch.num_shards),
-                                    "--flush-every",
-                                    std::to_string(launch.flush_every)};
+    std::vector<std::string> cmd = worker_argv(launch);
     if (launch.attempt == 0 && crash_first > 0) {
       cmd.push_back("--crash-after");
       cmd.push_back(std::to_string(crash_first));
@@ -155,133 +169,133 @@ TEST(PlanShards, ZeroShardsTreatedAsOne) {
   EXPECT_EQ(plan[0].size(), 5u);
 }
 
+/// Write `job`'s files into `work_dir` the way a campaign does, through a
+/// run whose only worker exits at once (an unknown flag).
+void write_job_files(const snn::Network& net, const coverage::FaultDictionary& job,
+                     const std::string& work_dir) {
+  OrchestratorConfig config = test_config(work_dir, 1);
+  config.max_retries = 0;
+  config.worker_command = [](const ShardLaunch&) {
+    return std::vector<std::string>{util::current_executable_path(), "run-shard-worker",
+                                    "--no-such-flag", "1"};
+  };
+  ASSERT_FALSE(run_sharded_campaign(net, job, config).completed);
+}
+
 TEST(ShardJobFile, RoundTripIsExact) {
+  // The job travels as model.snnt + job.snfd: a worker reads back the same
+  // network, fault universe, detection settings and stimulus.
   auto net = make_net();
-  ShardJob job = make_job(net);
-  job.engine.lane_width = 4;
-  job.engine.detection_threshold = 0.5;
-  job.engine.detect_only = true;
-  job.engine.kernel_mode = snn::KernelMode::kDense;
+  coverage::FaultDictionary job =
+      coverage::make_dictionary(net, sampled_universe(net), /*detection_threshold=*/0.5,
+                                /*detect_only=*/true);
+  job.add_stimulus(entry_for(busy_input(), "stim0"));
+  const std::string work_dir = fresh_dir("orch_job_files");
+  write_job_files(net, job, work_dir);
 
-  const std::string path = testing::TempDir() + "orchestrator_job.bin";
-  save_job(job, path);
-  const ShardJob loaded = load_job(path);
-
-  EXPECT_EQ(loaded.stimulus_name, job.stimulus_name);
-  ASSERT_EQ(loaded.stimulus.numel(), job.stimulus.numel());
-  for (size_t i = 0; i < job.stimulus.numel(); ++i) {
-    EXPECT_EQ(loaded.stimulus[i], job.stimulus[i]);
+  const JobPaths files = job_paths(work_dir);
+  EXPECT_EQ(model_fingerprint(snn::load_network(files.model)), model_fingerprint(net));
+  const auto loaded = coverage::FaultDictionary::load(files.dictionary);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->serialize(), job.serialize());
+  ASSERT_EQ(loaded->num_faults(), job.num_faults());
+  for (size_t j = 0; j < job.num_faults(); ++j) {
+    EXPECT_EQ(loaded->faults()[j].to_string(), job.faults()[j].to_string()) << "fault " << j;
+    EXPECT_EQ(loaded->faults()[j].magnitude, job.faults()[j].magnitude) << "fault " << j;
   }
-  ASSERT_EQ(loaded.faults.size(), job.faults.size());
-  for (size_t j = 0; j < job.faults.size(); ++j) {
-    EXPECT_EQ(loaded.faults[j].to_string(), job.faults[j].to_string()) << "fault " << j;
-    EXPECT_EQ(loaded.faults[j].magnitude, job.faults[j].magnitude) << "fault " << j;
+  EXPECT_EQ(loaded->detection_threshold, 0.5);
+  EXPECT_TRUE(loaded->detect_only);
+  ASSERT_EQ(loaded->num_stimuli(), 1u);
+  EXPECT_EQ(loaded->stimulus(0).name, "stim0");
+  ASSERT_EQ(loaded->stimulus(0).data.numel(), job.stimulus(0).data.numel());
+  for (size_t i = 0; i < job.stimulus(0).data.numel(); ++i) {
+    EXPECT_EQ(loaded->stimulus(0).data[i], job.stimulus(0).data[i]);
   }
-  EXPECT_EQ(loaded.engine.lane_width, job.engine.lane_width);
-  EXPECT_EQ(loaded.engine.detection_threshold, job.engine.detection_threshold);
-  EXPECT_EQ(loaded.engine.detect_only, job.engine.detect_only);
-  EXPECT_EQ(loaded.engine.kernel_mode, job.engine.kernel_mode);
-  // Identical campaign identity: same model + universe fingerprints.
-  const auto a = coverage::make_dictionary(job.net, job.faults);
-  const auto b = coverage::make_dictionary(loaded.net, loaded.faults);
-  EXPECT_TRUE(a.compatible_with(b));
-}
-
-TEST(ShardJobFile, RoundTripKeepsFrontierSettings) {
-  // A sharded campaign asked for the frontier must run it in every worker.
-  auto net = make_net();
-  ShardJob job = make_job(net, 4);
-  job.engine.frontier = true;
-  job.engine.golden_cache_budget_bytes = 123456;
-  const std::string path = testing::TempDir() + "orchestrator_frontier_job.bin";
-  save_job(job, path);
-  const ShardJob loaded = load_job(path);
-  EXPECT_TRUE(loaded.engine.frontier);
-  EXPECT_EQ(loaded.engine.golden_cache_budget_bytes, 123456u);
-  std::remove(path.c_str());
-}
-
-TEST(ShardJobFile, Version5FileIsRejectedNamingTheVersion) {
-  // Version 5 job files carry an unframed body with an f32 stimulus and the
-  // store_stimulus_data flag that version 6 dropped; reading one as
-  // version 6 would misparse, so the header check must refuse it, naming
-  // the path and both versions.
-  auto net = make_net();
-  const std::string path = testing::TempDir() + "orchestrator_v5_job.bin";
-  save_job(make_job(net, 4), path);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    const uint32_t v5 = 5;
-    f.seekp(4);  // u32 magic, then u32 version
-    f.write(reinterpret_cast<const char*>(&v5), sizeof(v5));
-  }
-  try {
-    load_job(path);
-    FAIL() << "load_job accepted a version 5 job file";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("version 5"), std::string::npos) << what;
-    EXPECT_NE(what.find("expects 6"), std::string::npos) << what;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ShardJobFile, NonSpikeStimulusIsRejectedBeforeTheFileIsWritten) {
-  // The job stores its stimulus bit-packed; a 0.5 cell would reach every
-  // worker as 1.0, so save_job refuses it and leaves no file behind.
-  auto net = make_net();
-  ShardJob job = make_job(net, 4);
-  job.stimulus[3] = 0.5f;
-  const std::string path = testing::TempDir() + "orchestrator_half_job.bin";
-  std::remove(path.c_str());
-  EXPECT_THROW(save_job(job, path), std::invalid_argument);
-  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(loaded->num_records(), 0u);
 }
 
 TEST(ShardJobFile, MissingFileThrows) {
-  EXPECT_THROW(load_job(testing::TempDir() + "no_such_job.bin"), std::runtime_error);
+  // With no job in the work dir, status throws and a worker exits 3.
+  const std::string work_dir = fresh_dir("orch_no_job");
+  std::filesystem::create_directories(work_dir);
+  EXPECT_THROW(read_shard_progress(work_dir), std::runtime_error);
+  ShardWorkerOptions options;
+  options.work_dir = work_dir;
+  EXPECT_EQ(run_shard_worker(options), 3);
 }
 
 TEST(ShardJobFile, OutOfRangeFaultKindIsRejected) {
+  // A raw kind the u8 enum would wrap or misread must fail the job's load,
+  // not come back as some other fault.
   auto net = make_net();
-  ShardJob job = make_job(net, 4);
-  // A raw kind the u8 enum would wrap or misread must fail the load, not
-  // come back as some other fault.
-  job.faults[2].kind = static_cast<fault::FaultKind>(200);
-  const std::string path = testing::TempDir() + "orchestrator_bad_kind.bin";
-  save_job(job, path);
-  try {
-    load_job(path);
-    FAIL() << "load_job accepted fault kind 200";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("fault kind"), std::string::npos) << e.what();
-  }
-  std::remove(path.c_str());
+  auto faults = sampled_universe(net, 4);
+  faults[2].kind = static_cast<fault::FaultKind>(200);
+  coverage::FaultDictionary job = coverage::make_dictionary(net, faults);
+  job.add_stimulus(entry_for(busy_input(), "stim0"));
+  const std::string work_dir = fresh_dir("orch_bad_kind");
+  write_job_files(net, job, work_dir);
+  EXPECT_FALSE(coverage::FaultDictionary::load(job_paths(work_dir).dictionary).has_value());
+  EXPECT_THROW(read_shard_progress(work_dir), std::runtime_error);
+  ShardWorkerOptions options;
+  options.work_dir = work_dir;
+  EXPECT_EQ(run_shard_worker(options), 3);
 }
 
 TEST(Orchestrator, RejectsUnusableConfig) {
   auto net = make_net();
-  const ShardJob job = make_job(net, 8);
+  const coverage::FaultDictionary job = make_job(net, 8);
   OrchestratorConfig no_dir = test_config("", 2);
-  EXPECT_THROW(run_sharded_campaign(job, no_dir), std::invalid_argument);
+  EXPECT_THROW(run_sharded_campaign(net, job, no_dir), std::invalid_argument);
   OrchestratorConfig no_cmd;
   no_cmd.work_dir = fresh_dir("orch_nocmd");
-  EXPECT_THROW(run_sharded_campaign(job, no_cmd), std::invalid_argument);
+  EXPECT_THROW(run_sharded_campaign(net, job, no_cmd), std::invalid_argument);
+}
+
+TEST(Orchestrator, RejectsAJobThatIsNotOneShardableCampaign) {
+  auto net = make_net();
+  const OrchestratorConfig config = test_config(fresh_dir("orch_badjob"), 2);
+  const auto expect_rejected = [&](const snn::Network& n, const coverage::FaultDictionary& job,
+                                   const char* problem) {
+    try {
+      run_sharded_campaign(n, job, config);
+      ADD_FAILURE() << "accepted a job that " << problem;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(problem), std::string::npos) << e.what();
+    }
+  };
+  const coverage::FaultDictionary job = make_job(net, 8);
+
+  coverage::FaultDictionary two = job;
+  two.add_stimulus(entry_for(busy_input(16, 8, 6), "stim1"));
+  expect_rejected(net, two, "exactly one stimulus");
+  expect_rejected(net, coverage::make_dictionary(net, job.faults()), "exactly one stimulus");
+
+  coverage::FaultDictionary no_data = coverage::make_dictionary(net, job.faults());
+  coverage::StimulusEntry entry = job.stimulus(0);
+  entry.data = tensor::Tensor();
+  no_data.add_stimulus(entry);
+  expect_rejected(net, no_data, "no spike data");
+
+  coverage::FaultDictionary recorded = job;
+  recorded.record(0, 0, fault::DetectionResult{});
+  expect_rejected(net, recorded, "no records");
+
+  expect_rejected(make_net(12), job, "another model");
+  EXPECT_FALSE(std::filesystem::exists(job_paths(config.work_dir).dictionary));
 }
 
 TEST(Orchestrator, ShardedMatchesUnshardedByteForByte) {
   auto net = make_net();
-  const ShardJob job = make_job(net);
-  const std::string reference = unsharded_bytes(job);
+  const coverage::FaultDictionary job = make_job(net);
+  const std::string reference = unsharded_bytes(net, job);
   for (size_t shards : {1u, 2u, 4u}) {
     const auto config =
         test_config(fresh_dir("orch_identity_" + std::to_string(shards)), shards);
-    const auto run = run_sharded_campaign(job, config);
+    const auto run = run_sharded_campaign(net, job, config);
     ASSERT_TRUE(run.completed) << shards << " shards";
     EXPECT_EQ(run.total_attempts(), shards);
     EXPECT_EQ(run.merge_stats.conflicts_skipped, 0u);
-    EXPECT_EQ(run.merged.num_records(), job.faults.size());
+    EXPECT_EQ(run.merged.num_records(), job.num_faults());
     EXPECT_EQ(run.merged.serialize(), reference)
         << shards << "-shard merge is not byte-identical to the unsharded dictionary";
   }
@@ -289,13 +303,13 @@ TEST(Orchestrator, ShardedMatchesUnshardedByteForByte) {
 
 TEST(Orchestrator, KilledWorkerIsRetriedWithoutLosingCommittedPairs) {
   auto net = make_net();
-  const ShardJob job = make_job(net);
-  const std::string reference = unsharded_bytes(job);
+  const coverage::FaultDictionary job = make_job(net);
+  const std::string reference = unsharded_bytes(net, job);
 
   // Every shard's first attempt SIGKILLs itself after 5 fresh records; with
   // flush_every=1 at least 4 of those are committed to the partial snapshot.
   auto config = test_config(fresh_dir("orch_crash"), 2, /*crash_first=*/5);
-  const auto run = run_sharded_campaign(job, config);
+  const auto run = run_sharded_campaign(net, job, config);
   ASSERT_TRUE(run.completed);
 
   uint64_t reused = 0;
@@ -314,13 +328,13 @@ TEST(Orchestrator, KilledWorkerIsRetriedWithoutLosingCommittedPairs) {
 
 TEST(Orchestrator, HungWorkerIsKilledByWatchdogAndRetried) {
   auto net = make_net();
-  const ShardJob job = make_job(net, 24);
-  const std::string reference = unsharded_bytes(job);
+  const coverage::FaultDictionary job = make_job(net, 24);
+  const std::string reference = unsharded_bytes(net, job);
 
   // First attempts stop making progress after 2 records; their partial
   // snapshots stop growing and the 2s watchdog must SIGKILL them.
   auto config = test_config(fresh_dir("orch_hang"), 2, 0, /*hang_first=*/2);
-  const auto run = run_sharded_campaign(job, config);
+  const auto run = run_sharded_campaign(net, job, config);
   ASSERT_TRUE(run.completed);
 
   size_t hung = 0;
@@ -334,27 +348,16 @@ TEST(Orchestrator, HungWorkerIsKilledByWatchdogAndRetried) {
 
 TEST(Orchestrator, RetryExhaustionReportsFailure) {
   auto net = make_net();
-  const ShardJob job = make_job(net, 16);
+  const coverage::FaultDictionary job = make_job(net, 16);
   auto config = test_config(fresh_dir("orch_exhaust"), 2);
   config.max_retries = 1;
   // Sabotage EVERY attempt (not just the first): the shard can never finish.
   config.worker_command = [](const ShardLaunch& launch) {
-    return std::vector<std::string>{util::current_executable_path(),
-                                    "run-shard-worker",
-                                    "--job",
-                                    launch.job_path,
-                                    "--work-dir",
-                                    launch.work_dir,
-                                    "--shard",
-                                    std::to_string(launch.shard_index),
-                                    "--num-shards",
-                                    std::to_string(launch.num_shards),
-                                    "--flush-every",
-                                    "1",
-                                    "--crash-after",
-                                    "1"};
+    std::vector<std::string> cmd = worker_argv(launch);
+    cmd.insert(cmd.end(), {"--crash-after", "1"});
+    return cmd;
   };
-  const auto run = run_sharded_campaign(job, config);
+  const auto run = run_sharded_campaign(net, job, config);
   EXPECT_FALSE(run.completed);
   bool some_exhausted = false;
   for (const auto& shard : run.shards) {
@@ -365,16 +368,16 @@ TEST(Orchestrator, RetryExhaustionReportsFailure) {
 
 TEST(Orchestrator, ResumeSkipsAlreadyCommittedShards) {
   auto net = make_net();
-  const ShardJob job = make_job(net);
-  const std::string reference = unsharded_bytes(job);
+  const coverage::FaultDictionary job = make_job(net);
+  const std::string reference = unsharded_bytes(net, job);
   const std::string work_dir = fresh_dir("orch_resume");
 
-  const auto first = run_sharded_campaign(job, test_config(work_dir, 4));
+  const auto first = run_sharded_campaign(net, job, test_config(work_dir, 4));
   ASSERT_TRUE(first.completed);
 
   // Same work dir, same job: every shard's final file is already committed,
   // so the rerun must launch zero workers and still merge identically.
-  const auto second = run_sharded_campaign(job, test_config(work_dir, 4));
+  const auto second = run_sharded_campaign(net, job, test_config(work_dir, 4));
   ASSERT_TRUE(second.completed);
   EXPECT_EQ(second.total_attempts(), 0u);
   for (const auto& shard : second.shards) {
@@ -383,10 +386,54 @@ TEST(Orchestrator, ResumeSkipsAlreadyCommittedShards) {
   EXPECT_EQ(second.merged.serialize(), reference);
 }
 
+TEST(Orchestrator, RerunWithFewerShardsRecomputesStaleRanges) {
+  // A 3-shard run leaves shard files whose ranges differ from a 2-shard
+  // plan's: none of them may count as committed for the rerun, and the
+  // third shard's files must go, so status sees two shards.
+  auto net = make_net();
+  const coverage::FaultDictionary job = make_job(net);
+  const std::string work_dir = fresh_dir("orch_reshard");
+  ASSERT_TRUE(run_sharded_campaign(net, job, test_config(work_dir, 3)).completed);
+
+  const auto rerun = run_sharded_campaign(net, job, test_config(work_dir, 2));
+  ASSERT_TRUE(rerun.completed);
+  EXPECT_EQ(rerun.total_attempts(), 2u);
+  EXPECT_EQ(rerun.merged.num_records(), job.num_faults());
+  EXPECT_EQ(rerun.merged.serialize(), unsharded_bytes(net, job));
+  EXPECT_FALSE(std::filesystem::exists(shard_paths(work_dir, 2).final));
+  EXPECT_FALSE(std::filesystem::exists(shard_paths(work_dir, 2).log));
+  EXPECT_EQ(read_shard_progress(work_dir).size(), 2u);
+}
+
+TEST(Orchestrator, RerunWithAnotherStimulusIgnoresStaleShards) {
+  // Shard files of another stimulus in the same work dir are results of a
+  // different campaign: every shard reruns, and the merge holds only the
+  // new stimulus.
+  auto net = make_net();
+  const std::string work_dir = fresh_dir("orch_restimulus");
+  ASSERT_TRUE(run_sharded_campaign(net, make_job(net), test_config(work_dir, 2)).completed);
+
+  // While the new campaign has not committed, status shows none of the
+  // old files as its shards.
+  const coverage::FaultDictionary job = make_job(net, 40, busy_input(16, 8, 6));
+  OrchestratorConfig failing = test_config(work_dir, 2, /*crash_first=*/1);
+  failing.max_retries = 0;
+  ASSERT_FALSE(run_sharded_campaign(net, job, failing).completed);
+  for (const ShardProgress& p : read_shard_progress(work_dir)) {
+    EXPECT_EQ(p.state, ShardProgress::State::kNotStarted);
+  }
+
+  const auto rerun = run_sharded_campaign(net, job, test_config(work_dir, 2));
+  ASSERT_TRUE(rerun.completed);
+  EXPECT_EQ(rerun.total_attempts(), 2u);
+  ASSERT_EQ(rerun.merged.num_stimuli(), 1u);
+  EXPECT_EQ(rerun.merged.serialize(), unsharded_bytes(net, job));
+}
+
 TEST(Orchestrator, TelemetryOnIdentityUnderChaos) {
   auto net = make_net();
-  const ShardJob job = make_job(net);
-  const std::string reference = unsharded_bytes(job);
+  const coverage::FaultDictionary job = make_job(net);
+  const std::string reference = unsharded_bytes(net, job);
 
   // Telemetry ON in the supervisor and, through the inherited environment,
   // in every worker, plus first-attempt SIGKILL chaos on both shards.
@@ -395,8 +442,8 @@ TEST(Orchestrator, TelemetryOnIdentityUnderChaos) {
   const bool was_enabled = obs::telemetry_enabled();
   obs::set_telemetry_enabled(true);
   ::setenv("SNNTEST_TRACE", (testing::TempDir() + "orch_worker_trace.json").c_str(), 1);
-  const auto run =
-      run_sharded_campaign(job, test_config(fresh_dir("orch_telemetry"), 2, /*crash_first=*/5));
+  const auto run = run_sharded_campaign(
+      net, job, test_config(fresh_dir("orch_telemetry"), 2, /*crash_first=*/5));
   ::unsetenv("SNNTEST_TRACE");
   obs::set_telemetry_enabled(was_enabled);
 
@@ -410,9 +457,9 @@ TEST(Orchestrator, TelemetryOnIdentityUnderChaos) {
 
 TEST(Orchestrator, MoreShardsThanFaultsLaunchesOneWorkerPerFault) {
   auto net = make_net();
-  const ShardJob job = make_job(net, 3);
-  const std::string reference = unsharded_bytes(job);
-  const auto run = run_sharded_campaign(job, test_config(fresh_dir("orch_clamp"), 6));
+  const coverage::FaultDictionary job = make_job(net, 3);
+  const std::string reference = unsharded_bytes(net, job);
+  const auto run = run_sharded_campaign(net, job, test_config(fresh_dir("orch_clamp"), 6));
   ASSERT_TRUE(run.completed);
   EXPECT_EQ(run.total_attempts(), 3u) << "workers were launched for empty shards";
   EXPECT_EQ(run.merged.serialize(), reference);
@@ -420,13 +467,13 @@ TEST(Orchestrator, MoreShardsThanFaultsLaunchesOneWorkerPerFault) {
 
 TEST(Orchestrator, FinishedCampaignIsInspectableFromItsWorkDir) {
   auto net = make_net();
-  const ShardJob job = make_job(net);
+  const coverage::FaultDictionary job = make_job(net);
   const std::string work_dir = fresh_dir("orch_postmortem");
-  const auto run = run_sharded_campaign(job, test_config(work_dir, 2));
+  const auto run = run_sharded_campaign(net, job, test_config(work_dir, 2));
   ASSERT_TRUE(run.completed);
 
   // `coverage_tool status` goes through exactly this path: shard count from
-  // the logs, ranges from job.bin, state from the shard files.
+  // the logs, ranges from job.snfd's fault count, state from the shard files.
   const auto progress = read_shard_progress(work_dir);
   ASSERT_EQ(progress.size(), 2u);
   size_t done = 0;
@@ -435,18 +482,18 @@ TEST(Orchestrator, FinishedCampaignIsInspectableFromItsWorkDir) {
     EXPECT_EQ(p.done, p.faults);
     done += p.done;
   }
-  EXPECT_EQ(done, job.faults.size());
+  EXPECT_EQ(done, job.num_faults());
 }
 
 TEST(Orchestrator, InterruptedCampaignShowsPartialAndUnstartedShards) {
   auto net = make_net();
-  const ShardJob job = make_job(net, 16);
+  const coverage::FaultDictionary job = make_job(net, 16);
   const std::string work_dir = fresh_dir("orch_interrupted");
   // The only attempt flushes one record; the second kills it before its
   // flush.
   auto config = test_config(work_dir, 1, /*crash_first=*/2);
   config.max_retries = 0;
-  ASSERT_FALSE(run_sharded_campaign(job, config).completed);
+  ASSERT_FALSE(run_sharded_campaign(net, job, config).completed);
 
   auto progress = read_shard_progress(work_dir);
   ASSERT_EQ(progress.size(), 1u);
@@ -468,21 +515,21 @@ TEST(Orchestrator, DefaultWorkerCommandCarriesTheFullContract) {
   ShardLaunch launch;
   launch.shard_index = 3;
   launch.num_shards = 8;
-  launch.job_path = "/w/job.bin";
   launch.work_dir = "/w";
   launch.flush_every = 5;
   const auto cmd = default_worker_command(launch, "/bin/tool");
-  const std::vector<std::string> expected = {"/bin/tool", "run-shard", "--job",     "/w/job.bin",
-                                             "--work-dir", "/w",       "--shard",   "3",
-                                             "--num-shards", "8",      "--flush-every", "5"};
+  const std::vector<std::string> expected = {"/bin/tool",    "run-shard", "--work-dir",
+                                             "/w",           "--shard",   "3",
+                                             "--num-shards", "8",         "--flush-every",
+                                             "5"};
   EXPECT_EQ(cmd, expected);
 }
 
 }  // namespace
 }  // namespace snntest::campaign
 
-/// Custom main: `test_orchestrator run-shard-worker --job ...` turns this
-/// process into a shard worker (the orchestration tests spawn these);
+/// Custom main: `test_orchestrator run-shard-worker --work-dir ...` turns
+/// this process into a shard worker (the orchestration tests spawn these);
 /// anything else runs the gtest suite.
 int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "run-shard-worker") {
@@ -490,10 +537,10 @@ int main(int argc, char** argv) {
     for (int i = 2; i + 1 < argc; i += 2) {
       const std::string flag = argv[i];
       const std::string value = argv[i + 1];
-      if (flag == "--job") {
-        opts.job_path = value;
-      } else if (flag == "--work-dir") {
+      if (flag == "--work-dir") {
         opts.work_dir = value;
+      } else if (flag == "--threads") {
+        opts.num_threads = std::stoul(value);
       } else if (flag == "--shard") {
         opts.shard_index = std::stoul(value);
       } else if (flag == "--num-shards") {
