@@ -137,8 +137,10 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
     return outcome;
   }
 
-  // A fault outside the network would index past the per-layer worklist
-  // and the golden cache; reject it before any work starts.
+  // A stimulus of the wrong width, or a fault outside the network, would
+  // index past the golden pass's frames or the per-layer worklist and the
+  // golden cache; reject both before any work starts.
+  check_stimulus_shape(net, stimulus);
   for (size_t j = 0; j < faults.size(); ++j) {
     const size_t l = fault_layer(faults[j]);
     if (l >= net.num_layers()) {
@@ -415,10 +417,12 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
     obs::set_report_field("campaign_lane_width_effective",
                           static_cast<uint64_t>(lane_width));
     if (obs_on) {
-      // Hashes the whole fault list, so only when a report can be written.
+      // Hashes the stimulus and the whole fault list, so only when a report
+      // can be written.
+      const uint64_t identity =
+          hash_stimulus(stimulus, hash_network_topology(net, util::kFnvOffsetBasis));
       const uint64_t fingerprint = detection_settings_fingerprint(
-          hash_fault_list(faults, cache.fingerprint), config.detection_threshold,
-          config.detect_only);
+          hash_fault_list(faults, identity), config.detection_threshold, config.detect_only);
       char fp[24];
       std::snprintf(fp, sizeof(fp), "%016llx", static_cast<unsigned long long>(fingerprint));
       obs::set_report_field("campaign_fingerprint", std::string(fp));

@@ -89,11 +89,11 @@ struct EngineConfig {
   bool frontier = false;
   /// Memory budget for the golden cache, in bytes (0 = unlimited). The
   /// per-layer spike trains are irreducible. Over budget, the cached
-  /// fault-layer synaptic frames and the golden sums of the dense and
-  /// recurrent layers are dropped first (lane batches compute the frames in
-  /// place and take the ordered lane kernels instead of golden-plus-delta
-  /// sums, and the frontier walk sweeps its rows in order); when trains +
-  /// LIF state traces still exceed it the
+  /// fault-layer synaptic frames and the golden sums of the dense,
+  /// recurrent and conv layers are dropped first (lane batches compute the
+  /// frames in place and take the ordered lane kernels instead of
+  /// golden-plus-delta sums, and the frontier walk sweeps its rows in
+  /// order); when trains + LIF state traces still exceed it the
   /// state traces are dropped too (fail-soft to prefix-only caching,
   /// disabling frontier simulation). Each step warns once; results are
   /// identical either way.
@@ -153,9 +153,9 @@ struct EngineStats {
   size_t lanes_retired_early = 0;
   /// Fault-layer frames the lane batches ran, split by where the shared
   /// fault-free synaptic frame came from: read from the golden cache (the
-  /// layer hosts two or more lane batches, of any size) or computed in
-  /// place. Their sum depends only on the worklist, not on threads or
-  /// scheduling.
+  /// layer hosts two or more lane batches, of any size, or is a conv layer
+  /// whose golden sums the cache keeps) or computed in place. Their sum
+  /// depends only on the worklist, not on threads or scheduling.
   size_t synaptic_frames_cached = 0;
   size_t synaptic_frames_computed = 0;
   /// Fault rows of the lane batches' synapse faults at their fault layer,
@@ -165,12 +165,13 @@ struct EngineStats {
   /// so they do not depend on threads or scheduling.
   size_t fault_rows_recomputed = 0;
   size_t fault_rows_skipped = 0;
-  /// Golden-plus-delta work of the lane batches' dense and recurrent sums,
-  /// summed per lane (snn::LaneLayerRun::lane_synaptic_adds): weight
-  /// columns added into lane sums, and (row, frame) sums taken by the delta
-  /// route (certified) or by the ordered lane kernels because the row
-  /// failed the exactness certificate (uncertified). Per-batch sums of
-  /// per-lane work, so they do not depend on threads or scheduling.
+  /// Golden-plus-delta work of the lane batches' dense, recurrent and conv
+  /// sums, summed per lane (snn::LaneLayerRun::lane_synaptic_adds): weight
+  /// columns (conv: input pixels) added into lane sums, and (row, frame)
+  /// sums taken by the delta route (certified) or by the ordered lane
+  /// kernels because the row, or a conv layer's channel, failed the
+  /// exactness certificate (uncertified). Per-batch sums of per-lane work,
+  /// so they do not depend on threads or scheduling.
   size_t lane_synaptic_adds = 0;
   size_t delta_rows_certified = 0;
   size_t delta_rows_uncertified = 0;

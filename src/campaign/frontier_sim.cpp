@@ -72,6 +72,14 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
       }
     }
     const float* frames = fault_here ? cache.synaptic_frames(l) : nullptr;
+    // A conv fault layer with golden sums keeps no float frames: a neuron's
+    // fault-free current is the cast of its channel-last golden sum.
+    const double* conv_sums = fault_here ? cache.conv_sums(l) : nullptr;
+    size_t positions = 1;
+    if (conv_sums) {
+      const snn::Conv2dSpec& s = static_cast<const snn::ConvLayer&>(layer).spec();
+      positions = s.out_height() * s.out_width();
+    }
 
     // A newly dirty neuron enters the walk carrying its exact pre-frame
     // state: the golden traces at t-1 (it was bit-identical to golden until
@@ -129,6 +137,10 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
     auto synapse = [&](const FrontierLaneState& lane, size_t t, uint32_t i) -> float {
       const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
       if (frames && !recurrent) return frames[t * n + i];
+      if (conv_sums) {
+        return static_cast<float>(conv_sums[t * n + (i % positions) * (n / positions) +
+                                            i / positions]);
+      }
       if (!use_delta || !ctx.exact_rows[i]) {
         return layer.frontier_synapse(
             fault_here ? golden_in->row(t) : lane.in_train.data() + t * ni, prev, i);
@@ -294,9 +306,10 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
       // Phase B: recompute the dirty neurons' synapses and step them. On
       // the fault layer the seeds of a synapse fault take their current
       // from the resolved fault (snn::fault_row); every other neuron reads
-      // the fault-free layer: a golden-plus-delta row or the cached frame
-      // where the golden cache has them, else the frame kernel for a full
-      // frame and the ordered row sweep per neuron.
+      // the fault-free layer: a golden-plus-delta row, the cached frame or
+      // the cast of a conv layer's golden sum where the golden cache has
+      // them, else the frame kernel for a full frame and the ordered row
+      // sweep per neuron.
       snn::FaultFrame fault_frame;
       if (fault_here) {
         fault_frame.in = golden_in->row(t);
@@ -312,7 +325,7 @@ void simulate_fault_frontier(const snn::Network& net, const tensor::Tensor& stim
         const snn::LaneSynapseFault& sf = lane.fault.synapse;
         const bool synapse_fault = fault_here && sf.kind != snn::LaneSynapseFault::Kind::kNone;
         const float* prev = recurrent && t > 0 ? lane.train.data() + (t - 1) * n : nullptr;
-        const bool full = lane.full_frame && !use_delta && !frames;
+        const bool full = lane.full_frame && !use_delta && !frames && !conv_sums;
         if (full) {
           lane.syn.resize(n);
           layer.frontier_synapse_frame(

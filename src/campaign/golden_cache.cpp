@@ -3,15 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
-#include "campaign/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "snn/conv_layer.hpp"
 #include "snn/dense_layer.hpp"
 #include "snn/lane_network.hpp"
 #include "snn/recurrent_layer.hpp"
 #include "tensor/ops.hpp"
-#include "util/hash.hpp"
+#include "tensor/simd.hpp"
 #include "util/logging.hpp"
 
 namespace snntest::campaign {
@@ -161,6 +163,60 @@ void forward_keeping_sums(snn::Layer& layer, const tensor::Tensor& in, snn::Kern
   }
 }
 
+/// The certificate of every output channel of `conv` over its whole kernel
+/// (every in-channel and tap) and, when all pass, the kernel packed
+/// [ic][ky][kx][oc] as double and the shape of the sums
+/// forward_keeping_conv_sums fills. A border pixel sums a subset of its
+/// channel's taps, so the channel's certificate covers every pixel.
+GoldenSums prepare_conv_sums(const snn::ConvLayer& conv, size_t T) {
+  GoldenSums gs;
+  gs.conv = true;
+  const snn::Conv2dSpec& s = conv.spec();
+  const size_t taps = s.in_channels * s.kernel * s.kernel;
+  const float* w = conv.weights().data();
+  for (size_t oc = 0; oc < s.out_channels; ++oc) {
+    if (!snn::row_sum_exact(snn::row_bound(w + oc * taps, taps))) {
+      gs.w_uncertified.push_back(static_cast<uint32_t>(oc));
+    }
+  }
+  if (!gs.w_uncertified.empty()) return gs;  // the layer keeps its ordered kernels
+  gs.conv_packed.resize(taps * s.out_channels);
+  for (size_t oc = 0; oc < s.out_channels; ++oc) {
+    for (size_t t = 0; t < taps; ++t) gs.conv_packed[t * s.out_channels + oc] = w[oc * taps + t];
+  }
+  gs.w_sums.resize(T * conv.num_neurons());
+  return gs;
+}
+
+/// The golden forward of a conv layer that keeps its double sums: per
+/// frame the conv scatter kernel over the frame's active pixels (bit-
+/// identical to the dense kernel, DESIGN.md §9) accumulates into the
+/// cache's channel-last row and narrows into the synaptic frame, and the
+/// layer's LIF bank steps on it — ConvLayer::forward_into's frame, which
+/// the golden network runs without a connection override.
+void forward_keeping_conv_sums(snn::ConvLayer& conv, const tensor::Tensor& in,
+                               bool record_traces, GoldenSums& gs, tensor::Tensor& out) {
+  const size_t T = in.shape().dim(0);
+  const size_t n = conv.num_neurons();
+  const tensor::simd::ConvLaneGeom geom = conv.spec().geom();
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
+  const bool obs_on = obs::telemetry_enabled();
+  obs::KernelDispatchObs kernel_obs;
+  if (obs_on) kernel_obs.ensure_bound(conv.name());
+  out.resize_zero(tensor::Shape{T, n});
+  snn::LifBank& lif = conv.lif();
+  lif.begin_run(T, record_traces);
+  std::vector<float> syn(n);
+  std::vector<uint32_t> active;
+  for (size_t t = 0; t < T; ++t) {
+    const size_t na = tensor::extract_active(in.row(t), geom.input_size(), active);
+    if (obs_on) kernel_obs.record_frame(na, geom.input_size(), /*used_sparse=*/true);
+    ops.conv_frame_scatter(geom, gs.conv_packed.data(), in.row(t), active.data(), na,
+                           gs.w_sums.data() + t * n, syn.data());
+    lif.step(syn.data(), out.row(t));
+  }
+}
+
 /// Every stimulus value is +/-0.0f or 1.0f.
 bool binary_frames(const tensor::Tensor& x) {
   for (size_t i = 0; i < x.numel(); ++i) {
@@ -173,12 +229,30 @@ bool binary_frames(const tensor::Tensor& x) {
 
 }  // namespace
 
+void check_stimulus_shape(const snn::Network& net, const tensor::Tensor& stimulus) {
+  const size_t cols = net.num_layers() == 0 ? 0 : net.layer(0).num_inputs();
+  if (stimulus.shape().rank() != 2 || stimulus.shape().dim(1) != cols) {
+    throw std::invalid_argument("stimulus: expected [T, " + std::to_string(cols) + "], got " +
+                                stimulus.shape().to_string());
+  }
+}
+
 snn::LaneDelta GoldenCache::lane_delta(size_t l, const tensor::Tensor& stimulus) const {
   snn::LaneDelta d;
-  if (l >= sums.size() || sums[l].w_sums.empty()) return d;
+  if (l >= sums.size()) return d;
   const GoldenSums& gs = sums[l];
+  const float* golden_in = (l == 0 ? stimulus : layer_output(l - 1)).data();
+  if (gs.conv) {
+    d.conv.golden_in = golden_in;
+    if (!gs.w_sums.empty()) {
+      d.conv.sums = gs.w_sums.data();
+      d.conv.packed = gs.conv_packed.data();
+    }
+    return d;
+  }
+  if (gs.w_sums.empty()) return d;
   d.w.sums = gs.w_sums.data();
-  d.w.golden_in = (l == 0 ? stimulus : layer_output(l - 1)).data();
+  d.w.golden_in = golden_in;
   d.w.wt = gs.wt.data();
   d.w.uncertified = gs.w_uncertified.data();
   d.w.num_uncertified = gs.w_uncertified.size();
@@ -203,6 +277,7 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
                                const GoldenCacheOptions& options) {
   OBS_SPAN("campaign/golden_pass");
+  check_stimulus_shape(net, stimulus);
   GoldenCache cache;
   const size_t T = stimulus.shape().dim(0);
   const size_t L = net.num_layers();
@@ -228,8 +303,14 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
   }
   std::vector<GoldenSums> sums(L);
   for (size_t l = options.golden_sums_from_layer; l < L; ++l) {
-    if (!is_dense_or_recurrent(net.layer(l))) continue;
-    sums[l] = prepare_sums(net.layer(l), T);
+    const snn::Layer& layer = net.layer(l);
+    if (is_dense_or_recurrent(layer)) {
+      sums[l] = prepare_sums(layer, T);
+    } else if (layer.kind() == snn::LayerKind::kConv2d && l > options.golden_sums_from_layer) {
+      sums[l] = prepare_conv_sums(static_cast<const snn::ConvLayer&>(layer), T);
+    } else {
+      continue;
+    }
     syn_bytes[l] += sums[l].bytes();
     syn_total += sums[l].bytes();
   }
@@ -237,6 +318,8 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
   for (const size_t l : options.synaptic_frame_layers) {
     if (l >= L || want_frames[l]) continue;
     want_frames[l] = 1;
+    // A conv layer's golden sums stand in for its float frames.
+    if (sums[l].conv && !sums[l].w_sums.empty()) continue;
     syn_bytes[l] += T * net.layer(l).num_neurons() * sizeof(float);
     syn_total += T * net.layer(l).num_neurons() * sizeof(float);
   }
@@ -283,9 +366,14 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
       GoldenSums& gs = cache.sums[l];
       gs = std::move(sums[l]);
       cache.forward.layer_outputs.emplace_back();
-      forward_keeping_sums(layer, *current, options.mode, record, gs,
-                           cache.forward.layer_outputs.back());
-      if (want_frames[l]) {
+      if (gs.conv) {
+        forward_keeping_conv_sums(static_cast<snn::ConvLayer&>(layer), *current, record, gs,
+                                  cache.forward.layer_outputs.back());
+      } else {
+        forward_keeping_sums(layer, *current, options.mode, record, gs,
+                             cache.forward.layer_outputs.back());
+      }
+      if (want_frames[l] && !gs.conv) {
         // The layer forward's W·x frame: 0.0f + float(sum), and an ordered
         // sum from +0.0 is never -0.0, so the plain cast.
         cache.synaptic[l].resize(gs.w_sums.size());
@@ -297,6 +385,9 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
       if (want_syn && want_frames[l]) {
         cache.synaptic[l] = synaptic_trace(layer, *current, options.mode);
       }
+      // A conv layer with an uncertified channel keeps that list, which
+      // tells the lane route its rows take the ordered kernels.
+      if (want_syn && sums[l].conv) cache.sums[l] = std::move(sums[l]);
       cache.forward.layer_outputs.push_back(layer.forward(*current, record));
     }
     current = &cache.forward.layer_outputs.back();
@@ -304,8 +395,6 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
   cache.output_counts = cache.forward.output_counts();
   cache.output_first_spike = cache.forward.output_first_spike_times();
   cache.stats = fault::compute_weight_stats(golden);
-  cache.fingerprint =
-      hash_stimulus(stimulus, hash_network_topology(net, util::kFnvOffsetBasis));
   cache.stimulus_binary = binary_frames(stimulus);
   cache.layer_bytes = train_bytes;
   cache.total_bytes = train_total;

@@ -5,8 +5,7 @@
 // fault/injector.hpp) leaves layers 0..k-1 bit-identical to the golden run,
 // so their cached spike trains feed layer k's simulation directly.
 // The cache also precomputes everything the detection comparison needs
-// (output spike counts) and a fingerprint of (network, stimulus) that the
-// run report's campaign_fingerprint extends.
+// (output spike counts).
 //
 // Optional per-layer traces ride along, all bit-exact and all shed by the
 // memory budget (synaptic frames and golden sums first, then state traces):
@@ -15,17 +14,22 @@
 //    certificates and column-major copies — the operands of the lane
 //    route's and the frontier walk's golden-plus-delta sums
 //    (snn::LaneDelta, DESIGN.md §12 and §17);
+//  * golden double sums of the conv layers strictly downstream of that
+//    layer whose output channels all pass the certificate, with the
+//    packed kernel — the operands of the lane route's conv delta
+//    (snn::ConvDelta); a conv layer with an uncertified channel keeps
+//    only the list of those channels;
 //  * fault-free synaptic frames of the fault layers that host two or more
 //    work items — the frame every item at that layer would otherwise
 //    recompute; for a dense or recurrent layer, the float cast of its
-//    golden sums;
+//    golden sums; a conv layer with golden sums keeps no float frames, as
+//    the lane route casts its sums instead;
 //  * LIF state traces for the divergence-frontier walk (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "campaign/fingerprint.hpp"
 #include "fault/registry.hpp"
 #include "snn/lane_network.hpp"
 #include "snn/network.hpp"
@@ -44,21 +48,30 @@ struct GoldenLayerState {
   std::vector<int32_t> refrac;  // time-major [T, N_l]
 };
 
-/// Golden-plus-delta operands of one dense or recurrent layer: the double
-/// sums matvec_sums takes over the golden frames (the float synaptic frame
-/// is their cast), the weights column-major, and the rows that fail
-/// snn::row_sum_exact. A recurrent layer keeps its feed-forward W·x and its
-/// lateral V·prev apart, because the scalar forward casts them separately.
+/// Golden-plus-delta operands of one dense, recurrent or conv layer.
+/// Dense or recurrent: the double sums matvec_sums takes over the golden
+/// frames (the float synaptic frame is their cast), the weights
+/// column-major, and the rows that fail snn::row_sum_exact. A recurrent
+/// layer keeps its feed-forward W·x and its lateral V·prev apart, because
+/// the scalar forward casts them separately.
+/// Conv (`conv` set): the conv scatter kernel's double accumulators over
+/// the golden frames, channel-last (snn::ConvDelta; the float synaptic
+/// frame is their snn::cast_conv_sums), and the kernel packed
+/// [ic][ky][kx][oc] as double; both empty when some output channel fails
+/// the certificate over its whole kernel, and those channels are listed in
+/// w_uncertified.
 struct GoldenSums {
   std::vector<double> w_sums;           // [T, N]: W times golden input frame t
   std::vector<double> v_sums;           // [T, N]: V times golden output frame t-1 (row 0: 0)
   std::vector<float> wt;                // W column-major [num_inputs, N]
   std::vector<float> vt;                // V column-major [N, N]
-  std::vector<uint32_t> w_uncertified;  // ascending rows of W failing the certificate
+  std::vector<double> conv_packed;      // conv kernel [ic][ky][kx][oc]
+  std::vector<uint32_t> w_uncertified;  // ascending rows of W (conv: channels) failing it
   std::vector<uint32_t> v_uncertified;
+  bool conv = false;
 
   size_t bytes() const {
-    return (w_sums.size() + v_sums.size()) * sizeof(double) +
+    return (w_sums.size() + v_sums.size() + conv_packed.size()) * sizeof(double) +
            (wt.size() + vt.size()) * sizeof(float) +
            (w_uncertified.size() + v_uncertified.size()) * sizeof(uint32_t);
   }
@@ -73,8 +86,6 @@ struct GoldenCache {
   std::vector<size_t> output_first_spike;
   /// Layer weight statistics (bit-flip quantization scales) for injectors.
   std::vector<fault::LayerWeightStats> stats;
-  /// FNV-1a over the network topology + stimulus bytes.
-  uint64_t fingerprint = 0;
 
   /// Per-layer LIF state traces; empty unless built with state_traces and
   /// within budget (see GoldenCacheOptions). state[l] matches layer l;
@@ -85,12 +96,14 @@ struct GoldenCache {
   size_t state_traces_from_layer = 0;
   /// Per-layer fault-free synaptic frames, time-major [T, N_l]: row t is
   /// snn::shared_synaptic_frame of layer l's golden input frame t. Empty
-  /// for every layer not listed in GoldenCacheOptions::synaptic_frame_layers
-  /// and for all layers after a budget fail-soft.
+  /// for every layer not listed in GoldenCacheOptions::synaptic_frame_layers,
+  /// for a conv layer with golden sums (their cast is the frame), and for
+  /// all layers after a budget fail-soft.
   std::vector<std::vector<float>> synaptic;
   /// Per-layer golden sums; empty (w_sums empty) for layers without them —
-  /// conv and pool layers, layers above GoldenCacheOptions::
-  /// golden_sums_from_layer, and all layers after a budget fail-soft.
+  /// pool layers, dense and recurrent layers above GoldenCacheOptions::
+  /// golden_sums_from_layer, conv layers at or above it or with an
+  /// uncertified channel, and all layers after a budget fail-soft.
   std::vector<GoldenSums> sums;
   /// Every stimulus value is 0 or 1 (layer 0's golden-plus-delta condition).
   bool stimulus_binary = false;
@@ -103,8 +116,15 @@ struct GoldenCache {
   const float* synaptic_frames(size_t l) const {
     return l < synaptic.size() && !synaptic[l].empty() ? synaptic[l].data() : nullptr;
   }
+  /// Golden sums of conv layer `l` ([T, positions * out_channels],
+  /// channel-last), or null when it kept none.
+  const double* conv_sums(size_t l) const {
+    return l < sums.size() && sums[l].conv && !sums[l].w_sums.empty() ? sums[l].w_sums.data()
+                                                                       : nullptr;
+  }
   /// Golden-plus-delta view of layer `l` for snn::LaneLayerRun (w.sums
-  /// null when the layer kept no sums). `stimulus` is the cache's own
+  /// null when a dense or recurrent layer kept no sums, conv.golden_in
+  /// null when a conv layer kept no entry). `stimulus` is the cache's own
   /// stimulus, layer 0's golden input; the view borrows it and the cache.
   snn::LaneDelta lane_delta(size_t l, const tensor::Tensor& stimulus) const;
   const tensor::Tensor& layer_output(size_t l) const { return forward.layer_outputs[l]; }
@@ -122,26 +142,33 @@ struct GoldenCacheOptions {
   /// layer, so a campaign whose shallowest fault lives in layer k skips
   /// both the recording cost and the memory for layers 0..k-1.
   size_t state_traces_from_layer = 0;
-  /// Layers whose fault-free synaptic frames [T, N_l] are cached.
+  /// Layers whose fault-free synaptic frames [T, N_l] are cached (a conv
+  /// layer with golden sums keeps the sums instead).
   /// run_campaign lists each layer at which two or more work items (lane
   /// batches or frontier walks) start, so every trace is read by several
   /// items and costs at most the size of that layer's spike train.
   std::vector<size_t> synaptic_frame_layers;
   /// First layer whose dense and recurrent layers keep golden sums
-  /// (SIZE_MAX: none). run_campaign sets the shallowest layer at which a
-  /// work item starts: the items read the sums at their fault layer and
-  /// downstream of it. The golden pass of such a layer takes the
-  /// sums once and steps the layer's LIF bank on their casts, instead of
-  /// rerunning the layer's synaptic kernels.
+  /// (SIZE_MAX: none); conv layers keep theirs strictly downstream of it.
+  /// run_campaign sets the shallowest layer at which a work item starts:
+  /// the items read the dense and recurrent sums at their fault layer and
+  /// downstream of it, and the conv sums downstream only. The golden pass
+  /// of such a layer takes the sums once and steps the layer's LIF bank
+  /// on their casts, instead of rerunning the layer's synaptic kernels.
   size_t golden_sums_from_layer = SIZE_MAX;
   /// Memory budget over everything the cache retains (0 = unlimited). The
   /// spike trains are irreducible (prefix reuse and detection need them).
-  /// Over budget, the synaptic frames and golden sums go first (lane
-  /// batches then compute frames in place and take the ordered lane
-  /// kernels); if trains + state traces still exceed it the state traces
-  /// go too — fail-soft to prefix-only. Each shedding warns once.
+  /// Over budget, the synaptic frames and the dense, recurrent and conv
+  /// golden sums go first (lane batches then compute frames in place and
+  /// take the ordered lane kernels); if trains + state traces still exceed
+  /// it the state traces go too — fail-soft to prefix-only. Each shedding
+  /// warns once.
   size_t budget_bytes = 0;
 };
+
+/// Throws std::invalid_argument, naming the expected and actual shapes,
+/// unless `stimulus` is [T, num_inputs of net's first layer].
+void check_stimulus_shape(const snn::Network& net, const tensor::Tensor& stimulus);
 
 /// Run the fault-free reference pass and assemble the cache. `net` is
 /// cloned internally and not modified. `mode` selects the forward kernels

@@ -85,10 +85,12 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
   int flip = 0;
   const bool obs_on = obs::telemetry_enabled();
   // Fault-free synaptic frames of layer k, cached when several batches
-  // start there; otherwise step_shared computes each frame in place.
+  // start there (for a conv layer with golden sums, as their casts, which
+  // step_shared takes); otherwise step_shared computes each frame in place.
   const float* frames = cache.synaptic_frames(k);
   auto count_shared_steps = [&](size_t steps) {
-    (frames ? counters.synaptic_frames_cached : counters.synaptic_frames_computed) += steps;
+    (frames || cache.conv_sums(k) ? counters.synaptic_frames_cached
+                                  : counters.synaptic_frames_computed) += steps;
     counters.fault_rows_recomputed += ctx.run.fault_rows_recomputed();
     counters.fault_rows_skipped += ctx.run.fault_rows_skipped();
   };
@@ -127,12 +129,11 @@ void simulate_fault_batch(const snn::Network& net, const tensor::Tensor& stimulu
     const size_t in_n = layer.num_inputs();
     const bool fault_here = l == k;
     const bool final_layer = l + 1 == L;
-    // Golden-plus-delta operands of a dense or recurrent layer, when the
-    // golden cache kept its sums.
+    // Golden-plus-delta operands of a dense, recurrent or conv layer, when
+    // the golden cache kept its sums.
     const snn::LaneDelta delta = cache.lane_delta(l, stimulus);
     ctx.run.reset(layer, lanes, fault_here ? ctx.lane_faults.data() : nullptr,
-                  config.kernel_mode, fault_here ? frames : nullptr,
-                  delta.w.sums ? &delta : nullptr);
+                  config.kernel_mode, fault_here ? frames : nullptr, &delta);
     counters.layer_forwards += lanes;
     const std::vector<float>& in_buf = ctx.bufs[flip ^ 1];  // lane input train when !fault_here
 

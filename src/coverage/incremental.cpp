@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "campaign/fingerprint.hpp"
+#include "campaign/golden_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -42,6 +43,8 @@ IncrementalResult run_incremental_campaign(const snn::Network& net,
                                            FaultDictionary& dict,
                                            const IncrementalConfig& config) {
   OBS_SPAN("coverage/incremental_campaign");
+  // Before the stimulus can enter the dictionary.
+  campaign::check_stimulus_shape(net, stimulus);
   IncrementalResult out;
   campaign::EngineConfig engine = config.engine;
 

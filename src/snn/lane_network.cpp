@@ -200,7 +200,29 @@ size_t diff_scan(const float* x_lanes, const float* g, size_t cols, size_t lanes
   }
 }
 
+/// The columns where lane `l` of `x_lanes` [cols, lanes] is active,
+/// ascending, into `out`; returns their count.
+size_t lane_active_columns(const float* x_lanes, size_t cols, size_t lanes, size_t l,
+                           uint32_t* out) {
+  size_t count = 0;
+  for (size_t c = 0; c < cols; ++c) {
+    out[count] = static_cast<uint32_t>(c);
+    count += magnitude_bits(x_lanes + c * lanes + l) != 0 ? 1 : 0;
+  }
+  return count;
+}
+
 }  // namespace
+
+void cast_conv_sums(const double* sums, size_t positions, size_t channels, float* out,
+                    size_t stride) {
+  for (size_t p = 0; p < positions; ++p) {
+    const double* s = sums + p * channels;
+    for (size_t c = 0; c < channels; ++c) {
+      out[(c * positions + p) * stride] = static_cast<float>(s[c]);
+    }
+  }
+}
 
 // --- Exactness certificate -------------------------------------------------
 
@@ -555,6 +577,12 @@ void LaneLayerRun::step_shared(const float* in_frame, float* out_lanes) {
     const double* sums = delta_.w.sums + t_ * n_;
     for (size_t r = 0; r < n_; ++r) base_[r] = static_cast<float>(sums[r]);
     base_frame_ = base_.data();
+  } else if (delta_.conv.sums) {
+    // The conv frame kernel's own narrow of its accumulators.
+    const Conv2dSpec& s = static_cast<const ConvLayer&>(*layer_).spec();
+    cast_conv_sums(delta_.conv.sums + t_ * n_, s.out_height() * s.out_width(), s.out_channels,
+                   base_.data());
+    base_frame_ = base_.data();
   } else {
     shared_synaptic_frame(*layer_, in_frame, mode_, active_, base_.data());
     base_frame_ = base_.data();
@@ -600,15 +628,10 @@ void LaneLayerRun::delta_term(const DeltaMatrix& m, const float* w, size_t cols,
                               const float* x_lanes, size_t golden_row, bool add,
                               float* syn_lanes) {
   const size_t lanes = lanes_;
-  if (plus_.size() < lanes * cols) {
-    plus_.resize(lanes * cols);
-    minus_.resize(lanes * cols);
-  }
-  active_.resize(cols);
   uint32_t np[kMaxLaneWidth];
   uint32_t nm[kMaxLaneWidth];
-  const size_t golden_active = diff_scan(x_lanes, m.golden_in + golden_row * cols, cols, lanes,
-                                         active_.data(), plus_.data(), minus_.data(), np, nm);
+  const size_t golden_active =
+      scan_lane_diffs(x_lanes, m.golden_in + golden_row * cols, cols, np, nm);
   // The feedback term is added to the feed-forward floats; rows that fail
   // the certificate keep theirs aside and add the ordered sum below.
   if (add && m.num_uncertified > 0) {
@@ -651,11 +674,7 @@ void LaneLayerRun::delta_term(const DeltaMatrix& m, const float* w, size_t cols,
       synaptic_adds_ += num_diff;
     } else {
       // The lane's own active columns are fewer: sum them from +0.0.
-      size_t count = 0;
-      for (size_t c = 0; c < cols; ++c) {
-        plus[count] = static_cast<uint32_t>(c);
-        count += magnitude_bits(x_lanes + c * lanes + l) != 0 ? 1 : 0;
-      }
+      const size_t count = lane_active_columns(x_lanes, cols, lanes, l, plus);
       std::fill_n(acc, n_, 0.0);
       ops.column_adds(m.wt, n_, plus, count, nullptr, 0, acc);
       synaptic_adds_ += count;
@@ -686,6 +705,61 @@ void LaneLayerRun::delta_term(const DeltaMatrix& m, const float* w, size_t cols,
   }
 }
 
+size_t LaneLayerRun::scan_lane_diffs(const float* x_lanes, const float* g, size_t cols,
+                                     uint32_t* np, uint32_t* nm) {
+  if (plus_.size() < lanes_ * cols) {
+    plus_.resize(lanes_ * cols);
+    minus_.resize(lanes_ * cols);
+  }
+  active_.resize(cols);
+  return diff_scan(x_lanes, g, cols, lanes_, active_.data(), plus_.data(), minus_.data(), np, nm);
+}
+
+void LaneLayerRun::conv_delta(const float* x_lanes, float* syn_lanes) {
+  const ConvDelta& d = delta_.conv;
+  const tensor::simd::ConvLaneGeom g = static_cast<const ConvLayer&>(*layer_).spec().geom();
+  const size_t cols = g.input_size();
+  const size_t positions = g.out_height * g.out_width;
+  const size_t lanes = lanes_;
+  uint32_t np[kMaxLaneWidth];
+  uint32_t nm[kMaxLaneWidth];
+  const size_t golden_active = scan_lane_diffs(x_lanes, d.golden_in + t_ * cols, cols, np, nm);
+  const double* sums = d.sums + t_ * n_;
+  // As in delta_term: the golden floats go to every lane first, and a lane
+  // that differs overwrites its own.
+  bool any_golden = false;
+  for (size_t l = 0; l < lanes; ++l) any_golden |= np[l] + nm[l] == 0;
+  if (any_golden) {
+    golden_f_.resize(n_);
+    cast_conv_sums(sums, positions, g.out_channels, golden_f_.data());
+    for (size_t r = 0; r < n_; ++r) std::fill_n(syn_lanes + r * lanes, lanes, golden_f_[r]);
+  }
+  const tensor::simd::LaneKernels& ops = tensor::simd::lane_ops();
+  acc_.resize(n_);
+  double* acc = acc_.data();
+  for (size_t l = 0; l < lanes; ++l) {
+    const size_t num_diff = np[l] + nm[l];
+    if (num_diff == 0) continue;
+    uint32_t* plus = plus_.data() + l * cols;
+    if (num_diff <= golden_active + np[l] - nm[l]) {
+      // Golden plus the live taps of the lane's differing pixels.
+      std::copy_n(sums, n_, acc);
+      ops.conv_tap_adds(g, d.packed, plus, np[l], minus_.data() + l * cols, nm[l], acc);
+      synaptic_adds_ += num_diff;
+    } else {
+      // The lane's own active pixels are fewer: scatter them from +0.0.
+      const size_t count = lane_active_columns(x_lanes, cols, lanes, l, plus);
+      std::fill_n(acc, n_, 0.0);
+      ops.conv_tap_adds(g, d.packed, plus, count, nullptr, 0, acc);
+      synaptic_adds_ += count;
+    }
+    // Every output pixel sums a subset of its channel's certified kernel,
+    // so each partial sum above is exact and the cast is the ordered one.
+    cast_conv_sums(acc, positions, g.out_channels, syn_lanes + l, lanes);
+  }
+  rows_certified_ += n_ * lanes;
+}
+
 void LaneLayerRun::synaptic_lanes(const float* in_lanes, float* syn_lanes) {
   const size_t cols = layer_->num_inputs();
   switch (layer_->kind()) {
@@ -712,6 +786,13 @@ void LaneLayerRun::synaptic_lanes(const float* in_lanes, float* syn_lanes) {
       break;
     }
     case LayerKind::kConv2d: {
+      if (delta_.conv.sums) {
+        conv_delta(in_lanes, syn_lanes);
+        break;
+      }
+      // A conv layer with an uncertified channel keeps the ordered kernels
+      // for every output pixel.
+      if (delta_.conv.golden_in) rows_uncertified_ += n_ * lanes_;
       const auto& conv = static_cast<const ConvLayer&>(*layer_);
       if (mode_ == KernelMode::kDense) {
         conv_frame_lanes_dense(conv, in_lanes, lanes_, syn_lanes);

@@ -32,8 +32,12 @@
 //    double, in any order, so a lane takes the golden double sum of the
 //    frame and adds or subtracts only the weights of the input columns
 //    where its spike differs from golden (golden-plus-delta, LaneDelta);
-//    the cast gives the scalar ordered sum's float. Rows that fail the
-//    certificate, conv and pool layers, and runs without golden sums use
+//    the cast gives the scalar ordered sum's float. A conv layer whose
+//    output channels all pass the certificate over their whole kernels
+//    does the same per output pixel: golden sums plus or minus the live
+//    taps of the input pixels where the lane differs (ConvDelta). Rows
+//    that fail the certificate, uncertified conv layers, pool layers, and
+//    runs without golden sums use
 //    the lane-strided kernels, which accumulate each lane's ordered double
 //    sum exactly like the scalar kernels (see tensor/ops.hpp); their sparse
 //    variants gather over the union of the lanes' active sets (the skipped
@@ -175,13 +179,35 @@ struct DeltaMatrix {
   size_t num_uncertified = 0;
 };
 
-/// Golden-plus-delta view of one dense or recurrent layer for LaneLayerRun.
+/// Golden-plus-delta operands of one conv layer, borrowed from the golden
+/// cache: the double accumulators of the conv scatter kernel over the
+/// layer's golden input frames, kept channel-last [T, positions *
+/// out_channels] as tensor::simd::LaneKernels::conv_frame_scatter leaves
+/// them, the golden input train, and the kernel packed [ic][ky][kx][oc] as
+/// double for LaneKernels::conv_tap_adds. `sums` and `packed` are null
+/// when some output channel fails row_sum_exact over its whole kernel
+/// (every in-channel and tap); `golden_in` is set either way.
+struct ConvDelta {
+  const double* sums = nullptr;      // [T, positions * out_channels] channel-last
+  const float* golden_in = nullptr;  // [T, num_inputs] golden input train
+  const double* packed = nullptr;    // [ic][ky][kx][oc]
+};
+
+/// The float frame of channel-last conv sums `sums` [positions * channels]
+/// in the layer's channel-major neuron order: out[(c * positions + p) *
+/// stride] = float(sums[p * channels + c]), the scatter kernel's narrow.
+void cast_conv_sums(const double* sums, size_t positions, size_t channels, float* out,
+                    size_t stride = 1);
+
+/// Golden-plus-delta view of one layer for LaneLayerRun: `w` and `v` for a
+/// dense or recurrent layer, `conv` for a conv layer.
 /// For the lateral V of a recurrent layer, `v.golden_in` is the layer's own
 /// golden spike train and sums row t is V times its frame t - 1 (row 0,
 /// which has no feedback, is never read).
 struct LaneDelta {
   DeltaMatrix w;
   DeltaMatrix v;
+  ConvDelta conv;
   /// Every golden input frame of W is 0/1 (always true after layer 0; for
   /// layer 0 a property of the stimulus). The fault layer's O(1) weight-
   /// fault row needs it: its input frame is the golden one.
@@ -253,11 +279,13 @@ class LaneLayerRun {
   /// the layer's cached fault-free synaptic frames [T, num_neurons]
   /// (borrowed; shared_synaptic_frame of the golden input frame t at row t),
   /// which step_shared then reads instead of recomputing. `delta` is null
-  /// or, for a dense or recurrent layer, its golden-plus-delta operands
-  /// (the view is copied; the arrays it points at are borrowed):
+  /// or the layer's golden-plus-delta operands (the view is copied; the
+  /// arrays it points at are borrowed). For a dense or recurrent layer,
   /// step_lanes and the recurrent feedback then take the delta route for
   /// certified rows, and a certified weight-fault row at the fault layer
-  /// costs O(1) per frame.
+  /// costs O(1) per frame. For a conv layer with certified sums, step_lanes
+  /// takes the conv delta route and step_shared, without `frames`, casts
+  /// the sums into the fault-free frame.
   void reset(const Layer& layer, size_t lanes, const LaneFault* faults, KernelMode mode,
              const float* frames, const LaneDelta* delta = nullptr);
 
@@ -287,9 +315,11 @@ class LaneLayerRun {
   size_t fault_rows_skipped() const { return rows_skipped_; }
 
   /// Delta-route work since reset(), summed over lanes: weight columns
-  /// added into lane sums by the column-add kernel, and (row, frame) sums
-  /// taken by the delta route (certified) or by the ordered lane kernels
-  /// because the row failed the certificate (uncertified).
+  /// added into lane sums by the column-add kernel (for a conv layer, input
+  /// pixels whose live taps were scattered), and (row, frame) sums taken
+  /// by the delta route (certified) or by the ordered lane kernels because
+  /// the row failed the certificate (uncertified; every output pixel of a
+  /// conv layer with an uncertified channel).
   size_t lane_synaptic_adds() const { return synaptic_adds_; }
   size_t delta_rows_certified() const { return rows_certified_; }
   size_t delta_rows_uncertified() const { return rows_uncertified_; }
@@ -310,6 +340,14 @@ class LaneLayerRun {
   /// golden input frame the sums row `t_` was taken over.
   void delta_term(const DeltaMatrix& m, const float* w, size_t cols, const float* x_lanes,
                   size_t golden_row, bool add, float* syn_lanes);
+  /// Golden-plus-delta conv frame of the lane frame `x_lanes` into
+  /// syn_lanes, from delta_.conv (certified).
+  void conv_delta(const float* x_lanes, float* syn_lanes);
+  /// The per-lane spike differences of `x_lanes` [cols, lanes] against the
+  /// golden frame `g` [cols] into plus_/minus_ and np/nm (diff_scan);
+  /// returns the golden frame's active count.
+  size_t scan_lane_diffs(const float* x_lanes, const float* g, size_t cols, uint32_t* np,
+                         uint32_t* nm);
   /// The fault-free feedback V·prev of a recurrent layer into syn_.
   void feedback_lanes();
   void finish_step(float* out_lanes);

@@ -177,6 +177,14 @@ struct LaneKernels {
   /// rely on rows whose sums are certified exact in any order.
   void (*column_adds)(const float* wt, size_t rows, const uint32_t* plus, size_t num_plus,
                       const uint32_t* minus, size_t num_minus, double* acc);
+  /// Golden-plus-delta conv taps (DESIGN.md §12): conv_frame_scatter's
+  /// pixel walk over weights packed [ic][ky][kx][oc] as double, with every
+  /// pixel's value 1.0 — each live tap of each `plus` pixel, in list order,
+  /// adds its out_channels weights into the channel-last accumulators
+  /// `acc` [positions * out_channels], then each `minus` pixel's subtract.
+  /// No zeroing and no narrow. Vectorized across output channels.
+  void (*conv_tap_adds)(const ConvLaneGeom& geom, const double* packed, const uint32_t* plus,
+                        size_t num_plus, const uint32_t* minus, size_t num_minus, double* acc);
   /// One LIF update of a whole lane-strided frame of `count` elements, per
   /// element exactly snn::lif_step_neuron: a normal element runs
   ///   refrac > 0 ? (--refrac, u = reset, spike 0)

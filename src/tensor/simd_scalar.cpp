@@ -236,6 +236,45 @@ void column_adds(const float* wt, size_t rows, const uint32_t* plus, size_t num_
   }
 }
 
+/// The live taps of `count` pixels (value 1.0) into channel-last `acc`:
+/// added, or subtracted for kSub.
+template <bool kSub>
+void tap_walk(const ConvLaneGeom& g, const double* packed, const uint32_t* pixels, size_t count,
+              double* acc) {
+  const size_t oh = g.out_height;
+  const size_t ow = g.out_width;
+  const size_t k = g.kernel;
+  const size_t noc = g.out_channels;
+  const size_t plane = g.in_height * g.in_width;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t flat = pixels[i];
+    const size_t ic = flat / plane;
+    const size_t rem = flat % plane;
+    const ScatterTaps taps(g, rem / g.in_width, rem % g.in_width);
+    for (size_t ky = taps.ky0, oy = taps.oy0; ky <= taps.ky_end; ky += g.stride, --oy) {
+      if (oy >= oh) continue;
+      for (size_t kx = taps.kx0, ox = taps.ox0; kx <= taps.kx_end; kx += g.stride, --ox) {
+        if (ox >= ow) continue;
+        double* a = acc + (oy * ow + ox) * noc;
+        const double* w = packed + ((ic * k + ky) * k + kx) * noc;
+        for (size_t oc = 0; oc < noc; ++oc) {
+          if constexpr (kSub) {
+            a[oc] -= w[oc];
+          } else {
+            a[oc] += w[oc];
+          }
+        }
+      }
+    }
+  }
+}
+
+void conv_tap_adds(const ConvLaneGeom& g, const double* packed, const uint32_t* plus,
+                   size_t num_plus, const uint32_t* minus, size_t num_minus, double* acc) {
+  tap_walk<false>(g, packed, plus, num_plus, acc);
+  tap_walk<true>(g, packed, minus, num_minus, acc);
+}
+
 /// One LIF update of a whole frame: per element the float expressions of
 /// snn::lif_step_neuron, verbatim (mode 1 dead, 2 saturated, both without
 /// touching the state). kTraced also writes the element's LifFrameTrace.
@@ -529,7 +568,8 @@ void adam_step(const AdamStepParams& p, size_t count, const float* grad, float* 
 
 const LaneKernels kScalarLaneKernels = {
     matvec_lanes, matvec_gather_lanes, conv_lanes_dense, conv_lanes_scatter,
-    pool_lanes,   column_adds,        lif_frame,           lif_frame_traced,
+    pool_lanes,   column_adds,        conv_tap_adds,       lif_frame,
+    lif_frame_traced,
     conv_frame_dense, conv_frame_scatter, conv_backward_input, matvec_transpose,
     gumbel_logits, gumbel_binarize, lif_backward_frame, l4_row_stats,
     l4_row_grad,   adam_step,

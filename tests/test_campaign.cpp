@@ -12,9 +12,11 @@
 #include <string>
 
 #include "campaign/engine.hpp"
+#include "campaign/fingerprint.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/shard.hpp"
 #include "campaign/sim_internal.hpp"
+#include "coverage/incremental.hpp"
 #include "fault/coverage.hpp"
 #include "fault/registry.hpp"
 #include "obs/metrics.hpp"
@@ -102,10 +104,11 @@ TEST(GoldenCache, MatchesDirectForward) {
     for (size_t i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]) << "layer " << l;
   }
   EXPECT_EQ(cache.output_counts, direct.output_counts());
-  EXPECT_NE(cache.fingerprint, 0u);
-  // Fingerprint is sensitive to the stimulus.
-  const auto other = build_golden_cache(net, busy_input(20, 8, 99));
-  EXPECT_NE(cache.fingerprint, other.fingerprint);
+  // The run report's campaign fingerprint starts from this hash, which is
+  // sensitive to the stimulus.
+  const uint64_t topology = hash_network_topology(net, util::kFnvOffsetBasis);
+  EXPECT_NE(hash_stimulus(input, topology), 0u);
+  EXPECT_NE(hash_stimulus(input, topology), hash_stimulus(busy_input(20, 8, 99), topology));
 }
 
 TEST(Engine, BitIdenticalToNaiveReference) {
@@ -699,7 +702,8 @@ size_t uncertified_rows(const float* w, size_t rows, size_t cols) {
 /// Closed form of the golden sums the cache keeps for a dense or recurrent
 /// layer over T frames: T*N doubles per matrix (W·x, and V·prev for a
 /// recurrent layer), the matrix's column-major float copy, and one index
-/// per row that fails the certificate. Conv and pool layers keep none.
+/// per row that fails the certificate. Pool layers keep none; conv sums
+/// have their own closed form (ConvDeltaSumsBitIdenticalToNaiveReference).
 size_t golden_sums_bytes(const snn::Layer& layer, size_t T) {
   const size_t n = layer.num_neurons();
   const size_t cols = layer.num_inputs();
@@ -1226,6 +1230,355 @@ TEST(LaneBatch, DeltaCountsIndependentOfThreads) {
       EXPECT_EQ(one.stats.delta_rows_certified, two.stats.delta_rows_certified);
       EXPECT_EQ(one.stats.delta_rows_uncertified, two.stats.delta_rows_uncertified);
       expect_results_identical(one.results, two.results);
+    }
+  }
+}
+
+// ---- Golden-plus-delta conv layers (DESIGN.md §12) ------------------------
+
+/// conv -> conv -> dense. The second conv runs downstream of layer-0 faults
+/// (the conv delta) and hosts faults of its own, whose fault-free frames
+/// are the casts of its golden sums. Its padding puts border pixels on
+/// every edge, each summing a subset of its channel's kernel; layer 0's
+/// stride 2 leaves input pixels that feed one, two or four output pixels.
+snn::Network make_conv_conv_net(uint64_t seed = 321) {
+  util::Rng rng(seed);
+  snn::LifParams lif;
+  snn::Network net("campaign-conv-conv");
+  snn::Conv2dSpec a;
+  a.in_channels = 2;
+  a.in_height = 10;
+  a.in_width = 10;
+  a.out_channels = 4;
+  a.kernel = 3;
+  a.stride = 2;
+  a.padding = 1;
+  auto c1 = std::make_unique<snn::ConvLayer>(a, lif);
+  c1->init_weights(rng, 1.4f);
+  net.add_layer(std::move(c1));
+  snn::Conv2dSpec b;
+  b.in_channels = 4;
+  b.in_height = 5;
+  b.in_width = 5;
+  b.out_channels = 6;
+  b.kernel = 3;
+  b.stride = 1;
+  b.padding = 1;
+  auto c2 = std::make_unique<snn::ConvLayer>(b, lif);
+  c2->init_weights(rng, 1.4f);
+  net.add_layer(std::move(c2));
+  auto fc = std::make_unique<snn::DenseLayer>(b.output_size(), 5, lif);
+  fc->init_weights(rng, 1.3f);
+  net.add_layer(std::move(fc));
+  return net;
+}
+
+/// conv -> pool -> conv: the delta conv reads a pool layer's trains and is
+/// the output layer, so the detection ledger reads its lanes directly.
+snn::Network make_conv_pool_conv_net(uint64_t seed = 322) {
+  util::Rng rng(seed);
+  snn::LifParams lif;
+  snn::Network net("campaign-conv-pool-conv");
+  snn::Conv2dSpec a;
+  a.in_channels = 1;
+  a.in_height = 8;
+  a.in_width = 8;
+  a.out_channels = 4;
+  a.kernel = 3;
+  a.stride = 1;
+  a.padding = 1;
+  auto c1 = std::make_unique<snn::ConvLayer>(a, lif);
+  c1->init_weights(rng, 1.4f);
+  net.add_layer(std::move(c1));
+  snn::SumPoolSpec pool;
+  pool.channels = 4;
+  pool.in_height = 8;
+  pool.in_width = 8;
+  pool.window = 2;
+  net.add_layer(std::make_unique<snn::SumPoolLayer>(pool, lif));
+  snn::Conv2dSpec b;
+  b.in_channels = 4;
+  b.in_height = 4;
+  b.in_width = 4;
+  b.out_channels = 3;
+  b.kernel = 3;
+  b.stride = 2;
+  b.padding = 1;
+  auto c2 = std::make_unique<snn::ConvLayer>(b, lif);
+  c2->init_weights(rng, 1.6f);
+  net.add_layer(std::move(c2));
+  return net;
+}
+
+/// make_conv_conv_net with one tap of layer 1's output channel 0 scaled by
+/// 2^-40: that channel's kernel spans 40 binades more and fails the
+/// certificate, so the whole layer keeps the ordered lane kernels.
+snn::Network make_wide_binade_conv_net() {
+  snn::Network net = make_conv_conv_net(323);
+  static_cast<snn::ConvLayer&>(net.layer(1)).weights()[4] *= std::ldexp(1.0f, -40);
+  return net;
+}
+
+struct ConvCase {
+  std::string name;
+  snn::Network net;
+  tensor::Tensor input;
+};
+
+std::vector<ConvCase> conv_delta_cases() {
+  std::vector<ConvCase> cases;
+  {
+    auto net = make_conv_conv_net();
+    util::Rng rng(331);
+    auto input = snn::random_spike_train(12, net.input_size(), 0.25, rng);
+    cases.push_back({"conv-conv-dense", std::move(net), std::move(input)});
+  }
+  {
+    auto net = make_conv_pool_conv_net();
+    util::Rng rng(332);
+    auto input = snn::random_spike_train(12, net.input_size(), 0.3, rng);
+    cases.push_back({"conv-pool-conv", std::move(net), std::move(input)});
+  }
+  return cases;
+}
+
+TEST(LaneBatch, ConvDeltaSumsBitIdenticalToNaiveReference) {
+  // A conv layer downstream of the shallowest fault layer keeps its golden
+  // sums: their casts step its LIF bank to the golden train, they replace
+  // the layer's float frames, and the lane batches take the conv delta. At
+  // every lane width (1-8 and 16), kernel mode and backend, full and
+  // detect-only results must match the naive oracle, and the delta must do
+  // work; so must the frontier walk's at two widths.
+  tensor::simd::Backend prior = tensor::simd::active_backend();
+  for (auto& c : conv_delta_cases()) {
+    SCOPED_TRACE(c.name);
+    const size_t T = c.input.shape().dim(0);
+    // The delta conv: layer 1 before the dense head, else the output layer.
+    const size_t conv_l = c.net.layer(2).kind() == snn::LayerKind::kDense ? 1 : 2;
+    {
+      GoldenCacheOptions options;
+      options.golden_sums_from_layer = 0;
+      for (size_t l = 0; l < c.net.num_layers(); ++l) options.synaptic_frame_layers.push_back(l);
+      const GoldenCache cache = build_golden_cache(c.net, c.input, options);
+      EXPECT_EQ(cache.conv_sums(0), nullptr);  // the shallowest layer keeps none
+      EXPECT_NE(cache.synaptic_frames(0), nullptr);
+      ASSERT_NE(cache.conv_sums(conv_l), nullptr);
+      EXPECT_EQ(cache.synaptic_frames(conv_l), nullptr);
+      const auto& conv = static_cast<const snn::ConvLayer&>(c.net.layer(conv_l));
+      const snn::Conv2dSpec& s = conv.spec();
+      const size_t n = conv.num_neurons();
+      EXPECT_EQ(cache.layer_bytes[conv_l],
+                T * n * (sizeof(float) + sizeof(double)) + s.weight_count() * sizeof(double));
+      snn::LifBank bank = conv.lif();
+      bank.begin_run(T, /*record_traces=*/false);
+      std::vector<float> syn(n);
+      std::vector<float> out(n);
+      for (size_t t = 0; t < T; ++t) {
+        snn::cast_conv_sums(cache.conv_sums(conv_l) + t * n, s.out_height() * s.out_width(),
+                            s.out_channels, syn.data());
+        bank.step(syn.data(), out.data());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], cache.layer_output(conv_l).row(t)[i]) << "t=" << t;
+        }
+      }
+    }
+    auto faults = per_layer_sample(c.net, 18, 333);
+    // Synapse faults dominate the sample; neuron faults at the delta conv
+    // read its fault-free currents, the casts of its golden sums, on both
+    // routes.
+    std::vector<fault::FaultDescriptor> neuron_faults;
+    for (const auto& f : fault::enumerate_faults(c.net, all_kinds_config(true))) {
+      if (fault_layer(f) == conv_l && f.targets_neuron()) neuron_faults.push_back(f);
+    }
+    util::Rng pick(334);
+    for (const auto& f : fault::sample_faults(neuron_faults, 12, pick)) faults.push_back(f);
+    const auto naive = test_support::naive_reference(c.net, c.input, faults);
+    const auto naive_detect =
+        test_support::naive_reference(c.net, c.input, faults, 0.0, /*detect_only=*/true);
+    for (const auto backend : tensor::simd::available_backends()) {
+      ASSERT_TRUE(tensor::simd::force_backend(backend));
+      for (const auto mode :
+           {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
+        for (const size_t width : {1, 2, 3, 4, 5, 6, 7, 8, 16}) {
+          SCOPED_TRACE(std::string("backend=") + tensor::simd::backend_name(backend) +
+                       " mode=" + std::to_string(static_cast<int>(mode)) +
+                       " width=" + std::to_string(width));
+          EngineConfig cfg;
+          cfg.kernel_mode = mode;
+          cfg.lane_width = width;
+          const auto lane = run_campaign(c.net, c.input, faults, cfg);
+          expect_results_identical(lane.results, naive);
+          EXPECT_GT(lane.stats.delta_rows_certified, 0u);
+          EXPECT_EQ(lane.stats.delta_rows_uncertified, 0u);
+          EXPECT_GT(lane.stats.lane_synaptic_adds, 0u);
+          EngineConfig dcfg = cfg;
+          dcfg.detect_only = true;
+          const auto fast = run_campaign(c.net, c.input, faults, dcfg);
+          expect_results_identical(fast.results, naive_detect);
+          EXPECT_GT(fast.stats.delta_rows_certified, 0u);
+          if (width != 2 && width != 8) continue;
+          // The frontier walk reads the sums' casts as the conv fault
+          // layer's fault-free frames.
+          constexpr auto kWalk = detail::Route::kFrontier;
+          const auto walk = detail::run_campaign(c.net, c.input, faults, cfg, kWalk);
+          EXPECT_EQ(walk.stats.frontier_faults, faults.size());
+          expect_results_identical(walk.results, naive);
+          const auto walk_detect = detail::run_campaign(c.net, c.input, faults, dcfg, kWalk);
+          expect_results_identical(walk_detect.results, naive_detect);
+        }
+      }
+    }
+  }
+  tensor::simd::force_backend(prior);
+}
+
+TEST(LaneBatch, ConvDeltaBudgetOneByteShortShedsSums) {
+  // One byte under what the cache keeps sheds the conv sums with the dense
+  // sums and the frames: no delta work is counted, and every result stays
+  // identical to the naive oracle.
+  for (auto& c : conv_delta_cases()) {
+    SCOPED_TRACE(c.name);
+    const auto faults = per_layer_sample(c.net, 18, 341);
+    for (const bool detect_only : {false, true}) {
+      SCOPED_TRACE(detect_only ? "detect-only" : "full");
+      const auto naive =
+          test_support::naive_reference(c.net, c.input, faults, 0.0, detect_only);
+      EngineConfig cfg;
+      cfg.detect_only = detect_only;
+      const auto kept = run_campaign(c.net, c.input, faults, cfg);
+      EXPECT_GT(kept.stats.lane_synaptic_adds, 0u);
+      cfg.golden_cache_budget_bytes = kept.stats.golden_cache_bytes - 1;
+      const auto shed = run_campaign(c.net, c.input, faults, cfg);
+      EXPECT_LT(shed.stats.golden_cache_bytes, kept.stats.golden_cache_bytes);
+      EXPECT_EQ(shed.stats.delta_rows_certified, 0u);
+      EXPECT_EQ(shed.stats.delta_rows_uncertified, 0u);
+      EXPECT_EQ(shed.stats.lane_synaptic_adds, 0u);
+      EXPECT_EQ(shed.stats.synaptic_frames_cached, 0u);
+      expect_results_identical(kept.results, naive);
+      expect_results_identical(shed.results, naive);
+    }
+  }
+}
+
+TEST(LaneBatch, WideBinadeConvKernelFailsCertificateAndMatchesNaiveReference) {
+  // A conv layer with one uncertified channel keeps no sums and takes the
+  // ordered lane kernels for every output pixel, counted as uncertified
+  // rows; its float frames stay cached. Results match the oracle.
+  auto net = make_wide_binade_conv_net();
+  const auto& conv = static_cast<const snn::ConvLayer&>(net.layer(1));
+  const size_t taps = conv.spec().in_channels * conv.spec().kernel * conv.spec().kernel;
+  EXPECT_FALSE(snn::row_sum_exact(snn::row_bound(conv.weights().data(), taps)));
+  for (size_t oc = 1; oc < conv.spec().out_channels; ++oc) {
+    EXPECT_TRUE(snn::row_sum_exact(snn::row_bound(conv.weights().data() + oc * taps, taps)));
+  }
+  util::Rng rng(351);
+  const auto input = snn::random_spike_train(12, net.input_size(), 0.25, rng);
+  {
+    GoldenCacheOptions options;
+    options.golden_sums_from_layer = 0;
+    options.synaptic_frame_layers = {1};
+    const GoldenCache cache = build_golden_cache(net, input, options);
+    EXPECT_EQ(cache.conv_sums(1), nullptr);
+    EXPECT_NE(cache.synaptic_frames(1), nullptr);
+    EXPECT_EQ(cache.sums[1].w_uncertified, std::vector<uint32_t>{0});
+  }
+  const auto faults = per_layer_sample(net, 18, 352);
+  const auto naive = test_support::naive_reference(net, input, faults);
+  const auto naive_detect =
+      test_support::naive_reference(net, input, faults, 0.0, /*detect_only=*/true);
+  for (const auto mode :
+       {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
+    for (const size_t width : {size_t{2}, size_t{5}, size_t{8}}) {
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " width=" + std::to_string(width));
+      EngineConfig cfg;
+      cfg.kernel_mode = mode;
+      cfg.lane_width = width;
+      const auto lane = run_campaign(net, input, faults, cfg);
+      expect_results_identical(lane.results, naive);
+      EXPECT_GT(lane.stats.delta_rows_uncertified, 0u);
+      EngineConfig dcfg = cfg;
+      dcfg.detect_only = true;
+      expect_results_identical(run_campaign(net, input, faults, dcfg).results, naive_detect);
+    }
+  }
+}
+
+TEST(LaneBatch, ConvDeltaCountsIndependentOfThreads) {
+  // Scattered pixels and certified/uncertified conv rows are per-lane sums
+  // over the worklist's batches: the thread count must not move them.
+  std::vector<ConvCase> cases = conv_delta_cases();
+  {
+    auto net = make_wide_binade_conv_net();
+    util::Rng rng(361);
+    auto input = snn::random_spike_train(12, net.input_size(), 0.25, rng);
+    cases.push_back({"wide-binade-conv", std::move(net), std::move(input)});
+  }
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto faults = per_layer_sample(c.net, 24, 362);
+    for (const bool detect_only : {false, true}) {
+      SCOPED_TRACE(detect_only ? "detect-only" : "full");
+      EngineConfig cfg;
+      cfg.detect_only = detect_only;
+      cfg.num_threads = 1;
+      const auto one = run_campaign(c.net, c.input, faults, cfg);
+      cfg.num_threads = 2;
+      const auto two = run_campaign(c.net, c.input, faults, cfg);
+      EXPECT_GT(one.stats.delta_rows_certified + one.stats.delta_rows_uncertified, 0u);
+      EXPECT_EQ(one.stats.lane_synaptic_adds, two.stats.lane_synaptic_adds);
+      EXPECT_EQ(one.stats.delta_rows_certified, two.stats.delta_rows_certified);
+      EXPECT_EQ(one.stats.delta_rows_uncertified, two.stats.delta_rows_uncertified);
+      EXPECT_EQ(one.stats.synaptic_frames_cached, two.stats.synaptic_frames_cached);
+      EXPECT_EQ(one.stats.synaptic_frames_computed, two.stats.synaptic_frames_computed);
+      expect_results_identical(one.results, two.results);
+    }
+  }
+}
+
+TEST(Engine, StimulusOfWrongWidthIsRejected) {
+  // A stimulus one column narrower or wider than the first layer is
+  // rejected before any work starts, whether that layer is dense,
+  // recurrent or conv, full or detect-only, cold or through a dictionary
+  // (which must not take the stimulus in).
+  struct Case {
+    std::string name;
+    snn::Network net;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"dense-first", make_net()});
+  {
+    util::Rng rng(371);
+    snn::Network net("recurrent-first");
+    auto rec = std::make_unique<snn::RecurrentLayer>(8, 10, snn::LifParams{});
+    rec->init_weights(rng, 1.3f, 0.5f);
+    net.add_layer(std::move(rec));
+    auto out = std::make_unique<snn::DenseLayer>(10, 4, snn::LifParams{});
+    out->init_weights(rng, 1.3f);
+    net.add_layer(std::move(out));
+    cases.push_back({"recurrent-first", std::move(net)});
+  }
+  cases.push_back({"conv-first", make_conv_conv_net()});
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto faults = all_kinds_universe(c.net, 40, 372);
+    const size_t cols = c.net.layer(0).num_inputs();
+    for (const size_t width : {cols - 1, cols + 1}) {
+      util::Rng rng(373);
+      const auto bad = snn::random_spike_train(10, width, 0.4, rng);
+      for (const bool detect_only : {false, true}) {
+        SCOPED_TRACE("width=" + std::to_string(width) + (detect_only ? " detect-only" : " full"));
+        EngineConfig cfg;
+        cfg.detect_only = detect_only;
+        EXPECT_THROW(run_campaign(c.net, bad, faults, cfg), std::invalid_argument);
+        coverage::FaultDictionary dict =
+            coverage::make_dictionary(c.net, faults, cfg.detection_threshold, detect_only);
+        coverage::IncrementalConfig ic;
+        ic.engine = cfg;
+        EXPECT_THROW(coverage::run_incremental_campaign(c.net, bad, faults, dict, ic),
+                     std::invalid_argument);
+        EXPECT_EQ(dict.num_stimuli(), 0u);
+      }
     }
   }
 }

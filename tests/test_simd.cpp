@@ -173,6 +173,16 @@ void expect_bits_equal(const std::vector<float>& got, const std::vector<float>& 
   }
 }
 
+/// Double-bit equality, the double counterpart of expect_bits_equal.
+void expect_bits_equal(const std::vector<double>& got, const std::vector<double>& want,
+                       const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << what << " diverges at element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
 TEST(SimdDispatch, BackendNamesRoundTrip) {
   for (const Backend b : {Backend::kScalar, Backend::kAvx2}) {
     Backend parsed = Backend::kScalar;
@@ -454,12 +464,13 @@ TEST(SimdKernels, TransposeMatvecBitIdenticalToScalar) {
 }
 
 TEST(SimdKernels, ConvFrameKernelsBitIdenticalToScalar) {
-  // The single-sample conv kernels of snn::ConvLayer vectorize across
-  // output channels (forward) and along a kernel row's (kx, ic) run (input
-  // gradient). Out-channel counts 1..9 and 17 leave every 4-wide double
-  // tail and the 16-channel register blocks; odd input-channel counts leave
-  // every 8-wide float run tail; strides 1-3 with padding walk every
-  // scatter tap pattern. Exact +/-2^40 weights make a reordered sum show.
+  // The single-sample conv kernels of snn::ConvLayer and the golden-plus-
+  // delta conv taps vectorize across output channels (forward, taps) and
+  // along a kernel row's (kx, ic) run (input gradient). Out-channel counts
+  // 1..9 and 17 leave every 4-wide double tail and the 16-channel register
+  // blocks; odd input-channel counts leave every 8-wide float run tail;
+  // strides 1-3 with padding walk every scatter tap pattern. Exact +/-2^40
+  // weights make a reordered sum show.
   BackendGuard guard;
   util::Rng shapes(6100);
   for (int trial = 0; trial < 40; ++trial) {
@@ -476,6 +487,7 @@ TEST(SimdKernels, ConvFrameKernelsBitIdenticalToScalar) {
     const size_t taps = g.in_channels * g.kernel * g.kernel;
     struct ConvFrameOutputs {
       std::vector<float> dense, scatter, grad_in;
+      std::vector<double> taps;
     };
     auto run = [&](Backend b) {
       EXPECT_TRUE(force_backend(b));
@@ -508,6 +520,29 @@ TEST(SimdKernels, ConvFrameKernelsBitIdenticalToScalar) {
       for (size_t i = 0; i < grad_syn.size(); i += 3) grad_syn[i] = 0.0f;
       out.grad_in = random_vec(rng, g.input_size());  // channel-last
       ops.conv_backward_input(g, packed_backward.data(), grad_syn.data(), out.grad_in.data());
+      // Golden-plus-delta taps from arbitrary accumulators; pixels repeat
+      // and cross the plus and minus lists.
+      std::vector<uint32_t> plus, minus;
+      for (uint32_t p = 0; p < in.size(); ++p) {
+        if (rng.bernoulli(0.3)) plus.push_back(p);
+        if (rng.bernoulli(0.3)) minus.push_back(p);
+      }
+      if (!plus.empty()) plus.push_back(plus.front());
+      out.taps.resize(g.output_size());
+      for (auto& a : out.taps) a = rng.uniform(-4.0, 4.0);
+      ops.conv_tap_adds(g, packed.data(), plus.data(), plus.size(), minus.data(), minus.size(),
+                        out.taps.data());
+      // From +0.0 over a binary frame's active pixels, the taps are the
+      // scatter kernel's accumulators.
+      std::vector<float> binary(in.size(), 0.0f);
+      for (const uint32_t p : active) binary[p] = 1.0f;
+      std::vector<float> syn(g.output_size());
+      ops.conv_frame_scatter(g, packed.data(), binary.data(), active.data(), active.size(),
+                             acc.data(), syn.data());
+      std::vector<double> from_zero(g.output_size(), 0.0);
+      ops.conv_tap_adds(g, packed.data(), active.data(), active.size(), nullptr, 0,
+                        from_zero.data());
+      expect_bits_equal(from_zero, acc, "conv_tap_adds from +0.0 vs conv_frame_scatter");
       return out;
     };
     const ConvFrameOutputs ref = run(Backend::kScalar);
@@ -519,6 +554,7 @@ TEST(SimdKernels, ConvFrameKernelsBitIdenticalToScalar) {
       expect_bits_equal(got.dense, ref.dense, "conv_frame_dense");
       expect_bits_equal(got.scatter, ref.scatter, "conv_frame_scatter");
       expect_bits_equal(got.grad_in, ref.grad_in, "conv_backward_input");
+      expect_bits_equal(got.taps, ref.taps, "conv_tap_adds");
     }
   }
 }
@@ -558,16 +594,6 @@ TEST(SimdKernels, ScatterWithAllPixelsActiveMatchesDense) {
     for (size_t i = 0; i < dense.size(); ++i) {
       EXPECT_NEAR(dense[i], scatter[i], 1e-5f) << "element " << i;
     }
-  }
-}
-
-/// Double-bit equality, the double counterpart of expect_bits_equal.
-void expect_bits_equal(const std::vector<double>& got, const std::vector<double>& want,
-                       const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
-        << what << " diverges at element " << i << ": " << got[i] << " vs " << want[i];
   }
 }
 
@@ -776,6 +802,73 @@ TEST(SimdKernels, AdamStepBitIdenticalToScalar) {
       }
     }
   }
+}
+
+TEST(SimdKernels, AdamStepLastBitOfMomentEstimateIsObservable) {
+  // AdamStepBitIdenticalToScalar's stored values sit far from any float
+  // rounding boundary, so a backend whose m_hat is off in its last bit
+  // (m * (1 / bc1) for m / bc1, say) would still match there. Here value
+  // is 1.0f and lr is bisected until the double update is half an ulp of
+  // 1.0f, where 1.0 - update rounds either to 1.0f or to the float below
+  // it: one ulp more or less of the update flips the stored value. The
+  // reciprocal mutant, written out below, must disagree with the scalar
+  // entry there, and every backend must agree with it.
+  BackendGuard guard;
+  AdamStepParams p;
+  p.beta1 = 0.9;
+  p.beta2 = 0.999;
+  p.eps = 1e-8;
+  p.bc1 = 1.0 - p.beta1;  // step 1
+  p.bc2 = 1.0 - p.beta2;
+  // `count` copies of (grad, m = v = 0, value = 1.0f), one step.
+  auto run = [&](Backend b, double lr, float grad, size_t count) {
+    EXPECT_TRUE(force_backend(b));
+    AdamStepParams q = p;
+    q.lr = lr;
+    std::vector<float> g(count, grad), m(count, 0.0f), v(count, 0.0f), value(count, 1.0f);
+    lane_ops().adam_step(q, count, g.data(), m.data(), v.data(), value.data());
+    return value;
+  };
+  auto mutant = [&](double lr, float grad) {
+    const double g = grad * p.clip_scale;
+    const float m = static_cast<float>((1.0 - p.beta1) * g);
+    const float v = static_cast<float>((1.0 - p.beta2) * g * g);
+    const double m_hat = m * (1.0 / p.bc1);
+    const double v_hat = v / p.bc2;
+    return static_cast<float>(1.0f - lr * m_hat / (std::sqrt(v_hat) + p.eps));
+  };
+  bool found = false;
+  for (const float grad : {0.3f, 0.7f, 1.1f, 1.3f, 1.7f, 2.3f, 2.9f, 3.7f, 4.1f, 5.3f}) {
+    const float m = static_cast<float>((1.0 - p.beta1) * grad);
+    const double m_hat = m / p.bc1;
+    const double mutant_m_hat = m * (1.0 / p.bc1);
+    if (m_hat == mutant_m_hat) continue;
+    auto scalar = [&](double lr) { return run(Backend::kScalar, lr, grad, 1)[0]; };
+    double lo = 0x1p-28;  // the update is about lr here
+    double hi = 0x1p-22;
+    ASSERT_EQ(scalar(lo), 1.0f);
+    ASSERT_LT(scalar(hi), 1.0f);
+    while (std::nextafter(lo, hi) < hi) {
+      const double mid = lo + (hi - lo) / 2;
+      (scalar(mid) == 1.0f ? lo : hi) = mid;
+    }
+    // A larger m_hat flips the value at a smaller lr: test it at the last
+    // lr the scalar entry keeps 1.0f; a smaller one at the first it flips.
+    const double lr = mutant_m_hat > m_hat ? lo : hi;
+    if (mutant(lr, grad) == scalar(lr)) continue;
+    found = true;
+    SCOPED_TRACE("grad=" + std::to_string(grad));
+    for (const size_t count : {size_t{1}, size_t{4}, size_t{5}, size_t{7}, size_t{9}}) {
+      SCOPED_TRACE("count=" + std::to_string(count));
+      const std::vector<float> ref = run(Backend::kScalar, lr, grad, count);
+      for (const Backend b : available_backends()) {
+        SCOPED_TRACE(std::string("backend=") + backend_name(b));
+        expect_bits_equal(run(b, lr, grad, count), ref, "adam_step value at the boundary");
+      }
+    }
+    break;
+  }
+  EXPECT_TRUE(found) << "no gradient puts the reciprocal mutant across the boundary";
 }
 
 }  // namespace
