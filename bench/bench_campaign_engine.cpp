@@ -17,15 +17,7 @@
 // (tensor/simd.hpp), and reports wall-clock speedup vs. the naive
 // configuration plus mean lane occupancy, again gated on bit-identical
 // results.
-//
-// A third section sweeps divergence-frontier simulation
-// (EngineConfig::frontier, DESIGN.md §17) on/off per fault-depth bucket and
-// lane width: the frontier engine recomputes only the fault-effect cone per
-// frame, so its win scales with how little of the network a fault actually
-// disturbs. Each cell reports wall-clock speedup vs. the same configuration
-// with frontier off, the fraction of neuron updates actually recomputed,
-// and an inline bit-identity check.
-#include <algorithm>
+#include <iterator>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -244,98 +236,6 @@ int main(int argc, char** argv) {
   std::printf("results identical across all backends and lane widths: %s\n",
               all_identical ? "yes" : "NO");
 
-  // Frontier sweep: frontier on vs off per fault-depth bucket × lane width.
-  // The baseline of each cell is the identical configuration with frontier
-  // disabled, so the speedup isolates the cone-tracking algorithm from lane
-  // batching and threading.
-  std::printf("\nfrontier sweep: divergence-frontier vs dense/lane kernels per bucket\n");
-  util::TextTable frontier_table({"fault bucket", "lane width", "dense", "frontier", "speedup",
-                                  "recomputed", "fallback frames", "identical"});
-  std::vector<bench::JsonObject> frontier_rows;
-  double frontier_best = 0.0, frontier_worst = 0.0;
-  auto run_frontier_cell = [&](const std::string& name,
-                               const std::vector<fault::FaultDescriptor>& faults, size_t width) {
-    // Best-of-N per side, N sized so each side accumulates ~700 ms of
-    // measurement: the small buckets finish in single-digit milliseconds,
-    // where one host-contention hiccup swings a single run by 10%, so they
-    // need far more repetitions than the half-second buckets to make the
-    // minimum a stable contention-free estimate. Reps interleave the two
-    // sides so slow drift (thermal, host load) cannot bias one of them.
-    campaign::EngineConfig dense_cfg;
-    dense_cfg.lane_width = width;
-    campaign::EngineConfig frontier_cfg = dense_cfg;
-    frontier_cfg.frontier = true;
-    auto dense = campaign::run_campaign(net, stimulus, faults, dense_cfg);
-    auto frontier = campaign::run_campaign(net, stimulus, faults, frontier_cfg);
-    const int reps = static_cast<int>(
-        std::clamp(0.7 / std::max(dense.stats.elapsed_seconds, 1e-4), 5.0, 31.0));
-    for (int rep = 1; rep < reps; ++rep) {
-      auto d = campaign::run_campaign(net, stimulus, faults, dense_cfg);
-      if (d.stats.elapsed_seconds < dense.stats.elapsed_seconds) dense = std::move(d);
-      auto f = campaign::run_campaign(net, stimulus, faults, frontier_cfg);
-      if (f.stats.elapsed_seconds < frontier.stats.elapsed_seconds) frontier = std::move(f);
-    }
-    const bool identical =
-        frontier.stats.frontier_active && results_identical(dense.results, frontier.results);
-    all_identical &= identical;
-    const double speedup = frontier.stats.elapsed_seconds > 0.0
-                               ? dense.stats.elapsed_seconds / frontier.stats.elapsed_seconds
-                               : 0.0;
-    // The fraction of per-neuron updates the frontier actually recomputed
-    // (the rest were copied from the golden trace).
-    const double recomputed =
-        frontier.stats.frontier_neuron_updates_dense > 0
-            ? static_cast<double>(frontier.stats.frontier_neuron_updates) /
-                  static_cast<double>(frontier.stats.frontier_neuron_updates_dense)
-            : 0.0;
-    if (frontier_best == 0.0 || speedup > frontier_best) frontier_best = speedup;
-    if (frontier_worst == 0.0 || speedup < frontier_worst) frontier_worst = speedup;
-    frontier_table.add_row({name, std::to_string(width),
-                            util::format_duration(dense.stats.elapsed_seconds),
-                            util::format_duration(frontier.stats.elapsed_seconds),
-                            util::fmt_double(speedup, 2) + "x", util::fmt_pct(recomputed),
-                            std::to_string(frontier.stats.frontier_fallback_frames),
-                            identical ? "yes" : "NO"});
-    csv.write_row({name + "_frontier_lane_width_" + std::to_string(width),
-                   util::CsvWriter::field(faults.size()),
-                   util::CsvWriter::field(dense.stats.elapsed_seconds),
-                   util::CsvWriter::field(frontier.stats.elapsed_seconds),
-                   util::CsvWriter::field(speedup), util::CsvWriter::field(recomputed),
-                   identical ? "1" : "0"});
-    frontier_rows.push_back(
-        bench::JsonObject()
-            .field("bucket", name)
-            .field("lane_width", width)
-            .field("dense_seconds", dense.stats.elapsed_seconds)
-            .field("frontier_seconds", frontier.stats.elapsed_seconds)
-            .field("speedup", speedup)
-            .field("recompute_fraction", recomputed)
-            .field("frontier_faults", frontier.stats.frontier_faults)
-            .field("faults_simulated", frontier.stats.faults_simulated)
-            .field("lane_batches", frontier.stats.lane_batches)
-            .field("frontier_fallback_frames", frontier.stats.frontier_fallback_frames)
-            .field("golden_cache_bytes", frontier.stats.golden_cache_bytes)
-            .field("identical", identical));
-  };
-  // Larger buckets than the differential sweep: a production campaign runs
-  // thousands of faults per stimulus, so the per-stimulus fixed costs the
-  // frontier adds (golden state-trace recording, one probe batch per fault
-  // layer) must be measured amortized the way they are in the field.
-  constexpr size_t kFrontierPerBucket = 1000;
-  for (size_t l = 0; l < net.num_layers(); ++l) {
-    const auto faults = bucket_faults(universe, l, kFrontierPerBucket, 1000 + l);
-    for (const size_t width : {size_t{1}, size_t{8}}) {
-      run_frontier_cell("layer " + std::to_string(l), faults, width);
-    }
-  }
-  util::Rng frontier_mix_rng(3000);
-  const auto frontier_mixed = fault::sample_faults(universe, kFrontierPerBucket, frontier_mix_rng);
-  for (const size_t width : {size_t{1}, size_t{8}}) {
-    run_frontier_cell("mixed", frontier_mixed, width);
-  }
-  std::printf("%s\n", frontier_table.render().c_str());
-  std::printf("frontier speedup range: %.2fx (worst) to %.2fx (best); identical everywhere: %s\n",
-              frontier_worst, frontier_best, all_identical ? "yes" : "NO");
   std::printf("CSV: %s/campaign_engine.csv\n", bench::out_dir().c_str());
 
   // Per-fault sim-time percentiles from the obs histogram (interpolated from
@@ -380,9 +280,6 @@ int main(int argc, char** argv) {
                                      size_t{std::thread::hardware_concurrency()}))
         .array("results", json_rows)
         .array("lane_sweep", lane_rows)
-        .array("frontier_sweep", frontier_rows)
-        .field("frontier_best_speedup", frontier_best)
-        .field("frontier_worst_speedup", frontier_worst)
         .field("all_identical", all_identical);
     bench::write_json_report(json_path, report);
   }

@@ -10,7 +10,7 @@
 //   coverage_tool merge       --out merged.snfd --inputs a.snfd,b.snfd
 //   coverage_tool query       --dict d.snfd [--fault 17] [--stimulus 2]
 //   coverage_tool minimize    --dict d.snfd [--out schedule.snfd] [--json r.json]
-//   coverage_tool replay      --dict schedule.snfd [--frontier 1] [--json r.json]
+//   coverage_tool replay      --dict schedule.snfd [--json r.json]
 //   coverage_tool report      --dict d.snfd [--json r.json]
 //
 // `build` is incremental: pairs the dictionary already holds are served as
@@ -26,11 +26,10 @@
 // executes such a schedule in file order against the live model, dropping
 // every fault an earlier stimulus already detected — the minimum-time
 // in-field loop, with the faults and detection settings the schedule file
-// carries; --frontier runs each step through the divergence-frontier
-// engine (DESIGN.md §17). `status` reads a live or finished sharded
-// campaign's work directory from ANOTHER process and prints each shard's
-// progress: committed, partial (records in its snapshot) or not started
-// (DESIGN.md §16).
+// carries. `status` reads a live or finished sharded campaign's work
+// directory from ANOTHER process and prints each shard's progress:
+// committed, partial (records in its snapshot) or not started (DESIGN.md
+// §16).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -215,7 +214,6 @@ int cmd_build(int argc, char** argv) {
                        {"lane-width", "8"},
                        {"threshold", "0"},
                        {"detect-only", "0"},
-                       {"frontier", "0"},
                        {"golden-cache-budget", "0"},
                        {"trace-out", ""},
                        {"metrics-out", ""}},
@@ -242,7 +240,6 @@ int cmd_build(int argc, char** argv) {
   engine.lane_width = cli.get_size("lane-width");
   engine.detection_threshold = cli.get_double("threshold");
   engine.detect_only = cli.get_bool("detect-only");
-  engine.frontier = cli.get_bool("frontier");
   engine.golden_cache_budget_bytes = cli.get_size("golden-cache-budget");
 
   const std::string dict_path = cli.get("dict");
@@ -595,7 +592,6 @@ int cmd_replay(int argc, char** argv) {
                        {"train-budget", "1.0"},
                        {"threads", "0"},
                        {"lane-width", "8"},
-                       {"frontier", "0"},
                        {"golden-cache-budget", "0"},
                        {"json", ""},
                        {"trace-out", ""},
@@ -603,9 +599,7 @@ int cmd_replay(int argc, char** argv) {
                       "Execute a minimized schedule (minimize --out) in file order against\n"
                       "the live model, dropping every fault an earlier stimulus already\n"
                       "detected — the minimum-time in-field test loop. The faults and the\n"
-                      "detection settings are the schedule file's own. --frontier 1 runs\n"
-                      "each step through the divergence-frontier engine; results and\n"
-                      "coverage decisions are bit-identical either way.");
+                      "detection settings are the schedule file's own.");
   if (!cli.parse(argc, argv)) return 0;
   obs::configure(cli.get("trace-out"), cli.get("metrics-out"));
 
@@ -624,7 +618,6 @@ int cmd_replay(int argc, char** argv) {
   config.engine.lane_width = cli.get_size("lane-width");
   config.engine.detection_threshold = schedule.detection_threshold;
   config.engine.detect_only = schedule.detect_only;
-  config.engine.frontier = cli.get_bool("frontier");
   config.engine.golden_cache_budget_bytes = cli.get_size("golden-cache-budget");
 
   const auto replay = coverage::replay_schedule(net, schedule, faults, config);
@@ -658,8 +651,7 @@ int cmd_replay(int argc, char** argv) {
     } else {
       out << "{\"num_faults\":" << faults.size() << ",\"total_detected\":" << replay.total_detected
           << ",\"total_frames\":" << replay.total_frames << ",\"simulated\":" << simulated
-          << ",\"dropped\":" << dropped << ",\"frontier\":"
-          << (config.engine.frontier ? "true" : "false") << ",\"steps\":[";
+          << ",\"dropped\":" << dropped << ",\"steps\":[";
       for (size_t i = 0; i < replay.steps.size(); ++i) {
         const auto& step = replay.steps[i];
         if (i) out << ",";

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "campaign/fingerprint.hpp"
-#include "campaign/frontier_sim.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/lane_sim.hpp"
 #include "campaign/sim_internal.hpp"
@@ -29,11 +28,10 @@
 namespace snntest::campaign {
 namespace {
 
-/// Per-worker scratch of the two fast routes, sized on first use and
-/// reused for every item the worker claims.
+/// Per-worker scratch of the lane route, sized on first use and reused
+/// for every item the worker claims.
 struct WorkerContext {
   LaneSimContext lane;
-  FrontierSimContext frontier;
   detail::SimCounters counters;
 };
 
@@ -107,12 +105,6 @@ size_t CampaignResult::detected_count() const {
 CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
                             const std::vector<fault::FaultDescriptor>& faults,
                             const EngineConfig& config) {
-  return detail::run_campaign(net, stimulus, faults, config, detail::Route::kAuto);
-}
-
-CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
-                                    const std::vector<fault::FaultDescriptor>& faults,
-                                    const EngineConfig& config, Route route) {
   OBS_SPAN("campaign/run");
   util::Timer timer;
   CampaignResult outcome;
@@ -174,22 +166,12 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
   std::vector<WorkItem> items;
   build_worklist(faults, have, L, lane_width, order, items);
 
-  const bool frontier_requested = config.frontier || route == Route::kFrontier;
   GoldenCacheOptions cache_options;
   cache_options.mode = config.kernel_mode;
-  cache_options.state_traces = frontier_requested && config.prefix_reuse;
   cache_options.budget_bytes = config.golden_cache_budget_bytes;
-  if (cache_options.state_traces) {
-    // The frontier walk only reads state traces of layers at or downstream
-    // of its fault layer; record from the campaign's shallowest fault down.
-    size_t min_layer = SIZE_MAX;
-    for (const auto& f : faults) min_layer = std::min(min_layer, fault_layer(f));
-    cache_options.state_traces_from_layer = min_layer;
-  }
-  // Every item at a layer, a lane batch or a frontier walk, reads the same
-  // fault-free synaptic frames, so a layer where two or more items start
-  // gets them cached once. Both routes read golden sums at their fault
-  // layer and downstream.
+  // Every lane batch at a layer reads the same fault-free synaptic frames,
+  // so a layer where two or more batches start gets them cached once. The
+  // batches read golden sums at their fault layer and downstream.
   if (config.prefix_reuse) {
     std::vector<size_t> batches_at(L, 0);
     for (const WorkItem& item : items) ++batches_at[fault_layer(faults[order[item.begin]])];
@@ -203,27 +185,6 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
   const GoldenCache cache = build_golden_cache(net, stimulus, cache_options);
   outcome.stats.golden_cache_bytes = cache.total_bytes;
   outcome.stats.golden_cache_layer_bytes = cache.layer_bytes;
-  outcome.stats.golden_cache_state_traces = cache.has_state_traces;
-
-  // Frontier simulation needs the golden prefix (the walk starts from it)
-  // and the golden LIF state traces (dirty-neuron seeding/retirement).
-  // Either missing falls back to the lane batches — results are
-  // bit-identical either way, so this is a performance downgrade worth one
-  // warning, not an error.
-  bool frontier_ok = false;
-  if (frontier_requested) {
-    frontier_ok = config.prefix_reuse && cache.has_state_traces;
-    if (!frontier_ok) {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        SNNTEST_LOG_WARN("run_campaign: frontier simulation requested but unavailable "
-                         "(prefix_reuse=%d, state_traces=%d); running dense/lane kernels "
-                         "instead",
-                         config.prefix_reuse ? 1 : 0, cache.has_state_traces ? 1 : 0);
-      }
-    }
-  }
-  outcome.stats.frontier_active = frontier_ok;
 
   // --- dynamic-schedule simulation -----------------------------------------
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
@@ -249,20 +210,6 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
   std::atomic<size_t> completed{outcome.stats.pairs_reused};
   std::atomic<bool> cancelled{false};
   std::mutex sink_mutex;  // serializes EngineConfig::result_sink calls
-
-  // Frontier router (kFrontierCutoff, campaign/frontier_sim.hpp): per
-  // fault layer, tally the walk's recomputed neuron-updates against the
-  // dense equivalent over the probe batches; once a layer's observed
-  // recompute fraction reaches the cutoff, its later batches run the lane
-  // kernels instead (bit-identical, just cheaper there). Route::kFrontier
-  // skips the router and walks every item.
-  const bool adaptive = route == Route::kAuto;
-  struct FrontierLayerPolicy {
-    std::atomic<size_t> batches{0};
-    std::atomic<size_t> updates{0};
-    std::atomic<size_t> updates_dense{0};
-  };
-  std::vector<FrontierLayerPolicy> frontier_policy(frontier_ok ? L : 0);
 
   // Per-fault telemetry (sim-time and prefix-depth histograms, one span per
   // fault) is resolved once here and gated per fault on a single branch, so
@@ -291,32 +238,8 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
         }
         return;
       }
-      bool use_frontier = frontier_ok;
-      if (use_frontier && adaptive) {
-        FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
-        if (p.batches.load(std::memory_order_relaxed) >= kFrontierProbeBatches) {
-          const auto dense = static_cast<double>(p.updates_dense.load(std::memory_order_relaxed));
-          const double frac =
-              dense > 0.0 ? static_cast<double>(p.updates.load(std::memory_order_relaxed)) / dense
-                          : 0.0;
-          use_frontier = frac < kFrontierCutoff;
-        }
-      }
-      if (!use_frontier) {
-        simulate_fault_batch(net, stimulus, cache, config, cache.stats, faults, batch, item.count,
-                             outcome.results, workers[w]->counters, workers[w]->lane);
-        return;
-      }
-      simulate_fault_frontier(net, stimulus, cache, config, cache.stats, faults, batch,
-                              item.count, outcome.results, workers[w]->counters,
-                              workers[w]->frontier);
-      if (adaptive) {
-        FrontierLayerPolicy& p = frontier_policy[fault_layer(faults[batch[0]])];
-        p.updates.fetch_add(workers[w]->frontier.last_updates, std::memory_order_relaxed);
-        p.updates_dense.fetch_add(workers[w]->frontier.last_updates_dense,
-                                  std::memory_order_relaxed);
-        p.batches.fetch_add(1, std::memory_order_relaxed);
-      }
+      simulate_fault_batch(net, stimulus, cache, config, cache.stats, faults, batch, item.count,
+                           outcome.results, workers[w]->counters, workers[w]->lane);
     };
     if (obs_on) {
       OBS_SPAN("campaign/fault_sim");
@@ -365,10 +288,6 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
     st.lane_synaptic_adds += c.lane_synaptic_adds;
     st.delta_rows_certified += c.delta_rows_certified;
     st.delta_rows_uncertified += c.delta_rows_uncertified;
-    st.frontier_faults += c.frontier_faults;
-    st.frontier_neuron_updates += c.frontier_neuron_updates;
-    st.frontier_neuron_updates_dense += c.frontier_neuron_updates_dense;
-    st.frontier_fallback_frames += c.frontier_fallback_frames;
   }
   st.layer_forwards_naive = st.faults_simulated * L;
   st.elapsed_seconds = timer.seconds();
@@ -395,15 +314,6 @@ CampaignResult detail::run_campaign(const snn::Network& net, const tensor::Tenso
           .set(static_cast<double>(s.lane_batched_faults) /
                static_cast<double>(s.lane_batches * lane_width));
     }
-    reg.counter("campaign/frontier_faults").add(s.frontier_faults);
-    reg.counter("campaign/frontier_fallback_frames").add(s.frontier_fallback_frames);
-    reg.counter("campaign/frontier_neuron_updates").add(s.frontier_neuron_updates);
-    if (s.frontier_neuron_updates_dense > 0) {
-      reg.gauge("campaign/frontier_recompute_fraction")
-          .set(static_cast<double>(s.frontier_neuron_updates) /
-               static_cast<double>(s.frontier_neuron_updates_dense));
-    }
-    obs::set_report_field("campaign_frontier", s.frontier_active);
     obs::set_report_field("campaign_golden_cache_bytes",
                           static_cast<uint64_t>(s.golden_cache_bytes));
     {

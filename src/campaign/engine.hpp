@@ -27,8 +27,7 @@
 //    are compacted away so the remaining frames run narrower. The lanes
 //    apply each resolved fault to the shared fault-free network, so no
 //    route writes a fault into a network; results stay bit-identical to
-//    the naive walk (snn/lane_network.hpp, DESIGN.md §12). The divergence
-//    frontier (`frontier`) is the other fast route for the same items.
+//    the naive walk (snn/lane_network.hpp, DESIGN.md §12).
 //  * Dynamic scheduling — per-fault cost varies by orders of magnitude
 //    with fault depth, so workers claim small chunks from a shared atomic
 //    counter (util::parallel_for_dynamic) instead of static ranges.
@@ -58,14 +57,14 @@ struct EngineConfig {
   /// detected = output_l1 > detection_threshold (default keeps Eq. (3)).
   double detection_threshold = 0.0;
   /// Reuse golden activations of the layers before the faulty one. False
-  /// selects the naive reference walk instead of the fast routes: each
+  /// selects the naive reference walk instead of the lane route: each
   /// fault is written into a per-worker network clone (fault::ScopedFault)
-  /// and every layer runs from the stimulus, with no lanes, no frontier and
-  /// no pruning (convergence_pruning is not read). Meant as a baseline for
-  /// benches and identity gates; results are identical either way.
+  /// and every layer runs from the stimulus, with no lanes and no pruning
+  /// (convergence_pruning is not read). Meant as a baseline for benches
+  /// and identity gates; results are identical either way.
   bool prefix_reuse = true;
   /// Retire a fault as soon as a layer's faulty output matches its golden
-  /// output (the lane and frontier routes).
+  /// output (the lane route).
   bool convergence_pruning = true;
   /// Only decide detected/undetected: accumulate the output L1 timestep by
   /// timestep and stop once it crosses detection_threshold (or the train
@@ -76,27 +75,15 @@ struct EngineConfig {
   /// All modes produce bit-identical spike trains (snn::KernelMode); the
   /// default kAuto exploits event sparsity per frame and never loses.
   snn::KernelMode kernel_mode = snn::KernelMode::kAuto;
-  /// Divergence-frontier simulation (DESIGN.md §17): downstream of the
-  /// fault layer, recompute per frame only the neurons reachable from the
-  /// set of diverged spikes/state (copying golden values for the rest), in
-  /// the exact dense accumulation order — results stay bit-identical at
-  /// every lane width. The engine's router probes each fault layer and
-  /// keeps the walk only where its recompute fraction says it beats the
-  /// lane batches (sparse cones win; heavily divergent layers lose to SIMD
-  /// lane batching). Requires prefix_reuse and golden state traces (see
-  /// golden_cache_budget_bytes); when either is missing the engine logs a
-  /// one-time warning and runs the lane batches instead. Off by default.
+  /// Read by no engine code; kept for bench/pipeline's route probe (ROADMAP item 12 deletes it).
   bool frontier = false;
   /// Memory budget for the golden cache, in bytes (0 = unlimited). The
   /// per-layer spike trains are irreducible. Over budget, the cached
   /// fault-layer synaptic frames and the golden sums of the dense,
-  /// recurrent and conv layers are dropped first (lane batches compute the
+  /// recurrent and conv layers are dropped (lane batches then compute the
   /// frames in place and take the ordered lane kernels instead of
-  /// golden-plus-delta sums, and the frontier walk sweeps its rows in
-  /// order); when trains + LIF state traces still exceed it the
-  /// state traces are dropped too (fail-soft to prefix-only caching,
-  /// disabling frontier simulation). Each step warns once; results are
-  /// identical either way.
+  /// golden-plus-delta sums); this one shedding step warns once, and
+  /// results are identical either way.
   size_t golden_cache_budget_bytes = 0;
   /// Consulted once per fault, before the worklist is built: return true
   /// and fill `result` when the (fault, stimulus) pair is already known —
@@ -142,9 +129,9 @@ struct EngineStats {
   /// when the request was out of range (which also logs a one-time
   /// warning).
   size_t lane_width_effective = 0;
-  /// Work items the lane and frontier routes executed, batches of one
-  /// included, and the faults they carried: every simulated fault unless
-  /// prefix_reuse is off (the reference walk runs no batches).
+  /// Work items the lane route executed, batches of one included, and the
+  /// faults they carried: every simulated fault unless prefix_reuse is off
+  /// (the reference walk runs no batches).
   size_t lane_batches = 0;
   size_t lane_batched_faults = 0;
   /// Lanes retired before their batch finished: converged onto the golden
@@ -175,27 +162,14 @@ struct EngineStats {
   size_t lane_synaptic_adds = 0;
   size_t delta_rows_certified = 0;
   size_t delta_rows_uncertified = 0;
-  /// True when the run actually used divergence-frontier simulation
-  /// (EngineConfig::frontier requested AND every prerequisite held).
-  bool frontier_active = false;
-  /// Faults simulated through the frontier path.
-  size_t frontier_faults = 0;
-  /// Neuron-timestep updates the frontier path executed, vs. what dense
-  /// frame kernels would have executed for the same (lane, layer, frame)
-  /// work (active lanes × layer size per frame). The ratio is the
-  /// per-neuron work reduction; full-frame fallbacks count on both sides.
+  /// Always 0; kept for bench/pipeline's route probe (ROADMAP item 12 deletes it).
   size_t frontier_neuron_updates = 0;
+  /// Always 0; kept for bench/pipeline's route probe (ROADMAP item 12 deletes it).
   size_t frontier_neuron_updates_dense = 0;
-  /// Frames whose dirty fraction exceeded kFrontierFallbackFraction
-  /// (campaign/frontier_sim.hpp), so the walk recomputed every neuron.
-  size_t frontier_fallback_frames = 0;
-  /// Golden-cache footprint: total retained bytes, the per-layer
-  /// breakdown (spike train + any synaptic frames and state traces), and
-  /// whether the LIF state traces were kept (false after a budget
-  /// fail-soft).
+  /// Golden-cache footprint: total retained bytes and the per-layer
+  /// breakdown (spike train + any synaptic frames and golden sums).
   size_t golden_cache_bytes = 0;
   std::vector<size_t> golden_cache_layer_bytes;
-  bool golden_cache_state_traces = false;
   double elapsed_seconds = 0.0;
 
   double forward_savings() const {
@@ -203,15 +177,6 @@ struct EngineStats {
                ? 0.0
                : 1.0 - static_cast<double>(layer_forwards) /
                            static_cast<double>(layer_forwards_naive);
-  }
-
-  /// Fraction of per-neuron work the frontier walk skipped (0 when the
-  /// frontier path never ran).
-  double frontier_savings() const {
-    return frontier_neuron_updates_dense == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(frontier_neuron_updates) /
-                           static_cast<double>(frontier_neuron_updates_dense);
   }
 };
 

@@ -20,45 +20,6 @@ namespace snntest::campaign {
 
 namespace {
 
-/// Reconstruct the exact post-step LIF state of one (fault-free) layer from
-/// its recorded forward traces. For kNormal neurons LifBank::step implies:
-///   integrated & spiked   -> u = reset, refrac = refractory_i
-///   integrated & no spike -> u = u_pre, refrac = 0
-///   not integrated        -> u = reset, refrac = refrac_prev - 1
-/// u_pre is stored verbatim from the live membrane variable, so the derived
-/// values match the in-flight state bit-for-bit.
-GoldenLayerState derive_layer_state(const snn::LifBank& bank, size_t num_steps) {
-  const size_t n = bank.size();
-  const float reset = bank.defaults().reset_potential;
-  const std::vector<float>& u_pre = bank.trace_u_pre();
-  const std::vector<uint8_t>& spike = bank.trace_spikes();
-  const std::vector<uint8_t>& integ = bank.trace_integrated();
-  GoldenLayerState st;
-  st.u_post.resize(num_steps * n);
-  st.refrac.resize(num_steps * n);
-  std::vector<int32_t> carry(n, 0);  // refrac entering frame t
-  for (size_t t = 0; t < num_steps; ++t) {
-    const size_t base = t * n;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t idx = base + i;
-      if (integ[idx]) {
-        if (spike[idx]) {
-          st.u_post[idx] = reset;
-          carry[i] = bank.refractories()[i];
-        } else {
-          st.u_post[idx] = u_pre[idx];
-          carry[i] = 0;
-        }
-      } else {
-        st.u_post[idx] = reset;
-        carry[i] = carry[i] - 1;
-      }
-      st.refrac[idx] = carry[i];
-    }
-  }
-  return st;
-}
-
 /// Fault-free synaptic frames of `layer` over its golden input train
 /// [T, num_inputs]: one snn::shared_synaptic_frame per frame, time-major.
 std::vector<float> synaptic_trace(const snn::Layer& layer, const tensor::Tensor& input,
@@ -114,7 +75,7 @@ GoldenSums prepare_sums(const snn::Layer& layer, size_t T) {
 /// LIF bank steps on 0.0f + float(W·x) [+ float(V·prev)] — the layer
 /// forward's syn frame, cast point for cast point.
 void forward_keeping_sums(snn::Layer& layer, const tensor::Tensor& in, snn::KernelMode mode,
-                          bool record_traces, GoldenSums& gs, tensor::Tensor& out) {
+                          GoldenSums& gs, tensor::Tensor& out) {
   const size_t T = in.shape().dim(0);
   const size_t n = layer.num_neurons();
   const size_t cols = layer.num_inputs();
@@ -145,7 +106,7 @@ void forward_keeping_sums(snn::Layer& layer, const tensor::Tensor& in, snn::Kern
   };
   out.resize_zero(tensor::Shape{T, n});
   snn::LifBank& lif = layer.lif();
-  lif.begin_run(T, record_traces);
+  lif.begin_run(T, /*record_traces=*/false);
   std::vector<float> syn(n);
   for (size_t t = 0; t < T; ++t) {
     double* ws = gs.w_sums.data() + t * n;
@@ -194,8 +155,8 @@ GoldenSums prepare_conv_sums(const snn::ConvLayer& conv, size_t T) {
 /// cache's channel-last row and narrows into the synaptic frame, and the
 /// layer's LIF bank steps on it — ConvLayer::forward_into's frame, which
 /// the golden network runs without a connection override.
-void forward_keeping_conv_sums(snn::ConvLayer& conv, const tensor::Tensor& in,
-                               bool record_traces, GoldenSums& gs, tensor::Tensor& out) {
+void forward_keeping_conv_sums(snn::ConvLayer& conv, const tensor::Tensor& in, GoldenSums& gs,
+                               tensor::Tensor& out) {
   const size_t T = in.shape().dim(0);
   const size_t n = conv.num_neurons();
   const tensor::simd::ConvLaneGeom geom = conv.spec().geom();
@@ -205,7 +166,7 @@ void forward_keeping_conv_sums(snn::ConvLayer& conv, const tensor::Tensor& in,
   if (obs_on) kernel_obs.ensure_bound(conv.name());
   out.resize_zero(tensor::Shape{T, n});
   snn::LifBank& lif = conv.lif();
-  lif.begin_run(T, record_traces);
+  lif.begin_run(T, /*record_traces=*/false);
   std::vector<float> syn(n);
   std::vector<uint32_t> active;
   for (size_t t = 0; t < T; ++t) {
@@ -284,22 +245,15 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
 
   // Byte accounting is decided BEFORE the pass: the spike trains are
   // irreducible (prefix reuse and the detection comparison need them), so
-  // the budget can only shed the synaptic frames with the golden sums and
-  // then the state traces — fail-soft to in-place frames and ordered lane
-  // sums, then to prefix-only.
-  const size_t from = std::min(options.state_traces_from_layer, L);
+  // the budget can only shed the synaptic frames with the golden sums —
+  // fail-soft to in-place frames and ordered lane sums.
   std::vector<size_t> train_bytes(L, 0);
-  std::vector<size_t> state_bytes(L, 0);
   std::vector<size_t> syn_bytes(L, 0);
   size_t train_total = 0;
-  size_t state_total = 0;
   size_t syn_total = 0;
   for (size_t l = 0; l < L; ++l) {
-    const size_t n = net.layer(l).num_neurons();
-    train_bytes[l] = T * n * sizeof(float);
-    if (l >= from) state_bytes[l] = T * n * (sizeof(float) + sizeof(int32_t));
+    train_bytes[l] = T * net.layer(l).num_neurons() * sizeof(float);
     train_total += train_bytes[l];
-    state_total += state_bytes[l];
   }
   std::vector<GoldenSums> sums(L);
   for (size_t l = options.golden_sums_from_layer; l < L; ++l) {
@@ -323,36 +277,23 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
     syn_bytes[l] += T * net.layer(l).num_neurons() * sizeof(float);
     syn_total += T * net.layer(l).num_neurons() * sizeof(float);
   }
-  bool want_state = options.state_traces;
   bool want_syn = syn_total > 0;
-  if (want_syn && options.budget_bytes > 0 &&
-      train_total + (want_state ? state_total : 0) + syn_total > options.budget_bytes) {
+  if (want_syn && options.budget_bytes > 0 && train_total + syn_total > options.budget_bytes) {
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true)) {
       SNNTEST_LOG_WARN("build_golden_cache: synaptic frames and golden sums need %zu bytes, "
                        "over golden_cache_budget_bytes=%zu; lane batches compute frames in "
-                       "place and take ordered sums, as the frontier walk does",
+                       "place and take ordered sums",
                        syn_total, options.budget_bytes);
     }
     want_syn = false;
     sums.assign(L, GoldenSums{});
   }
-  if (want_state && options.budget_bytes > 0 &&
-      train_total + state_total > options.budget_bytes) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      SNNTEST_LOG_WARN("build_golden_cache: state traces need %zu bytes on top of %zu train "
-                       "bytes, over golden_cache_budget_bytes=%zu; falling back to "
-                       "prefix-only caching (frontier simulation disabled)",
-                       state_total, train_total, options.budget_bytes);
-    }
-    want_state = false;
-  }
 
   snn::Network golden(net);
   golden.set_kernel_mode(options.mode);
-  // Layer-by-layer so trace recording starts at `from`: layers above the
-  // shallowest fault pay neither the recording cost nor the memory.
+  // Layer by layer, so a layer that keeps golden sums takes them from its
+  // own pass.
   cache.forward.layer_outputs.reserve(L);
   if (want_syn) {
     cache.synaptic.resize(L);
@@ -360,17 +301,16 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
   }
   const tensor::Tensor* current = &stimulus;
   for (size_t l = 0; l < L; ++l) {
-    const bool record = want_state && l >= from;
     snn::Layer& layer = golden.layer(l);
     if (want_syn && !sums[l].w_sums.empty()) {
       GoldenSums& gs = cache.sums[l];
       gs = std::move(sums[l]);
       cache.forward.layer_outputs.emplace_back();
       if (gs.conv) {
-        forward_keeping_conv_sums(static_cast<snn::ConvLayer&>(layer), *current, record, gs,
+        forward_keeping_conv_sums(static_cast<snn::ConvLayer&>(layer), *current, gs,
                                   cache.forward.layer_outputs.back());
       } else {
-        forward_keeping_sums(layer, *current, options.mode, record, gs,
+        forward_keeping_sums(layer, *current, options.mode, gs,
                              cache.forward.layer_outputs.back());
       }
       if (want_frames[l] && !gs.conv) {
@@ -388,7 +328,7 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
       // A conv layer with an uncertified channel keeps that list, which
       // tells the lane route its rows take the ordered kernels.
       if (want_syn && sums[l].conv) cache.sums[l] = std::move(sums[l]);
-      cache.forward.layer_outputs.push_back(layer.forward(*current, record));
+      cache.forward.layer_outputs.push_back(layer.forward(*current, /*record_traces=*/false));
     }
     current = &cache.forward.layer_outputs.back();
   }
@@ -401,16 +341,6 @@ GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& st
   if (want_syn) {
     for (size_t l = 0; l < L; ++l) cache.layer_bytes[l] += syn_bytes[l];
     cache.total_bytes += syn_total;
-  }
-  if (want_state) {
-    cache.state.resize(L);
-    for (size_t l = from; l < L; ++l) {
-      cache.state[l] = derive_layer_state(golden.layer(l).lif(), T);
-      cache.layer_bytes[l] += state_bytes[l];
-    }
-    cache.total_bytes += state_total;
-    cache.has_state_traces = true;
-    cache.state_traces_from_layer = from;
   }
   return cache;
 }

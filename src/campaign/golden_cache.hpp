@@ -7,13 +7,12 @@
 // The cache also precomputes everything the detection comparison needs
 // (output spike counts).
 //
-// Optional per-layer traces ride along, all bit-exact and all shed by the
-// memory budget (synaptic frames and golden sums first, then state traces):
+// Optional per-layer traces ride along, all bit-exact and all shed
+// together by the memory budget:
 //  * golden double synaptic sums of the dense and recurrent layers from the
 //    shallowest fault layer of a work item on, with the weights' exactness
 //    certificates and column-major copies — the operands of the lane
-//    route's and the frontier walk's golden-plus-delta sums
-//    (snn::LaneDelta, DESIGN.md §12 and §17);
+//    route's golden-plus-delta sums (snn::LaneDelta, DESIGN.md §12);
 //  * golden double sums of the conv layers strictly downstream of that
 //    layer whose output channels all pass the certificate, with the
 //    packed kernel — the operands of the lane route's conv delta
@@ -23,8 +22,7 @@
 //    work items — the frame every item at that layer would otherwise
 //    recompute; for a dense or recurrent layer, the float cast of its
 //    golden sums; a conv layer with golden sums keeps no float frames, as
-//    the lane route casts its sums instead;
-//  * LIF state traces for the divergence-frontier walk (DESIGN.md §17).
+//    the lane route casts its sums instead.
 #pragma once
 
 #include <cstdint>
@@ -36,17 +34,6 @@
 #include "tensor/tensor.hpp"
 
 namespace snntest::campaign {
-
-/// Per-layer golden LIF state traces (divergence-frontier simulation,
-/// DESIGN.md §17): the exact post-step membrane potential and refractory
-/// counter of every neuron at every timestep of the fault-free run. A
-/// frontier simulation seeds a newly-diverged neuron from (u_post, refrac)
-/// of the previous frame and retires it when its live state matches these
-/// traces again.
-struct GoldenLayerState {
-  std::vector<float> u_post;    // time-major [T, N_l]
-  std::vector<int32_t> refrac;  // time-major [T, N_l]
-};
 
 /// Golden-plus-delta operands of one dense, recurrent or conv layer.
 /// Dense or recurrent: the double sums matvec_sums takes over the golden
@@ -87,13 +74,6 @@ struct GoldenCache {
   /// Layer weight statistics (bit-flip quantization scales) for injectors.
   std::vector<fault::LayerWeightStats> stats;
 
-  /// Per-layer LIF state traces; empty unless built with state_traces and
-  /// within budget (see GoldenCacheOptions). state[l] matches layer l;
-  /// entries below state_traces_from_layer are empty (never read — the
-  /// frontier walk only touches layers at or below its fault layer).
-  std::vector<GoldenLayerState> state;
-  bool has_state_traces = false;
-  size_t state_traces_from_layer = 0;
   /// Per-layer fault-free synaptic frames, time-major [T, N_l]: row t is
   /// snn::shared_synaptic_frame of layer l's golden input frame t. Empty
   /// for every layer not listed in GoldenCacheOptions::synaptic_frame_layers,
@@ -107,8 +87,8 @@ struct GoldenCache {
   std::vector<GoldenSums> sums;
   /// Every stimulus value is 0 or 1 (layer 0's golden-plus-delta condition).
   bool stimulus_binary = false;
-  /// Bytes cached per layer (spike train + any synaptic frames, golden sums
-  /// and state traces) and their sum.
+  /// Bytes cached per layer (spike train + any synaptic frames and golden
+  /// sums) and their sum.
   std::vector<size_t> layer_bytes;
   size_t total_bytes = 0;
 
@@ -134,19 +114,11 @@ struct GoldenCache {
 
 struct GoldenCacheOptions {
   snn::KernelMode mode = snn::KernelMode::kDense;
-  /// Also derive per-layer LIF state traces (u_post + refrac) from a
-  /// trace-recording golden pass.
-  bool state_traces = false;
-  /// First layer whose state traces are recorded and retained. A frontier
-  /// simulation only reads traces of layers at or downstream of its fault
-  /// layer, so a campaign whose shallowest fault lives in layer k skips
-  /// both the recording cost and the memory for layers 0..k-1.
-  size_t state_traces_from_layer = 0;
   /// Layers whose fault-free synaptic frames [T, N_l] are cached (a conv
   /// layer with golden sums keeps the sums instead).
-  /// run_campaign lists each layer at which two or more work items (lane
-  /// batches or frontier walks) start, so every trace is read by several
-  /// items and costs at most the size of that layer's spike train.
+  /// run_campaign lists each layer at which two or more lane batches
+  /// start, so every trace is read by several batches and costs at most
+  /// the size of that layer's spike train.
   std::vector<size_t> synaptic_frame_layers;
   /// First layer whose dense and recurrent layers keep golden sums
   /// (SIZE_MAX: none); conv layers keep theirs strictly downstream of it.
@@ -159,10 +131,8 @@ struct GoldenCacheOptions {
   /// Memory budget over everything the cache retains (0 = unlimited). The
   /// spike trains are irreducible (prefix reuse and detection need them).
   /// Over budget, the synaptic frames and the dense, recurrent and conv
-  /// golden sums go first (lane batches then compute frames in place and
-  /// take the ordered lane kernels); if trains + state traces still exceed
-  /// it the state traces go too — fail-soft to prefix-only. Each shedding
-  /// warns once.
+  /// golden sums all go (lane batches then compute frames in place and
+  /// take the ordered lane kernels), with one warning.
   size_t budget_bytes = 0;
 };
 
@@ -177,8 +147,8 @@ void check_stimulus_shape(const snn::Network& net, const tensor::Tensor& stimulu
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
                                snn::KernelMode mode = snn::KernelMode::kDense);
 
-/// Options overload: synaptic frames, golden sums, state traces and the
-/// memory budget (fail-soft).
+/// Options overload: synaptic frames, golden sums and the memory budget
+/// (fail-soft).
 GoldenCache build_golden_cache(const snn::Network& net, const tensor::Tensor& stimulus,
                                const GoldenCacheOptions& options);
 

@@ -1,9 +1,7 @@
 // Internals shared by the fault-simulation routes: the reference walk
-// (engine.cpp), the lane batches (lane_sim.cpp) and the frontier walk
-// (frontier_sim.cpp). Every route must emit identical DetectionResults, so
-// the result-filling helpers live here in one audited place rather than
-// being duplicated. The one way to force a route past the engine's router
-// is detail::run_campaign below.
+// (engine.cpp) and the lane batches (lane_sim.cpp). Both must emit
+// identical DetectionResults, so the result-filling helpers live here in
+// one audited place rather than being duplicated.
 #pragma once
 
 #include <cmath>
@@ -115,7 +113,7 @@ struct SimCounters {
   size_t simulated = 0;
   size_t pruned = 0;
   size_t layer_forwards = 0;
-  // lane and frontier routes
+  // lane route
   size_t lane_batches = 0;
   size_t lane_batched_faults = 0;
   size_t lanes_retired_early = 0;
@@ -126,23 +124,6 @@ struct SimCounters {
   size_t lane_synaptic_adds = 0;
   size_t delta_rows_certified = 0;
   size_t delta_rows_uncertified = 0;
-  // divergence-frontier path only (campaign/frontier_sim.hpp)
-  size_t frontier_faults = 0;
-  size_t frontier_neuron_updates = 0;
-  size_t frontier_neuron_updates_dense = 0;
-  size_t frontier_fallback_frames = 0;
 };
-
-/// Where run_campaign sends its work items. kAuto is the public
-/// behaviour: lane batches, plus the frontier router's pick per fault layer
-/// when EngineConfig::frontier is set. kFrontier requests the frontier and
-/// sends every item through the walk, past the router, so the identity
-/// tests cover it on layers the router would divert.
-enum class Route : uint8_t { kAuto, kFrontier };
-
-/// campaign::run_campaign with the route forced.
-CampaignResult run_campaign(const snn::Network& net, const tensor::Tensor& stimulus,
-                            const std::vector<fault::FaultDescriptor>& faults,
-                            const EngineConfig& config, Route route);
 
 }  // namespace snntest::campaign::detail

@@ -89,7 +89,7 @@ IncrementalResult run_incremental_campaign(const snn::Network& net,
 
 struct ScheduleReplayConfig {
   /// Engine configuration for each step's campaign (threads, lane width,
-  /// frontier, detection settings, ...). result_cache must be empty.
+  /// detection settings, ...). result_cache must be empty.
   campaign::EngineConfig engine;
 };
 

@@ -4,10 +4,9 @@
 // resolve_lane_fault is the one place a FaultDescriptor becomes faulty
 // values: a neuron-parameter override or a faulty synapse weight, packed
 // into the plain snn::LaneFault POD. Every simulation path consumes it:
-//  * The lane kernels (snn/lane_network.hpp) and the frontier walk
-//    (campaign/frontier_sim.hpp) apply it per lane on a const, shared,
-//    fault-free network; a synapse fault's effect comes from
-//    snn::fault_row.
+//  * The lane kernels (snn/lane_network.hpp) apply it per lane on a
+//    const, shared, fault-free network; a synapse fault's effect comes
+//    from snn::fault_row.
 //  * FaultInjector writes it into a mutable network and records exactly
 //    what it changed, so removal is a perfect restore. `ScopedFault` is its
 //    RAII form. The examples, the test oracles and the campaign engine's

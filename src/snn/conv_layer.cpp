@@ -298,87 +298,6 @@ void ConvLayer::forward_into(const Tensor& in, bool record_traces, Tensor& out) 
   if (record_traces) saved_input_ = in;
 }
 
-float ConvLayer::frontier_synapse(const float* in_frame, const float* /*prev_out_frame*/,
-                                  size_t neuron) const {
-  // One output of conv_forward_frame's (oc, oy, ox) gather, same (ic, ky,
-  // kx) term order and cast point; an active connection override lands on
-  // top exactly like forward_into applies it.
-  const size_t oh = spec_.out_height();
-  const size_t ow = spec_.out_width();
-  const size_t k = spec_.kernel;
-  const size_t oc = neuron / (oh * ow);
-  const size_t oy = (neuron / ow) % oh;
-  const size_t ox = neuron % ow;
-  double acc = 0.0;
-  for (size_t ic = 0; ic < spec_.in_channels; ++ic) {
-    const float* w_base = weights_.data() + ((oc * spec_.in_channels + ic) * k) * k;
-    const float* in_base = in_frame + ic * spec_.in_height * spec_.in_width;
-    for (size_t ky = 0; ky < k; ++ky) {
-      const long iy = static_cast<long>(oy * spec_.stride + ky) - static_cast<long>(spec_.padding);
-      if (iy < 0 || iy >= static_cast<long>(spec_.in_height)) continue;
-      for (size_t kx = 0; kx < k; ++kx) {
-        const long ix =
-            static_cast<long>(ox * spec_.stride + kx) - static_cast<long>(spec_.padding);
-        if (ix < 0 || ix >= static_cast<long>(spec_.in_width)) continue;
-        acc += static_cast<double>(w_base[ky * k + kx]) *
-               in_base[iy * static_cast<long>(spec_.in_width) + ix];
-      }
-    }
-  }
-  float syn = static_cast<float>(acc);
-  if (override_.active && neuron == override_.out_index) {
-    syn += override_.delta * in_frame[override_.in_index];
-  }
-  return syn;
-}
-
-void ConvLayer::frontier_synapse_frame(const float* in_frame, const float* /*prev_out_frame*/,
-                                       float* syn) const {
-  conv_forward_frame(in_frame, syn);
-  if (override_.active) {
-    syn[override_.out_index] += override_.delta * in_frame[override_.in_index];
-  }
-}
-
-bool ConvLayer::frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const {
-  // Receptive-field inverse: every (oc, oy, ox) with a live kernel tap on
-  // input pixel (ic, iy, ix) — same tap-liveness arithmetic as the sparse
-  // scatter kernel (conv_frame_scatter).
-  const size_t oh = spec_.out_height();
-  const size_t ow = spec_.out_width();
-  const size_t k = spec_.kernel;
-  const size_t plane = spec_.in_height * spec_.in_width;
-  const long stride = static_cast<long>(spec_.stride);
-  const size_t rem = in_index % plane;
-  const size_t iy = rem / spec_.in_width;
-  const size_t ix = rem % spec_.in_width;
-  for (size_t ky = 0; ky < k; ++ky) {
-    const long num_y = static_cast<long>(iy + spec_.padding) - static_cast<long>(ky);
-    if (num_y < 0 || num_y % stride != 0) continue;
-    const long oy = num_y / stride;
-    if (oy >= static_cast<long>(oh)) continue;
-    for (size_t kx = 0; kx < k; ++kx) {
-      const long num_x = static_cast<long>(ix + spec_.padding) - static_cast<long>(kx);
-      if (num_x < 0 || num_x % stride != 0) continue;
-      const long ox = num_x / stride;
-      if (ox >= static_cast<long>(ow)) continue;
-      for (size_t oc = 0; oc < spec_.out_channels; ++oc) {
-        out.push_back(static_cast<uint32_t>((oc * oh + static_cast<size_t>(oy)) * ow +
-                                            static_cast<size_t>(ox)));
-      }
-    }
-  }
-  return true;
-}
-
-void ConvLayer::tap_fanout(size_t index, std::vector<uint32_t>& out) const {
-  const size_t positions = spec_.out_height() * spec_.out_width();
-  const size_t oc = index / (spec_.in_channels * spec_.kernel * spec_.kernel);
-  for (size_t p = 0; p < positions; ++p) {
-    out.push_back(static_cast<uint32_t>(oc * positions + p));
-  }
-}
-
 Tensor ConvLayer::backward(const Tensor& grad_out) {
   const size_t T = grad_out.shape().dim(0);
   if (saved_input_.empty() || saved_input_.shape().dim(0) != T) {

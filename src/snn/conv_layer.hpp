@@ -59,16 +59,6 @@ class ConvLayer final : public Layer {
   void forward_into(const Tensor& in, bool record_traces, Tensor& out) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  float frontier_synapse(const float* in_frame, const float* prev_out_frame,
-                         size_t neuron) const override;
-  void frontier_synapse_frame(const float* in_frame, const float* prev_out_frame,
-                              float* syn) const override;
-  bool frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const override;
-  /// Appends the output neurons that stored kernel tap `index` feeds: every
-  /// pixel of its output channel (the frontier walk's seeds of a conv
-  /// weight fault).
-  void tap_fanout(size_t index, std::vector<uint32_t>& out) const;
-
   std::vector<ParamView> params() override;
   LifBank& lif() override { return lif_; }
   const LifBank& lif() const override { return lif_; }

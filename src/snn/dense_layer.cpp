@@ -52,29 +52,6 @@ void DenseLayer::forward_into(const Tensor& in, bool record_traces, Tensor& out)
   if (record_traces) saved_input_ = in;
 }
 
-float DenseLayer::frontier_synapse(const float* in_frame, const float* /*prev_out_frame*/,
-                                   size_t neuron) const {
-  // Row `neuron` of the dense matvec, with the same zero-initialised
-  // float destination and cast point as tensor::matvec_accumulate (the
-  // sparse/gather kernels are bit-identical to it by DESIGN.md §9).
-  const float* row = weights_.data() + neuron * num_inputs_;
-  double acc = 0.0;
-  for (size_t c = 0; c < num_inputs_; ++c) acc += static_cast<double>(row[c]) * in_frame[c];
-  float syn = 0.0f;
-  syn += static_cast<float>(acc);
-  return syn;
-}
-
-void DenseLayer::frontier_synapse_frame(const float* in_frame, const float* /*prev_out_frame*/,
-                                        float* syn) const {
-  std::fill(syn, syn + lif_.size(), 0.0f);
-  tensor::matvec_accumulate(weights_.data(), lif_.size(), num_inputs_, in_frame, syn);
-}
-
-bool DenseLayer::frontier_fanout(size_t /*in_index*/, std::vector<uint32_t>& /*out*/) const {
-  return false;  // every neuron reads every input
-}
-
 Tensor DenseLayer::backward(const Tensor& grad_out) {
   const size_t T = grad_out.shape().dim(0);
   if (saved_input_.empty() || saved_input_.shape().dim(0) != T) {

@@ -102,8 +102,8 @@ struct LaneSynapseFault {
 };
 
 /// One resolved fault: the output of fault::resolve_lane_fault. The lane
-/// kernels and the frontier walk apply it per lane to a const network (the
-/// synapse half through fault_row); FaultInjector writes it into a mutable
+/// kernels apply it per lane to a const network (the synapse half through
+/// fault_row); FaultInjector writes it into a mutable
 /// network for the naive reference walk and the oracles. At most one of
 /// {neuron, synapse} is active (single-fault assumption).
 struct LaneFault {
@@ -247,8 +247,8 @@ struct FaultFrame {
 /// One fault row (see LaneLayerRun::fault_rows_recomputed): the synaptic
 /// current of output `out` of `layer` in one frame with synapse fault `sf`
 /// written into the layer, bit for bit the float its forward computes
-/// there. The lane kernels and the frontier walk both take a synapse
-/// fault's effect from here, so neither writes it into a network.
+/// there. The lane kernels take a synapse fault's effect from here, so
+/// they never write it into a network.
 /// Where the fault's tap is not live at `out` (fault_tap_live), the
 /// feed-forward term is the fault-free float: `frame.clean`, else the cast
 /// of `frame.sums`, else the ordered row sweep.

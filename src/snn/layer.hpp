@@ -186,34 +186,6 @@ class Layer {
   void set_kernel_mode(KernelMode mode) { kernel_mode_ = mode; }
   KernelMode kernel_mode() const { return kernel_mode_; }
 
-  // --- divergence-frontier recompute hooks (campaign/frontier_sim) ---
-  //
-  // The frontier simulator replays single neurons from snapshotted golden
-  // state, so each hook must reproduce the EXACT float value the layer's
-  // full forward produces for that neuron (same ordered double accumulation,
-  // same cast points; DESIGN.md §17). Every layer kind implements them.
-
-  /// Synaptic current of ONE neuron for one frame. `in_frame` is the input
-  /// frame [num_inputs]; `prev_out_frame` is this layer's own output at the
-  /// previous timestep [num_neurons] (nullptr at t == 0; only recurrent
-  /// layers read it). Must equal element `neuron` of the dense kernel's syn
-  /// frame bit-for-bit.
-  virtual float frontier_synapse(const float* in_frame, const float* prev_out_frame,
-                                 size_t neuron) const = 0;
-
-  /// Full-frame synaptic currents into `syn` [num_neurons] — the dense
-  /// fallback for frames whose frontier exceeds the recompute threshold.
-  /// Bit-identical to the frame the forward path feeds LifBank::step.
-  virtual void frontier_synapse_frame(const float* in_frame, const float* prev_out_frame,
-                                      float* syn) const = 0;
-
-  /// Output neurons whose synaptic current reads input element `in_index`
-  /// (appended to `out`, which the caller clears). Returns false when the
-  /// fan-out is effectively dense (every output reads every input), in
-  /// which case `out` is left untouched and the caller dirties the whole
-  /// layer.
-  virtual bool frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const = 0;
-
   /// When disabled, backward() skips accumulating parameter gradients
   /// (dL/dW) and computes only dL/d(input spikes). The input-optimization
   /// hot loop (core/input_optimizer.cpp) zeroes and discards the weight

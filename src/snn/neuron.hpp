@@ -51,13 +51,12 @@ struct LifStepResult {
 };
 
 /// Advance ONE neuron by one timestep, mutating (u, refrac_left) in place.
-/// The per-neuron statement of the LIF float expressions: the campaign
-/// frontier simulator calls it, and LifBank::step runs the SIMD table's
-/// frame kernels (tensor::simd::LaneKernels::lif_frame / lif_frame_traced),
-/// which tests/test_simd.cpp checks against it element by element, so a
-/// neuron resimulated from a snapshotted (u, refrac_left) reproduces the
-/// dense path bit-for-bit. Must be compiled with -ffp-contract=off in every
-/// TU that uses it (see src/CMakeLists.txt).
+/// The per-neuron statement of the LIF float expressions: the SIMD table's
+/// scalar frame kernels (tensor::simd::LaneKernels::lif_frame /
+/// lif_frame_traced) run it verbatim, and tests/test_simd.cpp checks every
+/// backend's, and so LifBank::step and the lane route's, against it element
+/// by element. Must be compiled with -ffp-contract=off in every TU that
+/// uses it (see src/CMakeLists.txt).
 inline LifStepResult lif_step_neuron(float& u, int& refrac_left, float syn, NeuronMode mode,
                                      float threshold, float leak, int refractory,
                                      float reset_potential) {

@@ -52,47 +52,6 @@ void SumPoolLayer::forward_into(const Tensor& in, bool record_traces, Tensor& ou
   }
 }
 
-float SumPoolLayer::frontier_synapse(const float* in_frame, const float* /*prev_out_frame*/,
-                                     size_t neuron) const {
-  // One window of pool_frame: float accumulation in the identical
-  // ascending (wy, wx) order.
-  const size_t oh = spec_.out_height();
-  const size_t ow = spec_.out_width();
-  const size_t c = neuron / (oh * ow);
-  const size_t oy = (neuron / ow) % oh;
-  const size_t ox = neuron % ow;
-  const float* in_base = in_frame + c * spec_.in_height * spec_.in_width;
-  float acc = 0.0f;
-  for (size_t wy = 0; wy < spec_.window; ++wy) {
-    const size_t iy = oy * spec_.window + wy;
-    for (size_t wx = 0; wx < spec_.window; ++wx) {
-      acc += in_base[iy * spec_.in_width + ox * spec_.window + wx];
-    }
-  }
-  return acc;
-}
-
-void SumPoolLayer::frontier_synapse_frame(const float* in_frame,
-                                          const float* /*prev_out_frame*/, float* syn) const {
-  pool_frame(in_frame, syn);
-}
-
-bool SumPoolLayer::frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const {
-  // Non-overlapping windows: a pixel feeds at most one pool neuron (none
-  // when it falls outside the fitted windows).
-  const size_t oh = spec_.out_height();
-  const size_t ow = spec_.out_width();
-  const size_t plane = spec_.in_height * spec_.in_width;
-  const size_t c = in_index / plane;
-  const size_t rem = in_index % plane;
-  const size_t oy = (rem / spec_.in_width) / spec_.window;
-  const size_t ox = (rem % spec_.in_width) / spec_.window;
-  if (oy < oh && ox < ow) {
-    out.push_back(static_cast<uint32_t>((c * oh + oy) * ow + ox));
-  }
-  return true;
-}
-
 Tensor SumPoolLayer::backward(const Tensor& grad_out) {
   const size_t T = grad_out.shape().dim(0);
   Tensor grad_syn(Shape{T, lif_.size()});

@@ -41,12 +41,6 @@ class SumPoolLayer final : public Layer {
   void forward_into(const Tensor& in, bool record_traces, Tensor& out) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  float frontier_synapse(const float* in_frame, const float* prev_out_frame,
-                         size_t neuron) const override;
-  void frontier_synapse_frame(const float* in_frame, const float* prev_out_frame,
-                              float* syn) const override;
-  bool frontier_fanout(size_t in_index, std::vector<uint32_t>& out) const override;
-
   std::vector<ParamView> params() override { return {}; }
   LifBank& lif() override { return lif_; }
   const LifBank& lif() const override { return lif_; }

@@ -71,42 +71,6 @@ void RecurrentLayer::forward_into(const Tensor& in, bool record_traces, Tensor& 
   }
 }
 
-float RecurrentLayer::frontier_synapse(const float* in_frame, const float* prev_out_frame,
-                                       size_t neuron) const {
-  // forward_into adds TWO separately rounded matvec contributions into the
-  // zeroed syn frame (feed-forward, then lateral when t > 0); replicate
-  // both cast points exactly.
-  const size_t n = lif_.size();
-  float syn = 0.0f;
-  {
-    const float* row = weights_.data() + neuron * num_inputs_;
-    double acc = 0.0;
-    for (size_t c = 0; c < num_inputs_; ++c) acc += static_cast<double>(row[c]) * in_frame[c];
-    syn += static_cast<float>(acc);
-  }
-  if (prev_out_frame != nullptr) {
-    const float* row = recurrent_.data() + neuron * n;
-    double acc = 0.0;
-    for (size_t c = 0; c < n; ++c) acc += static_cast<double>(row[c]) * prev_out_frame[c];
-    syn += static_cast<float>(acc);
-  }
-  return syn;
-}
-
-void RecurrentLayer::frontier_synapse_frame(const float* in_frame, const float* prev_out_frame,
-                                            float* syn) const {
-  const size_t n = lif_.size();
-  std::fill(syn, syn + n, 0.0f);
-  tensor::matvec_accumulate(weights_.data(), n, num_inputs_, in_frame, syn);
-  if (prev_out_frame != nullptr) {
-    tensor::matvec_accumulate(recurrent_.data(), n, n, prev_out_frame, syn);
-  }
-}
-
-bool RecurrentLayer::frontier_fanout(size_t /*in_index*/, std::vector<uint32_t>& /*out*/) const {
-  return false;  // dense fan-out (and the lateral matrix couples everything)
-}
-
 Tensor RecurrentLayer::backward(const Tensor& grad_out) {
   const size_t T = grad_out.shape().dim(0);
   const size_t n = lif_.size();

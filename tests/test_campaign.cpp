@@ -1,7 +1,7 @@
 // Differential campaign-engine tests: golden-cache correctness, bit-identical
 // equivalence with an independently-coded naive campaign, prefix-reuse /
 // convergence-pruning accounting, detect-only early exit, configurable
-// detection threshold, lane batching and frontier simulation. The oracle
+// detection threshold and lane batching. The oracle
 // is tests/support/naive_reference.hpp.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "campaign/fingerprint.hpp"
 #include "campaign/golden_cache.hpp"
 #include "campaign/shard.hpp"
-#include "campaign/sim_internal.hpp"
 #include "coverage/incremental.hpp"
 #include "fault/coverage.hpp"
 #include "fault/registry.hpp"
@@ -518,8 +517,8 @@ TEST(Engine, OutOfRangeLaneWidthClampedAndSurfacedInStats) {
 TEST(Engine, FaultLayerOutOfRangeIsRejected) {
   // A fault whose layer lies outside the network (an API caller's typo, or
   // an SNFD fault universe, whose layers are unchecked u64s) is rejected
-  // before any simulation, on every route, and FaultInjector fails the same
-  // way.
+  // before any simulation, at lane widths 1 and 8, and FaultInjector fails
+  // the same way.
   auto net = make_net();
   const size_t L = net.num_layers();
   const auto input = busy_input();
@@ -540,21 +539,17 @@ TEST(Engine, FaultLayerOutOfRangeIsRejected) {
     const std::string expected = "fault 5 targets layer " + std::to_string(fault_layer(bad)) +
                                  " but num_layers is " + std::to_string(L);
     for (size_t width : {1, 8}) {
-      for (bool frontier : {false, true}) {
-        EngineConfig cfg;
-        cfg.lane_width = width;
-        cfg.frontier = frontier;
-        size_t sunk = 0;
-        cfg.result_sink = [&](size_t, const fault::DetectionResult&) { ++sunk; };
-        try {
-          run_campaign(net, input, faults, cfg);
-          ADD_FAILURE() << bad.to_string() << " accepted at width " << width
-                        << " frontier " << frontier;
-        } catch (const std::out_of_range& e) {
-          EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
-        }
-        EXPECT_EQ(sunk, 0u);
+      EngineConfig cfg;
+      cfg.lane_width = width;
+      size_t sunk = 0;
+      cfg.result_sink = [&](size_t, const fault::DetectionResult&) { ++sunk; };
+      try {
+        run_campaign(net, input, faults, cfg);
+        ADD_FAILURE() << bad.to_string() << " accepted at width " << width;
+      } catch (const std::out_of_range& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
       }
+      EXPECT_EQ(sunk, 0u);
     }
     fault::FaultInjector injector(net);
     EXPECT_THROW(injector.inject(bad), std::out_of_range) << bad.to_string();
@@ -1111,16 +1106,6 @@ TEST(LaneBatch, WideBinadeWeightsFailCertificateAndMatchNaiveReference) {
       EngineConfig dcfg = cfg;
       dcfg.detect_only = true;
       expect_results_identical(run_campaign(net, input, faults, dcfg).results, naive_detect);
-      // The frontier walk's golden-plus-delta rows take the same
-      // certificate; its uncertified rows sweep the row in order.
-      constexpr auto kWalk = detail::Route::kFrontier;
-      EngineConfig fcfg = cfg;
-      const auto frontier = detail::run_campaign(net, input, faults, fcfg, kWalk);
-      EXPECT_EQ(frontier.stats.frontier_faults, faults.size());
-      expect_results_identical(frontier.results, naive);
-      fcfg.detect_only = true;
-      expect_results_identical(detail::run_campaign(net, input, faults, fcfg, kWalk).results,
-                               naive_detect);
     }
   }
 }
@@ -1348,7 +1333,7 @@ TEST(LaneBatch, ConvDeltaSumsBitIdenticalToNaiveReference) {
   // the layer's float frames, and the lane batches take the conv delta. At
   // every lane width (1-8 and 16), kernel mode and backend, full and
   // detect-only results must match the naive oracle, and the delta must do
-  // work; so must the frontier walk's at two widths.
+  // work.
   tensor::simd::Backend prior = tensor::simd::active_backend();
   for (auto& c : conv_delta_cases()) {
     SCOPED_TRACE(c.name);
@@ -1384,8 +1369,7 @@ TEST(LaneBatch, ConvDeltaSumsBitIdenticalToNaiveReference) {
     }
     auto faults = per_layer_sample(c.net, 18, 333);
     // Synapse faults dominate the sample; neuron faults at the delta conv
-    // read its fault-free currents, the casts of its golden sums, on both
-    // routes.
+    // read its fault-free currents, the casts of its golden sums.
     std::vector<fault::FaultDescriptor> neuron_faults;
     for (const auto& f : fault::enumerate_faults(c.net, all_kinds_config(true))) {
       if (fault_layer(f) == conv_l && f.targets_neuron()) neuron_faults.push_back(f);
@@ -1416,15 +1400,6 @@ TEST(LaneBatch, ConvDeltaSumsBitIdenticalToNaiveReference) {
           const auto fast = run_campaign(c.net, c.input, faults, dcfg);
           expect_results_identical(fast.results, naive_detect);
           EXPECT_GT(fast.stats.delta_rows_certified, 0u);
-          if (width != 2 && width != 8) continue;
-          // The frontier walk reads the sums' casts as the conv fault
-          // layer's fault-free frames.
-          constexpr auto kWalk = detail::Route::kFrontier;
-          const auto walk = detail::run_campaign(c.net, c.input, faults, cfg, kWalk);
-          EXPECT_EQ(walk.stats.frontier_faults, faults.size());
-          expect_results_identical(walk.results, naive);
-          const auto walk_detect = detail::run_campaign(c.net, c.input, faults, dcfg, kWalk);
-          expect_results_identical(walk_detect.results, naive_detect);
         }
       }
     }
@@ -1666,287 +1641,65 @@ TEST(DeterminismMatrix, ShardingLanesAndThreadsNeverChangeResults) {
   }
 }
 
-// ---- Divergence-frontier simulation (DESIGN.md §17) -----------------------
+// ---- Result cache and golden-cache budget ---------------------------------
 
-TEST(Frontier, FuzzMatrixBitIdenticalToDense) {
-  // The frontier walk recomputes only the fault-effect cone; every
-  // configuration must reproduce the naive oracle's DetectionResults
-  // bit-for-bit, and the frontier-off engine's pruning: three
-  // architectures (dense MLP, conv+pool with conv-connection and kernel-tap
-  // faults, recurrent with lateral V faults) x lane widths {1, 2, 8} x
-  // kernel modes x full/detect-only x telemetry on/off.
-  struct Case {
-    std::string name;
-    snn::Network net;
-    tensor::Tensor input;
-    std::vector<fault::FaultDescriptor> faults;
-  };
-  std::vector<Case> cases;
-  {
-    auto net = make_net();
-    auto input = busy_input(14, 8, 171);
-    auto faults = all_kinds_universe(net, 48, 172);
-    cases.push_back({"dense-mlp", std::move(net), std::move(input), std::move(faults)});
-  }
-  {
-    auto net = make_conv_pool_net();
-    util::Rng rng(173);
-    auto input = snn::random_spike_train(12, net.input_size(), 0.12, rng);
-    auto faults = all_kinds_universe(net, 48, 174, /*conv_connections=*/true);
-    // Stored kernel-tap faults as well: with connection granularity the
-    // conv layer's dead and saturated faults are per connection, so the
-    // sample above holds no tap, whose seeds are its channel's pixels.
-    for (const auto& f : all_kinds_universe(net, 48, 177)) {
-      if (!f.targets_neuron() && net.layer(fault_layer(f)).kind() == snn::LayerKind::kConv2d) {
-        faults.push_back(f);
-      }
-    }
-    cases.push_back({"conv-pool-dense", std::move(net), std::move(input), std::move(faults)});
-  }
-  {
-    auto net = make_recurrent_net();
-    util::Rng rng(175);
-    auto input = snn::random_spike_train(16, net.input_size(), 0.4, rng);
-    auto faults = all_kinds_universe(net, 48, 176);
-    cases.push_back({"recurrent", std::move(net), std::move(input), std::move(faults)});
-  }
-
-  const bool telemetry_before = obs::telemetry_enabled();
-  for (auto& c : cases) {
-    ASSERT_FALSE(c.faults.empty()) << c.name;
-    // The synapse faults the walk takes from snn::fault_row: conv
-    // connections and recurrent lateral weights are in the mix.
-    const bool has_special = std::any_of(c.faults.begin(), c.faults.end(), [](const auto& f) {
-      return f.connection_granularity || (!f.targets_neuron() && f.weight.param == 1);
-    });
-    EXPECT_EQ(has_special, c.name != "dense-mlp") << c.name;
-    const auto naive = test_support::naive_reference(c.net, c.input, c.faults);
-    const auto naive_detect =
-        test_support::naive_reference(c.net, c.input, c.faults, 0.0, /*detect_only=*/true);
-    EngineConfig base_cfg;
-    base_cfg.lane_width = 1;
-    const auto base = run_campaign(c.net, c.input, c.faults, base_cfg);
-    EXPECT_FALSE(base.stats.frontier_active) << c.name;
-    EXPECT_GT(base.stats.faults_pruned, 0u) << c.name;
-    EXPECT_EQ(base.stats.frontier_faults, 0u) << c.name;
-
-    for (const size_t width : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (const auto mode :
-           {snn::KernelMode::kDense, snn::KernelMode::kSparse, snn::KernelMode::kAuto}) {
-        for (const bool telemetry : {false, true}) {
-          SCOPED_TRACE(c.name + " width=" + std::to_string(width) + " mode=" +
-                       std::to_string(static_cast<int>(mode)) +
-                       (telemetry ? " telemetry" : ""));
-          obs::set_telemetry_enabled(telemetry);
-          // Route every batch through the frontier walk so the matrix
-          // exercises it unconditionally (the engine's router would divert
-          // unprofitable layers to the lane kernels).
-          constexpr auto kWalk = detail::Route::kFrontier;
-          EngineConfig cfg;
-          cfg.lane_width = width;
-          cfg.kernel_mode = mode;
-          const auto frontier = detail::run_campaign(c.net, c.input, c.faults, cfg, kWalk);
-          EngineConfig dcfg = cfg;
-          dcfg.detect_only = true;
-          const auto frontier_fast = detail::run_campaign(c.net, c.input, c.faults, dcfg, kWalk);
-          obs::set_telemetry_enabled(telemetry_before);
-
-          EXPECT_TRUE(frontier.stats.frontier_active);
-          EXPECT_EQ(frontier.stats.frontier_faults, frontier.stats.faults_simulated);
-          EXPECT_TRUE(frontier.stats.golden_cache_state_traces);
-          EXPECT_GT(frontier.stats.frontier_neuron_updates_dense, 0u);
-          EXPECT_LE(frontier.stats.frontier_neuron_updates,
-                    frontier.stats.frontier_neuron_updates_dense);
-          expect_results_identical(frontier.results, naive);
-          // Convergence decisions are exact on both paths, so pruning and
-          // forward accounting agree with the frontier-off engine.
-          EXPECT_EQ(frontier.stats.faults_pruned, base.stats.faults_pruned);
-
-          expect_results_identical(frontier_fast.results, naive_detect);
-
-          // Without the cached frames and golden sums (a budget one byte
-          // short sheds them, keeping the state traces) the walk sweeps
-          // every row in order: identical results.
-          EngineConfig shed_cfg = cfg;
-          shed_cfg.golden_cache_budget_bytes = frontier.stats.golden_cache_bytes - 1;
-          const auto shed = detail::run_campaign(c.net, c.input, c.faults, shed_cfg, kWalk);
-          EXPECT_TRUE(shed.stats.frontier_active);
-          EXPECT_LT(shed.stats.golden_cache_bytes, frontier.stats.golden_cache_bytes);
-          expect_results_identical(shed.results, naive);
-        }
-      }
-    }
-  }
-}
-
-TEST(Frontier, DirtyFractionFallbackStaysIdentical) {
-  // A frame whose dirty set holds more than kFrontierFallbackFraction of a
-  // layer's neurons recomputes every neuron (the frame kernel on the conv
-  // and pool layers, which keep no golden sums). The forced walk must take
-  // that fallback on both architectures, at widths 1 and 8, and stay
-  // bit-identical to the naive oracle, full and detect-only.
-  struct Case {
-    std::string name;
-    snn::Network net;
-    tensor::Tensor input;
-    std::vector<fault::FaultDescriptor> faults;
-  };
-  std::vector<Case> cases;
-  {
-    auto net = make_net();
-    auto input = busy_input(14, 8, 181);
-    auto faults = all_kinds_universe(net, 32, 182);
-    cases.push_back({"dense-mlp", std::move(net), std::move(input), std::move(faults)});
-  }
-  {
-    auto net = make_conv_pool_net();
-    util::Rng rng(183);
-    auto input = snn::random_spike_train(10, net.input_size(), 0.12, rng);
-    auto faults = all_kinds_universe(net, 32, 184, /*conv_connections=*/true);
-    cases.push_back({"conv-pool-dense", std::move(net), std::move(input), std::move(faults)});
-  }
-  for (auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    const auto naive = test_support::naive_reference(c.net, c.input, c.faults);
-    const auto naive_detect =
-        test_support::naive_reference(c.net, c.input, c.faults, 0.0, /*detect_only=*/true);
-    for (const size_t width : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE("width=" + std::to_string(width));
-      EngineConfig cfg;
-      cfg.lane_width = width;
-      const auto forced =
-          detail::run_campaign(c.net, c.input, c.faults, cfg, detail::Route::kFrontier);
-      EXPECT_TRUE(forced.stats.frontier_active);
-      EXPECT_GT(forced.stats.frontier_fallback_frames, 0u);
-      expect_results_identical(forced.results, naive);
-
-      cfg.detect_only = true;
-      const auto fast =
-          detail::run_campaign(c.net, c.input, c.faults, cfg, detail::Route::kFrontier);
-      EXPECT_GT(fast.stats.frontier_fallback_frames, 0u);
-      expect_results_identical(fast.results, naive_detect);
-    }
-  }
-}
-
-TEST(Frontier, BudgetExhaustionFailsSoftToPrefixOnly) {
-  // The budget sheds in order: first the cached fault-layer synaptic
-  // frames (lane batches then compute them in place, frontier unaffected),
-  // then the LIF state traces (keeping the irreducible spike trains), which
-  // disables the frontier walk — the campaign must fall back to the
-  // dense/lane kernels with identical results, and the accounting must say
-  // what happened.
+TEST(Engine, ResultCacheServesKnownPairsAndSimulatesOnlyTheRest) {
+  // Pairs the result cache serves skip simulation and never reach
+  // result_sink; the joined results equal the naive oracle's at widths 1
+  // and 8. (Resuming a cancelled campaign from a dictionary is
+  // Incremental.CancelledRunResumesFromDictionary in test_coverage.)
   auto net = make_net();
-  const size_t T = 14;
-  const auto input = busy_input(T, 8, 191);
-  const auto faults = all_kinds_universe(net, 32, 192);
-  const auto base = run_campaign(net, input, faults, {});
-
-  // Closed form of the synaptic frames, T*N*4 bytes per layer at which two
-  // or more lane batches start, and of the golden sums, kept from the first
-  // lane-batch layer on (the frontier router lets batches run); the budget
-  // sheds them together.
-  size_t syn_bytes = 0;
-  const auto batches = lane_batches_per_layer(faults, net.num_layers(), 8);
-  for (size_t l = 0; l < net.num_layers(); ++l) {
-    if (batches[l] >= 2) syn_bytes += T * net.layer(l).num_neurons() * sizeof(float);
-    if (l >= first_batch_layer(batches)) syn_bytes += golden_sums_bytes(net.layer(l), T);
+  const auto input = busy_input();
+  const auto faults = sampled_universe(net, 64, 197);
+  const auto naive = test_support::naive_reference(net, input, faults);
+  for (const size_t width : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    EngineConfig cfg;
+    cfg.lane_width = width;
+    size_t served = 0;
+    cfg.result_cache = [&](size_t j, fault::DetectionResult& r) {
+      if (j % 3 == 0) return false;
+      r = naive[j];
+      ++served;
+      return true;
+    };
+    std::vector<size_t> sunk;
+    cfg.result_sink = [&](size_t j, const fault::DetectionResult&) { sunk.push_back(j); };
+    const auto run = run_campaign(net, input, faults, cfg);
+    EXPECT_EQ(served, faults.size() - (faults.size() + 2) / 3);
+    EXPECT_EQ(run.stats.pairs_reused, served);
+    EXPECT_EQ(run.stats.faults_simulated, faults.size() - served);
+    std::sort(sunk.begin(), sunk.end());
+    EXPECT_EQ(std::adjacent_find(sunk.begin(), sunk.end()), sunk.end());
+    EXPECT_EQ(sunk.size(), faults.size() - served);
+    for (const size_t j : sunk) EXPECT_EQ(j % 3, 0u) << "served pair " << j << " was sunk";
+    expect_results_identical(run.results, naive);
   }
-  ASSERT_GT(syn_bytes, 0u);
-
-  EngineConfig roomy_cfg;
-  roomy_cfg.frontier = true;
-  const auto roomy = run_campaign(net, input, faults, roomy_cfg);
-  ASSERT_TRUE(roomy.stats.frontier_active);
-  ASSERT_TRUE(roomy.stats.golden_cache_state_traces);
-
-  // One byte short: the synaptic frames and golden sums go, the state
-  // traces stay.
-  EngineConfig no_syn_cfg;
-  no_syn_cfg.frontier = true;
-  no_syn_cfg.golden_cache_budget_bytes = roomy.stats.golden_cache_bytes - 1;
-  const auto no_syn = run_campaign(net, input, faults, no_syn_cfg);
-  EXPECT_TRUE(no_syn.stats.frontier_active);
-  EXPECT_TRUE(no_syn.stats.golden_cache_state_traces);
-  EXPECT_EQ(no_syn.stats.golden_cache_bytes, roomy.stats.golden_cache_bytes - syn_bytes);
-  EXPECT_EQ(no_syn.stats.synaptic_frames_cached, 0u);
-  EXPECT_EQ(no_syn.stats.delta_rows_certified, 0u);
-  expect_results_identical(no_syn.results, base.results);
-
-  EngineConfig tight_cfg;
-  tight_cfg.frontier = true;
-  // Enough for the spike trains alone, not for trains + state traces.
-  tight_cfg.golden_cache_budget_bytes = no_syn.stats.golden_cache_bytes - 1;
-  const auto tight = run_campaign(net, input, faults, tight_cfg);
-  EXPECT_FALSE(tight.stats.frontier_active);
-  EXPECT_FALSE(tight.stats.golden_cache_state_traces);
-  EXPECT_EQ(tight.stats.frontier_faults, 0u);
-  EXPECT_LT(tight.stats.golden_cache_bytes, no_syn.stats.golden_cache_bytes);
-  // Shedding the state traces implies the synaptic frames were shed first,
-  // so every lane batch computes its fault-layer frames in place.
-  EXPECT_EQ(tight.stats.synaptic_frames_cached, 0u);
-  EXPECT_GT(tight.stats.synaptic_frames_computed, 0u);
-  expect_results_identical(tight.results, base.results);
-
-  // A budget that does fit everything changes nothing.
-  EngineConfig fitting_cfg;
-  fitting_cfg.frontier = true;
-  fitting_cfg.golden_cache_budget_bytes = roomy.stats.golden_cache_bytes;
-  const auto fitting = run_campaign(net, input, faults, fitting_cfg);
-  EXPECT_TRUE(fitting.stats.frontier_active);
-  EXPECT_EQ(fitting.stats.golden_cache_bytes, roomy.stats.golden_cache_bytes);
-  expect_results_identical(fitting.results, base.results);
 }
 
-TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
+TEST(GoldenCache, MemoryAccountingIsExact) {
   // Per-layer byte accounting: spike train = T*N*4 bytes; a layer at which
-  // two or more work items (lane batches or frontier walks) start adds its
-  // fault-free synaptic frames, T*N*4 bytes, and every dense or recurrent
-  // layer from the first item's layer on adds its golden sums
-  // (golden_sums_bytes); state traces add T*N*(4+4) bytes per layer when
-  // retained — and they are retained only from the campaign's shallowest
-  // fault layer down (layers above it are never read by the frontier
-  // walk). The stats must reproduce the closed form exactly, with and
-  // without the frontier, at a width where no layer hosts two batches and
-  // at one where some do.
+  // two or more lane batches start adds its fault-free synaptic frames,
+  // T*N*4 bytes, and every dense or recurrent layer from the first batch's
+  // layer on adds its golden sums (golden_sums_bytes). The stats must
+  // reproduce the closed form exactly at a width where no layer hosts two
+  // batches (8) and at one where some do (2).
   auto net = make_net();
   const size_t T = 14;
   const auto input = busy_input(T, 8, 195);
   const auto faults = sampled_universe(net, 8, 196);
-  size_t min_layer = net.num_layers();
-  for (const auto& f : faults) min_layer = std::min(min_layer, fault_layer(f));
-
-  struct Run {
-    std::string name;
-    EngineConfig cfg;
-    bool state;
-    detail::Route route = detail::Route::kAuto;
-  };
-  std::vector<Run> runs;
-  runs.push_back({"plain", {}, false});
-  EngineConfig fcfg;
-  fcfg.frontier = true;
-  runs.push_back({"frontier", fcfg, true});
-  EngineConfig narrow;
-  narrow.lane_width = 2;
-  runs.push_back({"plain-w2", narrow, false});
-  EngineConfig fnarrow = narrow;
-  fnarrow.frontier = true;
-  runs.push_back({"frontier-w2", fnarrow, true});
-  runs.push_back({"frontier-forced-w2", narrow, true, detail::Route::kFrontier});
-
   bool some_syn = false;
   bool some_sums = false;
-  for (const Run& run : runs) {
-    SCOPED_TRACE(run.name);
-    const auto result = detail::run_campaign(net, input, faults, run.cfg, run.route);
+  for (const size_t width : {size_t{8}, size_t{2}}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    EngineConfig cfg;
+    cfg.lane_width = width;
+    const auto result = run_campaign(net, input, faults, cfg);
     ASSERT_EQ(result.stats.golden_cache_layer_bytes.size(), net.num_layers());
-    const auto batches = lane_batches_per_layer(faults, net.num_layers(), run.cfg.lane_width);
+    const auto batches = lane_batches_per_layer(faults, net.num_layers(), width);
     size_t total = 0;
     for (size_t l = 0; l < net.num_layers(); ++l) {
       const size_t n = net.layer(l).num_neurons();
-      const size_t expected_state =
-          run.state && l >= min_layer ? T * n * (sizeof(float) + sizeof(int32_t)) : size_t{0};
       size_t expected_syn = batches[l] >= 2 ? T * n * sizeof(float) : size_t{0};
       some_syn = some_syn || expected_syn > 0;
       if (l >= first_batch_layer(batches)) {
@@ -1954,84 +1707,58 @@ TEST(Frontier, GoldenCacheMemoryAccountingIsExact) {
         some_sums = some_sums || sums > 0;
         expected_syn += sums;
       }
-      EXPECT_EQ(result.stats.golden_cache_layer_bytes[l],
-                T * n * sizeof(float) + expected_state + expected_syn)
+      EXPECT_EQ(result.stats.golden_cache_layer_bytes[l], T * n * sizeof(float) + expected_syn)
           << "layer " << l;
       total += result.stats.golden_cache_layer_bytes[l];
     }
     EXPECT_EQ(result.stats.golden_cache_bytes, total);
-    EXPECT_EQ(result.stats.golden_cache_state_traces, run.state);
   }
   EXPECT_TRUE(some_syn);
   EXPECT_TRUE(some_sums);
 }
 
-TEST(Frontier, ComposesWithResultCache) {
-  // The frontier path must honor the rest of the engine contract: serving
-  // pairs from a result cache joins to the frontier-off truth bit-exactly.
-  // (Resuming a cancelled frontier campaign from a dictionary is
-  // Incremental.CancelledRunResumesFromDictionary in test_coverage.)
+TEST(LaneBatch, BudgetOneByteShortKeepsOnlyTheSpikeTrains) {
+  // The budget has one shedding step: the fault-layer synaptic frames and
+  // the golden sums go together, and the spike trains, which prefix reuse
+  // and detection need, always stay. One byte short of the roomy cache
+  // leaves exactly the trains (T*N*4 bytes per layer) and every lane batch
+  // computes its frames in place; a budget equal to the roomy size changes
+  // nothing. Results equal the naive oracle's throughout.
   auto net = make_net();
-  const auto input = busy_input();
-  const auto faults = sampled_universe(net, 64, 197);
-  const auto truth = run_campaign(net, input, faults, {});
+  const size_t T = 14;
+  const auto input = busy_input(T, 8, 191);
+  const auto faults = all_kinds_universe(net, 32, 192);
+  const auto naive = test_support::naive_reference(net, input, faults);
 
-  EngineConfig cache_cfg;
-  cache_cfg.result_cache = [&truth](size_t j, fault::DetectionResult& r) {
-    if (j % 2 == 0) return false;
-    r = truth.results[j];
-    return true;
-  };
-  const auto cached =
-      detail::run_campaign(net, input, faults, cache_cfg, detail::Route::kFrontier);
-  EXPECT_EQ(cached.stats.pairs_reused, faults.size() / 2);
-  EXPECT_EQ(cached.stats.frontier_faults, cached.stats.faults_simulated);
-  expect_results_identical(cached.results, truth.results);
-}
+  const auto roomy = run_campaign(net, input, faults, {});
+  EXPECT_GT(roomy.stats.synaptic_frames_cached, 0u);
+  EXPECT_GT(roomy.stats.delta_rows_certified, 0u);
+  expect_results_identical(roomy.results, naive);
 
-TEST(Frontier, AdaptiveRoutingStaysIdenticalWhileDivertingHotLayers) {
-  // The engine's router probes each fault layer and keeps the frontier walk
-  // only where its recompute fraction says it wins; diverted batches run
-  // the lane kernels. Either route is bit-identical, so the campaign output
-  // must not change — only frontier_faults may shrink.
-  struct Case {
-    std::string name;
-    snn::Network net;
-    tensor::Tensor input;
-    std::vector<fault::FaultDescriptor> faults;
-  };
-  std::vector<Case> cases;
-  {
-    auto net = make_net();
-    auto input = busy_input(14, 8, 211);
-    auto faults = all_kinds_universe(net, 64, 212);
-    cases.push_back({"dense-mlp", std::move(net), std::move(input), std::move(faults)});
+  EngineConfig short_cfg;
+  short_cfg.golden_cache_budget_bytes = roomy.stats.golden_cache_bytes - 1;
+  const auto shed = run_campaign(net, input, faults, short_cfg);
+  ASSERT_EQ(shed.stats.golden_cache_layer_bytes.size(), net.num_layers());
+  size_t train_bytes = 0;
+  for (size_t l = 0; l < net.num_layers(); ++l) {
+    const size_t train = T * net.layer(l).num_neurons() * sizeof(float);
+    EXPECT_EQ(shed.stats.golden_cache_layer_bytes[l], train) << "layer " << l;
+    train_bytes += train;
   }
-  {
-    auto net = make_recurrent_net();
-    util::Rng rng(213);
-    auto input = snn::random_spike_train(16, net.input_size(), 0.4, rng);
-    auto faults = all_kinds_universe(net, 64, 214);
-    cases.push_back({"recurrent", std::move(net), std::move(input), std::move(faults)});
-  }
-  for (auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    const auto base = run_campaign(c.net, c.input, c.faults, {});
-    for (const size_t width : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE("width=" + std::to_string(width));
-      EngineConfig cfg;
-      cfg.frontier = true;
-      cfg.lane_width = width;
-      const auto adaptive = run_campaign(c.net, c.input, c.faults, cfg);
-      EXPECT_TRUE(adaptive.stats.frontier_active);
-      // Probe batches always run the frontier walk; diverted batches are
-      // simulated but not frontier-counted.
-      EXPECT_GT(adaptive.stats.frontier_faults, 0u);
-      EXPECT_LE(adaptive.stats.frontier_faults, adaptive.stats.faults_simulated);
-      expect_results_identical(adaptive.results, base.results);
-      EXPECT_EQ(adaptive.detected_count(), base.detected_count());
-    }
-  }
+  EXPECT_EQ(shed.stats.golden_cache_bytes, train_bytes);
+  EXPECT_EQ(shed.stats.synaptic_frames_cached, 0u);
+  EXPECT_EQ(shed.stats.synaptic_frames_computed,
+            roomy.stats.synaptic_frames_cached + roomy.stats.synaptic_frames_computed);
+  EXPECT_EQ(shed.stats.delta_rows_certified, 0u);
+  expect_results_identical(shed.results, naive);
+
+  EngineConfig fitting_cfg;
+  fitting_cfg.golden_cache_budget_bytes = roomy.stats.golden_cache_bytes;
+  const auto fitting = run_campaign(net, input, faults, fitting_cfg);
+  EXPECT_EQ(fitting.stats.golden_cache_layer_bytes, roomy.stats.golden_cache_layer_bytes);
+  EXPECT_EQ(fitting.stats.synaptic_frames_cached, roomy.stats.synaptic_frames_cached);
+  EXPECT_EQ(fitting.stats.delta_rows_certified, roomy.stats.delta_rows_certified);
+  expect_results_identical(fitting.results, naive);
 }
 
 }  // namespace

@@ -429,7 +429,7 @@ TEST(Incremental, CancelledRunResumesFromDictionary) {
   // it and rerunning simulates only the rest and joins to the oracle, to a
   // cold run and to a cold build's exact file bytes. The rerun regroups the
   // pending faults into fresh lane batches that need not align with the
-  // cancelled run's, and the frontier walk must compose with it too.
+  // cancelled run's.
   auto net = make_net();
   const auto input = busy_input();
   const auto faults = sampled_universe(net, 96, 63);
@@ -438,54 +438,50 @@ TEST(Incremental, CancelledRunResumesFromDictionary) {
   for (size_t j = 0; j < labels.size(); ++j) labels[j].critical = j % 2 == 0;
 
   for (const size_t lane_width : {size_t{1}, size_t{8}}) {
-    for (const bool frontier : {false, true}) {
-      SCOPED_TRACE("lane_width " + std::to_string(lane_width) + " frontier " +
-                   std::to_string(frontier));
-      IncrementalConfig config;
-      config.engine.num_threads = 2;
-      config.engine.lane_width = lane_width;
-      config.engine.frontier = frontier;
+    SCOPED_TRACE("lane_width " + std::to_string(lane_width));
+    IncrementalConfig config;
+    config.engine.num_threads = 2;
+    config.engine.lane_width = lane_width;
 
-      FaultDictionary cold_dict = make_dictionary(net, faults);
-      const auto cold = run_incremental_campaign(net, input, faults, cold_dict, config);
-      ASSERT_TRUE(cold.campaign.completed);
+    FaultDictionary cold_dict = make_dictionary(net, faults);
+    const auto cold = run_incremental_campaign(net, input, faults, cold_dict, config);
+    ASSERT_TRUE(cold.campaign.completed);
 
-      // Cancellation is polled once per work item (a lane batch or a single
-      // fault), so the budget counts items.
-      std::atomic<long> budget{lane_width == 1 ? 30 : 4};
-      IncrementalConfig cancelled = config;
-      cancelled.engine.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
-      FaultDictionary dict = make_dictionary(net, faults);
-      const auto first = run_incremental_campaign(net, input, faults, dict, cancelled);
-      EXPECT_FALSE(first.campaign.completed);
-      const size_t finished = first.campaign.stats.faults_simulated;
-      EXPECT_GT(finished, 0u);
-      EXPECT_LT(finished, faults.size());
-      EXPECT_EQ(first.coverage.pairs_recorded, finished);
+    // Cancellation is polled once per work item (a lane batch or a single
+    // fault), so the budget counts items.
+    std::atomic<long> budget{lane_width == 1 ? 30 : 4};
+    IncrementalConfig cancelled = config;
+    cancelled.engine.cancel = [&budget] { return budget.fetch_sub(1) <= 0; };
+    FaultDictionary dict = make_dictionary(net, faults);
+    const auto first = run_incremental_campaign(net, input, faults, dict, cancelled);
+    EXPECT_FALSE(first.campaign.completed);
+    const size_t finished = first.campaign.stats.faults_simulated;
+    EXPECT_GT(finished, 0u);
+    EXPECT_LT(finished, faults.size());
+    EXPECT_EQ(first.coverage.pairs_recorded, finished);
 
-      const std::string path = temp_path("dict_cancelled.snfd");
-      dict.save(path);
-      FaultDictionary::LoadStats stats;
-      auto reloaded = FaultDictionary::load(path, &stats);
-      ASSERT_TRUE(reloaded.has_value());
-      EXPECT_EQ(stats.records_skipped, 0u);
-      EXPECT_EQ(reloaded->num_records(), finished);
+    const std::string path = temp_path("dict_cancelled.snfd");
+    dict.save(path);
+    FaultDictionary::LoadStats stats;
+    auto reloaded = FaultDictionary::load(path, &stats);
+    ASSERT_TRUE(reloaded.has_value());
+    EXPECT_EQ(stats.records_skipped, 0u);
+    EXPECT_EQ(reloaded->num_records(), finished);
 
-      const auto resumed = run_incremental_campaign(net, input, faults, *reloaded, config);
-      EXPECT_TRUE(resumed.campaign.completed);
-      EXPECT_FALSE(resumed.coverage.dictionary_rejected);
-      EXPECT_EQ(resumed.coverage.pairs_reused, finished);
-      EXPECT_EQ(resumed.campaign.stats.faults_simulated, faults.size() - finished);
-      for (size_t j = 0; j < faults.size(); ++j) {
-        EXPECT_TRUE(results_identical(resumed.campaign.results[j], oracle[j])) << "fault " << j;
-        EXPECT_TRUE(results_identical(resumed.campaign.results[j], cold.campaign.results[j]))
-            << "fault " << j;
-      }
-      EXPECT_EQ(fault::build_coverage_report(faults, resumed.campaign.results, labels).to_string(),
-                fault::build_coverage_report(faults, cold.campaign.results, labels).to_string());
-      EXPECT_EQ(reloaded->serialize(), cold_dict.serialize());
-      std::remove(path.c_str());
+    const auto resumed = run_incremental_campaign(net, input, faults, *reloaded, config);
+    EXPECT_TRUE(resumed.campaign.completed);
+    EXPECT_FALSE(resumed.coverage.dictionary_rejected);
+    EXPECT_EQ(resumed.coverage.pairs_reused, finished);
+    EXPECT_EQ(resumed.campaign.stats.faults_simulated, faults.size() - finished);
+    for (size_t j = 0; j < faults.size(); ++j) {
+      EXPECT_TRUE(results_identical(resumed.campaign.results[j], oracle[j])) << "fault " << j;
+      EXPECT_TRUE(results_identical(resumed.campaign.results[j], cold.campaign.results[j]))
+          << "fault " << j;
     }
+    EXPECT_EQ(fault::build_coverage_report(faults, resumed.campaign.results, labels).to_string(),
+              fault::build_coverage_report(faults, cold.campaign.results, labels).to_string());
+    EXPECT_EQ(reloaded->serialize(), cold_dict.serialize());
+    std::remove(path.c_str());
   }
 }
 
@@ -809,15 +805,6 @@ TEST(Replay, ScheduleReplayAccumulatesCoverageWithMonotoneShrinkingWork) {
   ASSERT_EQ(replay.detected.size(), truth.size());
   for (size_t j = 0; j < truth.size(); ++j) {
     EXPECT_EQ(replay.detected[j] != 0, truth[j] != 0) << j;
-  }
-
-  // The frontier engine composes with replay: identical coverage decisions.
-  replay_config.engine.frontier = true;
-  const ScheduleReplayResult frontier = replay_schedule(net, sub, faults, replay_config);
-  EXPECT_EQ(frontier.total_detected, replay.total_detected);
-  ASSERT_EQ(frontier.detected.size(), replay.detected.size());
-  for (size_t j = 0; j < replay.detected.size(); ++j) {
-    EXPECT_EQ(frontier.detected[j], replay.detected[j]) << j;
   }
 }
 

@@ -309,14 +309,19 @@ TEST_P(InjectorKindTest, InjectChangesAndRemoveRestores) {
         EXPECT_EQ(resolved.synapse.value, expected);
         if (target == Target::kConvConnection) {
           // No stored weight moves; the connection's input alone, through
-          // the override, reaches its output as stored + (value - stored).
+          // the override, reaches its output as stored + (value - stored):
+          // one frame holding only that input, through ConvLayer::forward,
+          // integrates exactly that current into a membrane reset to 0.
           EXPECT_EQ(resolved.synapse.delta, expected - stored);
           auto& faulty = static_cast<snn::ConvLayer&>(net.layer(0));
           EXPECT_TRUE(faulty.connection_override_active());
-          std::vector<float> one_hot(faulty.num_inputs(), 0.0f);
-          one_hot[kConnIn] = 1.0f;
-          EXPECT_EQ(faulty.frontier_synapse(one_hot.data(), nullptr, kConnOut),
-                    stored + (expected - stored));
+          tensor::Tensor one_hot(tensor::Shape{1, faulty.num_inputs()}, 0.0f);
+          one_hot.row(0)[kConnIn] = 1.0f;
+          faulty.forward(one_hot, /*record_traces=*/true);
+          const snn::LifBank& bank = faulty.lif();
+          ASSERT_EQ(bank.defaults().reset_potential, 0.0f);
+          ASSERT_TRUE(bank.trace_integrated()[kConnOut]);
+          EXPECT_EQ(bank.trace_u_pre()[kConnOut], stored + (expected - stored));
           EXPECT_EQ(faulty.weights(), conv.weights());
         } else {
           EXPECT_EQ(net.layer(f.weight.layer).params()[f.weight.param].value[f.weight.index],
